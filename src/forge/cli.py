@@ -249,6 +249,7 @@ def _parse_orders(text):
 
 
 def _cmd_quotients(args):
+    budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
     p = FF.parse_presentation(_read(args.presentation))
     inputs = {"presentation": _digest(_read(args.presentation))}
     details = []
@@ -275,8 +276,8 @@ def _cmd_quotients(args):
 
     witness = None
     witness_degree = None
-    for n in range(2, args.max_degree + 1):
-        tracker = _Budget(SearchBudget(max_degree=n, max_nodes=args.max_nodes))
+    for n in range(2, budget.max_degree + 1):
+        tracker = _Budget(SearchBudget(max_degree=n, max_nodes=budget.max_nodes))
         found = None
         try:
             for q in _enumerate_homs(search_p, n, tracker, reduce_first=True):
@@ -390,9 +391,6 @@ def build_parser():
         prog="forge",
         description="Subgroup graphs, presentations, quotient searches and "
                     "the encoding pipeline.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="cap on internal workers (the orchestrator itself "
-                             "is sequential)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("fold", help="fold a graph morphism to an immersion")
@@ -478,8 +476,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     start = time.monotonic()
     try:
         report = args.handler(args)

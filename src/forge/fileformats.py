@@ -383,6 +383,13 @@ def trace_from_json(text):
     Returns a dict with parsed `stages`, the `certificate` (or None) and the
     raw data; enough to re-validate a run without re-encoding."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParseError("a trace must be a JSON object")
+    if "stages" not in data:
+        raise ParseError("the trace has no stages")
+    if not isinstance(data["stages"], dict) \
+            or not all(isinstance(src, str) for src in data["stages"].values()):
+        raise ParseError("trace stages must map names to presentation texts")
     stages = {name: parse_presentation(src)
               for name, src in data["stages"].items()}
     cert = (certificate_from_dict(data["certificate"])

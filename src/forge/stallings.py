@@ -10,6 +10,7 @@ graphs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
@@ -24,12 +25,13 @@ class LabeledGraph:
     """
 
     def __init__(self, vertices, edges, basepoint=None):
-        self.vertices = tuple(sorted(set(vertices), key=_id_key))
+        vset = set(vertices)
+        self.vertices = tuple(sorted(vset, key=_id_key))
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
-            if src not in set(self.vertices) or dst not in set(self.vertices):
+            if src not in vset or dst not in vset:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the graph")
-        if basepoint is not None and basepoint not in set(self.vertices):
+        if basepoint is not None and basepoint not in vset:
             raise ConfigurationError(f"basepoint {basepoint!r} is not a vertex")
         self.basepoint = basepoint
 
@@ -51,14 +53,7 @@ class LabeledGraph:
 
     def components(self):
         """Vertex sets of the connected components, in canonical order."""
-        parent = {v: v for v in self.vertices}
-        for src, dst, _ in self.edges.values():
-            _union(parent, src, dst)
-        comps = {}
-        for v in self.vertices:
-            comps.setdefault(_find(parent, v), []).append(v)
-        return sorted((sorted(vs, key=_id_key) for vs in comps.values()),
-                      key=lambda vs: _id_key(vs[0]))
+        return [vs for vs, _ in _component_data(self)]
 
 
 def _id_key(v):
@@ -66,21 +61,35 @@ def _id_key(v):
         if not isinstance(v, tuple) else (2, 0, tuple(_id_key(x) for x in v))
 
 
-def _find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+def _component_data(graph):
+    """(vertex list, edge count) of each connected component, from one
+    union-find pass.  `graph.vertices` is in canonical order, so the lists
+    come out sorted and ordered by least vertex without a sort."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    parent = list(range(len(index)))
+    for src, dst, _ in graph.edges.values():
+        a, b = _find(parent, index[src]), _find(parent, index[dst])
+        if a != b:
+            parent[b] = a
+    slot = {}
+    comps = []
+    for i, v in enumerate(graph.vertices):
+        k = slot.setdefault(_find(parent, i), len(comps))
+        if k == len(comps):
+            comps.append([])
+        comps[k].append(v)
+    counts = [0] * len(comps)
+    for src, _, _ in graph.edges.values():
+        counts[slot[_find(parent, index[src])]] += 1
+    return list(zip(comps, counts))
 
 
-def _union(parent, x, y):
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        if _id_key(ry) < _id_key(rx):
-            rx, ry = ry, rx
-        parent[ry] = rx
+def _find(parent, i):
+    """Root of position i in a union-find parent list, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def rose(labels, basepoint="*"):
@@ -101,8 +110,9 @@ class GraphImmersion:
         self.domain = domain
         self.base = base
         self.vmap = dict(vmap)
+        base_vertices = set(base.vertices)
         for v in domain.vertices:
-            if v not in self.vmap or self.vmap[v] not in set(base.vertices):
+            if v not in self.vmap or self.vmap[v] not in base_vertices:
                 raise ConfigurationError(f"vertex {v!r} is not mapped into the base")
         for eid, (src, dst, label) in domain.edges.items():
             if label not in base.edges:
@@ -114,7 +124,7 @@ class GraphImmersion:
         if domain.basepoint is not None and base.basepoint is not None:
             if self.vmap[domain.basepoint] != base.basepoint:
                 raise ConfigurationError("basepoints do not correspond under the map")
-        if folded and _violation(domain) is not None:
+        if folded and not _is_immersion(domain):
             raise ConfigurationError("graph is not an immersion; fold it first")
         self.folded = folded
 
@@ -128,72 +138,67 @@ class GraphImmersion:
         return f"GraphImmersion({self.domain!r} -> {self.base!r})"
 
 
-def _violation(graph):
-    """First (vertex, direction, edge pair) violating the immersion condition,
-    scanning vertices then labels then edge ids in canonical order."""
-    out = {}
-    inc = {}
-    for eid in sorted(graph.edges, key=_id_key):
-        src, dst, label = graph.edges[eid]
-        out.setdefault((src, label), []).append(eid)
-        inc.setdefault((dst, label), []).append(eid)
-    for v in graph.vertices:
-        for (u, label), eids in sorted(out.items(), key=lambda kv: _id_key(kv[0][1])):
-            if u == v and len(eids) > 1:
-                return eids[0], eids[1]
-        for (u, label), eids in sorted(inc.items(), key=lambda kv: _id_key(kv[0][1])):
-            if u == v and len(eids) > 1:
-                return eids[0], eids[1]
-    return None
+def _is_immersion(graph):
+    """No two equally-labeled edges leave, or enter, a common vertex."""
+    edges = graph.edges.values()
+    return (len({(src, label) for src, _, label in edges}) == len(edges)
+            and len({(dst, label) for _, dst, label in edges}) == len(edges))
 
 
 def fold(morphism):
     """Fold a label-preserving graph map to an immersion.
 
-    Repeatedly identifies the far endpoints of equally-labeled edge pairs
-    leaving (or entering) a common vertex, lowest edge id first.  Folding
-    is confluent, so the result is independent of the order up to the
-    canonical relabeling applied at the end.
+    A worklist union-find: every class keeps one out- and one in-neighbour
+    per label, and merging two classes moves the smaller table into the
+    larger, queueing the far endpoints of any label the two share.  Each
+    class is named by its least vertex, because canonical_form starts a
+    component without the basepoint from its least-named vertex.  Folding
+    is confluent, so the result does not depend on the merge order once the
+    canonical relabeling is applied at the end.
     """
-    graph, vmap = morphism.domain, dict(morphism.vmap)
-    vertices = list(graph.vertices)
-    edges = dict(graph.edges)
-    parent = {v: v for v in vertices}
-    while True:
-        current = _quotient_graph(vertices, edges, parent, graph.basepoint)
-        pair = _violation(current)
-        if pair is None:
-            break
-        e1, e2 = pair
-        s1, d1, _ = current.edges[e1]
-        s2, d2, _ = current.edges[e2]
-        # The two edges share one endpoint and a label; identify the others.
-        _union(parent, s1, s2)
-        _union(parent, d1, d2)
-        del edges[e2]
-    folded = _quotient_graph(vertices, edges, parent, graph.basepoint)
-    new_vmap = {v: vmap[_any_preimage(parent, vmap, v)] for v in folded.vertices}
-    return canonical_form(GraphImmersion(folded, morphism.base, new_vmap))
-
-
-def _any_preimage(parent, vmap, rep):
-    # All vertices merged into `rep` share a base image, so any one will do.
-    return rep
-
-
-def _quotient_graph(vertices, edges, parent, basepoint):
-    vs = sorted({_find(parent, v) for v in vertices}, key=_id_key)
-    es = {}
-    seen = {}
-    for eid in sorted(edges, key=_id_key):
-        src, dst, label = edges[eid]
-        key = (_find(parent, src), _find(parent, dst), label)
-        if key in seen:
+    graph = morphism.domain
+    vertices = graph.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+    out = [{} for _ in vertices]   # class root -> {label: some far endpoint}
+    inc = [{} for _ in vertices]
+    pending = []
+    for src, dst, label in graph.edges.values():
+        s, d = index[src], index[dst]
+        far = out[s].setdefault(label, d)
+        if far != d:
+            pending.append((far, d))
+        far = inc[d].setdefault(label, s)
+        if far != s:
+            pending.append((far, s))
+    while pending:
+        a, b = pending.pop()
+        a, b = _find(parent, a), _find(parent, b)
+        if a == b:
             continue
-        seen[key] = eid
-        es[eid] = key
-    bp = _find(parent, basepoint) if basepoint is not None else None
-    return LabeledGraph(vs, es, bp)
+        if len(out[a]) + len(inc[a]) < len(out[b]) + len(inc[b]):
+            a, b = b, a
+        parent[b] = a
+        for keep, gone in ((out[a], out[b]), (inc[a], inc[b])):
+            for label, far in gone.items():
+                other = keep.setdefault(label, far)
+                if other != far:
+                    pending.append((other, far))
+        out[b] = inc[b] = None
+    name = {}
+    for i, v in enumerate(vertices):
+        name.setdefault(_find(parent, i), v)
+    edges = {}
+    for root, table in enumerate(out):
+        if table is not None:
+            for label, far in table.items():
+                edges[len(edges)] = (name[root], name[_find(parent, far)], label)
+    bp = graph.basepoint
+    if bp is not None:
+        bp = name[_find(parent, index[bp])]
+    folded = LabeledGraph(name.values(), edges, bp)
+    vmap = {v: morphism.vmap[v] for v in folded.vertices}
+    return canonical_form(GraphImmersion(folded, morphism.base, vmap))
 
 
 def canonical_form(immersion):
@@ -203,8 +208,7 @@ def canonical_form(immersion):
     order = []
     seen = set()
     adjacency = {}
-    for eid in sorted(graph.edges, key=_id_key):
-        src, dst, label = graph.edges[eid]
+    for src, dst, label in graph.edges.values():
         adjacency.setdefault(src, []).append((label, 0, dst))
         adjacency.setdefault(dst, []).append((label, 1, src))
     starts = []
@@ -214,10 +218,10 @@ def canonical_form(immersion):
     for start in starts:
         if start in seen:
             continue
-        queue = [start]
+        queue = deque([start])
         seen.add(start)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             for _, _, u in sorted(adjacency.get(v, [])):
                 if u not in seen:
@@ -289,33 +293,32 @@ def core(immersion):
     """Trim degree-1 vertices repeatedly, keeping the basepoint even when it
     has degree 1 so membership stays evaluable."""
     graph = immersion.domain
-    vertices = set(graph.vertices)
-    edges = dict(graph.edges)
-    while True:
-        removable = [v for v in sorted(vertices, key=_id_key)
-                     if v != graph.basepoint
-                     and sum((src == v) + (dst == v)
-                             for src, dst, _ in edges.values()) <= 1]
-        if not removable:
-            break
-        for v in removable:
-            vertices.discard(v)
-            edges = {eid: e for eid, e in edges.items() if v not in (e[0], e[1])}
-    trimmed = LabeledGraph(vertices, edges, graph.basepoint)
-    vmap = {v: immersion.vmap[v] for v in trimmed.vertices}
-    return canonical_form(GraphImmersion(trimmed, immersion.base, vmap,
+    neighbours = {v: [] for v in graph.vertices}
+    for src, dst, _ in graph.edges.values():
+        neighbours[src].append(dst)
+        neighbours[dst].append(src)
+    degree = {v: len(us) for v, us in neighbours.items()}
+    trimmed = {v for v, d in degree.items() if d <= 1 and v != graph.basepoint}
+    queue = deque(trimmed)
+    while queue:
+        for u in neighbours[queue.popleft()]:
+            if u not in trimmed:
+                degree[u] -= 1
+                if degree[u] <= 1 and u != graph.basepoint:
+                    trimmed.add(u)
+                    queue.append(u)
+    edges = {eid: e for eid, e in graph.edges.items()
+             if e[0] not in trimmed and e[1] not in trimmed}
+    kept = LabeledGraph([v for v in graph.vertices if v not in trimmed], edges,
+                        graph.basepoint)
+    vmap = {v: immersion.vmap[v] for v in kept.vertices}
+    return canonical_form(GraphImmersion(kept, immersion.base, vmap,
                                          folded=immersion.folded))
 
 
 def rank(graph):
     """E - V + 1 for each connected component, keyed by least vertex."""
-    comps = graph.components()
-    out = {}
-    for vs in comps:
-        vset = set(vs)
-        e = sum(1 for src, dst, _ in graph.edges.values() if src in vset)
-        out[vs[0]] = e - len(vs) + 1
-    return out
+    return {vs[0]: e - len(vs) + 1 for vs, e in _component_data(graph)}
 
 
 def total_rank(graph):
@@ -376,27 +379,28 @@ def fibre_product(i1, i2):
     if i1.base != i2.base:
         raise BaseMismatchError("fibre product requires a common base graph")
     same = i1 == i2
-    vertices = [(v1, v2) for v1 in i1.domain.vertices for v2 in i2.domain.vertices
-                if i1.vmap[v1] == i2.vmap[v2]]
+    g1, g2 = i1.domain, i2.domain
+    fibre = {}
+    for v2 in g2.vertices:
+        fibre.setdefault(i2.vmap[v2], []).append(v2)
+    vertices = [(v1, v2) for v1 in g1.vertices for v2 in fibre.get(i1.vmap[v1], ())]
+    by_label = {}
+    for e2 in sorted(g2.edges, key=_id_key):
+        s2, d2, label = g2.edges[e2]
+        by_label.setdefault(label, []).append((e2, s2, d2))
     edges = {}
-    for e1 in sorted(i1.domain.edges, key=_id_key):
-        s1, d1, l1 = i1.domain.edges[e1]
-        for e2 in sorted(i2.domain.edges, key=_id_key):
-            s2, d2, l2 = i2.domain.edges[e2]
-            if l1 == l2:
-                edges[(e1, e2)] = ((s1, s2), (d1, d2), l1)
+    for e1 in sorted(g1.edges, key=_id_key):
+        s1, d1, label = g1.edges[e1]
+        for e2, s2, d2 in by_label.get(label, ()):
+            edges[(e1, e2)] = ((s1, s2), (d1, d2), label)
     bp = None
-    if i1.domain.basepoint is not None and i2.domain.basepoint is not None:
-        bp = (i1.domain.basepoint, i2.domain.basepoint)
-        if bp not in set(vertices):
-            bp = None
+    if g1.basepoint is not None and g2.basepoint is not None \
+            and i1.vmap[g1.basepoint] == i2.vmap[g2.basepoint]:
+        bp = (g1.basepoint, g2.basepoint)
     total = LabeledGraph(vertices, edges, bp)
-    ranks = rank(total)
     comps = []
-    for idx, vs in enumerate(total.components()):
-        vset = set(vs)
-        e = sum(1 for src, _, _ in total.edges.values() if src in vset)
-        r = ranks[vs[0]]
+    for idx, (vs, e) in enumerate(_component_data(total)):
+        r = e - len(vs) + 1
         diagonal = same and any(a == b for a, b in vs)
         comps.append(FibreProductComponent(
             index=idx, vertices=tuple(vs), edge_count=e, rank=r,
@@ -414,6 +418,15 @@ class MalnormalityWitness:
     component: FibreProductComponent
 
 
+def _first_failure(fp, self_pair):
+    """The first component refuting malnormality: a non-tree, unless it is
+    the diagonal component of a self product."""
+    for comp in fp.components:
+        if not comp.is_tree and not (self_pair and comp.is_diagonal):
+            return comp
+    return None
+
+
 def malnormal_family_check(family):
     """Certify that a family of subgroups (given as immersions over a common
     base) is malnormal: every component of every pairwise fibre product must
@@ -423,12 +436,8 @@ def malnormal_family_check(family):
     family = list(family)
     for i in range(len(family)):
         for j in range(i, len(family)):
-            fp = fibre_product(family[i], family[j])
-            for comp in fp.components:
-                if comp.is_tree:
-                    continue
-                if i == j and comp.is_diagonal:
-                    continue
+            comp = _first_failure(fibre_product(family[i], family[j]), i == j)
+            if comp is not None:
                 return False, MalnormalityWitness(pair=(i, j), component=comp)
     return True, None
 
@@ -445,29 +454,32 @@ class RelabelingAction:
         self.elements = [(dict(vp), dict(ep)) for vp, ep in elements]
         for vp, ep in self.elements:
             _check_automorphism(base, vp, ep)
-        keys = {self._key(el) for el in self.elements}
-        ident = (dict.fromkeys(base.vertices), {e: e for e in base.edges})
-        for v in base.vertices:
-            ident[0][v] = v
-        if self._key(ident) not in keys:
+        table = [self._key(el) for el in self.elements]
+        self._keys = set(table)
+        ident = ({v: v for v in base.vertices}, {e: e for e in base.edges})
+        if self._key(ident) not in self._keys:
             raise InvalidActionError("action table does not contain the identity")
-        for el1 in self.elements:
-            for el2 in self.elements:
-                if self._key(self.compose(el1, el2)) not in keys:
+        # The key of el1 after el2 is el2's key mapped through el1.
+        for vp1, ep1 in self.elements:
+            v1, e1 = vp1.__getitem__, ep1.__getitem__
+            for images_v, images_e in table:
+                if (tuple(map(v1, images_v)), tuple(map(e1, images_e))) not in self._keys:
                     raise InvalidActionError("action table is not closed under composition")
 
-    @staticmethod
-    def _key(el):
+    def _key(self, el):
+        """The images of the base's vertices and edges, in the base's own
+        order; None when `el` is not a map on exactly those."""
         vp, ep = el
-        return (tuple(sorted(vp.items(), key=lambda kv: _id_key(kv[0]))),
-                tuple(sorted(ep.items(), key=lambda kv: _id_key(kv[0]))))
+        if len(vp) != len(self.base.vertices) or len(ep) != len(self.base.edges):
+            return None
+        try:
+            return (tuple(vp[v] for v in self.base.vertices),
+                    tuple(ep[e] for e in self.base.edges))
+        except KeyError:
+            return None
 
-    @staticmethod
-    def compose(el1, el2):
-        """el1 after el2."""
-        vp1, ep1 = el1
-        vp2, ep2 = el2
-        return ({v: vp1[vp2[v]] for v in vp2}, {e: ep1[ep2[e]] for e in ep2})
+    def __contains__(self, el):
+        return self._key(el) in self._keys
 
     @classmethod
     def cyclic(cls, base, edge_image, vertex_image=None):
@@ -487,11 +499,10 @@ class RelabelingAction:
 
 
 def _check_automorphism(base, vp, ep):
-    if sorted(map(_id_key, vp.values())) != sorted(map(_id_key, base.vertices)) \
-            or set(vp) != set(base.vertices):
+    vertices, edges = set(base.vertices), set(base.edges)
+    if set(vp) != vertices or set(vp.values()) != vertices:
         raise InvalidActionError("vertex map is not a permutation of the base vertices")
-    if sorted(map(_id_key, ep.values())) != sorted(map(_id_key, base.edges)) \
-            or set(ep) != set(base.edges):
+    if set(ep) != edges or set(ep.values()) != edges:
         raise InvalidActionError("edge map is not a permutation of the base edges")
     for eid, (src, dst, _) in base.edges.items():
         isrc, idst, _ = base.edges[ep[eid]]
@@ -519,19 +530,44 @@ def translate(immersion, element):
 
 
 def translate_family_check(base, action, subgroup, translates):
-    """Malnormality certificate for the family of translated copies of a
-    subgroup graph (Stallings-side form of the double-coset criterion).
+    """Malnormality certificate for the family of translated copies gH of a
+    subgroup graph H (Stallings-side form of the double-coset criterion).
 
-    `translates` are elements of the relabeling action; the check builds one
-    translated copy per element and runs malnormal_family_check."""
-    keys = {RelabelingAction._key(el) for el in action.elements}
-    family = []
-    for el in translates:
-        el = (dict(el[0]), dict(el[1]))
-        if RelabelingAction._key(el) not in keys:
-            raise InvalidActionError("translate is not an element of the action")
-        family.append(translate(subgroup, el))
-    return malnormal_family_check(family)
+    `translates` are elements of the relabeling action.  The verdict is that
+    of malnormal_family_check on the copies, but built from fewer products:
+    the fibre product of gH and hH has the same components (vertex pairs,
+    edge counts, ranks) as that of H and g^-1 hH, so one product per
+    distinct (g^-1 h, whether the pair is a self pair) decides every pair.
+    These products are kept for this call only.  The pairs are scanned in
+    order of (i, j), i <= j; the first failing pair's own product is rebuilt,
+    so the witness is that pair and its first failing component, exactly as
+    malnormal_family_check on the copies would report."""
+    translates = [(dict(el[0]), dict(el[1])) for el in translates]
+    if not all(el in action for el in translates):
+        raise InvalidActionError("translate is not an element of the action")
+    images = [action._key(el) for el in translates]
+    inverses = [({x: v for v, x in vp.items()}, {x: e for e, x in ep.items()})
+                for vp, ep in translates]
+    vertices, edges = action.base.vertices, tuple(action.base.edges)
+    identity = (vertices, edges)
+    decided = {}
+    for i, (inv_v, inv_e) in enumerate(inverses):
+        for j in range(i, len(translates)):
+            # The key of g^-1 h is h's key mapped through g^-1.
+            d = identity if i == j else (tuple(map(inv_v.__getitem__, images[j][0])),
+                                         tuple(map(inv_e.__getitem__, images[j][1])))
+            key = (d, i == j)
+            ok = decided.get(key)
+            if ok is None:
+                element = (dict(zip(vertices, d[0])), dict(zip(edges, d[1])))
+                fp = fibre_product(subgroup, translate(subgroup, element))
+                ok = decided[key] = _first_failure(fp, i == j) is None
+            if not ok:
+                fp = fibre_product(translate(subgroup, translates[i]),
+                                   translate(subgroup, translates[j]))
+                comp = _first_failure(fp, i == j)
+                return False, MalnormalityWitness(pair=(i, j), component=comp)
+    return True, None
 
 
 @dataclass(frozen=True)

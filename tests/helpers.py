@@ -169,3 +169,235 @@ def invariant_factors_oracle(matrix):
         factors.append(d // prev)
         prev = d
     return factors
+
+
+# ---------------------------------------------------------------------------
+# The original quadratic Stallings kernels, kept as a differential oracle
+# for the near-linear ones in forge.stallings: a quotient-graph rebuild and a full
+# violation rescan per fold merge, per-component edge scans for ranks, an
+# |E1| x |E2| fibre-product edge scan, and the pairwise translate check.
+# Only the data types and `translate` come from forge.
+
+
+def _id_key(v):
+    return (0, v, "") if isinstance(v, int) else (1, 0, str(v)) \
+        if not isinstance(v, tuple) else (2, 0, tuple(_id_key(x) for x in v))
+
+
+def _find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent, x, y):
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        if _id_key(ry) < _id_key(rx):
+            rx, ry = ry, rx
+        parent[ry] = rx
+
+
+def _oracle_violation(graph):
+    out = {}
+    inc = {}
+    for eid in sorted(graph.edges, key=_id_key):
+        src, dst, label = graph.edges[eid]
+        out.setdefault((src, label), []).append(eid)
+        inc.setdefault((dst, label), []).append(eid)
+    for v in graph.vertices:
+        for (u, label), eids in sorted(out.items(), key=lambda kv: _id_key(kv[0][1])):
+            if u == v and len(eids) > 1:
+                return eids[0], eids[1]
+        for (u, label), eids in sorted(inc.items(), key=lambda kv: _id_key(kv[0][1])):
+            if u == v and len(eids) > 1:
+                return eids[0], eids[1]
+    return None
+
+
+def _oracle_quotient_graph(vertices, edges, parent, basepoint):
+    from forge.stallings import LabeledGraph
+    vs = sorted({_find(parent, v) for v in vertices}, key=_id_key)
+    es = {}
+    seen = {}
+    for eid in sorted(edges, key=_id_key):
+        src, dst, label = edges[eid]
+        key = (_find(parent, src), _find(parent, dst), label)
+        if key in seen:
+            continue
+        seen[key] = eid
+        es[eid] = key
+    bp = _find(parent, basepoint) if basepoint is not None else None
+    return LabeledGraph(vs, es, bp)
+
+
+def oracle_canonical_form(immersion):
+    from forge.stallings import GraphImmersion, LabeledGraph
+    graph = immersion.domain
+    order = []
+    seen = set()
+    adjacency = {}
+    for eid in sorted(graph.edges, key=_id_key):
+        src, dst, label = graph.edges[eid]
+        adjacency.setdefault(src, []).append((label, 0, dst))
+        adjacency.setdefault(dst, []).append((label, 1, src))
+    starts = []
+    if graph.basepoint is not None:
+        starts.append(graph.basepoint)
+    starts.extend(graph.vertices)
+    for start in starts:
+        if start in seen:
+            continue
+        queue = [start]
+        seen.add(start)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for _, _, u in sorted(adjacency.get(v, [])):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    rename = {v: i for i, v in enumerate(order)}
+    edge_items = sorted(
+        ((rename[src], label, rename[dst]) for src, dst, label in graph.edges.values()),
+        key=lambda t: (t[0], _id_key(t[1]), t[2]))
+    edges = {i: (src, dst, label) for i, (src, label, dst) in enumerate(edge_items)}
+    bp = rename[graph.basepoint] if graph.basepoint is not None else None
+    domain = LabeledGraph(range(len(order)), edges, bp)
+    vmap = {rename[v]: immersion.vmap[v] for v in graph.vertices}
+    return GraphImmersion(domain, immersion.base, vmap, folded=immersion.folded)
+
+
+def oracle_fold(morphism):
+    from forge.stallings import GraphImmersion
+    graph, vmap = morphism.domain, dict(morphism.vmap)
+    vertices = list(graph.vertices)
+    edges = dict(graph.edges)
+    parent = {v: v for v in vertices}
+    while True:
+        current = _oracle_quotient_graph(vertices, edges, parent, graph.basepoint)
+        pair = _oracle_violation(current)
+        if pair is None:
+            break
+        e1, e2 = pair
+        s1, d1, _ = current.edges[e1]
+        s2, d2, _ = current.edges[e2]
+        _union(parent, s1, s2)
+        _union(parent, d1, d2)
+        del edges[e2]
+    folded = _oracle_quotient_graph(vertices, edges, parent, graph.basepoint)
+    new_vmap = {v: vmap[v] for v in folded.vertices}
+    return oracle_canonical_form(GraphImmersion(folded, morphism.base, new_vmap))
+
+
+def oracle_core(immersion):
+    from forge.stallings import GraphImmersion, LabeledGraph
+    graph = immersion.domain
+    vertices = set(graph.vertices)
+    edges = dict(graph.edges)
+    while True:
+        removable = [v for v in sorted(vertices, key=_id_key)
+                     if v != graph.basepoint
+                     and sum((src == v) + (dst == v)
+                             for src, dst, _ in edges.values()) <= 1]
+        if not removable:
+            break
+        for v in removable:
+            vertices.discard(v)
+            edges = {eid: e for eid, e in edges.items() if v not in (e[0], e[1])}
+    trimmed = LabeledGraph(vertices, edges, graph.basepoint)
+    vmap = {v: immersion.vmap[v] for v in trimmed.vertices}
+    return oracle_canonical_form(GraphImmersion(trimmed, immersion.base, vmap,
+                                              folded=immersion.folded))
+
+
+def oracle_components(graph):
+    parent = {v: v for v in graph.vertices}
+    for src, dst, _ in graph.edges.values():
+        _union(parent, src, dst)
+    comps = {}
+    for v in graph.vertices:
+        comps.setdefault(_find(parent, v), []).append(v)
+    return sorted((sorted(vs, key=_id_key) for vs in comps.values()),
+                  key=lambda vs: _id_key(vs[0]))
+
+
+def oracle_rank(graph):
+    out = {}
+    for vs in oracle_components(graph):
+        vset = set(vs)
+        e = sum(1 for src, dst, _ in graph.edges.values() if src in vset)
+        out[vs[0]] = e - len(vs) + 1
+    return out
+
+
+def oracle_fibre_product(i1, i2):
+    from forge.stallings import (FibreProductComponent,
+                                 FibreProductDecomposition, LabeledGraph)
+    same = i1 == i2
+    vertices = [(v1, v2) for v1 in i1.domain.vertices for v2 in i2.domain.vertices
+                if i1.vmap[v1] == i2.vmap[v2]]
+    edges = {}
+    for e1 in sorted(i1.domain.edges, key=_id_key):
+        s1, d1, l1 = i1.domain.edges[e1]
+        for e2 in sorted(i2.domain.edges, key=_id_key):
+            s2, d2, l2 = i2.domain.edges[e2]
+            if l1 == l2:
+                edges[(e1, e2)] = ((s1, s2), (d1, d2), l1)
+    bp = None
+    if i1.domain.basepoint is not None and i2.domain.basepoint is not None:
+        bp = (i1.domain.basepoint, i2.domain.basepoint)
+        if bp not in set(vertices):
+            bp = None
+    total = LabeledGraph(vertices, edges, bp)
+    ranks = oracle_rank(total)
+    comps = []
+    for idx, vs in enumerate(oracle_components(total)):
+        vset = set(vs)
+        e = sum(1 for src, _, _ in total.edges.values() if src in vset)
+        r = ranks[vs[0]]
+        diagonal = same and any(a == b for a, b in vs)
+        comps.append(FibreProductComponent(
+            index=idx, vertices=tuple(vs), edge_count=e, rank=r,
+            is_tree=(r == 0), is_diagonal=diagonal))
+    pr1 = {v: v[0] for v in total.vertices}
+    pr2 = {v: v[1] for v in total.vertices}
+    return FibreProductDecomposition(total, tuple(comps), pr1, pr2)
+
+
+def oracle_malnormal_family_check(family):
+    from forge.stallings import MalnormalityWitness
+    family = list(family)
+    for i in range(len(family)):
+        for j in range(i, len(family)):
+            fp = oracle_fibre_product(family[i], family[j])
+            for comp in fp.components:
+                if comp.is_tree:
+                    continue
+                if i == j and comp.is_diagonal:
+                    continue
+                return False, MalnormalityWitness(pair=(i, j), component=comp)
+    return True, None
+
+
+def _oracle_action_key(el):
+    vp, ep = el
+    return (tuple(sorted(vp.items(), key=lambda kv: _id_key(kv[0]))),
+            tuple(sorted(ep.items(), key=lambda kv: _id_key(kv[0]))))
+
+
+def oracle_translate_family_check(base, action, subgroup, translates):
+    """One translated copy per element, then every pair's fibre product."""
+    from forge.errors import InvalidActionError
+    from forge.stallings import translate
+    keys = {_oracle_action_key(el) for el in action.elements}
+    family = []
+    for el in translates:
+        el = (dict(el[0]), dict(el[1]))
+        if _oracle_action_key(el) not in keys:
+            raise InvalidActionError("translate is not an element of the action")
+        family.append(translate(subgroup, el))
+    return oracle_malnormal_family_check(family)

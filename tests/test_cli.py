@@ -158,6 +158,16 @@ class TestErrors:
         assert code == 1
         assert "status: error" in out
 
+    @pytest.mark.parametrize("bound", [("--max-degree", "0"),
+                                       ("--max-degree", "-1"),
+                                       ("--max-nodes", "0")])
+    def test_quotients_nonpositive_budget(self, workdir, capsys, bound):
+        code, out = run(capsys, "quotients", workdir / "free.txt",
+                        "--max-degree", "3", *bound)
+        assert code == 1
+        assert "status: error" in out
+        assert "budget bounds must be positive" in out
+
     def test_bad_orders_spec(self, workdir, capsys):
         code, out = run(capsys, "quotients", workdir / "free.txt",
                         "--max-degree", "2", "--orders", "nonsense")

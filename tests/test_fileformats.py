@@ -120,6 +120,13 @@ class TestComplexFormat:
 
 
 class TestTraceFormat:
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"s"', '{"x": 1}',
+                                      '{"stages": 5}', '{"stages": [1]}',
+                                      '{"stages": {"p_w": 5}}'])
+    def test_wrong_shape_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            FF.trace_from_json(text)
+
     def test_certificate_round_trip(self):
         _, cert = select_malnormal_words(0, N=7)
         data = FF.certificate_to_dict(cert)

@@ -159,9 +159,14 @@ class TestRelabelingAction:
         base, action = self.rotation(3)
         e = W.Alphabet([f"e{i}" for i in range(3)])
         g = S.graph_of_subgroup(base, [e.gen("e0")])
-        bogus = ({"*": "*"}, {"e0": "e0", "e1": "e2", "e2": "e1"})
-        with pytest.raises(InvalidActionError):
-            S.translate_family_check(base, action, g, [bogus])
+        identity_edges = {"e0": "e0", "e1": "e1", "e2": "e2"}
+        for bogus in [({"*": "*"}, {"e0": "e0", "e1": "e2", "e2": "e1"}),
+                      ({"*": "*", "x": "x"}, identity_edges),
+                      ({"*": "*"}, {"e0": "e0", "e1": "e1"}),
+                      ({"*": "*"}, dict(identity_edges, e3="e3")),
+                      ({}, identity_edges)]:
+            with pytest.raises(InvalidActionError):
+                S.translate_family_check(base, action, g, [action.elements[0], bogus])
 
 
 class TestKernelRewriting:
