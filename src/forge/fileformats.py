@@ -12,7 +12,7 @@ import json
 
 from . import words as W
 from .encoder import UV, EncodingTrace, MalnormalCertificate
-from .errors import ParseError
+from .errors import ForgeError, ParseError
 from .presentations import FinitePresentation
 from .squarecx import SquareComplex
 from .stallings import GraphImmersion, LabeledGraph
@@ -333,11 +333,28 @@ def certificate_to_dict(cert):
     }
 
 
+_CERTIFICATE_FIELDS = {"m": int, "modulus": int, "rank": int, "base_rank": int,
+                       "family_malnormal": bool, "translates_malnormal": bool}
+
+
 def certificate_from_dict(data):
+    """Inverse of certificate_to_dict; raises ParseError on any other shape."""
+    if not isinstance(data, dict):
+        raise ParseError("a certificate must be a JSON object")
+    for key, kind in _CERTIFICATE_FIELDS.items():
+        if type(data.get(key)) is not kind:
+            raise ParseError(f"certificate field {key!r} must be a {kind.__name__}")
+    words = data.get("tuple_uv")
+    if not isinstance(words, list) or not all(isinstance(c, str) for c in words):
+        raise ParseError("certificate field 'tuple_uv' must be a list of words")
+    try:
+        tuple_uv = tuple(W.parse_word(UV, c) for c in words)
+    except ForgeError as exc:
+        raise ParseError(f"certificate word: {exc}") from exc
     return MalnormalCertificate(
         m=data["m"],
         modulus=data["modulus"],
-        tuple_uv=tuple(W.parse_word(UV, c) for c in data["tuple_uv"]),
+        tuple_uv=tuple_uv,
         rank=data["rank"],
         family_malnormal=data["family_malnormal"],
         base_rank=data["base_rank"],
@@ -393,5 +410,5 @@ def trace_from_json(text):
     stages = {name: parse_presentation(src)
               for name, src in data["stages"].items()}
     cert = (certificate_from_dict(data["certificate"])
-            if data.get("certificate") else None)
+            if data.get("certificate") is not None else None)
     return {"stages": stages, "certificate": cert, "data": data}

@@ -185,8 +185,15 @@ def tietze_change_generators(p, definitions, inverse_expressions):
 
 
 def exponent_matrix(p):
-    """Relators x generators matrix of exponent sums."""
-    return [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+    """Relators x generators matrix of exponent sums, one pass per relator."""
+    column = {g: j for j, g in enumerate(p.generators)}
+    matrix = []
+    for r in p.relators:
+        row = [0] * len(column)
+        for g, s in r.letters:
+            row[column[g]] += s
+        matrix.append(row)
+    return matrix
 
 
 def abelianization(p):

@@ -1,6 +1,20 @@
-"""Smith normal form over the integers, with exact (big) integer arithmetic."""
+"""Smith normal form over the integers, with exact (big) integer arithmetic.
+
+The kernel runs in two phases.  First, sparse elimination on unit pivots:
+rows are dicts column -> entry with a column -> rows index, and while some
+entry is +-1 the one of least Markowitz cost (row length - 1) * (column
+length - 1) clears its column by row operations; its row and column then
+split off as one invariant factor 1, since the rest of its row is cleared by
+column operations that touch nothing else.  Boundary and exponent matrices
+are mostly +-1, so this leaves a small residual core.  Second, the Euclidean
+SNF loop runs densely on that core.  The invariant factors are unique, so
+the pivot order changes only the cost, never the result.
+"""
 
 from __future__ import annotations
+
+import heapq
+from itertools import compress
 
 
 def smith_normal_form(matrix):
@@ -9,12 +23,84 @@ def smith_normal_form(matrix):
     The matrix is a list of rows.  len(result) equals the rank of the matrix;
     the divisibility chain d_1 | d_2 | ... holds.
     """
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    for row in a:
+    cols = len(matrix[0]) if matrix else 0
+    columns = range(cols)
+    rows = []
+    for row in matrix:
         if len(row) != cols:
             raise ValueError("ragged matrix")
+        rows.append({j: int(row[j]) for j in compress(columns, row)})
+    units = _eliminate_unit_pivots(rows)
+    return [1] * units + _euclidean_factors(_dense_core(rows))
+
+
+def _eliminate_unit_pivots(rows):
+    """Eliminate +-1 pivots in place (eliminated rows become None) and
+    return how many there were.  No +-1 entry is left in the other rows."""
+    column = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            column.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(column[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
+            for j, v in row.items() if v == 1 or v == -1]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        c, i, j = heapq.heappop(heap)
+        pivot_row = rows[i]
+        if pivot_row is None or pivot_row.get(j) not in (1, -1) or c != cost(i, j):
+            continue  # stale: an up-to-date entry was pushed when it changed
+        units += 1
+        rows[i] = None
+        for jj in pivot_row:
+            column[jj].discard(i)
+        p = pivot_row.pop(j)
+        touched = column.pop(j)
+        for k in touched:
+            row = rows[k]
+            q = row.pop(j) * p  # p is its own inverse
+            for jj, v in pivot_row.items():
+                w = row.get(jj, 0) - q * v
+                if w:
+                    if jj not in row:
+                        column[jj].add(k)
+                    row[jj] = w
+                elif jj in row:
+                    del row[jj]
+                    column[jj].discard(k)
+        # Costs changed in the touched rows and in the pivot row's columns.
+        for k in touched:
+            for jj, v in rows[k].items():
+                if v == 1 or v == -1:
+                    heapq.heappush(heap, (cost(k, jj), k, jj))
+        for jj in pivot_row:
+            for k in column[jj] - touched:
+                v = rows[k][jj]
+                if v == 1 or v == -1:
+                    heapq.heappush(heap, (cost(k, jj), k, jj))
+    return units
+
+
+def _dense_core(rows):
+    """The nonzero rows left after elimination, over their nonzero columns."""
+    rows = [row for row in rows if row]
+    index = {j: n for n, j in enumerate(sorted({j for row in rows for j in row}))}
+    core = []
+    for row in rows:
+        dense = [0] * len(index)
+        for j, v in row.items():
+            dense[index[j]] = v
+        core.append(dense)
+    return core
+
+
+def _euclidean_factors(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     factors = []
     top = 0
     while top < rows and top < cols:

@@ -9,6 +9,7 @@ lexicographically least of the eight dihedral readings of the boundary.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import words as W
@@ -31,7 +32,8 @@ def _canonical_square(square):
     rotations = [tuple(square[i:] + square[:i]) for i in range(4)]
     flipped = tuple(reverse(d) for d in reversed(square))
     rotations += [tuple(flipped[i:] + flipped[:i]) for i in range(4)]
-    return min(rotations, key=lambda sq: [_dkey(d) for d in sq])
+    names = {e: repr(e) for e, _ in square}  # _dkey, one repr per edge
+    return min(rotations, key=lambda sq: [(names[e], s) for e, s in sq])
 
 
 class SquareComplex:
@@ -69,24 +71,26 @@ class SquareComplex:
     def euler_characteristic(self):
         return len(self.vertices) - len(self.edges) + len(self.squares)
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = set()
-        start = next(iter(self.vertices))
-        stack = [start]
-        seen.add(start)
-        adjacency = {}
+    def component_count(self):
+        """Number of connected components (0 for the empty complex)."""
+        parent = {v: v for v in self.vertices}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        count = len(parent)
         for src, dst in self.edges.values():
-            adjacency.setdefault(src, []).append(dst)
-            adjacency.setdefault(dst, []).append(src)
-        while stack:
-            v = stack.pop()
-            for u in adjacency.get(v, []):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen == self.vertices
+            a, b = find(src), find(dst)
+            if a != b:
+                parent[a] = b
+                count -= 1
+        return count
+
+    def is_connected(self):
+        return self.component_count() <= 1
 
 
 @dataclass
@@ -106,28 +110,40 @@ class LinkGraph:
         return out
 
 
+def _links(complex_, vertices):
+    """The links of the given vertices, built in one pass over the edges and
+    one over the squares, so each costs O(E + F) however many are asked."""
+    out_edges = {v: [] for v in vertices}
+    for d in complex_.directed_edges():
+        ends = out_edges.get(complex_.src(d))
+        if ends is not None:
+            ends.append(d)
+    links = {v: LinkGraph(v, tuple(sorted(ds, key=_dkey)))
+             for v, ds in out_edges.items()}
+    for qi, sq in enumerate(complex_.squares):
+        for ci in range(4):
+            d_in = sq[ci]
+            lk = links.get(complex_.dst(d_in))
+            if lk is not None:
+                lk.arcs.append((reverse(d_in), sq[(ci + 1) % 4], (qi, ci)))
+    return links
+
+
 def link(complex_, v):
     """One node per edge-end at v (a loop contributes both directions); one
     arc per square corner whose apex is v."""
     if v not in complex_.vertices:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
-    nodes = tuple(sorted((d for d in complex_.directed_edges()
-                          if complex_.src(d) == v), key=_dkey))
-    lk = LinkGraph(v, nodes)
-    for qi, sq in enumerate(complex_.squares):
-        for ci in range(4):
-            d_in, d_out = sq[ci], sq[(ci + 1) % 4]
-            if complex_.dst(d_in) == v:
-                lk.arcs.append((reverse(d_in), d_out, (qi, ci)))
-    return lk
+    return _links(complex_, (v,))[v]
 
 
 def check_link_condition(complex_):
     """True iff every vertex link is simple (no loops, no bigons) and has no
     triangle, i.e. girth >= 4.  Returns (ok, violations)."""
     violations = []
+    links = _links(complex_, complex_.vertices)
     for v in sorted(complex_.vertices, key=repr):
-        lk = link(complex_, v)
+        lk = links[v]
         pair_counts = {}
         adjacency = {n: set() for n in lk.nodes}
         for a, b, tag in lk.arcs:
@@ -174,12 +190,10 @@ class EdgeLoop:
         """No backtracking (already enforced) and every corner subtends an
         angle of at least pi: consecutive edge-ends are not adjacent in the
         link of the vertex between them."""
-        links = {}
+        links = _links(self.complex, {self.complex.dst(d) for d in self.edges})
+        adjacency = {v: lk.adjacency() for v, lk in links.items()}
         for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):
-            v = self.complex.dst(d)
-            if v not in links:
-                links[v] = link(self.complex, v).adjacency()
-            if d_next in set(links[v].get(reverse(d), [])):
+            if d_next in adjacency[self.complex.dst(d)].get(reverse(d), []):
                 return False
         return True
 
@@ -300,9 +314,6 @@ class BuiltComplex:
     presentation: FinitePresentation
     gamma_length: int
 
-    def cells_of(self, kind):
-        return [cell for cell, p in self.provenance.items() if p[0] == kind]
-
 
 def build_S_of_P(p, x, gamma):
     """Subdivide the rose on p's generators by k = len(gamma), scale one copy
@@ -406,9 +417,9 @@ def _spanning_tree(complex_):
     root = order[0]
     seen = {root}
     tree = set()
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for e, u in adjacency.get(v, []):
             if u not in seen:
                 seen.add(u)
@@ -438,22 +449,20 @@ def _pi1_with_names(complex_):
 
 
 def cellular_h1(complex_):
-    """First homology from the cellular chain complex: betti and torsion via
-    Smith normal form of the boundary matrices (independent of pi1)."""
-    vs = sorted(complex_.vertices, key=repr)
+    """First homology from the cellular chain complex (independent of pi1).
+
+    H_0 = coker d1 is free on the c connected components, so
+    rank d1 = V - c and no elimination is needed for d1.  Then
+    betti = (E - rank d1) - rank d2, and the torsion is the invariant
+    factors above 1 of d2, from its Smith normal form."""
     es = sorted(complex_.edges, key=repr)
-    vi = {v: i for i, v in enumerate(vs)}
     ei = {e: i for i, e in enumerate(es)}
-    d1 = [[0] * len(vs) for _ in es]
-    for e, (src, dst) in complex_.edges.items():
-        d1[ei[e]][vi[dst]] += 1
-        d1[ei[e]][vi[src]] -= 1
     d2 = [[0] * len(es) for _ in complex_.squares]
     for qi, sq in enumerate(complex_.squares):
         for e, s in sq:
             d2[qi][ei[e]] += s
-    rank_d1 = len(smith_normal_form(d1)) if es and vs else 0
-    factors_d2 = smith_normal_form(d2) if complex_.squares and es else []
+    rank_d1 = len(complex_.vertices) - complex_.component_count()
+    factors_d2 = smith_normal_form(d2)
     betti = (len(es) - rank_d1) - len(factors_d2)
     torsion = tuple(d for d in factors_d2 if d > 1)
     return AbelianInvariants(betti=betti, torsion=torsion)
@@ -478,29 +487,40 @@ def _copy_killing_relators(built, presentation, names):
             src, dst = complex_.edges[e]
             adjacency.setdefault(src, []).append((e, dst))
             adjacency.setdefault(dst, []).append((e, src))
-        seen = {}
+        parent = {}  # vertex -> (parent vertex, directed edge in), or None
         forest = set()
         for start in sorted(adjacency, key=repr):
-            if start in seen:
+            if start in parent:
                 continue
-            seen[start] = []
-            queue = [start]
+            parent[start] = None
+            queue = deque([start])
             while queue:
-                v = queue.pop(0)
+                v = queue.popleft()
                 for e, u in adjacency[v]:
-                    if u not in seen:
+                    if u not in parent:
                         d = (e, 1) if complex_.edges[e][0] == v else (e, -1)
-                        seen[u] = seen[v] + [d]
+                        parent[u] = (v, d)
                         forest.add(e)
                         queue.append(u)
         for e in copy_edges:
             if e in forest:
                 continue
             src, dst = complex_.edges[e]
-            loop = seen[src] + [(e, 1)] + [reverse(d) for d in reversed(seen[dst])]
+            loop = (_forest_path(parent, src) + [(e, 1)]
+                    + [reverse(d) for d in reversed(_forest_path(parent, dst))])
             letters = [(names[ed], s) for ed, s in loop if ed in names]
             relators.append(W.reduce(presentation.alphabet, letters))
     return relators
+
+
+def _forest_path(parent, v):
+    """Directed edges from the root of v's tree down to v."""
+    path = []
+    while parent[v] is not None:
+        v, d = parent[v]
+        path.append(d)
+    path.reverse()
+    return path
 
 
 def homs_killing_copies(built, n):

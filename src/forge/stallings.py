@@ -45,12 +45,6 @@ class LabeledGraph:
         return (f"LabeledGraph(V={len(self.vertices)}, E={len(self.edges)}, "
                 f"basepoint={self.basepoint!r})")
 
-    def degree(self, v):
-        d = 0
-        for src, dst, _ in self.edges.values():
-            d += (src == v) + (dst == v)
-        return d
-
     def components(self):
         """Vertex sets of the connected components, in canonical order."""
         return [vs for vs, _ in _component_data(self)]
@@ -365,9 +359,6 @@ class FibreProductDecomposition:
     components: tuple
     projection_1: dict = field(compare=False)
     projection_2: dict = field(compare=False)
-
-    def off_diagonal_non_trees(self):
-        return [c for c in self.components if not c.is_tree and not c.is_diagonal]
 
 
 def fibre_product(i1, i2):

@@ -8,7 +8,17 @@ the code paths they are used to check.
 import itertools
 import math
 
+from hypothesis import settings, strategies as st
+
 from forge import words as W
+from forge.presentations import AbelianInvariants
+from forge.squarecx import LinkGraph, _dkey, reverse
+
+
+# Hypothesis draws integer seeds for seeded input generators; derandomized,
+# every run sees the same seeds and a failure prints the one that failed.
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+derandomized = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def nielsen_reduce(generators):
@@ -401,3 +411,164 @@ def oracle_translate_family_check(base, action, subgroup, translates):
             raise InvalidActionError("translate is not an element of the action")
         family.append(translate(subgroup, el))
     return oracle_malnormal_family_check(family)
+
+
+# ---------------------------------------------------------------------------
+# The original dense homology kernels, kept as a differential oracle for the
+# sparse ones in forge.snf and forge.squarecx: Euclidean Smith normal form on
+# the whole matrix, SNF of both boundary matrices, and one full scan of the
+# edges and squares per vertex link.  Only the data types, `reverse` and
+# `_dkey` come from forge.
+
+
+def oracle_smith_normal_form(matrix):
+    a = [list(map(int, row)) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    for row in a:
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+    factors = []
+    top = 0
+    while top < rows and top < cols:
+        pivot = _oracle_smallest_nonzero(a, top)
+        if pivot is None:
+            break
+        _oracle_swap_to_pivot(a, top, pivot)
+        _oracle_diagonalise_at(a, top, rows, cols)
+        if a[top][top] < 0:
+            for j in range(top, cols):
+                a[top][j] = -a[top][j]
+        factors.append(a[top][top])
+        top += 1
+    return factors
+
+
+def _oracle_smallest_nonzero(a, top):
+    best = None
+    best_val = None
+    for i in range(top, len(a)):
+        for j in range(top, len(a[0])):
+            v = abs(a[i][j])
+            if v and (best_val is None or v < best_val):
+                best, best_val = (i, j), v
+    return best
+
+
+def _oracle_swap_to_pivot(a, top, pivot):
+    i, j = pivot
+    a[top], a[i] = a[i], a[top]
+    for row in a:
+        row[top], row[j] = row[j], row[top]
+
+
+def _oracle_diagonalise_at(a, top, rows, cols):
+    while True:
+        d = a[top][top]
+        dirty = False
+        for i in range(top + 1, rows):
+            if a[i][top]:
+                q = a[i][top] // d
+                for j in range(top, cols):
+                    a[i][j] -= q * a[top][j]
+                if a[i][top]:
+                    a[top], a[i] = a[i], a[top]
+                    dirty = True
+                    break
+        if dirty:
+            continue
+        for j in range(top + 1, cols):
+            if a[top][j]:
+                q = a[top][j] // d
+                for i in range(top, rows):
+                    a[i][j] -= q * a[i][top]
+                if a[top][j]:
+                    for i in range(top, rows):
+                        a[i][top], a[i][j] = a[i][j], a[i][top]
+                    dirty = True
+                    break
+        if dirty:
+            continue
+        bad = _oracle_non_divisible_row(a, top, rows, cols)
+        if bad is None:
+            return
+        for j in range(top, cols):
+            a[top][j] += a[bad][j]
+
+
+def _oracle_non_divisible_row(a, top, rows, cols):
+    d = a[top][top]
+    for i in range(top + 1, rows):
+        for j in range(top + 1, cols):
+            if a[i][j] % d:
+                return i
+    return None
+
+
+def oracle_cellular_h1(complex_):
+    vs = sorted(complex_.vertices, key=repr)
+    es = sorted(complex_.edges, key=repr)
+    vi = {v: i for i, v in enumerate(vs)}
+    ei = {e: i for i, e in enumerate(es)}
+    d1 = [[0] * len(vs) for _ in es]
+    for e, (src, dst) in complex_.edges.items():
+        d1[ei[e]][vi[dst]] += 1
+        d1[ei[e]][vi[src]] -= 1
+    d2 = [[0] * len(es) for _ in complex_.squares]
+    for qi, sq in enumerate(complex_.squares):
+        for e, s in sq:
+            d2[qi][ei[e]] += s
+    rank_d1 = len(oracle_smith_normal_form(d1)) if es and vs else 0
+    factors_d2 = oracle_smith_normal_form(d2) if complex_.squares and es else []
+    betti = (len(es) - rank_d1) - len(factors_d2)
+    torsion = tuple(d for d in factors_d2 if d > 1)
+    return AbelianInvariants(betti=betti, torsion=torsion)
+
+
+def oracle_link(complex_, v):
+    nodes = tuple(sorted((d for d in complex_.directed_edges()
+                          if complex_.src(d) == v), key=_dkey))
+    lk = LinkGraph(v, nodes)
+    for qi, sq in enumerate(complex_.squares):
+        for ci in range(4):
+            d_in, d_out = sq[ci], sq[(ci + 1) % 4]
+            if complex_.dst(d_in) == v:
+                lk.arcs.append((reverse(d_in), d_out, (qi, ci)))
+    return lk
+
+
+def oracle_check_link_condition(complex_):
+    violations = []
+    for v in sorted(complex_.vertices, key=repr):
+        lk = oracle_link(complex_, v)
+        pair_counts = {}
+        adjacency = {n: set() for n in lk.nodes}
+        for a, b, tag in lk.arcs:
+            if a == b:
+                violations.append((v, "loop", tag))
+                continue
+            key = tuple(sorted((a, b), key=_dkey))
+            pair_counts.setdefault(key, []).append(tag)
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        for key, tags in pair_counts.items():
+            if len(tags) > 1:
+                violations.append((v, "bigon", tuple(tags[:2])))
+        for a in lk.nodes:
+            for b in adjacency[a]:
+                common = adjacency[a] & adjacency[b]
+                for c in common:
+                    if _dkey(a) < _dkey(b) < _dkey(c):
+                        violations.append((v, "triangle", (a, b, c)))
+    return not violations, violations
+
+
+def oracle_is_locally_geodesic(loop):
+    links = {}
+    for d, d_next in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
+        v = loop.complex.dst(d)
+        if v not in links:
+            links[v] = oracle_link(loop.complex, v).adjacency()
+        if d_next in set(links[v].get(reverse(d), [])):
+            return False
+    return True

@@ -121,7 +121,8 @@ class TestSqcCommands:
         bad.write_text("vertex v\nedge a v v\nsquare a a a a\n")
         code, out = run(capsys, "sqc", "check", bad)
         assert code == 1
-        assert "violation" in out
+        assert [line for line in out.splitlines() if line.startswith("violation")] \
+            == ["violations: 1", "violation: bigon in link of 'v'"]
 
     def test_build_and_pi1(self, workdir, capsys):
         out_file = workdir / "s.txt"

@@ -122,7 +122,10 @@ class TestComplexFormat:
 class TestTraceFormat:
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"s"', '{"x": 1}',
                                       '{"stages": 5}', '{"stages": [1]}',
-                                      '{"stages": {"p_w": 5}}'])
+                                      '{"stages": {"p_w": 5}}',
+                                      '{"stages": {}, "certificate": 5}',
+                                      '{"stages": {}, "certificate": [1]}',
+                                      '{"stages": {}, "certificate": {"m": 1}}'])
     def test_wrong_shape_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             FF.trace_from_json(text)

@@ -1,0 +1,200 @@
+"""Differential tests: the sparse homology kernels (unit-pivot Smith normal
+form, rank d1 from components, one-pass vertex links) against the original
+dense ones, kept in helpers.py as an oracle.
+
+Matrices and complexes come from seeded generators; hypothesis picks the
+seeds (derandomized, so every run sees the same ones) and prints the failing
+seed.  Invariant factors, H_1 and the full list of link violations, in
+order, must agree.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+
+from forge import words as W
+from forge.presentations import FinitePresentation, abelianization
+from forge.snf import smith_normal_form
+from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P, cellular_h1,
+                            check_link_condition, link, one_square_torus,
+                            pi1_presentation)
+from helpers import (derandomized, oracle_cellular_h1, oracle_check_link_condition,
+                     oracle_is_locally_geodesic, oracle_link,
+                     oracle_smith_normal_form, random_reduced_word, seeds)
+
+# Mostly units, with non-units and large entries so that unit elimination
+# leaves a residual core for the Euclidean phase.
+ENTRIES = (1, -1) * 6 + (2, -2, 3, -6, 12, 2 ** 40 + 15, -(3 ** 30))
+
+
+def random_matrix(rng):
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    density = rng.choice((0.15, 0.3, 0.6))
+    m = [[rng.choice(ENTRIES) if rng.random() < density else 0
+          for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:
+        m.insert(rng.randint(0, rows), [0] * cols)
+    if rng.random() < 0.3:
+        j = rng.randint(0, cols)
+        for row in m:
+            row.insert(j, 0)
+    return m
+
+
+@given(seeds)
+@derandomized
+def test_snf_matches_dense_kernel(seed):
+    m = random_matrix(random.Random(seed))
+    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+@given(seeds)
+@derandomized
+def test_snf_matches_on_single_rows_and_columns(seed):
+    rng = random.Random(seed)
+    row = [rng.choice(ENTRIES + (0,) * 8) for _ in range(rng.randint(1, 15))]
+    for m in ([row], [[x] for x in row]):
+        assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+@pytest.mark.parametrize("m", [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]],
+                               [[-1]], [[2 ** 70]], [[4, 6], [6, 9]]])
+def test_snf_edge_shapes(m):
+    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+def test_ragged_matrix_is_rejected(m):
+    for kernel in (smith_normal_form, oracle_smith_normal_form):
+        with pytest.raises(ValueError):
+            kernel(m)
+
+
+# ---------------------------------------------------------------------------
+# Complexes.
+
+TORUS = one_square_torus()
+
+
+def oracle_abelianization(p):
+    matrix = [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+    factors = oracle_smith_normal_form(matrix) if p.relators else []
+    return len(p.generators) - len(factors), tuple(d for d in factors if d > 1)
+
+
+def assert_same_homology_and_links(cx):
+    assert cellular_h1(cx) == oracle_cellular_h1(cx)
+    assert check_link_condition(cx) == oracle_check_link_condition(cx)
+    for v in sorted(cx.vertices, key=repr)[:4]:
+        assert link(cx, v) == oracle_link(cx, v)
+
+
+def cyclically_reduced(rng, alphabet, length):
+    while True:
+        w = random_reduced_word(rng, alphabet, length)
+        (g, s), (h, t) = w.letters[0], w.letters[-1]
+        if g != h or s != -t:
+            return w
+
+
+@given(seeds)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_scaled_copy_complexes(seed):
+    rng = random.Random(seed)
+    alphabet = W.Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
+    p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(4, 8))
+                                      for _ in range(rng.randint(1, 3))])
+    cx = build_S_of_P(p, TORUS, [("a", 1)] * rng.randint(2, 4)).complex
+    assert_same_homology_and_links(cx)
+    inv = abelianization(pi1_presentation(cx))
+    assert (inv.betti, inv.torsion) == oracle_abelianization(pi1_presentation(cx))
+
+
+def random_complex(rng):
+    """A few vertices and edges with mixed id types, random closed 4-paths
+    as squares (links with loops, bigons and triangles are common), often
+    disconnected."""
+    vertices = [0, "v1", ("t", 2), "v3"][:rng.randint(1, 4)]
+    edges = {eid: (rng.choice(vertices), rng.choice(vertices))
+             for eid in ["e0", 1, ("f", 2), "e3", 4, "e5"][:rng.randint(1, 6)]}
+    skeleton = SquareComplex(vertices, edges)
+    directed = list(skeleton.directed_edges())
+    squares = []
+    for _ in range(rng.randint(0, 5)):
+        for _attempt in range(20):
+            path = [rng.choice(directed)]
+            while len(path) < 4:
+                path.append(rng.choice([d for d in directed
+                                        if skeleton.src(d) == skeleton.dst(path[-1])]))
+            if skeleton.dst(path[-1]) == skeleton.src(path[0]):
+                squares.append(tuple(path))
+                break
+    return SquareComplex(vertices, edges, squares)
+
+
+def random_edge_loop(rng, cx):
+    directed = list(cx.directed_edges())
+    for _attempt in range(50):
+        path = [rng.choice(directed)]
+        for _ in range(rng.randint(0, 5)):
+            options = [d for d in directed if cx.src(d) == cx.dst(path[-1])
+                       and d != (path[-1][0], -path[-1][1])]
+            if not options:
+                break
+            path.append(rng.choice(options))
+        closes = cx.dst(path[-1]) == cx.src(path[0])
+        if closes and path[0] != (path[-1][0], -path[-1][1]):
+            return EdgeLoop(cx, path)
+    return None
+
+
+@given(seeds)
+@derandomized
+def test_random_small_complexes(seed):
+    rng = random.Random(seed)
+    cx = random_complex(rng)
+    assert_same_homology_and_links(cx)
+    loop = random_edge_loop(rng, cx)
+    if loop is not None:
+        assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
+
+
+LOOP = SquareComplex(["u", "v"], {"e": ("u", "v")},
+                     [(("e", 1), ("e", -1), ("e", 1), ("e", -1))])
+BIGON = SquareComplex(["v"], {"a": ("v", "v"), "b": ("v", "v")},
+                      [(("a", 1), ("b", 1), ("a", -1), ("b", -1)),
+                       (("a", 1), ("b", -1), ("a", -1), ("b", 1))])
+# Three squares around a cube corner: the link of o is a triangle.
+TRIANGLE = SquareComplex(
+    ["o", "X", "Y", "Z", "XY", "YZ", "ZX"],
+    {"x": ("o", "X"), "y": ("o", "Y"), "z": ("o", "Z"),
+     "xy1": ("X", "XY"), "xy2": ("Y", "XY"), "yz1": ("Y", "YZ"),
+     "yz2": ("Z", "YZ"), "zx1": ("Z", "ZX"), "zx2": ("X", "ZX")},
+    [(("x", 1), ("xy1", 1), ("xy2", -1), ("y", -1)),
+     (("y", 1), ("yz1", 1), ("yz2", -1), ("z", -1)),
+     (("z", 1), ("zx1", 1), ("zx2", -1), ("x", -1))])
+
+
+@pytest.mark.parametrize("cx, kind", [(LOOP, "loop"), (BIGON, "bigon"),
+                                      (TRIANGLE, "triangle")])
+def test_hand_made_link_failures(cx, kind):
+    ok, violations = check_link_condition(cx)
+    assert not ok and kind in {k for _, k, _ in violations}
+    assert (ok, violations) == oracle_check_link_condition(cx)
+    assert cellular_h1(cx) == oracle_cellular_h1(cx)
+
+
+def test_disconnected_complex():
+    # Two tori, a Z/2 component (a b a b on a 2-cycle) and an isolated vertex.
+    vertices = ["v", "w", "p", "q", "lone"]
+    edges = {"a": ("v", "v"), "b": ("v", "v"), "c": ("w", "w"), "d": ("w", "w"),
+             "s": ("p", "q"), "t": ("q", "p")}
+    squares = [(("a", 1), ("b", 1), ("a", -1), ("b", -1)),
+               (("c", 1), ("d", 1), ("c", -1), ("d", -1)),
+               (("s", 1), ("t", 1), ("s", 1), ("t", 1))]
+    cx = SquareComplex(vertices, edges, squares)
+    assert cx.component_count() == 4 and not cx.is_connected()
+    inv = cellular_h1(cx)
+    assert (inv.betti, inv.torsion) == (4, (2,))
+    assert inv == oracle_cellular_h1(cx)

@@ -2,10 +2,10 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from forge.snf import smith_normal_form
-from helpers import invariant_factors_oracle
+from helpers import derandomized, invariant_factors_oracle
 
 entry = st.integers(min_value=-5, max_value=5)
 
@@ -33,7 +33,7 @@ def test_single_row():
 
 
 @given(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4))
-@settings(max_examples=60, deadline=None)
+@derandomized
 def test_matches_determinantal_divisors(matrix):
     assert smith_normal_form(matrix) == invariant_factors_oracle(matrix)
 

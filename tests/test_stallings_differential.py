@@ -10,17 +10,15 @@ and witness.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from forge import stallings as S
 from forge import words as W
 from forge.fileformats import format_immersion
-from helpers import (random_reduced_word, oracle_components, oracle_core,
-                     oracle_fibre_product, oracle_fold, oracle_malnormal_family_check,
-                     oracle_rank, oracle_translate_family_check)
-
-seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
-derandomized = settings(max_examples=60, deadline=None, derandomize=True)
+from helpers import (derandomized, random_reduced_word, oracle_components,
+                     oracle_core, oracle_fibre_product, oracle_fold,
+                     oracle_malnormal_family_check, oracle_rank,
+                     oracle_translate_family_check, seeds)
 
 
 def same_graph(a, b):
