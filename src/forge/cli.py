@@ -10,6 +10,7 @@ exhausted search is always reported as inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -189,30 +190,33 @@ def _cmd_malnormal(args):
 
 
 def _cmd_abel(args):
-    p = FF.parse_presentation(_read(args.presentation))
+    text = _read(args.presentation)
+    p = FF.parse_presentation(text)
     inv = abelianization(p)
     details = [("betti", str(inv.betti)),
                ("torsion", " ".join(map(str, inv.torsion)) or "none")]
-    return RunReport("abel", {"presentation": _digest(_read(args.presentation))},
+    return RunReport("abel", {"presentation": _digest(text)},
                      "certified", details=details)
 
 
 def _cmd_freepow(args):
-    p = FF.parse_presentation(_read(args.presentation))
+    text = _read(args.presentation)
+    p = FF.parse_presentation(text)
     q = free_power(p, args.n)
     artifacts = []
     _emit(FF.format_presentation(q), args.out, artifacts)
     details = [("generators", str(len(q.generators))),
                ("relators", str(len(q.relators)))]
-    return RunReport("freepow", {"presentation": _digest(_read(args.presentation)),
+    return RunReport("freepow", {"presentation": _digest(text),
                                  "n": _digest(str(args.n))},
                      "certified", artifacts=artifacts, details=details)
 
 
 def _cmd_encode(args):
-    p = FF.parse_presentation(_read(args.presentation))
+    text = _read(args.presentation)
+    p = FF.parse_presentation(text)
     w = W.parse_word(p.alphabet, args.word)
-    inputs = {"presentation": _digest(_read(args.presentation)),
+    inputs = {"presentation": _digest(text),
               "word": _digest(args.word)}
     details = []
     if args.discrete:
@@ -250,8 +254,9 @@ def _parse_orders(text):
 
 def _cmd_quotients(args):
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    p = FF.parse_presentation(_read(args.presentation))
-    inputs = {"presentation": _digest(_read(args.presentation))}
+    text = _read(args.presentation)
+    p = FF.parse_presentation(text)
+    inputs = {"presentation": _digest(text)}
     details = []
 
     spec = None
@@ -313,9 +318,10 @@ def _cmd_quotients(args):
 
 
 def _cmd_sqc_check(args):
-    cx = FF.parse_complex(_read(args.complex))
+    text = _read(args.complex)
+    cx = FF.parse_complex(text)
     ok, violations = check_link_condition(cx)
-    inputs = {"complex": _digest(_read(args.complex))}
+    inputs = {"complex": _digest(text)}
     details = [("vertices", str(len(cx.vertices))),
                ("edges", str(len(cx.edges))),
                ("squares", str(len(cx.squares))),
@@ -342,14 +348,15 @@ def _parse_gamma(text, cx):
 
 
 def _cmd_sqc_build(args):
-    p = FF.parse_presentation(_read(args.pres))
-    cx = FF.parse_complex(_read(args.complex))
+    pres_text, complex_text = _read(args.pres), _read(args.complex)
+    p = FF.parse_presentation(pres_text)
+    cx = FF.parse_complex(complex_text)
     gamma = _parse_gamma(args.gamma, cx)
     built = build_S_of_P(p, cx, gamma)
     artifacts = []
     _emit(FF.format_complex(built.complex), args.out, artifacts)
-    inputs = {"presentation": _digest(_read(args.pres)),
-              "complex": _digest(_read(args.complex)),
+    inputs = {"presentation": _digest(pres_text),
+              "complex": _digest(complex_text),
               "gamma": _digest(args.gamma)}
     s = built.complex
     details = [("vertices", str(len(s.vertices))),
@@ -361,7 +368,8 @@ def _cmd_sqc_build(args):
 
 
 def _cmd_sqc_pi1(args):
-    cx = FF.parse_complex(_read(args.complex))
+    text = _read(args.complex)
+    cx = FF.parse_complex(text)
     p = pi1_presentation(cx)
     artifacts = []
     _emit(FF.format_presentation(p), args.out, artifacts)
@@ -370,7 +378,7 @@ def _cmd_sqc_pi1(args):
                ("relators", str(len(p.relators))),
                ("betti", str(inv.betti)),
                ("torsion", " ".join(map(str, inv.torsion)) or "none")]
-    return RunReport("sqc pi1", {"complex": _digest(_read(args.complex))},
+    return RunReport("sqc pi1", {"complex": _digest(text)},
                      "certified", artifacts=artifacts, details=details)
 
 
@@ -437,7 +445,9 @@ def build_parser():
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--word")
     s.add_argument("--orders", help="k:e1,e2,... target orders for the generators")
-    s.add_argument("--max-nodes", type=int, default=10 ** 7)
+    s.add_argument("--max-nodes", type=int, default=10 ** 7,
+                   help="search-node budget per degree; each degree 2..max "
+                        "starts from zero")
     s.set_defaults(handler=_cmd_quotients)
 
     s = sub.add_parser("sqc", help="square complex tools")
@@ -465,7 +475,8 @@ def build_parser():
     s.add_argument("presentation")
     s.add_argument("--word", required=True)
     s.add_argument("--max-degree", type=int, default=5)
-    s.add_argument("--max-nodes", type=int, default=10 ** 7)
+    s.add_argument("--max-nodes", type=int, default=10 ** 7,
+                   help="search-node budget over all degrees together")
     s.add_argument("--N", type=int, default=7)
     s.add_argument("--budget", type=int, default=64)
     s.set_defaults(handler=_cmd_probe)
@@ -473,9 +484,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser; parsing leaves it unchanged, so main
+    reuses it instead of rebuilding every subcommand on each call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         report = args.handler(args)

@@ -130,10 +130,15 @@ def add_conjugation_relators(p, w, targets, stable_letters):
 
 def substitute(word, target_alphabet, table):
     """Rewrite a word letterwise through a substitution table name -> Word."""
+    inverses = {}  # name -> letters of table[name].inverse(), once per call
     out = []
     for g, s in word.letters:
-        image = table[g]
-        out.extend(image.letters if s > 0 else image.inverse().letters)
+        if s > 0:
+            out.extend(table[g].letters)
+        else:
+            if g not in inverses:
+                inverses[g] = table[g].inverse().letters
+            out.extend(inverses[g])
     return W.reduce(target_alphabet, out)
 
 

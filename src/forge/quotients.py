@@ -4,6 +4,18 @@ Survival of a word in every finite quotient is only semi-decidable, so all
 searches run under an explicit budget and an exhausted search is reported
 as inconclusive, never as a proof of triviality.
 
+The search kernel (`_enumerate_homs`) is a depth-first search over
+generator assignments.  Each relator is compiled once per search into
+integer codes 2*i + (sign < 0) over one flat image table, in which slot 2*i
+holds generator i's image and slot 2*i + 1 its inverse, computed once per
+search call for each candidate.  A relator is checked by tracing points
+through its codes and fails at the first point it moves; most candidates
+fail at point 0.  The relators checked at one generator go shortest
+first, so a candidate is rejected by the shortest relator it fails; the
+order of the checks does not change which candidates pass.  Candidates are
+drawn lazily from itertools.permutations, which yields them in
+lexicographic order, so no list of all n! permutations is built.
+
 Determinism: generators are assigned in alphabet order and candidate
 permutations in lexicographic order of their image tuples, so witnesses are
 canonical and re-running a search reproduces them byte for byte.
@@ -14,7 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
@@ -30,7 +44,7 @@ def identity_perm(n):
 
 def perm_mul(p, q):
     """p then q (left-to-right composition, matching word evaluation)."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inv(p):
@@ -95,13 +109,20 @@ class PermutationAssignment:
                 and self.degree == other.degree and self.images == other.images)
 
     def evaluate(self, word):
-        out = identity_perm(self.degree)
+        images = self.images
+        inverses = {}  # name -> inverse image, computed on first use
+        out = None  # the identity, until the first letter
         for name, sign in word.letters:
-            if name not in self.images:
+            if name not in images:
                 raise AlphabetMismatchError(f"no image assigned for generator {name!r}")
-            p = self.images[name]
-            out = perm_mul(out, p if sign > 0 else perm_inv(p))
-        return out
+            if sign > 0:
+                image = images[name]
+            else:
+                if name not in inverses:
+                    inverses[name] = perm_inv(images[name])
+                image = inverses[name]
+            out = image if out is None else perm_mul(out, image)
+        return identity_perm(self.degree) if out is None else out
 
     def is_trivial(self):
         ident = identity_perm(self.degree)
@@ -174,14 +195,28 @@ class _Budget:
         return True
 
 
+def _partitions(n, least=1):
+    """Partitions of n into parts >= least, each as an ascending tuple."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
 def _class_minimal_perms(n):
-    """Lexicographically least permutation of each cycle type of degree n."""
-    best = {}
-    for p in itertools.permutations(range(n)):
-        key = tuple(sorted(_cycle_lengths(p)))
-        if key not in best or p < best[key]:
-            best[key] = p
-    return sorted(best.values())
+    """Lexicographically least permutation of each cycle type of degree n,
+    in lexicographic order.  The least one of a type lays its cycles, in
+    ascending length, on consecutive points: (s s+1 ... s+L-1)."""
+    perms = []
+    for lengths in _partitions(n):
+        p, start = [], 0
+        for length in lengths:
+            p.extend(range(start + 1, start + length))
+            p.append(start)
+            start += length
+        perms.append(tuple(p))
+    return sorted(perms)
 
 
 def _enumerate_homs(p, n, budget=None, reduce_first=False):
@@ -192,31 +227,55 @@ def _enumerate_homs(p, n, budget=None, reduce_first=False):
     since conjugating a homomorphism preserves relators and element orders).
     """
     gens = p.generators
-    all_perms = sorted(itertools.permutations(range(n)))
-    checkpoints = {}  # index of last assigned generator -> relators to check
-    for r in p.relators:
-        last = max(gens.index(g) for g, _ in r.letters) if r.letters else 0
-        checkpoints.setdefault(last, []).append(r)
     if not gens:
         yield PermutationAssignment(n, {})
         return
+    code = {}
+    for i, g in enumerate(gens):
+        code[g, 1], code[g, -1] = 2 * i, 2 * i + 1
+    checkpoints = [[] for _ in gens]  # last generator index -> coded relators
+    for r in p.relators:
+        codes = list(map(code.__getitem__, r.letters))
+        checkpoints[max(codes) // 2].append(codes)
+    for coded in checkpoints:
+        coded.sort(key=len)  # a short relator rejects a candidate soonest
+    table = [None] * (2 * len(gens))  # image, inverse, image, inverse, ...
+    inverse_of = {}  # candidate -> its inverse, computed once per call
+    points = range(n)
+    last = len(gens) - 1
 
-    def dfs(i, images):
+    def holds(codes):
+        for x in points:
+            y = x
+            for c in codes:
+                y = table[c][y]
+            if y != x:
+                return False
+        return True
+
+    def dfs(i):
+        # Called once per inner node; a complete assignment is a node too,
+        # spent in the loop below rather than in a call of its own.
         if budget is not None and not budget.spend():
             raise _BudgetStop
-        if i == len(gens):
-            yield PermutationAssignment(n, dict(images))
-            return
-        choices = all_perms if (i > 0 or not reduce_first) else _class_minimal_perms(n)
+        choices = (itertools.permutations(points) if i > 0 or not reduce_first
+                   else _class_minimal_perms(n))
+        checks = checkpoints[i]
         for perm in choices:
-            images[gens[i]] = perm
-            partial = PermutationAssignment(n, images)
-            if all(partial.evaluate(r) == identity_perm(n)
-                   for r in checkpoints.get(i, [])):
-                yield from dfs(i + 1, images)
-            del images[gens[i]]
+            if perm not in inverse_of:
+                inverse_of[perm] = perm_inv(perm)
+            table[2 * i] = perm
+            table[2 * i + 1] = inverse_of[perm]
+            if not all(map(holds, checks)):
+                continue
+            if i < last:
+                yield from dfs(i + 1)
+                continue
+            if budget is not None and not budget.spend():
+                raise _BudgetStop
+            yield PermutationAssignment(n, dict(zip(gens, table[::2])))
 
-    yield from dfs(0, {})
+    yield from dfs(0)
 
 
 class _BudgetStop(Exception):
@@ -277,13 +336,12 @@ def simplify_presentation(p):
         new_alphabet = W.Alphabet(tuple(g for g in alphabet.names if g != gen))
         expr = W.reduce(new_alphabet, expr_letters)
         steps.append((gen, expr))
-        table = {g: new_alphabet.gen(g) for g in new_alphabet.names}
-        table[gen] = expr
+        images = (expr.letters, expr.inverse().letters)
         new_relators = []
         for idx, r in enumerate(relators):
             if idx == drop_index:
                 continue
-            reduced = substitute(r, new_alphabet, table)
+            reduced = _replace_generator(r, gen, images, new_alphabet)
             if not reduced.is_identity():
                 new_relators.append(reduced)
         alphabet, relators = new_alphabet, new_relators
@@ -294,6 +352,36 @@ def simplify_presentation(p):
     return SimplifiedPresentation(simplified, expressions)
 
 
+def _replace_generator(word, gen, images, alphabet):
+    """substitute() for the table that sends gen to a word with letters
+    images[0] (inverse: images[1]) and every other generator to itself.
+    Between two letters of gen the word is already reduced, so letters can
+    cancel only at the seams around a replaced letter."""
+    letters = word.letters
+    names = list(map(itemgetter(0), letters))
+    out, start = [], 0
+    while True:
+        try:
+            pos = names.index(gen, start)
+        except ValueError:
+            break
+        _extend_reduced(out, letters[start:pos])
+        _extend_reduced(out, images[0] if letters[pos][1] > 0 else images[1])
+        start = pos + 1
+    _extend_reduced(out, letters[start:])
+    return W.from_reduced(alphabet, tuple(out))
+
+
+def _extend_reduced(out, piece):
+    """Append a reduced piece to the reduced list out, cancelling at the seam."""
+    k = 0
+    while out and k < len(piece) and out[-1][0] == piece[k][0] \
+            and out[-1][1] == -piece[k][1]:
+        out.pop()
+        k += 1
+    out.extend(piece[k:])
+
+
 def _find_move(alphabet, relators):
     """Next elimination: a generator with exactly one occurrence in some
     relator.  The shortest usable relator is preferred (then relator index,
@@ -301,19 +389,16 @@ def _find_move(alphabet, relators):
     (generator, expression letters, index of relator to drop) or None."""
     best = None
     for idx, r in enumerate(relators):
-        counts = {}
-        for g, _ in r.letters:
-            counts[g] = counts.get(g, 0) + 1
-        for pos, (g, sign) in enumerate(r.letters):
-            if counts[g] != 1:
-                continue
-            key = (len(r.letters), idx, pos)
-            if best is None or key < best[0]:
-                best = (key, idx, pos, g, sign)
-            break
+        if best is not None and len(r.letters) >= len(relators[best[0]].letters):
+            continue  # a later relator is preferred only when it is shorter
+        names = list(map(itemgetter(0), r.letters))
+        singles = [g for g, count in Counter(names).items() if count == 1]
+        if singles:
+            pos = min(map(names.index, singles))
+            best = (idx, pos, names[pos], r.letters[pos][1])
     if best is None:
         return None
-    _, idx, pos, g, sign = best
+    idx, pos, g, sign = best
     letters = relators[idx].letters
     # r = u g^sign v = 1  =>  g^sign = u^-1 v^-1
     u, v = letters[:pos], letters[pos + 1:]
@@ -368,9 +453,11 @@ def has_nontrivial_quotient_upto(p, budget):
         for n in range(2, budget.max_degree + 1):
             top = n
             for q in _enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
-                full = _restore_assignment(p, simp, q)
-                if not full.is_trivial():
-                    return SearchOutcome("witness", full, tracker.nodes, n)
+                # Every eliminated generator is a word in the surviving ones,
+                # so the restored hom is trivial exactly when q is.
+                if not q.is_trivial():
+                    return SearchOutcome("witness", _restore_assignment(p, simp, q),
+                                         tracker.nodes, n)
     except _BudgetStop:
         pass
     return SearchOutcome("exhausted", None, tracker.nodes, top)
@@ -383,23 +470,24 @@ def element_order(q, w):
 
 def verify_order_spec(q, spec):
     """Check o(q(gamma_i)) = kappa*e_i and that distinct cyclic subgroups
-    <q(gamma_i)> intersect trivially.  Returns (ok, report)."""
-    order_report = []
-    perms = [q.evaluate(t) for t in spec.targets]
+    <q(gamma_i)> intersect trivially.  Returns (ok, report).  The order of
+    an element is the size of the cyclic subgroup it generates."""
+    subgroups = [_cyclic_subgroup(q.evaluate(t)) for t in spec.targets]
+    trivial = {identity_perm(q.degree)}
     ok = True
-    for i, (perm, e) in enumerate(zip(perms, spec.exponents)):
+    order_report = []
+    for i, (subgroup, e) in enumerate(zip(subgroups, spec.exponents)):
         expected = spec.kappa * e
-        actual = perm_order(perm)
+        actual = len(subgroup)
         good = actual == expected
         ok = ok and good
         order_report.append({"target": i, "expected": expected,
                              "actual": actual, "ok": good})
-    subgroups = [_cyclic_subgroup(perm) for perm in perms]
     pair_report = []
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
+    for i in range(len(subgroups)):
+        for j in range(i + 1, len(subgroups)):
             meet = subgroups[i] & subgroups[j]
-            good = meet == {identity_perm(q.degree)}
+            good = meet == trivial
             ok = ok and good
             pair_report.append({"pair": (i, j), "intersection_size": len(meet),
                                 "ok": good})

@@ -94,7 +94,8 @@ class Word:
         return reduce(self.alphabet, base.letters * abs(n))
 
     def inverse(self):
-        return Word(self.alphabet, tuple((g, -s) for g, s in reversed(self.letters)))
+        return from_reduced(self.alphabet,
+                             tuple((g, -s) for g, s in reversed(self.letters)))
 
     def is_identity(self):
         return not self.letters
@@ -116,18 +117,30 @@ def _require_same_alphabet(x, y):
             f"words over different alphabets: {x.alphabet} vs {y.alphabet}")
 
 
+def from_reduced(alphabet, letters):
+    """A Word from a letter tuple known to be freely reduced, without the
+    rescan in Word.__post_init__."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def reduce(alphabet, letters):
     """Freely reduce a raw letter sequence; idempotent."""
+    known = alphabet._index
     stack = []
-    for name, sign in letters:
-        alphabet.check(name)
+    for letter in letters:
+        name, sign = letter
+        if name not in known:
+            alphabet.check(name)
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if stack and stack[-1][0] == name and stack[-1][1] == -sign:
             stack.pop()
         else:
-            stack.append((name, sign))
-    return Word(alphabet, tuple(stack))
+            stack.append(letter if type(letter) is tuple else (name, sign))
+    return from_reduced(alphabet, tuple(stack))
 
 
 def commutator(x, y):

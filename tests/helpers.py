@@ -5,8 +5,10 @@ exhaustive assignment enumeration, gcds of minors.  The oracles never call
 the code paths they are used to check.
 """
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 from hypothesis import settings, strategies as st
 
@@ -572,3 +574,215 @@ def oracle_is_locally_geodesic(loop):
         if d_next in set(links[v].get(reverse(d), [])):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The original finite-quotient search kernel, kept as a differential oracle
+# for the compiled one in forge.quotients: all n! permutations sorted up
+# front, a brute-force scan for class-minimal permutations, one tuple per
+# letter in evaluation, an inverse per inverse letter, and the
+# nontrivial-quotient loop that restores every hom before testing it; also
+# the order-spec check that takes each order from cycle lengths, free
+# reduction that re-checks every letter, and the simplifier that rewrites every relator
+# letter by letter and scans every relator for each move.  Only the data
+# types and the budget tracker come from forge.
+
+
+def oracle_perm_mul(p, q):
+    """p then q (left-to-right composition, matching word evaluation)."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def oracle_evaluate(self, word):
+    from forge.errors import AlphabetMismatchError
+    from forge.quotients import identity_perm, perm_inv
+    out = identity_perm(self.degree)
+    for name, sign in word.letters:
+        if name not in self.images:
+            raise AlphabetMismatchError(f"no image assigned for generator {name!r}")
+        p = self.images[name]
+        out = oracle_perm_mul(out, p if sign > 0 else perm_inv(p))
+    return out
+
+
+def oracle_class_minimal_perms(n):
+    """Lexicographically least permutation of each cycle type of degree n."""
+    from forge.quotients import _cycle_lengths
+    best = {}
+    for p in itertools.permutations(range(n)):
+        key = tuple(sorted(_cycle_lengths(p)))
+        if key not in best or p < best[key]:
+            best[key] = p
+    return sorted(best.values())
+
+
+def oracle_enumerate_homs(p, n, budget=None, reduce_first=False):
+    from forge.quotients import PermutationAssignment, _BudgetStop, identity_perm
+    gens = p.generators
+    all_perms = sorted(itertools.permutations(range(n)))
+    checkpoints = {}  # index of last assigned generator -> relators to check
+    for r in p.relators:
+        last = max(gens.index(g) for g, _ in r.letters) if r.letters else 0
+        checkpoints.setdefault(last, []).append(r)
+    if not gens:
+        yield PermutationAssignment(n, {})
+        return
+
+    def dfs(i, images):
+        if budget is not None and not budget.spend():
+            raise _BudgetStop
+        if i == len(gens):
+            yield PermutationAssignment(n, dict(images))
+            return
+        choices = all_perms if (i > 0 or not reduce_first) else oracle_class_minimal_perms(n)
+        for perm in choices:
+            images[gens[i]] = perm
+            partial = PermutationAssignment(n, images)
+            if all(oracle_evaluate(partial, r) == identity_perm(n)
+                   for r in checkpoints.get(i, [])):
+                yield from dfs(i + 1, images)
+            del images[gens[i]]
+
+    yield from dfs(0, {})
+
+
+def oracle_has_nontrivial_quotient_upto(p, budget):
+    from forge.quotients import (SearchOutcome, _Budget, _BudgetStop,
+                                 _restore_assignment, simplify_presentation)
+    simp = simplify_presentation(p)
+    tracker = _Budget(budget)
+    top = 1
+    try:
+        for n in range(2, budget.max_degree + 1):
+            top = n
+            for q in oracle_enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
+                full = _restore_assignment(p, simp, q)
+                if not full.is_trivial():
+                    return SearchOutcome("witness", full, tracker.nodes, n)
+    except _BudgetStop:
+        pass
+    return SearchOutcome("exhausted", None, tracker.nodes, top)
+
+
+def oracle_substitute(word, target_alphabet, table):
+    """Rewrite a word letterwise through a substitution table name -> Word."""
+    out = []
+    for g, s in word.letters:
+        image = table[g]
+        out.extend(image.letters if s > 0 else image.inverse().letters)
+    return W.reduce(target_alphabet, out)
+
+
+def oracle_verify_order_spec(q, spec):
+    from forge.quotients import _cyclic_subgroup, identity_perm, perm_order
+    order_report = []
+    perms = [q.evaluate(t) for t in spec.targets]
+    ok = True
+    for i, (perm, e) in enumerate(zip(perms, spec.exponents)):
+        expected = spec.kappa * e
+        actual = perm_order(perm)
+        good = actual == expected
+        ok = ok and good
+        order_report.append({"target": i, "expected": expected,
+                             "actual": actual, "ok": good})
+    subgroups = [_cyclic_subgroup(perm) for perm in perms]
+    pair_report = []
+    for i in range(len(perms)):
+        for j in range(i + 1, len(perms)):
+            meet = subgroups[i] & subgroups[j]
+            good = meet == {identity_perm(q.degree)}
+            ok = ok and good
+            pair_report.append({"pair": (i, j), "intersection_size": len(meet),
+                                "ok": good})
+    return ok, {"orders": order_report, "intersections": pair_report}
+
+
+def oracle_reduce(alphabet, letters):
+    """Freely reduce a raw letter sequence; idempotent."""
+    stack = []
+    for name, sign in letters:
+        alphabet.check(name)
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((name, sign))
+    return W.Word(alphabet, tuple(stack))
+
+
+def oracle_find_move(alphabet, relators):
+    best = None
+    for idx, r in enumerate(relators):
+        counts = {}
+        for g, _ in r.letters:
+            counts[g] = counts.get(g, 0) + 1
+        for pos, (g, sign) in enumerate(r.letters):
+            if counts[g] != 1:
+                continue
+            key = (len(r.letters), idx, pos)
+            if best is None or key < best[0]:
+                best = (key, idx, pos, g, sign)
+            break
+    if best is None:
+        return None
+    _, idx, pos, g, sign = best
+    letters = relators[idx].letters
+    u, v = letters[:pos], letters[pos + 1:]
+    solved = tuple((h, -s) for h, s in reversed(u)) \
+        + tuple((h, -s) for h, s in reversed(v))
+    if sign < 0:
+        solved = tuple((h, -s) for h, s in reversed(solved))
+    return g, solved, idx
+
+
+def oracle_simplify_presentation(p):
+    from forge.presentations import FinitePresentation
+    from forge.quotients import SimplifiedPresentation
+    alphabet = p.alphabet
+    relators = list(p.relators)
+    steps = []  # (gen, expression Word over the post-elimination alphabet)
+    while True:
+        move = oracle_find_move(alphabet, relators)
+        if move is None:
+            break
+        gen, expr_letters, drop_index = move
+        new_alphabet = W.Alphabet(tuple(g for g in alphabet.names if g != gen))
+        expr = oracle_reduce(new_alphabet, expr_letters)
+        steps.append((gen, expr))
+        table = {g: oracle_reduce(new_alphabet, [(g, 1)]) for g in new_alphabet.names}
+        table[gen] = expr
+        new_relators = []
+        for idx, r in enumerate(relators):
+            if idx == drop_index:
+                continue
+            reduced = oracle_substitute(r, new_alphabet, table)
+            if not reduced.is_identity():
+                new_relators.append(reduced)
+        alphabet, relators = new_alphabet, new_relators
+    simplified = FinitePresentation(alphabet, relators)
+    expressions = {g: oracle_reduce(alphabet, [(g, 1)]) for g in alphabet.names}
+    for gen, expr in reversed(steps):
+        expressions[gen] = oracle_substitute(expr, alphabet, expressions)
+    return SimplifiedPresentation(simplified, expressions)
+
+
+@contextlib.contextmanager
+def seed_search_kernel():
+    """Run forge's searches on the oracle kernel: the search generator,
+    perm_mul, PermutationAssignment.evaluate, the order-spec check and the
+    simplifier are replaced wherever forge binds them, so the degree loops
+    and the CLI run unchanged on top."""
+    from forge import cli, quotients
+    with mock.patch.object(quotients, "_enumerate_homs", oracle_enumerate_homs), \
+            mock.patch.object(cli, "_enumerate_homs", oracle_enumerate_homs), \
+            mock.patch.object(quotients, "perm_mul", oracle_perm_mul), \
+            mock.patch.object(quotients.PermutationAssignment, "evaluate",
+                              oracle_evaluate), \
+            mock.patch.object(quotients, "verify_order_spec", oracle_verify_order_spec), \
+            mock.patch.object(cli, "verify_order_spec", oracle_verify_order_spec), \
+            mock.patch.object(quotients, "simplify_presentation",
+                              oracle_simplify_presentation), \
+            mock.patch.object(cli, "simplify_presentation",
+                              oracle_simplify_presentation):
+        yield
