@@ -209,11 +209,14 @@ def select_malnormal_words(m, N=7, max_candidates=64):
 
     Returns (tuple of Words over {t, w}, certificate).  Requires N > 6; the
     modulus-N rotation check (independent of the candidate) is part of the
-    certificate.  Raises when the candidate budget runs out."""
+    certificate.  Raises when the candidate budget runs out, and at once
+    when it is negative."""
     if N <= 6:
         raise ThresholdError(f"modulus {N} is below the certified threshold (need > 6)")
     if m < 0:
         raise DegenerateInputError("m must be nonnegative")
+    if max_candidates < 0:
+        raise DegenerateInputError("the candidate budget must be nonnegative")
     base, kernel_sub, action = _kernel_base_family(N)
     base_rank = S.total_rank(kernel_sub.domain)
     translates_ok, _ = S.translate_family_check(base, action, kernel_sub,

@@ -11,6 +11,7 @@ graphs.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, field
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
@@ -25,8 +26,19 @@ class LabeledGraph:
     """
 
     def __init__(self, vertices, edges, basepoint=None):
-        vset = set(vertices)
-        self.vertices = tuple(sorted(vset, key=_id_key))
+        self._validate(sorted(set(vertices), key=_id_key), edges, basepoint)
+
+    @classmethod
+    def _presorted(cls, vertices, edges, basepoint=None):
+        """A graph whose vertices are given distinct and in canonical
+        (`_id_key`) order already, so they are not sorted again."""
+        graph = cls.__new__(cls)
+        graph._validate(vertices, edges, basepoint)
+        return graph
+
+    def _validate(self, vertices, edges, basepoint):
+        self.vertices = tuple(vertices)
+        vset = set(self.vertices)
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
             if src not in vset or dst not in vset:
@@ -65,16 +77,17 @@ def _component_data(graph):
         a, b = _find(parent, index[src]), _find(parent, index[dst])
         if a != b:
             parent[b] = a
+    roots = [_find(parent, i) for i in range(len(parent))]
     slot = {}
     comps = []
-    for i, v in enumerate(graph.vertices):
-        k = slot.setdefault(_find(parent, i), len(comps))
+    for v, root in zip(graph.vertices, roots):
+        k = slot.setdefault(root, len(comps))
         if k == len(comps):
             comps.append([])
         comps[k].append(v)
     counts = [0] * len(comps)
     for src, _, _ in graph.edges.values():
-        counts[slot[_find(parent, index[src])]] += 1
+        counts[slot[roots[index[src]]]] += 1
     return list(zip(comps, counts))
 
 
@@ -190,7 +203,8 @@ def fold(morphism):
     bp = graph.basepoint
     if bp is not None:
         bp = name[_find(parent, index[bp])]
-    folded = LabeledGraph(name.values(), edges, bp)
+    # The class names are met in vertex order, so they are in canonical order.
+    folded = LabeledGraph._presorted(name.values(), edges, bp)
     vmap = {v: morphism.vmap[v] for v in folded.vertices}
     return canonical_form(GraphImmersion(folded, morphism.base, vmap))
 
@@ -227,7 +241,7 @@ def canonical_form(immersion):
         key=lambda t: (t[0], _id_key(t[1]), t[2]))
     edges = {i: (src, dst, label) for i, (src, label, dst) in enumerate(edge_items)}
     bp = rename[graph.basepoint] if graph.basepoint is not None else None
-    domain = LabeledGraph(range(len(order)), edges, bp)
+    domain = LabeledGraph._presorted(range(len(order)), edges, bp)
     vmap = {rename[v]: immersion.vmap[v] for v in graph.vertices}
     return GraphImmersion(domain, immersion.base, vmap, folded=immersion.folded)
 
@@ -303,8 +317,8 @@ def core(immersion):
                     queue.append(u)
     edges = {eid: e for eid, e in graph.edges.items()
              if e[0] not in trimmed and e[1] not in trimmed}
-    kept = LabeledGraph([v for v in graph.vertices if v not in trimmed], edges,
-                        graph.basepoint)
+    kept = LabeledGraph._presorted([v for v in graph.vertices if v not in trimmed],
+                                   edges, graph.basepoint)
     vmap = {v: immersion.vmap[v] for v in kept.vertices}
     return canonical_form(GraphImmersion(kept, immersion.base, vmap,
                                          folded=immersion.folded))
@@ -365,7 +379,10 @@ def fibre_product(i1, i2):
     """The pullback {(y1, y2) : i1(y1) = i2(y2)} with its component data.
 
     Components are numbered by least vertex pair; the diagonal component is
-    flagged only when both factors are the same immersion.
+    flagged only when both factors are the same immersion.  The pairs are
+    built with y1 in the first factor's vertex order and, within the fibre
+    of i1(y1), y2 in the second's; both orders are canonical, so the pairs
+    come out in canonical order and are not sorted again.
     """
     if i1.base != i2.base:
         raise BaseMismatchError("fibre product requires a common base graph")
@@ -388,7 +405,7 @@ def fibre_product(i1, i2):
     if g1.basepoint is not None and g2.basepoint is not None \
             and i1.vmap[g1.basepoint] == i2.vmap[g2.basepoint]:
         bp = (g1.basepoint, g2.basepoint)
-    total = LabeledGraph(vertices, edges, bp)
+    total = LabeledGraph._presorted(vertices, edges, bp)
     comps = []
     for idx, (vs, e) in enumerate(_component_data(total)):
         r = e - len(vs) + 1
@@ -437,25 +454,59 @@ class RelabelingAction:
     """A finite group acting on a base graph by label-graph automorphisms.
 
     Elements are pairs (vertex permutation, edge-id permutation); the action
-    table must be closed and contain the identity.
+    table must contain the identity and be closed under composition.  A
+    finite set S of permutations is closed iff S = <S>, so the check grows
+    <T> from the identity by search, where an element of S joins the
+    generators T only when it is not yet in <T>; the first product outside
+    the table refutes closure.  <T> at least doubles with each generator, so
+    that is O(k |T|) products for k elements, |T| <= log2 k, not all k^2.
+
+    The action also records a few coordinates, base edges (whose images fix
+    their endpoints' images) and then vertices, whose images tell its
+    elements apart: one edge for a rotation of a rose.  A coordinate joins
+    only when it splits elements the earlier ones did not.
     """
 
     def __init__(self, base, elements):
         self.base = base
         self.elements = [(dict(vp), dict(ep)) for vp, ep in elements]
+        vertices, edges = set(base.vertices), set(base.edges)
         for vp, ep in self.elements:
-            _check_automorphism(base, vp, ep)
-        table = [self._key(el) for el in self.elements]
-        self._keys = set(table)
-        ident = ({v: v for v in base.vertices}, {e: e for e in base.edges})
-        if self._key(ident) not in self._keys:
+            _check_automorphism(base, vertices, edges, vp, ep)
+        table = {}
+        for el in self.elements:
+            table.setdefault(self._key(el), el)
+        self._keys = table.keys()
+        identity = (base.vertices, tuple(base.edges))
+        if identity not in table:
             raise InvalidActionError("action table does not contain the identity")
-        # The key of el1 after el2 is el2's key mapped through el1.
-        for vp1, ep1 in self.elements:
-            v1, e1 = vp1.__getitem__, ep1.__getitem__
-            for images_v, images_e in table:
-                if (tuple(map(v1, images_v)), tuple(map(e1, images_e))) not in self._keys:
-                    raise InvalidActionError("action table is not closed under composition")
+        reached, generators = {identity}, []
+        for key, (vp, ep) in table.items():
+            if key in reached:
+                continue
+            generators.append((vp.__getitem__, ep.__getitem__))
+            queue = list(reached)
+            while queue:
+                images_v, images_e = queue.pop()
+                for v, e in generators:
+                    # The key of g after x is x's key mapped through g.
+                    y = (tuple(map(v, images_v)), tuple(map(e, images_e)))
+                    if y not in reached:
+                        if y not in table:
+                            raise InvalidActionError(
+                                "action table is not closed under composition")
+                        reached.add(y)
+                        queue.append(y)
+        distinct = list(table.values())
+        self._coords, points, classes = [], [()] * len(distinct), 1
+        for kind, x in [(1, e) for e in base.edges] + [(0, v) for v in base.vertices]:
+            if classes == len(distinct):
+                break
+            split = [p + (el[kind][x],) for p, el in zip(points, distinct)]
+            if len(set(split)) > classes:
+                self._coords.append((kind, x))
+                points, classes = split, len(set(split))
+        self._by_coords = dict(zip(points, distinct))
 
     def _key(self, el):
         """The images of the base's vertices and edges, in the base's own
@@ -464,8 +515,8 @@ class RelabelingAction:
         if len(vp) != len(self.base.vertices) or len(ep) != len(self.base.edges):
             return None
         try:
-            return (tuple(vp[v] for v in self.base.vertices),
-                    tuple(ep[e] for e in self.base.edges))
+            return (tuple(map(vp.__getitem__, self.base.vertices)),
+                    tuple(map(ep.__getitem__, self.base.edges)))
         except KeyError:
             return None
 
@@ -489,11 +540,11 @@ class RelabelingAction:
         return cls(base, elements)
 
 
-def _check_automorphism(base, vp, ep):
-    vertices, edges = set(base.vertices), set(base.edges)
-    if set(vp) != vertices or set(vp.values()) != vertices:
+def _check_automorphism(base, vertices, edges, vp, ep):
+    """Raise unless (vp, ep) is an automorphism of base (its id sets given)."""
+    if vp.keys() != vertices or set(vp.values()) != vertices:
         raise InvalidActionError("vertex map is not a permutation of the base vertices")
-    if set(ep) != edges or set(ep.values()) != edges:
+    if ep.keys() != edges or set(ep.values()) != edges:
         raise InvalidActionError("edge map is not a permutation of the base edges")
     for eid, (src, dst, _) in base.edges.items():
         isrc, idst, _ = base.edges[ep[eid]]
@@ -516,7 +567,7 @@ def translate(immersion, element):
     if basepoint is not None and base.basepoint is not None \
             and vmap[basepoint] != base.basepoint:
         basepoint = None
-    domain = LabeledGraph(graph.vertices, edges, basepoint)
+    domain = LabeledGraph._presorted(graph.vertices, edges, basepoint)
     return GraphImmersion(domain, base, vmap, folded=immersion.folded)
 
 
@@ -529,6 +580,9 @@ def translate_family_check(base, action, subgroup, translates):
     the fibre product of gH and hH has the same components (vertex pairs,
     edge counts, ranks) as that of H and g^-1 hH, so one product per
     distinct (g^-1 h, whether the pair is a self pair) decides every pair.
+    Every translate is checked to be in the action and the action is
+    closed, so g^-1 h is an action element, named by its images of the
+    action's distinguishing coordinates: a pair costs those few lookups.
     These products are kept for this call only.  The pairs are scanned in
     order of (i, j), i <= j; the first failing pair's own product is rebuilt,
     so the witness is that pair and its first failing component, exactly as
@@ -536,23 +590,25 @@ def translate_family_check(base, action, subgroup, translates):
     translates = [(dict(el[0]), dict(el[1])) for el in translates]
     if not all(el in action for el in translates):
         raise InvalidActionError("translate is not an element of the action")
-    images = [action._key(el) for el in translates]
-    inverses = [({x: v for v, x in vp.items()}, {x: e for e, x in ep.items()})
-                for vp, ep in translates]
-    vertices, edges = action.base.vertices, tuple(action.base.edges)
-    identity = (vertices, edges)
-    decided = {}
-    for i, (inv_v, inv_e) in enumerate(inverses):
+    # Images are tagged with their kind (0 vertex, 1 edge), as names may
+    # clash; each inverse maps a translate's tagged images back to plain ids.
+    points = [tuple((kind, el[kind][x]) for kind, x in action._coords)
+              for el in translates]
+    kinds = {kind for kind, _ in action._coords}
+    inverses = [{} for _ in translates]
+    for inverse, el in zip(inverses, translates):
+        for kind in kinds:
+            inverse.update(zip(zip(repeat(kind), el[kind].values()), el[kind]))
+    decided = {True: {}, False: {}}   # self pair -> {g^-1 h's images: verdict}
+    for i, inverse in enumerate(inverses):
         for j in range(i, len(translates)):
-            # The key of g^-1 h is h's key mapped through g^-1.
-            d = identity if i == j else (tuple(map(inv_v.__getitem__, images[j][0])),
-                                         tuple(map(inv_e.__getitem__, images[j][1])))
-            key = (d, i == j)
-            ok = decided.get(key)
+            # g^-1 h's images of the coordinates: h's images mapped through g^-1.
+            images = tuple(map(inverse.__getitem__, points[j]))
+            ok = decided[i == j].get(images)
             if ok is None:
-                element = (dict(zip(vertices, d[0])), dict(zip(edges, d[1])))
+                element = action._by_coords[images]
                 fp = fibre_product(subgroup, translate(subgroup, element))
-                ok = decided[key] = _first_failure(fp, i == j) is None
+                ok = decided[i == j][images] = _first_failure(fp, i == j) is None
             if not ok:
                 fp = fibre_product(translate(subgroup, translates[i]),
                                    translate(subgroup, translates[j]))

@@ -257,9 +257,17 @@ def is_independent(words):
 TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
 
 
+# The most letters a parsed word may expand to before reduction.
+MAX_WORD_LETTERS = 10 ** 6
+
+
 def parse_word(alphabet, text):
     """Parse the word grammar: whitespace-separated tokens name, name^-1 or
-    name^k; '1' (alone or as a token) denotes the identity."""
+    name^k; '1' (alone or as a token) denotes the identity.
+
+    Powers are expanded before the word is reduced, so a power that would
+    take the word past MAX_WORD_LETTERS letters raises ParseError before
+    anything is allocated."""
     letters = []
     for token in text.split():
         if token == "1":
@@ -274,6 +282,9 @@ def parse_word(alphabet, text):
         k = 1 if power is None else int(power)
         if k == 0:
             raise ParseError(f"zero power in token {token!r}")
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise ParseError(f"power in token {token!r} makes the word longer "
+                             f"than {MAX_WORD_LETTERS} letters")
         letters.extend([(name, 1 if k > 0 else -1)] * abs(k))
     return reduce(alphabet, letters)
 

@@ -169,6 +169,27 @@ class TestErrors:
         assert "status: error" in out
         assert "budget bounds must be positive" in out
 
+    @pytest.mark.parametrize("argv, error", [
+        (("encode", "dead.txt", "--word", "a", "--budget", "-1"),
+         "the candidate budget must be nonnegative"),
+        (("probe", "dead.txt", "--word", "a", "--budget", "-1"),
+         "the candidate budget must be nonnegative"),
+        (("encode", "dead.txt", "--word", "a^99999999999"),
+         "power in token 'a^99999999999' makes the word longer than 1000000 letters"),
+        (("probe", "dead.txt", "--word", "a^-99999999999"),
+         "power in token 'a^-99999999999' makes the word longer than 1000000 letters"),
+        (("abel", "huge.txt"), "line 2, column 6: power in token 'a^600000' "
+                               "makes the word longer than 1000000 letters"),
+    ])
+    def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
+        (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")
+        command, path, *rest = argv
+        code, out = run(capsys, command, workdir / path, *rest)
+        assert code == 1
+        assert "status: error" in out
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == [f"error: {error}"]
+
     def test_bad_orders_spec(self, workdir, capsys):
         code, out = run(capsys, "quotients", workdir / "free.txt",
                         "--max-degree", "2", "--orders", "nonsense")

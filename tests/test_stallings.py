@@ -33,6 +33,15 @@ class TestGraphBasics:
         with pytest.raises(ConfigurationError):
             S.LabeledGraph([0], {0: (0, 1, "a")})
 
+    def test_presorted_validates_like_init(self):
+        with pytest.raises(ConfigurationError, match="endpoint outside"):
+            S.LabeledGraph._presorted([0], {0: (0, 1, "a")})
+        with pytest.raises(ConfigurationError, match="basepoint 1 is not a vertex"):
+            S.LabeledGraph._presorted([0], {}, 1)
+        edges = {"e": (0, "x", "e")}
+        assert S.LabeledGraph._presorted([0, 1, "x"], edges, 1) \
+            == S.LabeledGraph(["x", 1, 0], edges, 1)
+
     def test_components(self):
         g = S.LabeledGraph([0, 1, 2], {"e": (0, 1, "e")})
         assert g.components() == [[0, 1], [2]]

@@ -1,5 +1,6 @@
-"""Differential tests: the near-linear Stallings kernels against the
-original quadratic ones, kept in helpers.py as an oracle.
+"""Differential tests: the near-linear Stallings kernels and the action
+set-up against the original quadratic ones (the action's closure checked
+on all k^2 pairs), kept in helpers.py as an oracle.
 
 Inputs are drawn from seeded generators; hypothesis picks the seeds
 (derandomized, so every run sees the same ones) and prints the failing seed.
@@ -15,10 +16,13 @@ from hypothesis import given, settings
 from forge import stallings as S
 from forge import words as W
 from forge.fileformats import format_immersion
-from helpers import (derandomized, random_reduced_word, oracle_components,
-                     oracle_core, oracle_fibre_product, oracle_fold,
+from forge.errors import InvalidActionError
+from helpers import (derandomized, random_reduced_word, oracle_action_key,
+                     oracle_components, oracle_compose, oracle_core,
+                     oracle_fibre_product, oracle_fold,
                      oracle_malnormal_family_check, oracle_rank,
-                     oracle_translate_family_check, seeds)
+                     oracle_relabeling_action, oracle_translate_family_check,
+                     seeds)
 
 
 def same_graph(a, b):
@@ -105,6 +109,19 @@ def test_fold_core_rank_on_random_graphs(seed):
     assert S.rank(morphism.domain) == oracle_rank(morphism.domain)
     assert S.rank(folded.domain) == oracle_rank(folded.domain)
     assert morphism.domain.components() == oracle_components(morphism.domain)
+
+
+@given(seeds)
+@derandomized
+def test_fibre_products_of_non_canonical_immersions(seed):
+    """fibre_product takes its factors' vertex order as canonical; here the
+    factors are built directly, with mixed int, str and tuple names."""
+    rng = random.Random(seed)
+    base = S.rose(["a", "b", "c"][:rng.randint(1, 3)])
+    i1, i2 = random_morphism(rng, base), random_morphism(rng, base)
+    check_fibre_product(i1, i2)
+    check_fibre_product(i2, i1)
+    check_fibre_product(i1, i1)
 
 
 @given(seeds)
@@ -198,3 +215,148 @@ def test_translate_families_on_rotated_cycles(seed):
              for _ in range(rng.randint(1, 2))]
     subgroup = S.graph_of_subgroup(base, words)
     check_translates(base, action, subgroup, translate_lists(rng, action.elements))
+
+
+# Actions that need two or more generators, for the generated-group closure
+# check: the cyclic ones above have a single generator.
+
+
+def two_orbit_rose(rng):
+    """A rose on a_0..a_{p-1}, b_0..b_{q-1} and the group Z_p x Z_q that
+    rotates each orbit of letters on its own."""
+    p, q = rng.randint(2, 4), rng.randint(2, 4)
+    names = [f"a{i}" for i in range(p)] + [f"b{i}" for i in range(q)]
+    elements = []
+    for i in range(p):
+        for j in range(q):
+            ep = {f"a{x}": f"a{(x + i) % p}" for x in range(p)}
+            ep.update({f"b{x}": f"b{(x + j) % q}" for x in range(q)})
+            elements.append(({"*": "*"}, ep))
+    return W.Alphabet(names), S.rose(names), elements
+
+
+def dihedral_cycle(rng):
+    """A cycle of k vertices with both orientations of each step and a loop
+    at each vertex, and its dihedral group, which moves the basepoint.  Half
+    the time two extra isolated vertices are swapped or not on their own, so
+    the group is D_k x Z_2 and only a vertex image tells the swap apart."""
+    k = rng.randint(3, 5)
+    edges = {}
+    for i in range(k):
+        edges[f"c{i}"] = (i, (i + 1) % k, f"c{i}")
+        edges[f"d{i}"] = ((i + 1) % k, i, f"d{i}")
+        edges[f"l{i}"] = (i, i, f"l{i}")
+    swaps = [{}, {"x": "y", "y": "x"}] if rng.random() < 0.5 else [{}]
+    extra = list(swaps[-1])
+    base = S.LabeledGraph(list(range(k)) + extra, edges, 0)
+    elements = []
+    for a in range(k):
+        rotation = {f"{t}{i}": f"{t}{(i + a) % k}" for t in "cdl" for i in range(k)}
+        # v -> a - v sends the step i -> i+1 to the step a-i -> a-i-1.
+        reflection = {}
+        for i in range(k):
+            reflection[f"c{i}"] = f"d{(a - i - 1) % k}"
+            reflection[f"d{i}"] = f"c{(a - i - 1) % k}"
+            reflection[f"l{i}"] = f"l{(a - i) % k}"
+        for sign, ep in ((1, rotation), (-1, reflection)):
+            for swap in swaps:
+                vp = {v: (sign * v + a) % k for v in range(k)}
+                vp.update({v: swap.get(v, v) for v in extra})
+                elements.append((vp, dict(ep)))
+    alphabet = W.Alphabet(sorted(edges))
+    return k, alphabet, base, elements
+
+
+def generated(elements):
+    """The group generated by some elements, by repeated composition."""
+    group = {oracle_action_key(el): el for el in elements}
+    while True:
+        found = {}
+        for el1 in group.values():
+            for el2 in group.values():
+                el = oracle_compose(el1, el2)
+                if oracle_action_key(el) not in group:
+                    found[oracle_action_key(el)] = el
+        if not found:
+            return list(group.values())
+        group.update(found)
+
+
+def product_set(a, b):
+    """The elements xy, x in a and y in b, listed x-major: a group only when
+    ab = ba, and then b's elements come first when a starts with the
+    identity, so b is generated before any coset of it is met."""
+    seen = {}
+    for x in a:
+        for y in b:
+            seen.setdefault(oracle_action_key(oracle_compose(x, y)),
+                            oracle_compose(x, y))
+    return list(seen.values())
+
+
+def action_tables(rng, elements):
+    """The whole group, the subgroup generated by a few elements and a
+    random subset (rarely closed), each with or without the identity
+    (elements[0]), shuffled, with a few duplicates half the time; and the
+    product set of two generated subgroups in its own order."""
+    identity = elements[0]
+    tables = []
+    for table in (elements,
+                  generated(rng.sample(elements, rng.randint(1, 3))),
+                  rng.sample(elements, rng.randint(1, len(elements)))):
+        table = [el for el in table if el != identity]
+        if rng.random() < 0.7:
+            table.append(identity)
+        if table and rng.random() < 0.5:
+            table += rng.choices(table, k=rng.randint(1, 3))
+        rng.shuffle(table)
+        tables.append(table)
+    subgroups = [generated([identity] + rng.sample(elements, 1)) for _ in range(2)]
+    tables.append(product_set(*subgroups))
+    return tables
+
+
+def check_action(base, table, elements):
+    """Same accept/reject and message as the k^2 oracle, and the same
+    membership of every group element; returns the action or None."""
+    try:
+        oracle_relabeling_action(base, table)
+        expected = None
+    except InvalidActionError as exc:
+        expected = str(exc)
+    try:
+        action, got = S.RelabelingAction(base, table), None
+    except InvalidActionError as exc:
+        action, got = None, str(exc)
+    assert got == expected
+    if action is not None:
+        assert [el in action for el in elements] == [el in table for el in elements]
+    return action
+
+
+@given(seeds)
+@derandomized
+def test_multi_generator_actions_on_two_orbit_roses(seed):
+    rng = random.Random(seed)
+    alphabet, base, elements = two_orbit_rose(rng)
+    subgroup = random_subgroups(rng, alphabet, base, 1)[0]
+    for table in action_tables(rng, elements):
+        action = check_action(base, table, elements)
+        if action is not None:
+            check_translates(base, action, subgroup,
+                             translate_lists(rng, action.elements))
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_multi_generator_actions_on_dihedral_cycles(seed):
+    rng = random.Random(seed)
+    k, alphabet, base, elements = dihedral_cycle(rng)
+    words = [W.Word(alphabet, tuple(cycle_word(rng, k)))
+             for _ in range(rng.randint(1, 2))]
+    subgroup = S.graph_of_subgroup(base, words)
+    for table in action_tables(rng, elements):
+        action = check_action(base, table, elements)
+        if action is not None:
+            check_translates(base, action, subgroup,
+                             translate_lists(rng, action.elements))

@@ -164,3 +164,12 @@ class TestGrammar:
             w("a^")
         with pytest.raises(AlphabetMismatchError):
             w("c")
+
+    def test_power_limit(self, monkeypatch):
+        with pytest.raises(ParseError, match="longer than 1000000 letters"):
+            w("a^99999999999")
+        monkeypatch.setattr(W, "MAX_WORD_LETTERS", 5)
+        assert w("a^3 b^-2") == W.Word(AB, (("a", 1),) * 3 + (("b", -1),) * 2)
+        assert w("a^3 a^-2").letters == (("a", 1),)
+        with pytest.raises(ParseError, match="'a\\^-3' makes the word longer than 5"):
+            w("a^3 a^-3")
