@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -121,34 +122,35 @@ def run_encode_and_probe(p, w, budget, N=7, max_candidates=64):
 
 
 def _load_graph_file(path, folded):
-    graph, base_path, vmap = FF.parse_graph_file(_read(path))
+    """The immersion in a graph file, its base reference and the file text."""
+    text = _read(path)
+    graph, base_path, vmap = FF.parse_graph_file(text)
     if base_path is None:
         raise ForgeError(f"{path}: graph file has no base line")
-    import os
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     base = FF.parse_base_graph(_read(full))
-    return FF.resolve_immersion(graph, base, vmap, folded=folded), base_path
+    return FF.resolve_immersion(graph, base, vmap, folded=folded), base_path, text
 
 
 def _cmd_fold(args):
-    imm, base_path = _load_graph_file(args.graph, folded=False)
+    imm, base_path, text = _load_graph_file(args.graph, folded=False)
     folded = fold(imm)
     artifacts = []
     _emit(FF.format_immersion(folded, base_path), args.out, artifacts)
     details = [("vertices", str(len(folded.domain.vertices))),
                ("edges", str(len(folded.domain.edges)))]
-    return RunReport("fold", {"graph": _digest(_read(args.graph))},
+    return RunReport("fold", {"graph": _digest(text)},
                      "certified", artifacts=artifacts, details=details)
 
 
 def _cmd_core(args):
-    imm, base_path = _load_graph_file(args.graph, folded=False)
+    imm, base_path, text = _load_graph_file(args.graph, folded=False)
     trimmed = core(fold(imm))
     artifacts = []
     _emit(FF.format_immersion(trimmed, base_path), args.out, artifacts)
     details = [("vertices", str(len(trimmed.domain.vertices))),
                ("edges", str(len(trimmed.domain.edges)))]
-    return RunReport("core", {"graph": _digest(_read(args.graph))},
+    return RunReport("core", {"graph": _digest(text)},
                      "certified", artifacts=artifacts, details=details)
 
 
@@ -162,11 +164,10 @@ def _component_details(decomp):
 
 
 def _cmd_fibre(args):
-    i1, _ = _load_graph_file(args.graph1, folded=True)
-    i2, _ = _load_graph_file(args.graph2, folded=True)
+    i1, _, text1 = _load_graph_file(args.graph1, folded=True)
+    i2, _, text2 = _load_graph_file(args.graph2, folded=True)
     decomp = fibre_product(i1, i2)
-    inputs = {"graph1": _digest(_read(args.graph1)),
-              "graph2": _digest(_read(args.graph2))}
+    inputs = {"graph1": _digest(text1), "graph2": _digest(text2)}
     return RunReport("fibre", inputs, "certified",
                      details=_component_details(decomp))
 
@@ -175,9 +176,9 @@ def _cmd_malnormal(args):
     family = []
     inputs = {}
     for k, path in enumerate(args.graphs):
-        imm, _ = _load_graph_file(path, folded=True)
+        imm, _, text = _load_graph_file(path, folded=True)
         family.append(imm)
-        inputs[f"graph{k}"] = _digest(_read(path))
+        inputs[f"graph{k}"] = _digest(text)
     ok, witness = malnormal_family_check(family)
     if ok:
         return RunReport("malnormal", inputs, "certified",

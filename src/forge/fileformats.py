@@ -81,6 +81,8 @@ def format_presentation(p):
 
 
 def _token(tok):
+    if tok[:1].isalpha():  # int() cannot parse it
+        return tok
     try:
         return int(tok)
     except ValueError:
@@ -300,7 +302,7 @@ def format_complex(complex_):
     """Write a complex, relabeling cells to v0../e0.. so structured ids
     (e.g. from build_S_of_P) serialize as single tokens."""
     vs = sorted(complex_.vertices, key=repr)
-    es = sorted(complex_.edges, key=repr)
+    es = complex_.edge_order
     vname = {v: f"v{i}" for i, v in enumerate(vs)}
     ename = {e: f"e{i}" for i, e in enumerate(es)}
     out = [f"vertex {vname[v]}" for v in vs]

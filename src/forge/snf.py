@@ -2,13 +2,13 @@
 
 The kernel runs in two phases.  First, sparse elimination on unit pivots:
 rows are dicts column -> entry with a column -> rows index, and while some
-entry is +-1 the one of least Markowitz cost (row length - 1) * (column
-length - 1) clears its column by row operations; its row and column then
-split off as one invariant factor 1, since the rest of its row is cleared by
-column operations that touch nothing else.  Boundary and exponent matrices
-are mostly +-1, so this leaves a small residual core.  Second, the Euclidean
-SNF loop runs densely on that core.  The invariant factors are unique, so
-the pivot order changes only the cost, never the result.
+row holds a +-1 entry, the shortest such row pivots on its +-1 entry of
+shortest column, clearing that column by row operations; its row and column
+then split off as one invariant factor 1, since the rest of its row is
+cleared by column operations that touch nothing else.  Boundary and exponent
+matrices are mostly +-1, so this leaves a small residual core.  Second, the
+Euclidean SNF loop runs densely on that core.  The invariant factors are
+unique, so the pivot order changes only the cost, never the result.
 """
 
 from __future__ import annotations
@@ -41,26 +41,27 @@ def _eliminate_unit_pivots(rows):
     for i, row in enumerate(rows):
         for j in row:
             column.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(column[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
-            for j, v in row.items() if v == 1 or v == -1]
+    # (row length, row): an entry is stale once its row is gone or has
+    # changed length.  A row with no unit is dropped when popped; a row
+    # operation that could give it one pushes it again.
+    heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     units = 0
     while heap:
-        c, i, j = heapq.heappop(heap)
+        n, i = heapq.heappop(heap)
         pivot_row = rows[i]
-        if pivot_row is None or pivot_row.get(j) not in (1, -1) or c != cost(i, j):
-            continue  # stale: an up-to-date entry was pushed when it changed
+        if pivot_row is None or len(pivot_row) != n:
+            continue
+        candidates = [j for j, v in pivot_row.items() if v == 1 or v == -1]
+        if not candidates:
+            continue
+        j = min(candidates, key=lambda jj: len(column[jj]))
         units += 1
         rows[i] = None
         for jj in pivot_row:
             column[jj].discard(i)
         p = pivot_row.pop(j)
-        touched = column.pop(j)
-        for k in touched:
+        for k in column.pop(j):
             row = rows[k]
             q = row.pop(j) * p  # p is its own inverse
             for jj, v in pivot_row.items():
@@ -72,16 +73,7 @@ def _eliminate_unit_pivots(rows):
                 elif jj in row:
                     del row[jj]
                     column[jj].discard(k)
-        # Costs changed in the touched rows and in the pivot row's columns.
-        for k in touched:
-            for jj, v in rows[k].items():
-                if v == 1 or v == -1:
-                    heapq.heappush(heap, (cost(k, jj), k, jj))
-        for jj in pivot_row:
-            for k in column[jj] - touched:
-                v = rows[k][jj]
-                if v == 1 or v == -1:
-                    heapq.heappush(heap, (cost(k, jj), k, jj))
+            heapq.heappush(heap, (len(row), k))
     return units
 
 

@@ -4,7 +4,8 @@ fundamental-group presentations.
 
 Directed edges are pairs (edge id, sign); the reverse of (e, s) is (e, -s).
 Squares are closed 4-paths of directed edges, stored canonically as the
-lexicographically least of the eight dihedral readings of the boundary.
+least of the eight dihedral readings of the boundary under (repr(e), s), via
+a per-complex integer key.
 """
 
 from __future__ import annotations
@@ -23,25 +24,37 @@ def reverse(d):
     return (e, -s)
 
 
-def _dkey(d):
-    e, s = d
-    return (repr(e), s)
-
-
-def _canonical_square(square):
-    rotations = [tuple(square[i:] + square[:i]) for i in range(4)]
-    flipped = tuple(reverse(d) for d in reversed(square))
-    rotations += [tuple(flipped[i:] + flipped[:i]) for i in range(4)]
-    names = {e: repr(e) for e, _ in square}  # _dkey, one repr per edge
-    return min(rotations, key=lambda sq: [(names[e], s) for e, s in sq])
+def _canonical_square(square, key):
+    # Codes are (repr(e), s) as integers; reversing a directed edge flips
+    # the low bit of its code.
+    codes = [key[e] + (s > 0) for e, s in square]
+    flipped = [c ^ 1 for c in reversed(codes)]
+    readings = ([codes[i:] + codes[:i] for i in range(4)]
+                + [flipped[i:] + flipped[:i] for i in range(4)])
+    n = readings.index(min(readings))
+    if n >= 4:
+        square, n = tuple(reverse(d) for d in reversed(square)), n - 4
+    return square[n:] + square[:n]
 
 
 class SquareComplex:
-    """Vertices, undirected edges (usable in both directions) and squares."""
+    """Vertices, undirected edges (usable in both directions) and squares.
+
+    `edge_order` lists the edge ids sorted by repr, and `edge_key[e] + (s > 0)`
+    orders directed edges as (repr(e), s) does: `edge_key[e]` is twice the
+    dense rank of repr(e), so equal reprs tie."""
 
     def __init__(self, vertices, edges, squares=()):
         self.vertices = set(vertices)
         self.edges = dict(edges)  # eid -> (src, dst)
+        names = {e: repr(e) for e in self.edges}
+        self.edge_order = tuple(sorted(self.edges, key=names.__getitem__))
+        self.edge_key = {}
+        rank, last = -1, None
+        for e in self.edge_order:
+            if names[e] != last:
+                rank, last = rank + 1, names[e]
+            self.edge_key[e] = 2 * rank
         for eid, (src, dst) in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
@@ -53,7 +66,7 @@ class SquareComplex:
                 if self.dst(d) != self.src(d_next):
                     raise ConfigurationError(
                         f"square boundary {sq!r} is not a closed edge path")
-        self.squares = [_canonical_square(sq) for sq in squares]
+        self.squares = [_canonical_square(sq, self.edge_key) for sq in squares]
 
     def src(self, d):
         e, s = d
@@ -62,6 +75,10 @@ class SquareComplex:
 
     def dst(self, d):
         return self.src(reverse(d))
+
+    def directed_key(self, d):
+        """Integer that orders directed edges as (repr(e), s) does."""
+        return self.edge_key[d[0]] + (d[1] > 0)
 
     def directed_edges(self):
         for e in self.edges:
@@ -118,7 +135,7 @@ def _links(complex_, vertices):
         ends = out_edges.get(complex_.src(d))
         if ends is not None:
             ends.append(d)
-    links = {v: LinkGraph(v, tuple(sorted(ds, key=_dkey)))
+    links = {v: LinkGraph(v, tuple(sorted(ds, key=complex_.directed_key)))
              for v, ds in out_edges.items()}
     for qi, sq in enumerate(complex_.squares):
         for ci in range(4):
@@ -142,6 +159,7 @@ def check_link_condition(complex_):
     triangle, i.e. girth >= 4.  Returns (ok, violations)."""
     violations = []
     links = _links(complex_, complex_.vertices)
+    dkey = complex_.directed_key
     for v in sorted(complex_.vertices, key=repr):
         lk = links[v]
         pair_counts = {}
@@ -150,7 +168,7 @@ def check_link_condition(complex_):
             if a == b:
                 violations.append((v, "loop", tag))
                 continue
-            key = tuple(sorted((a, b), key=_dkey))
+            key = (a, b) if dkey(a) <= dkey(b) else (b, a)
             pair_counts.setdefault(key, []).append(tag)
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -158,11 +176,13 @@ def check_link_condition(complex_):
             if len(tags) > 1:
                 violations.append((v, "bigon", tuple(tags[:2])))
         for a in lk.nodes:
+            ka = dkey(a)
             for b in adjacency[a]:
-                common = adjacency[a] & adjacency[b]
-                for c in common:
-                    if _dkey(a) < _dkey(b) < _dkey(c):
-                        violations.append((v, "triangle", (a, b, c)))
+                kb = dkey(b)
+                if ka < kb:
+                    for c in adjacency[a] & adjacency[b]:
+                        if kb < dkey(c):
+                            violations.append((v, "triangle", (a, b, c)))
     return not violations, violations
 
 
@@ -410,7 +430,7 @@ def _spanning_tree(complex_):
     if not order:
         raise ConfigurationError("empty complex")
     adjacency = {}
-    for e in sorted(complex_.edges, key=repr):
+    for e in complex_.edge_order:
         src, dst = complex_.edges[e]
         adjacency.setdefault(src, []).append((e, dst))
         adjacency.setdefault(dst, []).append((e, src))
@@ -438,7 +458,7 @@ def pi1_presentation(complex_):
 
 def _pi1_with_names(complex_):
     _, tree = _spanning_tree(complex_)
-    non_tree = [e for e in sorted(complex_.edges, key=repr) if e not in tree]
+    non_tree = [e for e in complex_.edge_order if e not in tree]
     names = {e: f"g{i}" for i, e in enumerate(non_tree)}
     alphabet = W.Alphabet([names[e] for e in non_tree])
     relators = []
@@ -455,7 +475,7 @@ def cellular_h1(complex_):
     rank d1 = V - c and no elimination is needed for d1.  Then
     betti = (E - rank d1) - rank d2, and the torsion is the invariant
     factors above 1 of d2, from its Smith normal form."""
-    es = sorted(complex_.edges, key=repr)
+    es = complex_.edge_order
     ei = {e: i for i, e in enumerate(es)}
     d2 = [[0] * len(es) for _ in complex_.squares]
     for qi, sq in enumerate(complex_.squares):

@@ -14,7 +14,7 @@ from hypothesis import settings, strategies as st
 
 from forge import words as W
 from forge.presentations import AbelianInvariants
-from forge.squarecx import LinkGraph, _dkey, reverse
+from forge.squarecx import LinkGraph, reverse
 
 
 # Hypothesis draws integer seeds for seeded input generators; derandomized,
@@ -461,8 +461,38 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # The original dense homology kernels, kept as a differential oracle for the
 # sparse ones in forge.snf and forge.squarecx: Euclidean Smith normal form on
 # the whole matrix, SNF of both boundary matrices, and one full scan of the
-# edges and squares per vertex link.  Only the data types, `reverse` and
-# `_dkey` come from forge.
+# edges and squares per vertex link.  Also the orders that one integer edge
+# key per complex replaced: directed edges compared as (repr(e), s), squares
+# canonicalized by comparing reprs, complexes written with a repr sort.  Only
+# the data types and `reverse` come from forge.
+
+
+def _dkey(d):
+    e, s = d
+    return (repr(e), s)
+
+
+def oracle_canonical_square(square):
+    square = tuple(square)
+    rotations = [tuple(square[i:] + square[:i]) for i in range(4)]
+    flipped = tuple(reverse(d) for d in reversed(square))
+    rotations += [tuple(flipped[i:] + flipped[:i]) for i in range(4)]
+    return min(rotations, key=lambda sq: [_dkey(d) for d in sq])
+
+
+def oracle_format_complex(complex_):
+    vs = sorted(complex_.vertices, key=repr)
+    es = sorted(complex_.edges, key=repr)
+    vname = {v: f"v{i}" for i, v in enumerate(vs)}
+    ename = {e: f"e{i}" for i, e in enumerate(es)}
+    out = [f"vertex {vname[v]}" for v in vs]
+    for e in es:
+        src, dst = complex_.edges[e]
+        out.append(f"edge {ename[e]} {vname[src]} {vname[dst]}")
+    for sq in complex_.squares:
+        toks = [ename[e] + ("" if s > 0 else "-") for e, s in sq]
+        out.append("square " + " ".join(toks))
+    return "\n".join(out) + "\n"
 
 
 def oracle_smith_normal_form(matrix):

@@ -30,6 +30,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def untimed_lines(out):
+    return [line for line in out.splitlines() if not line.startswith("timing: ")]
+
+
+SUB_DIGEST = "sha256:4d1092fee14a3f04"  # of sub.txt's text
+
+
 class TestReport:
     def test_field_order_stable(self):
         r = RunReport("demo", {"x": "00", "a": "11"}, "certified",
@@ -62,17 +69,28 @@ class TestGraphCommands:
     def test_fold(self, workdir, capsys):
         code, out = run(capsys, "fold", workdir / "sub.txt")
         assert code == 0
-        assert "graph\n" in out
+        assert untimed_lines(out) == [
+            "graph", "base base.txt", "vertex 0", "vertex 1", "edge 0 0 1 a",
+            "edge 1 1 0 a", "basepoint 0", "vmap 0 *", "vmap 1 *",
+            "command: fold", "status: certified", f"input graph: {SUB_DIGEST}",
+            "vertices: 2", "edges: 2"]
 
     def test_fibre_reports_components(self, workdir, capsys):
         code, out = run(capsys, "fibre", workdir / "sub.txt", workdir / "sub.txt")
         assert code == 0
-        assert "diagonal=True" in out
+        assert untimed_lines(out) == [
+            "command: fibre", "status: certified",
+            f"input graph1: {SUB_DIGEST}", f"input graph2: {SUB_DIGEST}",
+            "components: 2",
+            "component 0: vertices=2 edges=2 rank=1 tree=False diagonal=True",
+            "component 1: vertices=2 edges=2 rank=1 tree=False diagonal=False"]
 
     def test_malnormal_refuted_exits_1(self, workdir, capsys):
         code, out = run(capsys, "malnormal", workdir / "sub.txt")
         assert code == 1
-        assert "status: refuted" in out
+        assert untimed_lines(out) == [
+            "command: malnormal", "status: refuted", f"input graph0: {SUB_DIGEST}",
+            "witness pair: 0,0", "witness component: vertices=2 edges=2 rank=1"]
 
 
 class TestPresentationCommands:

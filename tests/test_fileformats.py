@@ -50,6 +50,22 @@ class TestPresentationFormat:
         assert len(p.relators) == 1
 
 
+def int_or_token(tok):
+    """The id-token rule before tokens starting with a letter skipped int()."""
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+# U+0663 is the Arabic-Indic digit three, U+00E4 a letter a with umlaut.
+@pytest.mark.parametrize("tok", ["12", "-3", "+4", "1_000", "\u0663", "e1",
+                                 "\u00e41", "_1", "x-", "v0"])
+def test_token_matches_int_parse(tok):
+    got, want = FF._token(tok), int_or_token(tok)
+    assert (type(got), got) == (type(want), want)
+
+
 class TestGraphFormat:
     BASE = "base\nvertex *\nedge a * * a\nedge b * * b\nbasepoint *\n"
 

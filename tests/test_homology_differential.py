@@ -1,6 +1,7 @@
 """Differential tests: the sparse homology kernels (unit-pivot Smith normal
-form, rank d1 from components, one-pass vertex links) against the original
-dense ones, kept in helpers.py as an oracle.
+form, rank d1 from components, one-pass vertex links) and the integer edge
+key of a complex against the original dense kernels and repr orders, kept in
+helpers.py as an oracle.
 
 Matrices and complexes come from seeded generators; hypothesis picks the
 seeds (derandomized, so every run sees the same ones) and prints the failing
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 
 from forge import words as W
 from forge.presentations import FinitePresentation, abelianization
-from forge.snf import smith_normal_form
+from forge.fileformats import format_complex
+from forge.snf import _dense_core, _eliminate_unit_pivots, smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P, cellular_h1,
                             check_link_condition, link, one_square_torus,
                             pi1_presentation)
-from helpers import (derandomized, oracle_cellular_h1, oracle_check_link_condition,
+from helpers import (derandomized, oracle_canonical_square, oracle_cellular_h1,
+                     oracle_check_link_condition, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
                      oracle_smith_normal_form, random_reduced_word, seeds)
 
@@ -28,10 +31,15 @@ from helpers import (derandomized, oracle_cellular_h1, oracle_check_link_conditi
 ENTRIES = (1, -1) * 6 + (2, -2, 3, -6, 12, 2 ** 40 + 15, -(3 ** 30))
 
 
-def random_matrix(rng):
+# Mostly non-units, so that many rows gain their first unit only through a
+# row operation (3 - 2 * 1, say).
+FEW_UNITS = (1, -1, 2, -2, 3, -3, 5)
+
+
+def random_matrix(rng, entries=ENTRIES):
     rows, cols = rng.randint(1, 12), rng.randint(1, 12)
     density = rng.choice((0.15, 0.3, 0.6))
-    m = [[rng.choice(ENTRIES) if rng.random() < density else 0
+    m = [[rng.choice(entries) if rng.random() < density else 0
           for _ in range(cols)] for _ in range(rows)]
     if rng.random() < 0.3:
         m.insert(rng.randint(0, rows), [0] * cols)
@@ -56,6 +64,30 @@ def test_snf_matches_on_single_rows_and_columns(seed):
     row = [rng.choice(ENTRIES + (0,) * 8) for _ in range(rng.randint(1, 15))]
     for m in ([row], [[x] for x in row]):
         assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+def assert_unit_elimination_complete(m):
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    units = _eliminate_unit_pivots(rows)
+    assert all(v not in (1, -1) for row in rows if row is not None
+               for v in row.values())
+    core = _dense_core(rows)
+    assert [1] * units + oracle_smith_normal_form(core) == oracle_smith_normal_form(m)
+    return units
+
+
+@given(seeds)
+@derandomized
+def test_unit_elimination_leaves_no_unit(seed):
+    rng = random.Random(seed)
+    m = random_matrix(rng, rng.choice((ENTRIES, FEW_UNITS)))
+    assert_unit_elimination_complete(m)
+
+
+def test_row_gaining_a_unit_is_eliminated():
+    # Row 0 is popped first (same length, lower index) with no unit; the
+    # pivot on row 1 turns its 3 into 1, and it must be pivoted on after all.
+    assert assert_unit_elimination_complete([[2, 3], [1, 1]]) == 2
 
 
 @pytest.mark.parametrize("m", [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]],
@@ -111,13 +143,14 @@ def test_scaled_copy_complexes(seed):
     assert (inv.betti, inv.torsion) == oracle_abelianization(pi1_presentation(cx))
 
 
-def random_complex(rng):
-    """A few vertices and edges with mixed id types, random closed 4-paths
+def random_cells(rng, vertex_ids=(0, "v1", ("t", 2), "v3"),
+                 edge_ids=("e0", 1, ("f", 2), "e3", 4, "e5")):
+    """A few vertices and edges from the given ids, random closed 4-paths
     as squares (links with loops, bigons and triangles are common), often
     disconnected."""
-    vertices = [0, "v1", ("t", 2), "v3"][:rng.randint(1, 4)]
+    vertices = list(vertex_ids[:rng.randint(1, len(vertex_ids))])
     edges = {eid: (rng.choice(vertices), rng.choice(vertices))
-             for eid in ["e0", 1, ("f", 2), "e3", 4, "e5"][:rng.randint(1, 6)]}
+             for eid in edge_ids[:rng.randint(1, len(edge_ids))]}
     skeleton = SquareComplex(vertices, edges)
     directed = list(skeleton.directed_edges())
     squares = []
@@ -130,7 +163,7 @@ def random_complex(rng):
             if skeleton.dst(path[-1]) == skeleton.src(path[0]):
                 squares.append(tuple(path))
                 break
-    return SquareComplex(vertices, edges, squares)
+    return vertices, edges, squares
 
 
 def random_edge_loop(rng, cx):
@@ -153,11 +186,38 @@ def random_edge_loop(rng, cx):
 @derandomized
 def test_random_small_complexes(seed):
     rng = random.Random(seed)
-    cx = random_complex(rng)
+    cx = SquareComplex(*random_cells(rng))
     assert_same_homology_and_links(cx)
     loop = random_edge_loop(rng, cx)
     if loop is not None:
         assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
+
+
+class Twin:
+    """Distinct ids that print alike: ties under repr."""
+
+    def __repr__(self):
+        return "twin"
+
+
+@given(seeds)
+@derandomized
+def test_edge_key_orders_as_repr(seed):
+    """Squares, links, violations and written text from the integer edge
+    key equal those from comparing reprs: ids of mixed types, the int 1
+    beside the str "1", and two ids with one repr."""
+    rng = random.Random(seed)
+    edge_ids = [1, "1", ("1",), 0, -3, "e", ("f", 2), ("f", "2"), Twin(), Twin()]
+    rng.shuffle(edge_ids)
+    vertices, edges, squares = random_cells(rng, (1, "1", ("v", 0), -2, "w"),
+                                            tuple(edge_ids))
+    cx = SquareComplex(vertices, edges, squares)
+    assert cx.squares == [oracle_canonical_square(sq) for sq in squares]
+    for v in vertices:
+        assert link(cx, v) == oracle_link(cx, v)
+    assert check_link_condition(cx) == oracle_check_link_condition(cx)
+    assert format_complex(cx) == oracle_format_complex(cx)
+    assert cellular_h1(cx) == oracle_cellular_h1(cx)
 
 
 LOOP = SquareComplex(["u", "v"], {"e": ("u", "v")},

@@ -4,8 +4,8 @@ import pytest
 
 from forge.errors import ConfigurationError, DegenerateInputError
 from forge.presentations import FinitePresentation, abelianization
-from forge.squarecx import (EdgeLoop, SquareComplex, _canonical_square,
-                            build_S_of_P, cellular_h1, check_link_condition,
+from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
+                            cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
                             pi1_presentation, reverse)
 
@@ -29,8 +29,9 @@ class TestBasics:
         sq = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
         rotated = sq[2:] + sq[:2]
         flipped = tuple(reverse(d) for d in reversed(sq))
-        assert _canonical_square(sq) == _canonical_square(rotated)
-        assert _canonical_square(sq) == _canonical_square(flipped)
+        squares = [SquareComplex(TORUS.vertices, TORUS.edges, [reading]).squares
+                   for reading in (sq, rotated, flipped)]
+        assert squares[0] == squares[1] == squares[2] == TORUS.squares
 
     def test_open_square_rejected(self):
         with pytest.raises(ConfigurationError):
