@@ -19,14 +19,11 @@ from dataclasses import dataclass, field
 
 from . import fileformats as FF
 from . import words as W
-from .encoder import encode, encode_discrete, revalidate_certificate
+from .encoder import discrete_trace, encode, revalidate_certificate
 from .errors import ForgeError
 from .presentations import abelianization, free_power
-from .quotients import (OrderSpec, SearchBudget, _Budget, _BudgetStop,
-                        _enumerate_homs, _restore_assignment, _transfer_word,
-                        cycle_notation, has_nontrivial_quotient_upto,
-                        identity_perm, simplify_presentation,
-                        verify_order_spec)
+from .quotients import (OrderSpec, SearchBudget, cycle_notation,
+                        has_nontrivial_quotient_upto, search)
 from .squarecx import (build_S_of_P, check_link_condition, pi1_presentation)
 from .stallings import core, fibre_product, fold, malnormal_family_check
 
@@ -221,12 +218,7 @@ def _cmd_encode(args):
               "word": _digest(args.word)}
     details = []
     if args.discrete:
-        from .encoder import EncodingTrace
-        p_w = encode_discrete(p, w)
-        trace = EncodingTrace(p, w, modulus=0,
-                              short_circuited=w.is_identity(), p_w=p_w)
-        trace.abelianizations = {"input": abelianization(p),
-                                 "p_w": abelianization(p_w)}
+        trace = discrete_trace(p, w)
     else:
         trace = encode(p, w, N=args.N, max_candidates=args.budget)
         if trace.certificate is not None:
@@ -254,63 +246,31 @@ def _parse_orders(text):
 
 
 def _cmd_quotients(args):
+    if args.orders and args.word:
+        raise ForgeError("--orders and --word cannot be combined")
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
     text = _read(args.presentation)
     p = FF.parse_presentation(text)
     inputs = {"presentation": _digest(text)}
-    details = []
-
-    spec = None
+    goal = None
     if args.orders:
         kappa, exponents = _parse_orders(args.orders)
         targets = tuple(p.alphabet.gen(g) for g in p.generators)
         if len(exponents) != len(targets):
             raise ForgeError(f"--orders gives {len(exponents)} exponents for "
                              f"{len(targets)} generators")
-        spec = OrderSpec(targets=targets, kappa=kappa, exponents=exponents)
+        goal = OrderSpec(targets=targets, kappa=kappa, exponents=exponents)
         inputs["orders"] = _digest(args.orders)
-        search_p, word = p, None
     elif args.word:
         inputs["word"] = _digest(args.word)
-        simp = simplify_presentation(p)
-        search_p = simp.presentation
-        word = _transfer_word(simp, W.parse_word(p.alphabet, args.word))
-    else:
-        simp = simplify_presentation(p)
-        search_p = simp.presentation
-        word = None
+        goal = W.parse_word(p.alphabet, args.word)
 
-    witness = None
-    witness_degree = None
-    for n in range(2, budget.max_degree + 1):
-        tracker = _Budget(SearchBudget(max_degree=n, max_nodes=budget.max_nodes))
-        found = None
-        try:
-            for q in _enumerate_homs(search_p, n, tracker, reduce_first=True):
-                if spec is not None:
-                    ok, _ = verify_order_spec(q, spec)
-                    if ok:
-                        found = q
-                        break
-                elif word is not None:
-                    if q.evaluate(word) != identity_perm(n):
-                        found = _restore_assignment(p, simp, q)
-                        break
-                else:
-                    full = _restore_assignment(p, simp, q)
-                    if not full.is_trivial():
-                        found = full
-                        break
-        except _BudgetStop:
-            details.append((f"degree {n}", f"nodes={tracker.nodes} (budget hit)"))
-            break
-        details.append((f"degree {n}", f"nodes={tracker.nodes}"))
-        if found is not None:
-            witness, witness_degree = found, n
-            break
-
+    outcome = search(p, budget, goal, per_degree=True)
+    details = [(f"degree {n}", f"nodes={nodes}" + (" (budget hit)" if hit else ""))
+               for n, nodes, hit in outcome.degrees]
+    witness = outcome.witness
     if witness is not None:
-        details.append(("witness degree", str(witness_degree)))
+        details.append(("witness degree", str(witness.degree)))
         for g in sorted(witness.images):
             details.append((f"witness {g}", cycle_notation(witness.images[g])))
         return RunReport("quotients", inputs, "witness", details=details)
@@ -395,8 +355,13 @@ def _cmd_probe(args):
 # Argument parsing.
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 would read as "inconclusive"
+        raise ForgeError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forge",
         description="Subgroup graphs, presentations, quotient searches and "
                     "the encoding pipeline.")
@@ -493,12 +458,14 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     start = time.monotonic()
+    command = "forge"  # until the command line parses
     try:
+        args = _parser().parse_args(argv)
+        command = args.subcommand
         report = args.handler(args)
     except (ForgeError, OSError, ValueError) as exc:
-        report = RunReport(args.subcommand, {}, "error",
+        report = RunReport(command, {}, "error",
                            timing=time.monotonic() - start,
                            details=[("error", str(exc))])
     if report.timing == 0.0:

@@ -328,12 +328,7 @@ def encode(p, w, N=7, max_candidates=64):
     if w.alphabet != p.alphabet:
         raise AlphabetMismatchError("word over a different alphabet than the presentation")
     if w.is_identity():
-        x = W.Alphabet(["x"])
-        trivial = FinitePresentation(x, [x.gen("x")])
-        trace = EncodingTrace(p, w, N, short_circuited=True, p_w=trivial)
-        trace.abelianizations = {"input": abelianization(p),
-                                 "p_w": abelianization(trivial)}
-        return trace
+        return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>
 
     trace = EncodingTrace(p, w, N, short_circuited=False)
     trace.p_dagger, trace.w_dagger = step_injective_generators(p, w)
@@ -362,6 +357,14 @@ def encode(p, w, N=7, max_candidates=64):
     trace.p_w = assemble_Gw(p2, trace.b_letters, trace.c_words)
     trace.abelianizations = {name: abelianization(stage)
                              for name, stage in trace.stages().items()}
+    return trace
+
+
+def _bare_trace(p, w, modulus, p_w):
+    """A trace that keeps only the input and the output, with both
+    abelianizations; short-circuited exactly when w is the identity."""
+    trace = EncodingTrace(p, w, modulus, short_circuited=w.is_identity(), p_w=p_w)
+    trace.abelianizations = {"input": abelianization(p), "p_w": abelianization(p_w)}
     return trace
 
 
@@ -399,3 +402,8 @@ def encode_discrete(p, w):
     t = g2.alphabet.gen(t_name)
     cs = [discrete_c_word(w2, t, j) for j in range(m + 2)]
     return assemble_Gw(g2, tuple(letters) + (t_name,), cs)
+
+
+def discrete_trace(p, w):
+    """encode_discrete(p, w) as a trace of input and output (modulus 0)."""
+    return _bare_trace(p, w, 0, encode_discrete(p, w))

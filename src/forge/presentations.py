@@ -94,13 +94,34 @@ def free_product_with_renaming(p, q):
 
 
 def free_power(p, n):
-    """n-fold free product of p with itself, copies suffixed canonically."""
+    """n-fold free product of p with itself, with the names and relator
+    order of n - 1 nested free_product calls: copy 2, 3, ... renames g to
+    g_k, k >= 2 least with g_k untaken.  The digits of k hold no "_", so
+    g_k can clash only with an input name or an earlier g_j, and one
+    rising k per generator suffices."""
     if n < 1:
         raise DegenerateInputError("free_power requires n >= 1")
-    out = p
+    size = n * (len(p.generators) + sum(len(r.letters) for r in p.relators))
+    if size > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(
+            f"the {n}-fold free power has {size} generators and relator letters, "
+            f"more than {W.MAX_WORD_LETTERS}")
+    if not p.generators:
+        return p  # every power of the empty presentation is itself
+    names, renames = list(p.generators), [{g: g for g in p.generators}]
+    suffix = dict.fromkeys(p.generators, 1)
     for _ in range(n - 1):
-        out = free_product(out, p)
-    return out
+        rename = {}
+        for g in p.generators:
+            suffix[g] += 1
+            while f"{g}_{suffix[g]}" in p.alphabet:
+                suffix[g] += 1
+            rename[g] = f"{g}_{suffix[g]}"
+        names += rename.values()
+        renames.append(rename)
+    alphabet = W.Alphabet(names)
+    return FinitePresentation(alphabet, [_map_word(r, alphabet, rename)
+                                         for rename in renames for r in p.relators])
 
 
 def add_conjugation_relators(p, w, targets, stable_letters):

@@ -4,6 +4,12 @@ Survival of a word in every finite quotient is only semi-decidable, so all
 searches run under an explicit budget and an exhausted search is reported
 as inconclusive, never as a proof of triviality.
 
+Every search is one degree loop, `search`, behind `word_survives_upto`,
+`has_nontrivial_quotient_upto`, `search_order_targeted` and `forge
+quotients`: it simplifies, runs the kernel at degrees 2..max_degree under
+one budget (or one per degree), stops at the first witness or budget hit,
+restores the witness and records the nodes spent at each degree.
+
 The search kernel (`_enumerate_homs`) is a depth-first search over
 generator assignments.  Each relator is compiled once per search into
 integer codes 2*i + (sign < 0) over one flat image table, in which slot 2*i
@@ -170,12 +176,15 @@ class SearchBudget:
 @dataclass
 class SearchOutcome:
     """Result of a budgeted search.  status is 'witness' or 'exhausted';
-    exhausted never proves anything and is reported as inconclusive."""
+    exhausted never proves anything and is reported as inconclusive.
+    degrees holds (degree, nodes spent there, budget hit) for every degree
+    the search entered."""
 
     status: str
     witness: PermutationAssignment | None
     nodes: int
     max_degree_searched: int
+    degrees: list = field(default_factory=list)
 
 
 class _Budget:
@@ -282,22 +291,13 @@ class _BudgetStop(Exception):
     pass
 
 
-def search_homs(p, n, mode="all"):
+def search_homs(p, n):
     """All homomorphisms of the presented group into the degree-n symmetric
-    group, or the first one with nontrivial image.
-
-    `all` enumerates the full assignment space (no symmetry reduction), so
-    the count matches brute-force enumeration."""
+    group.  The full assignment space is enumerated (no symmetry
+    reduction), so the count matches brute-force enumeration."""
     if n < 1:
         raise DegenerateInputError("degree must be >= 1")
-    if mode not in ("all", "first-nontrivial"):
-        raise DegenerateInputError(f"unknown mode {mode!r}")
-    if mode == "all":
-        return list(_enumerate_homs(p, n))
-    for q in _enumerate_homs(p, n, reduce_first=True):
-        if not q.is_trivial():
-            return [q]
-    return []
+    return list(_enumerate_homs(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -416,51 +416,61 @@ def _transfer_word(simp, word):
 def _restore_assignment(p, simp, q):
     """Extend a hom on the simplified presentation to the original generators."""
     images = {g: q.evaluate(expr) for g, expr in simp.expressions.items()}
-    full = PermutationAssignment(q.degree, {g: images[g] for g in p.generators})
-    return full
+    return PermutationAssignment(q.degree, {g: images[g] for g in p.generators})
+
+
+def search(p, budget, goal=None, per_degree=False):
+    """The one degree loop: the first homomorphism into S_2, S_3, ...,
+    S_max_degree that meets the goal, which is None (nontrivial image), a
+    Word over p's alphabet (it survives) or an OrderSpec (it holds).  Words
+    and None search the simplified presentation and restore the witness
+    to p's generators; an order spec searches p as given.  The node budget
+    covers all degrees together, or each degree afresh with per_degree."""
+    simp = None if isinstance(goal, OrderSpec) else simplify_presentation(p)
+    search_p = p if simp is None else simp.presentation
+    word = None if simp is None or goal is None else _transfer_word(simp, goal)
+
+    def accept(q):
+        if simp is None:
+            return verify_order_spec(q, goal)[0]
+        if word is None:  # the restored hom is trivial exactly when q is
+            return not q.is_trivial()
+        return q.evaluate(word) != identity_perm(q.degree)
+
+    tracker = _Budget(budget)
+    degrees, witness = [], None
+    for n in range(2, budget.max_degree + 1):
+        if per_degree:
+            tracker = _Budget(budget)
+        start = tracker.nodes
+        try:
+            found = next(filter(accept, _enumerate_homs(
+                search_p, n, tracker, reduce_first=True)), None)
+        except _BudgetStop:
+            degrees.append((n, tracker.nodes - start, True))
+            break
+        degrees.append((n, tracker.nodes - start, False))
+        if found is not None:
+            witness = found if simp is None else _restore_assignment(p, simp, found)
+            break
+    return SearchOutcome("exhausted" if witness is None else "witness", witness,
+                         sum(nodes for _, nodes, _ in degrees),
+                         degrees[-1][0] if degrees else 1, degrees)
 
 
 def word_survives_upto(p, w, budget):
     """Look for a finite quotient in which w is nontrivial.
 
-    Searches symmetric groups of degree 2..budget.max_degree in canonical
-    order.  An exhausted search is NOT evidence that w dies in every finite
+    An exhausted search is NOT evidence that w dies in every finite
     quotient; callers must report it as inconclusive."""
     if w.alphabet != p.alphabet:
         raise AlphabetMismatchError("word over a different alphabet than the presentation")
-    simp = simplify_presentation(p)
-    ws = _transfer_word(simp, w)
-    tracker = _Budget(budget)
-    top = 1
-    try:
-        for n in range(2, budget.max_degree + 1):
-            top = n
-            for q in _enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
-                if q.evaluate(ws) != identity_perm(n):
-                    return SearchOutcome("witness", _restore_assignment(p, simp, q),
-                                         tracker.nodes, n)
-    except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+    return search(p, budget, w)
 
 
 def has_nontrivial_quotient_upto(p, budget):
     """First-nontrivial search over degrees 2..max; exhausted is inconclusive."""
-    simp = simplify_presentation(p)
-    tracker = _Budget(budget)
-    top = 1
-    try:
-        for n in range(2, budget.max_degree + 1):
-            top = n
-            for q in _enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
-                # Every eliminated generator is a word in the surviving ones,
-                # so the restored hom is trivial exactly when q is.
-                if not q.is_trivial():
-                    return SearchOutcome("witness", _restore_assignment(p, simp, q),
-                                         tracker.nodes, n)
-    except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+    return search(p, budget)
 
 
 def element_order(q, w):
@@ -517,18 +527,7 @@ def search_order_targeted(p, spec, budget):
         flag, pair = W.is_independent(spec.targets)
         if not flag:
             raise IndependenceError(f"targets {pair[0]} and {pair[1]} are dependent")
-    tracker = _Budget(budget)
-    top = 1
-    try:
-        for n in range(2, budget.max_degree + 1):
-            top = n
-            for q in _enumerate_homs(p, n, tracker, reduce_first=True):
-                ok, _ = verify_order_spec(q, spec)
-                if ok:
-                    return SearchOutcome("witness", q, tracker.nodes, n)
-    except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+    return search(p, budget, spec)
 
 
 def grushko_lower_bound(n):

@@ -552,4 +552,4 @@ def homs_killing_copies(built, n):
     relators += _copy_killing_relators(built, presentation, names)
     killed = FinitePresentation(presentation.alphabet, relators)
     simplified = simplify_presentation(killed).presentation
-    return len(search_homs(simplified, n, "all"))
+    return len(search_homs(simplified, n))

@@ -45,7 +45,8 @@ class Alphabet:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (isinstance(other, Alphabet)
+                                 and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)

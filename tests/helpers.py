@@ -736,6 +736,55 @@ def oracle_has_nontrivial_quotient_upto(p, budget):
     return SearchOutcome("exhausted", None, tracker.nodes, top)
 
 
+def oracle_word_survives_upto(p, w, budget):
+    """The word search with its own degree loop, as before `search`."""
+    from forge.errors import AlphabetMismatchError
+    from forge.quotients import (SearchOutcome, _Budget, _BudgetStop,
+                                 _restore_assignment, _transfer_word,
+                                 identity_perm, simplify_presentation)
+    if w.alphabet != p.alphabet:
+        raise AlphabetMismatchError("word over a different alphabet than the presentation")
+    simp = simplify_presentation(p)
+    ws = _transfer_word(simp, w)
+    tracker = _Budget(budget)
+    top = 1
+    try:
+        for n in range(2, budget.max_degree + 1):
+            top = n
+            for q in oracle_enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
+                if q.evaluate(ws) != identity_perm(n):
+                    return SearchOutcome("witness", _restore_assignment(p, simp, q),
+                                         tracker.nodes, n)
+    except _BudgetStop:
+        pass
+    return SearchOutcome("exhausted", None, tracker.nodes, top)
+
+
+def oracle_search_order_targeted(p, spec, budget):
+    """The order-spec search with its own degree loop, as before `search`."""
+    from forge.errors import AlphabetMismatchError, IndependenceError
+    from forge.quotients import SearchOutcome, _Budget, _BudgetStop
+    for t in spec.targets:
+        if t.alphabet != p.alphabet:
+            raise AlphabetMismatchError("spec target over a different alphabet")
+    if not p.relators:
+        flag, pair = W.is_independent(spec.targets)
+        if not flag:
+            raise IndependenceError(f"targets {pair[0]} and {pair[1]} are dependent")
+    tracker = _Budget(budget)
+    top = 1
+    try:
+        for n in range(2, budget.max_degree + 1):
+            top = n
+            for q in oracle_enumerate_homs(p, n, tracker, reduce_first=True):
+                ok, _ = oracle_verify_order_spec(q, spec)
+                if ok:
+                    return SearchOutcome("witness", q, tracker.nodes, n)
+    except _BudgetStop:
+        pass
+    return SearchOutcome("exhausted", None, tracker.nodes, top)
+
+
 def oracle_substitute(word, target_alphabet, table):
     """Rewrite a word letterwise through a substitution table name -> Word."""
     out = []
@@ -843,18 +892,119 @@ def oracle_simplify_presentation(p):
 def seed_search_kernel():
     """Run forge's searches on the oracle kernel: the search generator,
     perm_mul, PermutationAssignment.evaluate, the order-spec check and the
-    simplifier are replaced wherever forge binds them, so the degree loops
-    and the CLI run unchanged on top."""
-    from forge import cli, quotients
+    simplifier are replaced in forge.quotients, so its degree loop, and the
+    CLI on top of it, run unchanged."""
+    from forge import quotients
     with mock.patch.object(quotients, "_enumerate_homs", oracle_enumerate_homs), \
-            mock.patch.object(cli, "_enumerate_homs", oracle_enumerate_homs), \
             mock.patch.object(quotients, "perm_mul", oracle_perm_mul), \
             mock.patch.object(quotients.PermutationAssignment, "evaluate",
                               oracle_evaluate), \
             mock.patch.object(quotients, "verify_order_spec", oracle_verify_order_spec), \
-            mock.patch.object(cli, "verify_order_spec", oracle_verify_order_spec), \
             mock.patch.object(quotients, "simplify_presentation",
-                              oracle_simplify_presentation), \
-            mock.patch.object(cli, "simplify_presentation",
                               oracle_simplify_presentation):
         yield
+
+
+def oracle_cmd_quotients(args):
+    """The `forge quotients` handler with its own degree loop, as it was
+    before the library's `search` took the loop over: a fresh budget per
+    degree, witnesses restored to the input generators."""
+    from forge import fileformats as FF
+    from forge.cli import RunReport, _digest, _parse_orders, _read
+    from forge.errors import ForgeError
+    from forge.quotients import (OrderSpec, SearchBudget, _Budget, _BudgetStop,
+                                 _enumerate_homs, _restore_assignment,
+                                 _transfer_word, cycle_notation, identity_perm,
+                                 simplify_presentation, verify_order_spec)
+    budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
+    text = _read(args.presentation)
+    p = FF.parse_presentation(text)
+    inputs = {"presentation": _digest(text)}
+    details = []
+
+    spec = None
+    if args.orders:
+        kappa, exponents = _parse_orders(args.orders)
+        targets = tuple(p.alphabet.gen(g) for g in p.generators)
+        if len(exponents) != len(targets):
+            raise ForgeError(f"--orders gives {len(exponents)} exponents for "
+                             f"{len(targets)} generators")
+        spec = OrderSpec(targets=targets, kappa=kappa, exponents=exponents)
+        inputs["orders"] = _digest(args.orders)
+        search_p, word = p, None
+    elif args.word:
+        inputs["word"] = _digest(args.word)
+        simp = simplify_presentation(p)
+        search_p = simp.presentation
+        word = _transfer_word(simp, W.parse_word(p.alphabet, args.word))
+    else:
+        simp = simplify_presentation(p)
+        search_p = simp.presentation
+        word = None
+
+    witness = None
+    witness_degree = None
+    for n in range(2, budget.max_degree + 1):
+        tracker = _Budget(SearchBudget(max_degree=n, max_nodes=budget.max_nodes))
+        found = None
+        try:
+            for q in _enumerate_homs(search_p, n, tracker, reduce_first=True):
+                if spec is not None:
+                    ok, _ = verify_order_spec(q, spec)
+                    if ok:
+                        found = q
+                        break
+                elif word is not None:
+                    if q.evaluate(word) != identity_perm(n):
+                        found = _restore_assignment(p, simp, q)
+                        break
+                else:
+                    full = _restore_assignment(p, simp, q)
+                    if not full.is_trivial():
+                        found = full
+                        break
+        except _BudgetStop:
+            details.append((f"degree {n}", f"nodes={tracker.nodes} (budget hit)"))
+            break
+        details.append((f"degree {n}", f"nodes={tracker.nodes}"))
+        if found is not None:
+            witness, witness_degree = found, n
+            break
+
+    if witness is not None:
+        details.append(("witness degree", str(witness_degree)))
+        for g in sorted(witness.images):
+            details.append((f"witness {g}", cycle_notation(witness.images[g])))
+        return RunReport("quotients", inputs, "witness", details=details)
+    details.append(("conclusion", "search exhausted within budget; no conclusion"))
+    return RunReport("quotients", inputs, "inconclusive", details=details)
+
+
+@contextlib.contextmanager
+def oracle_quotients_command():
+    """Route `forge quotients` through oracle_cmd_quotients; main's parsing,
+    error handling and printing run unchanged."""
+    from forge import cli
+
+    class Parser:
+        def parse_args(self, argv):
+            args = cli.build_parser().parse_args(argv)
+            if args.subcommand == "quotients":
+                args.handler = oracle_cmd_quotients
+            return args
+
+    with mock.patch.object(cli, "_parser", Parser):
+        yield
+
+
+def oracle_free_power(p, n):
+    """n - 1 nested free products, each renaming the new copy over every
+    name taken so far."""
+    from forge.errors import DegenerateInputError
+    from forge.presentations import free_product
+    if n < 1:
+        raise DegenerateInputError("free_power requires n >= 1")
+    out = p
+    for _ in range(n - 1):
+        out = free_product(out, p)
+    return out

@@ -208,6 +208,44 @@ class TestErrors:
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == [f"error: {error}"]
 
+    def test_orders_with_word_rejected(self, workdir, capsys):
+        code, out = run(capsys, "quotients", workdir / "free.txt", "--max-degree",
+                        "3", "--word", "b", "--orders", "1:2,3")
+        assert code == 1
+        assert "status: error" in out
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == ["error: --orders and --word cannot be combined"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (("quotients", "free.txt", "--max-degree", "abc"),
+         "forge quotients: argument --max-degree: invalid int value: 'abc'"),
+        (("probe", "dead.txt"),
+         "forge probe: the following arguments are required: --word"),
+        ((), "forge: the following arguments are required: subcommand"),
+    ])
+    def test_usage_error_exits_1(self, workdir, capsys, argv, error):
+        code = main([str(workdir / a) if a.endswith(".txt") else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        lines = untimed_lines(captured.out)
+        assert lines[:2] == ["command: forge", "status: error"]
+        assert [line for line in lines if line.startswith("error:")] \
+            == [f"error: {error}"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["quotients", "--help"])
+        assert exc.value.code == 0
+        assert "--max-degree" in capsys.readouterr().out
+
+    def test_freepow_too_large(self, workdir, capsys):
+        code, out = run(capsys, "freepow", workdir / "dead.txt", "100000000")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == ["error: the 100000000-fold free power has 200000000 generators "
+                "and relator letters, more than 1000000"]
+
     def test_bad_orders_spec(self, workdir, capsys):
         code, out = run(capsys, "quotients", workdir / "free.txt",
                         "--max-degree", "2", "--orders", "nonsense")

@@ -12,7 +12,9 @@ from forge.presentations import (FinitePresentation, abelianization,
                                  free_product, free_product_with_renaming,
                                  tietze_change_generators,
                                  verify_generator_change)
-from helpers import random_reduced_word
+from hypothesis import given
+
+from helpers import derandomized, oracle_free_power, random_reduced_word, seeds
 
 
 def pres(gens, *rels):
@@ -98,6 +100,31 @@ class TestFreeProduct:
         assert len(p.relators) == 3
         with pytest.raises(DegenerateInputError):
             free_power(pres(["a"]), 0)
+
+    def test_free_power_bounded(self):
+        p = pres(["a"], "a^99999")  # 100000 generators and relator letters
+        assert len(free_power(p, 10).relators) == 10
+        with pytest.raises(DegenerateInputError, match="more than 1000000"):
+            free_power(p, 11)
+        assert free_power(pres([]), 10 ** 9) == pres([])
+
+
+@given(seeds)
+@derandomized
+def test_free_power_matches_nested_products(seed):
+    """Generator names (suffixes skip names the input already uses, such as
+    a_2 or a_2_2) and relator order equal those of nested free products."""
+    rng = random.Random(seed)
+    pool = ["a", "a_2", "a_3", "a_2_2", "b", "b_1", "a_10"]
+    names = rng.sample(pool, rng.randint(1, 4))
+    alphabet = W.Alphabet(names)
+    p = FinitePresentation(alphabet, [
+        random_reduced_word(rng, alphabet, rng.randint(1, 6))
+        for _ in range(rng.randint(0, 3))])
+    n = rng.randint(1, 12)
+    new, old = free_power(p, n), oracle_free_power(p, n)
+    assert new.generators == old.generators
+    assert new.relators == old.relators
 
 
 class TestConjugationRelators:

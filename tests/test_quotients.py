@@ -62,15 +62,6 @@ class TestSearchHoms:
         p = pres(["a", "b"], "a b a^-1 b^-1")
         assert len(search_homs(p, 3)) == 18
 
-    def test_first_nontrivial(self):
-        out = search_homs(pres(["a"], "a^2"), 2, "first-nontrivial")
-        assert len(out) == 1 and not out[0].is_trivial()
-        assert search_homs(pres(["a"], "a"), 4, "first-nontrivial") == []
-
-    def test_bad_mode(self):
-        with pytest.raises(DegenerateInputError):
-            search_homs(pres(["a"]), 2, "everything")
-
 
 class TestSimplifier:
     def test_collapses_trivial_group(self):

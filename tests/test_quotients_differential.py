@@ -2,7 +2,7 @@
 point tracing, lazy permutations, class-minimal permutations in closed
 form), the witness-only restore, the order-spec check, free reduction and
 the simplifier against the original code, kept in helpers.py as an
-oracle.
+oracle; `forge quotients` against its own former degree loop.
 
 Presentations come from seeded generators; hypothesis picks the seeds
 (derandomized, so every run sees the same ones) and prints the failing
@@ -33,9 +33,11 @@ from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              verify_order_spec, word_survives_upto)
 from helpers import (derandomized, oracle_class_minimal_perms,
                      oracle_enumerate_homs, oracle_evaluate, oracle_find_move,
-                     oracle_has_nontrivial_quotient_upto, oracle_reduce,
-                     oracle_simplify_presentation, oracle_substitute,
-                     oracle_verify_order_spec, random_reduced_word,
+                     oracle_has_nontrivial_quotient_upto,
+                     oracle_quotients_command, oracle_reduce,
+                     oracle_search_order_targeted, oracle_simplify_presentation,
+                     oracle_substitute, oracle_verify_order_spec,
+                     oracle_word_survives_upto, random_reduced_word,
                      seed_search_kernel, seeds)
 
 
@@ -123,9 +125,9 @@ def test_searches_match_seed(seed):
            outcome_key(has_nontrivial_quotient_upto, p, budget),
            outcome_key(search_order_targeted, p, spec, budget)]
     with seed_search_kernel():
-        old = [outcome_key(word_survives_upto, p, w, budget),
+        old = [outcome_key(oracle_word_survives_upto, p, w, budget),
                outcome_key(oracle_has_nontrivial_quotient_upto, p, budget),
-               outcome_key(search_order_targeted, p, spec, budget)]
+               outcome_key(oracle_search_order_targeted, p, spec, budget)]
     assert new == old
 
 
@@ -156,6 +158,34 @@ def test_cli_quotients_report_matches_seed(seed):
             new = cli_report(argv)
             with seed_search_kernel():
                 assert cli_report(argv) == new
+
+
+@given(seeds)
+@derandomized
+def test_cli_quotients_report_matches_former_loop(seed):
+    """Full reports of the one search loop against the CLI's former loop:
+    plain, --word and --orders, each under a drawn budget, with
+    --max-degree 1, and with a budget of a few nodes, which mostly stops
+    the search at its first or second degree."""
+    rng = random.Random(seed)
+    p = random_presentation(rng)
+    word = W.format_word(random_word(rng, p.alphabet, 6))
+    orders = "1:" + ",".join(str(rng.randint(1, 3)) for _ in p.generators)
+    budgets = (["--max-degree", str(rng.randint(1, 4)),
+                "--max-nodes", str(rng.choice((rng.randint(1, 60), 400)))],
+               ["--max-degree", "1"],
+               ["--max-degree", "4", "--max-nodes", str(rng.randint(1, 8))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_presentation(p))
+        for budget in budgets:
+            search = ["quotients", path, *budget]
+            for argv in (search, search + ["--word", word],
+                         search + ["--orders", orders]):
+                new = cli_report(argv)
+                with oracle_quotients_command():
+                    assert cli_report(argv) == new
 
 
 @given(seeds)
