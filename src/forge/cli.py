@@ -246,14 +246,14 @@ def _parse_orders(text):
 
 
 def _cmd_quotients(args):
-    if args.orders and args.word:
+    if args.orders is not None and args.word is not None:
         raise ForgeError("--orders and --word cannot be combined")
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
     text = _read(args.presentation)
     p = FF.parse_presentation(text)
     inputs = {"presentation": _digest(text)}
     goal = None
-    if args.orders:
+    if args.orders is not None:
         kappa, exponents = _parse_orders(args.orders)
         targets = tuple(p.alphabet.gen(g) for g in p.generators)
         if len(exponents) != len(targets):
@@ -261,7 +261,7 @@ def _cmd_quotients(args):
                              f"{len(targets)} generators")
         goal = OrderSpec(targets=targets, kappa=kappa, exponents=exponents)
         inputs["orders"] = _digest(args.orders)
-    elif args.word:
+    elif args.word is not None:
         inputs["word"] = _digest(args.word)
         goal = W.parse_word(p.alphabet, args.word)
 

@@ -22,9 +22,23 @@ order of the checks does not change which candidates pass.  Candidates are
 drawn lazily from itertools.permutations, which yields them in
 lexicographic order, so no list of all n! permutations is built.
 
+Goal checkpoints: the search's goal is compiled into the same codes and
+each of its conditions is checked at the checkpoint where it becomes
+decided, the index of the last generator it reads (generator 0 for a
+word with no letters).  A word must map to a nontrivial permutation; an
+order spec's target must have order kappa * e_i, and a pair of targets
+must meet trivially at the later of their two checkpoints.  A pruned
+subtree holds only complete homomorphisms the goal rejects, so the
+kernel yields exactly the goal-meeting homomorphisms of the full
+enumeration, in the same order.  Node counts count this pruned tree, so
+they are at most those of the unpruned one.  The loop still verifies the
+hom it takes (`verify_order_spec`, or evaluating the word) and never
+trusts the pruning alone.
+
 Determinism: generators are assigned in alphabet order and candidate
 permutations in lexicographic order of their image tuples, so witnesses are
-canonical and re-running a search reproduces them byte for byte.
+canonical (the first homomorphism in that order that meets the goal) and
+re-running a search reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from . import words as W
@@ -228,24 +243,27 @@ def _class_minimal_perms(n):
     return sorted(perms)
 
 
-def _enumerate_homs(p, n, budget=None, reduce_first=False):
+def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
     """DFS over generator assignments in canonical order, yielding complete
     homomorphisms.  A relator is checked as soon as all its generators are
-    assigned.  With reduce_first=True the first generator ranges only over
-    conjugacy-class-minimal permutations (sound for existence questions,
-    since conjugating a homomorphism preserves relators and element orders).
+    assigned, and so is each condition of the goal (see `_goal_checks`):
+    only homomorphisms that meet the goal are yielded, in the order the
+    full enumeration would yield them.  With reduce_first=True the first
+    generator ranges only over conjugacy-class-minimal permutations (sound
+    for existence questions, since conjugating a homomorphism preserves
+    relators, element orders, intersections and nontriviality).
     """
     gens = p.generators
-    if not gens:
-        yield PermutationAssignment(n, {})
-        return
     code = {}
     for i, g in enumerate(gens):
         code[g, 1], code[g, -1] = 2 * i, 2 * i + 1
+
+    def encode(word):
+        return list(map(code.__getitem__, word.letters))
+
     checkpoints = [[] for _ in gens]  # last generator index -> coded relators
-    for r in p.relators:
-        codes = list(map(code.__getitem__, r.letters))
-        checkpoints[max(codes) // 2].append(codes)
+    for codes in map(encode, p.relators):
+        checkpoints[_checkpoint(codes)].append(codes)
     for coded in checkpoints:
         coded.sort(key=len)  # a short relator rejects a candidate soonest
     table = [None] * (2 * len(gens))  # image, inverse, image, inverse, ...
@@ -262,6 +280,20 @@ def _enumerate_homs(p, n, budget=None, reduce_first=False):
                 return False
         return True
 
+    def image(codes):
+        out = []
+        for x in points:
+            for c in codes:
+                x = table[c][x]
+            out.append(x)
+        return tuple(out)
+
+    goal_checks = _goal_checks(goal, encode, holds, image, max(1, len(gens)))
+    if not gens:
+        if goal_checks[0] is None or goal_checks[0]():
+            yield PermutationAssignment(n, {})
+        return
+
     def dfs(i):
         # Called once per inner node; a complete assignment is a node too,
         # spent in the loop below rather than in a call of its own.
@@ -269,13 +301,15 @@ def _enumerate_homs(p, n, budget=None, reduce_first=False):
             raise _BudgetStop
         choices = (itertools.permutations(points) if i > 0 or not reduce_first
                    else _class_minimal_perms(n))
-        checks = checkpoints[i]
+        checks, goal_check = checkpoints[i], goal_checks[i]
         for perm in choices:
             if perm not in inverse_of:
                 inverse_of[perm] = perm_inv(perm)
             table[2 * i] = perm
             table[2 * i + 1] = inverse_of[perm]
             if not all(map(holds, checks)):
+                continue
+            if goal_check is not None and not goal_check():
                 continue
             if i < last:
                 yield from dfs(i + 1)
@@ -285,6 +319,52 @@ def _enumerate_homs(p, n, budget=None, reduce_first=False):
             yield PermutationAssignment(n, dict(zip(gens, table[::2])))
 
     yield from dfs(0)
+
+
+def _goal_checks(goal, encode, holds, image, size):
+    """The goal as one check per generator index (None where it has none),
+    each at the checkpoint of the last generator its words read; a word
+    with no letters is read at generator 0.  A Word must not hold, that is
+    map to the identity.  Each OrderSpec target must have order kappa * e_i
+    at its checkpoint, and each pair of targets must meet trivially at the
+    later of their two checkpoints.  encode turns a word into codes; holds
+    and image read codes under the kernel's current assignment."""
+    checks = [None] * size
+    if goal is None:
+        return checks
+    if not isinstance(goal, OrderSpec):
+        codes = encode(goal)
+        checks[_checkpoint(codes)] = lambda: not holds(codes)
+        return checks
+    targets = list(map(encode, goal.targets))
+    orders = [goal.kappa * e for e in goal.exponents]
+    at = list(map(_checkpoint, targets))
+    perms = [None] * len(targets)  # target images, set at their checkpoints
+
+    def check_at(k):
+        mine = [t for t, c in enumerate(at) if c == k]
+        pairs = [(i, j) for j in range(len(at)) for i in range(j)
+                 if max(at[i], at[j]) == k]
+
+        def check():
+            for t in mine:
+                perm = image(targets[t])
+                if perm_order(perm) != orders[t]:
+                    return False
+                perms[t] = perm
+            return all(math.gcd(orders[i], orders[j]) == 1
+                       or len(_cyclic_subgroup(perms[i])
+                              & _cyclic_subgroup(perms[j])) == 1
+                       for i, j in pairs)
+        return check
+
+    for k in set(at):
+        checks[k] = check_at(k)
+    return checks
+
+
+def _checkpoint(codes):
+    return max(codes) // 2 if codes else 0
 
 
 class _BudgetStop(Exception):
@@ -307,49 +387,62 @@ def search_homs(p, n):
 # in some relator (with exponent +-1) can be solved for there; it is then
 # substituted away in every other relator and dropped along with the solving
 # relator.  Each move removes one generator and one relator, so the loop
-# terminates.  Each eliminated generator gets an expression over the
-# surviving alphabet, so homomorphisms and words transfer back and forth
-# exactly.
+# terminates.  Each move is kept as a step (generator, its expression over
+# the alphabet left after it), so homomorphisms and words transfer back and
+# forth exactly by replaying the steps.
 
 
 @dataclass
 class SimplifiedPresentation:
     presentation: FinitePresentation
-    expressions: dict  # original generator -> Word over the simplified alphabet
+    steps: list  # (eliminated generator, Word over the alphabet after it)
+
+    @cached_property
+    def expressions(self):
+        """Original generator -> Word over the simplified alphabet."""
+        alphabet = self.presentation.alphabet
+        expressions = {g: alphabet.gen(g) for g in alphabet.names}
+        for gen, expr in reversed(self.steps):
+            expressions[gen] = substitute(expr, alphabet, expressions)
+        return expressions
 
 
 def simplify_presentation(p):
-    """Iterate the two deletion moves to a fixpoint.
+    """Iterate the deletion move to a fixpoint.
 
-    The simplified presentation presents an isomorphic group; `expressions`
-    rewrites every original generator over the surviving generators, which
-    is what lets searches run on the small presentation and report witnesses
-    on the original one."""
+    The simplified presentation presents an isomorphic group; its `steps`
+    (and the `expressions` built from them on first use) rewrite every
+    original generator over the surviving generators, which is what lets
+    searches run on the small presentation and report witnesses on the
+    original one."""
     alphabet = p.alphabet
     relators = list(p.relators)
-    steps = []  # (gen, expression Word over the post-elimination alphabet)
+    scans = list(map(_scan, relators))
+    steps = []
     while True:
-        move = _find_move(alphabet, relators)
+        move = _find_move(relators, scans)
         if move is None:
             break
         gen, expr_letters, drop_index = move
         new_alphabet = W.Alphabet(tuple(g for g in alphabet.names if g != gen))
-        expr = W.reduce(new_alphabet, expr_letters)
+        expr = W.from_reduced(new_alphabet, expr_letters)
         steps.append((gen, expr))
         images = (expr.letters, expr.inverse().letters)
-        new_relators = []
-        for idx, r in enumerate(relators):
+        new_relators, new_scans = [], []
+        for idx, (r, scan) in enumerate(zip(relators, scans)):
             if idx == drop_index:
                 continue
-            reduced = _replace_generator(r, gen, images, new_alphabet)
-            if not reduced.is_identity():
-                new_relators.append(reduced)
-        alphabet, relators = new_alphabet, new_relators
-    simplified = FinitePresentation(alphabet, relators)
-    expressions = {g: alphabet.gen(g) for g in alphabet.names}
-    for gen, expr in reversed(steps):
-        expressions[gen] = substitute(expr, alphabet, expressions)
-    return SimplifiedPresentation(simplified, expressions)
+            if gen in scan[1]:
+                r = _replace_generator(r, gen, images, new_alphabet)
+                if r.is_identity():
+                    continue
+                scan = _scan(r)
+            else:
+                r = W.from_reduced(new_alphabet, r.letters)
+            new_relators.append(r)
+            new_scans.append(scan)
+        alphabet, relators, scans = new_alphabet, new_relators, new_scans
+    return SimplifiedPresentation(FinitePresentation(alphabet, relators), steps)
 
 
 def _replace_generator(word, gen, images, alphabet):
@@ -382,41 +475,55 @@ def _extend_reduced(out, piece):
     out.extend(piece[k:])
 
 
-def _find_move(alphabet, relators):
+def _scan(word):
+    """(position of the first letter whose generator occurs once in the
+    word, or None; occurrences per generator)."""
+    names = list(map(itemgetter(0), word.letters))
+    counts = Counter(names)
+    # Counter keeps first-occurrence order, so the first single is leftmost.
+    single = next((g for g, count in counts.items() if count == 1), None)
+    return (None if single is None else names.index(single)), counts
+
+
+def _find_move(relators, scans):
     """Next elimination: a generator with exactly one occurrence in some
-    relator.  The shortest usable relator is preferred (then relator index,
-    then position), which keeps the substitution blow-up small.  Returns
-    (generator, expression letters, index of relator to drop) or None."""
-    best = None
-    for idx, r in enumerate(relators):
-        if best is not None and len(r.letters) >= len(relators[best[0]].letters):
-            continue  # a later relator is preferred only when it is shorter
-        names = list(map(itemgetter(0), r.letters))
-        singles = [g for g, count in Counter(names).items() if count == 1]
-        if singles:
-            pos = min(map(names.index, singles))
-            best = (idx, pos, names[pos], r.letters[pos][1])
-    if best is None:
+    relator, from each relator's `_scan`.  The shortest usable relator is
+    preferred (then relator index, then position), which keeps the
+    substitution blow-up small.  Returns (generator, reduced expression
+    letters, index of relator to drop) or None."""
+    usable = [(len(r.letters), idx) for idx, (r, (pos, _)) in
+              enumerate(zip(relators, scans)) if pos is not None]
+    if not usable:
         return None
-    idx, pos, g, sign = best
+    _, idx = min(usable)
+    pos = scans[idx][0]
     letters = relators[idx].letters
-    # r = u g^sign v = 1  =>  g^sign = u^-1 v^-1
-    u, v = letters[:pos], letters[pos + 1:]
-    solved = tuple((h, -s) for h, s in reversed(u)) \
-        + tuple((h, -s) for h, s in reversed(v))
+    g, sign = letters[pos]
+    # r = u g^sign v = 1  =>  g^sign = u^-1 v^-1, which can cancel only at the seam
+    solved = [(h, -s) for h, s in reversed(letters[:pos])]
+    _extend_reduced(solved, tuple((h, -s) for h, s in reversed(letters[pos + 1:])))
     if sign < 0:
-        solved = tuple((h, -s) for h, s in reversed(solved))
-    return g, solved, idx
+        solved = [(h, -s) for h, s in reversed(solved)]
+    return g, tuple(solved), idx
 
 
 def _transfer_word(simp, word):
-    return substitute(word, simp.presentation.alphabet, simp.expressions)
+    """A word over the original alphabet, rewritten over the simplified one
+    by replaying the elimination steps."""
+    for gen, expr in simp.steps:
+        word = _replace_generator(word, gen, (expr.letters, expr.inverse().letters),
+                                  expr.alphabet)
+    return W.from_reduced(simp.presentation.alphabet, word.letters)
 
 
 def _restore_assignment(p, simp, q):
-    """Extend a hom on the simplified presentation to the original generators."""
-    images = {g: q.evaluate(expr) for g, expr in simp.expressions.items()}
-    return PermutationAssignment(q.degree, {g: images[g] for g in p.generators})
+    """Extend a hom on the simplified presentation to the original
+    generators: each step's expression is evaluated under the images of
+    the generators left after it, last step first."""
+    full = PermutationAssignment(q.degree, q.images)  # a copy of q's images
+    for gen, expr in reversed(simp.steps):
+        full.images[gen] = full.evaluate(expr)  # evaluate reads the grown dict
+    return PermutationAssignment(q.degree, {g: full.images[g] for g in p.generators})
 
 
 def search(p, budget, goal=None, per_degree=False):
@@ -425,10 +532,13 @@ def search(p, budget, goal=None, per_degree=False):
     Word over p's alphabet (it survives) or an OrderSpec (it holds).  Words
     and None search the simplified presentation and restore the witness
     to p's generators; an order spec searches p as given.  The node budget
-    covers all degrees together, or each degree afresh with per_degree."""
+    covers all degrees together, or each degree afresh with per_degree.
+    The kernel prunes by the goal (the word as transferred); accept still
+    verifies the hom it yields, so the pruning is never trusted alone."""
     simp = None if isinstance(goal, OrderSpec) else simplify_presentation(p)
     search_p = p if simp is None else simp.presentation
     word = None if simp is None or goal is None else _transfer_word(simp, goal)
+    kernel_goal = goal if simp is None else word
 
     def accept(q):
         if simp is None:
@@ -445,7 +555,7 @@ def search(p, budget, goal=None, per_degree=False):
         start = tracker.nodes
         try:
             found = next(filter(accept, _enumerate_homs(
-                search_p, n, tracker, reduce_first=True)), None)
+                search_p, n, tracker, kernel_goal, reduce_first=True)), None)
         except _BudgetStop:
             degrees.append((n, tracker.nodes - start, True))
             break

@@ -655,9 +655,11 @@ def oracle_is_locally_geodesic(loop):
 # letter in evaluation, an inverse per inverse letter, and the
 # nontrivial-quotient loop that restores every hom before testing it; also
 # the order-spec check that takes each order from cycle lengths, free
-# reduction that re-checks every letter, and the simplifier that rewrites every relator
-# letter by letter and scans every relator for each move.  Only the data
-# types and the budget tracker come from forge.
+# reduction that re-checks every letter, the simplifier that rewrites every
+# relator letter by letter and scans every relator for each move, and the
+# transfers that go through eagerly built expressions.  The oracle kernel
+# ignores the goal: the loop's accept filters its complete homs.  Only the
+# data types and the budget tracker come from forge.
 
 
 def oracle_perm_mul(p, q):
@@ -688,7 +690,9 @@ def oracle_class_minimal_perms(n):
     return sorted(best.values())
 
 
-def oracle_enumerate_homs(p, n, budget=None, reduce_first=False):
+def oracle_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
+    """Every hom in canonical order; the goal is ignored, as the search
+    loop's own accept checked it on each complete hom."""
     from forge.quotients import PermutationAssignment, _BudgetStop, identity_perm
     gens = p.generators
     all_perms = sorted(itertools.permutations(range(n)))
@@ -723,17 +727,19 @@ def oracle_has_nontrivial_quotient_upto(p, budget):
                                  _restore_assignment, simplify_presentation)
     simp = simplify_presentation(p)
     tracker = _Budget(budget)
-    top = 1
+    top, degrees = 1, []
     try:
         for n in range(2, budget.max_degree + 1):
-            top = n
+            top, start = n, tracker.nodes
             for q in oracle_enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
                 full = _restore_assignment(p, simp, q)
                 if not full.is_trivial():
-                    return SearchOutcome("witness", full, tracker.nodes, n)
+                    degrees.append((n, tracker.nodes - start, False))
+                    return SearchOutcome("witness", full, tracker.nodes, n, degrees)
+            degrees.append((n, tracker.nodes - start, False))
     except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+        degrees.append((top, tracker.nodes - start, True))
+    return SearchOutcome("exhausted", None, tracker.nodes, top, degrees)
 
 
 def oracle_word_survives_upto(p, w, budget):
@@ -747,17 +753,19 @@ def oracle_word_survives_upto(p, w, budget):
     simp = simplify_presentation(p)
     ws = _transfer_word(simp, w)
     tracker = _Budget(budget)
-    top = 1
+    top, degrees = 1, []
     try:
         for n in range(2, budget.max_degree + 1):
-            top = n
+            top, start = n, tracker.nodes
             for q in oracle_enumerate_homs(simp.presentation, n, tracker, reduce_first=True):
                 if q.evaluate(ws) != identity_perm(n):
+                    degrees.append((n, tracker.nodes - start, False))
                     return SearchOutcome("witness", _restore_assignment(p, simp, q),
-                                         tracker.nodes, n)
+                                         tracker.nodes, n, degrees)
+            degrees.append((n, tracker.nodes - start, False))
     except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+        degrees.append((top, tracker.nodes - start, True))
+    return SearchOutcome("exhausted", None, tracker.nodes, top, degrees)
 
 
 def oracle_search_order_targeted(p, spec, budget):
@@ -772,17 +780,19 @@ def oracle_search_order_targeted(p, spec, budget):
         if not flag:
             raise IndependenceError(f"targets {pair[0]} and {pair[1]} are dependent")
     tracker = _Budget(budget)
-    top = 1
+    top, degrees = 1, []
     try:
         for n in range(2, budget.max_degree + 1):
-            top = n
+            top, start = n, tracker.nodes
             for q in oracle_enumerate_homs(p, n, tracker, reduce_first=True):
                 ok, _ = oracle_verify_order_spec(q, spec)
                 if ok:
-                    return SearchOutcome("witness", q, tracker.nodes, n)
+                    degrees.append((n, tracker.nodes - start, False))
+                    return SearchOutcome("witness", q, tracker.nodes, n, degrees)
+            degrees.append((n, tracker.nodes - start, False))
     except _BudgetStop:
-        pass
-    return SearchOutcome("exhausted", None, tracker.nodes, top)
+        degrees.append((top, tracker.nodes - start, True))
+    return SearchOutcome("exhausted", None, tracker.nodes, top, degrees)
 
 
 def oracle_substitute(word, target_alphabet, table):
@@ -881,19 +891,36 @@ def oracle_simplify_presentation(p):
             if not reduced.is_identity():
                 new_relators.append(reduced)
         alphabet, relators = new_alphabet, new_relators
-    simplified = FinitePresentation(alphabet, relators)
+    return SimplifiedPresentation(FinitePresentation(alphabet, relators), steps)
+
+
+def oracle_expressions(simp):
+    """Each original generator over the simplified alphabet, built eagerly
+    from the steps, last step first."""
+    alphabet = simp.presentation.alphabet
     expressions = {g: oracle_reduce(alphabet, [(g, 1)]) for g in alphabet.names}
-    for gen, expr in reversed(steps):
+    for gen, expr in reversed(simp.steps):
         expressions[gen] = oracle_substitute(expr, alphabet, expressions)
-    return SimplifiedPresentation(simplified, expressions)
+    return expressions
+
+
+def oracle_transfer_word(simp, word):
+    return oracle_substitute(word, simp.presentation.alphabet, oracle_expressions(simp))
+
+
+def oracle_restore_assignment(p, simp, q):
+    from forge.quotients import PermutationAssignment
+    images = {g: oracle_evaluate(q, expr) for g, expr in oracle_expressions(simp).items()}
+    return PermutationAssignment(q.degree, {g: images[g] for g in p.generators})
 
 
 @contextlib.contextmanager
 def seed_search_kernel():
     """Run forge's searches on the oracle kernel: the search generator,
-    perm_mul, PermutationAssignment.evaluate, the order-spec check and the
-    simplifier are replaced in forge.quotients, so its degree loop, and the
-    CLI on top of it, run unchanged."""
+    perm_mul, PermutationAssignment.evaluate, the order-spec check, the
+    simplifier and the transfers through its expressions are replaced in
+    forge.quotients, so its degree loop, and the CLI on top of it, run
+    unchanged."""
     from forge import quotients
     with mock.patch.object(quotients, "_enumerate_homs", oracle_enumerate_homs), \
             mock.patch.object(quotients, "perm_mul", oracle_perm_mul), \
@@ -901,7 +928,10 @@ def seed_search_kernel():
                               oracle_evaluate), \
             mock.patch.object(quotients, "verify_order_spec", oracle_verify_order_spec), \
             mock.patch.object(quotients, "simplify_presentation",
-                              oracle_simplify_presentation):
+                              oracle_simplify_presentation), \
+            mock.patch.object(quotients, "_transfer_word", oracle_transfer_word), \
+            mock.patch.object(quotients, "_restore_assignment",
+                              oracle_restore_assignment):
         yield
 
 

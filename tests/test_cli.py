@@ -128,6 +128,20 @@ class TestPresentationCommands:
                         "--max-degree", "3", "--word", "a b a^-1 b^-1")
         assert code == 0
 
+    def test_quotients_empty_word_is_the_identity(self, workdir, capsys):
+        """An empty --word asks about the identity word, as --word 1 does:
+        no quotient can make it survive, so the search is inconclusive."""
+        (workdir / "a2.txt").write_text("gens: a b\nrel: a^2\n")
+        reports = []
+        for word in ("", "1"):
+            code, out = run(capsys, "quotients", workdir / "a2.txt",
+                            "--max-degree", "3", "--word", word)
+            assert code == 2
+            reports.append([line for line in untimed_lines(out)
+                            if not line.startswith("input word: ")])
+        assert reports[0] == reports[1]
+        assert "status: inconclusive" in reports[0]
+
 
 class TestSqcCommands:
     def test_check_pass(self, workdir, capsys):
@@ -250,3 +264,12 @@ class TestErrors:
         code, out = run(capsys, "quotients", workdir / "free.txt",
                         "--max-degree", "2", "--orders", "nonsense")
         assert code == 1
+
+    def test_empty_orders_spec(self, workdir, capsys):
+        (workdir / "a2.txt").write_text("gens: a b\nrel: a^2\n")
+        code, out = run(capsys, "quotients", workdir / "a2.txt",
+                        "--max-degree", "3", "--orders", "")
+        assert code == 1
+        assert "status: error" in out
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == ["error: bad --orders spec ''; expected k:e1,e2,..."]

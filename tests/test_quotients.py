@@ -9,7 +9,8 @@ import pytest
 from forge import words as W
 from forge.errors import DegenerateInputError, IndependenceError
 from forge.presentations import FinitePresentation
-from forge.quotients import (OrderSpec, SearchBudget, _restore_assignment,
+from forge.quotients import (OrderSpec, SearchBudget, _enumerate_homs,
+                             _restore_assignment,
                              _transfer_word, cycle_notation, element_order,
                              grushko_lower_bound,
                              has_nontrivial_quotient_upto, identity_perm,
@@ -147,6 +148,21 @@ class TestOrders:
         ok, report = verify_order_spec(out.witness, spec)
         assert ok
         assert [r["actual"] for r in report["orders"]] == [2, 3]
+
+    def test_goal_without_letters_or_generators(self):
+        """A goal word with no letters is decided at generator 0, also when
+        the presentation has no generator at all: the identity never
+        survives, and has order kappa * e exactly when that is 1."""
+        empty = W.Word(W.Alphabet(()), ())
+        p = FinitePresentation(empty.alphabet)
+        assert list(_enumerate_homs(p, 3, None, empty)) == []
+        spec = OrderSpec(targets=(empty, empty), kappa=1, exponents=(1, 1))
+        assert len(list(_enumerate_homs(p, 3, None, spec))) == 1
+        spec = OrderSpec(targets=(empty, empty), kappa=2, exponents=(1, 1))
+        assert list(_enumerate_homs(p, 3, None, spec)) == []
+        q = pres(["a"], "a^2")
+        spec = OrderSpec(targets=(q.word("1"), q.word("a")), kappa=1, exponents=(1, 2))
+        assert [h.images for h in _enumerate_homs(q, 2, None, spec)] == [{"a": (1, 0)}]
 
     def test_dependent_targets_rejected(self):
         p = pres(["a", "b"])

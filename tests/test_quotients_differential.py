@@ -1,20 +1,25 @@
 """Differential tests: the compiled search kernel (integer-coded relators,
 point tracing, lazy permutations, class-minimal permutations in closed
-form), the witness-only restore, the order-spec check, free reduction and
-the simplifier against the original code, kept in helpers.py as an
-oracle; `forge quotients` against its own former degree loop.
+form, goal checks at their checkpoints), the step-replay restore and word
+transfer, the order-spec check, free reduction and the simplifier against
+the original code, kept in helpers.py as an oracle; `forge quotients`
+against its own former degree loop.
 
 Presentations come from seeded generators; hypothesis picks the seeds
 (derandomized, so every run sees the same ones) and prints the failing
-seed.  The homomorphisms yielded, in order, the node count where a budget
-stops the search, every search outcome and the `forge quotients` report
-must agree exactly.
+seed.  Without a goal the homomorphisms yielded, in order, and the node
+count where a budget stops the search must agree exactly; with one, the
+kernel yields exactly the oracle's homomorphisms that meet it.  A search
+or a `forge quotients` report may spend fewer nodes at each degree than
+the seed's, never more, and must find the seed's witness, or, where only
+it finds one, the seed's first witness under an unbounded budget.
 """
 
 import contextlib
 import io
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -27,16 +32,18 @@ from forge.fileformats import format_presentation
 from forge.presentations import FinitePresentation, substitute
 from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              _Budget, _BudgetStop, _class_minimal_perms,
-                             _enumerate_homs, _find_move,
-                             has_nontrivial_quotient_upto,
-                             search_order_targeted, simplify_presentation,
-                             verify_order_spec, word_survives_upto)
+                             _enumerate_homs, _find_move, _restore_assignment,
+                             _scan, _transfer_word, has_nontrivial_quotient_upto,
+                             identity_perm, search_order_targeted,
+                             simplify_presentation, verify_order_spec,
+                             word_survives_upto)
 from helpers import (derandomized, oracle_class_minimal_perms,
-                     oracle_enumerate_homs, oracle_evaluate, oracle_find_move,
-                     oracle_has_nontrivial_quotient_upto,
+                     oracle_enumerate_homs, oracle_evaluate, oracle_expressions,
+                     oracle_find_move, oracle_has_nontrivial_quotient_upto,
                      oracle_quotients_command, oracle_reduce,
-                     oracle_search_order_targeted, oracle_simplify_presentation,
-                     oracle_substitute, oracle_verify_order_spec,
+                     oracle_restore_assignment, oracle_search_order_targeted,
+                     oracle_simplify_presentation, oracle_substitute,
+                     oracle_transfer_word, oracle_verify_order_spec,
                      oracle_word_survives_upto, random_reduced_word,
                      seed_search_kernel, seeds)
 
@@ -97,19 +104,79 @@ def test_full_enumeration_matches_seed_on_one_relator(seed):
             == run_homs(oracle_enumerate_homs, p, 3, None, False))
 
 
-def outcome_key(search, *args):
-    try:
-        out = search(*args)
-    except ForgeError as exc:
-        return type(exc).__name__, str(exc)
-    return out.status, hom_key(out.witness), out.nodes, out.max_degree_searched
-
-
 def random_order_spec(rng, alphabet):
     count = rng.randint(2, 3)
     return OrderSpec(targets=[random_word(rng, alphabet, 4) for _ in range(count)],
                      kappa=rng.randint(1, 2),
                      exponents=[rng.randint(1, 2) for _ in range(count)])
+
+
+def goal_holds(q, goal):
+    """The goal as the search loop's accept decides it, on oracle code."""
+    if goal is None:
+        return True
+    if isinstance(goal, OrderSpec):
+        return oracle_verify_order_spec(q, goal)[0]
+    return oracle_evaluate(q, goal) != identity_perm(q.degree)
+
+
+def assert_goal_pruning_exact(p, goal, max_degree):
+    """With no budget, the goal-constrained kernel yields exactly the
+    oracle kernel's homs that meet the goal, in the oracle's order."""
+    for n in range(2, max_degree + 1):
+        new = [hom_key(q) for q in _enumerate_homs(p, n, None, goal, reduce_first=True)]
+        old = [hom_key(q) for q in oracle_enumerate_homs(p, n, reduce_first=True)
+               if goal_holds(q, goal)]
+        assert new == old
+
+
+def assert_goals_pruned_exactly(p, w, spec, max_degree):
+    """The three goals as the searches hand them to the kernel: none and
+    the transferred word on the simplified presentation, an order spec on
+    p as given."""
+    simp = oracle_simplify_presentation(p)
+    assert_goal_pruning_exact(simp.presentation, None, max_degree)
+    if w is not None:
+        assert_goal_pruning_exact(simp.presentation, oracle_transfer_word(simp, w),
+                                  max_degree)
+    if spec is not None:
+        assert_goal_pruning_exact(p, spec, max_degree)
+
+
+def run_search(search, *args):
+    try:
+        return search(*args)
+    except ForgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_search_pruned(new, old, first):
+    """new is a search as it is, old the seed kernel's search under the same
+    budget, first() the seed kernel's under an unbounded budget.  Nodes per
+    degree can only go down: at a degree the seed finished, below its
+    count; at one the shared budget cut short or never let it reach, below
+    its unbounded count there.  The seed's witness is found again, and a
+    witness only the new search finds (it spent fewer nodes) is the seed's
+    first one."""
+    if isinstance(old, tuple):
+        assert new == old  # the same ForgeError
+        return
+    bound = {n: nodes for n, nodes, hit in old.degrees if not hit}
+    if any(n not in bound for n, _, _ in new.degrees):
+        bound = {n: nodes for n, nodes, _ in first().degrees} | bound
+    for n, nodes, _ in new.degrees:
+        assert nodes <= bound[n]
+    assert [n for n, _, _ in new.degrees][:len(old.degrees)] \
+        == [n for n, _, _ in old.degrees][:len(new.degrees)]
+    if old.witness is not None:
+        assert hom_key(new.witness) == hom_key(old.witness)
+        assert new.max_degree_searched == old.max_degree_searched
+    elif new.witness is not None:
+        assert hom_key(new.witness) == hom_key(first().witness)
+    assert new.nodes == sum(nodes for _, nodes, _ in new.degrees)
+
+
+UNBOUNDED = 10 ** 7
 
 
 @given(seeds)
@@ -119,16 +186,22 @@ def test_searches_match_seed(seed):
     p = random_presentation(rng)
     budget = SearchBudget(max_degree=rng.randint(1, 4),
                           max_nodes=rng.choice((rng.randint(1, 60), 400)))
+    unbounded = SearchBudget(max_degree=budget.max_degree, max_nodes=UNBOUNDED)
     w = random_word(rng, p.alphabet, 6)
     spec = random_order_spec(rng, p.alphabet)
-    new = [outcome_key(word_survives_upto, p, w, budget),
-           outcome_key(has_nontrivial_quotient_upto, p, budget),
-           outcome_key(search_order_targeted, p, spec, budget)]
-    with seed_search_kernel():
-        old = [outcome_key(oracle_word_survives_upto, p, w, budget),
-               outcome_key(oracle_has_nontrivial_quotient_upto, p, budget),
-               outcome_key(oracle_search_order_targeted, p, spec, budget)]
-    assert new == old
+    assert_goals_pruned_exactly(p, w, spec, budget.max_degree)
+    searches = [(word_survives_upto, oracle_word_survives_upto, (p, w)),
+                (has_nontrivial_quotient_upto, oracle_has_nontrivial_quotient_upto, (p,)),
+                (search_order_targeted, oracle_search_order_targeted, (p, spec))]
+    for search, oracle, args in searches:
+        new = run_search(search, *args, budget)
+        with seed_search_kernel():
+            old = run_search(oracle, *args, budget)
+
+        def first():
+            with seed_search_kernel():
+                return oracle(*args, unbounded)
+        assert_search_pruned(new, old, first)
 
 
 def cli_report(argv):
@@ -141,6 +214,48 @@ def cli_report(argv):
     return code, lines
 
 
+DEGREE_LINE = re.compile(r"degree (\d+): nodes=(\d+)( \(budget hit\))?$")
+
+
+def split_report(report):
+    """(degree lines as (degree, nodes), every other line with the exit code)."""
+    code, lines = report
+    degrees = [DEGREE_LINE.match(line) for line in lines]
+    return ([(int(m[1]), int(m[2])) for m in degrees if m],
+            (code, [line for line, m in zip(lines, degrees) if not m]))
+
+
+def assert_report_pruned(new, old, first):
+    """The report form of assert_search_pruned: each degree line's nodes
+    can only go down, and every other line (status, inputs, witness or
+    conclusion) equals the seed's, or, for a witness only the new search
+    finds, the seed's report under an unbounded budget."""
+    new_degrees, new_rest = split_report(new)
+    old_degrees, old_rest = split_report(old)
+    for (n, nodes), (old_n, old_nodes) in zip(new_degrees, old_degrees):
+        assert n == old_n and nodes <= old_nodes
+    if old_rest[0] != 0 and new_rest[0] == 0:
+        assert new_rest == split_report(first())[1]
+    else:
+        assert new_rest == old_rest
+
+
+def cli_goals(p, word, orders):
+    """The word and order spec a `forge quotients` argv asks about."""
+    w = W.parse_word(p.alphabet, word)
+    exponents = [int(e) for e in orders.split(":")[1].split(",")]
+    spec = None if len(exponents) < 2 else OrderSpec(
+        targets=[p.alphabet.gen(g) for g in p.generators], kappa=1, exponents=exponents)
+    return w, spec
+
+
+def unbounded_argv(argv):
+    argv = list(argv)
+    if "--max-nodes" in argv:
+        argv[argv.index("--max-nodes") + 1] = str(UNBOUNDED)
+    return argv
+
+
 @given(seeds)
 @derandomized
 def test_cli_quotients_report_matches_seed(seed):
@@ -148,16 +263,23 @@ def test_cli_quotients_report_matches_seed(seed):
     p = random_presentation(rng)
     word = W.format_word(random_word(rng, p.alphabet, 6))
     orders = "1:" + ",".join(str(rng.randint(1, 3)) for _ in p.generators)
+    max_degree = rng.randint(1, 4)
+    assert_goals_pruned_exactly(p, *cli_goals(p, word, orders), max_degree)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(format_presentation(p))
-        search = ["quotients", path, "--max-degree", str(rng.randint(1, 4)),
+        search = ["quotients", path, "--max-degree", str(max_degree),
                   "--max-nodes", str(rng.choice((rng.randint(1, 60), 400)))]
         for argv in (search, search + ["--word", word], search + ["--orders", orders]):
             new = cli_report(argv)
             with seed_search_kernel():
-                assert cli_report(argv) == new
+                old = cli_report(argv)
+
+            def first():
+                with seed_search_kernel():
+                    return cli_report(unbounded_argv(argv))
+            assert_report_pruned(new, old, first)
 
 
 @given(seeds)
@@ -175,6 +297,7 @@ def test_cli_quotients_report_matches_former_loop(seed):
                 "--max-nodes", str(rng.choice((rng.randint(1, 60), 400)))],
                ["--max-degree", "1"],
                ["--max-degree", "4", "--max-nodes", str(rng.randint(1, 8))])
+    assert_goals_pruned_exactly(p, *cli_goals(p, word, orders), 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -184,8 +307,13 @@ def test_cli_quotients_report_matches_former_loop(seed):
             for argv in (search, search + ["--word", word],
                          search + ["--orders", orders]):
                 new = cli_report(argv)
-                with oracle_quotients_command():
-                    assert cli_report(argv) == new
+                with oracle_quotients_command(), seed_search_kernel():
+                    old = cli_report(argv)
+
+                def first():
+                    with oracle_quotients_command(), seed_search_kernel():
+                        return cli_report(unbounded_argv(argv))
+                assert_report_pruned(new, old, first)
 
 
 @given(seeds)
@@ -258,7 +386,11 @@ def test_find_move_matches_seed(seed):
     p = random_presentation(rng)
     relators = list(p.relators) + [random_reduced_word(rng, p.alphabet, rng.randint(1, 6))
                                    for _ in range(rng.randint(0, 3))]
-    assert _find_move(p.alphabet, relators) == oracle_find_move(p.alphabet, relators)
+    old = oracle_find_move(p.alphabet, relators)
+    if old is not None:  # the oracle leaves the solved expression unreduced
+        g, letters, idx = old
+        old = g, oracle_reduce(p.alphabet, letters).letters, idx
+    assert _find_move(relators, list(map(_scan, relators))) == old
 
 
 def random_long_presentation(rng):
@@ -270,15 +402,57 @@ def random_long_presentation(rng):
         for _ in range(rng.randint(1, 4))])
 
 
+def random_solvable_presentation(rng):
+    """3-5 generators; most get a relator in which they occur once among
+    generators later in the alphabet, so simplification runs several
+    moves, and a step's expression reads generators a later step
+    eliminates."""
+    alphabet = W.Alphabet(("a", "b", "c", "d", "e")[:rng.randint(3, 5)])
+    relators = []
+    for i, g in enumerate(alphabet.names[:-1]):
+        if rng.random() < 0.8:
+            later = W.Alphabet(alphabet.names[i + 1:])
+            letters = list(random_reduced_word(rng, later, rng.randint(0, 8)).letters)
+            letters.insert(rng.randint(0, len(letters)), (g, rng.choice((1, -1))))
+            relators.append(W.reduce(alphabet, letters))
+    relators += [random_reduced_word(rng, alphabet, rng.randint(1, 12))
+                 for _ in range(rng.randint(0, 2))]
+    return FinitePresentation(alphabet, relators)
+
+
+def random_simplifiable_presentation(rng):
+    return rng.choice((random_long_presentation, random_solvable_presentation,
+                       random_presentation))(rng)
+
+
 @given(seeds)
 @derandomized
 def test_simplify_presentation_matches_seed(seed):
     rng = random.Random(seed)
-    p = random_long_presentation(rng) if rng.random() < 0.7 else random_presentation(rng)
+    p = random_simplifiable_presentation(rng)
     new, old = simplify_presentation(p), oracle_simplify_presentation(p)
     assert new.presentation.alphabet == old.presentation.alphabet
     assert new.presentation.relators == old.presentation.relators
-    assert list(new.expressions.items()) == list(old.expressions.items())
+    assert new.steps == old.steps
+    assert list(new.expressions.items()) == list(oracle_expressions(old).items())
+
+
+@given(seeds)
+@derandomized
+def test_step_replay_matches_expressions(seed):
+    """Restoring an assignment and transferring a word by replaying the
+    steps agree with substituting through the oracle's eager expressions,
+    for any images of the simplified generators, homomorphism or not."""
+    rng = random.Random(seed)
+    p = random_simplifiable_presentation(rng)
+    new, old = simplify_presentation(p), oracle_simplify_presentation(p)
+    w = random_word(rng, p.alphabet, 20)
+    assert _transfer_word(new, w) == oracle_transfer_word(old, w)
+    n = rng.randint(1, 5)
+    q = PermutationAssignment(n, {g: tuple(rng.sample(range(n), n))
+                                  for g in new.presentation.generators})
+    assert (hom_key(_restore_assignment(p, new, q))
+            == hom_key(oracle_restore_assignment(p, old, q)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

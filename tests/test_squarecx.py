@@ -141,3 +141,21 @@ class TestKillingCopies:
         built = build_S_of_P(p, TORUS, [("a", 1), ("a", 1)])
         for n in (1, 2):
             assert homs_killing_copies(built, n) == len(search_homs(p, n))
+
+    @pytest.mark.parametrize("gens, rels, gamma", [
+        (["a"], ["a^2"], [("a", 1), ("a", 1)]),
+        (["a"], ["a^3"], [("a", 1)]),
+        (["a", "b"], ["a b a^-1 b^-1"], [("a", 1)]),
+    ])
+    def test_simplified_count_matches_unsimplified(self, gens, rels, gamma):
+        """The count runs on the simplified killed presentation; hom counts
+        are a group invariant, so it equals the count on the killed
+        presentation as built."""
+        from forge.quotients import search_homs
+        from forge.squarecx import _copy_killing_relators, _pi1_with_names
+        built = build_S_of_P(pres(gens, *rels), TORUS, gamma)
+        presentation, names = _pi1_with_names(built.complex)
+        killed = FinitePresentation(presentation.alphabet, list(presentation.relators)
+                                    + _copy_killing_relators(built, presentation, names))
+        for n in (2, 3):
+            assert homs_killing_copies(built, n) == len(search_homs(killed, n))
