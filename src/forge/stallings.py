@@ -92,7 +92,8 @@ def _component_data(graph):
 
 
 def _find(parent, i):
-    """Root of position i in a union-find parent list, halving the path."""
+    """Root of position i in a union-find parent list (or a dict that holds
+    i), halving the path."""
     while parent[i] != i:
         parent[i] = parent[parent[i]]
         i = parent[i]
@@ -378,11 +379,14 @@ class FibreProductDecomposition:
 def fibre_product(i1, i2):
     """The pullback {(y1, y2) : i1(y1) = i2(y2)} with its component data.
 
-    Components are numbered by least vertex pair; the diagonal component is
-    flagged only when both factors are the same immersion.  The pairs are
-    built with y1 in the first factor's vertex order and, within the fibre
-    of i1(y1), y2 in the second's; both orders are canonical, so the pairs
-    come out in canonical order and are not sorted again.
+    This is the one full construction: `forge fibre` reports it, and the
+    malnormality certifiers build it only to name a witness, deciding every
+    other pair from the product edges alone (`_refutes`).  Components are
+    numbered by least vertex pair; the diagonal component is flagged only
+    when both factors are the same immersion.  The pairs are built with y1
+    in the first factor's vertex order and, within the fibre of i1(y1), y2
+    in the second's; both orders are canonical, so the pairs come out in
+    canonical order and are not sorted again.
     """
     if i1.base != i2.base:
         raise BaseMismatchError("fibre product requires a common base graph")
@@ -435,17 +439,64 @@ def _first_failure(fp, self_pair):
     return None
 
 
+def _refutes(i1, i2, self_pair):
+    """Whether the fibre product of i1 and i2 has a component that refutes
+    malnormality, as `_first_failure` would find, without building it.
+
+    A vertex pair on no product edge is a one-vertex tree, so the
+    union-find runs over the endpoints of the product edges only, each
+    pair coded as index1(y1) * |V2| + index2(y2).  An edge whose endpoints
+    already share a root closes a cycle (a loop or a parallel edge too).
+    Off a self pair the first cycle refutes.  On a self pair of one
+    immersion, a cycle is exempt when its final component holds a diagonal
+    pair (y, y), so the cycles are judged after the last edge."""
+    if i1.base != i2.base:
+        raise BaseMismatchError("fibre product requires a common base graph")
+    g1, g2 = i1.domain, i2.domain
+    width = len(g2.vertices)
+    index2 = {v: k for k, v in enumerate(g2.vertices)}
+    by_label = {}
+    for s2, d2, label in g2.edges.values():
+        by_label.setdefault(label, []).append((index2[s2], index2[d2]))
+    index1 = {v: k * width for k, v in enumerate(g1.vertices)}
+    exempt = self_pair and i1 == i2
+    parent = {}
+    cycles = []
+    for s1, d1, label in g1.edges.values():
+        s1, d1 = index1[s1], index1[d1]
+        for s2, d2 in by_label.get(label, ()):
+            a, b = s1 + s2, d1 + d2
+            # A code not yet seen is a root of its own.
+            if parent.setdefault(a, a) != a:
+                a = _find(parent, a)
+            if parent.setdefault(b, b) != b:
+                b = _find(parent, b)
+            if a != b:
+                parent[b] = a
+            elif not exempt:
+                return True
+            else:
+                cycles.append(a)
+    if not cycles:
+        return False
+    diagonal = {_find(parent, code) for code in range(0, width * width, width + 1)
+                if code in parent}
+    return any(_find(parent, root) not in diagonal for root in cycles)
+
+
 def malnormal_family_check(family):
     """Certify that a family of subgroups (given as immersions over a common
     base) is malnormal: every component of every pairwise fibre product must
     be a tree, except the diagonal component of each self product.
 
-    Returns (True, None) or (False, witness)."""
+    Each pair is decided from its product edges alone (`_refutes`); only
+    the first refuting pair's fibre product is built, to name its first
+    failing component.  Returns (True, None) or (False, witness)."""
     family = list(family)
     for i in range(len(family)):
         for j in range(i, len(family)):
-            comp = _first_failure(fibre_product(family[i], family[j]), i == j)
-            if comp is not None:
+            if _refutes(family[i], family[j], i == j):
+                comp = _first_failure(fibre_product(family[i], family[j]), i == j)
                 return False, MalnormalityWitness(pair=(i, j), component=comp)
     return True, None
 
@@ -460,6 +511,10 @@ class RelabelingAction:
     generators T only when it is not yet in <T>; the first product outside
     the table refutes closure.  <T> at least doubles with each generator, so
     that is O(k |T|) products for k elements, |T| <= log2 k, not all k^2.
+    Every element must be a pair of permutations, but only the generators'
+    edge maps are walked for automorphism; a rejected table re-runs the
+    full per-element checks in table order first, so it raises the error
+    checking every element first would.
 
     The action also records a few coordinates, base edges (whose images fix
     their endpoints' images) and then vertices, whose images tell its
@@ -471,19 +526,23 @@ class RelabelingAction:
         self.base = base
         self.elements = [(dict(vp), dict(ep)) for vp, ep in elements]
         vertices, edges = set(base.vertices), set(base.edges)
-        for vp, ep in self.elements:
-            _check_automorphism(base, vertices, edges, vp, ep)
+        if any(_permutation_error(vertices, edges, vp, ep) for vp, ep in self.elements):
+            self._reject()
         table = {}
         for el in self.elements:
             table.setdefault(self._key(el), el)
         self._keys = table.keys()
         identity = (base.vertices, tuple(base.edges))
         if identity not in table:
-            raise InvalidActionError("action table does not contain the identity")
+            self._reject("action table does not contain the identity")
         reached, generators = {identity}, []
         for key, (vp, ep) in table.items():
             if key in reached:
                 continue
+            # Only a generator's edges are walked: the key fixes an element,
+            # so the rest of <T> are products of checked automorphisms.
+            if _edge_error(base, vp, ep):
+                self._reject()
             generators.append((vp.__getitem__, ep.__getitem__))
             queue = list(reached)
             while queue:
@@ -493,8 +552,7 @@ class RelabelingAction:
                     y = (tuple(map(v, images_v)), tuple(map(e, images_e)))
                     if y not in reached:
                         if y not in table:
-                            raise InvalidActionError(
-                                "action table is not closed under composition")
+                            self._reject("action table is not closed under composition")
                         reached.add(y)
                         queue.append(y)
         distinct = list(table.values())
@@ -507,6 +565,17 @@ class RelabelingAction:
                 self._coords.append((kind, x))
                 points, classes = split, len(set(split))
         self._by_coords = dict(zip(points, distinct))
+
+    def _reject(self, message=None):
+        """Raise the first error of the per-element automorphism checks, in
+        table order, as checking every element first would; else `message`."""
+        vertices, edges = set(self.base.vertices), set(self.base.edges)
+        for vp, ep in self.elements:
+            error = (_permutation_error(vertices, edges, vp, ep)
+                     or _edge_error(self.base, vp, ep))
+            if error:
+                raise InvalidActionError(error)
+        raise InvalidActionError(message)
 
     def _key(self, el):
         """The images of the base's vertices and edges, in the base's own
@@ -540,17 +609,23 @@ class RelabelingAction:
         return cls(base, elements)
 
 
-def _check_automorphism(base, vertices, edges, vp, ep):
-    """Raise unless (vp, ep) is an automorphism of base (its id sets given)."""
+def _permutation_error(vertices, edges, vp, ep):
+    """Why (vp, ep) is not a pair of permutations of the base's vertex and
+    edge ids (given as sets), or None."""
     if vp.keys() != vertices or set(vp.values()) != vertices:
-        raise InvalidActionError("vertex map is not a permutation of the base vertices")
+        return "vertex map is not a permutation of the base vertices"
     if ep.keys() != edges or set(ep.values()) != edges:
-        raise InvalidActionError("edge map is not a permutation of the base edges")
+        return "edge map is not a permutation of the base edges"
+    return None
+
+
+def _edge_error(base, vp, ep):
+    """Why the permutations (vp, ep) are not an automorphism of base, or None."""
     for eid, (src, dst, _) in base.edges.items():
         isrc, idst, _ = base.edges[ep[eid]]
         if isrc != vp[src] or idst != vp[dst]:
-            raise InvalidActionError(
-                f"edge {eid!r} is not mapped compatibly with the vertex map")
+            return f"edge {eid!r} is not mapped compatibly with the vertex map"
+    return None
 
 
 def translate(immersion, element):
@@ -576,17 +651,18 @@ def translate_family_check(base, action, subgroup, translates):
     subgroup graph H (Stallings-side form of the double-coset criterion).
 
     `translates` are elements of the relabeling action.  The verdict is that
-    of malnormal_family_check on the copies, but built from fewer products:
-    the fibre product of gH and hH has the same components (vertex pairs,
-    edge counts, ranks) as that of H and g^-1 hH, so one product per
-    distinct (g^-1 h, whether the pair is a self pair) decides every pair.
-    Every translate is checked to be in the action and the action is
-    closed, so g^-1 h is an action element, named by its images of the
-    action's distinguishing coordinates: a pair costs those few lookups.
-    These products are kept for this call only.  The pairs are scanned in
-    order of (i, j), i <= j; the first failing pair's own product is rebuilt,
-    so the witness is that pair and its first failing component, exactly as
-    malnormal_family_check on the copies would report."""
+    of malnormal_family_check on the copies, but from fewer products: the
+    fibre product of gH and hH has the same components (vertex pairs, edge
+    counts, ranks) as that of H and g^-1 hH, so one product per distinct
+    (g^-1 h, whether the pair is a self pair) decides every pair.  Each is
+    decided from its product edges alone (`_refutes`) and the verdicts are
+    kept for this call only.  Every translate is checked to be in the action
+    and the action is closed, so g^-1 h is an action element, named by its
+    images of the action's distinguishing coordinates: a pair costs those
+    few lookups.  The pairs are scanned in order of (i, j), i <= j; only the
+    first failing pair's own fibre product is built, so the witness is that
+    pair and its first failing component, exactly as malnormal_family_check
+    on the copies would report."""
     translates = [(dict(el[0]), dict(el[1])) for el in translates]
     if not all(el in action for el in translates):
         raise InvalidActionError("translate is not an element of the action")
@@ -607,8 +683,8 @@ def translate_family_check(base, action, subgroup, translates):
             ok = decided[i == j].get(images)
             if ok is None:
                 element = action._by_coords[images]
-                fp = fibre_product(subgroup, translate(subgroup, element))
-                ok = decided[i == j][images] = _first_failure(fp, i == j) is None
+                ok = decided[i == j][images] = not _refutes(
+                    subgroup, translate(subgroup, element), i == j)
             if not ok:
                 fp = fibre_product(translate(subgroup, translates[i]),
                                    translate(subgroup, translates[j]))

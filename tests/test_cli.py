@@ -92,6 +92,40 @@ class TestGraphCommands:
             "command: malnormal", "status: refuted", f"input graph0: {SUB_DIGEST}",
             "witness pair: 0,0", "witness component: vertices=2 edges=2 rank=1"]
 
+    def test_malnormal_self_pair_witness_off_the_diagonal(self, workdir, capsys):
+        # Two one-loop vertices: the self product has four loops, (0,0) and
+        # (1,1) diagonal, so the witness is the loop at (0,1), component 1.
+        (workdir / "loops.txt").write_text(
+            "graph\nbase base.txt\nvertex 0\nvertex 1\n"
+            "edge e0 0 0 a\nedge e1 1 1 a\n")
+        code, out = run(capsys, "fibre", workdir / "loops.txt", workdir / "loops.txt")
+        assert code == 0
+        assert untimed_lines(out)[4:] == [
+            "components: 4",
+            "component 0: vertices=1 edges=1 rank=1 tree=False diagonal=True",
+            "component 1: vertices=1 edges=1 rank=1 tree=False diagonal=False",
+            "component 2: vertices=1 edges=1 rank=1 tree=False diagonal=False",
+            "component 3: vertices=1 edges=1 rank=1 tree=False diagonal=True"]
+        code, out = run(capsys, "malnormal", workdir / "loops.txt")
+        assert code == 1
+        assert untimed_lines(out) == [
+            "command: malnormal", "status: refuted",
+            "input graph0: sha256:f7ad521c5a4ff737",
+            "witness pair: 0,0", "witness component: vertices=1 edges=1 rank=1"]
+
+    def test_malnormal_base_mismatch_is_one_error_line(self, workdir, capsys):
+        # <a> certifies on its own, so the scan reaches the pair over two bases.
+        (workdir / "base3.txt").write_text(BASE.replace("basepoint", "edge c * * c\nbasepoint"))
+        (workdir / "gen.txt").write_text(
+            "graph\nbase base.txt\nvertex 0\nedge e0 0 0 a\nbasepoint 0\n")
+        (workdir / "other.txt").write_text(
+            "graph\nbase base3.txt\nvertex 0\nedge e0 0 0 c\nbasepoint 0\n")
+        code, out = run(capsys, "malnormal", workdir / "gen.txt", workdir / "other.txt")
+        assert code == 1
+        assert untimed_lines(out) == [
+            "command: malnormal", "status: error",
+            "error: fibre product requires a common base graph"]
+
 
 class TestPresentationCommands:
     def test_abel(self, workdir, capsys):

@@ -1,6 +1,8 @@
 """Differential tests: the near-linear Stallings kernels and the action
 set-up against the original quadratic ones (the action's closure checked
-on all k^2 pairs), kept in helpers.py as an oracle.
+on all k^2 pairs, every element's edges walked), kept in helpers.py as an
+oracle; and the edge-driven malnormality certifier against the oracle's
+full fibre product.
 
 Inputs are drawn from seeded generators; hypothesis picks the seeds
 (derandomized, so every run sees the same ones) and prints the failing seed.
@@ -83,6 +85,11 @@ def check_fibre_product(i1, i2):
     assert fp.projection_2 == oracle.projection_2
 
 
+def oracle_refutes(i1, i2, self_pair):
+    return any(not c.is_tree and not (self_pair and c.is_diagonal)
+               for c in oracle_fibre_product(i1, i2).components)
+
+
 @given(seeds)
 @derandomized
 def test_fold_core_rank_on_subgroup_wedges(seed):
@@ -122,6 +129,43 @@ def test_fibre_products_of_non_canonical_immersions(seed):
     check_fibre_product(i1, i2)
     check_fibre_product(i2, i1)
     check_fibre_product(i1, i1)
+    # Unfolded, a cycle may close before its component meets the diagonal.
+    for pair in ((i1, i2), (i2, i1), (i1, i1)):
+        for self_pair in (False, True):
+            assert S._refutes(*pair, self_pair) == oracle_refutes(*pair, self_pair)
+    assert S.malnormal_family_check([i1, i2]) == \
+        oracle_malnormal_family_check([i1, i2])
+
+
+@given(seeds)
+@derandomized
+def test_malnormal_families_of_folded_graphs(seed):
+    """Folded graphs that are not cores: several components, isolated
+    vertices, hairs, loops and parallel edges, maybe no basepoint.  The
+    certifier is also asked about every ordered pair as a self pair, where
+    the diagonal exemption needs the factors to be one immersion."""
+    rng = random.Random(seed)
+    base = S.rose(["a", "b", "c"][:rng.randint(1, 3)])
+    family = [S.fold(random_morphism(rng, base)) for _ in range(rng.randint(1, 3))]
+    assert S.malnormal_family_check(family) == oracle_malnormal_family_check(family)
+    for i1 in family:
+        for i2 in family:
+            for self_pair in (False, True):
+                assert S._refutes(i1, i2, self_pair) == oracle_refutes(i1, i2, self_pair)
+
+
+def test_self_pair_with_two_diagonal_components():
+    """Two one-loop vertices: the self product is four loops, two of them
+    diagonal, so the witness is the first loop off the diagonal."""
+    base = S.rose(["a"])
+    graph = S.fold(S.GraphImmersion(
+        S.LabeledGraph([0, 1], {0: (0, 0, "a"), 1: (1, 1, "a")}), base,
+        {0: "*", 1: "*"}))
+    fp = S.fibre_product(graph, graph)
+    assert [c.index for c in fp.components if c.is_diagonal] == [0, 3]
+    ok, witness = S.malnormal_family_check([graph])
+    assert (ok, witness) == oracle_malnormal_family_check([graph])
+    assert witness.pair == (0, 0) and witness.component.index == 1
 
 
 @given(seeds)
@@ -316,6 +360,31 @@ def action_tables(rng, elements):
     return tables
 
 
+def corrupted_tables(rng, k, elements):
+    """action_tables with a bad element at a random place in each: a
+    dihedral element whose edge map sends a step c_i to a loop l_j, which
+    no vertex permutation matches (on a rose every edge permutation is an
+    automorphism, so only a base with several vertices can hold one), and
+    half the time also a vertex map that is not a permutation.  The tables
+    still come with and without the identity, and many are not closed.  One
+    more table is closed: the identity and an involution that swaps the
+    images of a step and a loop, in either order."""
+    identity = elements[0]
+    step, loop = f"c{rng.randrange(k)}", f"l{rng.randrange(k)}"
+    swap = (identity[0], {**identity[1], step: loop, loop: step})
+    tables = [rng.sample([identity, swap], 2)]
+    for table in action_tables(rng, elements):
+        vp, ep = rng.choice(elements)
+        step, loop = f"c{rng.randrange(k)}", f"l{rng.randrange(k)}"
+        ep = {**ep, step: ep[loop], loop: ep[step]}
+        table.insert(rng.randint(0, len(table)), (vp, ep))
+        if rng.random() < 0.5:
+            vp, ep = rng.choice(elements)
+            table.insert(rng.randint(0, len(table)), ({**vp, 0: vp[1]}, ep))
+        tables.append(table)
+    return tables
+
+
 def check_action(base, table, elements):
     """Same accept/reject and message as the k^2 oracle, and the same
     membership of every group element; returns the action or None."""
@@ -360,3 +429,5 @@ def test_multi_generator_actions_on_dihedral_cycles(seed):
         if action is not None:
             check_translates(base, action, subgroup,
                              translate_lists(rng, action.elements))
+    for table in corrupted_tables(rng, k, elements):
+        assert check_action(base, table, elements) is None
