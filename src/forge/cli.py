@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -118,36 +117,17 @@ def run_encode_and_probe(p, w, budget, N=7, max_candidates=64):
 # Subcommand handlers.  Each returns a RunReport.
 
 
-def _load_graph_file(path, folded):
-    """The immersion in a graph file, its base reference and the file text."""
-    text = _read(path)
-    graph, base_path, vmap = FF.parse_graph_file(text)
-    if base_path is None:
-        raise ForgeError(f"{path}: graph file has no base line")
-    full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
-    base = FF.parse_base_graph(_read(full))
-    return FF.resolve_immersion(graph, base, vmap, folded=folded), base_path, text
-
-
 def _cmd_fold(args):
-    imm, base_path, text = _load_graph_file(args.graph, folded=False)
-    folded = fold(imm)
+    """`fold`, and `core`: fold, then trim to the core."""
+    imm, base_path, text = FF.load_immersion(args.graph, folded=False)
+    result = fold(imm)
+    if args.subcommand == "core":
+        result = core(result)
     artifacts = []
-    _emit(FF.format_immersion(folded, base_path), args.out, artifacts)
-    details = [("vertices", str(len(folded.domain.vertices))),
-               ("edges", str(len(folded.domain.edges)))]
-    return RunReport("fold", {"graph": _digest(text)},
-                     "certified", artifacts=artifacts, details=details)
-
-
-def _cmd_core(args):
-    imm, base_path, text = _load_graph_file(args.graph, folded=False)
-    trimmed = core(fold(imm))
-    artifacts = []
-    _emit(FF.format_immersion(trimmed, base_path), args.out, artifacts)
-    details = [("vertices", str(len(trimmed.domain.vertices))),
-               ("edges", str(len(trimmed.domain.edges)))]
-    return RunReport("core", {"graph": _digest(text)},
+    _emit(FF.format_immersion(result, base_path), args.out, artifacts)
+    details = [("vertices", str(len(result.domain.vertices))),
+               ("edges", str(len(result.domain.edges)))]
+    return RunReport(args.subcommand, {"graph": _digest(text)},
                      "certified", artifacts=artifacts, details=details)
 
 
@@ -161,8 +141,8 @@ def _component_details(decomp):
 
 
 def _cmd_fibre(args):
-    i1, _, text1 = _load_graph_file(args.graph1, folded=True)
-    i2, _, text2 = _load_graph_file(args.graph2, folded=True)
+    i1, _, text1 = FF.load_immersion(args.graph1)
+    i2, _, text2 = FF.load_immersion(args.graph2)
     decomp = fibre_product(i1, i2)
     inputs = {"graph1": _digest(text1), "graph2": _digest(text2)}
     return RunReport("fibre", inputs, "certified",
@@ -173,7 +153,7 @@ def _cmd_malnormal(args):
     family = []
     inputs = {}
     for k, path in enumerate(args.graphs):
-        imm, _, text = _load_graph_file(path, folded=True)
+        imm, _, text = FF.load_immersion(path)
         family.append(imm)
         inputs[f"graph{k}"] = _digest(text)
     ok, witness = malnormal_family_check(family)
@@ -187,12 +167,15 @@ def _cmd_malnormal(args):
     return RunReport("malnormal", inputs, "refuted", details=details)
 
 
+def _invariant_details(p):
+    inv = abelianization(p)
+    return [("betti", str(inv.betti)),
+            ("torsion", " ".join(map(str, inv.torsion)) or "none")]
+
+
 def _cmd_abel(args):
     text = _read(args.presentation)
-    p = FF.parse_presentation(text)
-    inv = abelianization(p)
-    details = [("betti", str(inv.betti)),
-               ("torsion", " ".join(map(str, inv.torsion)) or "none")]
+    details = _invariant_details(FF.parse_presentation(text))
     return RunReport("abel", {"presentation": _digest(text)},
                      "certified", details=details)
 
@@ -278,15 +261,19 @@ def _cmd_quotients(args):
     return RunReport("quotients", inputs, "inconclusive", details=details)
 
 
+def _complex_details(cx):
+    return [("vertices", str(len(cx.vertices))),
+            ("edges", str(len(cx.edges))),
+            ("squares", str(len(cx.squares))),
+            ("euler characteristic", str(cx.euler_characteristic()))]
+
+
 def _cmd_sqc_check(args):
     text = _read(args.complex)
     cx = FF.parse_complex(text)
     ok, violations = check_link_condition(cx)
     inputs = {"complex": _digest(text)}
-    details = [("vertices", str(len(cx.vertices))),
-               ("edges", str(len(cx.edges))),
-               ("squares", str(len(cx.squares))),
-               ("euler characteristic", str(cx.euler_characteristic()))]
+    details = _complex_details(cx)
     if ok:
         return RunReport("sqc check", inputs, "certified", details=details)
     details.append(("violations", str(len(violations))))
@@ -295,37 +282,19 @@ def _cmd_sqc_check(args):
     return RunReport("sqc check", inputs, "refuted", details=details)
 
 
-def _parse_gamma(text, cx):
-    gamma = []
-    for tok in text.split():
-        if tok.endswith("-"):
-            eid, sign = FF._token(tok[:-1]), -1
-        else:
-            eid, sign = FF._token(tok), 1
-        if eid not in cx.edges:
-            raise ForgeError(f"gamma references unknown edge {tok!r}")
-        gamma.append((eid, sign))
-    return gamma
-
-
 def _cmd_sqc_build(args):
     pres_text, complex_text = _read(args.pres), _read(args.complex)
     p = FF.parse_presentation(pres_text)
     cx = FF.parse_complex(complex_text)
-    gamma = _parse_gamma(args.gamma, cx)
+    gamma = FF.parse_directed_edges(args.gamma.split(), cx.edges, "gamma")
     built = build_S_of_P(p, cx, gamma)
     artifacts = []
     _emit(FF.format_complex(built.complex), args.out, artifacts)
     inputs = {"presentation": _digest(pres_text),
               "complex": _digest(complex_text),
               "gamma": _digest(args.gamma)}
-    s = built.complex
-    details = [("vertices", str(len(s.vertices))),
-               ("edges", str(len(s.edges))),
-               ("squares", str(len(s.squares))),
-               ("euler characteristic", str(s.euler_characteristic()))]
-    return RunReport("sqc build", inputs, "certified",
-                     artifacts=artifacts, details=details)
+    return RunReport("sqc build", inputs, "certified", artifacts=artifacts,
+                     details=_complex_details(built.complex))
 
 
 def _cmd_sqc_pi1(args):
@@ -334,11 +303,8 @@ def _cmd_sqc_pi1(args):
     p = pi1_presentation(cx)
     artifacts = []
     _emit(FF.format_presentation(p), args.out, artifacts)
-    inv = abelianization(p)
     details = [("generators", str(len(p.generators))),
-               ("relators", str(len(p.relators))),
-               ("betti", str(inv.betti)),
-               ("torsion", " ".join(map(str, inv.torsion)) or "none")]
+               ("relators", str(len(p.relators)))] + _invariant_details(p)
     return RunReport("sqc pi1", {"complex": _digest(text)},
                      "certified", artifacts=artifacts, details=details)
 
@@ -375,7 +341,7 @@ def build_parser():
     s = sub.add_parser("core", help="fold and trim to the core graph")
     s.add_argument("graph")
     s.add_argument("--out")
-    s.set_defaults(handler=_cmd_core)
+    s.set_defaults(handler=_cmd_fold)
 
     s = sub.add_parser("fibre", help="fibre product of two immersions")
     s.add_argument("graph1")
@@ -462,7 +428,8 @@ def main(argv=None):
     command = "forge"  # until the command line parses
     try:
         args = _parser().parse_args(argv)
-        command = args.subcommand
+        command = " ".join(filter(None, (args.subcommand,
+                                         getattr(args, "sqc_command", None))))
         report = args.handler(args)
     except (ForgeError, OSError, ValueError) as exc:
         report = RunReport(command, {}, "error",

@@ -28,7 +28,7 @@ from .errors import (AlphabetMismatchError, BudgetExhaustedError,
                      DegenerateInputError, NameCollisionError, ThresholdError)
 from .presentations import (FinitePresentation, abelianization,
                             add_conjugation_relators, free_product_with_renaming,
-                            substitute, tietze_change_generators,
+                            map_word, substitute, tietze_change_generators,
                             verify_generator_change)
 
 UV = W.Alphabet(["u", "v"])
@@ -60,12 +60,10 @@ def step_injective_generators(p, w):
     renames = {j: {g: f"g{i}_{j}" for i, g in enumerate(p.generators, 1)}
                for j in range(1, k + 1)}
 
-    def to_copy(word, j):
-        return W.reduce(copies, [(renames[j][g], s) for g, s in word.letters])
-
-    pre_relators = [to_copy(r, j) for j in range(1, k + 1) for r in p.relators]
+    pre_relators = [map_word(r, copies, renames[j])
+                    for j in range(1, k + 1) for r in p.relators]
     pre = FinitePresentation(copies, pre_relators)
-    w_copy = {j: to_copy(w, j) for j in range(1, k + 1)}
+    w_copy = {j: map_word(w, copies, renames[j]) for j in range(1, k + 1)}
 
     definitions = {}
     for i in range(1, m + 1):
@@ -122,6 +120,15 @@ def step_conjugators(p_prime, w_prime):
     targets = [p_prime.alphabet.gen(g) for g in p_prime.generators]
     letters = [f"b_{i}" for i in range(len(targets))]
     return add_conjugation_relators(p_prime, w_prime, targets, letters), letters
+
+
+def _step_free_letter(p1, b_letters, w):
+    """Stage 3b: adjoin a free t = b_{m+1} to the stage-3a output.  Returns
+    (p2, the b-letters with t's name in p2 appended, t's name, w over p2)."""
+    t_name = f"b_{len(b_letters)}"
+    p2, rename = free_product_with_renaming(p1, FinitePresentation([t_name], []))
+    return (p2, tuple(b_letters) + (rename[t_name],), rename[t_name],
+            W.reduce(p2.alphabet, w.letters))
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,23 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _kernel_checks(N):
+    """Rank of the modulus-N kernel core, and whether its rotation
+    translates form a malnormal family."""
+    base, kernel_sub, action = _kernel_base_family(N)
+    translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
+                                                action.elements)
+    return S.total_rank(kernel_sub.domain), translates_ok
+
+
+def _candidate_checks(candidate):
+    """Rank of the subgroup graph of a tuple of words over {u, v}, and
+    whether it is malnormal."""
+    graph = S.graph_of_subgroup(S.rose(["u", "v"]), candidate)
+    ok, _ = S.malnormal_family_check([graph])
+    return S.total_rank(graph.domain), ok
+
+
 def select_malnormal_words(m, N=7, max_candidates=64):
     """Choose m+2 words c_0..c_{m+1} in {u, v} whose subgroup is free of
     rank m+2 and malnormal, certifying every claim at runtime.
@@ -217,22 +241,12 @@ def select_malnormal_words(m, N=7, max_candidates=64):
         raise DegenerateInputError("m must be nonnegative")
     if max_candidates < 0:
         raise DegenerateInputError("the candidate budget must be nonnegative")
-    base, kernel_sub, action = _kernel_base_family(N)
-    base_rank = S.total_rank(kernel_sub.domain)
-    translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
-                                                action.elements)
-    rose_uv = S.rose(["u", "v"])
+    base_rank, translates_ok = _kernel_checks(N)
     for candidate in itertools.islice(_candidate_tuples(m + 2), max_candidates):
-        graph = S.graph_of_subgroup(rose_uv, candidate)
-        r = S.total_rank(graph.domain)
-        if r != m + 2:
-            continue
-        ok, _ = S.malnormal_family_check([graph])
-        if not ok:
-            continue
+        r, ok = _candidate_checks(candidate)
         cert = MalnormalCertificate(
             m=m, modulus=N, tuple_uv=tuple(candidate), rank=r,
-            family_malnormal=True, base_rank=base_rank,
+            family_malnormal=ok, base_rank=base_rank,
             translates_malnormal=translates_ok)
         if not cert.is_valid():
             continue
@@ -244,21 +258,13 @@ def select_malnormal_words(m, N=7, max_candidates=64):
 
 
 def revalidate_certificate(cert):
-    """Re-run every check recorded in a certificate from scratch."""
+    """Re-run, from scratch, the checks that selection ran."""
     try:
-        base, kernel_sub, action = _kernel_base_family(cert.modulus)
+        kernel = _kernel_checks(cert.modulus)
     except Exception:
         return False
-    if S.total_rank(kernel_sub.domain) != cert.base_rank:
-        return False
-    translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
-                                                action.elements)
-    rose_uv = S.rose(["u", "v"])
-    graph = S.graph_of_subgroup(rose_uv, cert.tuple_uv)
-    ok, _ = S.malnormal_family_check([graph])
-    return (translates_ok == cert.translates_malnormal
-            and S.total_rank(graph.domain) == cert.rank
-            and ok == cert.family_malnormal
+    return (kernel == (cert.base_rank, cert.translates_malnormal)
+            and _candidate_checks(cert.tuple_uv) == (cert.rank, cert.family_malnormal)
             and cert.is_valid())
 
 
@@ -274,15 +280,11 @@ def assemble_Gw(p2, b_letters, c_words):
         raise NameCollisionError("priming generator names caused a collision")
     alphabet = W.Alphabet(names)
     lift = {g: g for g in p2.generators}
-
-    def as_new(word, table):
-        return W.reduce(alphabet, [(table[g], s) for g, s in word.letters])
-
-    relators = [as_new(r, lift) for r in p2.relators]
-    relators += [as_new(r, primed) for r in p2.relators]
+    relators = [map_word(r, alphabet, lift) for r in p2.relators]
+    relators += [map_word(r, alphabet, primed) for r in p2.relators]
     for b, c in zip(b_letters, c_words):
-        relators.append(as_new(c, lift) * alphabet.gen(primed[b]).inverse())
-        relators.append(alphabet.gen(b) * as_new(c, primed).inverse())
+        relators.append(map_word(c, alphabet, lift) * alphabet.gen(primed[b]).inverse())
+        relators.append(alphabet.gen(b) * map_word(c, alphabet, primed).inverse())
     return FinitePresentation(alphabet, relators)
 
 
@@ -325,8 +327,6 @@ def encode(p, w, N=7, max_candidates=64):
     The identity word short-circuits to the trivial presentation <x | x>;
     otherwise the four stages run in order and each stage's abelian
     invariants are recorded."""
-    if w.alphabet != p.alphabet:
-        raise AlphabetMismatchError("word over a different alphabet than the presentation")
     if w.is_identity():
         return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>
 
@@ -334,23 +334,16 @@ def encode(p, w, N=7, max_candidates=64):
     trace.p_dagger, trace.w_dagger = step_injective_generators(p, w)
     trace.p_prime, trace.w_prime = step_order_control(trace.p_dagger, trace.w_dagger)
     trace.p1, b_letters = step_conjugators(trace.p_prime, trace.w_prime)
+    trace.p2, trace.b_letters, trace.t_letter, w_prime_2 = _step_free_letter(
+        trace.p1, b_letters, trace.w_prime)
 
-    m = len(trace.p_prime.generators) - 1
-    t_name = f"b_{m + 1}"
-    p2, rename = free_product_with_renaming(
-        trace.p1, FinitePresentation([t_name], []))
-    trace.p2 = p2
-    trace.t_letter = rename[t_name]
-    trace.b_letters = tuple(b_letters) + (trace.t_letter,)
-
-    t = p2.alphabet.gen(trace.t_letter)
-    w_prime_2 = W.reduce(p2.alphabet, trace.w_prime.letters)
-    table = {"t": t, "w": w_prime_2}
+    p2 = trace.p2
+    table = {"t": p2.alphabet.gen(trace.t_letter), "w": w_prime_2}
     trace.u = substitute(U_IN_TW, p2.alphabet, table)
     trace.v = substitute(V_IN_TW, p2.alphabet, table)
 
     trace.c_words_tw, trace.certificate = select_malnormal_words(
-        m, N, max_candidates)
+        len(b_letters) - 1, N, max_candidates)
     trace.c_words = tuple(substitute(c, p2.alphabet, table)
                           for c in trace.c_words_tw)
 
@@ -387,21 +380,14 @@ def encode_discrete(p, w):
     if w.is_identity():
         x = W.Alphabet(["x"])
         return FinitePresentation(x, [x.gen("x")])
+    # The first factor keeps its names; rename covers p's generators.
     g0, rename = free_product_with_renaming(FinitePresentation(["a0"], []), p)
-    a0 = "a0"  # first factor keeps its names; rename covers p's generators
-    w_lifted = W.reduce(g0.alphabet, [(rename[g], s) for g, s in w.letters])
-    w_used = W.commutator(w_lifted, g0.alphabet.gen(a0))
-    m = len(p.generators)
-    targets = [g0.alphabet.gen(g) for g in g0.generators]
-    letters = [f"b_{i}" for i in range(m + 1)]
-    g1 = add_conjugation_relators(g0, w_used, targets, letters)
-    t_name = f"b_{m + 1}"
-    g2, rename2 = free_product_with_renaming(g1, FinitePresentation([t_name], []))
-    t_name = rename2[t_name]
-    w2 = W.reduce(g2.alphabet, w_used.letters)
+    w_used = W.commutator(map_word(w, g0.alphabet, rename), g0.alphabet.gen("a0"))
+    g1, letters = step_conjugators(g0, w_used)
+    g2, b_letters, t_name, w2 = _step_free_letter(g1, letters, w_used)
     t = g2.alphabet.gen(t_name)
-    cs = [discrete_c_word(w2, t, j) for j in range(m + 2)]
-    return assemble_Gw(g2, tuple(letters) + (t_name,), cs)
+    cs = [discrete_c_word(w2, t, j) for j in range(len(b_letters))]
+    return assemble_Gw(g2, b_letters, cs)
 
 
 def discrete_trace(p, w):

@@ -11,11 +11,19 @@ from __future__ import annotations
 import json
 
 from . import words as W
-from .encoder import UV, EncodingTrace, MalnormalCertificate
+from .encoder import UV, MalnormalCertificate
 from .errors import ForgeError, ParseError
 from .presentations import FinitePresentation
 from .squarecx import SquareComplex
 from .stallings import GraphImmersion, LabeledGraph
+
+
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), with any failure raised as a ParseError."""
+    try:
+        return make(*args, **kwargs)
+    except Exception as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _lines(text):
@@ -96,12 +104,18 @@ def _id_str(x):
     return s
 
 
-def _parse_cells(entries):
+def _parse_cells(text, header):
+    """Check a graph file's header line and read its vertex, edge and
+    basepoint lines; returns them and the remaining (line number, line)s."""
+    entries = list(_lines(text))
+    if not entries or entries[0][1] != header:
+        raise ParseError(f"{header} file must start with a `{header}` header line",
+                         line=entries[0][0] if entries else 1)
     vertices = []
     edges = {}
     basepoint = None
     rest = []
-    for i, line in entries:
+    for i, line in entries[1:]:
         parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "vertex":
@@ -128,11 +142,7 @@ def _parse_cells(entries):
 
 def parse_base_graph(text):
     """Parse a base-graph file (header `base`; labels must equal edge ids)."""
-    entries = list(_lines(text))
-    if not entries or entries[0][1] != "base":
-        raise ParseError("base file must start with a `base` header line",
-                         line=entries[0][0] if entries else 1)
-    vertices, edges, basepoint, rest = _parse_cells(entries[1:])
+    vertices, edges, basepoint, rest = _parse_cells(text, "base")
     if rest:
         i, line = rest[0]
         raise ParseError(f"unexpected line in base file: {line!r}", line=i)
@@ -140,10 +150,7 @@ def parse_base_graph(text):
         if label != eid:
             raise ParseError(
                 f"base edge {eid!r} must carry its own id as label, got {label!r}")
-    try:
-        return LabeledGraph(vertices, edges, basepoint)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(LabeledGraph, vertices, edges, basepoint)
 
 
 def parse_graph_file(text):
@@ -152,11 +159,7 @@ def parse_graph_file(text):
     `base_path` is the reference from the `base <path>` line (None when
     absent); `vmap` maps domain vertices to base vertices and may be partial
     (missing entries are resolved by the loader)."""
-    entries = list(_lines(text))
-    if not entries or entries[0][1] != "graph":
-        raise ParseError("graph file must start with a `graph` header line",
-                         line=entries[0][0] if entries else 1)
-    vertices, edges, basepoint, rest = _parse_cells(entries[1:])
+    vertices, edges, basepoint, rest = _parse_cells(text, "graph")
     base_path = None
     vmap = {}
     for i, line in rest:
@@ -182,11 +185,7 @@ def parse_graph_file(text):
                     f"emap for {args[0]} contradicts the edge label", line=i)
         else:
             raise ParseError(f"unexpected line in graph file: {line!r}", line=i)
-    try:
-        graph = LabeledGraph(vertices, edges, basepoint)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
-    return graph, base_path, vmap
+    return _build(LabeledGraph, vertices, edges, basepoint), base_path, vmap
 
 
 def resolve_immersion(graph, base, vmap, folded=True):
@@ -202,46 +201,43 @@ def resolve_immersion(graph, base, vmap, folded=True):
             else:
                 raise ParseError(f"no vmap entry for vertex {v!r} "
                                  "and the base is not a rose")
-    try:
-        return GraphImmersion(graph, base, vmap, folded=folded)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(GraphImmersion, graph, base, vmap, folded=folded)
 
 
 def load_immersion(path, folded=True):
-    """Read an immersion file and its referenced base file from disk."""
+    """Read an immersion file and its referenced base file from disk.
+    Returns (immersion, the `base` line's path, the immersion file's text)."""
     import os
 
     with open(path, encoding="utf-8") as fh:
-        graph, base_path, vmap = parse_graph_file(fh.read())
+        text = fh.read()
+    graph, base_path, vmap = parse_graph_file(text)
     if base_path is None:
         raise ParseError(f"{path}: graph file has no base line")
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     with open(full, encoding="utf-8") as fh:
         base = parse_base_graph(fh.read())
-    return resolve_immersion(graph, base, vmap, folded=folded)
+    return resolve_immersion(graph, base, vmap, folded=folded), base_path, text
 
 
-def format_base_graph(base):
-    out = ["base"]
-    out.extend(f"vertex {_id_str(v)}" for v in base.vertices)
-    for eid in sorted(base.edges, key=_id_str):
-        src, dst, label = base.edges[eid]
-        out.append(f"edge {_id_str(eid)} {_id_str(src)} {_id_str(dst)} {_id_str(label)}")
-    if base.basepoint is not None:
-        out.append(f"basepoint {_id_str(base.basepoint)}")
-    return "\n".join(out) + "\n"
-
-
-def format_immersion(immersion, base_path):
-    graph = immersion.domain
-    out = ["graph", f"base {base_path}"]
-    out.extend(f"vertex {_id_str(v)}" for v in graph.vertices)
+def _cell_lines(graph):
+    """A graph's vertex, edge and basepoint lines."""
+    out = [f"vertex {_id_str(v)}" for v in graph.vertices]
     for eid in sorted(graph.edges, key=_id_str):
         src, dst, label = graph.edges[eid]
         out.append(f"edge {_id_str(eid)} {_id_str(src)} {_id_str(dst)} {_id_str(label)}")
     if graph.basepoint is not None:
         out.append(f"basepoint {_id_str(graph.basepoint)}")
+    return out
+
+
+def format_base_graph(base):
+    return "\n".join(["base"] + _cell_lines(base)) + "\n"
+
+
+def format_immersion(immersion, base_path):
+    graph = immersion.domain
+    out = ["graph", f"base {base_path}"] + _cell_lines(graph)
     out.extend(f"vmap {_id_str(v)} {_id_str(immersion.vmap[v])}"
                for v in graph.vertices)
     return "\n".join(out) + "\n"
@@ -255,16 +251,16 @@ def format_immersion(immersion, base_path):
 #   square <d1> <d2> <d3> <d4>      (reverse of edge e spelled `e-`)
 
 
-def _parse_directed(tok, edges, i):
-    if tok.endswith("-"):
-        eid = _token(tok[:-1])
-        sign = -1
-    else:
-        eid = _token(tok)
-        sign = 1
-    if eid not in edges:
-        raise ParseError(f"square references unknown edge {tok!r}", line=i)
-    return (eid, sign)
+def parse_directed_edges(tokens, edges, referrer, line=None):
+    """Directed edges spelled `e` or `e-` (the reverse of edge e); an id
+    not in `edges` is an error naming the referrer ("square", "gamma")."""
+    out = []
+    for tok in tokens:
+        eid, sign = (_token(tok[:-1]), -1) if tok.endswith("-") else (_token(tok), 1)
+        if eid not in edges:
+            raise ParseError(f"{referrer} references unknown edge {tok!r}", line=line)
+        out.append((eid, sign))
+    return out
 
 
 def parse_complex(text):
@@ -288,14 +284,11 @@ def parse_complex(text):
         elif kind == "square":
             if len(args) != 4:
                 raise ParseError("square takes exactly four directed edges", line=i)
-            squares.append(tuple(_parse_directed(tok, edges, i) for tok in args))
+            squares.append(tuple(parse_directed_edges(args, edges, "square", i)))
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)
-    try:
-        return SquareComplex(vertices, edges, squares)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(SquareComplex, vertices, edges, squares)
 
 
 def format_complex(complex_):

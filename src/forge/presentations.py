@@ -66,7 +66,9 @@ def _fresh_name(name, used):
     return f"{name}_{k}"
 
 
-def _map_word(word, target_alphabet, rename):
+def map_word(word, target_alphabet, rename):
+    """Rename a word's letters through `rename` (old name -> new name) into
+    the target alphabet."""
     return W.reduce(target_alphabet,
                     [(rename[g], s) for g, s in word.letters])
 
@@ -88,8 +90,8 @@ def free_product_with_renaming(p, q):
         used.add(fresh)
     alphabet = W.Alphabet(p.generators + tuple(rename[g] for g in q.generators))
     lift = {g: g for g in p.generators}
-    relators = [_map_word(r, alphabet, lift) for r in p.relators]
-    relators += [_map_word(r, alphabet, rename) for r in q.relators]
+    relators = [map_word(r, alphabet, lift) for r in p.relators]
+    relators += [map_word(r, alphabet, rename) for r in q.relators]
     return FinitePresentation(alphabet, relators), rename
 
 
@@ -120,7 +122,7 @@ def free_power(p, n):
         names += rename.values()
         renames.append(rename)
     alphabet = W.Alphabet(names)
-    return FinitePresentation(alphabet, [_map_word(r, alphabet, rename)
+    return FinitePresentation(alphabet, [map_word(r, alphabet, rename)
                                          for rename in renames for r in p.relators])
 
 
@@ -138,14 +140,14 @@ def add_conjugation_relators(p, w, targets, stable_letters):
         raise NameCollisionError("duplicate stable letters")
     alphabet = W.Alphabet(p.generators + tuple(stable_letters))
     lift = {g: g for g in p.generators}
-    relators = [_map_word(r, alphabet, lift) for r in p.relators]
-    w_new = _map_word(w, alphabet, lift)
+    relators = [map_word(r, alphabet, lift) for r in p.relators]
+    w_new = map_word(w, alphabet, lift)
     for b, target in zip(stable_letters, targets):
         if target.alphabet != p.alphabet:
             raise AlphabetMismatchError("target word over a different alphabet")
         b_word = alphabet.gen(b)
         relators.append(W.conjugate(w_new, b_word)
-                        * _map_word(target, alphabet, lift).inverse())
+                        * map_word(target, alphabet, lift).inverse())
     return FinitePresentation(alphabet, relators)
 
 

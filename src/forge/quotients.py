@@ -230,17 +230,18 @@ def _partitions(n, least=1):
 
 def _class_minimal_perms(n):
     """Lexicographically least permutation of each cycle type of degree n,
-    in lexicographic order.  The least one of a type lays its cycles, in
-    ascending length, on consecutive points: (s s+1 ... s+L-1)."""
-    perms = []
+    lazily, in lexicographic order.  The least one of a type lays its
+    cycles, in ascending length, on consecutive points: (s s+1 ... s+L-1).
+    Where two types first differ, the shorter cycle sends its last point
+    back to s and the longer one sends it on, so the shorter type comes
+    first, as it does in `_partitions`."""
     for lengths in _partitions(n):
         p, start = [], 0
         for length in lengths:
             p.extend(range(start + 1, start + length))
             p.append(start)
             start += length
-        perms.append(tuple(p))
-    return sorted(perms)
+        yield tuple(p)
 
 
 def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):

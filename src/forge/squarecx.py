@@ -24,6 +24,20 @@ def reverse(d):
     return (e, -s)
 
 
+def _start(edges, d):
+    """The vertex where directed edge d = (e, s) starts, edges being
+    eid -> (src, dst)."""
+    e, s = d
+    return edges[e][0] if s > 0 else edges[e][1]
+
+
+def _unit_path(prefix, d, k):
+    """The path of unit edges prefix + (e, t), t < k, covering the directed
+    edge d = (e, s) subdivided into k parts."""
+    e, s = d
+    return [(prefix + (e, t), s) for t in (range(k) if s > 0 else range(k - 1, -1, -1))]
+
+
 def _canonical_square(square, key):
     # Codes are (repr(e), s) as integers; reversing a directed edge flips
     # the low bit of its code.
@@ -59,19 +73,25 @@ class SquareComplex:
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
         squares = [tuple(sq) for sq in squares]
+        edges = self.edges
         for sq in squares:
             if len(sq) != 4:
                 raise ConfigurationError("a square boundary must have exactly 4 edges")
-            for d, d_next in zip(sq, sq[1:] + sq[:1]):
-                if self.dst(d) != self.src(d_next):
+            for e, s in sq:
+                if e not in edges:
                     raise ConfigurationError(
-                        f"square boundary {sq!r} is not a closed edge path")
+                        f"square boundary {sq!r} uses unknown edge {e!r}")
+                if s != 1 and s != -1:
+                    raise ConfigurationError(
+                        f"square boundary {sq!r} has sign {s!r}, not 1 or -1")
+            ends = [edges[e] if s > 0 else edges[e][::-1] for e, s in sq]
+            if any(ends[i - 1][1] != ends[i][0] for i in range(4)):
+                raise ConfigurationError(
+                    f"square boundary {sq!r} is not a closed edge path")
         self.squares = [_canonical_square(sq, self.edge_key) for sq in squares]
 
     def src(self, d):
-        e, s = d
-        ends = self.edges[e]
-        return ends[0] if s > 0 else ends[1]
+        return _start(self.edges, d)
 
     def dst(self, d):
         return self.src(reverse(d))
@@ -263,11 +283,7 @@ class _ScaledCopy:
 
     def path(self, d):
         """The directed unit-edge path covering directed edge d."""
-        e, s = d
-        if s > 0:
-            return [(("copy", self.tag, "e", e, t), 1) for t in range(self.ell)]
-        return [(("copy", self.tag, "e", e, t), -1)
-                for t in range(self.ell - 1, -1, -1)]
+        return _unit_path(("copy", self.tag, "e"), d, self.ell)
 
     def vertex(self, v):
         return ("copy", self.tag, "v", v)
@@ -369,12 +385,6 @@ def build_S_of_P(p, x, gamma):
             edges[eid] = (rose_point(g, t), rose_point(g, t + 1))
             provenance[eid] = ("rose",)
 
-    def rose_path(letter):
-        g, s = letter
-        if s > 0:
-            return [(("rose", g, t), 1) for t in range(k)]
-        return [(("rose", g, t), -1) for t in range(k - 1, -1, -1)]
-
     square_prov = []
     for j, r in enumerate(p.relators):
         ell = len(r.letters)
@@ -389,21 +399,12 @@ def build_S_of_P(p, x, gamma):
             squares.append(sq)
             square_prov.append(("copy", j))
 
-        bottom = [d for letter in r.letters for d in rose_path(letter)]
+        bottom = [d for letter in r.letters for d in _unit_path(("rose",), letter, k)]
         top = [d for g_edge in gamma.edges for d in copy.path(g_edge)]
         n_units = k * ell
-
-        def bpt(s, edges=edges, bottom=bottom):
-            d = bottom[s % n_units]
-            return edges[d[0]][0] if d[1] > 0 else edges[d[0]][1]
-
-        def tpt(s, edges=edges, top=top):
-            d = top[s % n_units]
-            return edges[d[0]][0] if d[1] > 0 else edges[d[0]][1]
-
         for s in range(n_units):
             eid = ("cyl", j, s)
-            edges[eid] = (bpt(s), tpt(s))
+            edges[eid] = (_start(edges, bottom[s]), _start(edges, top[s]))
             provenance[eid] = ("cylinder", j)
         for s in range(n_units):
             squares.append((bottom[s], (("cyl", j, s + 1) if s + 1 < n_units
@@ -423,31 +424,30 @@ def build_S_of_P(p, x, gamma):
 # Fundamental group.
 
 
-def _spanning_tree(complex_):
-    """BFS spanning tree from the least vertex; returns (root, parent map,
-    set of tree edge ids).  Edges are explored in canonical order."""
-    order = sorted(complex_.vertices, key=repr)
-    if not order:
-        raise ConfigurationError("empty complex")
+def _bfs_forest(complex_, edge_ids, roots):
+    """BFS forest over the given edges (explored in the order given), grown
+    from each root in turn that no earlier tree reached.  Returns the parent
+    map, vertex -> None for a root, else (parent, directed edge into it),
+    and the set of forest edge ids."""
     adjacency = {}
-    for e in complex_.edge_order:
+    for e in edge_ids:
         src, dst = complex_.edges[e]
         adjacency.setdefault(src, []).append((e, dst))
         adjacency.setdefault(dst, []).append((e, src))
-    root = order[0]
-    seen = {root}
-    tree = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e, u in adjacency.get(v, []):
-            if u not in seen:
-                seen.add(u)
-                tree.add(e)
-                queue.append(u)
-    if seen != complex_.vertices:
-        raise ConfigurationError("complex is not connected")
-    return root, tree
+    parent, forest = {}, set()
+    for start in roots:
+        if start in parent:
+            continue
+        parent[start] = None
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e, u in adjacency.get(v, ()):
+                if u not in parent:
+                    parent[u] = (v, (e, 1) if complex_.edges[e][0] == v else (e, -1))
+                    forest.add(e)
+                    queue.append(u)
+    return parent, forest
 
 
 def pi1_presentation(complex_):
@@ -457,7 +457,14 @@ def pi1_presentation(complex_):
 
 
 def _pi1_with_names(complex_):
-    _, tree = _spanning_tree(complex_)
+    # The spanning tree is the BFS tree from the least vertex, edges
+    # explored in canonical order.
+    order = sorted(complex_.vertices, key=repr)
+    if not order:
+        raise ConfigurationError("empty complex")
+    parent, tree = _bfs_forest(complex_, complex_.edge_order, order[:1])
+    if len(parent) != len(order):
+        raise ConfigurationError("complex is not connected")
     non_tree = [e for e in complex_.edge_order if e not in tree]
     names = {e: f"g{i}" for i, e in enumerate(non_tree)}
     alphabet = W.Alphabet([names[e] for e in non_tree])
@@ -502,26 +509,8 @@ def _copy_killing_relators(built, presentation, names):
             copies.setdefault(prov[1], []).append(e)
     for j in sorted(copies):
         copy_edges = sorted(copies[j], key=repr)
-        adjacency = {}
-        for e in copy_edges:
-            src, dst = complex_.edges[e]
-            adjacency.setdefault(src, []).append((e, dst))
-            adjacency.setdefault(dst, []).append((e, src))
-        parent = {}  # vertex -> (parent vertex, directed edge in), or None
-        forest = set()
-        for start in sorted(adjacency, key=repr):
-            if start in parent:
-                continue
-            parent[start] = None
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for e, u in adjacency[v]:
-                    if u not in parent:
-                        d = (e, 1) if complex_.edges[e][0] == v else (e, -1)
-                        parent[u] = (v, d)
-                        forest.add(e)
-                        queue.append(u)
+        ends = {v for e in copy_edges for v in complex_.edges[e]}
+        parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
         for e in copy_edges:
             if e in forest:
                 continue

@@ -202,6 +202,20 @@ class TestSqcCommands:
         assert code == 0
         assert "betti" in out
 
+    def test_build_unknown_gamma_edge(self, workdir, capsys):
+        code, out = run(capsys, "sqc", "build",
+                        "--pres", workdir / "torus_pres.txt",
+                        "--complex", workdir / "torus_cx.txt", "--gamma", "a zz")
+        assert code == 1
+        assert untimed_lines(out) == [
+            "command: sqc build", "status: error",
+            "error: gamma references unknown edge 'zz'"]
+
+    def test_error_names_the_sqc_command(self, workdir, capsys):
+        code, out = run(capsys, "sqc", "pi1", workdir / "nope.txt")
+        assert code == 1
+        assert untimed_lines(out)[:2] == ["command: sqc pi1", "status: error"]
+
 
 class TestEncodeCommand:
     def test_discrete_encode(self, workdir, capsys):

@@ -73,6 +73,10 @@ class TestGraphFormat:
         base = FF.parse_base_graph(self.BASE)
         assert FF.parse_base_graph(FF.format_base_graph(base)) == base
 
+    def test_written_edges_are_sorted(self):
+        base = FF.parse_base_graph("base\nvertex *\nedge b * * b\nedge a * * a\n")
+        assert FF.format_base_graph(base) == "base\nvertex *\nedge a * * a\nedge b * * b\n"
+
     def test_base_header_required(self):
         with pytest.raises(ParseError):
             FF.parse_base_graph("graph\nvertex 0\n")
@@ -89,14 +93,13 @@ class TestGraphFormat:
                                          W.parse_word(ab, "b")])
         text = FF.format_immersion(imm, "base.txt")
         (tmp_path / "sub.txt").write_text(text)
-        loaded = FF.load_immersion(tmp_path / "sub.txt")
-        assert loaded == imm
+        assert FF.load_immersion(tmp_path / "sub.txt") == (imm, "base.txt", text)
 
     def test_vmap_defaults_on_rose(self, tmp_path):
         (tmp_path / "base.txt").write_text(self.BASE)
         (tmp_path / "g.txt").write_text(
             "graph\nbase base.txt\nvertex 0\nedge e 0 0 a\nbasepoint 0\n")
-        imm = FF.load_immersion(tmp_path / "g.txt")
+        imm, _, _ = FF.load_immersion(tmp_path / "g.txt")
         assert imm.vmap == {0: "*"}
 
     def test_emap_checked(self):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from forge import words as W
+from forge.encoder import encode_discrete
 from forge.errors import DegenerateInputError, IndependenceError
 from forge.presentations import FinitePresentation
 from forge.quotients import (OrderSpec, SearchBudget, _enumerate_homs,
@@ -14,7 +15,8 @@ from forge.quotients import (OrderSpec, SearchBudget, _enumerate_homs,
                              _transfer_word, cycle_notation, element_order,
                              grushko_lower_bound,
                              has_nontrivial_quotient_upto, identity_perm,
-                             perm_inv, perm_mul, perm_order, search_homs,
+                             perm_inv, perm_mul, perm_order, search,
+                             search_homs,
                              search_order_targeted, simplify_presentation,
                              verify_order_spec, word_survives_upto)
 from helpers import brute_force_homs, random_reduced_word
@@ -126,6 +128,22 @@ class TestBudgetedSearches:
             p, p.word("a b a^-1 b^-1"),
             SearchBudget(max_degree=6, max_nodes=3))
         assert out.nodes <= 4
+
+    @pytest.mark.parametrize("per_degree, degrees", [
+        (False, [(2, 32, False), (3, 521, False), (4, 471, True)]),
+        (True, [(2, 32, False), (3, 521, False), (4, 1024, True)]),
+    ])
+    def test_time_limit_stops(self, per_degree, degrees):
+        """The clock is read every 1,024 nodes, so an expired time limit
+        stops the search at the 1,024th node of the tracker: of the whole
+        search, or of one degree with per_degree."""
+        p = pres(["a"], "a^2")
+        out = search(encode_discrete(p, p.word("a")),
+                     SearchBudget(max_degree=5, time_limit=1e-9),
+                     per_degree=per_degree)
+        assert out.status == "exhausted"
+        assert out.degrees == degrees
+        assert out.nodes == sum(nodes for _, nodes, _ in degrees)
 
 
 class TestOrders:

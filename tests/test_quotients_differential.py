@@ -17,6 +17,7 @@ it finds one, the seed's first witness under an unbounded budget.
 
 import contextlib
 import io
+import itertools
 import os
 import random
 import re
@@ -457,4 +458,14 @@ def test_step_replay_matches_expressions(seed):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_minimal_perms_match_brute_force(n):
-    assert _class_minimal_perms(n) == oracle_class_minimal_perms(n)
+    assert list(_class_minimal_perms(n)) == oracle_class_minimal_perms(n)
+
+
+def test_class_minimal_perms_are_lazy():
+    """The first permutations of degree 60 come at once, before the other
+    966,464 classes are built: the identity, then a transposition and a
+    3-cycle on the last points."""
+    first = list(itertools.islice(_class_minimal_perms(60), 3))
+    fixed = tuple(range(57))
+    assert first == [fixed + (57, 58, 59), fixed + (57, 59, 58),
+                     fixed + (58, 59, 57)]

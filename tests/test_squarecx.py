@@ -38,6 +38,16 @@ class TestBasics:
             SquareComplex(["u", "v"], {"e": ("u", "v")},
                           [(("e", 1), ("e", 1), ("e", 1), ("e", 1))])
 
+    def test_unknown_square_edge_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown edge 'c'"):
+            SquareComplex(TORUS.vertices, TORUS.edges,
+                          [(("a", 1), ("b", 1), ("a", -1), ("c", -1))])
+
+    def test_zero_sign_rejected(self):
+        with pytest.raises(ConfigurationError, match="sign 0"):
+            SquareComplex(TORUS.vertices, TORUS.edges,
+                          [(("a", 1), ("b", 1), ("a", 0), ("b", -1))])
+
 
 class TestLinkCondition:
     def test_torus_passes(self):
