@@ -394,7 +394,10 @@ def trace_from_json(text):
 
     Returns a dict with parsed `stages`, the `certificate` (or None) and the
     raw data; enough to re-validate a run without re-encoding."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(data, dict):
         raise ParseError("a trace must be a JSON object")
     if "stages" not in data:

@@ -217,6 +217,9 @@ class EdgeLoop:
         self.edges = tuple(self.edges)
         if not self.edges:
             raise DegenerateInputError("an edge loop needs at least one edge")
+        for e, s in self.edges:
+            if e not in self.complex.edges or s not in (1, -1):
+                raise ConfigurationError(f"edge loop has no directed edge {(e, s)!r}")
         for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):
             if self.complex.dst(d) != self.complex.src(d_next):
                 raise ConfigurationError("edge loop is not a closed path")

@@ -144,10 +144,14 @@ class TestTraceFormat:
                                       '{"stages": {"p_w": 5}}',
                                       '{"stages": {}, "certificate": 5}',
                                       '{"stages": {}, "certificate": [1]}',
-                                      '{"stages": {}, "certificate": {"m": 1}}'])
+                                      '{"stages": {}, "certificate": {"m": 1}}',
+                                      "{not json", '{"stages": {},\n  not json}'])
     def test_wrong_shape_is_a_parse_error(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             FF.trace_from_json(text)
+        # Malformed JSON names its line; a trace of the wrong shape has none.
+        assert exc.value.line == {"{not json": 1,
+                                  '{"stages": {},\n  not json}': 2}.get(text)
 
     def test_certificate_round_trip(self):
         _, cert = select_malnormal_words(0, N=7)

@@ -1,7 +1,7 @@
-"""Differential tests: the sparse homology kernels (unit-pivot Smith normal
-form, rank d1 from components, one-pass vertex links) and the integer edge
-key of a complex against the original dense kernels and repr orders, kept in
-helpers.py as an oracle.
+"""Differential tests: the sparse homology kernels (the one pivot loop of
+the Smith normal form, rank d1 from components, one-pass vertex links) and
+the integer edge key of a complex against the original dense kernels and
+repr orders, kept in helpers.py as an oracle.
 
 Matrices and complexes come from seeded generators; hypothesis picks the
 seeds (derandomized, so every run sees the same ones) and prints the failing
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from forge import words as W
 from forge.presentations import FinitePresentation, abelianization
 from forge.fileformats import format_complex
-from forge.snf import _dense_core, _eliminate_unit_pivots, smith_normal_form
+from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P, cellular_h1,
                             check_link_condition, link, one_square_torus,
                             pi1_presentation)
@@ -26,8 +26,8 @@ from helpers import (derandomized, oracle_canonical_square, oracle_cellular_h1,
                      oracle_is_locally_geodesic, oracle_link,
                      oracle_smith_normal_form, random_reduced_word, seeds)
 
-# Mostly units, with non-units and large entries so that unit elimination
-# leaves a residual core for the Euclidean phase.
+# Mostly units, with non-units and large entries so that the pivot loop
+# goes on past its last +-1 pivot.
 ENTRIES = (1, -1) * 6 + (2, -2, 3, -6, 12, 2 ** 40 + 15, -(3 ** 30))
 
 
@@ -59,6 +59,13 @@ def test_snf_matches_dense_kernel(seed):
 
 @given(seeds)
 @derandomized
+def test_snf_matches_dense_kernel_on_few_units(seed):
+    m = random_matrix(random.Random(seed), FEW_UNITS)
+    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+@given(seeds)
+@derandomized
 def test_snf_matches_on_single_rows_and_columns(seed):
     rng = random.Random(seed)
     row = [rng.choice(ENTRIES + (0,) * 8) for _ in range(rng.randint(1, 15))]
@@ -66,32 +73,14 @@ def test_snf_matches_on_single_rows_and_columns(seed):
         assert smith_normal_form(m) == oracle_smith_normal_form(m)
 
 
-def assert_unit_elimination_complete(m):
-    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
-    units = _eliminate_unit_pivots(rows)
-    assert all(v not in (1, -1) for row in rows if row is not None
-               for v in row.values())
-    core = _dense_core(rows)
-    assert [1] * units + oracle_smith_normal_form(core) == oracle_smith_normal_form(m)
-    return units
-
-
-@given(seeds)
-@derandomized
-def test_unit_elimination_leaves_no_unit(seed):
-    rng = random.Random(seed)
-    m = random_matrix(rng, rng.choice((ENTRIES, FEW_UNITS)))
-    assert_unit_elimination_complete(m)
-
-
-def test_row_gaining_a_unit_is_eliminated():
-    # Row 0 is popped first (same length, lower index) with no unit; the
-    # pivot on row 1 turns its 3 into 1, and it must be pivoted on after all.
-    assert assert_unit_elimination_complete([[2, 3], [1, 1]]) == 2
-
-
+# [[2, 3], [1, 1]]: row 0 has no unit until the pivot on row 1 turns its 3
+# into 1.  [[6, 4], [4, 6]] and the last two have no unit at all, and the
+# least entry moves between rows and columns as remainders shrink.
 @pytest.mark.parametrize("m", [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]],
-                               [[-1]], [[2 ** 70]], [[4, 6], [6, 9]]])
+                               [[-1]], [[2 ** 70]], [[4, 6], [6, 9]],
+                               [[2, 3], [1, 1]], [[6, 4], [4, 6]],
+                               [[2 ** 40 + 15, -(3 ** 30)], [-(3 ** 30), 2 ** 40 + 15]],
+                               [[2 ** 40 + 15, -(3 ** 30)], [0, 2 ** 40 + 15]]])
 def test_snf_edge_shapes(m):
     assert smith_normal_form(m) == oracle_smith_normal_form(m)
 
@@ -101,6 +90,13 @@ def test_ragged_matrix_is_rejected(m):
     for kernel in (smith_normal_form, oracle_smith_normal_form):
         with pytest.raises(ValueError):
             kernel(m)
+
+
+@pytest.mark.parametrize("m", [[[2.5, 0], [0, 3]], [["3", "4"]], [["0", "2"]],
+                               [[0.0, 1]], [[1, None]], [[2 ** 70, 0.5]]])
+def test_non_int_entry_is_rejected(m):
+    with pytest.raises(ValueError):
+        smith_normal_form(m)
 
 
 # ---------------------------------------------------------------------------

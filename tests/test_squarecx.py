@@ -85,6 +85,14 @@ class TestEdgeLoop:
         with pytest.raises(DegenerateInputError):
             EdgeLoop(TORUS, ())
 
+    @pytest.mark.parametrize("edges", [[("zz", 1)], [("a", 2)], [("a", 0)],
+                                       [("a", 1), ("zz", -1)]])
+    def test_unknown_edge_or_sign_rejected(self, edges):
+        with pytest.raises(ConfigurationError):
+            EdgeLoop(TORUS, edges)
+        with pytest.raises(ConfigurationError):
+            build_S_of_P(pres(["a"], "a^2"), TORUS, edges)
+
     def test_aa_locally_geodesic(self):
         assert EdgeLoop(TORUS, (("a", 1), ("a", 1))).is_locally_geodesic()
 
