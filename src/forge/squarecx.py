@@ -214,12 +214,20 @@ class EdgeLoop:
     edges: tuple
 
     def __post_init__(self):
-        self.edges = tuple(self.edges)
+        loop = []
+        for d in self.edges:
+            try:
+                e, s = d
+                known = e in self.complex.edges and s in (1, -1)
+            except (TypeError, ValueError):   # not a pair, or an unhashable edge
+                known = False
+            if not known:
+                raise ConfigurationError(f"edge loop has no directed edge {d!r}")
+            loop.append((e, s))
+        # Tuples, so a list item cannot slip past the backtracking test.
+        self.edges = tuple(loop)
         if not self.edges:
             raise DegenerateInputError("an edge loop needs at least one edge")
-        for e, s in self.edges:
-            if e not in self.complex.edges or s not in (1, -1):
-                raise ConfigurationError(f"edge loop has no directed edge {(e, s)!r}")
         for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):
             if self.complex.dst(d) != self.complex.src(d_next):
                 raise ConfigurationError("edge loop is not a closed path")

@@ -11,7 +11,6 @@ graphs.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
 from dataclasses import dataclass, field
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
@@ -439,31 +438,36 @@ def _first_failure(fp, self_pair):
     return None
 
 
-def _refutes(i1, i2, self_pair):
-    """Whether the fibre product of i1 and i2 has a component that refutes
-    malnormality, as `_first_failure` would find, without building it.
+def _factor(graph):
+    """What `_refutes` reads of a factor: its edges as (source, target,
+    label) with the endpoints as positions in the vertex order, the same
+    (source, target) pairs grouped by label, and the vertex count."""
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    edges = [(index[src], index[dst], label) for src, dst, label in graph.edges.values()]
+    by_label = {}
+    for src, dst, label in edges:
+        by_label.setdefault(label, []).append((src, dst))
+    return edges, by_label, len(index)
+
+
+def _refutes(edges, by_label, width, exempt):
+    """Whether the fibre product of two immersions over one base has a
+    component that refutes malnormality, as `_first_failure` would find,
+    without building it.  The first factor is given by its `edges`, the
+    second by its `by_label` pairs and its vertex count `width` (`_factor`).
 
     A vertex pair on no product edge is a one-vertex tree, so the
     union-find runs over the endpoints of the product edges only, each
-    pair coded as index1(y1) * |V2| + index2(y2).  An edge whose endpoints
-    already share a root closes a cycle (a loop or a parallel edge too).
-    Off a self pair the first cycle refutes.  On a self pair of one
-    immersion, a cycle is exempt when its final component holds a diagonal
-    pair (y, y), so the cycles are judged after the last edge."""
-    if i1.base != i2.base:
-        raise BaseMismatchError("fibre product requires a common base graph")
-    g1, g2 = i1.domain, i2.domain
-    width = len(g2.vertices)
-    index2 = {v: k for k, v in enumerate(g2.vertices)}
-    by_label = {}
-    for s2, d2, label in g2.edges.values():
-        by_label.setdefault(label, []).append((index2[s2], index2[d2]))
-    index1 = {v: k * width for k, v in enumerate(g1.vertices)}
-    exempt = self_pair and i1 == i2
+    pair coded as position1(y1) * width + position2(y2).  An edge whose
+    endpoints already share a root closes a cycle (a loop or a parallel
+    edge too).  Unless `exempt`, the first cycle refutes.  A self pair of
+    one immersion is exempt: there a cycle is allowed when its final
+    component holds a diagonal pair (y, y), so the cycles are judged after
+    the last edge."""
     parent = {}
     cycles = []
-    for s1, d1, label in g1.edges.values():
-        s1, d1 = index1[s1], index1[d1]
+    for s1, d1, label in edges:
+        s1, d1 = s1 * width, d1 * width
         for s2, d2 in by_label.get(label, ()):
             a, b = s1 + s2, d1 + d2
             # A code not yet seen is a root of its own.
@@ -489,13 +493,18 @@ def malnormal_family_check(family):
     base) is malnormal: every component of every pairwise fibre product must
     be a tree, except the diagonal component of each self product.
 
-    Each pair is decided from its product edges alone (`_refutes`); only
-    the first refuting pair's fibre product is built, to name its first
-    failing component.  Returns (True, None) or (False, witness)."""
+    Each pair is decided from its product edges alone (`_refutes`, each
+    member read into its factor once); only the first refuting pair's fibre
+    product is built, to name its first failing component.  Returns
+    (True, None) or (False, witness)."""
     family = list(family)
-    for i in range(len(family)):
+    if any(member.base != family[0].base for member in family[1:]):
+        raise BaseMismatchError("fibre product requires a common base graph")
+    factors = [_factor(member.domain) for member in family]
+    for i, (edges, _, _) in enumerate(factors):
         for j in range(i, len(family)):
-            if _refutes(family[i], family[j], i == j):
+            _, by_label, width = factors[j]
+            if _refutes(edges, by_label, width, i == j):
                 comp = _first_failure(fibre_product(family[i], family[j]), i == j)
                 return False, MalnormalityWitness(pair=(i, j), component=comp)
     return True, None
@@ -504,46 +513,55 @@ def malnormal_family_check(family):
 class RelabelingAction:
     """A finite group acting on a base graph by label-graph automorphisms.
 
-    Elements are pairs (vertex permutation, edge-id permutation); the action
-    table must contain the identity and be closed under composition.  A
-    finite set S of permutations is closed iff S = <S>, so the check grows
-    <T> from the identity by search, where an element of S joins the
-    generators T only when it is not yet in <T>; the first product outside
-    the table refutes closure.  <T> at least doubles with each generator, so
-    that is O(k |T|) products for k elements, |T| <= log2 k, not all k^2.
-    Every element must be a pair of permutations, but only the generators'
-    edge maps are walked for automorphism; a rejected table re-runs the
-    full per-element checks in table order first, so it raises the error
-    checking every element first would.
+    Elements are given as pairs (vertex map, edge-id map), and `elements`
+    keeps them so.  Inside, an element is its key: the pair of image tuples
+    of the base's vertices and edges, in the base's own order, built once
+    per element; the table, the checks, the closure search and the
+    coordinates all read the keys.  The action table must contain the
+    identity and be closed under composition.  A finite set S of
+    permutations is closed iff S = <S>, so the check grows <T> from the
+    identity by search, where an element of S joins the generators T only
+    when it is not yet in <T>; the first product outside the table refutes
+    closure.  <T> at least doubles with each generator, so that is
+    O(k |T|) products for k elements, |T| <= log2 k, not all k^2, and each
+    product is one C-level map over a key.  Every element must be a pair of
+    permutations that is an automorphism, but only the generators are
+    checked, as the rest of a closed table are products of them; a rejected
+    table re-runs the full per-element checks in table order first, so it
+    raises the error checking every element first would.
 
     The action also records a few coordinates, base edges (whose images fix
-    their endpoints' images) and then vertices, whose images tell its
-    elements apart: one edge for a rotation of a rose.  A coordinate joins
-    only when it splits elements the earlier ones did not.
+    their endpoints' images) and then vertices, as (kind, position) with
+    kind 0 for a vertex and 1 for an edge, whose images tell its elements
+    apart: one edge for a rotation of a rose.  A coordinate joins only when
+    it splits elements the earlier ones did not, so an element's name is a
+    short tuple, and translate_family_check names a whole row of g^-1 h at
+    once by C-level maps over the translates' coordinate images.
     """
 
     def __init__(self, base, elements):
         self.base = base
-        self.elements = [(dict(vp), dict(ep)) for vp, ep in elements]
-        vertices, edges = set(base.vertices), set(base.edges)
-        if any(_permutation_error(vertices, edges, vp, ep) for vp, ep in self.elements):
-            self._reject()
-        table = {}
-        for el in self.elements:
-            table.setdefault(self._key(el), el)
-        self._keys = table.keys()
-        identity = (base.vertices, tuple(base.edges))
-        if identity not in table:
-            self._reject("action table does not contain the identity")
-        reached, generators = {identity}, []
-        for key, (vp, ep) in table.items():
+        self._order = (base.vertices, tuple(base.edges))
+        self.elements = _maps(elements)
+        self._set_up([self._key(el) for el in self.elements])
+
+    def _set_up(self, keys):
+        """Check the table of the elements' keys, in element order, and
+        record it with its coordinates."""
+        try:
+            table = self._table = dict.fromkeys(keys)
+        except TypeError:   # an unhashable image
+            self._reject(keys)
+        if self._order not in table:
+            self._reject(keys, "action table does not contain the identity")
+        reached, generators = {self._order}, []
+        for key in table:
             if key in reached:
                 continue
-            # Only a generator's edges are walked: the key fixes an element,
-            # so the rest of <T> are products of checked automorphisms.
-            if _edge_error(base, vp, ep):
-                self._reject()
-            generators.append((vp.__getitem__, ep.__getitem__))
+            if _permutation_error(key, self._order) or self._edge_error(key):
+                self._reject(keys)
+            generators.append([dict(zip(ids, images)).__getitem__
+                               for ids, images in zip(self._order, key)])
             queue = list(reached)
             while queue:
                 images_v, images_e = queue.pop()
@@ -552,79 +570,113 @@ class RelabelingAction:
                     y = (tuple(map(v, images_v)), tuple(map(e, images_e)))
                     if y not in reached:
                         if y not in table:
-                            self._reject("action table is not closed under composition")
+                            self._reject(keys, "action table is not closed under composition")
                         reached.add(y)
                         queue.append(y)
-        distinct = list(table.values())
+        distinct = list(table)
+        vertices, edges = self._order
         self._coords, points, classes = [], [()] * len(distinct), 1
-        for kind, x in [(1, e) for e in base.edges] + [(0, v) for v in base.vertices]:
+        for kind, pos in [(1, p) for p in range(len(edges))] + \
+                [(0, p) for p in range(len(vertices))]:
             if classes == len(distinct):
                 break
-            split = [p + (el[kind][x],) for p, el in zip(points, distinct)]
+            split = [p + (key[kind][pos],) for p, key in zip(points, distinct)]
             if len(set(split)) > classes:
-                self._coords.append((kind, x))
+                self._coords.append((kind, pos))
                 points, classes = split, len(set(split))
         self._by_coords = dict(zip(points, distinct))
 
-    def _reject(self, message=None):
+    def _reject(self, keys, message=None):
         """Raise the first error of the per-element automorphism checks, in
         table order, as checking every element first would; else `message`."""
-        vertices, edges = set(self.base.vertices), set(self.base.edges)
-        for vp, ep in self.elements:
-            error = (_permutation_error(vertices, edges, vp, ep)
-                     or _edge_error(self.base, vp, ep))
+        for key in keys:
+            error = _permutation_error(key, self._order) or self._edge_error(key)
             if error:
                 raise InvalidActionError(error)
         raise InvalidActionError(message)
 
     def _key(self, el):
-        """The images of the base's vertices and edges, in the base's own
-        order; None when `el` is not a map on exactly those."""
-        vp, ep = el
-        if len(vp) != len(self.base.vertices) or len(ep) != len(self.base.edges):
-            return None
-        try:
-            return (tuple(map(vp.__getitem__, self.base.vertices)),
-                    tuple(map(ep.__getitem__, self.base.edges)))
-        except KeyError:
-            return None
+        """The images of the base's vertices and of its edges, each a tuple
+        in the base's own order, or None where that map is not a map on
+        exactly those ids."""
+        return tuple(map(_images, el, self._order))
+
+    def _edge_error(self, key):
+        """Why the permutations with this key are not an automorphism of the
+        base, or None."""
+        vertices, _ = self._order
+        images_v, images_e = key
+        at = dict(zip(vertices, images_v))
+        edges = self.base.edges
+        for (eid, (src, dst, _)), image in zip(edges.items(), images_e):
+            isrc, idst, _ = edges[image]
+            if isrc != at[src] or idst != at[dst]:
+                return f"edge {eid!r} is not mapped compatibly with the vertex map"
+        return None
 
     def __contains__(self, el):
-        return self._key(el) in self._keys
+        return self._key(el) in self._table
 
     @classmethod
     def cyclic(cls, base, edge_image, vertex_image=None):
-        """The cyclic group generated by one automorphism."""
+        """The cyclic group generated by one automorphism.  The two maps
+        must be permutations of the base's edges and vertices; the powers
+        are taken as keys until the identity comes back."""
+        action = cls.__new__(cls)
+        action.base = base
+        order = action._order = (base.vertices, tuple(base.edges))
         if vertex_image is None:
-            vertex_image = {v: v for v in base.vertices}
-        elements = []
-        vp = {v: v for v in base.vertices}
-        ep = {e: e for e in base.edges}
+            vertex_image = dict(zip(base.vertices, base.vertices))
+        (step,) = _maps([(vertex_image, edge_image)])
+        error = _permutation_error(action._key(step), order)
+        if error:
+            raise InvalidActionError(error)
+        v, e = step[0].__getitem__, step[1].__getitem__
+        keys = [order]
         while True:
-            elements.append((dict(vp), dict(ep)))
-            vp = {v: vertex_image[vp[v]] for v in vp}
-            ep = {e: edge_image[ep[e]] for e in ep}
-            if all(vp[v] == v for v in vp) and all(ep[e] == e for e in ep):
+            images_v, images_e = keys[-1]
+            power = (tuple(map(v, images_v)), tuple(map(e, images_e)))
+            if power == order:
                 break
-        return cls(base, elements)
+            keys.append(power)
+        vertices, edges = order
+        action.elements = [(dict(zip(vertices, images_v)), dict(zip(edges, images_e)))
+                           for images_v, images_e in keys]
+        action._set_up(keys)
+        return action
 
 
-def _permutation_error(vertices, edges, vp, ep):
-    """Why (vp, ep) is not a pair of permutations of the base's vertex and
-    edge ids (given as sets), or None."""
-    if vp.keys() != vertices or set(vp.values()) != vertices:
-        return "vertex map is not a permutation of the base vertices"
-    if ep.keys() != edges or set(ep.values()) != edges:
-        return "edge map is not a permutation of the base edges"
-    return None
+def _maps(elements):
+    """Each element as a pair of dict copies (vertex map, edge map)."""
+    try:
+        return [(dict(vp), dict(ep)) for vp, ep in elements]
+    except (TypeError, ValueError):
+        raise InvalidActionError(
+            "action element is not a pair of (vertex map, edge map)") from None
 
 
-def _edge_error(base, vp, ep):
-    """Why the permutations (vp, ep) are not an automorphism of base, or None."""
-    for eid, (src, dst, _) in base.edges.items():
-        isrc, idst, _ = base.edges[ep[eid]]
-        if isrc != vp[src] or idst != vp[dst]:
-            return f"edge {eid!r} is not mapped compatibly with the vertex map"
+def _images(mapping, ids):
+    """The images of ids, in their order, or None unless mapping is a map
+    on exactly those ids."""
+    if len(mapping) != len(ids):
+        return None
+    try:
+        return tuple(map(mapping.__getitem__, ids))
+    except KeyError:
+        return None
+
+
+def _permutation_error(key, order):
+    """Why a key (`RelabelingAction._key`) is not a pair of permutations of
+    the base's vertex and edge ids, given in the base's order, or None."""
+    whats = ("vertex map is not a permutation of the base vertices",
+             "edge map is not a permutation of the base edges")
+    for images, ids, what in zip(key, order, whats):
+        try:
+            if images is None or set(images) != set(ids):
+                return what
+        except TypeError:   # an unhashable image is no id
+            return what
     return None
 
 
@@ -650,47 +702,78 @@ def translate_family_check(base, action, subgroup, translates):
     """Malnormality certificate for the family of translated copies gH of a
     subgroup graph H (Stallings-side form of the double-coset criterion).
 
-    `translates` are elements of the relabeling action.  The verdict is that
-    of malnormal_family_check on the copies, but from fewer products: the
+    `translates` are elements of the relabeling action, over the subgroup's
+    base; the base is checked once per call.  The verdict is that of
+    malnormal_family_check on the copies, but from fewer products: the
     fibre product of gH and hH has the same components (vertex pairs, edge
     counts, ranks) as that of H and g^-1 hH, so one product per distinct
-    (g^-1 h, whether the pair is a self pair) decides every pair.  Each is
-    decided from its product edges alone (`_refutes`) and the verdicts are
-    kept for this call only.  Every translate is checked to be in the action
-    and the action is closed, so g^-1 h is an action element, named by its
-    images of the action's distinguishing coordinates: a pair costs those
-    few lookups.  The pairs are scanned in order of (i, j), i <= j; only the
-    first failing pair's own fibre product is built, so the witness is that
-    pair and its first failing component, exactly as malnormal_family_check
-    on the copies would report."""
-    translates = [(dict(el[0]), dict(el[1])) for el in translates]
-    if not all(el in action for el in translates):
+    (g^-1 h, whether the pair is a self pair) decides every pair.  A self
+    pair is g^-1 g, the identity, decided once.  Every translate is checked
+    to be in the action and the action is closed, so g^-1 h is an action
+    element, named by its images of the action's distinguishing
+    coordinates.  Row i names the g_i^-1 h_j for all j > i at once, by
+    C-level maps of g_i's inverse over the columns of the translates'
+    coordinate images, so a pair of translates costs a few lookups in C and
+    no Python bytecode.  Only the names not met before (a set difference)
+    are decided, each from H's edges relabelled by that element
+    (`_refutes`; no translated immersion is built), and a row is walked in
+    Python only when it holds a refuting name, to find its first failing j.
+    Only the first failing pair in (i, j) order, i <= j, has its own fibre
+    product built, so the witness is that pair and its first failing
+    component, exactly as malnormal_family_check on the copies would
+    report."""
+    if not base == action.base == subgroup.base:
+        raise BaseMismatchError("translate check requires the action and the "
+                                "subgroup over the given base graph")
+    translates = _maps(translates)
+    keys = [action._key(el) for el in translates]
+    try:
+        foreign = not set(keys) <= action._table.keys()
+    except TypeError:   # an unhashable image is no element
+        foreign = True
+    if foreign:
         raise InvalidActionError("translate is not an element of the action")
-    # Images are tagged with their kind (0 vertex, 1 edge), as names may
-    # clash; each inverse maps a translate's tagged images back to plain ids.
-    points = [tuple((kind, el[kind][x]) for kind, x in action._coords)
-              for el in translates]
-    kinds = {kind for kind, _ in action._coords}
-    inverses = [{} for _ in translates]
-    for inverse, el in zip(inverses, translates):
-        for kind in kinds:
-            inverse.update(zip(zip(repeat(kind), el[kind].values()), el[kind]))
-    decided = {True: {}, False: {}}   # self pair -> {g^-1 h's images: verdict}
-    for i, inverse in enumerate(inverses):
-        for j in range(i, len(translates)):
-            # g^-1 h's images of the coordinates: h's images mapped through g^-1.
-            images = tuple(map(inverse.__getitem__, points[j]))
-            ok = decided[i == j].get(images)
-            if ok is None:
-                element = action._by_coords[images]
-                ok = decided[i == j][images] = not _refutes(
-                    subgroup, translate(subgroup, element), i == j)
-            if not ok:
-                fp = fibre_product(translate(subgroup, translates[i]),
-                                   translate(subgroup, translates[j]))
-                comp = _first_failure(fp, i == j)
-                return False, MalnormalityWitness(pair=(i, j), component=comp)
-    return True, None
+    pair = _first_failing_pair(action, subgroup, keys)
+    if pair is None:
+        return True, None
+    i, j = pair
+    fp = fibre_product(translate(subgroup, translates[i]),
+                       translate(subgroup, translates[j]))
+    return False, MalnormalityWitness(pair=pair, component=_first_failure(fp, i == j))
+
+
+def _first_failing_pair(action, subgroup, keys):
+    """The first pair (i, j), i <= j, of translates (given by their keys)
+    whose copies of the subgroup refute malnormality, or None."""
+    edges, by_label, width = _factor(subgroup.domain)
+    if keys and _refutes(edges, by_label, width, True):
+        return 0, 0
+    # H's labels as positions in the base's edge order, so an element's
+    # edge images relabel them.
+    position = {e: p for p, e in enumerate(action._order[1])}
+    labels = [position[label] for label in by_label]
+    pairs = list(by_label.values())
+    coords = action._coords
+    columns = [[key[kind][pos] for key in keys] for kind, pos in coords]
+    decided, refuting = set(), set()
+    for i, key in enumerate(keys):
+        # g_i^-1 maps each image of a coordinate back to a plain id.
+        inverse = {kind: dict(zip(key[kind], action._order[kind])).__getitem__
+                   for kind, _ in coords}
+        # A trivial action has no coordinates; its row is still k - i - 1 long.
+        row = list(zip(*[map(inverse[kind], column[i + 1:])
+                         for (kind, _), column in zip(coords, columns)])) \
+            or [()] * (len(keys) - i - 1)
+        fresh = set(row) - decided
+        for name in fresh:
+            images = action._by_coords[name][1]
+            if _refutes(edges, dict(zip(map(images.__getitem__, labels), pairs)),
+                        width, False):
+                refuting.add(name)
+        decided |= fresh
+        if not refuting.isdisjoint(row):
+            return i, next(j for j, name in enumerate(row, i + 1) if name in refuting)
+    return None
 
 
 @dataclass(frozen=True)

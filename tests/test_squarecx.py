@@ -78,15 +78,17 @@ class TestLinkCondition:
 
 class TestEdgeLoop:
     def test_backtrack_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EdgeLoop(TORUS, (("a", 1), ("a", -1)))
+        for edges in ((("a", 1), ("a", -1)), [["a", 1], ["a", -1]]):
+            with pytest.raises(ConfigurationError):
+                EdgeLoop(TORUS, edges)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
             EdgeLoop(TORUS, ())
 
     @pytest.mark.parametrize("edges", [[("zz", 1)], [("a", 2)], [("a", 0)],
-                                       [("a", 1), ("zz", -1)]])
+                                       [("a", 1), ("zz", -1)],
+                                       [("a",)], [("a", 1, 2)], [(["a"], 1)], [5]])
     def test_unknown_edge_or_sign_rejected(self, edges):
         with pytest.raises(ConfigurationError):
             EdgeLoop(TORUS, edges)

@@ -135,6 +135,15 @@ class TestMalnormality:
         assert not ok
         assert witness.pair == (0, 1)
 
+    def test_family_over_two_bases_rejected(self):
+        """Even when an earlier pair would refute: a family over two bases
+        has no verdict."""
+        other = S.rose(["a", "b", "c"])
+        h = S.graph_of_subgroup(other, [W.parse_word(W.Alphabet(["a", "b", "c"]), "a")])
+        for family in ([sub("a"), h], [sub("a^2"), h]):
+            with pytest.raises(BaseMismatchError):
+                S.malnormal_family_check(family)
+
 
 class TestRelabelingAction:
     def rotation(self, n):
@@ -156,6 +165,40 @@ class TestRelabelingAction:
         with pytest.raises(InvalidActionError):
             S.RelabelingAction(base, [({"*": "*"}, {"a": "a", "b": "a"})])
 
+    @pytest.mark.parametrize("edge_image, vertex_image", [
+        ({"a": "a", "b": "a"}, None),   # its powers never return to the identity
+        ({"a": "b"}, None),
+        ({"a": "b", "b": "a"}, {"*": "x"}),
+        ({"a": "b", "b": ["a"]}, None)])
+    def test_cyclic_rejects_non_permutations(self, edge_image, vertex_image):
+        with pytest.raises(InvalidActionError):
+            S.RelabelingAction.cyclic(S.rose(["a", "b"]), edge_image, vertex_image)
+
+    @pytest.mark.parametrize("elements", [
+        [5], [[5]], ["ab"],
+        [({"*": "*"}, {"a": "a", "b": "b"}), ({"*": "*"}, {"a": "a", "b": ["x"]})]])
+    def test_malformed_elements_rejected(self, elements):
+        with pytest.raises(InvalidActionError):
+            S.RelabelingAction(S.rose(["a", "b"]), elements)
+
+    def test_closed_table_of_a_non_permutation_rejected(self):
+        """b -> a is idempotent, so this table holds the identity and is
+        closed under composition; it is still no action."""
+        base = S.rose(["a", "b"])
+        identity = ({"*": "*"}, {"a": "a", "b": "b"})
+        with pytest.raises(InvalidActionError, match="edge map is not a permutation"):
+            S.RelabelingAction(base, [identity, ({"*": "*"}, {"a": "a", "b": "a"})])
+
+    def test_translate_family_rejects_another_base(self):
+        base, action = self.rotation(3)
+        other = S.rose(["e0", "e1", "e2", "e3"])
+        e = W.Alphabet(["e0", "e1", "e2", "e3"])
+        g = S.graph_of_subgroup(other, [e.gen("e0")])
+        with pytest.raises(BaseMismatchError):
+            S.translate_family_check(base, action, g, action.elements)
+        with pytest.raises(BaseMismatchError):
+            S.translate_family_check(other, action, g, action.elements)
+
     def test_translate_moves_labels(self):
         base, action = self.rotation(3)
         e = W.Alphabet([f"e{i}" for i in range(3)])
@@ -173,7 +216,9 @@ class TestRelabelingAction:
                       ({"*": "*", "x": "x"}, identity_edges),
                       ({"*": "*"}, {"e0": "e0", "e1": "e1"}),
                       ({"*": "*"}, dict(identity_edges, e3="e3")),
-                      ({}, identity_edges)]:
+                      ({}, identity_edges),
+                      ({"*": "*"}, dict(identity_edges, e2=["e2"])),
+                      [5]]:
             with pytest.raises(InvalidActionError):
                 S.translate_family_check(base, action, g, [action.elements[0], bogus])
 

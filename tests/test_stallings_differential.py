@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 from forge import stallings as S
 from forge import words as W
+from forge.encoder import _kernel_base_family, _kernel_checks
 from forge.fileformats import format_immersion
 from forge.errors import InvalidActionError
 from helpers import (derandomized, random_reduced_word, oracle_action_key,
@@ -85,6 +86,13 @@ def check_fibre_product(i1, i2):
     assert fp.projection_2 == oracle.projection_2
 
 
+def refutes(i1, i2, self_pair):
+    """The certifiers' kernel on one pair of immersions over one base."""
+    edges, _, _ = S._factor(i1.domain)
+    _, by_label, width = S._factor(i2.domain)
+    return S._refutes(edges, by_label, width, self_pair and i1 == i2)
+
+
 def oracle_refutes(i1, i2, self_pair):
     return any(not c.is_tree and not (self_pair and c.is_diagonal)
                for c in oracle_fibre_product(i1, i2).components)
@@ -132,7 +140,7 @@ def test_fibre_products_of_non_canonical_immersions(seed):
     # Unfolded, a cycle may close before its component meets the diagonal.
     for pair in ((i1, i2), (i2, i1), (i1, i1)):
         for self_pair in (False, True):
-            assert S._refutes(*pair, self_pair) == oracle_refutes(*pair, self_pair)
+            assert refutes(*pair, self_pair) == oracle_refutes(*pair, self_pair)
     assert S.malnormal_family_check([i1, i2]) == \
         oracle_malnormal_family_check([i1, i2])
 
@@ -151,7 +159,7 @@ def test_malnormal_families_of_folded_graphs(seed):
     for i1 in family:
         for i2 in family:
             for self_pair in (False, True):
-                assert S._refutes(i1, i2, self_pair) == oracle_refutes(i1, i2, self_pair)
+                assert refutes(i1, i2, self_pair) == oracle_refutes(i1, i2, self_pair)
 
 
 def test_self_pair_with_two_diagonal_components():
@@ -259,6 +267,74 @@ def test_translate_families_on_rotated_cycles(seed):
              for _ in range(rng.randint(1, 2))]
     subgroup = S.graph_of_subgroup(base, words)
     check_translates(base, action, subgroup, translate_lists(rng, action.elements))
+
+
+# The rotation roses of the encoder's kernel check, at the sizes the
+# benchmark runs (N = 56..60), where the translate check works row by row.
+
+
+def large_rotation(n):
+    """The rose on e_0..e_{n-1}, its rotation group in order of the powers,
+    and the alphabet."""
+    alphabet = W.Alphabet([f"e{i}" for i in range(n)])
+    base = S.rose(alphabet.names)
+    rotation = {f"e{i}": f"e{(i + 1) % n}" for i in range(n)}
+    return alphabet, base, S.RelabelingAction.cyclic(base, rotation)
+
+
+def test_translate_family_on_a_large_rotation_certifies():
+    """The kernel subgroup <e_0, e_{N-1} e_{N-2}^-1, e_{N-1} e_1^-1>: all
+    N translates form a malnormal family."""
+    base, subgroup, action = _kernel_base_family(58)
+    assert len(action.elements) == 58
+    got = S.translate_family_check(base, action, subgroup, action.elements)
+    assert got == (True, None)
+    assert got == oracle_translate_family_check(base, action, subgroup,
+                                                action.elements)
+
+
+def test_translate_family_on_a_large_rotation_refutes():
+    """<e_0, e_3>: the translates by 3 steps either way share a loop with
+    it, so the first failing pair sits inside a row whose other names are
+    certified; in a shuffled order it moves to a later row."""
+    alphabet, base, action = large_rotation(60)
+    subgroup = S.graph_of_subgroup(base, [alphabet.gen("e0"), alphabet.gen("e3")])
+    shuffled = action.elements[:]
+    random.Random(5860).shuffle(shuffled)
+    for translates in (action.elements, shuffled, shuffled[:20]):
+        got = S.translate_family_check(base, action, subgroup, translates)
+        assert got == oracle_translate_family_check(base, action, subgroup,
+                                                    translates)
+        assert not got[0] and got[1].pair[0] < got[1].pair[1]
+    assert S.translate_family_check(base, action, subgroup,
+                                    action.elements)[1].pair == (0, 3)
+
+
+def test_translate_family_of_the_trivial_action():
+    """One element and so no coordinates: each row still holds one name per
+    later translate, so a duplicated identity refutes a nontrivial subgroup
+    at its own pair."""
+    alphabet, base, _ = large_rotation(3)
+    identity = ({"*": "*"}, {e: e for e in base.edges})
+    action = S.RelabelingAction(base, [identity])
+    assert action._coords == []
+    for words in (["e0"], ["e0^2"], ["e0", "e1 e2"]):
+        subgroup = S.graph_of_subgroup(base, [W.parse_word(alphabet, w)
+                                              for w in words])
+        for translates in ([identity], [identity, identity],
+                           [identity] * 3):
+            got = S.translate_family_check(base, action, subgroup, translates)
+            assert got == oracle_translate_family_check(base, action, subgroup,
+                                                        translates)
+    subgroup = S.graph_of_subgroup(base, [alphabet.gen("e0")])
+    ok, witness = S.translate_family_check(base, action, subgroup,
+                                           [identity, identity])
+    assert not ok and witness.pair == (0, 1)
+
+
+def test_kernel_checks_certify_for_every_modulus_to_60():
+    for n in range(7, 61):
+        assert _kernel_checks(n)[1], n
 
 
 # Actions that need two or more generators, for the generated-group closure
