@@ -212,7 +212,12 @@ def _compositions(total, parts):
 
 def _kernel_checks(N):
     """Rank of the modulus-N kernel core, and whether its rotation
-    translates form a malnormal family."""
+    translates form a malnormal family.  An N whose rotation powers would
+    list more images than `RelabelingAction.cyclic` allows is refused
+    before the rose is built."""
+    if N * (N + 1) > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(
+            f"modulus {N} lists more than {W.MAX_WORD_LETTERS} rotation images")
     base, kernel_sub, action = _kernel_base_family(N)
     translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
                                                 action.elements)

@@ -31,6 +31,22 @@ def _start(edges, d):
     return edges[e][0] if s > 0 else edges[e][1]
 
 
+def _directed_path(edges, path, kind):
+    """The items of `path` as a tuple of pairs (e, s) of an edge id of
+    `edges` and a sign 1 or -1, else ConfigurationError naming the `kind`
+    of path (a square boundary or an edge loop)."""
+    try:
+        path = tuple(map(tuple, path))
+        for e, s in path:
+            if e not in edges:
+                raise ConfigurationError(f"{kind} {path!r} uses unknown edge {e!r}")
+            if s != 1 and s != -1:
+                raise ConfigurationError(f"{kind} {path!r} has sign {s!r}, not 1 or -1")
+    except (TypeError, ValueError):   # not a sequence of pairs, or an unhashable edge
+        raise ConfigurationError(f"{kind} {path!r} is not a path of (edge, sign) pairs") from None
+    return path
+
+
 def _unit_path(prefix, d, k):
     """The path of unit edges prefix + (e, t), t < k, covering the directed
     edge d = (e, s) subdivided into k parts."""
@@ -72,23 +88,17 @@ class SquareComplex:
         for eid, (src, dst) in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
-        squares = [tuple(sq) for sq in squares]
         edges = self.edges
+        self.squares = []
         for sq in squares:
+            sq = _directed_path(edges, sq, "square boundary")
             if len(sq) != 4:
                 raise ConfigurationError("a square boundary must have exactly 4 edges")
-            for e, s in sq:
-                if e not in edges:
-                    raise ConfigurationError(
-                        f"square boundary {sq!r} uses unknown edge {e!r}")
-                if s != 1 and s != -1:
-                    raise ConfigurationError(
-                        f"square boundary {sq!r} has sign {s!r}, not 1 or -1")
             ends = [edges[e] if s > 0 else edges[e][::-1] for e, s in sq]
             if any(ends[i - 1][1] != ends[i][0] for i in range(4)):
                 raise ConfigurationError(
                     f"square boundary {sq!r} is not a closed edge path")
-        self.squares = [_canonical_square(sq, self.edge_key) for sq in squares]
+            self.squares.append(_canonical_square(sq, self.edge_key))
 
     def src(self, d):
         return _start(self.edges, d)
@@ -214,18 +224,8 @@ class EdgeLoop:
     edges: tuple
 
     def __post_init__(self):
-        loop = []
-        for d in self.edges:
-            try:
-                e, s = d
-                known = e in self.complex.edges and s in (1, -1)
-            except (TypeError, ValueError):   # not a pair, or an unhashable edge
-                known = False
-            if not known:
-                raise ConfigurationError(f"edge loop has no directed edge {d!r}")
-            loop.append((e, s))
         # Tuples, so a list item cannot slip past the backtracking test.
-        self.edges = tuple(loop)
+        self.edges = _directed_path(self.complex.edges, self.edges, "edge loop")
         if not self.edges:
             raise DegenerateInputError("an edge loop needs at least one edge")
         for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):

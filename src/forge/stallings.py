@@ -10,11 +10,13 @@ graphs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
                      InvalidActionError, NotALoopError)
+from .words import MAX_WORD_LETTERS
 
 
 class LabeledGraph:
@@ -516,38 +518,25 @@ class RelabelingAction:
     Elements are given as pairs (vertex map, edge-id map), and `elements`
     keeps them so.  Inside, an element is its key: the pair of image tuples
     of the base's vertices and edges, in the base's own order, built once
-    per element; the table, the checks, the closure search and the
-    coordinates all read the keys.  The action table must contain the
-    identity and be closed under composition.  A finite set S of
-    permutations is closed iff S = <S>, so the check grows <T> from the
-    identity by search, where an element of S joins the generators T only
-    when it is not yet in <T>; the first product outside the table refutes
-    closure.  <T> at least doubles with each generator, so that is
-    O(k |T|) products for k elements, |T| <= log2 k, not all k^2, and each
-    product is one C-level map over a key.  Every element must be a pair of
-    permutations that is an automorphism, but only the generators are
-    checked, as the rest of a closed table are products of them; a rejected
-    table re-runs the full per-element checks in table order first, so it
-    raises the error checking every element first would.
-
-    The action also records a few coordinates, base edges (whose images fix
-    their endpoints' images) and then vertices, as (kind, position) with
-    kind 0 for a vertex and 1 for an edge, whose images tell its elements
-    apart: one edge for a rotation of a rose.  A coordinate joins only when
-    it splits elements the earlier ones did not, so an element's name is a
-    short tuple, and translate_family_check names a whole row of g^-1 h at
-    once by C-level maps over the translates' coordinate images.
+    per element; the table, the checks and the closure search read the
+    keys.  The table must contain the identity and be closed under
+    composition.  A finite set S of permutations is closed iff S = <S>, so
+    the check grows <T> from the identity by search, where an element of S
+    joins the generators T only when it is not yet in <T>; the first
+    product outside the table refutes closure.  <T> at least doubles with
+    each generator, so that is O(k |T|) products for k elements,
+    |T| <= log2 k, each one C-level map over a key.  Only the generators
+    are checked to be pairs of permutations that are automorphisms, as the
+    rest of a closed table are their products; a rejected table re-runs the
+    per-element checks in table order first, so it raises the error
+    checking every element first would.
     """
 
     def __init__(self, base, elements):
         self.base = base
         self._order = (base.vertices, tuple(base.edges))
         self.elements = _maps(elements)
-        self._set_up([self._key(el) for el in self.elements])
-
-    def _set_up(self, keys):
-        """Check the table of the elements' keys, in element order, and
-        record it with its coordinates."""
+        keys = [self._key(el) for el in self.elements]
         try:
             table = self._table = dict.fromkeys(keys)
         except TypeError:   # an unhashable image
@@ -573,18 +562,6 @@ class RelabelingAction:
                             self._reject(keys, "action table is not closed under composition")
                         reached.add(y)
                         queue.append(y)
-        distinct = list(table)
-        vertices, edges = self._order
-        self._coords, points, classes = [], [()] * len(distinct), 1
-        for kind, pos in [(1, p) for p in range(len(edges))] + \
-                [(0, p) for p in range(len(vertices))]:
-            if classes == len(distinct):
-                break
-            split = [p + (key[kind][pos],) for p, key in zip(points, distinct)]
-            if len(set(split)) > classes:
-                self._coords.append((kind, pos))
-                points, classes = split, len(set(split))
-        self._by_coords = dict(zip(points, distinct))
 
     def _reject(self, keys, message=None):
         """Raise the first error of the per-element automorphism checks, in
@@ -619,30 +596,36 @@ class RelabelingAction:
 
     @classmethod
     def cyclic(cls, base, edge_image, vertex_image=None):
-        """The cyclic group generated by one automorphism.  The two maps
-        must be permutations of the base's edges and vertices; the powers
-        are taken as keys until the identity comes back."""
+        """The cyclic group generated by one automorphism, its elements the
+        powers in order.  The two maps must be permutations of the base's
+        edges and vertices that together are an automorphism.  The group's
+        order, the lcm of the maps' cycle lengths, is known before any power
+        is taken; a group whose powers would hold more than MAX_WORD_LETTERS
+        images in all is refused.  The powers are closed and are
+        automorphisms, so they are the table with no closure search."""
         action = cls.__new__(cls)
         action.base = base
         order = action._order = (base.vertices, tuple(base.edges))
         if vertex_image is None:
             vertex_image = dict(zip(base.vertices, base.vertices))
         (step,) = _maps([(vertex_image, edge_image)])
-        error = _permutation_error(action._key(step), order)
+        key = action._key(step)
+        error = _permutation_error(key, order) or action._edge_error(key)
         if error:
             raise InvalidActionError(error)
+        vertices, edges = order
+        period = math.lcm(*map(_permutation_order, step))
+        if period * (len(vertices) + len(edges)) > MAX_WORD_LETTERS:
+            raise DegenerateInputError(f"cyclic action of order {period} lists "
+                                       f"more than {MAX_WORD_LETTERS} images")
         v, e = step[0].__getitem__, step[1].__getitem__
         keys = [order]
-        while True:
+        for _ in range(period - 1):
             images_v, images_e = keys[-1]
-            power = (tuple(map(v, images_v)), tuple(map(e, images_e)))
-            if power == order:
-                break
-            keys.append(power)
-        vertices, edges = order
+            keys.append((tuple(map(v, images_v)), tuple(map(e, images_e))))
+        action._table = dict.fromkeys(keys)
         action.elements = [(dict(zip(vertices, images_v)), dict(zip(edges, images_e)))
                            for images_v, images_e in keys]
-        action._set_up(keys)
         return action
 
 
@@ -664,6 +647,19 @@ def _images(mapping, ids):
         return tuple(map(mapping.__getitem__, ids))
     except KeyError:
         return None
+
+
+def _permutation_order(permutation):
+    """The order of a permutation given as a dict: the lcm of its cycle
+    lengths."""
+    order, seen = 1, set()
+    for x in permutation:
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = permutation[x], length + 1
+        order = math.lcm(order, length or 1)
+    return order
 
 
 def _permutation_error(key, order):
@@ -703,25 +699,21 @@ def translate_family_check(base, action, subgroup, translates):
     subgroup graph H (Stallings-side form of the double-coset criterion).
 
     `translates` are elements of the relabeling action, over the subgroup's
-    base; the base is checked once per call.  The verdict is that of
-    malnormal_family_check on the copies, but from fewer products: the
-    fibre product of gH and hH has the same components (vertex pairs, edge
-    counts, ranks) as that of H and g^-1 hH, so one product per distinct
-    (g^-1 h, whether the pair is a self pair) decides every pair.  A self
-    pair is g^-1 g, the identity, decided once.  Every translate is checked
-    to be in the action and the action is closed, so g^-1 h is an action
-    element, named by its images of the action's distinguishing
-    coordinates.  Row i names the g_i^-1 h_j for all j > i at once, by
-    C-level maps of g_i's inverse over the columns of the translates'
-    coordinate images, so a pair of translates costs a few lookups in C and
-    no Python bytecode.  Only the names not met before (a set difference)
-    are decided, each from H's edges relabelled by that element
-    (`_refutes`; no translated immersion is built), and a row is walked in
-    Python only when it holds a refuting name, to find its first failing j.
-    Only the first failing pair in (i, j) order, i <= j, has its own fibre
-    product built, so the witness is that pair and its first failing
-    component, exactly as malnormal_family_check on the copies would
-    report."""
+    base; the base is checked once per call.  The verdict and the witness
+    are those of malnormal_family_check on the copies.  The fibre product
+    of gH and hH has the same components (vertex pairs, edge counts, ranks)
+    as that of H and g^-1 hH, and g^-1 h is an action element (every
+    translate is checked to be one, and the action is closed), so the check
+    decides each element x of the action once, from H's edges relabelled
+    by x (`_refutes`; no translated immersion is built).  The encoder
+    passes every element, whose pairs meet every element anyway; a short
+    list over a large action costs one decision per element too.  A self
+    pair g^-1 g is decided once; the identity counts for a pair i < j only
+    when two translates are equal.  When no element refutes, the family is
+    certified with no pair named; otherwise row i's first failing j is the
+    least later position of a translate g_i x over the refuting x, and only
+    the first failing pair in (i, j) order, i <= j, has its fibre product
+    built, to name its first failing component."""
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
@@ -748,31 +740,30 @@ def _first_failing_pair(action, subgroup, keys):
     edges, by_label, width = _factor(subgroup.domain)
     if keys and _refutes(edges, by_label, width, True):
         return 0, 0
+    positions = {}
+    for j, key in enumerate(keys):
+        positions.setdefault(key, []).append(j)
+    # g^-1 h is the identity exactly when g = h.
+    repeated = len(positions) < len(keys)
     # H's labels as positions in the base's edge order, so an element's
     # edge images relabel them.
     position = {e: p for p, e in enumerate(action._order[1])}
     labels = [position[label] for label in by_label]
     pairs = list(by_label.values())
-    coords = action._coords
-    columns = [[key[kind][pos] for key in keys] for kind, pos in coords]
-    decided, refuting = set(), set()
+    refuting = [x for x in action._table if (repeated or x != action._order)
+                and _refutes(edges, dict(zip(map(x[1].__getitem__, labels), pairs)),
+                             width, False)]
+    if not refuting:
+        return None
     for i, key in enumerate(keys):
-        # g_i^-1 maps each image of a coordinate back to a plain id.
-        inverse = {kind: dict(zip(key[kind], action._order[kind])).__getitem__
-                   for kind, _ in coords}
-        # A trivial action has no coordinates; its row is still k - i - 1 long.
-        row = list(zip(*[map(inverse[kind], column[i + 1:])
-                         for (kind, _), column in zip(coords, columns)])) \
-            or [()] * (len(keys) - i - 1)
-        fresh = set(row) - decided
-        for name in fresh:
-            images = action._by_coords[name][1]
-            if _refutes(edges, dict(zip(map(images.__getitem__, labels), pairs)),
-                        width, False):
-                refuting.add(name)
-        decided |= fresh
-        if not refuting.isdisjoint(row):
-            return i, next(j for j, name in enumerate(row, i + 1) if name in refuting)
+        v, e = (dict(zip(ids, images)).__getitem__
+                for ids, images in zip(action._order, key))
+        # The key of g_i x is x's key mapped through g_i.
+        later = [j for images_v, images_e in refuting
+                 for j in positions.get((tuple(map(v, images_v)), tuple(map(e, images_e))), ())
+                 if j > i]
+        if later:
+            return i, min(later)
     return None
 
 

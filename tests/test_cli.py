@@ -260,6 +260,8 @@ class TestErrors:
          "power in token 'a^-99999999999' makes the word longer than 1000000 letters"),
         (("abel", "huge.txt"), "line 2, column 6: power in token 'a^600000' "
                                "makes the word longer than 1000000 letters"),
+        (("encode", "dead.txt", "--word", "a", "--N", "1000"),
+         "modulus 1000 lists more than 1000000 rotation images"),
     ])
     def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
         (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")

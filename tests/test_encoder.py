@@ -1,5 +1,7 @@
 """The encoding pipeline: stage bookkeeping, certificates, determinism."""
 
+import dataclasses
+
 import pytest
 
 from forge import words as W
@@ -88,6 +90,14 @@ class TestSelection:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhaustedError):
             select_malnormal_words(2, N=7, max_candidates=0)
+
+    def test_huge_modulus_refused_before_the_rose(self):
+        """N (N + 1) rotation images past MAX_WORD_LETTERS: selection raises
+        and revalidation fails, with no rose of that size built."""
+        with pytest.raises(DegenerateInputError, match="modulus 1000 "):
+            select_malnormal_words(0, N=1000)
+        _, cert = select_malnormal_words(0, N=7)
+        assert not revalidate_certificate(dataclasses.replace(cert, modulus=10 ** 9))
 
     def test_tampered_certificate_fails(self):
         _, cert = select_malnormal_words(0, N=7)

@@ -48,6 +48,16 @@ class TestBasics:
             SquareComplex(TORUS.vertices, TORUS.edges,
                           [(("a", 1), ("b", 1), ("a", 0), ("b", -1))])
 
+    @pytest.mark.parametrize("squares", [
+        [(5, 6, 7, 8)],
+        [(("a",), ("b", 1), ("a", -1), ("b", -1))],
+        [((["a"], 1), ("b", 1), ("a", -1), ("b", -1))],
+        [5],
+        ["abcd"]])
+    def test_malformed_square_rejected(self, squares):
+        with pytest.raises(ConfigurationError):
+            SquareComplex(TORUS.vertices, TORUS.edges, squares)
+
 
 class TestLinkCondition:
     def test_torus_passes(self):

@@ -174,6 +174,18 @@ class TestRelabelingAction:
         with pytest.raises(InvalidActionError):
             S.RelabelingAction.cyclic(S.rose(["a", "b"]), edge_image, vertex_image)
 
+    def test_cyclic_of_large_order_refused_at_once(self):
+        """Cycle type 3, 4, 5, 7, 11, 13, 17 on 60 letters: order 1,021,020,
+        and 61 images per power."""
+        names = [f"e{i}" for i in range(60)]
+        image, start = {}, 0
+        for length in (3, 4, 5, 7, 11, 13, 17):
+            cycle = names[start:start + length]
+            image.update(zip(cycle, cycle[1:] + cycle[:1]))
+            start += length
+        with pytest.raises(DegenerateInputError, match="order 1021020"):
+            S.RelabelingAction.cyclic(S.rose(names), image)
+
     @pytest.mark.parametrize("elements", [
         [5], [[5]], ["ab"],
         [({"*": "*"}, {"a": "a", "b": "b"}), ({"*": "*"}, {"a": "a", "b": ["x"]})]])

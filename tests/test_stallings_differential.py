@@ -13,6 +13,7 @@ and witness.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from forge import stallings as S
@@ -213,6 +214,16 @@ def cycle_action(rng):
     return k, base, S.RelabelingAction.cyclic(base, edge_image, vertex_image)
 
 
+def test_cyclic_rejects_a_pair_of_permutations_that_is_no_automorphism():
+    """Swapping the step c0 and the loop l0 permutes the edges but does not
+    respect their endpoints."""
+    k, base, _ = cycle_action(random.Random(4))
+    edge_image = {e: e for e in base.edges}
+    edge_image.update(c0="l0", l0="c0")
+    with pytest.raises(InvalidActionError, match="not mapped compatibly"):
+        S.RelabelingAction.cyclic(base, edge_image, {i: i for i in range(k)})
+
+
 def cycle_word(rng, k):
     """A closed path at vertex 0: loops, whole turns and back-and-forths."""
     letters = []
@@ -310,6 +321,24 @@ def test_translate_family_on_a_large_rotation_refutes():
                                     action.elements)[1].pair == (0, 3)
 
 
+def test_translate_family_with_refuting_elements_no_pair_names():
+    """<e_0, e_3> and the translates at powers 0, 1, 2: the rotations by 3
+    either way refute, but no g^-1 h is one of them, so the family is
+    certified; a repeated translate names the identity and refutes."""
+    alphabet, base, action = large_rotation(60)
+    subgroup = S.graph_of_subgroup(base, [alphabet.gen("e0"), alphabet.gen("e3")])
+    assert not S.translate_family_check(base, action, subgroup,
+                                        [action.elements[0], action.elements[3]])[0]
+    translates = action.elements[:3]
+    got = S.translate_family_check(base, action, subgroup, translates)
+    assert got == (True, None)
+    assert got == oracle_translate_family_check(base, action, subgroup, translates)
+    translates = translates + [translates[1]]
+    got = S.translate_family_check(base, action, subgroup, translates)
+    assert got == oracle_translate_family_check(base, action, subgroup, translates)
+    assert not got[0] and got[1].pair == (1, 3)
+
+
 def test_translate_family_of_the_trivial_action():
     """One element and so no coordinates: each row still holds one name per
     later translate, so a duplicated identity refutes a nontrivial subgroup
@@ -317,7 +346,6 @@ def test_translate_family_of_the_trivial_action():
     alphabet, base, _ = large_rotation(3)
     identity = ({"*": "*"}, {e: e for e in base.edges})
     action = S.RelabelingAction(base, [identity])
-    assert action._coords == []
     for words in (["e0"], ["e0^2"], ["e0", "e1 e2"]):
         subgroup = S.graph_of_subgroup(base, [W.parse_word(alphabet, w)
                                               for w in words])
