@@ -94,10 +94,13 @@ def run_encode_and_probe(p, w, budget, N=7, max_candidates=64):
               "word": _digest(W.format_word(w))}
     trace = encode(p, w, N=N, max_candidates=max_candidates)
     outcome = has_nontrivial_quotient_upto(trace.p_w, budget)
+    searched = (f"{outcome.degrees[0][0]}..{outcome.max_degree_searched}"
+                if outcome.degrees else "none")
     details = [
         ("output generators", str(len(trace.p_w.generators))),
         ("output relators", str(len(trace.p_w.relators))),
-        ("degrees searched", f"2..{outcome.max_degree_searched}"),
+        *_h1_rule_details(outcome),
+        ("degrees searched", searched),
         ("nodes", str(outcome.nodes)),
     ]
     if outcome.status == "witness":
@@ -111,6 +114,18 @@ def run_encode_and_probe(p, w, budget, N=7, max_candidates=64):
                         "search exhausted within budget; no conclusion"))
     return RunReport("probe", inputs, status,
                      timing=time.monotonic() - start, details=details)
+
+
+def _h1_rule_details(outcome):
+    """What H_1 ruled out before the search: degrees, then odd candidates."""
+    details = []
+    if outcome.excluded:
+        lo, hi = outcome.excluded[0], outcome.excluded[-1]
+        details.append((f"degree {lo}" if lo == hi else f"degrees {lo}-{hi}",
+                        "excluded (H1 = 0)"))
+    if outcome.even_only:
+        details.append(("candidates", "even permutations (|H1| odd)"))
+    return details
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +264,9 @@ def _cmd_quotients(args):
         goal = W.parse_word(p.alphabet, args.word)
 
     outcome = search(p, budget, goal, per_degree=True)
-    details = [(f"degree {n}", f"nodes={nodes}" + (" (budget hit)" if hit else ""))
-               for n, nodes, hit in outcome.degrees]
+    details = _h1_rule_details(outcome)
+    details += [(f"degree {n}", f"nodes={nodes}" + (" (budget hit)" if hit else ""))
+                for n, nodes, hit in outcome.degrees]
     witness = outcome.witness
     if witness is not None:
         details.append(("witness degree", str(witness.degree)))
@@ -378,7 +394,7 @@ def build_parser():
     s.add_argument("--word")
     s.add_argument("--orders", help="k:e1,e2,... target orders for the generators")
     s.add_argument("--max-nodes", type=int, default=10 ** 7,
-                   help="search-node budget per degree; each degree 2..max "
+                   help="search-node budget per degree; each degree searched "
                         "starts from zero")
     s.set_defaults(handler=_cmd_quotients)
 

@@ -6,9 +6,23 @@ as inconclusive, never as a proof of triviality.
 
 Every search is one degree loop, `search`, behind `word_survives_upto`,
 `has_nontrivial_quotient_upto`, `search_order_targeted` and `forge
-quotients`: it simplifies, runs the kernel at degrees 2..max_degree under
-one budget (or one per degree), stops at the first witness or budget hit,
-restores the witness and records the nodes spent at each degree.
+quotients`: it simplifies, runs the kernel at each degree from its first
+one up to max_degree under one budget (or one per degree), stops at the
+first witness or budget hit, restores the witness and records the nodes
+spent at each degree.
+
+For the nontrivial-image and word goals the loop first reads H_1 of the
+presentation (skipped when it has fewer relators than generators, as H_1
+then has positive rank).  Two exact rules follow, each dropping only
+degrees and candidates that no homomorphism meeting the goal uses, so the
+search yields the same complete homomorphisms in the same order and only
+node counts fall.  When H_1 = 0 the group is perfect, and so is each of its images;
+S_2, S_3 and S_4 are solvable, so every homomorphism into them is trivial,
+and the loop starts at degree 5.  When H_1 (x) Z/2 = 0 (H_1 is finite of
+odd order) sign o phi is trivial for every homomorphism phi, and the
+kernel draws only even permutations.  An order-spec search keeps degree 2
+and all of S_n: the trivial homomorphism can meet a spec whose orders are
+all 1.
 
 The search kernel (`_enumerate_homs`) is a depth-first search over
 generator assignments.  Each relator is compiled once per search into
@@ -53,7 +67,7 @@ from operator import itemgetter
 
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
-from .presentations import FinitePresentation, substitute
+from .presentations import FinitePresentation, abelianization, substitute
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
 # cycle notation is printed 1-based).
@@ -80,6 +94,10 @@ def perm_order(p):
     for length in _cycle_lengths(p):
         order = order * length // math.gcd(order, length)
     return order
+
+
+def _is_even(p):
+    return (len(p) - len(_cycle_lengths(p))) % 2 == 0
 
 
 def _cycle_lengths(p):
@@ -193,13 +211,21 @@ class SearchOutcome:
     """Result of a budgeted search.  status is 'witness' or 'exhausted';
     exhausted never proves anything and is reported as inconclusive.
     degrees holds (degree, nodes spent there, budget hit) for every degree
-    the search entered."""
+    the search entered.  excluded holds the degrees it skipped because
+    H_1 = 0 (no homomorphism into them is nontrivial), and even_only is
+    set when it drew only even permutations because H_1 (x) Z/2 = 0."""
 
     status: str
     witness: PermutationAssignment | None
     nodes: int
     max_degree_searched: int
     degrees: list = field(default_factory=list)
+    excluded: tuple = ()
+    even_only: bool = False
+
+
+# S_2, S_3 and S_4 are solvable; a perfect group's images into them are trivial.
+FIRST_NONSOLVABLE_DEGREE = 5
 
 
 class _Budget:
@@ -244,7 +270,8 @@ def _class_minimal_perms(n):
         yield tuple(p)
 
 
-def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
+def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
+                    even_only=False):
     """DFS over generator assignments in canonical order, yielding complete
     homomorphisms.  A relator is checked as soon as all its generators are
     assigned, and so is each condition of the goal (see `_goal_checks`):
@@ -252,7 +279,9 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
     full enumeration would yield them.  With reduce_first=True the first
     generator ranges only over conjugacy-class-minimal permutations (sound
     for existence questions, since conjugating a homomorphism preserves
-    relators, element orders, intersections and nontriviality).
+    relators, element orders, intersections and nontriviality).  With
+    even_only=True every generator ranges only over even permutations,
+    which loses nothing where H_1 (x) Z/2 = 0.
     """
     gens = p.generators
     code = {}
@@ -268,7 +297,7 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
     for coded in checkpoints:
         coded.sort(key=len)  # a short relator rejects a candidate soonest
     table = [None] * (2 * len(gens))  # image, inverse, image, inverse, ...
-    inverse_of = {}  # candidate -> its inverse, computed once per call
+    inverse_of = {}  # candidate -> its inverse (None: skipped), once per call
     points = range(n)
     last = len(gens) - 1
 
@@ -305,9 +334,13 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
         checks, goal_check = checkpoints[i], goal_checks[i]
         for perm in choices:
             if perm not in inverse_of:
-                inverse_of[perm] = perm_inv(perm)
+                inverse_of[perm] = (perm_inv(perm) if not even_only or _is_even(perm)
+                                    else None)
+            inverse = inverse_of[perm]
+            if inverse is None:
+                continue
             table[2 * i] = perm
-            table[2 * i + 1] = inverse_of[perm]
+            table[2 * i + 1] = inverse
             if not all(map(holds, checks)):
                 continue
             if goal_check is not None and not goal_check():
@@ -532,10 +565,22 @@ def search(p, budget, goal=None, per_degree=False):
     S_max_degree that meets the goal, which is None (nontrivial image), a
     Word over p's alphabet (it survives) or an OrderSpec (it holds).  Words
     and None search the simplified presentation and restore the witness
-    to p's generators; an order spec searches p as given.  The node budget
-    covers all degrees together, or each degree afresh with per_degree.
-    The kernel prunes by the goal (the word as transferred); accept still
+    to p's generators; an order spec searches p as given.  For words and
+    None, H_1 of p sets the first degree (5 when H_1 = 0) and limits the
+    candidates to even permutations when H_1 (x) Z/2 = 0; with no degree
+    left the search returns before simplifying.  The node budget covers
+    all degrees together, or each degree afresh with per_degree.  The
+    kernel prunes by the goal (the word as transferred); accept still
     verifies the hom it yields, so the pruning is never trusted alone."""
+    first, even_only = 2, False
+    if not isinstance(goal, OrderSpec) and len(p.relators) >= len(p.generators):
+        h1 = abelianization(p)
+        if h1.betti == 0 and all(d % 2 for d in h1.torsion):  # |H_1| is odd
+            first = 2 if h1.torsion else FIRST_NONSOLVABLE_DEGREE
+            even_only = True
+    excluded = tuple(range(2, min(first, budget.max_degree + 1)))
+    if first > budget.max_degree:
+        return SearchOutcome("exhausted", None, 0, 1, excluded=excluded)
     simp = None if isinstance(goal, OrderSpec) else simplify_presentation(p)
     search_p = p if simp is None else simp.presentation
     word = None if simp is None or goal is None else _transfer_word(simp, goal)
@@ -550,13 +595,14 @@ def search(p, budget, goal=None, per_degree=False):
 
     tracker = _Budget(budget)
     degrees, witness = [], None
-    for n in range(2, budget.max_degree + 1):
+    for n in range(first, budget.max_degree + 1):
         if per_degree:
             tracker = _Budget(budget)
         start = tracker.nodes
         try:
             found = next(filter(accept, _enumerate_homs(
-                search_p, n, tracker, kernel_goal, reduce_first=True)), None)
+                search_p, n, tracker, kernel_goal, reduce_first=True,
+                even_only=even_only)), None)
         except _BudgetStop:
             degrees.append((n, tracker.nodes - start, True))
             break
@@ -566,7 +612,7 @@ def search(p, budget, goal=None, per_degree=False):
             break
     return SearchOutcome("exhausted" if witness is None else "witness", witness,
                          sum(nodes for _, nodes, _ in degrees),
-                         degrees[-1][0] if degrees else 1, degrees)
+                         degrees[-1][0], degrees, excluded, even_only)
 
 
 def word_survives_upto(p, w, budget):
@@ -580,7 +626,8 @@ def word_survives_upto(p, w, budget):
 
 
 def has_nontrivial_quotient_upto(p, budget):
-    """First-nontrivial search over degrees 2..max; exhausted is inconclusive."""
+    """First-nontrivial search up to the budget's max degree; exhausted is
+    inconclusive."""
     return search(p, budget)
 
 

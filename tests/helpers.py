@@ -690,9 +690,11 @@ def oracle_class_minimal_perms(n):
     return sorted(best.values())
 
 
-def oracle_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False):
+def oracle_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
+                          even_only=False):
     """Every hom in canonical order; the goal is ignored, as the search
-    loop's own accept checked it on each complete hom."""
+    loop's own accept checked it on each complete hom, and so is even_only:
+    the loop sets it only where every hom has even images."""
     from forge.quotients import PermutationAssignment, _BudgetStop, identity_perm
     gens = p.generators
     all_perms = sorted(itertools.permutations(range(n)))
@@ -793,6 +795,70 @@ def oracle_search_order_targeted(p, spec, budget):
     except _BudgetStop:
         degrees.append((top, tracker.nodes - start, True))
     return SearchOutcome("exhausted", None, tracker.nodes, top, degrees)
+
+# ---------------------------------------------------------------------------
+# The one degree loop as it was before H_1 pruned it: every search starts at
+# degree 2 and draws its candidates from all of S_n.  Only the loop is the
+# oracle; the kernel, the simplifier and the data types come from forge.
+
+
+def oracle_search(p, budget, goal=None, per_degree=False):
+    """The one degree loop: the first homomorphism into S_2, S_3, ...,
+    S_max_degree that meets the goal, which is None (nontrivial image), a
+    Word over p's alphabet (it survives) or an OrderSpec (it holds).  Words
+    and None search the simplified presentation and restore the witness
+    to p's generators; an order spec searches p as given.  The node budget
+    covers all degrees together, or each degree afresh with per_degree.
+    The kernel prunes by the goal (the word as transferred); accept still
+    verifies the hom it yields, so the pruning is never trusted alone."""
+    from forge.quotients import (OrderSpec, SearchOutcome, _Budget, _BudgetStop,
+                                 _enumerate_homs, _restore_assignment,
+                                 _transfer_word, identity_perm,
+                                 simplify_presentation, verify_order_spec)
+    simp = None if isinstance(goal, OrderSpec) else simplify_presentation(p)
+    search_p = p if simp is None else simp.presentation
+    word = None if simp is None or goal is None else _transfer_word(simp, goal)
+    kernel_goal = goal if simp is None else word
+
+    def accept(q):
+        if simp is None:
+            return verify_order_spec(q, goal)[0]
+        if word is None:  # the restored hom is trivial exactly when q is
+            return not q.is_trivial()
+        return q.evaluate(word) != identity_perm(q.degree)
+
+    tracker = _Budget(budget)
+    degrees, witness = [], None
+    for n in range(2, budget.max_degree + 1):
+        if per_degree:
+            tracker = _Budget(budget)
+        start = tracker.nodes
+        try:
+            found = next(filter(accept, _enumerate_homs(
+                search_p, n, tracker, kernel_goal, reduce_first=True)), None)
+        except _BudgetStop:
+            degrees.append((n, tracker.nodes - start, True))
+            break
+        degrees.append((n, tracker.nodes - start, False))
+        if found is not None:
+            witness = found if simp is None else _restore_assignment(p, simp, found)
+            break
+    return SearchOutcome("exhausted" if witness is None else "witness", witness,
+                         sum(nodes for _, nodes, _ in degrees),
+                         degrees[-1][0] if degrees else 1, degrees)
+
+
+def oracle_h1_order(p):
+    """|H_1| of a presented group, 0 when H_1 is infinite: the gcd of the
+    maximal minors of the exponent-sum matrix, which is the product of its
+    invariant factors when they number one per generator."""
+    gens = p.generators
+    matrix = [[sum(s for h, s in r.letters if h == g) for g in gens]
+              for r in p.relators]
+    order = 0 if gens else 1
+    for rows in itertools.combinations(matrix, len(gens)):
+        order = math.gcd(order, _det(list(rows)))
+    return order
 
 
 def oracle_substitute(word, target_alphabet, table):

@@ -176,6 +176,57 @@ class TestPresentationCommands:
         assert reports[0] == reports[1]
         assert "status: inconclusive" in reports[0]
 
+    def test_quotients_perfect_group_starts_at_degree_5(self, workdir, capsys):
+        """A_5 has H_1 = 0: degrees 2-4 are excluded, candidates are even,
+        and the degree-5 witness is the one the search from degree 2 finds."""
+        (workdir / "a5.txt").write_text(
+            "gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b a b a b a b\n")
+        code, out = run(capsys, "quotients", workdir / "a5.txt", "--max-degree", "5")
+        assert code == 0
+        assert untimed_lines(out)[2:] == [
+            "input presentation: sha256:8a31463313504d4a",
+            "degrees 2-4: excluded (H1 = 0)",
+            "candidates: even permutations (|H1| odd)",
+            "degree 5: nodes=5",
+            "witness degree: 5",
+            "witness a: (2 3)(4 5)",
+            "witness b: (1 2 4)"]
+
+    def test_quotients_odd_torsion_draws_even_candidates(self, workdir, capsys):
+        (workdir / "a3.txt").write_text("gens: a\nrel: a^3\n")
+        code, out = run(capsys, "quotients", workdir / "a3.txt", "--max-degree", "3")
+        assert code == 0
+        assert untimed_lines(out)[3:] == [
+            "candidates: even permutations (|H1| odd)",
+            "degree 2: nodes=2", "degree 3: nodes=3",
+            "witness degree: 3", "witness a: (1 2 3)"]
+
+
+class TestProbeCommand:
+    @pytest.fixture
+    def a2(self, workdir):
+        path = workdir / "a2.txt"
+        path.write_text("gens: a\nrel: a^2\n")
+        return path
+
+    def test_perfect_output_enters_no_degree_below_5(self, a2, capsys):
+        """The encoder's output is perfect, so a search to degree 4 spends
+        no node and says why."""
+        code, out = run(capsys, "probe", a2, "--word", "a", "--max-degree", "4")
+        assert code == 2
+        assert untimed_lines(out)[4:] == [
+            "output generators: 30", "output relators: 42",
+            "degrees 2-4: excluded (H1 = 0)", "degrees searched: none",
+            "nodes: 0",
+            "conclusion: search exhausted within budget; no conclusion"]
+
+    def test_no_degree_to_search(self, a2, capsys):
+        code, out = run(capsys, "probe", a2, "--word", "a", "--max-degree", "1")
+        assert code == 2
+        lines = untimed_lines(out)
+        assert "degrees searched: none" in lines and "nodes: 0" in lines
+        assert not any("excluded" in line for line in lines)
+
 
 class TestSqcCommands:
     def test_check_pass(self, workdir, capsys):

@@ -130,13 +130,14 @@ class TestBudgetedSearches:
         assert out.nodes <= 4
 
     @pytest.mark.parametrize("per_degree, degrees", [
-        (False, [(2, 32, False), (3, 521, False), (4, 471, True)]),
-        (True, [(2, 32, False), (3, 521, False), (4, 1024, True)]),
+        (False, [(5, 1024, True)]),
+        (True, [(5, 1024, True)]),
     ])
     def test_time_limit_stops(self, per_degree, degrees):
         """The clock is read every 1,024 nodes, so an expired time limit
-        stops the search at the 1,024th node of the tracker: of the whole
-        search, or of one degree with per_degree."""
+        stops the search at the 1,024th node of the tracker.  The encoder's
+        output is perfect, so the search starts at degree 5 and stops
+        there, with or without per_degree."""
         p = pres(["a"], "a^2")
         out = search(encode_discrete(p, p.word("a")),
                      SearchBudget(max_degree=5, time_limit=1e-9),
@@ -144,6 +145,28 @@ class TestBudgetedSearches:
         assert out.status == "exhausted"
         assert out.degrees == degrees
         assert out.nodes == sum(nodes for _, nodes, _ in degrees)
+        assert out.excluded == (2, 3, 4) and out.even_only
+
+    @pytest.mark.parametrize("per_degree, degrees", [
+        (False, [(2, 15, False), (3, 130, False), (4, 879, True)]),
+        (True, [(2, 15, False), (3, 130, False), (4, 1024, True)]),
+    ])
+    def test_time_limit_stops_the_tracker_of_each_degree(self, per_degree, degrees):
+        """An expired time limit stops the search at the 1,024th node of
+        the whole search, or of one degree with per_degree.  H_1 is
+        (Z/2)^4, so the search starts at degree 2 over all of S_n, and the
+        word, in the third derived subgroup, dies in every image in S_2,
+        S_3 and S_4, which are solvable of derived length at most 3."""
+        p = pres(["a", "b", "c", "d"], "d^2", "a d a d", "b d b d", "c d c d")
+        a, b, c, d = map(p.alphabet.gen, "abcd")
+        word = W.commutator(W.commutator(W.commutator(a, b), W.commutator(c, d)),
+                            W.commutator(W.commutator(a, c), W.commutator(b, d)))
+        out = search(p, SearchBudget(max_degree=5, time_limit=1e-9), word,
+                     per_degree=per_degree)
+        assert out.status == "exhausted"
+        assert out.degrees == degrees
+        assert out.nodes == sum(nodes for _, nodes, _ in degrees)
+        assert out.excluded == () and not out.even_only
 
 
 class TestOrders:

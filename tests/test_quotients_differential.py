@@ -12,7 +12,13 @@ count where a budget stops the search must agree exactly; with one, the
 kernel yields exactly the oracle's homomorphisms that meet it.  A search
 or a `forge quotients` report may spend fewer nodes at each degree than
 the seed's, never more, and must find the seed's witness, or, where only
-it finds one, the seed's first witness under an unbounded budget.
+it finds one, the seed's first witness under an unbounded budget.  The
+lines a report prints about what H_1 ruled out are checked against the
+oracle's |H_1| (determinantal divisors).
+
+H_1 pruning is checked against the degree loop as it was (`oracle_search`:
+from degree 2, over all of S_n) on presentations with H_1 = 0, with |H_1|
+odd and of any kind, and on the encoder's perfect outputs.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ from hypothesis import given
 
 from forge import words as W
 from forge.cli import main
+from forge.encoder import encode_discrete
 from forge.errors import ForgeError
 from forge.fileformats import format_presentation
 from forge.presentations import FinitePresentation, substitute
@@ -35,14 +42,16 @@ from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              _Budget, _BudgetStop, _class_minimal_perms,
                              _enumerate_homs, _find_move, _restore_assignment,
                              _scan, _transfer_word, has_nontrivial_quotient_upto,
-                             identity_perm, search_order_targeted,
+                             identity_perm, search, search_order_targeted,
                              simplify_presentation, verify_order_spec,
                              word_survives_upto)
 from helpers import (derandomized, oracle_class_minimal_perms,
                      oracle_enumerate_homs, oracle_evaluate, oracle_expressions,
-                     oracle_find_move, oracle_has_nontrivial_quotient_upto,
+                     oracle_find_move, oracle_h1_order,
+                     oracle_has_nontrivial_quotient_upto,
                      oracle_quotients_command, oracle_reduce,
-                     oracle_restore_assignment, oracle_search_order_targeted,
+                     oracle_restore_assignment, oracle_search,
+                     oracle_search_order_targeted,
                      oracle_simplify_presentation, oracle_substitute,
                      oracle_transfer_word, oracle_verify_order_spec,
                      oracle_word_survives_upto, random_reduced_word,
@@ -216,27 +225,53 @@ def cli_report(argv):
 
 
 DEGREE_LINE = re.compile(r"degree (\d+): nodes=(\d+)( \(budget hit\))?$")
+H1_LINE = re.compile(r"(degrees? [-\d]+: excluded \(H1 = 0\)"
+                     r"|candidates: even permutations \(\|H1\| odd\))$")
 
 
 def split_report(report):
-    """(degree lines as (degree, nodes), every other line with the exit code)."""
+    """(degree lines as (degree, nodes), the lines saying what H_1 ruled
+    out, every other line with the exit code)."""
     code, lines = report
     degrees = [DEGREE_LINE.match(line) for line in lines]
+    rest = [line for line, m in zip(lines, degrees) if not m]
     return ([(int(m[1]), int(m[2])) for m in degrees if m],
-            (code, [line for line, m in zip(lines, degrees) if not m]))
+            [line for line in rest if H1_LINE.match(line)],
+            (code, [line for line in rest if not H1_LINE.match(line)]))
 
 
-def assert_report_pruned(new, old, first):
+def h1_lines(p, argv):
+    """The H_1 lines a `forge quotients` report must print, from the
+    oracle's |H_1|: degrees 2-4 are excluded when H_1 = 0, and candidates
+    are even permutations at the degrees searched when |H_1| is odd.  An
+    order-spec search prints neither."""
+    if "--orders" in argv:
+        return []
+    max_degree, order = int(argv[argv.index("--max-degree") + 1]), oracle_h1_order(p)
+    first = 5 if order == 1 else 2
+    lines = []
+    if first > 2 and max_degree >= 2:
+        top = min(first - 1, max_degree)
+        lines.append("degree 2: excluded (H1 = 0)" if top == 2
+                     else f"degrees 2-{top}: excluded (H1 = 0)")
+    if order % 2 and first <= max_degree:
+        lines.append("candidates: even permutations (|H1| odd)")
+    return lines
+
+
+def assert_report_pruned(new, old, first, rules):
     """The report form of assert_search_pruned: each degree line's nodes
-    can only go down, and every other line (status, inputs, witness or
-    conclusion) equals the seed's, or, for a witness only the new search
-    finds, the seed's report under an unbounded budget."""
-    new_degrees, new_rest = split_report(new)
-    old_degrees, old_rest = split_report(old)
+    can only go down, the new report's H_1 lines are rules, and every
+    other line (status, inputs, witness or conclusion) equals the seed's,
+    or, for a witness only the new search finds, the seed's report under
+    an unbounded budget."""
+    new_degrees, new_rules, new_rest = split_report(new)
+    old_degrees, _, old_rest = split_report(old)
+    assert new_rules == rules
     for (n, nodes), (old_n, old_nodes) in zip(new_degrees, old_degrees):
         assert n == old_n and nodes <= old_nodes
     if old_rest[0] != 0 and new_rest[0] == 0:
-        assert new_rest == split_report(first())[1]
+        assert new_rest == split_report(first())[2]
     else:
         assert new_rest == old_rest
 
@@ -280,7 +315,7 @@ def test_cli_quotients_report_matches_seed(seed):
             def first():
                 with seed_search_kernel():
                     return cli_report(unbounded_argv(argv))
-            assert_report_pruned(new, old, first)
+            assert_report_pruned(new, old, first, h1_lines(p, argv))
 
 
 @given(seeds)
@@ -314,7 +349,7 @@ def test_cli_quotients_report_matches_former_loop(seed):
                 def first():
                     with oracle_quotients_command(), seed_search_kernel():
                         return cli_report(unbounded_argv(argv))
-                assert_report_pruned(new, old, first)
+                assert_report_pruned(new, old, first, h1_lines(p, argv))
 
 
 @given(seeds)
@@ -469,3 +504,123 @@ def test_class_minimal_perms_are_lazy():
     fixed = tuple(range(57))
     assert first == [fixed + (57, 58, 59), fixed + (57, 59, 58),
                      fixed + (58, 59, 57)]
+
+
+# ---------------------------------------------------------------------------
+# H_1 pruning against the loop as it was (oracle_search), which starts every
+# search at degree 2 and draws candidates from all of S_n.
+
+
+def random_h1_presentation(rng, kinds=("perfect", "odd", "any")):
+    """1-2 generators and relators of length 1-12 of a kind drawn from
+    kinds: H_1 = 0, |H_1| odd and above 1, or any (0-3 relators).  The
+    first two have as many relators as generators or one more, redrawn
+    until the oracle's |H_1| is of the kind; half of the perfect ones are
+    built to map onto A_5 (`a5_relators`)."""
+    kind = rng.choice(kinds)
+    onto_a5 = kind == "perfect" and rng.random() < 0.5
+    while True:
+        alphabet = W.Alphabet(("a", "b")[:2 if onto_a5 else rng.randint(1, 2)])
+        count = (rng.randint(0, 3) if kind == "any"
+                 else len(alphabet.names) + rng.randint(0, 1))
+        p = FinitePresentation(alphabet, a5_relators(rng, alphabet, count) if onto_a5 else [
+            random_reduced_word(rng, alphabet, rng.randint(1, 12))
+            for _ in range(count)])
+        order = oracle_h1_order(p)
+        if kind == "any" or (order == 1) == (kind == "perfect") and order % 2:
+            return p
+
+
+def a5_relators(rng, alphabet, count):
+    """count words that map to the identity under a seeded assignment of
+    even permutations of degree 5, not all the identity.  A perfect group
+    so presented maps onto a perfect subgroup of A_5 other than 1, which
+    is A_5 itself, so it has a nontrivial image at degree 5."""
+    even = [p for p in itertools.permutations(range(5))
+            if sum(x > y for i, x in enumerate(p) for y in p[i + 1:]) % 2 == 0]
+    images = {g: rng.choice(even[1:]) for g in alphabet.names}
+    q = PermutationAssignment(5, images)
+    relators = []
+    while len(relators) < count:
+        w = random_reduced_word(rng, alphabet, rng.randint(1, 12))
+        if oracle_evaluate(q, w) == identity_perm(5):
+            relators.append(w)
+    return relators
+
+
+@given(seeds)
+@derandomized
+def test_search_matches_oracle_search(seed):
+    """Unbudgeted to degree 5, a search finds the loop's witness, or none
+    where it finds none, for no goal and for a word.  It skips degrees 2-4
+    exactly when H_1 = 0, draws even permutations exactly when |H_1| is
+    odd, and spends at most the loop's nodes at each degree it enters."""
+    rng = random.Random(seed)
+    p = random_h1_presentation(rng)
+    order = oracle_h1_order(p)
+    budget = SearchBudget(max_degree=5)
+    for goal in (None, random_word(rng, p.alphabet, 6)):
+        new, old = search(p, budget, goal), oracle_search(p, budget, goal)
+        assert (new.status, hom_key(new.witness)) == (old.status, hom_key(old.witness))
+        assert new.max_degree_searched == old.max_degree_searched
+        assert new.excluded == ((2, 3, 4) if order == 1 else ())
+        assert new.even_only == (order % 2 == 1)
+        old_nodes = {n: nodes for n, nodes, _ in old.degrees}
+        assert all(nodes <= old_nodes[n] for n, nodes, _ in new.degrees)
+
+
+@given(seeds)
+@derandomized
+def test_perfect_presentation_has_no_image_below_degree_5(seed):
+    """Where H_1 = 0 the loop finds no nontrivial homomorphism and no
+    surviving word at degrees 2-4, and a search enters none of them."""
+    rng = random.Random(seed)
+    p = random_h1_presentation(rng, ("perfect",))
+    assert_no_image_below_degree_5(p, random_word(rng, p.alphabet, 6))
+
+
+@pytest.mark.parametrize("k, j", [(2, 1), (5, 2)])
+def test_encoder_output_has_no_image_below_degree_5(k, j):
+    """The encoder's output for <a | a^k> and a^j is perfect."""
+    p = FinitePresentation(W.Alphabet(("a",)))
+    p = FinitePresentation(p.alphabet, [p.word(f"a^{k}")])
+    p_w = encode_discrete(p, p.word(f"a^{j}"))
+    assert_no_image_below_degree_5(p_w, p_w.alphabet.gen(p_w.generators[0]))
+
+
+def assert_no_image_below_degree_5(p, w):
+    budget = SearchBudget(max_degree=4)
+    for goal in (None, w):
+        old = oracle_search(p, budget, goal)
+        assert old.status == "exhausted"
+        assert [n for n, _, hit in old.degrees if not hit] == [2, 3, 4]
+        new = search(p, budget, goal)
+        assert (new.status, new.degrees, new.nodes) == ("exhausted", [], 0)
+        assert new.excluded == (2, 3, 4) and not new.even_only
+
+
+@given(seeds)
+@derandomized
+def test_even_candidates_match_oracle_kernel(seed):
+    """Where |H_1| is odd, the kernel drawing only even permutations
+    yields exactly the oracle kernel's homomorphisms over all of S_n that
+    meet the goal, in the same order."""
+    rng = random.Random(seed)
+    p = random_h1_presentation(rng, ("perfect", "odd"))
+    goal = rng.choice((None, random_word(rng, p.alphabet, 6)))
+    reduce_first = rng.random() < 0.5
+    for n in range(1, 5):
+        new = [hom_key(q) for q in _enumerate_homs(
+            p, n, None, goal, reduce_first=reduce_first, even_only=True)]
+        old = [hom_key(q) for q in oracle_enumerate_homs(p, n, reduce_first=reduce_first)
+               if goal_holds(q, goal)]
+        assert new == old
+
+
+def test_even_candidates_drop_odd_images():
+    """<a | a^2> has |H_1| = 2: its transpositions are homomorphisms the
+    even candidates leave out."""
+    p = FinitePresentation(W.Alphabet(("a",)))
+    p = FinitePresentation(p.alphabet, [p.word("a^2")])
+    assert [q.images["a"] for q in _enumerate_homs(p, 3, even_only=True)] == [(0, 1, 2)]
+    assert len(list(_enumerate_homs(p, 3))) == 4
