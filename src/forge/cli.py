@@ -85,14 +85,14 @@ def _emit(text, out_path, artifacts):
 # End-to-end pipeline.
 
 
-def run_encode_and_probe(p, w, budget, N=7, max_candidates=64):
+def run_encode_and_probe(p, w, budget, N=7):
     """Encode (p, w) and search the output presentation for a nontrivial
     finite quotient.  A witness certifies the output group has a nontrivial
     finite quotient; an exhausted search decides nothing."""
     start = time.monotonic()
     inputs = {"presentation": _digest(FF.format_presentation(p)),
               "word": _digest(W.format_word(w))}
-    trace = encode(p, w, N=N, max_candidates=max_candidates)
+    trace = encode(p, w, N=N)
     outcome = has_nontrivial_quotient_upto(trace.p_w, budget)
     searched = (f"{outcome.degrees[0][0]}..{outcome.max_degree_searched}"
                 if outcome.degrees else "none")
@@ -218,7 +218,7 @@ def _cmd_encode(args):
     if args.discrete:
         trace = discrete_trace(p, w)
     else:
-        trace = encode(p, w, N=args.N, max_candidates=args.budget)
+        trace = encode(p, w, N=args.N)
         if trace.certificate is not None:
             if not revalidate_certificate(trace.certificate):
                 raise ForgeError("certificate failed revalidation")
@@ -329,8 +329,7 @@ def _cmd_probe(args):
     p = FF.parse_presentation(_read(args.presentation))
     w = W.parse_word(p.alphabet, args.word)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    return run_encode_and_probe(p, w, budget, N=args.N,
-                                max_candidates=args.budget)
+    return run_encode_and_probe(p, w, budget, N=args.N)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +381,6 @@ def build_parser():
     s.add_argument("presentation")
     s.add_argument("--word", required=True)
     s.add_argument("--N", type=int, default=7)
-    s.add_argument("--budget", type=int, default=64,
-                   help="candidate budget for the malnormal tuple search")
     s.add_argument("--discrete", action="store_true")
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_encode)
@@ -426,7 +423,6 @@ def build_parser():
     s.add_argument("--max-nodes", type=int, default=10 ** 7,
                    help="search-node budget over all degrees together")
     s.add_argument("--N", type=int, default=7)
-    s.add_argument("--budget", type=int, default=64)
     s.set_defaults(handler=_cmd_probe)
 
     return parser

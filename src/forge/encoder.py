@@ -10,8 +10,8 @@ transformation, with every intermediate object kept in an EncodingTrace:
   2. adjoin a fresh letter and re-generate so orders can be controlled,
      replacing the word by a commutator;
   3. make every generator conjugate to the word via fresh stable letters,
-     add one more free stable letter t, and select a certified malnormal
-     tuple of words c_j in the derived letters u, v;
+     add one more free stable letter t, and certify the malnormal tuple
+     of commutators c_j = [u^{j+1}, v^{j+1}] in the derived letters u, v;
   4. double the result and glue the b's of each half to the c's of the other.
 
 Everything is deterministic: identical inputs give byte-identical traces.
@@ -19,13 +19,12 @@ Everything is deterministic: identical inputs give byte-identical traces.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import stallings as S
 from . import words as W
-from .errors import (AlphabetMismatchError, BudgetExhaustedError,
-                     DegenerateInputError, NameCollisionError, ThresholdError)
+from .errors import (AlphabetMismatchError, DegenerateInputError, ForgeError,
+                     NameCollisionError, ThresholdError)
 from .presentations import (FinitePresentation, abelianization,
                             add_conjugation_relators, free_product_with_renaming,
                             map_word, substitute, tietze_change_generators,
@@ -133,21 +132,29 @@ def _step_free_letter(p1, b_letters, w):
 
 @dataclass(frozen=True)
 class MalnormalCertificate:
-    """Evidence that a selected tuple works: the folded candidate graph has
-    the right rank and certifies malnormal, and the rank-3 base family of
-    the modulus-N kernel passes the rotation-translate check."""
+    """Evidence that the commutator family works: its folded subgroup graph
+    has the right rank and certifies malnormal, and the rank-3 base family
+    of the modulus-N kernel passes the rotation-translate check."""
 
     m: int
     modulus: int
     tuple_uv: tuple          # the c_j as Words over {u, v}
-    rank: int                # rank of the folded candidate subgroup graph
+    rank: int                # rank of the folded family subgroup graph
     family_malnormal: bool
     base_rank: int           # rank of the <e_0, u, v> kernel core (3)
     translates_malnormal: bool
 
+    def failures(self):
+        """The names of the checks this certificate fails, in check order."""
+        checks = ((f"kernel rank {self.base_rank} (need 3)", self.base_rank == 3),
+                  ("kernel rotation-translate check", self.translates_malnormal),
+                  (f"family rank {self.rank} (need {self.m + 2})",
+                   self.rank == self.m + 2),
+                  ("family malnormality check", self.family_malnormal))
+        return [name for name, ok in checks if not ok]
+
     def is_valid(self):
-        return (self.rank == self.m + 2 and self.family_malnormal
-                and self.base_rank == 3 and self.translates_malnormal)
+        return not self.failures()
 
 
 def _kernel_base_family(N):
@@ -164,52 +171,6 @@ def _kernel_base_family(N):
     return base, sub, action
 
 
-def _candidate_tuples(size):
-    """Deterministic candidate stream.
-
-    The first candidate is the commutator-power family [u^{j+1}, v^{j+1}],
-    which certifies at every size tried; after that the stream falls back to
-    exhaustive enumeration of tuples of nontrivial reduced words ordered by
-    total length then lexicographically."""
-    yield tuple(W.commutator(UV.gen("u") ** (j + 1), UV.gen("v") ** (j + 1))
-                for j in range(size))
-    by_length = {}
-
-    def words_of_length(n):
-        if n not in by_length:
-            out = []
-            for signs in itertools.product([("u", 1), ("u", -1), ("v", 1), ("v", -1)],
-                                           repeat=n):
-                word = W.Word(UV, signs) if _reduced(signs) else None
-                if word is not None:
-                    out.append(word)
-            out.sort(key=lambda x: [W._letter_key(l) for l in x.letters])
-            by_length[n] = out
-        return by_length[n]
-
-    total = size
-    while True:
-        for split in _compositions(total, size):
-            pools = [words_of_length(n) for n in split]
-            yield from itertools.product(*pools)
-        total += 1
-
-
-def _reduced(letters):
-    return all(not (a[0] == b[0] and a[1] == -b[1])
-               for a, b in zip(letters, letters[1:]))
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _kernel_checks(N):
     """Rank of the modulus-N kernel core, and whether its rotation
     translates form a malnormal family.  An N whose rotation powers would
@@ -224,42 +185,39 @@ def _kernel_checks(N):
     return S.total_rank(kernel_sub.domain), translates_ok
 
 
-def _candidate_checks(candidate):
+def _family_checks(family):
     """Rank of the subgroup graph of a tuple of words over {u, v}, and
     whether it is malnormal."""
-    graph = S.graph_of_subgroup(S.rose(["u", "v"]), candidate)
+    graph = S.graph_of_subgroup(S.rose(["u", "v"]), family)
     ok, _ = S.malnormal_family_check([graph])
     return S.total_rank(graph.domain), ok
 
 
-def select_malnormal_words(m, N=7, max_candidates=64):
-    """Choose m+2 words c_0..c_{m+1} in {u, v} whose subgroup is free of
-    rank m+2 and malnormal, certifying every claim at runtime.
+def select_malnormal_words(m, N=7):
+    """The m+2 words c_j = [u^{j+1}, v^{j+1}], j = 0..m+1, rewritten over
+    {t, w}, with a certificate that they freely generate a malnormal
+    subgroup of rank m+2 of F(u, v); every claim is checked at runtime.
 
     Returns (tuple of Words over {t, w}, certificate).  Requires N > 6; the
-    modulus-N rotation check (independent of the candidate) is part of the
-    certificate.  Raises when the candidate budget runs out, and at once
-    when it is negative."""
+    modulus-N rotation check (independent of the family) is part of the
+    certificate.  Raises ForgeError naming m and the failed checks when the
+    family does not certify."""
     if N <= 6:
         raise ThresholdError(f"modulus {N} is below the certified threshold (need > 6)")
     if m < 0:
         raise DegenerateInputError("m must be nonnegative")
-    if max_candidates < 0:
-        raise DegenerateInputError("the candidate budget must be nonnegative")
     base_rank, translates_ok = _kernel_checks(N)
-    for candidate in itertools.islice(_candidate_tuples(m + 2), max_candidates):
-        r, ok = _candidate_checks(candidate)
-        cert = MalnormalCertificate(
-            m=m, modulus=N, tuple_uv=tuple(candidate), rank=r,
-            family_malnormal=ok, base_rank=base_rank,
-            translates_malnormal=translates_ok)
-        if not cert.is_valid():
-            continue
-        table = {"u": U_IN_TW, "v": V_IN_TW}
-        in_tw = tuple(substitute(c, TW, table) for c in candidate)
-        return in_tw, cert
-    raise BudgetExhaustedError(
-        f"no certified tuple among the first {max_candidates} candidates")
+    family = tuple(W.commutator(UV.gen("u") ** (j + 1), UV.gen("v") ** (j + 1))
+                   for j in range(m + 2))
+    rank, ok = _family_checks(family)
+    cert = MalnormalCertificate(
+        m=m, modulus=N, tuple_uv=family, rank=rank, family_malnormal=ok,
+        base_rank=base_rank, translates_malnormal=translates_ok)
+    if not cert.is_valid():
+        raise ForgeError(f"m = {m}: the commutator family does not certify: "
+                         + "; ".join(cert.failures()))
+    table = {"u": U_IN_TW, "v": V_IN_TW}
+    return tuple(substitute(c, TW, table) for c in family), cert
 
 
 def revalidate_certificate(cert):
@@ -269,7 +227,7 @@ def revalidate_certificate(cert):
     except Exception:
         return False
     return (kernel == (cert.base_rank, cert.translates_malnormal)
-            and _candidate_checks(cert.tuple_uv) == (cert.rank, cert.family_malnormal)
+            and _family_checks(cert.tuple_uv) == (cert.rank, cert.family_malnormal)
             and cert.is_valid())
 
 
@@ -326,12 +284,13 @@ class EncodingTrace:
         return out
 
 
-def encode(p, w, N=7, max_candidates=64):
+def encode(p, w, N=7):
     """Run the full pipeline on (p, w) and keep every intermediate object.
 
     The identity word short-circuits to the trivial presentation <x | x>;
-    otherwise the four stages run in order and each stage's abelian
-    invariants are recorded."""
+    otherwise the four stages run in order, the c_j are the certified
+    commutator family of `select_malnormal_words`, and each stage's
+    abelian invariants are recorded."""
     if w.is_identity():
         return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>
 
@@ -348,7 +307,7 @@ def encode(p, w, N=7, max_candidates=64):
     trace.v = substitute(V_IN_TW, p2.alphabet, table)
 
     trace.c_words_tw, trace.certificate = select_malnormal_words(
-        len(b_letters) - 1, N, max_candidates)
+        len(b_letters) - 1, N)
     trace.c_words = tuple(substitute(c, p2.alphabet, table)
                           for c in trace.c_words_tw)
 

@@ -41,10 +41,6 @@ class ThresholdError(ForgeError):
     """A numeric parameter is below the threshold required for certification."""
 
 
-class BudgetExhaustedError(ForgeError):
-    """A certified search ran out of budget before finding a certificate."""
-
-
 class IndependenceError(ForgeError):
     """A tuple of target words is not independent where independence is required."""
 

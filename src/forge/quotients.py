@@ -62,12 +62,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
-from .presentations import FinitePresentation, abelianization, substitute
+from .presentations import FinitePresentation, abelianization
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
 # cycle notation is printed 1-based).
@@ -431,24 +430,14 @@ class SimplifiedPresentation:
     presentation: FinitePresentation
     steps: list  # (eliminated generator, Word over the alphabet after it)
 
-    @cached_property
-    def expressions(self):
-        """Original generator -> Word over the simplified alphabet."""
-        alphabet = self.presentation.alphabet
-        expressions = {g: alphabet.gen(g) for g in alphabet.names}
-        for gen, expr in reversed(self.steps):
-            expressions[gen] = substitute(expr, alphabet, expressions)
-        return expressions
-
 
 def simplify_presentation(p):
     """Iterate the deletion move to a fixpoint.
 
-    The simplified presentation presents an isomorphic group; its `steps`
-    (and the `expressions` built from them on first use) rewrite every
-    original generator over the surviving generators, which is what lets
-    searches run on the small presentation and report witnesses on the
-    original one."""
+    The simplified presentation presents an isomorphic group; replaying its
+    `steps` rewrites every original generator over the surviving generators,
+    which is what lets searches run on the small presentation and report
+    witnesses on the original one."""
     alphabet = p.alphabet
     relators = list(p.relators)
     scans = list(map(_scan, relators))

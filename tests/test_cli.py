@@ -302,9 +302,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, error", [
         (("encode", "dead.txt", "--word", "a", "--budget", "-1"),
-         "the candidate budget must be nonnegative"),
+         "forge: unrecognized arguments: --budget -1"),
         (("probe", "dead.txt", "--word", "a", "--budget", "-1"),
-         "the candidate budget must be nonnegative"),
+         "forge: unrecognized arguments: --budget -1"),
         (("encode", "dead.txt", "--word", "a^99999999999"),
          "power in token 'a^99999999999' makes the word longer than 1000000 letters"),
         (("probe", "dead.txt", "--word", "a^-99999999999"),

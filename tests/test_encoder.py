@@ -4,16 +4,16 @@ import dataclasses
 
 import pytest
 
+from forge import encoder
 from forge import words as W
-from forge.encoder import (MalnormalCertificate, U_IN_TW, V_IN_TW,
+from forge.encoder import (TW, U_IN_TW, UV, V_IN_TW, MalnormalCertificate,
                            assemble_Gw, discrete_c_word, encode,
                            encode_discrete, revalidate_certificate,
                            select_malnormal_words, step_conjugators,
                            step_injective_generators, step_order_control)
-from forge.errors import (BudgetExhaustedError, DegenerateInputError,
-                          ThresholdError)
+from forge.errors import DegenerateInputError, ForgeError, ThresholdError
 from forge.fileformats import trace_to_json
-from forge.presentations import FinitePresentation, abelianization
+from forge.presentations import FinitePresentation, abelianization, substitute
 
 
 def pres(gens, *rels):
@@ -87,9 +87,34 @@ class TestSelection:
         with pytest.raises(ThresholdError):
             select_malnormal_words(0, N=6)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(BudgetExhaustedError):
-            select_malnormal_words(2, N=7, max_candidates=0)
+    def test_commutator_family_certifies(self):
+        """For m = 0..20 selection returns the family [u^{j+1}, v^{j+1}],
+        j = 0..m+1, rewritten over {t, w}, and a certificate that
+        revalidates."""
+        u, v = UV.gen("u"), UV.gen("v")
+        table = {"u": U_IN_TW, "v": V_IN_TW}
+        for m in range(21):
+            family = tuple(W.commutator(u ** (j + 1), v ** (j + 1))
+                           for j in range(m + 2))
+            c_words, cert = select_malnormal_words(m)
+            assert cert.tuple_uv == family
+            assert c_words == tuple(substitute(c, TW, table) for c in family)
+            assert cert.is_valid()
+            assert revalidate_certificate(cert)
+
+    def test_failed_family_check_raises_once(self, monkeypatch):
+        """A family that does not certify raises at once, naming m and the
+        check; there is no second candidate to fall back to."""
+        calls = []
+
+        def short_rank(family):
+            calls.append(family)
+            return len(family) - 1, True
+
+        monkeypatch.setattr(encoder, "_family_checks", short_rank)
+        with pytest.raises(ForgeError, match=r"^m = 3: .* family rank 4 \(need 5\)$"):
+            select_malnormal_words(3)
+        assert len(calls) == 1
 
     def test_huge_modulus_refused_before_the_rose(self):
         """N (N + 1) rotation images past MAX_WORD_LETTERS: selection raises

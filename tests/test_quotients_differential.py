@@ -46,7 +46,7 @@ from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              simplify_presentation, verify_order_spec,
                              word_survives_upto)
 from helpers import (derandomized, oracle_class_minimal_perms,
-                     oracle_enumerate_homs, oracle_evaluate, oracle_expressions,
+                     oracle_enumerate_homs, oracle_evaluate,
                      oracle_find_move, oracle_h1_order,
                      oracle_has_nontrivial_quotient_upto,
                      oracle_quotients_command, oracle_reduce,
@@ -470,7 +470,6 @@ def test_simplify_presentation_matches_seed(seed):
     assert new.presentation.alphabet == old.presentation.alphabet
     assert new.presentation.relators == old.presentation.relators
     assert new.steps == old.steps
-    assert list(new.expressions.items()) == list(oracle_expressions(old).items())
 
 
 @given(seeds)
