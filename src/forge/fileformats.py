@@ -295,16 +295,15 @@ def format_complex(complex_):
     """Write a complex, relabeling cells to v0../e0.. so structured ids
     (e.g. from build_S_of_P) serialize as single tokens."""
     vs = sorted(complex_.vertices, key=repr)
-    es = complex_.edge_order
     vname = {v: f"v{i}" for i, v in enumerate(vs)}
-    ename = {e: f"e{i}" for i, e in enumerate(es)}
     out = [f"vertex {vname[v]}" for v in vs]
-    for e in es:
+    for i, e in enumerate(complex_.edge_order):
         src, dst = complex_.edges[e]
-        out.append(f"edge {ename[e]} {vname[src]} {vname[dst]}")
-    for sq in complex_.squares:
-        toks = [ename[e] + ("" if s > 0 else "-") for e, s in sq]
-        out.append("square " + " ".join(toks))
+        out.append(f"edge e{i} {vname[src]} {vname[dst]}")
+    # Edge i has codes 2i (reversed) and 2i + 1.
+    token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(complex_.directed))]
+    for codes in complex_.square_codes:
+        out.append("square " + " ".join([token[c] for c in codes]))
     return "\n".join(out) + "\n"
 
 

@@ -68,9 +68,15 @@ def _fresh_name(name, used):
 
 def map_word(word, target_alphabet, rename):
     """Rename a word's letters through `rename` (old name -> new name) into
-    the target alphabet."""
-    return W.reduce(target_alphabet,
-                    [(rename[g], s) for g, s in word.letters])
+    the target alphabet.  A rename that is injective on the word's names
+    keeps it reduced; any other is reduced again."""
+    images = {g: rename[g] for g in dict.fromkeys(g for g, _ in word.letters)}
+    for h in images.values():
+        target_alphabet.check(h)
+    letters = tuple((images[g], s) for g, s in word.letters)
+    if len(set(images.values())) == len(images):
+        return W.from_reduced(target_alphabet, letters)
+    return W.reduce(target_alphabet, letters)
 
 
 def free_product(p, q):
@@ -152,17 +158,20 @@ def add_conjugation_relators(p, w, targets, stable_letters):
 
 
 def substitute(word, target_alphabet, table):
-    """Rewrite a word letterwise through a substitution table name -> Word."""
-    inverses = {}  # name -> letters of table[name].inverse(), once per call
+    """Rewrite a word letterwise through a substitution table name -> Word.
+    The table words are reduced, so letters cancel only at the seams; each
+    one's letters are checked against the target once per call."""
+    pieces = {}  # letter -> the letters of its image, in order of first use
+    for letter in word.letters:
+        if letter not in pieces:
+            g, s = letter
+            pieces[letter] = table[g].letters if s > 0 else table[g].inverse().letters
+    for piece in pieces.values():
+        W.check_letters(target_alphabet, piece)
     out = []
-    for g, s in word.letters:
-        if s > 0:
-            out.extend(table[g].letters)
-        else:
-            if g not in inverses:
-                inverses[g] = table[g].inverse().letters
-            out.extend(inverses[g])
-    return W.reduce(target_alphabet, out)
+    for letter in word.letters:
+        W.extend_reduced(out, pieces[letter])
+    return W.from_reduced(target_alphabet, tuple(out))
 
 
 def verify_generator_change(p, definitions, inverse_expressions):

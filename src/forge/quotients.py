@@ -481,21 +481,11 @@ def _replace_generator(word, gen, images, alphabet):
             pos = names.index(gen, start)
         except ValueError:
             break
-        _extend_reduced(out, letters[start:pos])
-        _extend_reduced(out, images[0] if letters[pos][1] > 0 else images[1])
+        W.extend_reduced(out, letters[start:pos])
+        W.extend_reduced(out, images[0] if letters[pos][1] > 0 else images[1])
         start = pos + 1
-    _extend_reduced(out, letters[start:])
+    W.extend_reduced(out, letters[start:])
     return W.from_reduced(alphabet, tuple(out))
-
-
-def _extend_reduced(out, piece):
-    """Append a reduced piece to the reduced list out, cancelling at the seam."""
-    k = 0
-    while out and k < len(piece) and out[-1][0] == piece[k][0] \
-            and out[-1][1] == -piece[k][1]:
-        out.pop()
-        k += 1
-    out.extend(piece[k:])
 
 
 def _scan(word):
@@ -524,7 +514,7 @@ def _find_move(relators, scans):
     g, sign = letters[pos]
     # r = u g^sign v = 1  =>  g^sign = u^-1 v^-1, which can cancel only at the seam
     solved = [(h, -s) for h, s in reversed(letters[:pos])]
-    _extend_reduced(solved, tuple((h, -s) for h, s in reversed(letters[pos + 1:])))
+    W.extend_reduced(solved, tuple((h, -s) for h, s in reversed(letters[pos + 1:])))
     if sign < 0:
         solved = [(h, -s) for h, s in reversed(solved)]
     return g, tuple(solved), idx

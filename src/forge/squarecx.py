@@ -3,9 +3,12 @@ complex with scaled copies ("S of P") construction, Euler characteristics and
 fundamental-group presentations.
 
 Directed edges are pairs (edge id, sign); the reverse of (e, s) is (e, -s).
-Squares are closed 4-paths of directed edges, stored canonically as the
-least of the eight dihedral readings of the boundary under (repr(e), s), via
-a per-complex integer key.
+Each directed edge also has one integer code, 2 * (position of e in the
+repr-sorted edges) + (s > 0), so reversing flips the low bit.  Squares are
+closed 4-paths of directed edges, validated and canonicalized through their
+codes: the least of the eight dihedral readings of the boundary under
+(repr(e), s).  The link condition is read off one pass over the square
+corners, each corner an arc between two codes.
 """
 
 from __future__ import annotations
@@ -54,61 +57,65 @@ def _unit_path(prefix, d, k):
     return [(prefix + (e, t), s) for t in (range(k) if s > 0 else range(k - 1, -1, -1))]
 
 
-def _canonical_square(square, key):
-    # Codes are (repr(e), s) as integers; reversing a directed edge flips
-    # the low bit of its code.
-    codes = [key[e] + (s > 0) for e, s in square]
-    flipped = [c ^ 1 for c in reversed(codes)]
-    readings = ([codes[i:] + codes[:i] for i in range(4)]
-                + [flipped[i:] + flipped[:i] for i in range(4)])
-    n = readings.index(min(readings))
-    if n >= 4:
-        square, n = tuple(reverse(d) for d in reversed(square)), n - 4
-    return square[n:] + square[:n]
-
-
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `edge_order` lists the edge ids sorted by repr, and `edge_key[e] + (s > 0)`
-    orders directed edges as (repr(e), s) does: `edge_key[e]` is twice the
-    dense rank of repr(e), so equal reprs tie."""
+    `edge_order` lists the edge ids sorted by repr.  The directed edge of
+    code c is `directed[c]` and ends at `head[c]`; `code` maps it back, and
+    `square_codes[q]` holds the codes of `squares[q]`.  `order[c]` ranks
+    codes as (repr(e), s) ranks directed edges: twice the dense rank of
+    repr(e), plus (s > 0), so edges with equal reprs tie there, never in
+    codes.  Comparisons read `order`, identity reads codes."""
 
     def __init__(self, vertices, edges, squares=()):
         self.vertices = set(vertices)
         self.edges = dict(edges)  # eid -> (src, dst)
         names = {e: repr(e) for e in self.edges}
         self.edge_order = tuple(sorted(self.edges, key=names.__getitem__))
-        self.edge_key = {}
-        rank, last = -1, None
-        for e in self.edge_order:
-            if names[e] != last:
-                rank, last = rank + 1, names[e]
-            self.edge_key[e] = 2 * rank
         for eid, (src, dst) in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
-        edges = self.edges
-        self.squares = []
+        self.directed, self.head, self.order = [], [], []
+        rank, last = -2, None
+        for e in self.edge_order:
+            src, dst = self.edges[e]
+            if names[e] != last:
+                rank, last = rank + 2, names[e]
+            self.directed += ((e, -1), (e, 1))
+            self.head += (src, dst)
+            self.order += (rank, rank + 1)
+        self.code = {d: c for c, d in enumerate(self.directed)}
+        self.squares, self.square_codes = [], []
         for sq in squares:
-            sq = _directed_path(edges, sq, "square boundary")
-            if len(sq) != 4:
-                raise ConfigurationError("a square boundary must have exactly 4 edges")
-            ends = [edges[e] if s > 0 else edges[e][::-1] for e, s in sq]
-            if any(ends[i - 1][1] != ends[i][0] for i in range(4)):
-                raise ConfigurationError(
-                    f"square boundary {sq!r} is not a closed edge path")
-            self.squares.append(_canonical_square(sq, self.edge_key))
+            self._add_square(sq)
+
+    def _add_square(self, sq):
+        code, head, order = self.code, self.head, self.order
+        try:
+            codes = [code[d] for d in sq]
+        except (KeyError, TypeError):   # name the fault, or read a list of lists
+            codes = [code[d] for d in _directed_path(self.edges, sq, "square boundary")]
+        if len(codes) != 4:
+            raise ConfigurationError("a square boundary must have exactly 4 edges")
+        c0, c1, c2, c3 = codes
+        if (head[c3] != head[c0 ^ 1] or head[c0] != head[c1 ^ 1]
+                or head[c1] != head[c2 ^ 1] or head[c2] != head[c3 ^ 1]):
+            raise ConfigurationError(
+                f"square boundary {_directed_path(self.edges, sq, 'square boundary')!r}"
+                " is not a closed edge path")
+        f0, f1, f2, f3 = c3 ^ 1, c2 ^ 1, c1 ^ 1, c0 ^ 1
+        readings = ((c0, c1, c2, c3), (c1, c2, c3, c0), (c2, c3, c0, c1), (c3, c0, c1, c2),
+                    (f0, f1, f2, f3), (f1, f2, f3, f0), (f2, f3, f0, f1), (f3, f0, f1, f2))
+        keys = [(order[a], order[b], order[c], order[d]) for a, b, c, d in readings]
+        least = readings[keys.index(min(keys))]
+        self.square_codes.append(least)
+        self.squares.append(tuple(map(self.directed.__getitem__, least)))
 
     def src(self, d):
         return _start(self.edges, d)
 
     def dst(self, d):
         return self.src(reverse(d))
-
-    def directed_key(self, d):
-        """Integer that orders directed edges as (repr(e), s) does."""
-        return self.edge_key[d[0]] + (d[1] > 0)
 
     def directed_edges(self):
         for e in self.edges:
@@ -157,22 +164,33 @@ class LinkGraph:
         return out
 
 
+def _corners(complex_):
+    """The arc (code(sq[c]) ^ 1, code(sq[c + 1])) of every square corner
+    (q, c), q and c ascending: arc i is corner divmod(i, 4).  Both ends of
+    an arc leave the vertex where sq[c] ends."""
+    for c0, c1, c2, c3 in complex_.square_codes:
+        yield c0 ^ 1, c1
+        yield c1 ^ 1, c2
+        yield c2 ^ 1, c3
+        yield c3 ^ 1, c0
+
+
 def _links(complex_, vertices):
-    """The links of the given vertices, built in one pass over the edges and
-    one over the squares, so each costs O(E + F) however many are asked."""
-    out_edges = {v: [] for v in vertices}
-    for d in complex_.directed_edges():
-        ends = out_edges.get(complex_.src(d))
+    """The links of the given vertices, from one pass over the directed
+    edges and one over the corners, so each costs O(E + F) however many
+    are asked."""
+    head, order, directed = complex_.head, complex_.order, complex_.directed
+    nodes = {v: [] for v in vertices}
+    for c in range(len(directed)):
+        ends = nodes.get(head[c ^ 1])
         if ends is not None:
-            ends.append(d)
-    links = {v: LinkGraph(v, tuple(sorted(ds, key=complex_.directed_key)))
-             for v, ds in out_edges.items()}
-    for qi, sq in enumerate(complex_.squares):
-        for ci in range(4):
-            d_in = sq[ci]
-            lk = links.get(complex_.dst(d_in))
-            if lk is not None:
-                lk.arcs.append((reverse(d_in), sq[(ci + 1) % 4], (qi, ci)))
+            ends.append(c)
+    links = {v: LinkGraph(v, tuple(directed[c] for c in sorted(cs, key=lambda c: (order[c], c))))
+             for v, cs in nodes.items()}
+    for i, (a, b) in enumerate(_corners(complex_)):
+        lk = links.get(head[a ^ 1])
+        if lk is not None:
+            lk.arcs.append((directed[a], directed[b], divmod(i, 4)))
     return links
 
 
@@ -186,34 +204,57 @@ def link(complex_, v):
 
 def check_link_condition(complex_):
     """True iff every vertex link is simple (no loops, no bigons) and has no
-    triangle, i.e. girth >= 4.  Returns (ok, violations)."""
-    violations = []
-    links = _links(complex_, complex_.vertices)
-    dkey = complex_.directed_key
-    for v in sorted(complex_.vertices, key=repr):
-        lk = links[v]
-        pair_counts = {}
-        adjacency = {n: set() for n in lk.nodes}
-        for a, b, tag in lk.arcs:
-            if a == b:
-                violations.append((v, "loop", tag))
-                continue
-            key = (a, b) if dkey(a) <= dkey(b) else (b, a)
-            pair_counts.setdefault(key, []).append(tag)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        for key, tags in pair_counts.items():
-            if len(tags) > 1:
-                violations.append((v, "bigon", tuple(tags[:2])))
-        for a in lk.nodes:
-            ka = dkey(a)
-            for b in adjacency[a]:
-                kb = dkey(b)
-                if ka < kb:
-                    for c in adjacency[a] & adjacency[b]:
-                        if kb < dkey(c):
-                            violations.append((v, "triangle", (a, b, c)))
-    return not violations, violations
+    triangle, i.e. girth >= 4.  Returns (ok, violations).
+
+    One pass over the corners finds them all: a node's code fixes its
+    vertex, so one dict of node pairs finds the bigons and one adjacency
+    of codes the triangles, with no per-vertex link.  Violations are listed
+    vertex by vertex in repr order: loops and bigons in corner order, then
+    the triangles (a, b, c) with a < b < c in `order`, by ascending codes."""
+    order = complex_.order
+    n = len(order)
+    loops, first, bigons, adjacency = [], {}, [], {}
+    for i, (a, b) in enumerate(_corners(complex_)):
+        if a == b:
+            loops.append(i)
+            continue
+        pair = a * n + b if order[a] <= order[b] else b * n + a
+        j = first.setdefault(pair, i)
+        if j != i:
+            if j >= 0:   # the pair's second corner; -1 marks it reported
+                bigons.append((j, i))
+                first[pair] = -1
+            continue
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    triangles = []
+    for a, around_a in adjacency.items():
+        for b in around_a:
+            if order[a] < order[b]:
+                around_b = adjacency[b]
+                if not around_a.isdisjoint(around_b):
+                    triangles += [(a, b, c) for c in around_a & around_b
+                                  if order[b] < order[c]]
+    if not (loops or bigons or triangles):
+        return True, []
+    head, directed, codes = complex_.head, complex_.directed, complex_.square_codes
+    found = {}
+
+    def report(v, kind, detail):
+        found.setdefault(v, []).append((kind, detail))
+
+    # Corner (q, c) lies where sq[c] ends; node a leaves where a ^ 1 ends.
+    for i in loops:
+        q, c = divmod(i, 4)
+        report(head[codes[q][c]], "loop", (q, c))
+    for j, i in sorted(bigons):
+        q, c = divmod(j, 4)
+        report(head[codes[q][c]], "bigon", ((q, c), divmod(i, 4)))
+    for a, b, c in sorted(triangles):
+        report(head[a ^ 1], "triangle", (directed[a], directed[b], directed[c]))
+    violations = [(v, kind, detail) for v in sorted(complex_.vertices, key=repr)
+                  if v in found for kind, detail in found[v]]
+    return False, violations
 
 
 @dataclass
@@ -476,13 +517,15 @@ def _pi1_with_names(complex_):
     parent, tree = _bfs_forest(complex_, complex_.edge_order, order[:1])
     if len(parent) != len(order):
         raise ConfigurationError("complex is not connected")
-    non_tree = [e for e in complex_.edge_order if e not in tree]
-    names = {e: f"g{i}" for i, e in enumerate(non_tree)}
-    alphabet = W.Alphabet([names[e] for e in non_tree])
-    relators = []
-    for sq in complex_.squares:
-        letters = [(names[e], s) for e, s in sq if e in names]
-        relators.append(W.reduce(alphabet, letters))
+    edge_order = complex_.edge_order
+    non_tree = [p for p, e in enumerate(edge_order) if e not in tree]
+    alphabet = W.Alphabet([f"g{i}" for i in range(len(non_tree))])
+    letter = [None] * (2 * len(edge_order))   # code -> letter, None on the tree
+    for g, p in zip(alphabet.names, non_tree):
+        letter[2 * p], letter[2 * p + 1] = (g, -1), (g, 1)
+    relators = [W.reduce(alphabet, [letter[c] for c in codes if letter[c]])
+                for codes in complex_.square_codes]
+    names = {edge_order[p]: g for g, p in zip(alphabet.names, non_tree)}
     return FinitePresentation(alphabet, relators), names
 
 
@@ -493,15 +536,15 @@ def cellular_h1(complex_):
     rank d1 = V - c and no elimination is needed for d1.  Then
     betti = (E - rank d1) - rank d2, and the torsion is the invariant
     factors above 1 of d2, from its Smith normal form."""
-    es = complex_.edge_order
-    ei = {e: i for i, e in enumerate(es)}
-    d2 = [[0] * len(es) for _ in complex_.squares]
-    for qi, sq in enumerate(complex_.squares):
-        for e, s in sq:
-            d2[qi][ei[e]] += s
+    d2 = []
+    for codes in complex_.square_codes:
+        row = [0] * len(complex_.edge_order)
+        for c in codes:   # column: the edge's position; sign: the low bit
+            row[c >> 1] += 1 if c & 1 else -1
+        d2.append(row)
     rank_d1 = len(complex_.vertices) - complex_.component_count()
     factors_d2 = smith_normal_form(d2)
-    betti = (len(es) - rank_d1) - len(factors_d2)
+    betti = (len(complex_.edge_order) - rank_d1) - len(factors_d2)
     torsion = tuple(d for d in factors_d2 if d > 1)
     return AbelianInvariants(betti=betti, torsion=torsion)
 

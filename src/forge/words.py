@@ -77,6 +77,7 @@ class Word:
             a, b = self.letters[i], self.letters[i + 1]
             if a[0] == b[0] and a[1] == -b[1]:
                 raise ValueError("Word letters are not freely reduced; use reduce()")
+        check_letters(self.alphabet, self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -86,13 +87,20 @@ class Word:
 
     def __mul__(self, other):
         _require_same_alphabet(self, other)
-        return reduce(self.alphabet, self.letters + other.letters)
+        return _product(self.alphabet, self, other)
 
     def __pow__(self, n):
         if n == 0:
             return Word(self.alphabet, ())
-        base = self if n > 0 else self.inverse()
-        return reduce(self.alphabet, base.letters * abs(n))
+        letters = (self if n > 0 else self.inverse()).letters
+        # letters = u c u^-1 with c cyclically reduced, so the power is
+        # u c^|n| u^-1, reduced as it stands.
+        i, last = 0, len(letters) - 1
+        while i < last - i and letters[i][0] == letters[last - i][0] \
+                and letters[i][1] == -letters[last - i][1]:
+            i += 1
+        return from_reduced(self.alphabet, letters[:i] + letters[i:last + 1 - i] * abs(n)
+                            + letters[last + 1 - i:])
 
     def inverse(self):
         return from_reduced(self.alphabet,
@@ -127,6 +135,28 @@ def from_reduced(alphabet, letters):
     return word
 
 
+def check_letters(alphabet, letters):
+    """The checks reduce() makes of each letter: a name of `alphabet` and a
+    sign +1 or -1."""
+    known = alphabet._index
+    for name, sign in letters:
+        if name not in known:
+            alphabet.check(name)
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+
+
+def extend_reduced(out, piece):
+    """Append the reduced letters `piece` to the reduced list `out`: letters
+    can cancel only at the seam, so nothing else is rescanned."""
+    k = 0
+    while out and k < len(piece) and out[-1][0] == piece[k][0] \
+            and out[-1][1] == -piece[k][1]:
+        out.pop()
+        k += 1
+    out.extend(piece[k:])
+
+
 def reduce(alphabet, letters):
     """Freely reduce a raw letter sequence; idempotent."""
     known = alphabet._index
@@ -144,17 +174,24 @@ def reduce(alphabet, letters):
     return from_reduced(alphabet, tuple(stack))
 
 
+def _product(alphabet, *words):
+    """The product of reduced words, cancelling only at the seams."""
+    out = []
+    for word in words:
+        extend_reduced(out, word.letters)
+    return from_reduced(alphabet, tuple(out))
+
+
 def commutator(x, y):
     """[x, y] = x y x^-1 y^-1, freely reduced."""
     _require_same_alphabet(x, y)
-    return reduce(x.alphabet, x.letters + y.letters
-                  + x.inverse().letters + y.inverse().letters)
+    return _product(x.alphabet, x, y, x.inverse(), y.inverse())
 
 
 def conjugate(x, by):
     """x^by = by^-1 x by, freely reduced."""
     _require_same_alphabet(x, by)
-    return reduce(x.alphabet, by.inverse().letters + x.letters + by.letters)
+    return _product(x.alphabet, by.inverse(), x, by)
 
 
 def cyclic_reduction(x):
@@ -166,7 +203,7 @@ def cyclic_reduction(x):
             and letters[0][1] == -letters[-1][1]:
         prefix.append(letters[0])
         letters = letters[1:-1]
-    return Word(x.alphabet, tuple(letters)), Word(x.alphabet, tuple(prefix))
+    return from_reduced(x.alphabet, tuple(letters)), from_reduced(x.alphabet, tuple(prefix))
 
 
 class CyclicWord:
@@ -231,7 +268,7 @@ def root(x):
     n = len(letters)
     for d in range(1, n + 1):
         if n % d == 0 and letters == letters[:d] * (n // d):
-            return CyclicWord(Word(x.alphabet, letters[:d])), n // d
+            return CyclicWord(from_reduced(x.alphabet, letters[:d])), n // d
     raise AssertionError("unreachable: d = n always matches")
 
 

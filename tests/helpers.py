@@ -612,6 +612,14 @@ def oracle_link(complex_, v):
 
 
 def oracle_check_link_condition(complex_):
+    """Triangles come after the loops and bigons at their vertex, in
+    ascending order of 2 * (position of e among the repr-sorted edges)
+    + (s > 0) of their nodes (e, s)."""
+    position = {e: i for i, e in enumerate(sorted(complex_.edges, key=repr))}
+
+    def codes(violation):
+        return [2 * position[e] + (s > 0) for e, s in violation[2]]
+
     violations = []
     for v in sorted(complex_.vertices, key=repr):
         lk = oracle_link(complex_, v)
@@ -628,12 +636,14 @@ def oracle_check_link_condition(complex_):
         for key, tags in pair_counts.items():
             if len(tags) > 1:
                 violations.append((v, "bigon", tuple(tags[:2])))
+        triangles = []
         for a in lk.nodes:
             for b in adjacency[a]:
                 common = adjacency[a] & adjacency[b]
                 for c in common:
                     if _dkey(a) < _dkey(b) < _dkey(c):
-                        violations.append((v, "triangle", (a, b, c)))
+                        triangles.append((v, "triangle", (a, b, c)))
+        violations += sorted(triangles, key=codes)
     return not violations, violations
 
 

@@ -1,13 +1,20 @@
 """Square complexes: links, geodesics, the scaled-copy construction, pi1."""
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
+import forge
 from forge.errors import ConfigurationError, DegenerateInputError
 from forge.presentations import FinitePresentation, abelianization
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
                             pi1_presentation, reverse)
+from helpers import oracle_canonical_square
 
 
 def pres(gens, *rels):
@@ -58,6 +65,33 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             SquareComplex(TORUS.vertices, TORUS.edges, squares)
 
+    @pytest.mark.parametrize("square, message", [
+        ((("a", 1), ("b", 1), ("a", -1), ("c", -1)), "unknown edge 'c'"),
+        ((("a", 1), ("b", 1), ("a", 0), ("b", -1)), "has sign 0, not 1 or -1"),
+        ((5, 6, 7, 8), r"is not a path of \(edge, sign\) pairs"),
+        ((("a", 1), ("b", 1), ("a", -1)), "must have exactly 4 edges"),
+        ((("a", 1), ("b", 1), ("a", -1), ("b", -1), ("a", 1)), "must have exactly 4 edges"),
+        ((("e", 1),) * 4, r"square boundary \(\('e', 1\), \('e', 1\), \('e', 1\), "
+                          r"\('e', 1\)\) is not a closed edge path")])
+    def test_coded_validation_keeps_its_messages(self, square, message):
+        """Each fault is named as before, for squares of tuples and of lists."""
+        vertices, edges = ["u", "v", "w"], {"a": ("w", "w"), "b": ("w", "w"), "e": ("u", "v")}
+        for form in (square, [list(d) if isinstance(d, tuple) else d for d in square]):
+            with pytest.raises(ConfigurationError, match=message):
+                SquareComplex(vertices, edges, [form])
+
+    @pytest.mark.parametrize("square", [
+        [["a", 1], ["b", 1], ["a", -1], ["b", -1]],
+        [("b", True), ("a", -1), ("b", -1), ("a", True)],
+        [["b", -1], ["a", -1], ["b", True], ["a", 1]],
+        (("a", -1), ("b", -1), ("a", 1), ("b", 1))])
+    def test_lists_and_bool_signs_read_as_tuples(self, square):
+        cx = SquareComplex(TORUS.vertices, TORUS.edges, [square])
+        assert cx.squares == [oracle_canonical_square(map(tuple, square))] == TORUS.squares
+        (codes,) = cx.square_codes
+        assert cx.squares == [tuple(cx.directed[c] for c in codes)]
+        assert all(type(s) is int for _, s in cx.squares[0])
+
 
 class TestLinkCondition:
     def test_torus_passes(self):
@@ -84,6 +118,32 @@ class TestLinkCondition:
         ok, violations = check_link_condition(cx)
         assert not ok
         assert any(kind == "bigon" for _, kind, _ in violations)
+
+
+HASH_SEED_SCRIPT = """
+from forge.squarecx import SquareComplex, check_link_condition
+names = "abcd"
+squares = [((x, 1), (y, 1), (x, -1), (y, -1))
+           for i, x in enumerate(names) for y in names[i + 1:]]
+cx = SquareComplex(["v"], {g: ("v", "v") for g in names}, squares)
+print(repr(check_link_condition(cx)))
+"""
+
+
+def test_violation_order_ignores_the_hash_seed():
+    """Four loops at one vertex and the six commutator squares: 32
+    violations, most of them triangles, listed alike under any hash seed."""
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    ok, violations = ast.literal_eval(outputs[0])
+    assert not ok and len(violations) == 32
 
 
 class TestEdgeLoop:

@@ -340,9 +340,9 @@ def test_translate_family_with_refuting_elements_no_pair_names():
 
 
 def test_translate_family_of_the_trivial_action():
-    """One element and so no coordinates: each row still holds one name per
-    later translate, so a duplicated identity refutes a nontrivial subgroup
-    at its own pair."""
+    """The trivial action: its one element, the identity, decides a pair
+    i < j only when the two translates are equal, so a duplicated identity
+    refutes a nontrivial subgroup at the pair (0, 1)."""
     alphabet, base, _ = large_rotation(3)
     identity = ({"*": "*"}, {e: e for e in base.edges})
     action = S.RelabelingAction(base, [identity])

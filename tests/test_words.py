@@ -69,6 +69,73 @@ class TestOperations:
         assert w("a b a b^-2").exponent_sum("b") == -1
 
 
+ABC = W.Alphabet(["a", "b", "c"])
+XY = W.Alphabet(["x", "y"])
+short_words = st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
+                       max_size=12).map(lambda letters: W.reduce(ABC, letters))
+
+
+class TestSeamKernel:
+    """Products, powers, commutators, conjugates, renames and substitutions
+    cancel only at the seams of reduced words; each equals reduce() of the
+    concatenated letters."""
+
+    @given(short_words, short_words, st.integers(-4, 4))
+    def test_operations_match_reduce(self, x, y, n):
+        inv = x.inverse()
+        assert x * y == W.reduce(ABC, x.letters + y.letters)
+        assert x ** n == W.reduce(ABC, (x if n > 0 else inv).letters * abs(n))
+        assert W.commutator(x, y) == W.reduce(
+            ABC, x.letters + y.letters + inv.letters + y.inverse().letters)
+        assert W.conjugate(x, y) == W.reduce(ABC, y.inverse().letters + x.letters + y.letters)
+        out = list(x.letters)
+        W.extend_reduced(out, y.letters)
+        assert tuple(out) == (x * y).letters
+
+    @given(short_words, st.sampled_from([{"a": "x", "b": "y", "c": "z"},
+                                         {"a": "y", "b": "x", "c": "x"},
+                                         {"a": "x", "b": "x", "c": "x"}]))
+    def test_map_word_matches_reduce(self, x, rename):
+        from forge.presentations import map_word
+        target = W.Alphabet(["x", "y", "z"])
+        assert map_word(x, target, rename) == W.reduce(
+            target, [(rename[g], s) for g, s in x.letters])
+
+    @given(short_words, st.lists(st.lists(st.tuples(st.sampled_from(["x", "y"]),
+                                                    st.sampled_from([1, -1])), max_size=4),
+                                 min_size=3, max_size=3))
+    def test_substitute_matches_reduce(self, x, images):
+        from forge.presentations import substitute
+        table = {g: W.reduce(XY, letters) for g, letters in zip("abc", images)}
+        out = []
+        for g, s in x.letters:
+            out += table[g].letters if s > 0 else table[g].inverse().letters
+        assert substitute(x, XY, table) == W.reduce(XY, out)
+
+    def test_errors_are_unchanged(self):
+        from forge.presentations import map_word, substitute
+        x = w("a b^-1 a")
+        with pytest.raises(AlphabetMismatchError, match="unknown generator 'b'"):
+            map_word(x, XY, {"a": "x", "b": "b"})
+        with pytest.raises(KeyError):
+            map_word(x, XY, {"a": "x"})
+        with pytest.raises(KeyError):
+            substitute(x, XY, {"a": W.reduce(XY, [("x", 1)])})
+        with pytest.raises(AlphabetMismatchError, match="unknown generator 'z'"):
+            substitute(x, W.Alphabet(["x"]), {"a": W.reduce(XY, [("x", 1)]),
+                                              "b": W.reduce(W.Alphabet(["z"]), [("z", 1)])})
+        with pytest.raises(AlphabetMismatchError):
+            x * W.reduce(ABC, [("a", 1)])
+
+    def test_a_word_is_checked_where_it_is_built(self):
+        with pytest.raises(AlphabetMismatchError, match="unknown generator 'c'"):
+            W.Word(AB, (("a", 1), ("c", 1)))
+        with pytest.raises(ValueError, match="sign must be"):
+            W.Word(AB, (("a", 2),))
+        with pytest.raises(ValueError, match="not freely reduced"):
+            W.Word(AB, (("c", 1), ("c", -1)))
+
+
 class TestCyclic:
     def test_cyclic_reduction(self):
         core, conj = W.cyclic_reduction(w("b^-1 a b"))
