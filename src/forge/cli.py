@@ -302,7 +302,7 @@ def _cmd_sqc_build(args):
     pres_text, complex_text = _read(args.pres), _read(args.complex)
     p = FF.parse_presentation(pres_text)
     cx = FF.parse_complex(complex_text)
-    gamma = FF.parse_directed_edges(args.gamma.split(), cx.edges, "gamma")
+    gamma = [cx.directed[c] for c in FF.parse_edge_codes(args.gamma.split(), cx, "gamma")]
     built = build_S_of_P(p, cx, gamma)
     artifacts = []
     _emit(FF.format_complex(built.complex), args.out, artifacts)

@@ -12,7 +12,7 @@ import json
 
 from . import words as W
 from .encoder import UV, MalnormalCertificate
-from .errors import ForgeError, ParseError
+from .errors import ConfigurationError, ForgeError, ParseError
 from .presentations import FinitePresentation
 from .squarecx import SquareComplex
 from .stallings import GraphImmersion, LabeledGraph
@@ -249,17 +249,21 @@ def format_immersion(immersion, base_path):
 #   vertex <id>
 #   edge <id> <src> <dst>
 #   square <d1> <d2> <d3> <d4>      (reverse of edge e spelled `e-`)
+#
+# Lines may come in any order; square tokens are read once all edges are
+# known, straight to codes (forge.squarecx: repr order, ties in file order).
 
 
-def parse_directed_edges(tokens, edges, referrer, line=None):
-    """Directed edges spelled `e` or `e-` (the reverse of edge e); an id
-    not in `edges` is an error naming the referrer ("square", "gamma")."""
+def parse_edge_codes(tokens, complex_, referrer, line=None):
+    """The codes in complex_ of the directed edges spelled `e` or `e-` (the
+    reverse of edge e), one lookup each; an unknown id is an error naming
+    the referrer ("square", "gamma")."""
     out = []
     for tok in tokens:
-        eid, sign = (_token(tok[:-1]), -1) if tok.endswith("-") else (_token(tok), 1)
-        if eid not in edges:
+        c = complex_.code.get((_token(tok[:-1]), -1) if tok.endswith("-") else (_token(tok), 1))
+        if c is None:
             raise ParseError(f"{referrer} references unknown edge {tok!r}", line=line)
-        out.append((eid, sign))
+        out.append(c)
     return out
 
 
@@ -284,11 +288,17 @@ def parse_complex(text):
         elif kind == "square":
             if len(args) != 4:
                 raise ParseError("square takes exactly four directed edges", line=i)
-            squares.append(tuple(parse_directed_edges(args, edges, "square", i)))
+            squares.append((i, args))
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)
-    return _build(SquareComplex, vertices, edges, squares)
+    complex_ = _build(SquareComplex, vertices, edges)
+    for i, tokens in squares:
+        try:
+            complex_.add_square(parse_edge_codes(tokens, complex_, "square", i))
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), line=i) from exc
+    return complex_
 
 
 def format_complex(complex_):

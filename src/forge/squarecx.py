@@ -4,11 +4,12 @@ fundamental-group presentations.
 
 Directed edges are pairs (edge id, sign); the reverse of (e, s) is (e, -s).
 Each directed edge also has one integer code, 2 * (position of e in the
-repr-sorted edges) + (s > 0), so reversing flips the low bit.  Squares are
-closed 4-paths of directed edges, validated and canonicalized through their
-codes: the least of the eight dihedral readings of the boundary under
-(repr(e), s).  The link condition is read off one pass over the square
-corners, each corner an arc between two codes.
+edges sorted by repr, ties in the order given) + (s > 0), so reversing
+flips the low bit.  Codes are the only order and identity of directed
+edges.  Squares are closed 4-paths of directed edges, validated and
+canonicalized through their codes: the least of the eight dihedral
+readings of the boundary.  The link condition is read off one pass over
+the square corners, each corner an arc between two codes.
 """
 
 from __future__ import annotations
@@ -60,54 +61,45 @@ def _unit_path(prefix, d, k):
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `edge_order` lists the edge ids sorted by repr.  The directed edge of
-    code c is `directed[c]` and ends at `head[c]`; `code` maps it back, and
-    `square_codes[q]` holds the codes of `squares[q]`.  `order[c]` ranks
-    codes as (repr(e), s) ranks directed edges: twice the dense rank of
-    repr(e), plus (s > 0), so edges with equal reprs tie there, never in
-    codes.  Comparisons read `order`, identity reads codes."""
+    `edge_order` lists the edge ids sorted by repr, ties in the order the
+    edges were given.  The directed edge of code c is `directed[c]` and ends
+    at `head[c]`; `code` maps it back, and `square_codes[q]` holds the codes
+    of `squares[q]`.  Codes are the one order and identity of directed
+    edges."""
 
     def __init__(self, vertices, edges, squares=()):
         self.vertices = set(vertices)
         self.edges = dict(edges)  # eid -> (src, dst)
-        names = {e: repr(e) for e in self.edges}
-        self.edge_order = tuple(sorted(self.edges, key=names.__getitem__))
+        self.edge_order = tuple(sorted(self.edges, key=repr))
         for eid, (src, dst) in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
-        self.directed, self.head, self.order = [], [], []
-        rank, last = -2, None
-        for e in self.edge_order:
-            src, dst = self.edges[e]
-            if names[e] != last:
-                rank, last = rank + 2, names[e]
-            self.directed += ((e, -1), (e, 1))
-            self.head += (src, dst)
-            self.order += (rank, rank + 1)
-        self.code = {d: c for c, d in enumerate(self.directed)}
+        self.directed = [(e, s) for e in self.edge_order for s in (-1, 1)]
+        self.head = [self.edges[e][s > 0] for e, s in self.directed]
+        code = self.code = {d: c for c, d in enumerate(self.directed)}
         self.squares, self.square_codes = [], []
         for sq in squares:
-            self._add_square(sq)
+            try:
+                codes = [code[d] for d in sq]
+            except (KeyError, TypeError):   # name the fault, or read a list of lists
+                codes = [code[d] for d in _directed_path(self.edges, sq, "square boundary")]
+            self.add_square(codes)
 
-    def _add_square(self, sq):
-        code, head, order = self.code, self.head, self.order
-        try:
-            codes = [code[d] for d in sq]
-        except (KeyError, TypeError):   # name the fault, or read a list of lists
-            codes = [code[d] for d in _directed_path(self.edges, sq, "square boundary")]
+    def add_square(self, codes):
+        """Add the square whose boundary reads these directed-edge codes,
+        canonicalized to the least of its eight readings."""
+        head = self.head
         if len(codes) != 4:
             raise ConfigurationError("a square boundary must have exactly 4 edges")
         c0, c1, c2, c3 = codes
         if (head[c3] != head[c0 ^ 1] or head[c0] != head[c1 ^ 1]
                 or head[c1] != head[c2 ^ 1] or head[c2] != head[c3 ^ 1]):
             raise ConfigurationError(
-                f"square boundary {_directed_path(self.edges, sq, 'square boundary')!r}"
+                f"square boundary {tuple(map(self.directed.__getitem__, codes))!r}"
                 " is not a closed edge path")
         f0, f1, f2, f3 = c3 ^ 1, c2 ^ 1, c1 ^ 1, c0 ^ 1
-        readings = ((c0, c1, c2, c3), (c1, c2, c3, c0), (c2, c3, c0, c1), (c3, c0, c1, c2),
+        least = min((c0, c1, c2, c3), (c1, c2, c3, c0), (c2, c3, c0, c1), (c3, c0, c1, c2),
                     (f0, f1, f2, f3), (f1, f2, f3, f0), (f2, f3, f0, f1), (f3, f0, f1, f2))
-        keys = [(order[a], order[b], order[c], order[d]) for a, b, c, d in readings]
-        least = readings[keys.index(min(keys))]
         self.square_codes.append(least)
         self.squares.append(tuple(map(self.directed.__getitem__, least)))
 
@@ -175,31 +167,17 @@ def _corners(complex_):
         yield c3 ^ 1, c0
 
 
-def _links(complex_, vertices):
-    """The links of the given vertices, from one pass over the directed
-    edges and one over the corners, so each costs O(E + F) however many
-    are asked."""
-    head, order, directed = complex_.head, complex_.order, complex_.directed
-    nodes = {v: [] for v in vertices}
-    for c in range(len(directed)):
-        ends = nodes.get(head[c ^ 1])
-        if ends is not None:
-            ends.append(c)
-    links = {v: LinkGraph(v, tuple(directed[c] for c in sorted(cs, key=lambda c: (order[c], c))))
-             for v, cs in nodes.items()}
-    for i, (a, b) in enumerate(_corners(complex_)):
-        lk = links.get(head[a ^ 1])
-        if lk is not None:
-            lk.arcs.append((directed[a], directed[b], divmod(i, 4)))
-    return links
-
-
 def link(complex_, v):
-    """One node per edge-end at v (a loop contributes both directions); one
-    arc per square corner whose apex is v."""
+    """One node per edge-end at v (a loop contributes both directions), in
+    code order; one arc per square corner whose apex is v."""
     if v not in complex_.vertices:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
-    return _links(complex_, (v,))[v]
+    head, directed = complex_.head, complex_.directed
+    lk = LinkGraph(v, tuple(directed[c] for c in range(len(directed)) if head[c ^ 1] == v))
+    for i, (a, b) in enumerate(_corners(complex_)):
+        if head[a ^ 1] == v:
+            lk.arcs.append((directed[a], directed[b], divmod(i, 4)))
+    return lk
 
 
 def check_link_condition(complex_):
@@ -210,15 +188,14 @@ def check_link_condition(complex_):
     vertex, so one dict of node pairs finds the bigons and one adjacency
     of codes the triangles, with no per-vertex link.  Violations are listed
     vertex by vertex in repr order: loops and bigons in corner order, then
-    the triangles (a, b, c) with a < b < c in `order`, by ascending codes."""
-    order = complex_.order
-    n = len(order)
+    the triangles (a, b, c), a < b < c, by ascending codes."""
+    n = len(complex_.directed)
     loops, first, bigons, adjacency = [], {}, [], {}
     for i, (a, b) in enumerate(_corners(complex_)):
         if a == b:
             loops.append(i)
             continue
-        pair = a * n + b if order[a] <= order[b] else b * n + a
+        pair = a * n + b if a < b else b * n + a
         j = first.setdefault(pair, i)
         if j != i:
             if j >= 0:   # the pair's second corner; -1 marks it reported
@@ -230,28 +207,24 @@ def check_link_condition(complex_):
     triangles = []
     for a, around_a in adjacency.items():
         for b in around_a:
-            if order[a] < order[b]:
+            if a < b:
                 around_b = adjacency[b]
                 if not around_a.isdisjoint(around_b):
-                    triangles += [(a, b, c) for c in around_a & around_b
-                                  if order[b] < order[c]]
+                    triangles += [(a, b, c) for c in around_a & around_b if b < c]
     if not (loops or bigons or triangles):
         return True, []
     head, directed, codes = complex_.head, complex_.directed, complex_.square_codes
     found = {}
-
-    def report(v, kind, detail):
-        found.setdefault(v, []).append((kind, detail))
-
     # Corner (q, c) lies where sq[c] ends; node a leaves where a ^ 1 ends.
     for i in loops:
         q, c = divmod(i, 4)
-        report(head[codes[q][c]], "loop", (q, c))
+        found.setdefault(head[codes[q][c]], []).append(("loop", (q, c)))
     for j, i in sorted(bigons):
         q, c = divmod(j, 4)
-        report(head[codes[q][c]], "bigon", ((q, c), divmod(i, 4)))
+        found.setdefault(head[codes[q][c]], []).append(("bigon", ((q, c), divmod(i, 4))))
     for a, b, c in sorted(triangles):
-        report(head[a ^ 1], "triangle", (directed[a], directed[b], directed[c]))
+        found.setdefault(head[a ^ 1], []).append(
+            ("triangle", (directed[a], directed[b], directed[c])))
     violations = [(v, kind, detail) for v in sorted(complex_.vertices, key=repr)
                   if v in found for kind, detail in found[v]]
     return False, violations
@@ -282,12 +255,10 @@ class EdgeLoop:
         """No backtracking (already enforced) and every corner subtends an
         angle of at least pi: consecutive edge-ends are not adjacent in the
         link of the vertex between them."""
-        links = _links(self.complex, {self.complex.dst(d) for d in self.edges})
-        adjacency = {v: lk.adjacency() for v, lk in links.items()}
-        for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):
-            if d_next in adjacency[self.complex.dst(d)].get(reverse(d), []):
-                return False
-        return True
+        arcs = set(_corners(self.complex))
+        codes = [self.complex.code[d] for d in self.edges]
+        return not any((c ^ 1, c_next) in arcs or (c_next, c ^ 1) in arcs
+                       for c, c_next in zip(codes, codes[1:] + codes[:1]))
 
 
 def one_square_torus():
@@ -406,7 +377,9 @@ class BuiltComplex:
 def build_S_of_P(p, x, gamma):
     """Subdivide the rose on p's generators by k = len(gamma), scale one copy
     of x per relator r_j by ell_j = len(r_j), and glue the r_j loop to the
-    gamma loop of copy j by a cylinder of k*ell_j unit squares."""
+    gamma loop of copy j by a cylinder of k*ell_j unit squares.  The cell
+    count grows as ell_j squared; it is computed first, and a complex of
+    more than words.MAX_WORD_LETTERS cells is refused before any is built."""
     if not isinstance(gamma, EdgeLoop) or gamma.complex is not x:
         gamma = EdgeLoop(x, gamma.edges if isinstance(gamma, EdgeLoop) else gamma)
     if not gamma.is_locally_geodesic():
@@ -418,6 +391,15 @@ def build_S_of_P(p, x, gamma):
         if first[0] == last[0] and first[1] == -last[1]:
             raise DegenerateInputError(f"relator {r} is not cyclically reduced")
     k = len(gamma.edges)
+    # The rose, then per relator of length l a copy with every edge cut in
+    # l and every square in an l x l grid, and a cylinder of k * l squares.
+    V, E, F = len(x.vertices), len(x.edges), len(x.squares)
+    cells = 1 + len(p.generators) * (2 * k - 1) + sum(
+        V + E * (2 * ell - 1) + F * (2 * ell - 1) ** 2 + 2 * k * ell
+        for ell in map(len, p.relators))
+    if cells > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(
+            f"S(P) would have {cells} cells, more than {W.MAX_WORD_LETTERS}")
 
     vertices = {("rose", "*")}
     edges = {}
@@ -511,11 +493,11 @@ def pi1_presentation(complex_):
 def _pi1_with_names(complex_):
     # The spanning tree is the BFS tree from the least vertex, edges
     # explored in canonical order.
-    order = sorted(complex_.vertices, key=repr)
-    if not order:
+    if not complex_.vertices:
         raise ConfigurationError("empty complex")
-    parent, tree = _bfs_forest(complex_, complex_.edge_order, order[:1])
-    if len(parent) != len(order):
+    root = min(complex_.vertices, key=repr)
+    parent, tree = _bfs_forest(complex_, complex_.edge_order, [root])
+    if len(parent) != len(complex_.vertices):
         raise ConfigurationError("complex is not connected")
     edge_order = complex_.edge_order
     non_tree = [p for p, e in enumerate(edge_order) if e not in tree]
@@ -558,11 +540,11 @@ def _copy_killing_relators(built, presentation, names):
     complex_ = built.complex
     relators = []
     copies = {}
-    for e, prov in built.provenance.items():
-        if e in complex_.edges and prov[0] == "copy":
+    for e in complex_.edge_order:
+        prov = built.provenance[e]
+        if prov[0] == "copy":
             copies.setdefault(prov[1], []).append(e)
-    for j in sorted(copies):
-        copy_edges = sorted(copies[j], key=repr)
+    for j, copy_edges in sorted(copies.items()):
         ends = {v for e in copy_edges for v in complex_.edges[e]}
         parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
         for e in copy_edges:

@@ -645,7 +645,7 @@ def _images(mapping, ids):
         return None
     try:
         return tuple(map(mapping.__getitem__, ids))
-    except KeyError:
+    except LookupError:
         return None
 
 
@@ -717,8 +717,12 @@ def translate_family_check(base, action, subgroup, translates):
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
-    translates = _maps(translates)
-    keys = [action._key(el) for el in translates]
+    translates = list(translates)   # keyed from the caller's maps, uncopied
+    try:
+        keys = [action._key((vertex_map, edge_map)) for vertex_map, edge_map in translates]
+    except (TypeError, ValueError):
+        raise InvalidActionError(
+            "action element is not a pair of (vertex map, edge map)") from None
     try:
         foreign = not set(keys) <= action._table.keys()
     except TypeError:   # an unhashable image is no element

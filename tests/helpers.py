@@ -462,22 +462,29 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # sparse ones in forge.snf and forge.squarecx: Euclidean Smith normal form on
 # the whole matrix, SNF of both boundary matrices, and one full scan of the
 # edges and squares per vertex link.  Also the orders that one integer edge
-# key per complex replaced: directed edges compared as (repr(e), s), squares
-# canonicalized by comparing reprs, complexes written with a repr sort.  Only
+# key per complex replaced: directed edges compared as (rank of e, s), the
+# rank sorting edges by repr, ties in the order the edges were given; squares
+# canonicalized by that comparison, complexes written with a repr sort.  Only
 # the data types and `reverse` come from forge.
 
 
-def _dkey(d):
-    e, s = d
-    return (repr(e), s)
+def _dkey(edges):
+    """The key of a directed edge (e, s) over the given edge ids: (rank of e,
+    s), edges ranked by repr, ties in the order given (a stable sort)."""
+    rank = {e: i for i, e in enumerate(sorted(edges, key=repr))}
+    return lambda d: (rank[d[0]], d[1])
 
 
-def oracle_canonical_square(square):
+def oracle_canonical_square(square, edges=None):
+    """The least reading of the square's boundary over the complex's
+    `edges`; without them, ties between equal reprs follow the order in
+    which the square's edges first appear."""
     square = tuple(square)
+    key = _dkey(edges if edges is not None else dict.fromkeys(e for e, _ in square))
     rotations = [tuple(square[i:] + square[:i]) for i in range(4)]
     flipped = tuple(reverse(d) for d in reversed(square))
     rotations += [tuple(flipped[i:] + flipped[:i]) for i in range(4)]
-    return min(rotations, key=lambda sq: [_dkey(d) for d in sq])
+    return min(rotations, key=lambda sq: [key(d) for d in sq])
 
 
 def oracle_format_complex(complex_):
@@ -601,7 +608,7 @@ def oracle_cellular_h1(complex_):
 
 def oracle_link(complex_, v):
     nodes = tuple(sorted((d for d in complex_.directed_edges()
-                          if complex_.src(d) == v), key=_dkey))
+                          if complex_.src(d) == v), key=_dkey(complex_.edges)))
     lk = LinkGraph(v, nodes)
     for qi, sq in enumerate(complex_.squares):
         for ci in range(4):
@@ -613,12 +620,11 @@ def oracle_link(complex_, v):
 
 def oracle_check_link_condition(complex_):
     """Triangles come after the loops and bigons at their vertex, in
-    ascending order of 2 * (position of e among the repr-sorted edges)
-    + (s > 0) of their nodes (e, s)."""
-    position = {e: i for i, e in enumerate(sorted(complex_.edges, key=repr))}
+    ascending order of their nodes' keys."""
+    dkey = _dkey(complex_.edges)
 
-    def codes(violation):
-        return [2 * position[e] + (s > 0) for e, s in violation[2]]
+    def node_keys(violation):
+        return [dkey(d) for d in violation[2]]
 
     violations = []
     for v in sorted(complex_.vertices, key=repr):
@@ -629,7 +635,7 @@ def oracle_check_link_condition(complex_):
             if a == b:
                 violations.append((v, "loop", tag))
                 continue
-            key = tuple(sorted((a, b), key=_dkey))
+            key = tuple(sorted((a, b), key=dkey))
             pair_counts.setdefault(key, []).append(tag)
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -641,9 +647,9 @@ def oracle_check_link_condition(complex_):
             for b in adjacency[a]:
                 common = adjacency[a] & adjacency[b]
                 for c in common:
-                    if _dkey(a) < _dkey(b) < _dkey(c):
+                    if dkey(a) < dkey(b) < dkey(c):
                         triangles.append((v, "triangle", (a, b, c)))
-        violations += sorted(triangles, key=codes)
+        violations += sorted(triangles, key=node_keys)
     return not violations, violations
 
 

@@ -323,6 +323,16 @@ class TestErrors:
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == [f"error: {error}"]
 
+    def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
+        (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")
+        code, out = run(capsys, "sqc", "build",
+                        "--pres", workdir / "long_rel.txt",
+                        "--complex", workdir / "torus_cx.txt", "--gamma", "a")
+        assert code == 1
+        assert "status: error" in out
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == ["error: S(P) would have 100010003 cells, more than 1000000"]
+
     def test_orders_with_word_rejected(self, workdir, capsys):
         code, out = run(capsys, "quotients", workdir / "free.txt", "--max-degree",
                         "3", "--word", "b", "--orders", "1:2,3")

@@ -137,6 +137,12 @@ class TestComplexFormat:
             FF.parse_complex("vertex v\nedge a v v\nsquare a a a c\n")
         assert exc.value.line == 3
 
+    def test_open_square_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            FF.parse_complex("vertex u\nvertex v\nedge a u v\nsquare a a a a\n")
+        assert exc.value.line == 4
+        assert "not a closed edge path" in str(exc.value)
+
 
 class TestTraceFormat:
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"s"', '{"x": 1}',

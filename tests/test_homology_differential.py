@@ -200,15 +200,16 @@ class Twin:
 @derandomized
 def test_edge_key_orders_as_repr(seed):
     """Squares, links, violations and written text from the integer edge
-    key equal those from comparing reprs: ids of mixed types, the int 1
-    beside the str "1", and two ids with one repr."""
+    key equal those from comparing reprs, ties in the order the edges were
+    given: ids of mixed types, the int 1 beside the str "1", and two ids
+    with one repr."""
     rng = random.Random(seed)
     edge_ids = [1, "1", ("1",), 0, -3, "e", ("f", 2), ("f", "2"), Twin(), Twin()]
     rng.shuffle(edge_ids)
     vertices, edges, squares = random_cells(rng, (1, "1", ("v", 0), -2, "w"),
                                             tuple(edge_ids))
     cx = SquareComplex(vertices, edges, squares)
-    assert cx.squares == [oracle_canonical_square(sq) for sq in squares]
+    assert cx.squares == [oracle_canonical_square(sq, edges) for sq in squares]
     for v in vertices:
         assert link(cx, v) == oracle_link(cx, v)
     assert check_link_condition(cx) == oracle_check_link_condition(cx)
@@ -218,11 +219,12 @@ def test_edge_key_orders_as_repr(seed):
 
 LOOP = SquareComplex(["u", "v"], {"e": ("u", "v")},
                      [(("e", 1), ("e", -1), ("e", 1), ("e", -1))])
-BIGON = SquareComplex(["v"], {"a": ("v", "v"), "b": ("v", "v")},
-                      [(("a", 1), ("b", 1), ("a", -1), ("b", -1)),
-                       (("a", 1), ("b", -1), ("a", -1), ("b", 1))])
+BIGON_CELLS = (["v"], {"a": ("v", "v"), "b": ("v", "v")},
+               [(("a", 1), ("b", 1), ("a", -1), ("b", -1)),
+                (("a", 1), ("b", -1), ("a", -1), ("b", 1))])
+BIGON = SquareComplex(*BIGON_CELLS)
 # Three squares around a cube corner: the link of o is a triangle.
-TRIANGLE = SquareComplex(
+TRIANGLE_CELLS = (
     ["o", "X", "Y", "Z", "XY", "YZ", "ZX"],
     {"x": ("o", "X"), "y": ("o", "Y"), "z": ("o", "Z"),
      "xy1": ("X", "XY"), "xy2": ("Y", "XY"), "yz1": ("Y", "YZ"),
@@ -230,6 +232,7 @@ TRIANGLE = SquareComplex(
     [(("x", 1), ("xy1", 1), ("xy2", -1), ("y", -1)),
      (("y", 1), ("yz1", 1), ("yz2", -1), ("z", -1)),
      (("z", 1), ("zx1", 1), ("zx2", -1), ("x", -1))])
+TRIANGLE = SquareComplex(*TRIANGLE_CELLS)
 
 
 @pytest.mark.parametrize("cx, kind", [(LOOP, "loop"), (BIGON, "bigon"),
@@ -239,6 +242,34 @@ def test_hand_made_link_failures(cx, kind):
     assert not ok and kind in {k for _, k, _ in violations}
     assert (ok, violations) == oracle_check_link_condition(cx)
     assert cellular_h1(cx) == oracle_cellular_h1(cx)
+
+
+def with_twins(cells, names):
+    """The complex of these cells, the named edges replaced by Twin ids,
+    which print alike."""
+    vertices, edges, squares = cells
+    twin = {e: Twin() for e in names}
+    return SquareComplex(vertices, {twin.get(e, e): ends for e, ends in edges.items()},
+                         [tuple((twin.get(e, e), s) for e, s in sq) for sq in squares])
+
+
+def test_twin_edge_triangle_refuted():
+    """Edges that print alike are still two nodes of the link: the cube
+    corner keeps its triangle at o."""
+    cx = with_twins(TRIANGLE_CELLS, ("x", "y"))
+    ok, violations = check_link_condition(cx)
+    assert not ok and [(v, kind) for v, kind, _ in violations] == [("o", "triangle")]
+    assert (ok, violations) == oracle_check_link_condition(cx)
+
+
+def test_twin_edge_bigons_all_reported():
+    cx = with_twins(BIGON_CELLS, ("a", "b"))
+
+    def bigons(cx):
+        return sum(kind == "bigon" for _, kind, _ in check_link_condition(cx)[1])
+
+    assert bigons(cx) == bigons(BIGON) == 4
+    assert check_link_condition(cx) == oracle_check_link_condition(cx)
 
 
 def test_disconnected_complex():

@@ -194,6 +194,15 @@ class TestBuild:
         with pytest.raises(DegenerateInputError):
             build_S_of_P(p, TORUS, [("a", 1), ("b", 1)])
 
+    def test_cell_count_bounded_before_building(self):
+        """A relator of length l puts l * l squares in its copy: the count
+        is checked against MAX_WORD_LETTERS before any cell is built."""
+        with pytest.raises(DegenerateInputError, match="more than 1000000"):
+            build_S_of_P(pres(["a", "b"], "a^5000"), TORUS, [("a", 1)])
+        # The bound is on all the cells: 1 + 2 + (1 + 2 * 39 + 39 ** 2 + 40).
+        s = build_S_of_P(pres(["a", "b"], "a^20"), TORUS, [("a", 1)]).complex
+        assert len(s.vertices) + len(s.edges) + len(s.squares) == 1643
+
     def test_non_cyclically_reduced_relator_rejected(self):
         p = pres(["a", "b"], "a b a^-1")
         with pytest.raises(DegenerateInputError):
