@@ -222,13 +222,15 @@ def tietze_change_generators(p, definitions, inverse_expressions):
 
 
 def exponent_matrix(p):
-    """Relators x generators matrix of exponent sums, one pass per relator."""
-    column = {g: j for j, g in enumerate(p.generators)}
+    """Exponent sums as sparse rows for `smith_normal_form`: one dict
+    generator -> exponent sum per relator, in one pass over its letters.
+    A generator the relator does not use is absent; one whose letters
+    cancel maps to 0."""
     matrix = []
     for r in p.relators:
-        row = [0] * len(column)
+        row = {}
         for g, s in r.letters:
-            row[column[g]] += s
+            row[g] = row.get(g, 0) + s
         matrix.append(row)
     return matrix
 

@@ -118,18 +118,19 @@ class SquareComplex:
         return len(self.vertices) - len(self.edges) + len(self.squares)
 
     def component_count(self):
-        """Number of connected components (0 for the empty complex)."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        """Number of connected components (0 for the empty complex).  The
+        vertices are indexed once; union-find then runs over a list of ints."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        parent = list(range(len(index)))
         count = len(parent)
         for src, dst in self.edges.values():
-            a, b = find(src), find(dst)
+            a, b = index[src], index[dst]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
             if a != b:
                 parent[a] = b
                 count -= 1
@@ -147,13 +148,6 @@ class LinkGraph:
     vertex: object
     nodes: tuple
     arcs: list = field(default_factory=list)
-
-    def adjacency(self):
-        out = {n: [] for n in self.nodes}
-        for a, b, _ in self.arcs:
-            out[a].append(b)
-            out[b].append(a)
-        return out
 
 
 def _corners(complex_):
@@ -517,12 +511,15 @@ def cellular_h1(complex_):
     H_0 = coker d1 is free on the c connected components, so
     rank d1 = V - c and no elimination is needed for d1.  Then
     betti = (E - rank d1) - rank d2, and the torsion is the invariant
-    factors above 1 of d2, from its Smith normal form."""
+    factors above 1 of d2, from its Smith normal form.  d2 goes to the
+    kernel as sparse rows read off the square codes: one dict edge
+    position -> coefficient per square."""
     d2 = []
     for codes in complex_.square_codes:
-        row = [0] * len(complex_.edge_order)
+        row = {}
         for c in codes:   # column: the edge's position; sign: the low bit
-            row[c >> 1] += 1 if c & 1 else -1
+            j = c >> 1
+            row[j] = row.get(j, 0) + (1 if c & 1 else -1)
         d2.append(row)
     rank_d1 = len(complex_.vertices) - complex_.component_count()
     factors_d2 = smith_normal_form(d2)

@@ -172,6 +172,12 @@ def _det(m):
     return total
 
 
+def sparse_rows(m):
+    """The rows of a dense matrix as the dicts column -> entry that
+    `smith_normal_form` reads, zeros kept."""
+    return [dict(enumerate(r)) for r in m]
+
+
 def invariant_factors_oracle(matrix):
     """Nonzero invariant factors from determinantal divisors."""
     divisors = determinantal_divisors(matrix)
@@ -658,7 +664,11 @@ def oracle_is_locally_geodesic(loop):
     for d, d_next in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
         v = loop.complex.dst(d)
         if v not in links:
-            links[v] = oracle_link(loop.complex, v).adjacency()
+            lk = oracle_link(loop.complex, v)
+            links[v] = adjacency = {n: [] for n in lk.nodes}
+            for a, b, _ in lk.arcs:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
         if d_next in set(links[v].get(reverse(d), [])):
             return False
     return True

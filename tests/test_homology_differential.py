@@ -24,7 +24,8 @@ from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P, cellular_h1,
 from helpers import (derandomized, oracle_canonical_square, oracle_cellular_h1,
                      oracle_check_link_condition, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
-                     oracle_smith_normal_form, random_reduced_word, seeds)
+                     oracle_smith_normal_form, random_reduced_word, seeds,
+                     sparse_rows)
 
 # Mostly units, with non-units and large entries so that the pivot loop
 # goes on past its last +-1 pivot.
@@ -54,14 +55,14 @@ def random_matrix(rng, entries=ENTRIES):
 @derandomized
 def test_snf_matches_dense_kernel(seed):
     m = random_matrix(random.Random(seed))
-    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+    assert smith_normal_form(sparse_rows(m)) == oracle_smith_normal_form(m)
 
 
 @given(seeds)
 @derandomized
 def test_snf_matches_dense_kernel_on_few_units(seed):
     m = random_matrix(random.Random(seed), FEW_UNITS)
-    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+    assert smith_normal_form(sparse_rows(m)) == oracle_smith_normal_form(m)
 
 
 @given(seeds)
@@ -70,7 +71,7 @@ def test_snf_matches_on_single_rows_and_columns(seed):
     rng = random.Random(seed)
     row = [rng.choice(ENTRIES + (0,) * 8) for _ in range(rng.randint(1, 15))]
     for m in ([row], [[x] for x in row]):
-        assert smith_normal_form(m) == oracle_smith_normal_form(m)
+        assert smith_normal_form(sparse_rows(m)) == oracle_smith_normal_form(m)
 
 
 # [[2, 3], [1, 1]]: row 0 has no unit until the pivot on row 1 turns its 3
@@ -82,21 +83,61 @@ def test_snf_matches_on_single_rows_and_columns(seed):
                                [[2 ** 40 + 15, -(3 ** 30)], [-(3 ** 30), 2 ** 40 + 15]],
                                [[2 ** 40 + 15, -(3 ** 30)], [0, 2 ** 40 + 15]]])
 def test_snf_edge_shapes(m):
-    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+    assert smith_normal_form(sparse_rows(m)) == oracle_smith_normal_form(m)
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
 def test_ragged_matrix_is_rejected(m):
-    for kernel in (smith_normal_form, oracle_smith_normal_form):
-        with pytest.raises(ValueError):
-            kernel(m)
+    # Sparse rows have no length to disagree; only the dense oracle reads one.
+    with pytest.raises(ValueError):
+        oracle_smith_normal_form(m)
 
 
 @pytest.mark.parametrize("m", [[[2.5, 0], [0, 3]], [["3", "4"]], [["0", "2"]],
                                [[0.0, 1]], [[1, None]], [[2 ** 70, 0.5]]])
 def test_non_int_entry_is_rejected(m):
     with pytest.raises(ValueError):
-        smith_normal_form(m)
+        smith_normal_form(sparse_rows(m))
+
+
+@pytest.mark.parametrize("rows", [[{0: "0", 1: "2"}], [{0: 1, 1: None}],
+                                  [{0: 0.0, 1: 1}], [{"a": 1}, {"b": 0.0}],
+                                  [{(0, 1): 2}, {}, {"x": "1"}]])
+def test_non_int_sparse_entry_is_rejected(rows):
+    with pytest.raises(ValueError):
+        smith_normal_form(rows)
+
+
+@given(seeds)
+@derandomized
+def test_snf_leaves_the_rows_unchanged(seed):
+    rng = random.Random(seed)
+    rows = sparse_rows(random_matrix(rng, rng.choice((ENTRIES, FEW_UNITS))))
+    before = [dict(row) for row in rows]
+    before_items = [list(row.items()) for row in rows]
+    factors = smith_normal_form(rows)
+    assert rows == before and [list(row.items()) for row in rows] == before_items
+    assert smith_normal_form(rows) == factors
+
+
+# Column keys of mixed types, which compare neither with each other nor
+# with ints, so the kernel may hash its columns but never order them.
+KEYS = ("e", "f", (0, "a"), (1, (2, 3)), 2 ** 64 + 1, -(10 ** 20), frozenset({4}), None)
+
+
+@given(seeds)
+@derandomized
+def test_snf_reads_any_hashable_columns(seed):
+    rng = random.Random(seed)
+    m = random_matrix(rng, rng.choice((ENTRIES, FEW_UNITS)))
+    cols = len(m[0])
+    keys = rng.sample(KEYS + tuple(range(100, 100 + cols)), cols)
+    rows = []
+    for r in m:
+        items = [(keys[j], v) for j, v in enumerate(r) if v or rng.random() < 0.3]
+        rng.shuffle(items)
+        rows.append(dict(items))
+    assert smith_normal_form(rows) == oracle_smith_normal_form(m)
 
 
 # ---------------------------------------------------------------------------

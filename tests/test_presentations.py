@@ -8,8 +8,9 @@ from forge import words as W
 from forge.errors import (DegenerateInputError, InvalidSubstitutionError,
                           NameCollisionError)
 from forge.presentations import (FinitePresentation, abelianization,
-                                 add_conjugation_relators, free_power,
-                                 free_product, free_product_with_renaming,
+                                 add_conjugation_relators, exponent_matrix,
+                                 free_power, free_product,
+                                 free_product_with_renaming,
                                  tietze_change_generators,
                                  verify_generator_change)
 from hypothesis import given
@@ -58,6 +59,22 @@ class TestAbelianization:
     def test_klein_bottle(self):
         inv = abelianization(pres(["a", "b"], "a b a b^-1"))
         assert (inv.betti, inv.torsion) == (1, (2,))
+
+
+@given(seeds)
+@derandomized
+def test_exponent_matrix_matches_exponent_sums(seed):
+    rng = random.Random(seed)
+    p = random_presentation(rng, max_len=9)
+    # [a, b] cancels in every column, a b^2 a^-1 in a's column.
+    a, b = p.alphabet.gen(p.generators[0]), p.alphabet.gen(p.generators[-1])
+    p = FinitePresentation(p.alphabet, list(p.relators) + [W.commutator(a, b),
+                                                           a * b * b * a.inverse()])
+    matrix = exponent_matrix(p)
+    assert len(matrix) == len(p.relators)
+    for row, r in zip(matrix, p.relators):
+        assert set(row) <= set(p.generators)
+        assert all(row.get(g, 0) == r.exponent_sum(g) for g in p.generators)
 
 
 class TestFreeProduct:
