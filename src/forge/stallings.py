@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
                      InvalidActionError, NotALoopError)
@@ -133,8 +134,8 @@ class GraphImmersion:
         if domain.basepoint is not None and base.basepoint is not None:
             if self.vmap[domain.basepoint] != base.basepoint:
                 raise ConfigurationError("basepoints do not correspond under the map")
-        if folded and not _is_immersion(domain):
-            raise ConfigurationError("graph is not an immersion; fold it first")
+        if folded:
+            _check_immersion(domain)
         self.folded = folded
 
     def __eq__(self, other):
@@ -147,11 +148,12 @@ class GraphImmersion:
         return f"GraphImmersion({self.domain!r} -> {self.base!r})"
 
 
-def _is_immersion(graph):
-    """No two equally-labeled edges leave, or enter, a common vertex."""
+def _check_immersion(graph):
+    """Refuse a graph where two edges with one label share a source or a target."""
     edges = graph.edges.values()
-    return (len({(src, label) for src, _, label in edges}) == len(edges)
-            and len({(dst, label) for _, dst, label in edges}) == len(edges))
+    if (len({(src, label) for src, _, label in edges}) != len(edges)
+            or len({(dst, label) for _, dst, label in edges}) != len(edges)):
+        raise ConfigurationError("graph is not an immersion; fold it first")
 
 
 def fold(morphism):
@@ -434,10 +436,8 @@ class MalnormalityWitness:
 def _first_failure(fp, self_pair):
     """The first component refuting malnormality: a non-tree, unless it is
     the diagonal component of a self product."""
-    for comp in fp.components:
-        if not comp.is_tree and not (self_pair and comp.is_diagonal):
-            return comp
-    return None
+    return next(comp for comp in fp.components
+                if not comp.is_tree and not (self_pair and comp.is_diagonal))
 
 
 def _factor(graph):
@@ -452,7 +452,7 @@ def _factor(graph):
     return edges, by_label, len(index)
 
 
-def _refutes(edges, by_label, width, exempt):
+def _refutes(edges, by_label, width, self_pair):
     """Whether the fibre product of two immersions over one base has a
     component that refutes malnormality, as `_first_failure` would find,
     without building it.  The first factor is given by its `edges`, the
@@ -460,34 +460,38 @@ def _refutes(edges, by_label, width, exempt):
 
     A vertex pair on no product edge is a one-vertex tree, so the
     union-find runs over the endpoints of the product edges only, each
-    pair coded as position1(y1) * width + position2(y2).  An edge whose
-    endpoints already share a root closes a cycle (a loop or a parallel
-    edge too).  Unless `exempt`, the first cycle refutes.  A self pair of
-    one immersion is exempt: there a cycle is allowed when its final
-    component holds a diagonal pair (y, y), so the cycles are judged after
-    the last edge."""
+    pair coded as position1(y1) * width + position2(y2).  The first edge
+    whose endpoints already share a root closes a cycle (a loop or a
+    parallel edge too), and refutes.
+
+    A self pair is decided so on its quotient by the swap (y1, y2) ->
+    (y2, y1).  Two edges with one label at one vertex of an immersion are
+    equal, so the exempt diagonal pairs (y, y) form components of their
+    own, and the swap acts freely on the rest.  A component it maps to
+    itself double-covers its image, so its Euler characteristic is even
+    and neither is a tree; any other maps onto its image one to one.  So
+    the self pair refutes exactly when the quotient has a cycle.  Its edges
+    are the unordered pairs of distinct edges with one label, each walked
+    once, with ends coded as unordered pairs min * width + max."""
+    if self_pair:
+        ends = ((s1 * width + s2 if s1 < s2 else s2 * width + s1,
+                 d1 * width + d2 if d1 < d2 else d2 * width + d1)
+                for pairs in by_label.values()
+                for (s1, d1), (s2, d2) in combinations(pairs, 2))
+    else:
+        ends = ((s1 * width + s2, d1 * width + d2)
+                for s1, d1, label in edges for s2, d2 in by_label.get(label, ()))
     parent = {}
-    cycles = []
-    for s1, d1, label in edges:
-        s1, d1 = s1 * width, d1 * width
-        for s2, d2 in by_label.get(label, ()):
-            a, b = s1 + s2, d1 + d2
-            # A code not yet seen is a root of its own.
-            if parent.setdefault(a, a) != a:
-                a = _find(parent, a)
-            if parent.setdefault(b, b) != b:
-                b = _find(parent, b)
-            if a != b:
-                parent[b] = a
-            elif not exempt:
-                return True
-            else:
-                cycles.append(a)
-    if not cycles:
-        return False
-    diagonal = {_find(parent, code) for code in range(0, width * width, width + 1)
-                if code in parent}
-    return any(_find(parent, root) not in diagonal for root in cycles)
+    for a, b in ends:
+        # A code not yet seen is a root of its own.
+        if parent.setdefault(a, a) != a:
+            a = _find(parent, a)
+        if parent.setdefault(b, b) != b:
+            b = _find(parent, b)
+        if a == b:
+            return True
+        parent[b] = a
+    return False
 
 
 def malnormal_family_check(family):
@@ -495,13 +499,15 @@ def malnormal_family_check(family):
     base) is malnormal: every component of every pairwise fibre product must
     be a tree, except the diagonal component of each self product.
 
-    Each pair is decided from its product edges alone (`_refutes`, each
-    member read into its factor once); only the first refuting pair's fibre
-    product is built, to name its first failing component.  Returns
-    (True, None) or (False, witness)."""
+    Members must be immersions.  Each pair is decided from its product
+    edges alone (`_refutes`, each member read into its factor once); only
+    the first refuting pair's fibre product is built, to name its first
+    failing component.  Returns (True, None) or (False, witness)."""
     family = list(family)
     if any(member.base != family[0].base for member in family[1:]):
         raise BaseMismatchError("fibre product requires a common base graph")
+    for member in family:
+        _check_immersion(member.domain)
     factors = [_factor(member.domain) for member in family]
     for i, (edges, _, _) in enumerate(factors):
         for j in range(i, len(family)):
@@ -699,24 +705,23 @@ def translate_family_check(base, action, subgroup, translates):
     subgroup graph H (Stallings-side form of the double-coset criterion).
 
     `translates` are elements of the relabeling action, over the subgroup's
-    base; the base is checked once per call.  The verdict and the witness
-    are those of malnormal_family_check on the copies.  The fibre product
-    of gH and hH has the same components (vertex pairs, edge counts, ranks)
-    as that of H and g^-1 hH, and g^-1 h is an action element (every
-    translate is checked to be one, and the action is closed), so the check
-    decides each element x of the action once, from H's edges relabelled
-    by x (`_refutes`; no translated immersion is built).  The encoder
-    passes every element, whose pairs meet every element anyway; a short
-    list over a large action costs one decision per element too.  A self
-    pair g^-1 g is decided once; the identity counts for a pair i < j only
-    when two translates are equal.  When no element refutes, the family is
-    certified with no pair named; otherwise row i's first failing j is the
-    least later position of a translate g_i x over the refuting x, and only
-    the first failing pair in (i, j) order, i <= j, has its fibre product
-    built, to name its first failing component."""
+    base; H must be an immersion.  The verdict and the witness are those of
+    malnormal_family_check on the copies.  The fibre product of gH and hH
+    has the same components (vertex pairs, edge counts, ranks) as that of H
+    and g^-1 hH, and g^-1 h is an action element (every translate is
+    checked to be one, and the action is closed), so the check decides each
+    element x of the action once, from H's edges relabelled by x
+    (`_refutes`; no translated immersion is built).  The self pairs g^-1 g
+    are one decision, and the identity counts for a pair i < j only when
+    two translates are equal; an empty list decides nothing.  When no
+    element refutes, the family is certified; otherwise row i's first
+    failing j is the least later position of a translate g_i x over the
+    refuting x, and only the first failing pair in (i, j) order, i <= j,
+    has its fibre product built, to name its first failing component."""
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
+    _check_immersion(subgroup.domain)
     translates = list(translates)   # keyed from the caller's maps, uncopied
     try:
         keys = [action._key((vertex_map, edge_map)) for vertex_map, edge_map in translates]
@@ -741,8 +746,10 @@ def translate_family_check(base, action, subgroup, translates):
 def _first_failing_pair(action, subgroup, keys):
     """The first pair (i, j), i <= j, of translates (given by their keys)
     whose copies of the subgroup refute malnormality, or None."""
+    if not keys:
+        return None
     edges, by_label, width = _factor(subgroup.domain)
-    if keys and _refutes(edges, by_label, width, True):
+    if _refutes(edges, by_label, width, True):
         return 0, 0
     positions = {}
     for j, key in enumerate(keys):

@@ -277,6 +277,21 @@ class TestEncodeCommand:
         assert out_file.exists()
         assert "stage p_w" in out
 
+    def test_encode_certifies_once(self, workdir, capsys, monkeypatch):
+        """The encoder's family and kernel checks run once per run: the
+        report reads the certificate that selection built."""
+        from forge import encoder
+        calls = []
+        for name in ("_family_checks", "_kernel_checks"):
+            check = getattr(encoder, name)
+            monkeypatch.setattr(encoder, name, lambda arg, name=name, check=check:
+                                calls.append(name) or check(arg))
+        code, out = run(capsys, "encode", workdir / "torus_pres.txt", "--word", "a b",
+                        "--out", workdir / "trace.json")
+        assert code == 0
+        assert sorted(calls) == ["_family_checks", "_kernel_checks"]
+        assert "status: certified" in out and "certificate" not in out
+
 
 class TestErrors:
     def test_missing_file(self, workdir, capsys):
