@@ -122,7 +122,8 @@ def _h1_rule_details(outcome):
     if outcome.excluded:
         lo, hi = outcome.excluded[0], outcome.excluded[-1]
         details.append((f"degree {lo}" if lo == hi else f"degrees {lo}-{hi}",
-                        "excluded (H1 = 0)"))
+                        "excluded (H1 = 0)" if outcome.perfect
+                        else "excluded (|H1| odd)"))
     if outcome.even_only:
         details.append(("candidates", "even permutations (|H1| odd)"))
     return details

@@ -20,21 +20,34 @@ node counts fall.  When H_1 = 0 the group is perfect, and so is each of its imag
 S_2, S_3 and S_4 are solvable, so every homomorphism into them is trivial,
 and the loop starts at degree 5.  When H_1 (x) Z/2 = 0 (H_1 is finite of
 odd order) sign o phi is trivial for every homomorphism phi, and the
-kernel draws only even permutations.  An order-spec search keeps degree 2
-and all of S_n: the trivial homomorphism can meet a spec whose orders are
-all 1.
+kernel draws only even permutations; the only even permutation of degree
+2 is the identity, so the loop starts at degree 3.  An order-spec search
+keeps degree 2 and all of S_n: the trivial homomorphism can meet a spec
+whose orders are all 1.
 
 The search kernel (`_enumerate_homs`) is a depth-first search over
 generator assignments.  Each relator is compiled once per search into
 integer codes 2*i + (sign < 0) over one flat image table, in which slot 2*i
-holds generator i's image and slot 2*i + 1 its inverse, computed once per
-search call for each candidate.  A relator is checked by tracing points
-through its codes and fails at the first point it moves; most candidates
-fail at point 0.  The relators checked at one generator go shortest
-first, so a candidate is rejected by the shortest relator it fails; the
-order of the checks does not change which candidates pass.  Candidates are
-drawn lazily from itertools.permutations, which yields them in
-lexicographic order, so no list of all n! permutations is built.
+holds generator i's image and slot 2*i + 1 its inverse.  A relator is
+checked by tracing points through its codes and fails at the first point
+it moves; most candidates fail at point 0.  The relators checked at one
+generator go shortest first, so a candidate is rejected by the shortest
+relator it fails; the order of the checks does not change which
+candidates pass.
+
+Candidates: each generator draws, in lexicographic order, from a source,
+a filtered view of the table of S_n (`_Symmetric`), one table per degree
+kept for the life of the process.  The sources are class-minimal
+(generator 0, when the search reduces it by conjugacy), even-only (when
+|H_1| is odd) and fixed order (a generator that is a one-letter target of
+an order spec draws only permutations of its order kappa * e_i, none if
+two targets give it different orders); they combine.  The table holds an
+entry (perm, inverse, order, parity) for each permutation some search has
+drawn: its two lists, all of S_n and the class-minimal permutations, grow
+one entry at a time, only as far as drawn.  So it retains the
+permutations and inverses that a search's own inverse memo held at that
+degree before the table replaced it, and never more of them; each view
+adds one reference per entry that passes.
 
 Goal checkpoints: the search's goal is compiled into the same codes and
 each of its conditions is checked at the checkpoint where it becomes
@@ -45,7 +58,10 @@ must meet trivially at the later of their two checkpoints.  A pruned
 subtree holds only complete homomorphisms the goal rejects, so the
 kernel yields exactly the goal-meeting homomorphisms of the full
 enumeration, in the same order.  Node counts count this pruned tree, so
-they are at most those of the unpruned one.  The loop still verifies the
+they are at most those of the unpruned one.  A candidate that a source
+filters out is one the goal check at the same checkpoint rejects, and a
+rejected candidate spends no node, so the sources leave the homomorphisms
+yielded and the node counts as they are.  The loop still verifies the
 hom it takes (`verify_order_spec`, or evaluating the word) and never
 trusts the pruning alone.
 
@@ -89,14 +105,7 @@ def perm_inv(p):
 
 
 def perm_order(p):
-    order = 1
-    for length in _cycle_lengths(p):
-        order = order * length // math.gcd(order, length)
-    return order
-
-
-def _is_even(p):
-    return (len(p) - len(_cycle_lengths(p))) % 2 == 0
+    return math.lcm(*_cycle_lengths(p))
 
 
 def _cycle_lengths(p):
@@ -210,9 +219,12 @@ class SearchOutcome:
     """Result of a budgeted search.  status is 'witness' or 'exhausted';
     exhausted never proves anything and is reported as inconclusive.
     degrees holds (degree, nodes spent there, budget hit) for every degree
-    the search entered.  excluded holds the degrees it skipped because
-    H_1 = 0 (no homomorphism into them is nontrivial), and even_only is
-    set when it drew only even permutations because H_1 (x) Z/2 = 0."""
+    the search entered.  even_only is set when it drew only even
+    permutations because H_1 (x) Z/2 = 0, that is |H_1| is odd, and
+    perfect when H_1 = 0.  excluded holds the degrees it skipped, as no
+    homomorphism into them is nontrivial: 2-4 when H_1 = 0 (S_2, S_3 and
+    S_4 are solvable), and 2 alone when |H_1| is odd and above 1 (the only
+    even permutation of degree 2 is the identity, A_2 = 1)."""
 
     status: str
     witness: PermutationAssignment | None
@@ -221,6 +233,7 @@ class SearchOutcome:
     degrees: list = field(default_factory=list)
     excluded: tuple = ()
     even_only: bool = False
+    perfect: bool = False
 
 
 # S_2, S_3 and S_4 are solvable; a perfect group's images into them are trivial.
@@ -269,18 +282,112 @@ def _class_minimal_perms(n):
         yield tuple(p)
 
 
+def _lex_rank(perm):
+    """Position of perm in the lexicographic order of S_n (Lehmer code)."""
+    rank = 0
+    for i, x in enumerate(perm):
+        rank = rank * (len(perm) - i) + sum(y < x for y in perm[i + 1:])
+    return rank
+
+
+def _entry(perm):
+    """perm's entry in the table of S_n: (perm, inverse, order, even)."""
+    lengths = _cycle_lengths(perm)
+    return perm, perm_inv(perm), math.lcm(*lengths), (len(perm) - len(lengths)) % 2 == 0
+
+
+def _passes(entry, even_only, order):
+    return (entry[3] or not even_only) and (order is None or entry[2] == order)
+
+
+class _Symmetric:
+    """The table of S_n for one degree n: the entries (`_entry`) of all of
+    S_n and of its class-minimal permutations, each list in lexicographic
+    order and read one entry at a time as searches draw.  A permutation in
+    both lists has one entry.  A filtered view is built once and extended
+    as its list grows."""
+
+    def __init__(self, n):
+        self._unread = {False: itertools.permutations(range(n)),
+                        True: _class_minimal_perms(n)}  # None once read to the end
+        self._entries = {False: [], True: []}
+        self._ahead = {}  # class-minimal perm -> its entry, past the lexicographic list
+        self._views = {}  # (minimal, even_only, order) -> the entries that pass
+
+    def source(self, minimal, even_only, order):
+        """A function that returns, at each call, the entries of the
+        class-minimal permutations (all of S_n if not minimal), only the
+        even ones if even_only, and only those of the given order unless
+        it is None, in lexicographic order."""
+        view = self._entries[minimal]
+        if even_only or order is not None:
+            key = (minimal, even_only, order)
+            if key not in self._views:
+                self._views[key] = [e for e in view if _passes(e, even_only, order)]
+            view = self._views[key]
+
+        def draw():
+            return view if self._unread[minimal] is None else self._draw(view, minimal)
+        return draw
+
+    def _draw(self, view, minimal):
+        k = 0
+        while True:
+            while k < len(view):
+                yield view[k]
+                k += 1
+            if not self._grow(minimal):
+                return
+
+    def _grow(self, minimal):
+        """Read one more permutation into the list and the views it passes;
+        False when the list is complete."""
+        unread = self._unread[minimal]
+        perm = None if unread is None else next(unread, None)
+        if perm is None:
+            self._unread[minimal] = None
+            return False
+        if not minimal:
+            entry = self._ahead.pop(perm, None) or _entry(perm)
+        else:
+            lex, rank = self._entries[False], _lex_rank(perm)
+            if rank < len(lex):
+                entry = lex[rank]
+            else:
+                entry = self._ahead[perm] = _entry(perm)
+        self._entries[minimal].append(entry)
+        for (m, even_only, order), view in self._views.items():
+            if m == minimal and _passes(entry, even_only, order):
+                view.append(entry)
+        return True
+
+
+_TABLES = {}  # degree -> its _Symmetric, for the life of the process
+
+
+def _symmetric(n):
+    if n not in _TABLES:
+        _TABLES[n] = _Symmetric(n)
+    return _TABLES[n]
+
+
 def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
                     even_only=False):
     """DFS over generator assignments in canonical order, yielding complete
     homomorphisms.  A relator is checked as soon as all its generators are
     assigned, and so is each condition of the goal (see `_goal_checks`):
     only homomorphisms that meet the goal are yielded, in the order the
-    full enumeration would yield them.  With reduce_first=True the first
-    generator ranges only over conjugacy-class-minimal permutations (sound
-    for existence questions, since conjugating a homomorphism preserves
-    relators, element orders, intersections and nontriviality).  With
-    even_only=True every generator ranges only over even permutations,
-    which loses nothing where H_1 (x) Z/2 = 0.
+    full enumeration would yield them.  Each generator draws from a source
+    (see the module docstring).  With reduce_first=True generator 0 draws
+    only conjugacy-class-minimal permutations (sound for existence
+    questions, since conjugating a homomorphism preserves relators,
+    element orders, intersections and nontriviality).  With even_only=True
+    every generator draws only even permutations, which loses nothing
+    where H_1 (x) Z/2 = 0.  A generator that is a one-letter target of an
+    OrderSpec goal draws only permutations of its order
+    (`_fixed_orders`).  A candidate a source drops is one the goal check
+    at the same checkpoint rejects, and a rejected candidate spends no
+    node, so neither the homomorphisms yielded nor the nodes change.
     """
     gens = p.generators
     code = {}
@@ -296,7 +403,6 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     for coded in checkpoints:
         coded.sort(key=len)  # a short relator rejects a candidate soonest
     table = [None] * (2 * len(gens))  # image, inverse, image, inverse, ...
-    inverse_of = {}  # candidate -> its inverse (None: skipped), once per call
     points = range(n)
     last = len(gens) - 1
 
@@ -317,27 +423,24 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
             out.append(x)
         return tuple(out)
 
-    goal_checks = _goal_checks(goal, encode, holds, image, max(1, len(gens)))
+    size = max(1, len(gens))
+    goal_checks = _goal_checks(goal, encode, holds, image, size)
     if not gens:
         if goal_checks[0] is None or goal_checks[0]():
             yield PermutationAssignment(n, {})
         return
+    group = _symmetric(n)
+    sources = [(lambda: ()) if order == 0
+               else group.source(reduce_first and i == 0, even_only, order)
+               for i, order in enumerate(_fixed_orders(goal, encode, size))]
 
     def dfs(i):
         # Called once per inner node; a complete assignment is a node too,
         # spent in the loop below rather than in a call of its own.
         if budget is not None and not budget.spend():
             raise _BudgetStop
-        choices = (itertools.permutations(points) if i > 0 or not reduce_first
-                   else _class_minimal_perms(n))
         checks, goal_check = checkpoints[i], goal_checks[i]
-        for perm in choices:
-            if perm not in inverse_of:
-                inverse_of[perm] = (perm_inv(perm) if not even_only or _is_even(perm)
-                                    else None)
-            inverse = inverse_of[perm]
-            if inverse is None:
-                continue
+        for perm, inverse, _, _ in sources[i]():
             table[2 * i] = perm
             table[2 * i + 1] = inverse
             if not all(map(holds, checks)):
@@ -354,14 +457,31 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     yield from dfs(0)
 
 
+def _fixed_orders(goal, encode, size):
+    """The order each generator's source fixes, one per generator index:
+    kappa * e_i for a generator that is a one-letter OrderSpec target, 0
+    (no permutation has it) for one that two such targets give different
+    orders, None for the rest."""
+    orders = [None] * size
+    if isinstance(goal, OrderSpec):
+        for codes, e in zip(map(encode, goal.targets), goal.exponents):
+            if len(codes) == 1:
+                i, order = codes[0] // 2, goal.kappa * e
+                orders[i] = order if orders[i] in (None, order) else 0
+    return orders
+
+
 def _goal_checks(goal, encode, holds, image, size):
     """The goal as one check per generator index (None where it has none),
     each at the checkpoint of the last generator its words read; a word
     with no letters is read at generator 0.  A Word must not hold, that is
     map to the identity.  Each OrderSpec target must have order kappa * e_i
-    at its checkpoint, and each pair of targets must meet trivially at the
-    later of their two checkpoints.  encode turns a word into codes; holds
-    and image read codes under the kernel's current assignment."""
+    at its checkpoint (a one-letter target has it already: its generator
+    draws only permutations of that order, see `_fixed_orders`), and each
+    pair of targets whose orders are not coprime must meet trivially at
+    the later of their two checkpoints; each cyclic subgroup is built once
+    per permutation.  encode turns a word into codes; holds and image read
+    codes under the kernel's current assignment."""
     checks = [None] * size
     if goal is None:
         return checks
@@ -372,27 +492,34 @@ def _goal_checks(goal, encode, holds, image, size):
     targets = list(map(encode, goal.targets))
     orders = [goal.kappa * e for e in goal.exponents]
     at = list(map(_checkpoint, targets))
+    pairs = [(i, j) for j in range(len(at)) for i in range(j)
+             if math.gcd(orders[i], orders[j]) != 1]
+    paired = {t for pair in pairs for t in pair}
     perms = [None] * len(targets)  # target images, set at their checkpoints
+    subgroups = {}  # perm -> its cyclic subgroup
 
-    def check_at(k):
-        mine = [t for t, c in enumerate(at) if c == k]
-        pairs = [(i, j) for j in range(len(at)) for i in range(j)
-                 if max(at[i], at[j]) == k]
+    def subgroup(perm):
+        if perm not in subgroups:
+            subgroups[perm] = _cyclic_subgroup(perm)
+        return subgroups[perm]
 
+    def check_at(mine, meets):
         def check():
             for t in mine:
                 perm = image(targets[t])
-                if perm_order(perm) != orders[t]:
+                if len(targets[t]) != 1 and perm_order(perm) != orders[t]:
                     return False
                 perms[t] = perm
-            return all(math.gcd(orders[i], orders[j]) == 1
-                       or len(_cyclic_subgroup(perms[i])
-                              & _cyclic_subgroup(perms[j])) == 1
-                       for i, j in pairs)
+            return all(len(subgroup(perms[i]) & subgroup(perms[j])) == 1
+                       for i, j in meets)
         return check
 
     for k in set(at):
-        checks[k] = check_at(k)
+        mine = [t for t, c in enumerate(at)
+                if c == k and (len(targets[t]) != 1 or t in paired)]
+        meets = [(i, j) for i, j in pairs if max(at[i], at[j]) == k]
+        if mine or meets:
+            checks[k] = check_at(mine, meets)
     return checks
 
 
@@ -545,21 +672,23 @@ def search(p, budget, goal=None, per_degree=False):
     Word over p's alphabet (it survives) or an OrderSpec (it holds).  Words
     and None search the simplified presentation and restore the witness
     to p's generators; an order spec searches p as given.  For words and
-    None, H_1 of p sets the first degree (5 when H_1 = 0) and limits the
-    candidates to even permutations when H_1 (x) Z/2 = 0; with no degree
+    None, H_1 of p sets the first degree (5 when H_1 = 0, 3 when |H_1| is
+    odd) and limits the candidates to even permutations when
+    H_1 (x) Z/2 = 0; with no degree
     left the search returns before simplifying.  The node budget covers
     all degrees together, or each degree afresh with per_degree.  The
     kernel prunes by the goal (the word as transferred); accept still
     verifies the hom it yields, so the pruning is never trusted alone."""
-    first, even_only = 2, False
+    first, even_only, perfect = 2, False, False
     if not isinstance(goal, OrderSpec) and len(p.relators) >= len(p.generators):
         h1 = abelianization(p)
         if h1.betti == 0 and all(d % 2 for d in h1.torsion):  # |H_1| is odd
-            first = 2 if h1.torsion else FIRST_NONSOLVABLE_DEGREE
-            even_only = True
+            perfect, even_only = not h1.torsion, True
+            first = FIRST_NONSOLVABLE_DEGREE if perfect else 3  # A_2 = 1
     excluded = tuple(range(2, min(first, budget.max_degree + 1)))
     if first > budget.max_degree:
-        return SearchOutcome("exhausted", None, 0, 1, excluded=excluded)
+        return SearchOutcome("exhausted", None, 0, 1, excluded=excluded,
+                             perfect=perfect)
     simp = None if isinstance(goal, OrderSpec) else simplify_presentation(p)
     search_p = p if simp is None else simp.presentation
     word = None if simp is None or goal is None else _transfer_word(simp, goal)
@@ -591,7 +720,7 @@ def search(p, budget, goal=None, per_degree=False):
             break
     return SearchOutcome("exhausted" if witness is None else "witness", witness,
                          sum(nodes for _, nodes, _ in degrees),
-                         degrees[-1][0], degrees, excluded, even_only)
+                         degrees[-1][0], degrees, excluded, even_only, perfect)
 
 
 def word_survives_upto(p, w, budget):

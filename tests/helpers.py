@@ -750,6 +750,149 @@ def oracle_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     yield from dfs(0, {})
 
 
+# ---------------------------------------------------------------------------
+# The search kernel as it was before candidate sources: each generator draws
+# from itertools.permutations (generator 0 from the class-minimal
+# permutations under reduce_first), odd candidates are skipped through a
+# per-call inverse memo under even_only, and every condition of the goal,
+# order checks included, is checked at its checkpoint.
+
+
+def oracle_is_even(p):
+    from forge.quotients import _cycle_lengths
+    return (len(p) - len(_cycle_lengths(p))) % 2 == 0
+
+
+def oracle_pruned_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
+                                 even_only=False):
+    """DFS over generator assignments in canonical order, yielding complete
+    homomorphisms.  A relator is checked as soon as all its generators are
+    assigned, and so is each condition of the goal (see `oracle_goal_checks`):
+    only homomorphisms that meet the goal are yielded, in the order the
+    full enumeration would yield them.  With reduce_first=True the first
+    generator ranges only over conjugacy-class-minimal permutations (sound
+    for existence questions, since conjugating a homomorphism preserves
+    relators, element orders, intersections and nontriviality).  With
+    even_only=True every generator ranges only over even permutations,
+    which loses nothing where H_1 (x) Z/2 = 0.
+    """
+    from forge.quotients import (PermutationAssignment, _BudgetStop, _checkpoint,
+                                 _class_minimal_perms, perm_inv)
+    gens = p.generators
+    code = {}
+    for i, g in enumerate(gens):
+        code[g, 1], code[g, -1] = 2 * i, 2 * i + 1
+
+    def encode(word):
+        return list(map(code.__getitem__, word.letters))
+
+    checkpoints = [[] for _ in gens]  # last generator index -> coded relators
+    for codes in map(encode, p.relators):
+        checkpoints[_checkpoint(codes)].append(codes)
+    for coded in checkpoints:
+        coded.sort(key=len)  # a short relator rejects a candidate soonest
+    table = [None] * (2 * len(gens))  # image, inverse, image, inverse, ...
+    inverse_of = {}  # candidate -> its inverse (None: skipped), once per call
+    points = range(n)
+    last = len(gens) - 1
+
+    def holds(codes):
+        for x in points:
+            y = x
+            for c in codes:
+                y = table[c][y]
+            if y != x:
+                return False
+        return True
+
+    def image(codes):
+        out = []
+        for x in points:
+            for c in codes:
+                x = table[c][x]
+            out.append(x)
+        return tuple(out)
+
+    goal_checks = oracle_goal_checks(goal, encode, holds, image, max(1, len(gens)))
+    if not gens:
+        if goal_checks[0] is None or goal_checks[0]():
+            yield PermutationAssignment(n, {})
+        return
+
+    def dfs(i):
+        # Called once per inner node; a complete assignment is a node too,
+        # spent in the loop below rather than in a call of its own.
+        if budget is not None and not budget.spend():
+            raise _BudgetStop
+        choices = (itertools.permutations(points) if i > 0 or not reduce_first
+                   else _class_minimal_perms(n))
+        checks, goal_check = checkpoints[i], goal_checks[i]
+        for perm in choices:
+            if perm not in inverse_of:
+                inverse_of[perm] = (perm_inv(perm) if not even_only or oracle_is_even(perm)
+                                    else None)
+            inverse = inverse_of[perm]
+            if inverse is None:
+                continue
+            table[2 * i] = perm
+            table[2 * i + 1] = inverse
+            if not all(map(holds, checks)):
+                continue
+            if goal_check is not None and not goal_check():
+                continue
+            if i < last:
+                yield from dfs(i + 1)
+                continue
+            if budget is not None and not budget.spend():
+                raise _BudgetStop
+            yield PermutationAssignment(n, dict(zip(gens, table[::2])))
+
+    yield from dfs(0)
+
+
+def oracle_goal_checks(goal, encode, holds, image, size):
+    """The goal as one check per generator index (None where it has none),
+    each at the checkpoint of the last generator its words read; a word
+    with no letters is read at generator 0.  A Word must not hold, that is
+    map to the identity.  Each OrderSpec target must have order kappa * e_i
+    at its checkpoint, and each pair of targets must meet trivially at the
+    later of their two checkpoints.  encode turns a word into codes; holds
+    and image read codes under the kernel's current assignment."""
+    from forge.quotients import OrderSpec, _checkpoint, _cyclic_subgroup, perm_order
+    checks = [None] * size
+    if goal is None:
+        return checks
+    if not isinstance(goal, OrderSpec):
+        codes = encode(goal)
+        checks[_checkpoint(codes)] = lambda: not holds(codes)
+        return checks
+    targets = list(map(encode, goal.targets))
+    orders = [goal.kappa * e for e in goal.exponents]
+    at = list(map(_checkpoint, targets))
+    perms = [None] * len(targets)  # target images, set at their checkpoints
+
+    def check_at(k):
+        mine = [t for t, c in enumerate(at) if c == k]
+        pairs = [(i, j) for j in range(len(at)) for i in range(j)
+                 if max(at[i], at[j]) == k]
+
+        def check():
+            for t in mine:
+                perm = image(targets[t])
+                if perm_order(perm) != orders[t]:
+                    return False
+                perms[t] = perm
+            return all(math.gcd(orders[i], orders[j]) == 1
+                       or len(_cyclic_subgroup(perms[i])
+                              & _cyclic_subgroup(perms[j])) == 1
+                       for i, j in pairs)
+        return check
+
+    for k in set(at):
+        checks[k] = check_at(k)
+    return checks
+
+
 def oracle_has_nontrivial_quotient_upto(p, budget):
     from forge.quotients import (SearchOutcome, _Budget, _BudgetStop,
                                  _restore_assignment, simplify_presentation)

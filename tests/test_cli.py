@@ -193,12 +193,15 @@ class TestPresentationCommands:
             "witness b: (1 2 4)"]
 
     def test_quotients_odd_torsion_draws_even_candidates(self, workdir, capsys):
+        """H_1 = Z/3: candidates are even, and degree 2, whose only even
+        permutation is the identity, is excluded."""
         (workdir / "a3.txt").write_text("gens: a\nrel: a^3\n")
         code, out = run(capsys, "quotients", workdir / "a3.txt", "--max-degree", "3")
         assert code == 0
         assert untimed_lines(out)[3:] == [
+            "degree 2: excluded (|H1| odd)",
             "candidates: even permutations (|H1| odd)",
-            "degree 2: nodes=2", "degree 3: nodes=3",
+            "degree 3: nodes=3",
             "witness degree: 3", "witness a: (1 2 3)"]
 
 

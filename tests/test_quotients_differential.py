@@ -24,14 +24,18 @@ odd and of any kind, and on the encoder's perfect outputs.
 import contextlib
 import io
 import itertools
+import math
 import os
 import random
 import re
 import tempfile
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given
 
+from forge import quotients
 from forge import words as W
 from forge.cli import main
 from forge.encoder import encode_discrete
@@ -49,6 +53,7 @@ from helpers import (derandomized, oracle_class_minimal_perms,
                      oracle_enumerate_homs, oracle_evaluate,
                      oracle_find_move, oracle_h1_order,
                      oracle_has_nontrivial_quotient_upto,
+                     oracle_pruned_enumerate_homs,
                      oracle_quotients_command, oracle_reduce,
                      oracle_restore_assignment, oracle_search,
                      oracle_search_order_targeted,
@@ -167,7 +172,8 @@ def assert_search_pruned(new, old, first):
     count; at one the shared budget cut short or never let it reach, below
     its unbounded count there.  The seed's witness is found again, and a
     witness only the new search finds (it spent fewer nodes) is the seed's
-    first one."""
+    first one.  Degrees the new search excludes are left out of the seed's
+    degree order."""
     if isinstance(old, tuple):
         assert new == old  # the same ForgeError
         return
@@ -176,8 +182,9 @@ def assert_search_pruned(new, old, first):
         bound = {n: nodes for n, nodes, _ in first().degrees} | bound
     for n, nodes, _ in new.degrees:
         assert nodes <= bound[n]
-    assert [n for n, _, _ in new.degrees][:len(old.degrees)] \
-        == [n for n, _, _ in old.degrees][:len(new.degrees)]
+    old_order = [n for n, _, _ in old.degrees if n not in new.excluded]
+    assert [n for n, _, _ in new.degrees][:len(old_order)] \
+        == old_order[:len(new.degrees)]
     if old.witness is not None:
         assert hom_key(new.witness) == hom_key(old.witness)
         assert new.max_degree_searched == old.max_degree_searched
@@ -226,7 +233,9 @@ def cli_report(argv):
 
 DEGREE_LINE = re.compile(r"degree (\d+): nodes=(\d+)( \(budget hit\))?$")
 H1_LINE = re.compile(r"(degrees? [-\d]+: excluded \(H1 = 0\)"
+                     r"|degree 2: excluded \(\|H1\| odd\)"
                      r"|candidates: even permutations \(\|H1\| odd\))$")
+EXCLUDED_LINE = re.compile(r"degrees? (\d+)(?:-(\d+))?: excluded")
 
 
 def split_report(report):
@@ -242,15 +251,18 @@ def split_report(report):
 
 def h1_lines(p, argv):
     """The H_1 lines a `forge quotients` report must print, from the
-    oracle's |H_1|: degrees 2-4 are excluded when H_1 = 0, and candidates
-    are even permutations at the degrees searched when |H_1| is odd.  An
-    order-spec search prints neither."""
+    oracle's |H_1|: degrees 2-4 are excluded when H_1 = 0, degree 2 when
+    |H_1| is odd and above 1 (A_2 = 1), and candidates are even
+    permutations at the degrees searched when |H_1| is odd.  An order-spec
+    search prints neither."""
     if "--orders" in argv:
         return []
     max_degree, order = int(argv[argv.index("--max-degree") + 1]), oracle_h1_order(p)
-    first = 5 if order == 1 else 2
+    first = 5 if order == 1 else 3 if order % 2 else 2
     lines = []
-    if first > 2 and max_degree >= 2:
+    if first == 3 and max_degree >= 2:
+        lines.append("degree 2: excluded (|H1| odd)")
+    elif first > 2 and max_degree >= 2:
         top = min(first - 1, max_degree)
         lines.append("degree 2: excluded (H1 = 0)" if top == 2
                      else f"degrees 2-{top}: excluded (H1 = 0)")
@@ -259,15 +271,26 @@ def h1_lines(p, argv):
     return lines
 
 
+def excluded_degrees(rules):
+    """The degrees a report's H_1 lines say were excluded."""
+    out = set()
+    for m in filter(None, map(EXCLUDED_LINE.match, rules)):
+        out.update(range(int(m[1]), int(m[2] or m[1]) + 1))
+    return out
+
+
 def assert_report_pruned(new, old, first, rules):
     """The report form of assert_search_pruned: each degree line's nodes
     can only go down, the new report's H_1 lines are rules, and every
     other line (status, inputs, witness or conclusion) equals the seed's,
     or, for a witness only the new search finds, the seed's report under
-    an unbounded budget."""
+    an unbounded budget.  The seed's lines for degrees the new report
+    excludes are dropped before the degree lines are compared."""
     new_degrees, new_rules, new_rest = split_report(new)
     old_degrees, _, old_rest = split_report(old)
     assert new_rules == rules
+    excluded = excluded_degrees(rules)
+    old_degrees = [(n, nodes) for n, nodes in old_degrees if n not in excluded]
     for (n, nodes), (old_n, old_nodes) in zip(new_degrees, old_degrees):
         assert n == old_n and nodes <= old_nodes
     if old_rest[0] != 0 and new_rest[0] == 0:
@@ -505,6 +528,94 @@ def test_class_minimal_perms_are_lazy():
                      fixed + (58, 59, 57)]
 
 
+def random_kernel_goal(rng, alphabet):
+    """None, a word, or an order spec of one of four kinds: one-letter
+    targets (as `forge quotients --orders` gives), one generator targeted
+    twice with conflicting orders, kappa above 1, or targets of any length."""
+    gens = alphabet.names
+    kind = rng.choice(("none", "word", "letters", "conflict", "kappa", "words"))
+    if kind == "none":
+        return None
+    if kind == "word":
+        return random_word(rng, alphabet, 6)
+
+    def letter():
+        return W.from_reduced(alphabet, ((rng.choice(gens), rng.choice((1, -1))),))
+    count = rng.randint(2, 4)
+    targets = [letter() for _ in range(count)]
+    exponents = [rng.randint(1, 3) for _ in range(count)]
+    kappa = rng.randint(2, 3) if kind == "kappa" else 1
+    if kind == "conflict":
+        g = rng.choice(gens)
+        targets[:2] = [W.from_reduced(alphabet, ((g, 1),)),
+                       W.from_reduced(alphabet, ((g, rng.choice((1, -1))),))]
+        exponents[1] = exponents[0] % 3 + 1
+    if kind == "words":
+        targets = [t if rng.random() < 0.5 else random_word(rng, alphabet, 4)
+                   for t in targets]
+    return OrderSpec(targets=targets, kappa=kappa, exponents=exponents)
+
+
+def kernel_trace(enumerate_homs, p, n, max_nodes, goal, reduce_first, even_only):
+    """Each yielded hom with the nodes spent when it came, then the nodes
+    at a budget stop (or None where the kernel ran to the end)."""
+    tracker = None if max_nodes is None else _Budget(
+        SearchBudget(max_degree=n, max_nodes=max_nodes))
+    trace = []
+    try:
+        for q in enumerate_homs(p, n, tracker, goal, reduce_first=reduce_first,
+                                even_only=even_only):
+            trace.append((hom_key(q), tracker and tracker.nodes))
+    except _BudgetStop:
+        trace.append(("budget stop", tracker.nodes))
+    return trace
+
+
+@given(seeds)
+@derandomized
+def test_candidate_sources_match_pruned_kernel(seed):
+    """The kernel with candidate sources against the pruned kernel it
+    replaced (`oracle_pruned_enumerate_homs`), at degrees 2-5, for every
+    kind of goal, reduce_first and even_only on and off, unbudgeted where
+    that is small and under budgets that stop mid-degree: the same homs in
+    the same order, the same nodes at every yield and at the stop."""
+    rng = random.Random(seed)
+    alphabet = W.Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+    p = FinitePresentation(alphabet, [
+        random_reduced_word(rng, alphabet, rng.randint(1, 8))
+        for _ in range(rng.randint(0, 2))])
+    for n in range(2, 6):
+        goal = random_kernel_goal(rng, alphabet)
+        small = math.factorial(n) ** len(alphabet.names) <= 600
+        max_nodes = rng.choice(((None,) if small else ())
+                               + (rng.randint(1, 40), rng.randint(1, 400)))
+        args = (p, n, max_nodes, goal, rng.random() < 0.5, rng.random() < 0.5)
+        assert (kernel_trace(_enumerate_homs, *args)
+                == kernel_trace(oracle_pruned_enumerate_homs, *args))
+
+
+def test_degree_60_order_spec_search_is_lazy():
+    """A degree-60 search for a of order 2 and b of order 3 in <a, b>
+    under 40 nodes returns at once, and the table of S_60 it leaves holds
+    no more entries than the permutations it drew, which the replaced
+    kernel's per-call inverse memo held too (counted by its perm_inv
+    calls)."""
+    p = FinitePresentation(W.Alphabet(("a", "b")))
+    a, b = map(p.alphabet.gen, "ab")
+    spec = OrderSpec(targets=(a, b), kappa=1, exponents=(2, 3))
+    quotients._TABLES.pop(60, None)
+    start = time.monotonic()
+    new = kernel_trace(_enumerate_homs, p, 60, 40, spec, True, False)
+    assert time.monotonic() - start < 1.0
+    drawn = []
+    with mock.patch.object(quotients, "perm_inv", lambda q: drawn.append(q) or q):
+        old = kernel_trace(oracle_pruned_enumerate_homs, p, 60, 40, spec, True, False)
+    assert new == old and new[-1] == ("budget stop", 41)
+    table = quotients._TABLES[60]
+    entries = {id(e) for listed in table._entries.values() for e in listed}
+    assert len(entries) <= len(drawn) == len(set(drawn))
+
+
 # ---------------------------------------------------------------------------
 # H_1 pruning against the loop as it was (oracle_search), which starts every
 # search at degree 2 and draws candidates from all of S_n.
@@ -552,8 +663,9 @@ def a5_relators(rng, alphabet, count):
 def test_search_matches_oracle_search(seed):
     """Unbudgeted to degree 5, a search finds the loop's witness, or none
     where it finds none, for no goal and for a word.  It skips degrees 2-4
-    exactly when H_1 = 0, draws even permutations exactly when |H_1| is
-    odd, and spends at most the loop's nodes at each degree it enters."""
+    exactly when H_1 = 0 and degree 2 alone when |H_1| is odd and above 1,
+    draws even permutations exactly when |H_1| is odd, and spends at most
+    the loop's nodes at each degree it enters."""
     rng = random.Random(seed)
     p = random_h1_presentation(rng)
     order = oracle_h1_order(p)
@@ -562,7 +674,8 @@ def test_search_matches_oracle_search(seed):
         new, old = search(p, budget, goal), oracle_search(p, budget, goal)
         assert (new.status, hom_key(new.witness)) == (old.status, hom_key(old.witness))
         assert new.max_degree_searched == old.max_degree_searched
-        assert new.excluded == ((2, 3, 4) if order == 1 else ())
+        assert new.excluded == ((2, 3, 4) if order == 1 else (2,) if order % 2 else ())
+        assert new.perfect == (order == 1)
         assert new.even_only == (order % 2 == 1)
         old_nodes = {n: nodes for n, nodes, _ in old.degrees}
         assert all(nodes <= old_nodes[n] for n, nodes, _ in new.degrees)

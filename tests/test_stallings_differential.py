@@ -70,6 +70,27 @@ def random_morphism(rng, base):
                             vmap, folded=False)
 
 
+def random_immersion(rng, base):
+    """A random immersion into a rose, built directly: mixed int, str and
+    tuple vertex names, several components, isolated vertices, loops,
+    maybe no basepoint, and at most one edge of each label leaving and
+    entering each vertex."""
+    pool = list(range(rng.randint(1, 9))) + ["x", "y", ("p", 1), ("p", 0)]
+    vertices = rng.sample(pool, rng.randint(1, len(pool)))
+    labels = list(base.edges)
+    edges, ends = {}, set()  # ends: (vertex, label, +1 leaving / -1 entering)
+    for k in range(rng.randint(0, 14)):
+        u, v, label = rng.choice(vertices), rng.choice(vertices), rng.choice(labels)
+        if (u, label, 1) in ends or (v, label, -1) in ends:
+            continue
+        ends.update(((u, label, 1), (v, label, -1)))
+        edges[k if rng.random() < 0.5 else f"f{k}"] = (u, v, label)
+    basepoint = rng.choice(vertices + [None])
+    vmap = dict.fromkeys(vertices, base.basepoint)
+    return S.GraphImmersion(S.LabeledGraph(vertices, edges, basepoint), base,
+                            vmap, folded=True)
+
+
 def random_subgroups(rng, alphabet, base, count):
     return [S.graph_of_subgroup(base, [random_reduced_word(rng, alphabet,
                                                            rng.randint(1, 5))
@@ -131,13 +152,15 @@ def test_fold_core_rank_on_random_graphs(seed):
 @derandomized
 def test_fibre_products_of_non_canonical_immersions(seed):
     """fibre_product takes its factors' vertex order as canonical; here the
-    factors are built directly, with mixed int, str and tuple names.  The
-    first-cycle rule decides a pair of two factors whether or not they are
-    folded; the certifiers' self pairs need immersions, so they refuse a
-    member that folding would change."""
+    factors are built directly, with mixed int, str and tuple names, most
+    often as immersions.  The first-cycle rule decides a pair of two
+    factors whether or not they are folded; the certifiers' self pairs
+    need immersions, so they refuse a member that folding would change,
+    and compare with the oracle where both members are immersions."""
     rng = random.Random(seed)
     base = S.rose(["a", "b", "c"][:rng.randint(1, 3)])
-    i1, i2 = random_morphism(rng, base), random_morphism(rng, base)
+    i1, i2 = [random_immersion(rng, base) if rng.random() < 0.85
+              else random_morphism(rng, base) for _ in range(2)]
     check_fibre_product(i1, i2)
     check_fibre_product(i2, i1)
     check_fibre_product(i1, i1)
