@@ -35,19 +35,19 @@ generator go shortest first, so a candidate is rejected by the shortest
 relator it fails; the order of the checks does not change which
 candidates pass.
 
-Candidates: each generator draws, in lexicographic order, from a source,
-a filtered view of the table of S_n (`_Symmetric`), one table per degree
-kept for the life of the process.  The sources are class-minimal
+Candidates: each generator draws, in lexicographic order, from a source
+(`_Source`), a lazy list of (perm, inverse) pairs that reads its own
+permutations (all of S_n, or the class-minimal ones) one pair at a time,
+only as far as searches draw, and filters each permutation by its cycle
+lengths before it builds the inverse.  The sources are class-minimal
 (generator 0, when the search reduces it by conjugacy), even-only (when
 |H_1| is odd) and fixed order (a generator that is a one-letter target of
 an order spec draws only permutations of its order kappa * e_i, none if
-two targets give it different orders); they combine.  The table holds an
-entry (perm, inverse, order, parity) for each permutation some search has
-drawn: its two lists, all of S_n and the class-minimal permutations, grow
-one entry at a time, only as far as drawn.  So it retains the
-permutations and inverses that a search's own inverse memo held at that
-degree before the table replaced it, and never more of them; each view
-adds one reference per entry that passes.
+two targets give it different orders); they combine.  A process keeps each
+source in `_SOURCES` for later searches until it holds more image points
+than all of S_7, so repeated small searches build no inverse twice; a
+larger source leaves `_SOURCES` as it grows and goes with the searches
+that read it, so a deep walk frees what it built when it ends.
 
 Goal checkpoints: the search's goal is compiled into the same codes and
 each of its conditions is checked at the checkpoint where it becomes
@@ -282,93 +282,59 @@ def _class_minimal_perms(n):
         yield tuple(p)
 
 
-def _lex_rank(perm):
-    """Position of perm in the lexicographic order of S_n (Lehmer code)."""
-    rank = 0
-    for i, x in enumerate(perm):
-        rank = rank * (len(perm) - i) + sum(y < x for y in perm[i + 1:])
-    return rank
+# A process keeps a source for later searches while it holds no more image
+# points than all of S_7, which serves repeated small searches; past that it
+# leaves `_SOURCES` and goes with the searches that read it, so a deep walk
+# does not hold its n! pairs for the life of the process.
+_KEPT_POINTS = 7 * math.factorial(7)
+
+_SOURCES = {}  # (degree, minimal, even_only, order) -> its _Source, while small
 
 
-def _entry(perm):
-    """perm's entry in the table of S_n: (perm, inverse, order, even)."""
-    lengths = _cycle_lengths(perm)
-    return perm, perm_inv(perm), math.lcm(*lengths), (len(perm) - len(lengths)) % 2 == 0
+class _Source:
+    """The (perm, inverse) pairs of the class-minimal permutations of
+    degree n (all of S_n if not minimal), only the even ones if even_only
+    and only those of the given order unless it is None, in lexicographic
+    order.  The list is read from its own permutations one pair at a time,
+    as searches draw, and each permutation is filtered by its cycle lengths
+    before its inverse is built."""
+
+    def __init__(self, key):
+        n, minimal, _, _ = self._key = key
+        # None once read to the end, by this search or another that shares it
+        self._unread = _class_minimal_perms(n) if minimal else itertools.permutations(range(n))
+        self._pairs = []
+
+    def draw(self):
+        return self._pairs if self._unread is None else self._draw()
+
+    def _draw(self):
+        pairs, k = self._pairs, 0
+        while k < len(pairs) or self._grow():
+            yield pairs[k]
+            k += 1
+
+    def _grow(self):
+        """Read one more pair into the list; False when it is complete."""
+        n, _, even_only, order = key = self._key
+        for perm in self._unread or ():
+            if even_only or order is not None:
+                lengths = _cycle_lengths(perm)
+                if (even_only and (n - len(lengths)) % 2
+                        or order not in (None, math.lcm(*lengths))):
+                    continue
+            self._pairs.append((perm, perm_inv(perm)))
+            if len(self._pairs) * n > _KEPT_POINTS and _SOURCES.get(key) is self:
+                del _SOURCES[key]
+            return True
+        self._unread = None
+        return False
 
 
-def _passes(entry, even_only, order):
-    return (entry[3] or not even_only) and (order is None or entry[2] == order)
-
-
-class _Symmetric:
-    """The table of S_n for one degree n: the entries (`_entry`) of all of
-    S_n and of its class-minimal permutations, each list in lexicographic
-    order and read one entry at a time as searches draw.  A permutation in
-    both lists has one entry.  A filtered view is built once and extended
-    as its list grows."""
-
-    def __init__(self, n):
-        self._unread = {False: itertools.permutations(range(n)),
-                        True: _class_minimal_perms(n)}  # None once read to the end
-        self._entries = {False: [], True: []}
-        self._ahead = {}  # class-minimal perm -> its entry, past the lexicographic list
-        self._views = {}  # (minimal, even_only, order) -> the entries that pass
-
-    def source(self, minimal, even_only, order):
-        """A function that returns, at each call, the entries of the
-        class-minimal permutations (all of S_n if not minimal), only the
-        even ones if even_only, and only those of the given order unless
-        it is None, in lexicographic order."""
-        view = self._entries[minimal]
-        if even_only or order is not None:
-            key = (minimal, even_only, order)
-            if key not in self._views:
-                self._views[key] = [e for e in view if _passes(e, even_only, order)]
-            view = self._views[key]
-
-        def draw():
-            return view if self._unread[minimal] is None else self._draw(view, minimal)
-        return draw
-
-    def _draw(self, view, minimal):
-        k = 0
-        while True:
-            while k < len(view):
-                yield view[k]
-                k += 1
-            if not self._grow(minimal):
-                return
-
-    def _grow(self, minimal):
-        """Read one more permutation into the list and the views it passes;
-        False when the list is complete."""
-        unread = self._unread[minimal]
-        perm = None if unread is None else next(unread, None)
-        if perm is None:
-            self._unread[minimal] = None
-            return False
-        if not minimal:
-            entry = self._ahead.pop(perm, None) or _entry(perm)
-        else:
-            lex, rank = self._entries[False], _lex_rank(perm)
-            if rank < len(lex):
-                entry = lex[rank]
-            else:
-                entry = self._ahead[perm] = _entry(perm)
-        self._entries[minimal].append(entry)
-        for (m, even_only, order), view in self._views.items():
-            if m == minimal and _passes(entry, even_only, order):
-                view.append(entry)
-        return True
-
-
-_TABLES = {}  # degree -> its _Symmetric, for the life of the process
-
-
-def _symmetric(n):
-    if n not in _TABLES:
-        _TABLES[n] = _Symmetric(n)
-    return _TABLES[n]
+def _source(key):
+    if key not in _SOURCES:
+        _SOURCES[key] = _Source(key)
+    return _SOURCES[key].draw
 
 
 def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
@@ -377,9 +343,10 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     homomorphisms.  A relator is checked as soon as all its generators are
     assigned, and so is each condition of the goal (see `_goal_checks`):
     only homomorphisms that meet the goal are yielded, in the order the
-    full enumeration would yield them.  Each generator draws from a source
-    (see the module docstring).  With reduce_first=True generator 0 draws
-    only conjugacy-class-minimal permutations (sound for existence
+    full enumeration would yield them.  Each generator draws from a source,
+    a lazy list of (perm, inverse) pairs kept for later searches while it
+    is small (see the module docstring).  With reduce_first=True generator
+    0 draws only conjugacy-class-minimal permutations (sound for existence
     questions, since conjugating a homomorphism preserves relators,
     element orders, intersections and nontriviality).  With even_only=True
     every generator draws only even permutations, which loses nothing
@@ -429,9 +396,8 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
         if goal_checks[0] is None or goal_checks[0]():
             yield PermutationAssignment(n, {})
         return
-    group = _symmetric(n)
     sources = [(lambda: ()) if order == 0
-               else group.source(reduce_first and i == 0, even_only, order)
+               else _source((n, reduce_first and i == 0, even_only, order))
                for i, order in enumerate(_fixed_orders(goal, encode, size))]
 
     def dfs(i):
@@ -440,7 +406,7 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
         if budget is not None and not budget.spend():
             raise _BudgetStop
         checks, goal_check = checkpoints[i], goal_checks[i]
-        for perm, inverse, _, _ in sources[i]():
+        for perm, inverse in sources[i]():
             table[2 * i] = perm
             table[2 * i + 1] = inverse
             if not all(map(holds, checks)):
@@ -599,9 +565,15 @@ def _replace_generator(word, gen, images, alphabet):
     """substitute() for the table that sends gen to a word with letters
     images[0] (inverse: images[1]) and every other generator to itself.
     Between two letters of gen the word is already reduced, so letters can
-    cancel only at the seams around a replaced letter."""
+    cancel only at the seams around a replaced letter.  A word that would
+    take more than MAX_WORD_LETTERS letters before cancelling raises
+    DegenerateInputError before it is built."""
     letters = word.letters
     names = list(map(itemgetter(0), letters))
+    size = len(letters) + names.count(gen) * (len(images[0]) - 1)
+    if size > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(f"substituting for {gen} makes a word of {size} "
+                                   f"letters, more than {W.MAX_WORD_LETTERS}")
     out, start = [], 0
     while True:
         try:

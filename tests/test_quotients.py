@@ -1,11 +1,19 @@
 """Quotient searches against exhaustive enumeration, plus permutation
 utilities and the presentation simplifier."""
 
+import gc
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 
+import forge
+from forge import quotients
 from forge import words as W
 from forge.encoder import encode_discrete
 from forge.errors import DegenerateInputError, IndependenceError
@@ -66,6 +74,37 @@ class TestSearchHoms:
         assert len(search_homs(p, 3)) == 18
 
 
+class TestSources:
+    def test_large_source_leaves_with_its_search(self):
+        """All of S_8 is past what a process keeps of one source, so the
+        walk over it holds its permutations and inverses only while it
+        runs; less than 1 MB is left once its result is gone, where a table kept
+        for the process would hold 11.6 MB."""
+        p = pres(["a"])
+        tracemalloc.start()
+        try:
+            homs = search_homs(p, 8)
+            assert len(homs) == math.factorial(8)
+            del homs
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
+
+    def test_small_source_serves_later_searches(self):
+        """A degree-5 source is kept: the first search builds each inverse
+        of S_5 once, an identical second search builds none."""
+        p = pres(["a", "b"], "a b a^-1 b^-1")
+        with mock.patch.dict(quotients._SOURCES, clear=True), \
+                mock.patch.object(quotients, "perm_inv", wraps=perm_inv) as built:
+            first = search_homs(p, 5)
+            assert built.call_count == math.factorial(5)
+            built.reset_mock()
+            assert search_homs(p, 5) == first
+            assert built.call_count == 0
+
+
 class TestSimplifier:
     def test_collapses_trivial_group(self):
         simp = simplify_presentation(pres(["a"], "a"))
@@ -90,6 +129,33 @@ class TestSimplifier:
             full = _restore_assignment(p, simp, q)
             for r in p.relators:
                 assert full.evaluate(r) == identity_perm(4)
+
+    def test_doubling_chain_stops_at_the_letter_bound(self, tmp_path):
+        """A chain a{i+1} = a{i}^2 whose last link is a relator doubles the
+        words it substitutes at each elimination; past MAX_WORD_LETTERS it
+        ends in exit 1 and one error line.  The child runs under a timeout
+        and a 1 GB address-space limit, so an unbounded simplifier fails
+        here instead of filling the machine."""
+        resource = pytest.importorskip("resource")
+        lines = ["gens: " + " ".join(f"a{i}" for i in range(26))]
+        lines += [f"rel: a{i + 1}^-1 a{i} a{i}" for i in range(25)]
+        lines.append("rel: a25 a0^-1 a25")
+        chain = tmp_path / "chain25.txt"
+        chain.write_text("\n".join(lines) + "\n")
+        src = os.path.dirname(os.path.dirname(forge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "forge.cli", "quotients", str(chain),
+             "--max-degree", "3", "--max-nodes", "100"], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=limit)
+        assert run.returncode == 1 and run.stderr == ""
+        assert "status: error" in run.stdout.splitlines()
+        assert sum(line.startswith("error:") for line in run.stdout.splitlines()) == 1
 
     def test_transferred_word_evaluates_equally(self):
         p = pres(["a", "b"], "a b^-2")

@@ -596,24 +596,23 @@ def test_candidate_sources_match_pruned_kernel(seed):
 
 def test_degree_60_order_spec_search_is_lazy():
     """A degree-60 search for a of order 2 and b of order 3 in <a, b>
-    under 40 nodes returns at once, and the table of S_60 it leaves holds
-    no more entries than the permutations it drew, which the replaced
-    kernel's per-call inverse memo held too (counted by its perm_inv
-    calls)."""
+    under 40 nodes returns at once, with the replaced kernel's trace, and
+    builds no more candidates than that kernel drew, which its per-call
+    inverse memo held (each counted by its perm_inv calls).  It starts
+    with no source kept, so every candidate it reads is built here."""
     p = FinitePresentation(W.Alphabet(("a", "b")))
     a, b = map(p.alphabet.gen, "ab")
     spec = OrderSpec(targets=(a, b), kappa=1, exponents=(2, 3))
-    quotients._TABLES.pop(60, None)
-    start = time.monotonic()
-    new = kernel_trace(_enumerate_homs, p, 60, 40, spec, True, False)
-    assert time.monotonic() - start < 1.0
-    drawn = []
-    with mock.patch.object(quotients, "perm_inv", lambda q: drawn.append(q) or q):
+    with mock.patch.dict(quotients._SOURCES, clear=True), \
+            mock.patch.object(quotients, "perm_inv", wraps=quotients.perm_inv) as built:
+        start = time.monotonic()
+        new = kernel_trace(_enumerate_homs, p, 60, 40, spec, True, False)
+        assert time.monotonic() - start < 1.0
+    with mock.patch.object(quotients, "perm_inv", wraps=quotients.perm_inv) as drawn:
         old = kernel_trace(oracle_pruned_enumerate_homs, p, 60, 40, spec, True, False)
     assert new == old and new[-1] == ("budget stop", 41)
-    table = quotients._TABLES[60]
-    entries = {id(e) for listed in table._entries.values() for e in listed}
-    assert len(entries) <= len(drawn) == len(set(drawn))
+    drawn_perms = [c.args[0] for c in drawn.call_args_list]
+    assert built.call_count <= len(drawn_perms) == len(set(drawn_perms))
 
 
 # ---------------------------------------------------------------------------
