@@ -108,8 +108,7 @@ def step_order_control(p_dagger, w_dagger):
         inverse[g] = new_alphabet.gen(f"a'_{i}") * new_alphabet.gen("a'_0", -1)
     p_prime = tietze_change_generators(product, definitions, inverse)
 
-    w_lifted = W.reduce(product.alphabet, w_dagger.letters)
-    w_new = substitute(w_lifted, new_alphabet, inverse)
+    w_new = substitute(w_dagger, new_alphabet, inverse)
     w_prime = W.commutator(w_new, new_alphabet.gen("a'_0"))
     return p_prime, w_prime
 
@@ -127,7 +126,7 @@ def _step_free_letter(p1, b_letters, w):
     t_name = f"b_{len(b_letters)}"
     p2, rename = free_product_with_renaming(p1, FinitePresentation([t_name], []))
     return (p2, tuple(b_letters) + (rename[t_name],), rename[t_name],
-            W.reduce(p2.alphabet, w.letters))
+            map_word(w, p2.alphabet, {}))
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,10 @@ def assemble_Gw(p2, b_letters, c_words):
     if len(set(names)) != len(names):
         raise NameCollisionError("priming generator names caused a collision")
     alphabet = W.Alphabet(names)
-    lift = {g: g for g in p2.generators}
-    relators = [map_word(r, alphabet, lift) for r in p2.relators]
+    relators = [map_word(r, alphabet, {}) for r in p2.relators]
     relators += [map_word(r, alphabet, primed) for r in p2.relators]
     for b, c in zip(b_letters, c_words):
-        relators.append(map_word(c, alphabet, lift) * alphabet.gen(primed[b]).inverse())
+        relators.append(map_word(c, alphabet, {}) * alphabet.gen(primed[b]).inverse())
         relators.append(alphabet.gen(b) * map_word(c, alphabet, primed).inverse())
     return FinitePresentation(alphabet, relators)
 

@@ -4,6 +4,8 @@ changes, conjugation relators and abelianization via Smith normal form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from . import words as W
 from .errors import (AlphabetMismatchError, DegenerateInputError,
@@ -68,12 +70,14 @@ def _fresh_name(name, used):
 
 def map_word(word, target_alphabet, rename):
     """Rename a word's letters through `rename` (old name -> new name) into
-    the target alphabet.  A rename that is injective on the word's names
-    keeps it reduced; any other is reduced again."""
-    images = {g: rename[g] for g in dict.fromkeys(g for g, _ in word.letters)}
+    the target alphabet; a name it does not hold stands for itself, and a
+    word that keeps every name keeps its letters tuple.  A rename that is
+    injective on the word's names keeps it reduced; any other reduces it."""
+    images = {g: rename.get(g, g) for g in dict.fromkeys(map(itemgetter(0), word.letters))}
     for h in images.values():
         target_alphabet.check(h)
-    letters = tuple((images[g], s) for g, s in word.letters)
+    letters = (word.letters if all(g == h for g, h in images.items())
+               else tuple((images[g], s) for g, s in word.letters))
     if len(set(images.values())) == len(images):
         return W.from_reduced(target_alphabet, letters)
     return W.reduce(target_alphabet, letters)
@@ -95,8 +99,7 @@ def free_product_with_renaming(p, q):
         rename[name] = fresh
         used.add(fresh)
     alphabet = W.Alphabet(p.generators + tuple(rename[g] for g in q.generators))
-    lift = {g: g for g in p.generators}
-    relators = [map_word(r, alphabet, lift) for r in p.relators]
+    relators = [map_word(r, alphabet, {}) for r in p.relators]
     relators += [map_word(r, alphabet, rename) for r in q.relators]
     return FinitePresentation(alphabet, relators), rename
 
@@ -116,7 +119,7 @@ def free_power(p, n):
             f"more than {W.MAX_WORD_LETTERS}")
     if not p.generators:
         return p  # every power of the empty presentation is itself
-    names, renames = list(p.generators), [{g: g for g in p.generators}]
+    names, renames = list(p.generators), [{}]
     suffix = dict.fromkeys(p.generators, 1)
     for _ in range(n - 1):
         rename = {}
@@ -145,32 +148,47 @@ def add_conjugation_relators(p, w, targets, stable_letters):
     if len(set(stable_letters)) != len(stable_letters):
         raise NameCollisionError("duplicate stable letters")
     alphabet = W.Alphabet(p.generators + tuple(stable_letters))
-    lift = {g: g for g in p.generators}
-    relators = [map_word(r, alphabet, lift) for r in p.relators]
-    w_new = map_word(w, alphabet, lift)
+    relators = [map_word(r, alphabet, {}) for r in p.relators]
+    w_new = map_word(w, alphabet, {})
     for b, target in zip(stable_letters, targets):
         if target.alphabet != p.alphabet:
             raise AlphabetMismatchError("target word over a different alphabet")
         b_word = alphabet.gen(b)
         relators.append(W.conjugate(w_new, b_word)
-                        * map_word(target, alphabet, lift).inverse())
+                        * map_word(target, alphabet, {}).inverse())
     return FinitePresentation(alphabet, relators)
 
 
 def substitute(word, target_alphabet, table):
-    """Rewrite a word letterwise through a substitution table name -> Word.
-    The table words are reduced, so letters cancel only at the seams; each
-    one's letters are checked against the target once per call."""
-    pieces = {}  # letter -> the letters of its image, in order of first use
-    for letter in word.letters:
-        if letter not in pieces:
-            g, s = letter
-            pieces[letter] = table[g].letters if s > 0 else table[g].inverse().letters
-    for piece in pieces.values():
-        W.check_letters(target_alphabet, piece)
-    out = []
-    for letter in word.letters:
-        W.extend_reduced(out, pieces[letter])
+    """Rewrite a word letterwise through a table name -> Word into the target
+    alphabet; a name the table does not hold stands for itself.  Words are
+    reduced, so letters cancel only at the seams around replaced letters.
+    An image over another alphabet object is checked against the target,
+    and a word of more than MAX_WORD_LETTERS letters before cancelling
+    raises DegenerateInputError before it is built."""
+    letters = word.letters
+    names = list(map(itemgetter(0), letters))
+    pieces, size = {}, len(letters)  # replaced name -> its image's letters, inverse's
+    for g in dict.fromkeys(names):
+        if g not in table:
+            target_alphabet.check(g)
+            continue
+        image = table[g]
+        if image.alphabet is not target_alphabet:
+            W.check_letters(target_alphabet, image.letters)
+        pieces[g] = (image.letters, image.inverse().letters)
+        size += names.count(g) * (len(image) - 1)
+    if size > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(f"substituting for {', '.join(pieces)} makes a word of "
+                                   f"{size} letters, more than {W.MAX_WORD_LETTERS}")
+    out, start = [], 0
+    for pos in compress(range(len(names)), map(pieces.__contains__, names)):
+        if pos > start:
+            W.extend_reduced(out, letters[start:pos])
+        g, s = letters[pos]
+        W.extend_reduced(out, pieces[g][s < 0])
+        start = pos + 1
+    W.extend_reduced(out, letters[start:])
     return W.from_reduced(target_alphabet, tuple(out))
 
 

@@ -82,7 +82,7 @@ from operator import itemgetter
 
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
-from .presentations import FinitePresentation, abelianization
+from .presentations import FinitePresentation, abelianization, substitute
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
 # cycle notation is printed 1-based).
@@ -543,13 +543,12 @@ def simplify_presentation(p):
         new_alphabet = W.Alphabet(tuple(g for g in alphabet.names if g != gen))
         expr = W.from_reduced(new_alphabet, expr_letters)
         steps.append((gen, expr))
-        images = (expr.letters, expr.inverse().letters)
         new_relators, new_scans = [], []
         for idx, (r, scan) in enumerate(zip(relators, scans)):
             if idx == drop_index:
                 continue
             if gen in scan[1]:
-                r = _replace_generator(r, gen, images, new_alphabet)
+                r = substitute(r, new_alphabet, {gen: expr})
                 if r.is_identity():
                     continue
                 scan = _scan(r)
@@ -559,32 +558,6 @@ def simplify_presentation(p):
             new_scans.append(scan)
         alphabet, relators, scans = new_alphabet, new_relators, new_scans
     return SimplifiedPresentation(FinitePresentation(alphabet, relators), steps)
-
-
-def _replace_generator(word, gen, images, alphabet):
-    """substitute() for the table that sends gen to a word with letters
-    images[0] (inverse: images[1]) and every other generator to itself.
-    Between two letters of gen the word is already reduced, so letters can
-    cancel only at the seams around a replaced letter.  A word that would
-    take more than MAX_WORD_LETTERS letters before cancelling raises
-    DegenerateInputError before it is built."""
-    letters = word.letters
-    names = list(map(itemgetter(0), letters))
-    size = len(letters) + names.count(gen) * (len(images[0]) - 1)
-    if size > W.MAX_WORD_LETTERS:
-        raise DegenerateInputError(f"substituting for {gen} makes a word of {size} "
-                                   f"letters, more than {W.MAX_WORD_LETTERS}")
-    out, start = [], 0
-    while True:
-        try:
-            pos = names.index(gen, start)
-        except ValueError:
-            break
-        W.extend_reduced(out, letters[start:pos])
-        W.extend_reduced(out, images[0] if letters[pos][1] > 0 else images[1])
-        start = pos + 1
-    W.extend_reduced(out, letters[start:])
-    return W.from_reduced(alphabet, tuple(out))
 
 
 def _scan(word):
@@ -623,8 +596,7 @@ def _transfer_word(simp, word):
     """A word over the original alphabet, rewritten over the simplified one
     by replaying the elimination steps."""
     for gen, expr in simp.steps:
-        word = _replace_generator(word, gen, (expr.letters, expr.inverse().letters),
-                                  expr.alphabet)
+        word = substitute(word, expr.alphabet, {gen: expr})
     return W.from_reduced(simp.presentation.alphabet, word.letters)
 
 

@@ -302,9 +302,6 @@ class _ScaledCopy:
         """The directed unit-edge path covering directed edge d."""
         return _unit_path(("copy", self.tag, "e"), d, self.ell)
 
-    def vertex(self, v):
-        return ("copy", self.tag, "v", v)
-
     def _point_on(self, d, t):
         """Vertex at parameter t along the subdivided image of d."""
         e, s = d

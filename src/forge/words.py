@@ -20,11 +20,6 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 # A letter is a pair (name, sign) with sign in {+1, -1}.
 
 
-def _letter_key(letter):
-    name, sign = letter
-    return (name, 0 if sign > 0 else 1)
-
-
 class Alphabet:
     """An ordered set of generator names; name is its own identity."""
 
@@ -57,9 +52,6 @@ class Alphabet:
     def check(self, name):
         if name not in self._index:
             raise AlphabetMismatchError(f"unknown generator {name!r} (alphabet {self.names})")
-
-    def word(self, letters=()):
-        return reduce(self, letters)
 
     def gen(self, name, sign=1):
         return reduce(self, [(name, sign)])
@@ -95,16 +87,18 @@ class Word:
         letters = (self if n > 0 else self.inverse()).letters
         # letters = u c u^-1 with c cyclically reduced, so the power is
         # u c^|n| u^-1, reduced as it stands.
-        i, last = 0, len(letters) - 1
-        while i < last - i and letters[i][0] == letters[last - i][0] \
-                and letters[i][1] == -letters[last - i][1]:
-            i += 1
-        return from_reduced(self.alphabet, letters[:i] + letters[i:last + 1 - i] * abs(n)
-                            + letters[last + 1 - i:])
+        i, end = _stem(letters), len(letters)
+        return from_reduced(self.alphabet, letters[:i] + letters[i:end - i] * abs(n)
+                            + letters[end - i:])
 
     def inverse(self):
-        return from_reduced(self.alphabet,
-                             tuple((g, -s) for g, s in reversed(self.letters)))
+        # Kept once built: a substitution asks for its image's inverse once
+        # per word it rewrites.
+        inverse = self.__dict__.get("_inverse")
+        if inverse is None:
+            inverse = self.__dict__["_inverse"] = from_reduced(
+                self.alphabet, tuple((g, -s) for g, s in reversed(self.letters)))
+        return inverse
 
     def is_identity(self):
         return not self.letters
@@ -194,16 +188,22 @@ def conjugate(x, by):
     return _product(x.alphabet, by.inverse(), x, by)
 
 
+def _stem(letters):
+    """The length of the longest u with (reduced) letters = u c u^-1."""
+    i, last = 0, len(letters) - 1
+    while i < last - i and letters[i][0] == letters[last - i][0] \
+            and letters[i][1] == -letters[last - i][1]:
+        i += 1
+    return i
+
+
 def cyclic_reduction(x):
     """Strip matching first/last letters; returns (core, conjugator) with
     x = conjugator * core * conjugator^-1."""
-    letters = list(x.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-            and letters[0][1] == -letters[-1][1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return from_reduced(x.alphabet, tuple(letters)), from_reduced(x.alphabet, tuple(prefix))
+    letters = x.letters
+    i = _stem(letters)
+    return (from_reduced(x.alphabet, letters[i:len(letters) - i]),
+            from_reduced(x.alphabet, letters[:i]))
 
 
 class CyclicWord:
@@ -243,14 +243,22 @@ class CyclicWord:
 
 
 def _least_rotation(letters):
-    if not letters:
-        return 0
-    keys = [_letter_key(l) for l in letters]
-    best = 0
-    for i in range(1, len(letters)):
-        if keys[i:] + keys[:i] < keys[best:] + keys[:best]:
-            best = i
-    return best
+    """The least start of the least rotation, in linear time: when the
+    rotations at candidates i < j first differ at offset k, the greater one
+    and the k starts after it are out."""
+    n, keys = len(letters), [(g, s < 0) for g, s in letters]
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 def is_conjugate(x, y):

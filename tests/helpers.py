@@ -1031,12 +1031,42 @@ def oracle_h1_order(p):
 
 
 def oracle_substitute(word, target_alphabet, table):
-    """Rewrite a word letterwise through a substitution table name -> Word."""
+    """Rewrite a word letterwise through a substitution table name -> Word;
+    a name the table does not hold stands for itself."""
     out = []
     for g, s in word.letters:
+        if g not in table:
+            out.append((g, s))
+            continue
         image = table[g]
         out.extend(image.letters if s > 0 else image.inverse().letters)
     return W.reduce(target_alphabet, out)
+
+
+def oracle_cyclic_reduction(x):
+    """(core, conjugator) with x = conjugator core conjugator^-1, by
+    stripping one matching first/last pair at a time from a copied list."""
+    letters = list(x.letters)
+    prefix = []
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
+            and letters[0][1] == -letters[-1][1]:
+        prefix.append(letters[0])
+        letters = letters[1:-1]
+    return W.Word(x.alphabet, tuple(letters)), W.Word(x.alphabet, tuple(prefix))
+
+
+def oracle_least_rotation(letters):
+    """The least index of the lexicographically least rotation, letters
+    compared by name and then sign (plain first), by comparing every
+    rotation with the best so far."""
+    if not letters:
+        return 0
+    keys = [(name, 0 if sign > 0 else 1) for name, sign in letters]
+    best = 0
+    for i in range(1, len(letters)):
+        if keys[i:] + keys[:i] < keys[best:] + keys[:best]:
+            best = i
+    return best
 
 
 def oracle_verify_order_spec(q, spec):

@@ -331,6 +331,9 @@ class TestErrors:
                                "makes the word longer than 1000000 letters"),
         (("encode", "dead.txt", "--word", "a", "--N", "1000"),
          "modulus 1000 lists more than 1000000 rotation images"),
+        (("encode", "dead.txt", "--word", "a^400000"),
+         "substituting for x1_1, y2, y3 makes a word of 1600001 letters, "
+         "more than 1000000"),
     ])
     def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
         (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")

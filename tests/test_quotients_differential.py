@@ -390,12 +390,18 @@ def test_evaluate_matches_seed(seed):
 @given(seeds)
 @derandomized
 def test_substitute_matches_seed(seed):
+    """Full tables into a disjoint alphabet, and partial tables whose
+    missing names pass through into a target that holds them."""
     rng = random.Random(seed)
     source = W.Alphabet(("a", "b", "c"))
     target = W.Alphabet(("x", "y"))
     table = {g: random_word(rng, target, 5) for g in source.names}
     w = random_word(rng, source, 15)
     assert substitute(w, target, table) == oracle_substitute(w, target, table)
+    kept = rng.sample(source.names, rng.randint(0, 2))
+    both = W.Alphabet(("a", "b", "c", "x", "y"))
+    partial = {g: random_word(rng, both, 5) for g in source.names if g not in kept}
+    assert substitute(w, both, partial) == oracle_substitute(w, both, partial)
 
 
 @given(seeds)

@@ -1,6 +1,7 @@
 """Word algebra: reduction, conjugacy, roots, independence, the grammar."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 from forge import words as W
 from forge.errors import (AlphabetMismatchError, DegenerateInputError,
                           ParseError)
+from helpers import (derandomized, oracle_cyclic_reduction, oracle_least_rotation,
+                     random_reduced_word, seeds)
 
 AB = W.Alphabet(["a", "b"])
 
@@ -64,6 +67,15 @@ class TestOperations:
         assert w("a b") ** -1 == w("b^-1 a^-1")
         assert (w("a") ** 0).is_identity()
 
+    def test_inverse_is_kept(self):
+        """A word keeps its inverse once built, and the kept inverse changes
+        neither equality nor hashing."""
+        x = w("a b^-1 a")
+        inverse = x.inverse()
+        assert x.inverse() is inverse
+        assert inverse == w("a^-1 b a^-1")
+        assert x == w("a b^-1 a") and hash(x) == hash(w("a b^-1 a"))
+
     def test_exponent_sum(self):
         assert w("a b a b^-2").exponent_sum("a") == 2
         assert w("a b a b^-2").exponent_sum("b") == -1
@@ -94,12 +106,18 @@ class TestSeamKernel:
 
     @given(short_words, st.sampled_from([{"a": "x", "b": "y", "c": "z"},
                                          {"a": "y", "b": "x", "c": "x"},
-                                         {"a": "x", "b": "x", "c": "x"}]))
+                                         {"a": "x", "b": "x", "c": "x"},
+                                         {"a": "x"}, {"b": "a", "c": "y"},
+                                         {"a": "a"}, {}]))
     def test_map_word_matches_reduce(self, x, rename):
+        """Full and partial renames; a name the table does not hold stands
+        for itself, and a word that keeps every name keeps its letters."""
         from forge.presentations import map_word
-        target = W.Alphabet(["x", "y", "z"])
-        assert map_word(x, target, rename) == W.reduce(
-            target, [(rename[g], s) for g, s in x.letters])
+        target = W.Alphabet(["a", "b", "c", "x", "y", "z"])
+        mapped = map_word(x, target, rename)
+        assert mapped == W.reduce(target, [(rename.get(g, g), s) for g, s in x.letters])
+        if all(rename.get(g, g) == g for g, _ in x.letters):
+            assert mapped.letters is x.letters
 
     @given(short_words, st.lists(st.lists(st.tuples(st.sampled_from(["x", "y"]),
                                                     st.sampled_from([1, -1])), max_size=4),
@@ -117,15 +135,29 @@ class TestSeamKernel:
         x = w("a b^-1 a")
         with pytest.raises(AlphabetMismatchError, match="unknown generator 'b'"):
             map_word(x, XY, {"a": "x", "b": "b"})
-        with pytest.raises(KeyError):
+        with pytest.raises(AlphabetMismatchError, match="unknown generator 'b'"):
             map_word(x, XY, {"a": "x"})
-        with pytest.raises(KeyError):
+        with pytest.raises(AlphabetMismatchError, match="unknown generator 'b'"):
             substitute(x, XY, {"a": W.reduce(XY, [("x", 1)])})
         with pytest.raises(AlphabetMismatchError, match="unknown generator 'z'"):
             substitute(x, W.Alphabet(["x"]), {"a": W.reduce(XY, [("x", 1)]),
                                               "b": W.reduce(W.Alphabet(["z"]), [("z", 1)])})
         with pytest.raises(AlphabetMismatchError):
             x * W.reduce(ABC, [("a", 1)])
+
+    def test_substitute_refuses_a_long_word_before_building_it(self, monkeypatch):
+        """a^1000 through a -> b^1001 takes 1,001,000 letters before
+        cancelling, past MAX_WORD_LETTERS: the refusal comes before any seam
+        is joined."""
+        from forge.presentations import substitute
+
+        def joined(out, piece):
+            raise AssertionError("a seam was joined")
+
+        monkeypatch.setattr(W, "extend_reduced", joined)
+        with pytest.raises(DegenerateInputError,
+                           match="substituting for a makes a word of 1001000 letters"):
+            substitute(w("a^1000"), AB, {"a": w("b^1001")})
 
     def test_a_word_is_checked_where_it_is_built(self):
         with pytest.raises(AlphabetMismatchError, match="unknown generator 'c'"):
@@ -141,6 +173,49 @@ class TestCyclic:
         core, conj = W.cyclic_reduction(w("b^-1 a b"))
         assert core == w("a")
         assert conj * core * conj.inverse() == w("b^-1 a b")
+
+    @given(seeds)
+    @derandomized
+    def test_cyclic_reduction_matches_seed(self, seed):
+        rng = random.Random(seed)
+        x = random_reduced_word(rng, AB, rng.randint(0, 12))
+        c = random_reduced_word(rng, AB, rng.randint(0, 6))
+        for y in (x, W.conjugate(x, c)):
+            assert W.cyclic_reduction(y) == oracle_cyclic_reduction(y)
+
+    def test_cyclic_reduction_of_a_long_conjugate(self):
+        """u c u^-1 with |u| = 20,000 and |c| = 1: the stem is read by
+        index, not by copying the word once per stripped pair."""
+        rng = random.Random(7003)
+        u = random_reduced_word(rng, AB, 20_000)
+        c = next(l for l in (("a", 1), ("b", 1))
+                 if l[0] != u.letters[-1][0])
+        x = u * W.Word(AB, (c,)) * u.inverse()
+        assert len(x) == 40_001
+        start = time.monotonic()
+        core, conj = W.cyclic_reduction(x)
+        assert time.monotonic() - start < 1.0
+        assert core.letters == (c,) and conj == u
+
+    @given(seeds)
+    @derandomized
+    def test_least_rotation_matches_seed(self, seed):
+        """Random cyclically reduced words and periodic ones, whose least
+        rotation starts at several indices: the least of them is kept."""
+        rng = random.Random(seed)
+        core, _ = W.cyclic_reduction(random_reduced_word(rng, AB, rng.randint(0, 16)))
+        period = random_reduced_word(rng, AB, rng.randint(1, 4))
+        periodic = W.cyclic_reduction(period ** rng.randint(2, 5))[0]
+        for y in (core, periodic):
+            assert W.CyclicWord(y).rotation_index == oracle_least_rotation(y.letters)
+
+    def test_least_rotation_of_a_long_word(self):
+        rng = random.Random(7004)
+        core, _ = W.cyclic_reduction(random_reduced_word(rng, AB, 8_002))
+        start = time.monotonic()
+        cyclic = W.CyclicWord(core)
+        assert time.monotonic() - start < 1.0
+        assert cyclic.rotation_index == oracle_least_rotation(core.letters)
 
     def test_rotations_equal(self):
         assert W.CyclicWord(w("a b")) == W.CyclicWord(w("b a"))
