@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from . import stallings as S
 from . import words as W
 from .errors import (AlphabetMismatchError, DegenerateInputError, ForgeError,
-                     NameCollisionError, ThresholdError)
-from .presentations import (FinitePresentation, abelianization,
+                     ThresholdError)
+from .presentations import (FinitePresentation, _fresh_names, abelianization,
                             add_conjugation_relators, free_product_with_renaming,
                             map_word, substitute, tietze_change_generators,
                             verify_generator_change)
@@ -114,9 +114,10 @@ def step_order_control(p_dagger, w_dagger):
 
 
 def step_conjugators(p_prime, w_prime):
-    """Stage 3a: adjoin b_0..b_m and relators (w')^{b_i} = i-th generator."""
+    """Stage 3a: adjoin b_0..b_m and relators (w')^{b_i} = i-th generator.
+    A b_i that p' already holds becomes b_i_k (`_fresh_names`)."""
     targets = [p_prime.alphabet.gen(g) for g in p_prime.generators]
-    letters = [f"b_{i}" for i in range(len(targets))]
+    letters = _fresh_names([f"b_{i}" for i in range(len(targets))], p_prime.generators)
     return add_conjugation_relators(p_prime, w_prime, targets, letters), letters
 
 
@@ -172,9 +173,10 @@ def _kernel_base_family(N):
 
 def _kernel_checks(N):
     """Rank of the modulus-N kernel core, and whether its rotation
-    translates form a malnormal family.  An N whose rotation powers would
-    list more images than `RelabelingAction.cyclic` allows is refused
-    before the rose is built."""
+    translates form a malnormal family.  An N with N (N + 1) past
+    MAX_WORD_LETTERS, the bound `RelabelingAction.cyclic` puts on N powers
+    of the rose's N + 1 ids, is refused before the rose is built; no
+    images are listed, so it now bounds the check's N decisions."""
     if N * (N + 1) > W.MAX_WORD_LETTERS:
         raise DegenerateInputError(
             f"modulus {N} lists more than {W.MAX_WORD_LETTERS} rotation images")
@@ -231,16 +233,14 @@ def revalidate_certificate(cert):
 
 
 def assemble_Gw(p2, b_letters, c_words):
-    """Stage 4: double p2 with primed generator names and glue each half's
-    b_i to the other half's c_i."""
+    """Stage 4: double p2 with primed generator names (g', or g'_k where p2
+    already holds g') and glue each half's b_i to the other half's c_i."""
     if len(b_letters) != len(c_words):
         raise DegenerateInputError(
             f"{len(b_letters)} b-letters but {len(c_words)} c-words")
-    primed = {g: g + "'" for g in p2.generators}
-    names = p2.generators + tuple(primed[g] for g in p2.generators)
-    if len(set(names)) != len(names):
-        raise NameCollisionError("priming generator names caused a collision")
-    alphabet = W.Alphabet(names)
+    primed = dict(zip(p2.generators,
+                      _fresh_names([g + "'" for g in p2.generators], p2.generators)))
+    alphabet = W.Alphabet(p2.generators + tuple(primed.values()))
     relators = [map_word(r, alphabet, {}) for r in p2.relators]
     relators += [map_word(r, alphabet, primed) for r in p2.relators]
     for b, c in zip(b_letters, c_words):

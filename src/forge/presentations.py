@@ -59,13 +59,17 @@ class FinitePresentation:
         return f"<gens {', '.join(self.generators)} | {rels}>"
 
 
-def _fresh_name(name, used):
-    if name not in used:
-        return name
-    k = 2
-    while f"{name}_{k}" in used:
-        k += 1
-    return f"{name}_{k}"
+def _fresh_names(names, taken):
+    """Each name, or name_k for the least k >= 2 that is neither in `taken`
+    nor picked for an earlier name."""
+    used, fresh = set(taken), []
+    for name in names:
+        pick, k = name, 2
+        while pick in used:
+            pick, k = f"{name}_{k}", k + 1
+        used.add(pick)
+        fresh.append(pick)
+    return fresh
 
 
 def map_word(word, target_alphabet, rename):
@@ -92,12 +96,7 @@ def free_product_with_renaming(p, q):
     """Disjoint union of generators and relators; colliding names from the
     second factor get a deterministic `_k` suffix.  Also returns the map
     from q's generator names to their names in the product."""
-    used = set(p.generators)
-    rename = {}
-    for name in q.generators:
-        fresh = _fresh_name(name, used)
-        rename[name] = fresh
-        used.add(fresh)
+    rename = dict(zip(q.generators, _fresh_names(q.generators, p.generators)))
     alphabet = W.Alphabet(p.generators + tuple(rename[g] for g in q.generators))
     relators = [map_word(r, alphabet, {}) for r in p.relators]
     relators += [map_word(r, alphabet, rename) for r in q.relators]

@@ -519,129 +519,50 @@ def malnormal_family_check(family):
 
 
 class RelabelingAction:
-    """A finite group acting on a base graph by label-graph automorphisms.
-
-    Elements are given as pairs (vertex map, edge-id map), and `elements`
-    keeps them so.  Inside, an element is its key: the pair of image tuples
-    of the base's vertices and edges, in the base's own order, built once
-    per element; the table, the checks and the closure search read the
-    keys.  The table must contain the identity and be closed under
-    composition.  A finite set S of permutations is closed iff S = <S>, so
-    the check grows <T> from the identity by search, where an element of S
-    joins the generators T only when it is not yet in <T>; the first
-    product outside the table refutes closure.  <T> at least doubles with
-    each generator, so that is O(k |T|) products for k elements,
-    |T| <= log2 k, each one C-level map over a key.  Only the generators
-    are checked to be pairs of permutations that are automorphisms, as the
-    rest of a closed table are their products; a rejected table re-runs the
-    per-element checks in table order first, so it raises the error
-    checking every element first would.
-    """
-
-    def __init__(self, base, elements):
-        self.base = base
-        self._order = (base.vertices, tuple(base.edges))
-        self.elements = _maps(elements)
-        keys = [self._key(el) for el in self.elements]
-        try:
-            table = self._table = dict.fromkeys(keys)
-        except TypeError:   # an unhashable image
-            self._reject(keys)
-        if self._order not in table:
-            self._reject(keys, "action table does not contain the identity")
-        reached, generators = {self._order}, []
-        for key in table:
-            if key in reached:
-                continue
-            if _permutation_error(key, self._order) or self._edge_error(key):
-                self._reject(keys)
-            generators.append([dict(zip(ids, images)).__getitem__
-                               for ids, images in zip(self._order, key)])
-            queue = list(reached)
-            while queue:
-                images_v, images_e = queue.pop()
-                for v, e in generators:
-                    # The key of g after x is x's key mapped through g.
-                    y = (tuple(map(v, images_v)), tuple(map(e, images_e)))
-                    if y not in reached:
-                        if y not in table:
-                            self._reject(keys, "action table is not closed under composition")
-                        reached.add(y)
-                        queue.append(y)
-
-    def _reject(self, keys, message=None):
-        """Raise the first error of the per-element automorphism checks, in
-        table order, as checking every element first would; else `message`."""
-        for key in keys:
-            error = _permutation_error(key, self._order) or self._edge_error(key)
-            if error:
-                raise InvalidActionError(error)
-        raise InvalidActionError(message)
-
-    def _key(self, el):
-        """The images of the base's vertices and of its edges, each a tuple
-        in the base's own order, or None where that map is not a map on
-        exactly those ids."""
-        return tuple(map(_images, el, self._order))
-
-    def _edge_error(self, key):
-        """Why the permutations with this key are not an automorphism of the
-        base, or None."""
-        vertices, _ = self._order
-        images_v, images_e = key
-        at = dict(zip(vertices, images_v))
-        edges = self.base.edges
-        for (eid, (src, dst, _)), image in zip(edges.items(), images_e):
-            isrc, idst, _ = edges[image]
-            if isrc != at[src] or idst != at[dst]:
-                return f"edge {eid!r} is not mapped compatibly with the vertex map"
-        return None
-
-    def __contains__(self, el):
-        return self._key(el) in self._table
+    """The cyclic group generated by one automorphism g of a base graph,
+    acting by relabeling.  Its elements are the powers 0..order-1 of g:
+    the action keeps only g's images of the base's vertices and of its
+    edges, each a tuple in the base's own order, and the order, and
+    `maps(k)` builds g^k as a pair (vertex map, edge map).  Build one
+    with `cyclic`."""
 
     @classmethod
     def cyclic(cls, base, edge_image, vertex_image=None):
-        """The cyclic group generated by one automorphism, its elements the
-        powers in order.  The two maps must be permutations of the base's
-        edges and vertices that together are an automorphism.  The group's
-        order, the lcm of the maps' cycle lengths, is known before any power
-        is taken; a group whose powers would hold more than MAX_WORD_LETTERS
-        images in all is refused.  The powers are closed and are
-        automorphisms, so they are the table with no closure search."""
-        action = cls.__new__(cls)
-        action.base = base
-        order = action._order = (base.vertices, tuple(base.edges))
+        """The cyclic group generated by one automorphism.  The two maps must
+        be permutations of the base's edges and vertices that together are
+        an automorphism.  The group's order, the lcm of the maps' cycle
+        lengths, is known before any power is taken; a group whose powers
+        would hold more than MAX_WORD_LETTERS images in all is refused."""
         if vertex_image is None:
             vertex_image = dict(zip(base.vertices, base.vertices))
-        (step,) = _maps([(vertex_image, edge_image)])
-        key = action._key(step)
-        error = _permutation_error(key, order) or action._edge_error(key)
+        try:
+            step = (dict(vertex_image), dict(edge_image))
+        except (TypeError, ValueError):
+            raise InvalidActionError(
+                "action element is not a pair of (vertex map, edge map)") from None
+        ids = (base.vertices, tuple(base.edges))
+        images = tuple(map(_images, step, ids))
+        error = _permutation_error(images, ids) or _edge_error(base, images)
         if error:
             raise InvalidActionError(error)
-        vertices, edges = order
-        period = math.lcm(*map(_permutation_order, step))
-        if period * (len(vertices) + len(edges)) > MAX_WORD_LETTERS:
-            raise DegenerateInputError(f"cyclic action of order {period} lists "
+        order = math.lcm(*map(_permutation_order, step))
+        if order * (len(base.vertices) + len(base.edges)) > MAX_WORD_LETTERS:
+            raise DegenerateInputError(f"cyclic action of order {order} lists "
                                        f"more than {MAX_WORD_LETTERS} images")
-        v, e = step[0].__getitem__, step[1].__getitem__
-        keys = [order]
-        for _ in range(period - 1):
-            images_v, images_e = keys[-1]
-            keys.append((tuple(map(v, images_v)), tuple(map(e, images_e))))
-        action._table = dict.fromkeys(keys)
-        action.elements = [(dict(zip(vertices, images_v)), dict(zip(edges, images_e)))
-                           for images_v, images_e in keys]
+        action = cls()
+        action.base, action.order, action._generator = base, order, images
+        action.elements = list(range(order))
         return action
 
-
-def _maps(elements):
-    """Each element as a pair of dict copies (vertex map, edge map)."""
-    try:
-        return [(dict(vp), dict(ep)) for vp, ep in elements]
-    except (TypeError, ValueError):
-        raise InvalidActionError(
-            "action element is not a pair of (vertex map, edge map)") from None
+    def maps(self, k):
+        """g^k as a pair (vertex map, edge map)."""
+        powers = []
+        for ids, images in zip((self.base.vertices, tuple(self.base.edges)), self._generator):
+            step, power = dict(zip(ids, images)).__getitem__, ids
+            for _ in range(k % self.order):
+                power = tuple(map(step, power))
+            powers.append(dict(zip(ids, power)))
+        return tuple(powers)
 
 
 def _images(mapping, ids):
@@ -668,22 +589,35 @@ def _permutation_order(permutation):
     return order
 
 
-def _permutation_error(key, order):
-    """Why a key (`RelabelingAction._key`) is not a pair of permutations of
-    the base's vertex and edge ids, given in the base's order, or None."""
+def _permutation_error(images, ids):
+    """Why the image tuples (`_images`) of the base's vertex and edge ids are
+    not a pair of permutations of those ids, or None."""
     whats = ("vertex map is not a permutation of the base vertices",
              "edge map is not a permutation of the base edges")
-    for images, ids, what in zip(key, order, whats):
+    for image, id_tuple, what in zip(images, ids, whats):
         try:
-            if images is None or set(images) != set(ids):
+            if image is None or set(image) != set(id_tuple):
                 return what
         except TypeError:   # an unhashable image is no id
             return what
     return None
 
 
+def _edge_error(base, images):
+    """Why the permutations with these image tuples are not an automorphism
+    of the base, or None."""
+    images_v, images_e = images
+    at = dict(zip(base.vertices, images_v))
+    edges = base.edges
+    for (eid, (src, dst, _)), image in zip(edges.items(), images_e):
+        isrc, idst, _ = edges[image]
+        if isrc != at[src] or idst != at[dst]:
+            return f"edge {eid!r} is not mapped compatibly with the vertex map"
+    return None
+
+
 def translate(immersion, element):
-    """Push an immersion through a base automorphism."""
+    """Push an immersion through a base automorphism (vertex map, edge map)."""
     vp, ep = element
     graph = immersion.domain
     edges = {eid: (src, dst, ep[label]) for eid, (src, dst, label) in graph.edges.items()}
@@ -704,75 +638,60 @@ def translate_family_check(base, action, subgroup, translates):
     """Malnormality certificate for the family of translated copies gH of a
     subgroup graph H (Stallings-side form of the double-coset criterion).
 
-    `translates` are elements of the relabeling action, over the subgroup's
-    base; H must be an immersion.  The verdict and the witness are those of
-    malnormal_family_check on the copies.  The fibre product of gH and hH
-    has the same components (vertex pairs, edge counts, ranks) as that of H
-    and g^-1 hH, and g^-1 h is an action element (every translate is
-    checked to be one, and the action is closed), so the check decides each
-    element x of the action once, from H's edges relabelled by x
-    (`_refutes`; no translated immersion is built).  The self pairs g^-1 g
-    are one decision, and the identity counts for a pair i < j only when
-    two translates are equal; an empty list decides nothing.  When no
-    element refutes, the family is certified; otherwise row i's first
-    failing j is the least later position of a translate g_i x over the
-    refuting x, and only the first failing pair in (i, j) order, i <= j,
-    has its fibre product built, to name its first failing component."""
+    `translates` are elements of the cyclic relabeling action, powers k of
+    its generator g, over the subgroup's base; H must be an immersion.  The
+    verdict and the witness are those of malnormal_family_check on the
+    copies g^k H.  The fibre product of g^a H and g^b H has the same
+    components (vertex pairs, edge counts, ranks) as that of H and g^x H,
+    x = b - a (mod order), so the check decides each power x once, from
+    H's labels relabelled by g^x (`_refutes`; no translated immersion is
+    built).  The self pairs are one decision, and the identity x = 0 counts
+    for a pair i < j only when two translates are equal; an empty list
+    decides nothing.  When no power refutes, the family is certified;
+    otherwise row i's first failing j is the least later j with
+    k_j = k_i + x (mod order) over the refuting x, and only the first
+    failing pair in (i, j) order, i <= j, has its fibre product built, to
+    name its first failing component."""
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
     _check_immersion(subgroup.domain)
-    translates = list(translates)   # keyed from the caller's maps, uncopied
-    try:
-        keys = [action._key((vertex_map, edge_map)) for vertex_map, edge_map in translates]
-    except (TypeError, ValueError):
-        raise InvalidActionError(
-            "action element is not a pair of (vertex map, edge map)") from None
-    try:
-        foreign = not set(keys) <= action._table.keys()
-    except TypeError:   # an unhashable image is no element
-        foreign = True
-    if foreign:
+    translates = list(translates)
+    if not all(type(k) is int and 0 <= k < action.order for k in translates):
         raise InvalidActionError("translate is not an element of the action")
-    pair = _first_failing_pair(action, subgroup, keys)
+    pair = _first_failing_pair(action, subgroup, translates)
     if pair is None:
         return True, None
     i, j = pair
-    fp = fibre_product(translate(subgroup, translates[i]),
-                       translate(subgroup, translates[j]))
+    fp = fibre_product(translate(subgroup, action.maps(translates[i])),
+                       translate(subgroup, action.maps(translates[j])))
     return False, MalnormalityWitness(pair=pair, component=_first_failure(fp, i == j))
 
 
-def _first_failing_pair(action, subgroup, keys):
-    """The first pair (i, j), i <= j, of translates (given by their keys)
-    whose copies of the subgroup refute malnormality, or None."""
-    if not keys:
+def _first_failing_pair(action, subgroup, translates):
+    """The first pair (i, j), i <= j, of translates (powers) whose copies of
+    the subgroup refute malnormality, or None."""
+    if not translates:
         return None
     edges, by_label, width = _factor(subgroup.domain)
     if _refutes(edges, by_label, width, True):
         return 0, 0
     positions = {}
-    for j, key in enumerate(keys):
-        positions.setdefault(key, []).append(j)
-    # g^-1 h is the identity exactly when g = h.
-    repeated = len(positions) < len(keys)
-    # H's labels as positions in the base's edge order, so an element's
-    # edge images relabel them.
-    position = {e: p for p, e in enumerate(action._order[1])}
-    labels = [position[label] for label in by_label]
-    pairs = list(by_label.values())
-    refuting = [x for x in action._table if (repeated or x != action._order)
-                and _refutes(edges, dict(zip(map(x[1].__getitem__, labels), pairs)),
-                             width, False)]
-    if not refuting:
-        return None
-    for i, key in enumerate(keys):
-        v, e = (dict(zip(ids, images)).__getitem__
-                for ids, images in zip(action._order, key))
-        # The key of g_i x is x's key mapped through g_i.
-        later = [j for images_v, images_e in refuting
-                 for j in positions.get((tuple(map(v, images_v)), tuple(map(e, images_e))), ())
-                 if j > i]
+    for j, k in enumerate(translates):
+        positions.setdefault(k, []).append(j)
+    # g^(b-a) is the identity exactly when a = b.
+    repeated = len(positions) < len(translates)
+    step = dict(zip(action.base.edges, action._generator[1]))
+    labels, pairs = list(by_label), list(by_label.values())
+    refuting = []
+    for x in action.elements:
+        # labels are H's labels relabelled by g^x.
+        if (x or repeated) and _refutes(edges, dict(zip(labels, pairs)), width, False):
+            refuting.append(x)
+        labels = [step[label] for label in labels]
+    for i, k in enumerate(translates):
+        later = [j for x in refuting
+                 for j in positions.get((k + x) % action.order, ()) if j > i]
         if later:
             return i, min(later)
     return None

@@ -193,9 +193,9 @@ def invariant_factors_oracle(matrix):
 # The original quadratic Stallings kernels, kept as a differential oracle
 # for the near-linear ones in forge.stallings: a quotient-graph rebuild and a full
 # violation rescan per fold merge, per-component edge scans for ranks, an
-# |E1| x |E2| fibre-product edge scan, the pairwise translate check, and
-# the action set-up that checks closure on all k^2 pairs of elements.
-# Only the data types and `translate` come from forge.
+# |E1| x |E2| fibre-product edge scan, and the pairwise translate check
+# over powers composed one generator step at a time.  Only the data types,
+# `translate` and an action's generator (`maps(1)`) come from forge.
 
 
 def _id_key(v):
@@ -402,64 +402,33 @@ def oracle_malnormal_family_check(family):
     return True, None
 
 
-def oracle_action_key(el):
-    vp, ep = el
-    return (tuple(sorted(vp.items(), key=lambda kv: _id_key(kv[0]))),
-            tuple(sorted(ep.items(), key=lambda kv: _id_key(kv[0]))))
-
-
-def _oracle_check_automorphism(base, vp, ep):
-    from forge.errors import InvalidActionError
-    if sorted(map(_id_key, vp.values())) != sorted(map(_id_key, base.vertices)) \
-            or set(vp) != set(base.vertices):
-        raise InvalidActionError("vertex map is not a permutation of the base vertices")
-    if sorted(map(_id_key, ep.values())) != sorted(map(_id_key, base.edges)) \
-            or set(ep) != set(base.edges):
-        raise InvalidActionError("edge map is not a permutation of the base edges")
-    for eid, (src, dst, _) in base.edges.items():
-        isrc, idst, _ = base.edges[ep[eid]]
-        if isrc != vp[src] or idst != vp[dst]:
-            raise InvalidActionError(
-                f"edge {eid!r} is not mapped compatibly with the vertex map")
-
-
 def oracle_compose(el1, el2):
     """el1 after el2."""
     (vp1, ep1), (vp2, ep2) = el1, el2
     return ({v: vp1[vp2[v]] for v in vp2}, {e: ep1[ep2[e]] for e in ep2})
 
 
-def oracle_relabeling_action(base, elements):
-    """The set-up checks of a RelabelingAction: every element an
-    automorphism, the identity present, and el1 after el2 in the table for
-    every pair.  Raises InvalidActionError with the action's messages;
-    returns the set of element keys otherwise."""
-    from forge.errors import InvalidActionError
-    elements = [(dict(vp), dict(ep)) for vp, ep in elements]
-    for vp, ep in elements:
-        _oracle_check_automorphism(base, vp, ep)
-    keys = {oracle_action_key(el) for el in elements}
-    identity = ({v: v for v in base.vertices}, {e: e for e in base.edges})
-    if oracle_action_key(identity) not in keys:
-        raise InvalidActionError("action table does not contain the identity")
-    for el1 in elements:
-        for el2 in elements:
-            if oracle_action_key(oracle_compose(el1, el2)) not in keys:
-                raise InvalidActionError("action table is not closed under composition")
-    return keys
+def oracle_powers(generator):
+    """g^0, g^1, ... of a generator g = (vertex map, edge map), each g after
+    the power before it, up to the last power before the identity returns."""
+    identity = ({v: v for v in generator[0]}, {e: e for e in generator[1]})
+    powers = [identity]
+    while (power := oracle_compose(generator, powers[-1])) != identity:
+        powers.append(power)
+    return powers
 
 
 def oracle_translate_family_check(base, action, subgroup, translates):
-    """One translated copy per element, then every pair's fibre product."""
+    """One translated copy per power k, by g^k composed from the generator
+    g = action.maps(1), then every pair's fibre product."""
     from forge.errors import InvalidActionError
     from forge.stallings import translate
-    keys = {oracle_action_key(el) for el in action.elements}
+    powers = oracle_powers(action.maps(1))
     family = []
-    for el in translates:
-        el = (dict(el[0]), dict(el[1]))
-        if oracle_action_key(el) not in keys:
+    for k in translates:
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < len(powers):
             raise InvalidActionError("translate is not an element of the action")
-        family.append(translate(subgroup, el))
+        family.append(translate(subgroup, powers[k]))
     return oracle_malnormal_family_check(family)
 
 

@@ -70,7 +70,7 @@ def test_03_fibre_product_counts(announce):
     with criterion(3, "fibre-product counts at N=7", 5, announce):
         _, sub, action = _kernel_base_family(7)
         for i in (1, 2, 3):
-            fp = S.fibre_product(sub, S.translate(sub, action.elements[i]))
+            fp = S.fibre_product(sub, S.translate(sub, action.maps(i)))
             assert len(fp.total.edges) == 4 - i
             assert all(c.is_tree for c in fp.components)
         fp0 = S.fibre_product(sub, sub)

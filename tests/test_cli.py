@@ -280,6 +280,16 @@ class TestEncodeCommand:
         assert out_file.exists()
         assert "stage p_w" in out
 
+    @pytest.mark.parametrize("text, word", [
+        ("gens: b_0\nrel: b_0^2\n", "b_0"),     # a stable letter's name
+        ("gens: a a'\nrel: a^2\n", "a")])       # a's primed name
+    def test_discrete_encode_of_clashing_names(self, workdir, capsys, text, word):
+        (workdir / "clash.txt").write_text(text)
+        code, out = run(capsys, "encode", workdir / "clash.txt", "--word", word,
+                        "--discrete", "--out", workdir / "trace.json")
+        assert code == 0, out
+        assert "stage p_w" in out
+
     def test_encode_certifies_once(self, workdir, capsys, monkeypatch):
         """The encoder's family and kernel checks run once per run: the
         report reads the certificate that selection built."""

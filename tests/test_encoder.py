@@ -1,6 +1,7 @@
 """The encoding pipeline: stage bookkeeping, certificates, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,18 @@ class TestSelection:
         _, cert = select_malnormal_words(0, N=7)
         assert not revalidate_certificate(dataclasses.replace(cert, modulus=10 ** 9))
 
+    def test_largest_modulus_check_stays_small(self):
+        """The N = 999 rotation check keeps g's image tuples, not one
+        element per power: its peak stays under 5 MB (the per-element maps
+        it replaced held about 43 MB)."""
+        tracemalloc.start()
+        try:
+            assert encoder._kernel_checks(999) == (3, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
     def test_tampered_certificate_fails(self):
         _, cert = select_malnormal_words(0, N=7)
         bad = MalnormalCertificate(
@@ -202,3 +215,20 @@ class TestDiscrete:
     def test_deterministic(self):
         p = pres(["a"], "a^3")
         assert encode_discrete(p, p.word("a")) == encode_discrete(p, p.word("a"))
+
+    @pytest.mark.parametrize("gens, rel, word, taken, fresh", [
+        (["b_0"], "b_0^2", "b_0", "b_0", "b_0_2"),   # a stable letter's name
+        (["a", "a'"], "a^2", "a", "a'", "a'_2")])     # a's primed name
+    def test_names_clashing_with_its_own_get_a_suffix(self, gens, rel, word, taken, fresh):
+        """An input generator that holds a name the construction would
+        pick keeps it; the construction's letter takes the next free
+        `_k` name instead, as `encode` would do, and the output is the
+        group of a clash-free input with the same shape."""
+        p = pres(gens, rel)
+        g = encode_discrete(p, p.word(word))
+        assert taken in g.generators and fresh in g.generators
+        assert len(set(g.generators)) == len(g.generators)
+        q = pres([f"x{i}" for i in range(len(gens))], rel.replace(gens[0], "x0"))
+        h = encode_discrete(q, q.word(word.replace(gens[0], "x0")))
+        assert (len(g.generators), len(g.relators)) == (len(h.generators), len(h.relators))
+        assert abelianization(g) == abelianization(h)

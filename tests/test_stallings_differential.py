@@ -1,8 +1,8 @@
-"""Differential tests: the near-linear Stallings kernels and the action
-set-up against the original quadratic ones (the action's closure checked
-on all k^2 pairs, every element's edges walked), kept in helpers.py as an
-oracle; and the edge-driven malnormality certifier against the oracle's
-full fibre product.
+"""Differential tests: the near-linear Stallings kernels against the
+original quadratic ones, kept in helpers.py as an oracle; the edge-driven
+malnormality certifier against the oracle's full fibre product; and a
+cyclic action's powers and translate check against powers composed one
+generator step at a time.
 
 Inputs are drawn from seeded generators; hypothesis picks the seeds
 (derandomized, so every run sees the same ones) and prints the failing seed.
@@ -21,12 +21,10 @@ from forge import words as W
 from forge.encoder import _kernel_base_family, _kernel_checks
 from forge.fileformats import format_immersion
 from forge.errors import ConfigurationError, InvalidActionError
-from helpers import (derandomized, random_reduced_word, oracle_action_key,
-                     oracle_components, oracle_compose, oracle_core,
-                     oracle_fibre_product, oracle_fold,
-                     oracle_malnormal_family_check, oracle_rank,
-                     oracle_relabeling_action, oracle_translate_family_check,
-                     seeds)
+from helpers import (derandomized, random_reduced_word, oracle_components,
+                     oracle_core, oracle_fibre_product, oracle_fold,
+                     oracle_malnormal_family_check, oracle_powers, oracle_rank,
+                     oracle_translate_family_check, seeds)
 
 
 def same_graph(a, b):
@@ -166,15 +164,14 @@ def test_fibre_products_of_non_canonical_immersions(seed):
     check_fibre_product(i1, i1)
     for pair in ((i1, i2), (i2, i1), (i1, i1)):
         assert refutes(*pair, False) == oracle_refutes(*pair, False)
-    identity = ({"*": "*"}, {e: e for e in base.edges})
-    trivial = S.RelabelingAction(base, [identity])
+    trivial = S.RelabelingAction.cyclic(base, {e: e for e in base.edges})
     unfolded = [i for i in (i1, i2)
                 if len(S.fold(i).domain.edges) < len(i.domain.edges)]
     if unfolded:
         with pytest.raises(ConfigurationError, match="not an immersion"):
             S.malnormal_family_check([i1, i2])
         with pytest.raises(ConfigurationError, match="not an immersion"):
-            S.translate_family_check(base, trivial, unfolded[0], [identity])
+            S.translate_family_check(base, trivial, unfolded[0], [0])
     else:
         assert S.malnormal_family_check([i1, i2]) == \
             oracle_malnormal_family_check([i1, i2])
@@ -225,18 +222,21 @@ def test_fibre_products_and_malnormal_families(seed):
 
 
 def rotation_action(rng):
-    """A rose on 2..9 letters and the cyclic action of a random permutation
-    of its letters."""
+    """A rose on 2..9 letters, the cyclic action of a random permutation of
+    its letters, and that generator's (vertex map, edge map)."""
     names = [f"e{i}" for i in range(rng.randint(2, 9))]
     image = names[:]
     rng.shuffle(image)
     base = S.rose(names)
-    return W.Alphabet(names), base, S.RelabelingAction.cyclic(base, dict(zip(names, image)))
+    edge_image = dict(zip(names, image))
+    return (W.Alphabet(names), base, S.RelabelingAction.cyclic(base, edge_image),
+            ({"*": "*"}, edge_image))
 
 
 def cycle_action(rng):
     """A cycle of k vertices with a loop at each, rotated one step: the
-    action moves the basepoint, so translated copies lose it."""
+    action moves the basepoint, so translated copies lose it.  Also the
+    generator's (vertex map, edge map)."""
     k = rng.randint(2, 4)
     edges = {}
     for i in range(k):
@@ -245,13 +245,25 @@ def cycle_action(rng):
     base = S.LabeledGraph(range(k), edges, 0)
     edge_image = {f"{t}{i}": f"{t}{(i + 1) % k}" for i in range(k) for t in "cl"}
     vertex_image = {i: (i + 1) % k for i in range(k)}
-    return k, base, S.RelabelingAction.cyclic(base, edge_image, vertex_image)
+    return (k, base, S.RelabelingAction.cyclic(base, edge_image, vertex_image),
+            (vertex_image, edge_image))
+
+
+@given(seeds)
+@derandomized
+def test_maps_are_composed_powers_of_the_generator(seed):
+    """maps(k), for every element k, is the generator composed k times, and
+    the elements run up to the last power before the identity returns."""
+    rng = random.Random(seed)
+    for _, _, action, generator in (rotation_action(rng), cycle_action(rng)):
+        assert action.elements == list(range(action.order))
+        assert [action.maps(k) for k in action.elements] == oracle_powers(generator)
 
 
 def test_cyclic_rejects_a_pair_of_permutations_that_is_no_automorphism():
     """Swapping the step c0 and the loop l0 permutes the edges but does not
     respect their endpoints."""
-    k, base, _ = cycle_action(random.Random(4))
+    k, base, _, _ = cycle_action(random.Random(4))
     edge_image = {e: e for e in base.edges}
     edge_image.update(c0="l0", l0="c0")
     with pytest.raises(InvalidActionError, match="not mapped compatibly"):
@@ -297,7 +309,7 @@ def check_translates(base, action, subgroup, lists):
 @derandomized
 def test_translate_families_on_rotated_roses(seed):
     rng = random.Random(seed)
-    alphabet, base, action = rotation_action(rng)
+    alphabet, base, action, _ = rotation_action(rng)
     subgroup = random_subgroups(rng, alphabet, base, 1)[0]
     check_translates(base, action, subgroup, translate_lists(rng, action.elements))
 
@@ -306,7 +318,7 @@ def test_translate_families_on_rotated_roses(seed):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_translate_families_on_rotated_cycles(seed):
     rng = random.Random(seed)
-    k, base, action = cycle_action(rng)
+    k, base, action, _ = cycle_action(rng)
     alphabet = W.Alphabet(sorted(base.edges))
     words = [W.Word(alphabet, tuple(cycle_word(rng, k)))
              for _ in range(rng.randint(1, 2))]
@@ -374,199 +386,25 @@ def test_translate_family_with_refuting_elements_no_pair_names():
 
 
 def test_translate_family_of_the_trivial_action():
-    """The trivial action: its one element, the identity, decides a pair
-    i < j only when the two translates are equal, so a duplicated identity
-    refutes a nontrivial subgroup at the pair (0, 1).  An empty list of
-    translates is certified."""
+    """The trivial action, cyclic on the identity: its one element, power 0,
+    decides a pair i < j only when the two translates are equal, so a
+    duplicated identity refutes a nontrivial subgroup at the pair (0, 1).
+    An empty list of translates is certified."""
     alphabet, base, _ = large_rotation(3)
-    identity = ({"*": "*"}, {e: e for e in base.edges})
-    action = S.RelabelingAction(base, [identity])
+    action = S.RelabelingAction.cyclic(base, {e: e for e in base.edges})
+    assert action.elements == [0]
     for words in (["e0"], ["e0^2"], ["e0", "e1 e2"]):
         subgroup = S.graph_of_subgroup(base, [W.parse_word(alphabet, w)
                                               for w in words])
-        for translates in ([], [identity], [identity, identity],
-                           [identity] * 3):
+        for translates in ([], [0], [0, 0], [0] * 3):
             got = S.translate_family_check(base, action, subgroup, translates)
             assert got == oracle_translate_family_check(base, action, subgroup,
                                                         translates)
     subgroup = S.graph_of_subgroup(base, [alphabet.gen("e0")])
-    ok, witness = S.translate_family_check(base, action, subgroup,
-                                           [identity, identity])
+    ok, witness = S.translate_family_check(base, action, subgroup, [0, 0])
     assert not ok and witness.pair == (0, 1)
 
 
 def test_kernel_checks_certify_for_every_modulus_to_60():
     for n in range(7, 61):
         assert _kernel_checks(n)[1], n
-
-
-# Actions that need two or more generators, for the generated-group closure
-# check: the cyclic ones above have a single generator.
-
-
-def two_orbit_rose(rng):
-    """A rose on a_0..a_{p-1}, b_0..b_{q-1} and the group Z_p x Z_q that
-    rotates each orbit of letters on its own."""
-    p, q = rng.randint(2, 4), rng.randint(2, 4)
-    names = [f"a{i}" for i in range(p)] + [f"b{i}" for i in range(q)]
-    elements = []
-    for i in range(p):
-        for j in range(q):
-            ep = {f"a{x}": f"a{(x + i) % p}" for x in range(p)}
-            ep.update({f"b{x}": f"b{(x + j) % q}" for x in range(q)})
-            elements.append(({"*": "*"}, ep))
-    return W.Alphabet(names), S.rose(names), elements
-
-
-def dihedral_cycle(rng):
-    """A cycle of k vertices with both orientations of each step and a loop
-    at each vertex, and its dihedral group, which moves the basepoint.  Half
-    the time two extra isolated vertices are swapped or not on their own, so
-    the group is D_k x Z_2 and only a vertex image tells the swap apart."""
-    k = rng.randint(3, 5)
-    edges = {}
-    for i in range(k):
-        edges[f"c{i}"] = (i, (i + 1) % k, f"c{i}")
-        edges[f"d{i}"] = ((i + 1) % k, i, f"d{i}")
-        edges[f"l{i}"] = (i, i, f"l{i}")
-    swaps = [{}, {"x": "y", "y": "x"}] if rng.random() < 0.5 else [{}]
-    extra = list(swaps[-1])
-    base = S.LabeledGraph(list(range(k)) + extra, edges, 0)
-    elements = []
-    for a in range(k):
-        rotation = {f"{t}{i}": f"{t}{(i + a) % k}" for t in "cdl" for i in range(k)}
-        # v -> a - v sends the step i -> i+1 to the step a-i -> a-i-1.
-        reflection = {}
-        for i in range(k):
-            reflection[f"c{i}"] = f"d{(a - i - 1) % k}"
-            reflection[f"d{i}"] = f"c{(a - i - 1) % k}"
-            reflection[f"l{i}"] = f"l{(a - i) % k}"
-        for sign, ep in ((1, rotation), (-1, reflection)):
-            for swap in swaps:
-                vp = {v: (sign * v + a) % k for v in range(k)}
-                vp.update({v: swap.get(v, v) for v in extra})
-                elements.append((vp, dict(ep)))
-    alphabet = W.Alphabet(sorted(edges))
-    return k, alphabet, base, elements
-
-
-def generated(elements):
-    """The group generated by some elements, by repeated composition."""
-    group = {oracle_action_key(el): el for el in elements}
-    while True:
-        found = {}
-        for el1 in group.values():
-            for el2 in group.values():
-                el = oracle_compose(el1, el2)
-                if oracle_action_key(el) not in group:
-                    found[oracle_action_key(el)] = el
-        if not found:
-            return list(group.values())
-        group.update(found)
-
-
-def product_set(a, b):
-    """The elements xy, x in a and y in b, listed x-major: a group only when
-    ab = ba, and then b's elements come first when a starts with the
-    identity, so b is generated before any coset of it is met."""
-    seen = {}
-    for x in a:
-        for y in b:
-            seen.setdefault(oracle_action_key(oracle_compose(x, y)),
-                            oracle_compose(x, y))
-    return list(seen.values())
-
-
-def action_tables(rng, elements):
-    """The whole group, the subgroup generated by a few elements and a
-    random subset (rarely closed), each with or without the identity
-    (elements[0]), shuffled, with a few duplicates half the time; and the
-    product set of two generated subgroups in its own order."""
-    identity = elements[0]
-    tables = []
-    for table in (elements,
-                  generated(rng.sample(elements, rng.randint(1, 3))),
-                  rng.sample(elements, rng.randint(1, len(elements)))):
-        table = [el for el in table if el != identity]
-        if rng.random() < 0.7:
-            table.append(identity)
-        if table and rng.random() < 0.5:
-            table += rng.choices(table, k=rng.randint(1, 3))
-        rng.shuffle(table)
-        tables.append(table)
-    subgroups = [generated([identity] + rng.sample(elements, 1)) for _ in range(2)]
-    tables.append(product_set(*subgroups))
-    return tables
-
-
-def corrupted_tables(rng, k, elements):
-    """action_tables with a bad element at a random place in each: a
-    dihedral element whose edge map sends a step c_i to a loop l_j, which
-    no vertex permutation matches (on a rose every edge permutation is an
-    automorphism, so only a base with several vertices can hold one), and
-    half the time also a vertex map that is not a permutation.  The tables
-    still come with and without the identity, and many are not closed.  One
-    more table is closed: the identity and an involution that swaps the
-    images of a step and a loop, in either order."""
-    identity = elements[0]
-    step, loop = f"c{rng.randrange(k)}", f"l{rng.randrange(k)}"
-    swap = (identity[0], {**identity[1], step: loop, loop: step})
-    tables = [rng.sample([identity, swap], 2)]
-    for table in action_tables(rng, elements):
-        vp, ep = rng.choice(elements)
-        step, loop = f"c{rng.randrange(k)}", f"l{rng.randrange(k)}"
-        ep = {**ep, step: ep[loop], loop: ep[step]}
-        table.insert(rng.randint(0, len(table)), (vp, ep))
-        if rng.random() < 0.5:
-            vp, ep = rng.choice(elements)
-            table.insert(rng.randint(0, len(table)), ({**vp, 0: vp[1]}, ep))
-        tables.append(table)
-    return tables
-
-
-def check_action(base, table, elements):
-    """Same accept/reject and message as the k^2 oracle, and the same
-    membership of every group element; returns the action or None."""
-    try:
-        oracle_relabeling_action(base, table)
-        expected = None
-    except InvalidActionError as exc:
-        expected = str(exc)
-    try:
-        action, got = S.RelabelingAction(base, table), None
-    except InvalidActionError as exc:
-        action, got = None, str(exc)
-    assert got == expected
-    if action is not None:
-        assert [el in action for el in elements] == [el in table for el in elements]
-    return action
-
-
-@given(seeds)
-@derandomized
-def test_multi_generator_actions_on_two_orbit_roses(seed):
-    rng = random.Random(seed)
-    alphabet, base, elements = two_orbit_rose(rng)
-    subgroup = random_subgroups(rng, alphabet, base, 1)[0]
-    for table in action_tables(rng, elements):
-        action = check_action(base, table, elements)
-        if action is not None:
-            check_translates(base, action, subgroup,
-                             translate_lists(rng, action.elements))
-
-
-@given(seeds)
-@settings(max_examples=20, deadline=None, derandomize=True)
-def test_multi_generator_actions_on_dihedral_cycles(seed):
-    rng = random.Random(seed)
-    k, alphabet, base, elements = dihedral_cycle(rng)
-    words = [W.Word(alphabet, tuple(cycle_word(rng, k)))
-             for _ in range(rng.randint(1, 2))]
-    subgroup = S.graph_of_subgroup(base, words)
-    for table in action_tables(rng, elements):
-        action = check_action(base, table, elements)
-        if action is not None:
-            check_translates(base, action, subgroup,
-                             translate_lists(rng, action.elements))
-    for table in corrupted_tables(rng, k, elements):
-        assert check_action(base, table, elements) is None
