@@ -173,13 +173,14 @@ def _kernel_base_family(N):
 
 def _kernel_checks(N):
     """Rank of the modulus-N kernel core, and whether its rotation
-    translates form a malnormal family.  An N with N (N + 1) past
-    MAX_WORD_LETTERS, the bound `RelabelingAction.cyclic` puts on N powers
-    of the rose's N + 1 ids, is refused before the rose is built; no
-    images are listed, so it now bounds the check's N decisions."""
+    translates form a malnormal family.  An N whose N rotation decisions
+    over the rose's N + 1 ids pass MAX_WORD_LETTERS in all, the bound
+    `RelabelingAction.cyclic` puts on an action, is refused before the
+    rose is built."""
     if N * (N + 1) > W.MAX_WORD_LETTERS:
         raise DegenerateInputError(
-            f"modulus {N} lists more than {W.MAX_WORD_LETTERS} rotation images")
+            f"modulus {N} makes {N} rotation decisions over {N + 1} ids, "
+            f"more than {W.MAX_WORD_LETTERS} in all")
     base, kernel_sub, action = _kernel_base_family(N)
     translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
                                                 action.elements)

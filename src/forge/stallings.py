@@ -11,7 +11,6 @@ graphs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -157,25 +156,51 @@ def _check_immersion(graph):
 
 
 def fold(morphism):
-    """Fold a label-preserving graph map to an immersion.
+    """Fold a label-preserving graph map to an immersion (`_fold` over the
+    domain's vertex positions), canonically relabeled."""
+    return _rebuilt(morphism, _fold, True)
+
+
+def core(immersion):
+    """Trim degree-1 vertices repeatedly, keeping the basepoint even when it
+    has degree 1 so membership stays evaluable (`_trim` over the domain's
+    vertex positions), canonically relabeled."""
+    return _rebuilt(immersion, _trim, immersion.folded)
+
+
+def canonical_form(immersion):
+    """Relabel vertices by BFS order from the basepoint (then least vertex
+    for any remaining components) and edges in (src, label) order."""
+    return _rebuilt(immersion, lambda *graph: graph, immersion.folded)
+
+
+def _rebuilt(immersion, step, folded):
+    """The one construction path, entered from an immersion's vertex order:
+    `step` maps the domain on vertex positions (all positions, edges as
+    (source, target, label), basepoint position or None) to a graph on a
+    subset of them, which `_relabel` turns into the returned immersion."""
+    graph = immersion.domain
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    edges = [(index[src], index[dst], label) for src, dst, label in graph.edges.values()]
+    bp = None if graph.basepoint is None else index[graph.basepoint]
+    return _relabel(*step(range(len(index)), edges, bp),
+                    [immersion.vmap[v] for v in graph.vertices], immersion.base, folded)
+
+
+def _fold(vertices, edges, bp):
+    """Fold a graph on the positions 0..n-1 (`vertices`) to an immersion.
 
     A worklist union-find: every class keeps one out- and one in-neighbour
     per label, and merging two classes moves the smaller table into the
     larger, queueing the far endpoints of any label the two share.  Each
-    class is named by its least vertex, because canonical_form starts a
-    component without the basepoint from its least-named vertex.  Folding
-    is confluent, so the result does not depend on the merge order once the
-    canonical relabeling is applied at the end.
-    """
-    graph = morphism.domain
-    vertices = graph.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-    out = [{} for _ in vertices]   # class root -> {label: some far endpoint}
-    inc = [{} for _ in vertices]
+    class is named by its least position; the names come back in
+    increasing order, with the folded edges and basepoint on them."""
+    n = len(vertices)
+    parent = list(range(n))
+    out = [{} for _ in range(n)]   # class root -> {label: some far endpoint}
+    inc = [{} for _ in range(n)]
     pending = []
-    for src, dst, label in graph.edges.values():
-        s, d = index[src], index[dst]
+    for s, d, label in edges:
         far = out[s].setdefault(label, d)
         if far != d:
             pending.append((far, d))
@@ -197,57 +222,74 @@ def fold(morphism):
                     pending.append((other, far))
         out[b] = inc[b] = None
     name = {}
-    for i, v in enumerate(vertices):
-        name.setdefault(_find(parent, i), v)
-    edges = {}
-    for root, table in enumerate(out):
-        if table is not None:
-            for label, far in table.items():
-                edges[len(edges)] = (name[root], name[_find(parent, far)], label)
-    bp = graph.basepoint
-    if bp is not None:
-        bp = name[_find(parent, index[bp])]
-    # The class names are met in vertex order, so they are in canonical order.
-    folded = LabeledGraph._presorted(name.values(), edges, bp)
-    vmap = {v: morphism.vmap[v] for v in folded.vertices}
-    return canonical_form(GraphImmersion(folded, morphism.base, vmap))
+    for i in range(n):
+        name.setdefault(_find(parent, i), i)
+    folded = [(name[root], name[_find(parent, far)], label)
+              for root, table in enumerate(out) if table is not None
+              for label, far in table.items()]
+    return list(name.values()), folded, None if bp is None else name[_find(parent, bp)]
 
 
-def canonical_form(immersion):
-    """Relabel vertices by BFS order from the basepoint (then least vertex
-    for any remaining components) and edges in (src, label) order."""
-    graph = immersion.domain
-    order = []
-    seen = set()
-    adjacency = {}
-    for src, dst, label in graph.edges.values():
-        adjacency.setdefault(src, []).append((label, 0, dst))
-        adjacency.setdefault(dst, []).append((label, 1, src))
-    starts = []
-    if graph.basepoint is not None:
-        starts.append(graph.basepoint)
-    starts.extend(graph.vertices)
-    for start in starts:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for _, _, u in sorted(adjacency.get(v, [])):
-                if u not in seen:
-                    seen.add(u)
+def _trim(vertices, edges, bp):
+    """The core of a graph on positions: vertices of degree at most 1 other
+    than the basepoint are dropped, with their edges, until none is left.
+    The kept vertices stay in their order."""
+    neighbours = {v: [] for v in vertices}
+    for s, d, _ in edges:
+        neighbours[s].append(d)
+        neighbours[d].append(s)
+    degree = {v: len(us) for v, us in neighbours.items()}
+    trimmed = {v for v, k in degree.items() if k <= 1 and v != bp}
+    queue = list(trimmed)
+    while queue:
+        for u in neighbours[queue.pop()]:
+            if u not in trimmed:
+                degree[u] -= 1
+                if degree[u] <= 1 and u != bp:
+                    trimmed.add(u)
                     queue.append(u)
-    rename = {v: i for i, v in enumerate(order)}
-    edge_items = sorted(
-        ((rename[src], label, rename[dst]) for src, dst, label in graph.edges.values()),
-        key=lambda t: (t[0], _id_key(t[1]), t[2]))
-    edges = {i: (src, dst, label) for i, (src, label, dst) in enumerate(edge_items)}
-    bp = rename[graph.basepoint] if graph.basepoint is not None else None
-    domain = LabeledGraph._presorted(range(len(order)), edges, bp)
-    vmap = {rename[v]: immersion.vmap[v] for v in graph.vertices}
-    return GraphImmersion(domain, immersion.base, vmap, folded=immersion.folded)
+    return ([v for v in vertices if v not in trimmed],
+            [e for e in edges if e[0] not in trimmed and e[1] not in trimmed], bp)
+
+
+def _relabel(vertices, edges, bp, base_vertices, base, folded):
+    """The canonical immersion of a graph on positions, which every
+    construction here returns.  Vertices are numbered in BFS order from the
+    basepoint, then from each of `vertices` not yet reached; neighbours are
+    visited in (label, direction, position) order and edges numbered in
+    (source, label, target) order, labels in `_id_key` order, so labels of
+    mixed types compare.  `base_vertices` holds each position's image."""
+    rank = {label: r for r, label in enumerate(
+        sorted({label for _, _, label in edges}, key=_id_key))}
+    # A neighbour is coded (2 rank + direction) n + position, so one
+    # integer sort gives the visiting order.
+    n = len(base_vertices)
+    adjacency = {v: [] for v in vertices}
+    for s, d, label in edges:
+        code = 2 * rank[label] * n
+        adjacency[s].append(code + d)
+        adjacency[d].append(code + n + s)
+    number = [-1] * n
+    order = []
+    for start in [bp, *vertices] if bp is not None else vertices:
+        if number[start] >= 0:
+            continue
+        k = number[start] = len(order)
+        order.append(start)
+        while k < len(order):
+            v, k = order[k], k + 1
+            for code in sorted(adjacency[v]):
+                u = code % n
+                if number[u] < 0:
+                    number[u] = len(order)
+                    order.append(u)
+    edge_items = sorted((number[s], rank[label], number[d], label) for s, d, label in edges)
+    domain = LabeledGraph._presorted(
+        range(len(order)),
+        {i: (s, d, label) for i, (s, _, d, label) in enumerate(edge_items)},
+        None if bp is None else number[bp])
+    vmap = {i: base_vertices[v] for i, v in enumerate(order)}
+    return GraphImmersion(domain, base, vmap, folded=folded)
 
 
 def _trace_in_base(base, word):
@@ -278,54 +320,24 @@ def _trace_in_base(base, word):
 def graph_of_subgroup(base, generators):
     """Core immersion of the subgroup generated by loop words at the basepoint.
 
-    Builds a wedge of subdivided circles, folds, and trims the core at the
-    basepoint.  Folding is confluent so the output is the canonical core
-    graph of the subgroup.
+    Builds a wedge of subdivided circles on vertex positions (0 is the
+    basepoint, then each word's inner vertices in order), folds it, trims
+    the core at the basepoint and relabels once.  Folding is confluent and
+    the core stays connected, so the BFS from the basepoint never reads
+    the intermediate names: the output is the canonical core graph of the
+    subgroup, the graph core(fold(wedge)) gives.
     """
-    vertices = ["*"]
-    edges = {}
-    vmap = {"*": base.basepoint}
-    for k, word in enumerate(generators):
+    base_vertices = [base.basepoint]
+    edges = []
+    for word in generators:
         path = _trace_in_base(base, word)
-        chain = ["*"] + [("w", k, i) for i in range(1, len(word.letters))] + ["*"]
-        for i, (label, sign) in enumerate(word.letters):
-            u, v = chain[i], chain[i + 1]
-            if sign < 0:
-                u, v = v, u
-            edges[("e", k, i)] = (u, v, label)
-        for i, v in enumerate(chain[:-1]):
-            vertices.append(v)
-            vmap[v] = path[i]
-    wedge = GraphImmersion(LabeledGraph(set(vertices), edges, "*"), base, vmap,
-                           folded=False)
-    return core(fold(wedge))
-
-
-def core(immersion):
-    """Trim degree-1 vertices repeatedly, keeping the basepoint even when it
-    has degree 1 so membership stays evaluable."""
-    graph = immersion.domain
-    neighbours = {v: [] for v in graph.vertices}
-    for src, dst, _ in graph.edges.values():
-        neighbours[src].append(dst)
-        neighbours[dst].append(src)
-    degree = {v: len(us) for v, us in neighbours.items()}
-    trimmed = {v for v, d in degree.items() if d <= 1 and v != graph.basepoint}
-    queue = deque(trimmed)
-    while queue:
-        for u in neighbours[queue.popleft()]:
-            if u not in trimmed:
-                degree[u] -= 1
-                if degree[u] <= 1 and u != graph.basepoint:
-                    trimmed.add(u)
-                    queue.append(u)
-    edges = {eid: e for eid, e in graph.edges.items()
-             if e[0] not in trimmed and e[1] not in trimmed}
-    kept = LabeledGraph._presorted([v for v in graph.vertices if v not in trimmed],
-                                   edges, graph.basepoint)
-    vmap = {v: immersion.vmap[v] for v in kept.vertices}
-    return canonical_form(GraphImmersion(kept, immersion.base, vmap,
-                                         folded=immersion.folded))
+        first = len(base_vertices)
+        chain = [0, *range(first, first + len(word.letters) - 1), 0]
+        base_vertices.extend(path[1:-1])
+        for (label, sign), u, v in zip(word.letters, chain, chain[1:]):
+            edges.append((u, v, label) if sign > 0 else (v, u, label))
+    return _relabel(*_trim(*_fold(range(len(base_vertices)), edges, 0)),
+                    base_vertices, base, True)
 
 
 def rank(graph):
@@ -531,8 +543,9 @@ class RelabelingAction:
         """The cyclic group generated by one automorphism.  The two maps must
         be permutations of the base's edges and vertices that together are
         an automorphism.  The group's order, the lcm of the maps' cycle
-        lengths, is known before any power is taken; a group whose powers
-        would hold more than MAX_WORD_LETTERS images in all is refused."""
+        lengths, is known before any power is taken; a group whose order
+        times the base's id count (its decisions, one per power, each over
+        every id) is past MAX_WORD_LETTERS is refused."""
         if vertex_image is None:
             vertex_image = dict(zip(base.vertices, base.vertices))
         try:
@@ -546,9 +559,11 @@ class RelabelingAction:
         if error:
             raise InvalidActionError(error)
         order = math.lcm(*map(_permutation_order, step))
-        if order * (len(base.vertices) + len(base.edges)) > MAX_WORD_LETTERS:
-            raise DegenerateInputError(f"cyclic action of order {order} lists "
-                                       f"more than {MAX_WORD_LETTERS} images")
+        count = len(base.vertices) + len(base.edges)
+        if order * count > MAX_WORD_LETTERS:
+            raise DegenerateInputError(
+                f"cyclic action of order {order} makes {order} decisions over "
+                f"{count} ids, more than {MAX_WORD_LETTERS} in all")
         action = cls()
         action.base, action.order, action._generator = base, order, images
         action.elements = list(range(order))

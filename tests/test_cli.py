@@ -75,6 +75,28 @@ class TestGraphCommands:
             "command: fold", "status: certified", f"input graph: {SUB_DIGEST}",
             "vertices: 2", "edges: 2"]
 
+    def test_fold_and_core_of_mixed_label_types(self, workdir, capsys):
+        # Edge ids `1` and `a` read as an int and a name; labels order as
+        # ints before names, so the 1-edge comes first.
+        (workdir / "mixed_base.txt").write_text(
+            "base\nvertex v\nedge 1 v v 1\nedge a v v a\nbasepoint v\n")
+        (workdir / "mixed.txt").write_text(
+            "graph\nbase mixed_base.txt\nvertex 0\nvertex 1\n"
+            "edge e0 0 0 a\nedge e1 0 1 1\nbasepoint 0\n")
+        digest = "input graph: sha256:096d767564e7d13e"
+        code, out = run(capsys, "fold", workdir / "mixed.txt")
+        assert code == 0
+        assert untimed_lines(out) == [
+            "graph", "base mixed_base.txt", "vertex 0", "vertex 1", "edge 0 0 1 1",
+            "edge 1 0 0 a", "basepoint 0", "vmap 0 v", "vmap 1 v",
+            "command: fold", "status: certified", digest, "vertices: 2", "edges: 2"]
+        code, out = run(capsys, "core", workdir / "mixed.txt")
+        assert code == 0
+        assert untimed_lines(out) == [
+            "graph", "base mixed_base.txt", "vertex 0", "edge 0 0 0 a",
+            "basepoint 0", "vmap 0 v", "command: core", "status: certified",
+            digest, "vertices: 1", "edges: 1"]
+
     def test_fibre_reports_components(self, workdir, capsys):
         code, out = run(capsys, "fibre", workdir / "sub.txt", workdir / "sub.txt")
         assert code == 0
@@ -340,7 +362,8 @@ class TestErrors:
         (("abel", "huge.txt"), "line 2, column 6: power in token 'a^600000' "
                                "makes the word longer than 1000000 letters"),
         (("encode", "dead.txt", "--word", "a", "--N", "1000"),
-         "modulus 1000 lists more than 1000000 rotation images"),
+         "modulus 1000 makes 1000 rotation decisions over 1001 ids, "
+         "more than 1000000 in all"),
         (("encode", "dead.txt", "--word", "a^400000"),
          "substituting for x1_1, y2, y3 makes a word of 1600001 letters, "
          "more than 1000000"),

@@ -118,8 +118,9 @@ class TestSelection:
         assert len(calls) == 1
 
     def test_huge_modulus_refused_before_the_rose(self):
-        """N (N + 1) rotation images past MAX_WORD_LETTERS: selection raises
-        and revalidation fails, with no rose of that size built."""
+        """N rotation decisions over N + 1 ids, past MAX_WORD_LETTERS in
+        all: selection raises and revalidation fails, with no rose of that
+        size built."""
         with pytest.raises(DegenerateInputError, match="modulus 1000 "):
             select_malnormal_words(0, N=1000)
         _, cert = select_malnormal_words(0, N=7)

@@ -60,6 +60,19 @@ class TestFolding:
     def test_redundant_generators_collapse(self):
         assert sub("a", "a^3") == sub("a")
 
+    def test_labels_of_mixed_types(self):
+        """Edge ids 1 and "a", an int and a name as a file gives them, order
+        as ints before names (`_id_key`) at every step: z, reached by the
+        1-edge, is numbered before y, reached by the a-edge."""
+        base = S.LabeledGraph(["v"], {1: ("v", "v", 1), "a": ("v", "v", "a")}, "v")
+        graph = S.LabeledGraph(["x", "y", "z"], {"e0": ("x", "y", "a"), "e1": ("x", "z", 1),
+                                                 "e2": ("y", "y", 1)}, "x")
+        folded = S.fold(S.GraphImmersion(graph, base, dict.fromkeys("xyz", "v"),
+                                         folded=False))
+        assert folded.domain.edges == {0: (0, 1, 1), 1: (0, 2, "a"), 2: (2, 2, 1)}
+        assert S.canonical_form(folded) == folded
+        assert S.core(folded).domain.edges == {0: (0, 1, "a"), 1: (1, 1, 1)}
+
     def test_unreadable_word_rejected(self):
         base = S.LabeledGraph([0, 1], {"e": (0, 1, "e")}, 0)
         e = W.Alphabet(["e"])

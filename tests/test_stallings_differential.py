@@ -1,5 +1,6 @@
-"""Differential tests: the near-linear Stallings kernels against the
-original quadratic ones, kept in helpers.py as an oracle; the edge-driven
+"""Differential tests: the near-linear Stallings kernels, and
+graph_of_subgroup's one pass over vertex positions, against the original
+quadratic ones, kept in helpers.py as an oracle; the edge-driven
 malnormality certifier against the oracle's full fibre product; and a
 cyclic action's powers and translate check against powers composed one
 generator step at a time.
@@ -12,6 +13,7 @@ and witness.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,44 @@ def test_fold_core_rank_on_subgroup_wedges(seed):
     assert same_graph(S.core(folded), oracle_core(folded))
     assert S.rank(folded.domain) == oracle_rank(folded.domain)
     assert S.rank(morphism.domain) == oracle_rank(morphism.domain)
+
+
+@given(seeds)
+@derandomized
+def test_graph_of_subgroup_is_the_core_of_the_folded_wedge(seed):
+    """graph_of_subgroup folds, trims and relabels its wedge on vertex
+    positions in one pass; it gives the graph that the oracle's fold and
+    core, and forge's own, give on the named wedge.  Roses of 1-5 labels,
+    0-4 generators.  A generator is a Word (empty, one letter, or longer,
+    or a repeat, inverse or conjugate of the Word before it, which folds
+    onto it) or an unreduced letter list read through a stand-in, since
+    graph_of_subgroup reads only a word's letters; those leave hairs for
+    the trim.  Some lists hold only words u u^-1: the trivial subgroup."""
+    rng = random.Random(seed)
+    alphabet = W.Alphabet([f"e{i}" for i in range(rng.randint(1, 5))])
+    base = S.rose(alphabet.names)
+    words = []
+    trivial = rng.random() < 0.15
+    for _ in range(rng.randint(0, 4)):
+        pick = rng.random()
+        if trivial:
+            u = random_letters(rng, alphabet.names, rng.randint(0, 4))
+            words.append(SimpleNamespace(letters=tuple(u + [(x, -s) for x, s in u[::-1]])))
+        elif pick < 0.4:
+            words.append(SimpleNamespace(letters=tuple(
+                random_letters(rng, alphabet.names, rng.randint(0, 7)))))
+        elif pick < 0.6 and words and isinstance(words[-1], W.Word):
+            word, u = words[-1], random_reduced_word(rng, alphabet, rng.randint(0, 2))
+            words.append(rng.choice((word, word.inverse(), u * word * u.inverse())))
+        else:
+            length = rng.choice((0, 1, rng.randint(2, 7)))
+            words.append(random_reduced_word(rng, alphabet, length))
+    morphism = wedge(base, [word.letters for word in words])
+    graph = S.graph_of_subgroup(base, words)
+    assert same_graph(graph, oracle_core(oracle_fold(morphism)))
+    assert same_graph(graph, S.core(S.fold(morphism)))
+    if trivial:
+        assert graph.domain.vertices == (0,) and graph.domain.edges == {}
 
 
 @given(seeds)
