@@ -265,114 +265,96 @@ def one_square_torus():
 # ---------------------------------------------------------------------------
 # The S(P) construction: a subdivided rose, one scaled copy of the input
 # complex per relator, and a one-square-high cylinder gluing each relator
-# loop to the chosen loop in its copy.
+# loop to the chosen loop in its copy.  Every cell id says where it lies:
+# ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.
 
 
-class _ScaledCopy:
-    """One copy of a complex with every edge subdivided into ell parts and
-    every square into an ell x ell grid of unit squares."""
+def _add_scaled_copy(x, ell, j, vertices, edges, squares):
+    """Write copy j of x into S(P)'s vertices, edges and squares, with
+    every edge of x subdivided into ell parts and every square into an
+    ell x ell grid of unit squares."""
 
-    def __init__(self, x, ell, tag):
-        self.x = x
-        self.ell = ell
-        self.tag = tag
-        self.vertices = set()
-        self.edges = {}
-        self.squares = []
-        for v in x.vertices:
-            self.vertices.add(("copy", tag, "v", v))
-        for e, (u, wv) in x.edges.items():
-            for t in range(1, ell):
-                self.vertices.add(("copy", tag, "p", e, t))
-            for t in range(ell):
-                self.edges[("copy", tag, "e", e, t)] = (
-                    self._edge_point(e, t), self._edge_point(e, t + 1))
-        for qi, sq in enumerate(x.squares):
-            self._add_grid(qi, sq)
-
-    def _edge_point(self, e, t):
-        u, wv = self.x.edges[e]
+    def edge_point(e, t):
+        u, wv = x.edges[e]
         if t == 0:
-            return ("copy", self.tag, "v", u)
-        if t == self.ell:
-            return ("copy", self.tag, "v", wv)
-        return ("copy", self.tag, "p", e, t)
+            return ("copy", j, "v", u)
+        if t == ell:
+            return ("copy", j, "v", wv)
+        return ("copy", j, "p", e, t)
 
-    def path(self, d):
-        """The directed unit-edge path covering directed edge d."""
-        return _unit_path(("copy", self.tag, "e"), d, self.ell)
-
-    def _point_on(self, d, t):
+    def point_on(d, t):
         """Vertex at parameter t along the subdivided image of d."""
         e, s = d
-        return self._edge_point(e, t if s > 0 else self.ell - t)
+        return edge_point(e, t if s > 0 else ell - t)
 
-    def _add_grid(self, qi, sq):
-        ell = self.ell
+    for v in x.vertices:
+        vertices.add(("copy", j, "v", v))
+    for e in x.edges:
+        for t in range(1, ell):
+            vertices.add(("copy", j, "p", e, t))
+        for t in range(ell):
+            edges[("copy", j, "e", e, t)] = (edge_point(e, t), edge_point(e, t + 1))
+    for qi, sq in enumerate(x.squares):
         d1, d2, d3, d4 = sq
-        p1, p2, p3, p4 = (self.path(d) for d in sq)
+        p1, p2, p3, p4 = (_unit_path(("copy", j, "e"), d, ell) for d in sq)
 
-        def grid_vertex(i, j):
-            if j == 0:
-                return self._point_on(d1, i)
-            if i == ell:
-                return self._point_on(d2, j)
-            if j == ell:
-                return self._point_on(d3, ell - i)
-            if i == 0:
-                return self._point_on(d4, ell - j)
-            return ("copy", self.tag, "i", qi, i, j)
+        def grid_vertex(a, b):
+            if b == 0:
+                return point_on(d1, a)
+            if a == ell:
+                return point_on(d2, b)
+            if b == ell:
+                return point_on(d3, ell - a)
+            if a == 0:
+                return point_on(d4, ell - b)
+            return ("copy", j, "i", qi, a, b)
 
-        for i in range(1, ell):
-            for j in range(1, ell):
-                self.vertices.add(grid_vertex(i, j))
+        for a in range(1, ell):
+            for b in range(1, ell):
+                vertices.add(("copy", j, "i", qi, a, b))
 
-        def horizontal(i, j):
-            if j == 0:
-                return p1[i]
-            if j == ell:
-                return reverse(p3[ell - 1 - i])
-            eid = ("copy", self.tag, "h", qi, i, j)
-            if eid not in self.edges:
-                self.edges[eid] = (grid_vertex(i, j), grid_vertex(i + 1, j))
+        def horizontal(a, b):
+            if b == 0:
+                return p1[a]
+            if b == ell:
+                return reverse(p3[ell - 1 - a])
+            eid = ("copy", j, "h", qi, a, b)
+            if eid not in edges:
+                edges[eid] = (grid_vertex(a, b), grid_vertex(a + 1, b))
             return (eid, 1)
 
-        def vertical(i, j):
-            if i == ell:
-                return p2[j]
-            if i == 0:
-                return reverse(p4[ell - 1 - j])
-            eid = ("copy", self.tag, "u", qi, i, j)
-            if eid not in self.edges:
-                self.edges[eid] = (grid_vertex(i, j), grid_vertex(i, j + 1))
+        def vertical(a, b):
+            if a == ell:
+                return p2[b]
+            if a == 0:
+                return reverse(p4[ell - 1 - b])
+            eid = ("copy", j, "u", qi, a, b)
+            if eid not in edges:
+                edges[eid] = (grid_vertex(a, b), grid_vertex(a, b + 1))
             return (eid, 1)
 
-        for i in range(ell):
-            for j in range(ell):
-                self.squares.append((horizontal(i, j), vertical(i + 1, j),
-                                     reverse(horizontal(i, j + 1)),
-                                     reverse(vertical(i, j))))
+        for a in range(ell):
+            for b in range(ell):
+                squares.append((horizontal(a, b), vertical(a + 1, b),
+                                reverse(horizontal(a, b + 1)), reverse(vertical(a, b))))
 
 
 @dataclass
 class BuiltComplex:
-    """build_S_of_P output: the complex plus cell provenance ('rose',),
-    ('copy', j) or ('cylinder', j) for every vertex, edge and square id."""
+    """build_S_of_P output: the complex S(P), whose cell ids name where
+    each cell lies."""
 
     complex: SquareComplex
-    provenance: dict
-    presentation: FinitePresentation
-    gamma_length: int
 
 
 def build_S_of_P(p, x, gamma):
     """Subdivide the rose on p's generators by k = len(gamma), scale one copy
     of x per relator r_j by ell_j = len(r_j), and glue the r_j loop to the
-    gamma loop of copy j by a cylinder of k*ell_j unit squares.  The cell
-    count grows as ell_j squared; it is computed first, and a complex of
-    more than words.MAX_WORD_LETTERS cells is refused before any is built."""
-    if not isinstance(gamma, EdgeLoop) or gamma.complex is not x:
-        gamma = EdgeLoop(x, gamma.edges if isinstance(gamma, EdgeLoop) else gamma)
+    gamma loop of copy j by a cylinder of k*ell_j unit squares.  gamma is a
+    sequence of directed edges (e, s) of x.  The cell count grows as ell_j
+    squared; it is computed first, and a complex of more than
+    words.MAX_WORD_LETTERS cells is refused before any is built."""
+    gamma = EdgeLoop(x, gamma)
     if not gamma.is_locally_geodesic():
         raise DegenerateInputError("gamma must be a locally geodesic loop")
     for r in p.relators:
@@ -395,7 +377,6 @@ def build_S_of_P(p, x, gamma):
     vertices = {("rose", "*")}
     edges = {}
     squares = []
-    provenance = {("rose", "*"): ("rose",)}
 
     def rose_point(g, t):
         t %= k
@@ -404,45 +385,23 @@ def build_S_of_P(p, x, gamma):
     for g in p.generators:
         for t in range(1, k):
             vertices.add(rose_point(g, t))
-            provenance[rose_point(g, t)] = ("rose",)
         for t in range(k):
-            eid = ("rose", g, t)
-            edges[eid] = (rose_point(g, t), rose_point(g, t + 1))
-            provenance[eid] = ("rose",)
+            edges[("rose", g, t)] = (rose_point(g, t), rose_point(g, t + 1))
 
-    square_prov = []
     for j, r in enumerate(p.relators):
         ell = len(r.letters)
-        copy = _ScaledCopy(x, ell, j)
-        vertices |= copy.vertices
-        edges.update(copy.edges)
-        for v in copy.vertices:
-            provenance[v] = ("copy", j)
-        for e in copy.edges:
-            provenance[e] = ("copy", j)
-        for sq in copy.squares:
-            squares.append(sq)
-            square_prov.append(("copy", j))
-
+        _add_scaled_copy(x, ell, j, vertices, edges, squares)
         bottom = [d for letter in r.letters for d in _unit_path(("rose",), letter, k)]
-        top = [d for g_edge in gamma.edges for d in copy.path(g_edge)]
+        top = [d for g_edge in gamma.edges for d in _unit_path(("copy", j, "e"), g_edge, ell)]
         n_units = k * ell
         for s in range(n_units):
-            eid = ("cyl", j, s)
-            edges[eid] = (_start(edges, bottom[s]), _start(edges, top[s]))
-            provenance[eid] = ("cylinder", j)
+            edges[("cyl", j, s)] = (_start(edges, bottom[s]), _start(edges, top[s]))
         for s in range(n_units):
             squares.append((bottom[s], (("cyl", j, s + 1) if s + 1 < n_units
                                         else ("cyl", j, 0), 1),
                             reverse(top[s]), (("cyl", j, s), -1)))
-            square_prov.append(("cylinder", j))
 
-    complex_ = SquareComplex(vertices, edges, squares)
-    # Square ids are positions in the canonical list; canonicalization keeps
-    # order, so provenance lines up by index.
-    for idx, prov in enumerate(square_prov):
-        provenance[("square", idx)] = prov
-    return BuiltComplex(complex_, provenance, p, k)
+    return BuiltComplex(SquareComplex(vertices, edges, squares))
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +487,16 @@ def cellular_h1(complex_):
 def _copy_killing_relators(built, presentation, names):
     """Relators killing the image of the fundamental group of every copy.
 
-    For each copy subcomplex a spanning forest is grown; every remaining copy
-    edge closes a loop inside the copy, and that loop is rewritten through
-    the global generators."""
+    The edges of copy j are those whose id begins ("copy", j).  For each
+    copy subcomplex a spanning forest is grown; every remaining copy edge
+    closes a loop inside the copy, and that loop is rewritten through the
+    global generators."""
     complex_ = built.complex
     relators = []
     copies = {}
     for e in complex_.edge_order:
-        prov = built.provenance[e]
-        if prov[0] == "copy":
-            copies.setdefault(prov[1], []).append(e)
+        if e[0] == "copy":
+            copies.setdefault(e[1], []).append(e)
     for j, copy_edges in sorted(copies.items()):
         ends = {v for e in copy_edges for v in complex_.edges[e]}
         parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))

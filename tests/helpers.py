@@ -14,7 +14,8 @@ from hypothesis import settings, strategies as st
 
 from forge import words as W
 from forge.presentations import AbelianInvariants
-from forge.squarecx import LinkGraph, reverse
+from forge.squarecx import (LinkGraph, SquareComplex, _bfs_forest, _forest_path,
+                            reverse)
 
 
 # Hypothesis draws integer seeds for seeded input generators; derandomized,
@@ -475,6 +476,177 @@ def oracle_format_complex(complex_):
         toks = [ename[e] + ("" if s > 0 else "-") for e, s in sq]
         out.append("square " + " ".join(toks))
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# S(P) built as forge built it before its cells were written in place: each
+# relator's scaled copy staged in its own vertex set, edge dict and square
+# list and then merged, and the place of every cell recorded in a separate
+# provenance dict.  Inputs are taken to be valid (a locally geodesic gamma
+# given as directed edges, nonempty cyclically reduced relators).
+
+
+class _OracleScaledCopy:
+    """One copy of a complex with every edge subdivided into ell parts and
+    every square into an ell x ell grid of unit squares."""
+
+    def __init__(self, x, ell, tag):
+        self.x = x
+        self.ell = ell
+        self.tag = tag
+        self.vertices = set()
+        self.edges = {}
+        self.squares = []
+        for v in x.vertices:
+            self.vertices.add(("copy", tag, "v", v))
+        for e in x.edges:
+            for t in range(1, ell):
+                self.vertices.add(("copy", tag, "p", e, t))
+            for t in range(ell):
+                self.edges[("copy", tag, "e", e, t)] = (
+                    self._edge_point(e, t), self._edge_point(e, t + 1))
+        for qi, sq in enumerate(x.squares):
+            self._add_grid(qi, sq)
+
+    def _edge_point(self, e, t):
+        u, wv = self.x.edges[e]
+        if t == 0:
+            return ("copy", self.tag, "v", u)
+        if t == self.ell:
+            return ("copy", self.tag, "v", wv)
+        return ("copy", self.tag, "p", e, t)
+
+    def path(self, d):
+        """The directed unit-edge path covering directed edge d."""
+        e, s = d
+        ts = range(self.ell) if s > 0 else range(self.ell - 1, -1, -1)
+        return [(("copy", self.tag, "e", e, t), s) for t in ts]
+
+    def _point_on(self, d, t):
+        e, s = d
+        return self._edge_point(e, t if s > 0 else self.ell - t)
+
+    def _add_grid(self, qi, sq):
+        ell = self.ell
+        d1, d2, d3, d4 = sq
+        p1, p2, p3, p4 = (self.path(d) for d in sq)
+
+        def grid_vertex(i, j):
+            if j == 0:
+                return self._point_on(d1, i)
+            if i == ell:
+                return self._point_on(d2, j)
+            if j == ell:
+                return self._point_on(d3, ell - i)
+            if i == 0:
+                return self._point_on(d4, ell - j)
+            return ("copy", self.tag, "i", qi, i, j)
+
+        for i in range(1, ell):
+            for j in range(1, ell):
+                self.vertices.add(grid_vertex(i, j))
+
+        def horizontal(i, j):
+            if j == 0:
+                return p1[i]
+            if j == ell:
+                return reverse(p3[ell - 1 - i])
+            eid = ("copy", self.tag, "h", qi, i, j)
+            if eid not in self.edges:
+                self.edges[eid] = (grid_vertex(i, j), grid_vertex(i + 1, j))
+            return (eid, 1)
+
+        def vertical(i, j):
+            if i == ell:
+                return p2[j]
+            if i == 0:
+                return reverse(p4[ell - 1 - j])
+            eid = ("copy", self.tag, "u", qi, i, j)
+            if eid not in self.edges:
+                self.edges[eid] = (grid_vertex(i, j), grid_vertex(i, j + 1))
+            return (eid, 1)
+
+        for i in range(ell):
+            for j in range(ell):
+                self.squares.append((horizontal(i, j), vertical(i + 1, j),
+                                     reverse(horizontal(i, j + 1)),
+                                     reverse(vertical(i, j))))
+
+
+def oracle_build_S_of_P(p, x, gamma):
+    """(complex, provenance): S(P) over x and the loop gamma, and ('rose',),
+    ('copy', j) or ('cylinder', j) for every vertex and edge id."""
+    gamma = tuple(gamma)
+    k = len(gamma)
+    vertices = {("rose", "*")}
+    edges = {}
+    squares = []
+    provenance = {("rose", "*"): ("rose",)}
+
+    def rose_point(g, t):
+        t %= k
+        return ("rose", "*") if t == 0 else ("rose", g, t)
+
+    def rose_path(letter):
+        g, s = letter
+        return [(("rose", g, t), s) for t in (range(k) if s > 0 else range(k - 1, -1, -1))]
+
+    def start(d):
+        e, s = d
+        return edges[e][0] if s > 0 else edges[e][1]
+
+    for g in p.generators:
+        for t in range(1, k):
+            vertices.add(rose_point(g, t))
+            provenance[rose_point(g, t)] = ("rose",)
+        for t in range(k):
+            eid = ("rose", g, t)
+            edges[eid] = (rose_point(g, t), rose_point(g, t + 1))
+            provenance[eid] = ("rose",)
+
+    for j, r in enumerate(p.relators):
+        ell = len(r.letters)
+        copy = _OracleScaledCopy(x, ell, j)
+        vertices |= copy.vertices
+        edges.update(copy.edges)
+        for cell in list(copy.vertices) + list(copy.edges):
+            provenance[cell] = ("copy", j)
+        squares += copy.squares
+
+        bottom = [d for letter in r.letters for d in rose_path(letter)]
+        top = [d for g_edge in gamma for d in copy.path(g_edge)]
+        n_units = k * ell
+        for s in range(n_units):
+            eid = ("cyl", j, s)
+            edges[eid] = (start(bottom[s]), start(top[s]))
+            provenance[eid] = ("cylinder", j)
+        for s in range(n_units):
+            squares.append((bottom[s], (("cyl", j, s + 1) if s + 1 < n_units
+                                        else ("cyl", j, 0), 1),
+                            reverse(top[s]), (("cyl", j, s), -1)))
+    return SquareComplex(vertices, edges, squares), provenance
+
+
+def oracle_copy_killing_relators(complex_, provenance, presentation, names):
+    """The relators killing each copy's fundamental group, copies read from
+    the provenance dict.  The spanning forests are forge's own."""
+    copies = {}
+    for e in complex_.edge_order:
+        if provenance[e][0] == "copy":
+            copies.setdefault(provenance[e][1], []).append(e)
+    relators = []
+    for j, copy_edges in sorted(copies.items()):
+        ends = {v for e in copy_edges for v in complex_.edges[e]}
+        parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
+        for e in copy_edges:
+            if e in forest:
+                continue
+            src, dst = complex_.edges[e]
+            loop = (_forest_path(parent, src) + [(e, 1)]
+                    + [reverse(d) for d in reversed(_forest_path(parent, dst))])
+            relators.append(W.reduce(presentation.alphabet,
+                                     [(names[ed], s) for ed, s in loop if ed in names]))
+    return relators
 
 
 def oracle_smith_normal_form(matrix):

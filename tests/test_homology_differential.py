@@ -1,7 +1,8 @@
 """Differential tests: the sparse homology kernels (the one pivot loop of
-the Smith normal form, rank d1 from components, one-pass vertex links) and
-the integer edge key of a complex against the original dense kernels and
-repr orders, kept in helpers.py as an oracle.
+the Smith normal form, rank d1 from components, one-pass vertex links), the
+integer edge key of a complex and S(P) written cell by cell in place against
+the original dense kernels, repr orders and staged S(P) build, kept in
+helpers.py as oracles.
 
 Matrices and complexes come from seeded generators; hypothesis picks the
 seeds (derandomized, so every run sees the same ones) and prints the failing
@@ -18,11 +19,12 @@ from forge import words as W
 from forge.presentations import FinitePresentation, abelianization
 from forge.fileformats import format_complex
 from forge.snf import smith_normal_form
-from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P, cellular_h1,
-                            check_link_condition, link, one_square_torus,
-                            pi1_presentation)
-from helpers import (derandomized, oracle_canonical_square, oracle_cellular_h1,
-                     oracle_check_link_condition, oracle_format_complex,
+from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
+                            build_S_of_P, cellular_h1, check_link_condition, link,
+                            one_square_torus, pi1_presentation)
+from helpers import (derandomized, oracle_build_S_of_P, oracle_canonical_square,
+                     oracle_cellular_h1, oracle_check_link_condition,
+                     oracle_copy_killing_relators, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
                      oracle_smith_normal_form, random_reduced_word, seeds,
                      sparse_rows)
@@ -228,6 +230,49 @@ def test_random_small_complexes(seed):
     loop = random_edge_loop(rng, cx)
     if loop is not None:
         assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
+
+
+def place(cell):
+    """Where a cell of S(P) lies, read off its id."""
+    if cell[0] == "rose":
+        return ("rose",)
+    return ("copy" if cell[0] == "copy" else "cylinder", cell[1])
+
+
+@given(seeds)
+@derandomized
+def test_S_of_P_matches_staged_build(seed):
+    """S(P) written in place equals S(P) staged copy by copy with a
+    provenance dict (helpers.py): the same vertices, edges in the same
+    order, squares, written text and copy-killing relators, and every
+    cell's id names the place its provenance records.  Up to 11 relators of
+    up to 12 letters put two-digit relator indices and unit positions into
+    the repr order of the edges."""
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        x, gamma = TORUS, [rng.choice(TORUS.directed)] * rng.randint(1, 3)
+    else:
+        x = SquareComplex(*random_cells(rng))
+        loop = random_edge_loop(rng, x)
+        if loop is None or not loop.is_locally_geodesic():
+            return
+        gamma = loop.edges
+    alphabet = W.Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
+    p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(1, 12))
+                                      for _ in range(rng.randint(1, 11))])
+    built = build_S_of_P(p, x, gamma)
+    cx = built.complex
+    staged, provenance = oracle_build_S_of_P(p, x, gamma)
+    assert cx.vertices == staged.vertices
+    assert list(cx.edges.items()) == list(staged.edges.items())
+    assert cx.squares == staged.squares and cx.square_codes == staged.square_codes
+    assert format_complex(cx) == format_complex(staged)
+    assert provenance == {cell: place(cell) for cell in provenance}
+    # One generator per edge, so every letter of a copy loop is kept.
+    names = {e: f"g{i}" for i, e in enumerate(cx.edge_order)}
+    presentation = FinitePresentation(W.Alphabet(list(names.values())))
+    assert (_copy_killing_relators(built, presentation, names)
+            == oracle_copy_killing_relators(staged, provenance, presentation, names))
 
 
 class Twin:

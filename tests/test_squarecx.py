@@ -184,10 +184,17 @@ class TestBuild:
         assert ok
 
     def test_provenance_partition(self):
-        p = pres(["a"], "a^2")
-        built = build_S_of_P(p, TORUS, [("a", 1), ("a", 1)])
-        kinds = {prov[0] for prov in built.provenance.values()}
-        assert kinds == {"rose", "copy", "cylinder"}
+        """Every vertex and edge id says where it lies: the rose, or the
+        copy or cylinder of a relator of p."""
+        p = pres(["a", "b"], "a^2", "a b a^-1 b^-1")
+        s = build_S_of_P(p, TORUS, [("a", 1), ("a", 1)]).complex
+        places = set()
+        for cell in list(s.vertices) + list(s.edges):
+            assert cell[0] in ("rose", "copy", "cyl")
+            if cell[0] != "rose":
+                assert cell[1] in range(len(p.relators))
+            places.add(cell[:1] if cell[0] == "rose" else cell[:2])
+        assert places == {("rose",), ("copy", 0), ("copy", 1), ("cyl", 0), ("cyl", 1)}
 
     def test_non_geodesic_gamma_rejected(self):
         p = pres(["a"], "a^2")
