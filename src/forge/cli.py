@@ -272,7 +272,7 @@ def _cmd_quotients(args):
 def _complex_details(cx):
     return [("vertices", str(len(cx.vertices))),
             ("edges", str(len(cx.edges))),
-            ("squares", str(len(cx.squares))),
+            ("squares", str(len(cx.square_codes))),
             ("euler characteristic", str(cx.euler_characteristic()))]
 
 
@@ -294,7 +294,7 @@ def _cmd_sqc_build(args):
     pres_text, complex_text = _read(args.pres), _read(args.complex)
     p = FF.parse_presentation(pres_text)
     cx = FF.parse_complex(complex_text)
-    gamma = [cx.directed[c] for c in FF.parse_edge_codes(args.gamma.split(), cx, "gamma")]
+    gamma = [cx.directed(c) for c in FF.parse_edge_codes(args.gamma.split(), cx, "gamma")]
     built = build_S_of_P(p, cx, gamma)
     artifacts = []
     _emit(FF.format_complex(built.complex), args.out, artifacts)

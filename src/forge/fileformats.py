@@ -256,14 +256,14 @@ def format_immersion(immersion, base_path):
 
 def parse_edge_codes(tokens, complex_, referrer, line=None):
     """The codes in complex_ of the directed edges spelled `e` or `e-` (the
-    reverse of edge e), one lookup each; an unknown id is an error naming
-    the referrer ("square", "gamma")."""
-    out = []
+    reverse of edge e), each read by the complex's own lookup; an unknown
+    id is an error naming the referrer ("square", "gamma")."""
+    code, out = complex_.code, []
     for tok in tokens:
-        c = complex_.code.get((_token(tok[:-1]), -1) if tok.endswith("-") else (_token(tok), 1))
-        if c is None:
-            raise ParseError(f"{referrer} references unknown edge {tok!r}", line=line)
-        out.append(c)
+        try:
+            out.append(code((_token(tok[:-1]), -1) if tok.endswith("-") else (_token(tok), 1)))
+        except ConfigurationError:
+            raise ParseError(f"{referrer} references unknown edge {tok!r}", line=line) from None
     return out
 
 
@@ -311,7 +311,7 @@ def format_complex(complex_):
         src, dst = complex_.edges[e]
         out.append(f"edge e{i} {vname[src]} {vname[dst]}")
     # Edge i has codes 2i (reversed) and 2i + 1.
-    token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(complex_.directed))]
+    token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(complex_.head))]
     for codes in complex_.square_codes:
         out.append("square " + " ".join([token[c] for c in codes]))
     return "\n".join(out) + "\n"

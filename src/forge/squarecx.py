@@ -2,14 +2,14 @@
 complex with scaled copies ("S of P") construction, Euler characteristics and
 fundamental-group presentations.
 
-Directed edges are pairs (edge id, sign); the reverse of (e, s) is (e, -s).
-Each directed edge also has one integer code, 2 * (position of e in the
-edges sorted by repr, ties in the order given) + (s > 0), so reversing
-flips the low bit.  Codes are the only order and identity of directed
-edges.  Squares are closed 4-paths of directed edges, validated and
-canonicalized through their codes: the least of the eight dihedral
-readings of the boundary.  The link condition is read off one pass over
-the square corners, each corner an arc between two codes.
+Directed edges come in and go out as pairs (edge id, sign); the reverse
+of (e, s) is (e, -s).  A complex stores each as one integer code,
+2 * (position of e in the edges sorted by repr, ties in the order given) +
+(s > 0), so reversing flips the low bit, and each square as its four
+codes, the least of the eight dihedral readings of its boundary.  It keeps
+no pair: `SquareComplex.code` reads one in, `directed` and `squares`
+decode on demand.  The link condition is read off one pass over the
+square corners, each corner an arc between two codes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
 from .snf import smith_normal_form
+from .stallings import _find
 
 
 def reverse(d):
@@ -28,27 +29,14 @@ def reverse(d):
     return (e, -s)
 
 
-def _start(edges, d):
-    """The vertex where directed edge d = (e, s) starts, edges being
-    eid -> (src, dst)."""
-    e, s = d
-    return edges[e][0] if s > 0 else edges[e][1]
-
-
-def _directed_path(edges, path, kind):
-    """The items of `path` as a tuple of pairs (e, s) of an edge id of
-    `edges` and a sign 1 or -1, else ConfigurationError naming the `kind`
-    of path (a square boundary or an edge loop)."""
+def _path_codes(complex_, path, kind):
+    """The codes of the directed edges along `path`, else ConfigurationError
+    naming the `kind` of path (a square boundary or an edge loop)."""
     try:
-        path = tuple(map(tuple, path))
-        for e, s in path:
-            if e not in edges:
-                raise ConfigurationError(f"{kind} {path!r} uses unknown edge {e!r}")
-            if s != 1 and s != -1:
-                raise ConfigurationError(f"{kind} {path!r} has sign {s!r}, not 1 or -1")
-    except (TypeError, ValueError):   # not a sequence of pairs, or an unhashable edge
-        raise ConfigurationError(f"{kind} {path!r} is not a path of (edge, sign) pairs") from None
-    return path
+        return [complex_.code(d) for d in path]
+    except (ConfigurationError, TypeError) as exc:   # TypeError: not iterable
+        raise ConfigurationError(
+            f"{kind} {path!r} is not a path of (edge, sign) pairs: {exc}") from None
 
 
 def _unit_path(prefix, d, k):
@@ -62,10 +50,10 @@ class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
     `edge_order` lists the edge ids sorted by repr, ties in the order the
-    edges were given.  The directed edge of code c is `directed[c]` and ends
-    at `head[c]`; `code` maps it back, and `square_codes[q]` holds the codes
-    of `squares[q]`.  Codes are the one order and identity of directed
-    edges."""
+    edges were given, and `position` maps an id to its place there.  The
+    directed edge (e, s) has code 2 * position[e] + (s > 0) and ends at
+    `head[code]`; `square_codes[q]` holds the codes of square q.  These
+    are all it stores of directed edges and squares."""
 
     def __init__(self, vertices, edges, squares=()):
         self.vertices = set(vertices)
@@ -74,16 +62,41 @@ class SquareComplex:
         for eid, (src, dst) in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
-        self.directed = [(e, s) for e in self.edge_order for s in (-1, 1)]
-        self.head = [self.edges[e][s > 0] for e, s in self.directed]
-        code = self.code = {d: c for c, d in enumerate(self.directed)}
-        self.squares, self.square_codes = [], []
+        position = self.position = {e: p for p, e in enumerate(self.edge_order)}
+        self.head = [v for e in self.edge_order for v in self.edges[e]]
+        self.square_codes = []
+        low_bit = {1: 1, -1: 0}   # sign -> the low bit of its code
         for sq in squares:
             try:
-                codes = [code[d] for d in sq]
-            except (KeyError, TypeError):   # name the fault, or read a list of lists
-                codes = [code[d] for d in _directed_path(self.edges, sq, "square boundary")]
+                codes = [2 * position[e] + low_bit[s] for e, s in sq]
+            except (KeyError, TypeError, ValueError):   # name the fault
+                codes = _path_codes(self, sq, "square boundary")
             self.add_square(codes)
+
+    def code(self, d):
+        """The code of directed edge d = (e, s); ConfigurationError for an
+        unknown edge, a sign other than 1 or -1, or a d that is no pair."""
+        try:
+            e, s = d
+            p = self.position[e]
+        except KeyError:
+            raise ConfigurationError(f"unknown edge {e!r}") from None
+        except (TypeError, ValueError):   # not a pair, or an unhashable edge
+            raise ConfigurationError(f"{d!r} is not an (edge, sign) pair") from None
+        if s != 1 and s != -1:
+            raise ConfigurationError(f"{d!r} has sign {s!r}, not 1 or -1")
+        return 2 * p + (s > 0)
+
+    def directed(self, c):
+        """The directed edge (e, s) of code c."""
+        return (self.edge_order[c >> 1], 1 if c & 1 else -1)
+
+    @property
+    def squares(self):
+        """The squares as 4-tuples of directed edges (e, s), decoded anew
+        on each read."""
+        d = [(e, s) for e in self.edge_order for s in (-1, 1)]
+        return [(d[c0], d[c1], d[c2], d[c3]) for c0, c1, c2, c3 in self.square_codes]
 
     def add_square(self, codes):
         """Add the square whose boundary reads these directed-edge codes,
@@ -95,27 +108,15 @@ class SquareComplex:
         if (head[c3] != head[c0 ^ 1] or head[c0] != head[c1 ^ 1]
                 or head[c1] != head[c2 ^ 1] or head[c2] != head[c3 ^ 1]):
             raise ConfigurationError(
-                f"square boundary {tuple(map(self.directed.__getitem__, codes))!r}"
+                f"square boundary {tuple(map(self.directed, codes))!r}"
                 " is not a closed edge path")
         f0, f1, f2, f3 = c3 ^ 1, c2 ^ 1, c1 ^ 1, c0 ^ 1
-        least = min((c0, c1, c2, c3), (c1, c2, c3, c0), (c2, c3, c0, c1), (c3, c0, c1, c2),
-                    (f0, f1, f2, f3), (f1, f2, f3, f0), (f2, f3, f0, f1), (f3, f0, f1, f2))
-        self.square_codes.append(least)
-        self.squares.append(tuple(map(self.directed.__getitem__, least)))
-
-    def src(self, d):
-        return _start(self.edges, d)
-
-    def dst(self, d):
-        return self.src(reverse(d))
-
-    def directed_edges(self):
-        for e in self.edges:
-            yield (e, 1)
-            yield (e, -1)
+        self.square_codes.append(
+            min((c0, c1, c2, c3), (c1, c2, c3, c0), (c2, c3, c0, c1), (c3, c0, c1, c2),
+                (f0, f1, f2, f3), (f1, f2, f3, f0), (f2, f3, f0, f1), (f3, f0, f1, f2)))
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edges) + len(self.squares)
+        return len(self.vertices) - len(self.edges) + len(self.square_codes)
 
     def component_count(self):
         """Number of connected components (0 for the empty complex).  The
@@ -124,13 +125,7 @@ class SquareComplex:
         parent = list(range(len(index)))
         count = len(parent)
         for src, dst in self.edges.values():
-            a, b = index[src], index[dst]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
+            a, b = _find(parent, index[src]), _find(parent, index[dst])
             if a != b:
                 parent[a] = b
                 count -= 1
@@ -167,10 +162,10 @@ def link(complex_, v):
     if v not in complex_.vertices:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
     head, directed = complex_.head, complex_.directed
-    lk = LinkGraph(v, tuple(directed[c] for c in range(len(directed)) if head[c ^ 1] == v))
+    lk = LinkGraph(v, tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == v))
     for i, (a, b) in enumerate(_corners(complex_)):
         if head[a ^ 1] == v:
-            lk.arcs.append((directed[a], directed[b], divmod(i, 4)))
+            lk.arcs.append((directed(a), directed(b), divmod(i, 4)))
     return lk
 
 
@@ -183,7 +178,7 @@ def check_link_condition(complex_):
     of codes the triangles, with no per-vertex link.  Violations are listed
     vertex by vertex in repr order: loops and bigons in corner order, then
     the triangles (a, b, c), a < b < c, by ascending codes."""
-    n = len(complex_.directed)
+    n = len(complex_.head)
     loops, first, bigons, adjacency = [], {}, [], {}
     for i, (a, b) in enumerate(_corners(complex_)):
         if a == b:
@@ -218,39 +213,37 @@ def check_link_condition(complex_):
         found.setdefault(head[codes[q][c]], []).append(("bigon", ((q, c), divmod(i, 4))))
     for a, b, c in sorted(triangles):
         found.setdefault(head[a ^ 1], []).append(
-            ("triangle", (directed[a], directed[b], directed[c])))
+            ("triangle", (directed(a), directed(b), directed(c))))
     violations = [(v, kind, detail) for v in sorted(complex_.vertices, key=repr)
                   if v in found for kind, detail in found[v]]
     return False, violations
 
 
-@dataclass
 class EdgeLoop:
-    """A closed path of directed edges with no backtracking."""
+    """A closed path of directed edges with no backtracking, kept as the
+    codes of its edges in `complex`; `edges` decodes them."""
 
-    complex: SquareComplex
-    edges: tuple
-
-    def __post_init__(self):
-        # Tuples, so a list item cannot slip past the backtracking test.
-        self.edges = _directed_path(self.complex.edges, self.edges, "edge loop")
-        if not self.edges:
+    def __init__(self, complex_, edges):
+        self.complex = complex_
+        self.codes = codes = tuple(_path_codes(complex_, edges, "edge loop"))
+        if not codes:
             raise DegenerateInputError("an edge loop needs at least one edge")
-        for d, d_next in zip(self.edges, self.edges[1:] + self.edges[:1]):
-            if self.complex.dst(d) != self.complex.src(d_next):
+        head = complex_.head
+        for c, c_next in zip(codes, codes[1:] + codes[:1]):
+            if head[c] != head[c_next ^ 1]:
                 raise ConfigurationError("edge loop is not a closed path")
-            if d_next == reverse(d):
+            if c_next == c ^ 1:
                 raise ConfigurationError("edge loop backtracks")
 
-    def basepoint(self):
-        return self.complex.src(self.edges[0])
+    @property
+    def edges(self):
+        return tuple(map(self.complex.directed, self.codes))
 
     def is_locally_geodesic(self):
         """No backtracking (already enforced) and every corner subtends an
         angle of at least pi: consecutive edge-ends are not adjacent in the
         link of the vertex between them."""
-        arcs = set(_corners(self.complex))
-        codes = [self.complex.code[d] for d in self.edges]
+        arcs, codes = set(_corners(self.complex)), self.codes
         return not any((c ^ 1, c_next) in arcs or (c_next, c ^ 1) in arcs
                        for c, c_next in zip(codes, codes[1:] + codes[:1]))
 
@@ -363,10 +356,10 @@ def build_S_of_P(p, x, gamma):
         first, last = r.letters[0], r.letters[-1]
         if first[0] == last[0] and first[1] == -last[1]:
             raise DegenerateInputError(f"relator {r} is not cyclically reduced")
-    k = len(gamma.edges)
+    k = len(gamma.codes)
     # The rose, then per relator of length l a copy with every edge cut in
     # l and every square in an l x l grid, and a cylinder of k * l squares.
-    V, E, F = len(x.vertices), len(x.edges), len(x.squares)
+    V, E, F = len(x.vertices), len(x.edges), len(x.square_codes)
     cells = 1 + len(p.generators) * (2 * k - 1) + sum(
         V + E * (2 * ell - 1) + F * (2 * ell - 1) ** 2 + 2 * k * ell
         for ell in map(len, p.relators))
@@ -394,8 +387,9 @@ def build_S_of_P(p, x, gamma):
         bottom = [d for letter in r.letters for d in _unit_path(("rose",), letter, k)]
         top = [d for g_edge in gamma.edges for d in _unit_path(("copy", j, "e"), g_edge, ell)]
         n_units = k * ell
-        for s in range(n_units):
-            edges[("cyl", j, s)] = (_start(edges, bottom[s]), _start(edges, top[s]))
+        # Cylinder edge s runs from where bottom[s] starts to where top[s] does.
+        for s, ((b, sb), (t, st)) in enumerate(zip(bottom, top)):
+            edges[("cyl", j, s)] = (edges[b][sb < 0], edges[t][st < 0])
         for s in range(n_units):
             squares.append((bottom[s], (("cyl", j, s + 1) if s + 1 < n_units
                                         else ("cyl", j, 0), 1),

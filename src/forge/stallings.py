@@ -704,6 +704,10 @@ def _first_failing_pair(action, subgroup, translates):
         if (x or repeated) and _refutes(edges, dict(zip(labels, pairs)), width, False):
             refuting.append(x)
         labels = [step[label] for label in labels]
+    # Pair (i, j) refutes when k_j - k_i is in `refuting`.  That set is closed
+    # under negation (conjugating by g^-x carries H and g^x H g^-x to g^-x H
+    # g^x and H), so k_i - x below would find the same pairs: no test can
+    # tell the two apart, and none should be written to try.
     for i, k in enumerate(translates):
         later = [j for x in refuting
                  for j in positions.get((k + x) % action.order, ()) if j > i]

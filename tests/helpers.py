@@ -444,6 +444,22 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # the data types and `reverse` come from forge.
 
 
+def directed_edges(complex_):
+    """Every directed edge (e, s) of the complex, read off its edge dict:
+    (e, 1) then (e, -1), edges in the order given."""
+    return [(e, s) for e in complex_.edges for s in (1, -1)]
+
+
+def src(complex_, d):
+    """The vertex where directed edge d = (e, s) starts."""
+    e, s = d
+    return complex_.edges[e][0] if s > 0 else complex_.edges[e][1]
+
+
+def dst(complex_, d):
+    return src(complex_, reverse(d))
+
+
 def _dkey(edges):
     """The key of a directed edge (e, s) over the given edge ids: (rank of e,
     s), edges ranked by repr, ties in the order given (a stable sort)."""
@@ -754,13 +770,13 @@ def oracle_cellular_h1(complex_):
 
 
 def oracle_link(complex_, v):
-    nodes = tuple(sorted((d for d in complex_.directed_edges()
-                          if complex_.src(d) == v), key=_dkey(complex_.edges)))
+    nodes = tuple(sorted((d for d in directed_edges(complex_)
+                          if src(complex_, d) == v), key=_dkey(complex_.edges)))
     lk = LinkGraph(v, nodes)
     for qi, sq in enumerate(complex_.squares):
         for ci in range(4):
             d_in, d_out = sq[ci], sq[(ci + 1) % 4]
-            if complex_.dst(d_in) == v:
+            if dst(complex_, d_in) == v:
                 lk.arcs.append((reverse(d_in), d_out, (qi, ci)))
     return lk
 
@@ -803,7 +819,7 @@ def oracle_check_link_condition(complex_):
 def oracle_is_locally_geodesic(loop):
     links = {}
     for d, d_next in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
-        v = loop.complex.dst(d)
+        v = dst(loop.complex, d)
         if v not in links:
             lk = oracle_link(loop.complex, v)
             links[v] = adjacency = {n: [] for n in lk.nodes}

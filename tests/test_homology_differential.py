@@ -17,17 +17,18 @@ from hypothesis import given, settings
 
 from forge import words as W
 from forge.presentations import FinitePresentation, abelianization
-from forge.fileformats import format_complex
+from forge.fileformats import format_complex, parse_complex
 from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
                             build_S_of_P, cellular_h1, check_link_condition, link,
                             one_square_torus, pi1_presentation)
-from helpers import (derandomized, oracle_build_S_of_P, oracle_canonical_square,
-                     oracle_cellular_h1, oracle_check_link_condition,
+from helpers import (derandomized, directed_edges, dst, oracle_build_S_of_P,
+                     oracle_canonical_square, oracle_cellular_h1,
+                     oracle_check_link_condition,
                      oracle_copy_killing_relators, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
                      oracle_smith_normal_form, random_reduced_word, seeds,
-                     sparse_rows)
+                     sparse_rows, src)
 
 # Mostly units, with non-units and large entries so that the pivot loop
 # goes on past its last +-1 pivot.
@@ -191,31 +192,31 @@ def random_cells(rng, vertex_ids=(0, "v1", ("t", 2), "v3"),
     edges = {eid: (rng.choice(vertices), rng.choice(vertices))
              for eid in edge_ids[:rng.randint(1, len(edge_ids))]}
     skeleton = SquareComplex(vertices, edges)
-    directed = list(skeleton.directed_edges())
+    directed = directed_edges(skeleton)
     squares = []
     for _ in range(rng.randint(0, 5)):
         for _attempt in range(20):
             path = [rng.choice(directed)]
             while len(path) < 4:
                 path.append(rng.choice([d for d in directed
-                                        if skeleton.src(d) == skeleton.dst(path[-1])]))
-            if skeleton.dst(path[-1]) == skeleton.src(path[0]):
+                                        if src(skeleton, d) == dst(skeleton, path[-1])]))
+            if dst(skeleton, path[-1]) == src(skeleton, path[0]):
                 squares.append(tuple(path))
                 break
     return vertices, edges, squares
 
 
 def random_edge_loop(rng, cx):
-    directed = list(cx.directed_edges())
+    directed = directed_edges(cx)
     for _attempt in range(50):
         path = [rng.choice(directed)]
         for _ in range(rng.randint(0, 5)):
-            options = [d for d in directed if cx.src(d) == cx.dst(path[-1])
+            options = [d for d in directed if src(cx, d) == dst(cx, path[-1])
                        and d != (path[-1][0], -path[-1][1])]
             if not options:
                 break
             path.append(rng.choice(options))
-        closes = cx.dst(path[-1]) == cx.src(path[0])
+        closes = dst(cx, path[-1]) == src(cx, path[0])
         if closes and path[0] != (path[-1][0], -path[-1][1]):
             return EdgeLoop(cx, path)
     return None
@@ -245,12 +246,15 @@ def test_S_of_P_matches_staged_build(seed):
     """S(P) written in place equals S(P) staged copy by copy with a
     provenance dict (helpers.py): the same vertices, edges in the same
     order, squares, written text and copy-killing relators, and every
-    cell's id names the place its provenance records.  Up to 11 relators of
-    up to 12 letters put two-digit relator indices and unit positions into
-    the repr order of the edges."""
+    cell's id names the place its provenance records.  Codes round-trip
+    through their pairs in S(P) and in its written and parsed copy, whose
+    edges e0, e1, ... sort in another order (e10 before e2), and the copy's
+    squares are the canonical readings of the written ones.  Up to 11
+    relators of up to 12 letters put two-digit relator indices and unit
+    positions into the repr order of the edges."""
     rng = random.Random(seed)
     if rng.random() < 0.4:
-        x, gamma = TORUS, [rng.choice(TORUS.directed)] * rng.randint(1, 3)
+        x, gamma = TORUS, [TORUS.directed(rng.randrange(4))] * rng.randint(1, 3)
     else:
         x = SquareComplex(*random_cells(rng))
         loop = random_edge_loop(rng, x)
@@ -273,6 +277,23 @@ def test_S_of_P_matches_staged_build(seed):
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
     assert (_copy_killing_relators(built, presentation, names)
             == oracle_copy_killing_relators(staged, provenance, presentation, names))
+    written = [tuple((f"e{cx.position[e]}", s) for e, s in sq) for sq in cx.squares]
+    assert_codes_and_squares(cx, staged.squares)
+    assert_codes_and_squares(parse_complex(format_complex(cx)), written)
+
+
+def assert_codes_and_squares(cx, squares):
+    """Each code of cx decodes to a pair that its lookup codes back, and
+    cx's squares are the oracle's canonical readings of `squares`, the
+    squares cx was given."""
+    codes = range(len(cx.head))
+    assert [cx.code(cx.directed(c)) for c in codes] == list(codes)
+    # A square's reading depends only on how its own edges rank, so each is
+    # ranked among those, kept in the order given, not among all edges.
+    given = {e: i for i, e in enumerate(cx.edges)}
+    assert cx.squares == [
+        oracle_canonical_square(sq, dict.fromkeys(sorted({e for e, _ in sq}, key=given.get)))
+        for sq in squares]
 
 
 class Twin:
@@ -295,7 +316,7 @@ def test_edge_key_orders_as_repr(seed):
     vertices, edges, squares = random_cells(rng, (1, "1", ("v", 0), -2, "w"),
                                             tuple(edge_ids))
     cx = SquareComplex(vertices, edges, squares)
-    assert cx.squares == [oracle_canonical_square(sq, edges) for sq in squares]
+    assert_codes_and_squares(cx, squares)
     for v in vertices:
         assert link(cx, v) == oracle_link(cx, v)
     assert check_link_condition(cx) == oracle_check_link_condition(cx)

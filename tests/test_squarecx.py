@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import forge
-from forge.errors import ConfigurationError, DegenerateInputError
+from forge.cli import main
+from forge.errors import ConfigurationError, DegenerateInputError, ParseError
+from forge.fileformats import parse_complex
 from forge.presentations import FinitePresentation, abelianization
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
@@ -23,6 +25,8 @@ def pres(gens, *rels):
 
 
 TORUS = one_square_torus()
+TORUS_TEXT = "vertex v\nedge a v v\nedge b v v\nsquare a b a- b-\n"
+NOT_PAIRS = r"is not a path of \(edge, sign\) pairs"
 
 
 class TestBasics:
@@ -55,15 +59,35 @@ class TestBasics:
             SquareComplex(TORUS.vertices, TORUS.edges,
                           [(("a", 1), ("b", 1), ("a", 0), ("b", -1))])
 
-    @pytest.mark.parametrize("squares", [
-        [(5, 6, 7, 8)],
-        [(("a",), ("b", 1), ("a", -1), ("b", -1))],
-        [((["a"], 1), ("b", 1), ("a", -1), ("b", -1))],
-        [5],
-        ["abcd"]])
-    def test_malformed_square_rejected(self, squares):
-        with pytest.raises(ConfigurationError):
+    # Each fault as one square of pairs, and where a file or --gamma can
+    # spell it, the tokens that spell it and the unknown edge they name.
+    # The ids number the rows as pytest did when the table had one column.
+    @pytest.mark.parametrize("squares, message, spelled", [
+        ([(5, 6, 7, 8)], NOT_PAIRS, ("5 6 7 8", "5")),
+        ([(("a",), ("b", 1), ("a", -1), ("b", -1))], NOT_PAIRS, None),
+        ([((["a"], 1), ("b", 1), ("a", -1), ("b", -1))], NOT_PAIRS, None),
+        ([5], NOT_PAIRS, None),
+        (["abcd"], NOT_PAIRS, None),
+        ([(("a", 1), ("b", 1), ("a", -1), ("c", -1))], "unknown edge 'c'", ("a b a- c-", "c-")),
+        ([(("a", 1), ("b", 1), ("a", 0), ("b", -1))], "has sign 0, not 1 or -1", None),
+    ], ids=[f"squares{i}" for i in range(7)])
+    def test_malformed_square_rejected(self, squares, message, spelled, tmp_path, capsys):
+        """The complex's one lookup names each fault alike in a square, an
+        edge loop, a `square` line of a file and --gamma."""
+        with pytest.raises(ConfigurationError, match=message):
             SquareComplex(TORUS.vertices, TORUS.edges, squares)
+        with pytest.raises(ConfigurationError, match=message):
+            EdgeLoop(TORUS, squares[0])
+        if spelled is None:
+            return
+        tokens, unknown = spelled
+        with pytest.raises(ParseError, match=f"square references unknown edge '{unknown}'"):
+            parse_complex(TORUS_TEXT + f"square {tokens}\n")
+        (tmp_path / "p.txt").write_text("gens: a\nrel: a^2\n")
+        (tmp_path / "x.txt").write_text(TORUS_TEXT)
+        assert main(["sqc", "build", "--pres", str(tmp_path / "p.txt"), "--complex",
+                     str(tmp_path / "x.txt"), "--gamma", tokens]) == 1
+        assert f"error: gamma references unknown edge '{unknown}'" in capsys.readouterr().out
 
     @pytest.mark.parametrize("square, message", [
         ((("a", 1), ("b", 1), ("a", -1), ("c", -1)), "unknown edge 'c'"),
@@ -89,7 +113,7 @@ class TestBasics:
         cx = SquareComplex(TORUS.vertices, TORUS.edges, [square])
         assert cx.squares == [oracle_canonical_square(map(tuple, square))] == TORUS.squares
         (codes,) = cx.square_codes
-        assert cx.squares == [tuple(cx.directed[c] for c in codes)]
+        assert cx.squares == [tuple(map(cx.directed, codes))]
         assert all(type(s) is int for _, s in cx.squares[0])
 
 
