@@ -39,24 +39,21 @@ def _path_codes(complex_, path, kind):
             f"{kind} {path!r} is not a path of (edge, sign) pairs: {exc}") from None
 
 
-def _unit_path(prefix, d, k):
-    """The path of unit edges prefix + (e, t), t < k, covering the directed
-    edge d = (e, s) subdivided into k parts."""
-    e, s = d
-    return [(prefix + (e, t), s) for t in (range(k) if s > 0 else range(k - 1, -1, -1))]
-
-
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `edge_order` lists the edge ids sorted by repr, ties in the order the
-    edges were given, and `position` maps an id to its place there.  The
-    directed edge (e, s) has code 2 * position[e] + (s > 0) and ends at
-    `head[code]`; `square_codes[q]` holds the codes of square q.  These
-    are all it stores of directed edges and squares."""
+    `vertices` is a dict used as an ordered set and `edges` maps an edge
+    id to its (src, dst), both in the order given.  Cells are ordered by
+    repr, ties in the order given, wherever an order is read: in the
+    written file, the pi1 root, the violations and the copy forests, and
+    in `edge_order`, the edge ids so sorted; `position` maps an id to its
+    place there.  The directed edge (e, s) has code
+    2 * position[e] + (s > 0) and ends at `head[code]`; `square_codes[q]`
+    holds the codes of square q.  These are all it stores of directed
+    edges and squares."""
 
     def __init__(self, vertices, edges, squares=()):
-        self.vertices = set(vertices)
+        self.vertices = dict.fromkeys(vertices)
         self.edges = dict(edges)  # eid -> (src, dst)
         self.edge_order = tuple(sorted(self.edges, key=repr))
         for eid, (src, dst) in self.edges.items():
@@ -259,77 +256,75 @@ def one_square_torus():
 # The S(P) construction: a subdivided rose, one scaled copy of the input
 # complex per relator, and a one-square-high cylinder gluing each relator
 # loop to the chosen loop in its copy.  Every cell id says where it lies:
-# ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.
+# ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.  Each id
+# is made once, held in index tables (an edge's points and unit edges, a
+# square's grid of points), and every later use reads it from there.  Cells
+# are written in one fixed order, which breaks their ties under repr.
+
+
+def _along(seq, s):
+    """seq read in direction s: as given for s = 1, reversed for s = -1."""
+    return seq if s > 0 else seq[::-1]
+
+
+def _unit_path(units, s):
+    """The directed unit edges covering an edge cut into `units`, read in
+    direction s."""
+    return [(u, s) for u in _along(units, s)]
+
+
+def _cut(vertices, edges, src, dst, point, unit, n):
+    """Write an edge from src to dst cut into n unit edges unit + (t,),
+    t < n, through the points point + (t,), 0 < t < n.  Returns its
+    n + 1 points, src and dst included, and its n unit edge ids."""
+    inner = [point + (t,) for t in range(1, n)]
+    vertices.update(dict.fromkeys(inner))
+    points, units = [src, *inner, dst], [unit + (t,) for t in range(n)]
+    for t, u in enumerate(units):
+        edges[u] = (points[t], points[t + 1])
+    return points, units
 
 
 def _add_scaled_copy(x, ell, j, vertices, edges, squares):
     """Write copy j of x into S(P)'s vertices, edges and squares, with
-    every edge of x subdivided into ell parts and every square into an
-    ell x ell grid of unit squares."""
-
-    def edge_point(e, t):
-        u, wv = x.edges[e]
-        if t == 0:
-            return ("copy", j, "v", u)
-        if t == ell:
-            return ("copy", j, "v", wv)
-        return ("copy", j, "p", e, t)
-
-    def point_on(d, t):
-        """Vertex at parameter t along the subdivided image of d."""
-        e, s = d
-        return edge_point(e, t if s > 0 else ell - t)
-
-    for v in x.vertices:
-        vertices.add(("copy", j, "v", v))
-    for e in x.edges:
-        for t in range(1, ell):
-            vertices.add(("copy", j, "p", e, t))
-        for t in range(ell):
-            edges[("copy", j, "e", e, t)] = (edge_point(e, t), edge_point(e, t + 1))
-    for qi, sq in enumerate(x.squares):
-        d1, d2, d3, d4 = sq
-        p1, p2, p3, p4 = (_unit_path(("copy", j, "e"), d, ell) for d in sq)
-
-        def grid_vertex(a, b):
-            if b == 0:
-                return point_on(d1, a)
-            if a == ell:
-                return point_on(d2, b)
-            if b == ell:
-                return point_on(d3, ell - a)
-            if a == 0:
-                return point_on(d4, ell - b)
-            return ("copy", j, "i", qi, a, b)
-
+    every edge of x cut into ell unit edges and every square into an
+    ell x ell grid of unit squares; return the unit edge ids of each edge
+    of x.  Each id is made once: an edge's points share its corners' ids,
+    and a square's grid of points shares its sides' lists."""
+    corner = {v: ("copy", j, "v", v) for v in x.vertices}
+    vertices.update(dict.fromkeys(corner.values()))
+    points, units = {}, {}
+    for e, (u, w) in x.edges.items():
+        points[e], units[e] = _cut(vertices, edges, corner[u], corner[w],
+                                   ("copy", j, "p", e), ("copy", j, "e", e), ell)
+    for qi, ((e1, s1), (e2, s2), (e3, s3), (e4, s4)) in enumerate(x.squares):
+        # The boundary runs (e1, s1) rightwards along the bottom, (e2, s2) up
+        # the right side, (e3, s3) back along the top and (e4, s4) down the
+        # left side.  grid[a][b] is the point a units right and b up;
+        # rows[b][a] and cols[a][b] are the unit edges leaving it rightwards
+        # and upwards.
+        bottom, top = _along(points[e1], s1), _along(points[e3], -s3)
+        grid = [_along(points[e4], -s4)]
         for a in range(1, ell):
-            for b in range(1, ell):
-                vertices.add(("copy", j, "i", qi, a, b))
-
-        def horizontal(a, b):
-            if b == 0:
-                return p1[a]
-            if b == ell:
-                return reverse(p3[ell - 1 - a])
-            eid = ("copy", j, "h", qi, a, b)
-            if eid not in edges:
-                edges[eid] = (grid_vertex(a, b), grid_vertex(a + 1, b))
-            return (eid, 1)
-
-        def vertical(a, b):
-            if a == ell:
-                return p2[b]
-            if a == 0:
-                return reverse(p4[ell - 1 - b])
-            eid = ("copy", j, "u", qi, a, b)
-            if eid not in edges:
-                edges[eid] = (grid_vertex(a, b), grid_vertex(a, b + 1))
-            return (eid, 1)
-
+            inner = [("copy", j, "i", qi, a, b) for b in range(1, ell)]
+            vertices.update(dict.fromkeys(inner))
+            grid.append([bottom[a], *inner, top[a]])
+        grid.append(_along(points[e2], s2))
+        rows = [_unit_path(units[e1], s1),
+                *([(("copy", j, "h", qi, a, b), 1) for a in range(ell)] for b in range(1, ell)),
+                _unit_path(units[e3], -s3)]
+        cols = [_unit_path(units[e4], -s4),
+                *([(("copy", j, "u", qi, a, b), 1) for b in range(ell)] for a in range(1, ell)),
+                _unit_path(units[e2], s2)]
         for a in range(ell):
             for b in range(ell):
-                squares.append((horizontal(a, b), vertical(a + 1, b),
-                                reverse(horizontal(a, b + 1)), reverse(vertical(a, b))))
+                if a + 1 < ell:
+                    edges[cols[a + 1][b][0]] = (grid[a + 1][b], grid[a + 1][b + 1])
+                if b + 1 < ell:
+                    edges[rows[b + 1][a][0]] = (grid[a][b + 1], grid[a + 1][b + 1])
+                squares.append((rows[b][a], cols[a + 1][b],
+                                reverse(rows[b + 1][a]), reverse(cols[a][b])))
+    return units
 
 
 @dataclass
@@ -367,25 +362,15 @@ def build_S_of_P(p, x, gamma):
         raise DegenerateInputError(
             f"S(P) would have {cells} cells, more than {W.MAX_WORD_LETTERS}")
 
-    vertices = {("rose", "*")}
-    edges = {}
-    squares = []
-
-    def rose_point(g, t):
-        t %= k
-        return ("rose", "*") if t == 0 else ("rose", g, t)
-
-    for g in p.generators:
-        for t in range(1, k):
-            vertices.add(rose_point(g, t))
-        for t in range(k):
-            edges[("rose", g, t)] = (rose_point(g, t), rose_point(g, t + 1))
-
+    star = ("rose", "*")
+    vertices, edges, squares = {star: None}, {}, []
+    rose = {g: _cut(vertices, edges, star, star, ("rose", g), ("rose", g), k)[1]
+            for g in p.generators}
     for j, r in enumerate(p.relators):
         ell = len(r.letters)
-        _add_scaled_copy(x, ell, j, vertices, edges, squares)
-        bottom = [d for letter in r.letters for d in _unit_path(("rose",), letter, k)]
-        top = [d for g_edge in gamma.edges for d in _unit_path(("copy", j, "e"), g_edge, ell)]
+        units = _add_scaled_copy(x, ell, j, vertices, edges, squares)
+        bottom = [d for g, s in r.letters for d in _unit_path(rose[g], s)]
+        top = [d for e, s in gamma.edges for d in _unit_path(units[e], s)]
         n_units = k * ell
         # Cylinder edge s runs from where bottom[s] starts to where top[s] does.
         for s, ((b, sb), (t, st)) in enumerate(zip(bottom, top)):
@@ -492,7 +477,7 @@ def _copy_killing_relators(built, presentation, names):
         if e[0] == "copy":
             copies.setdefault(e[1], []).append(e)
     for j, copy_edges in sorted(copies.items()):
-        ends = {v for e in copy_edges for v in complex_.edges[e]}
+        ends = dict.fromkeys(v for e in copy_edges for v in complex_.edges[e])
         parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
         for e in copy_edges:
             if e in forest:

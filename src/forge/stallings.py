@@ -11,7 +11,7 @@ graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
@@ -387,8 +387,6 @@ class FibreProductComponent:
 class FibreProductDecomposition:
     total: LabeledGraph
     components: tuple
-    projection_1: dict = field(compare=False)
-    projection_2: dict = field(compare=False)
 
 
 def fibre_product(i1, i2):
@@ -432,9 +430,7 @@ def fibre_product(i1, i2):
         comps.append(FibreProductComponent(
             index=idx, vertices=tuple(vs), edge_count=e, rank=r,
             is_tree=(r == 0), is_diagonal=diagonal))
-    pr1 = {v: v[0] for v in total.vertices}
-    pr2 = {v: v[1] for v in total.vertices}
-    return FibreProductDecomposition(total, tuple(comps), pr1, pr2)
+    return FibreProductDecomposition(total, tuple(comps))
 
 
 @dataclass(frozen=True)

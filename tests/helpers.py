@@ -383,9 +383,7 @@ def oracle_fibre_product(i1, i2):
         comps.append(FibreProductComponent(
             index=idx, vertices=tuple(vs), edge_count=e, rank=r,
             is_tree=(r == 0), is_diagonal=diagonal))
-    pr1 = {v: v[0] for v in total.vertices}
-    pr2 = {v: v[1] for v in total.vertices}
-    return FibreProductDecomposition(total, tuple(comps), pr1, pr2)
+    return FibreProductDecomposition(total, tuple(comps))
 
 
 def oracle_malnormal_family_check(family):
@@ -496,10 +494,12 @@ def oracle_format_complex(complex_):
 
 # ---------------------------------------------------------------------------
 # S(P) built as forge built it before its cells were written in place: each
-# relator's scaled copy staged in its own vertex set, edge dict and square
+# relator's scaled copy staged in its own vertex dict, edge dict and square
 # list and then merged, and the place of every cell recorded in a separate
-# provenance dict.  Inputs are taken to be valid (a locally geodesic gamma
-# given as directed edges, nonempty cyclically reduced relators).
+# provenance dict.  Vertices are kept in insertion order, as forge keeps
+# them, so that ids which print alike tie in the same order.  Inputs are
+# taken to be valid (a locally geodesic gamma given as directed edges,
+# nonempty cyclically reduced relators).
 
 
 class _OracleScaledCopy:
@@ -510,14 +510,14 @@ class _OracleScaledCopy:
         self.x = x
         self.ell = ell
         self.tag = tag
-        self.vertices = set()
+        self.vertices = {}
         self.edges = {}
         self.squares = []
         for v in x.vertices:
-            self.vertices.add(("copy", tag, "v", v))
+            self.vertices[("copy", tag, "v", v)] = None
         for e in x.edges:
             for t in range(1, ell):
-                self.vertices.add(("copy", tag, "p", e, t))
+                self.vertices[("copy", tag, "p", e, t)] = None
             for t in range(ell):
                 self.edges[("copy", tag, "e", e, t)] = (
                     self._edge_point(e, t), self._edge_point(e, t + 1))
@@ -560,7 +560,7 @@ class _OracleScaledCopy:
 
         for i in range(1, ell):
             for j in range(1, ell):
-                self.vertices.add(grid_vertex(i, j))
+                self.vertices[grid_vertex(i, j)] = None
 
         def horizontal(i, j):
             if j == 0:
@@ -594,7 +594,7 @@ def oracle_build_S_of_P(p, x, gamma):
     ('copy', j) or ('cylinder', j) for every vertex and edge id."""
     gamma = tuple(gamma)
     k = len(gamma)
-    vertices = {("rose", "*")}
+    vertices = {("rose", "*"): None}
     edges = {}
     squares = []
     provenance = {("rose", "*"): ("rose",)}
@@ -613,7 +613,7 @@ def oracle_build_S_of_P(p, x, gamma):
 
     for g in p.generators:
         for t in range(1, k):
-            vertices.add(rose_point(g, t))
+            vertices[rose_point(g, t)] = None
             provenance[rose_point(g, t)] = ("rose",)
         for t in range(k):
             eid = ("rose", g, t)
@@ -623,7 +623,7 @@ def oracle_build_S_of_P(p, x, gamma):
     for j, r in enumerate(p.relators):
         ell = len(r.letters)
         copy = _OracleScaledCopy(x, ell, j)
-        vertices |= copy.vertices
+        vertices.update(copy.vertices)
         edges.update(copy.edges)
         for cell in list(copy.vertices) + list(copy.edges):
             provenance[cell] = ("copy", j)
@@ -652,7 +652,7 @@ def oracle_copy_killing_relators(complex_, provenance, presentation, names):
             copies.setdefault(provenance[e][1], []).append(e)
     relators = []
     for j, copy_edges in sorted(copies.items()):
-        ends = {v for e in copy_edges for v in complex_.edges[e]}
+        ends = dict.fromkeys(v for e in copy_edges for v in complex_.edges[e])
         parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
         for e in copy_edges:
             if e in forest:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from forge import words as W
 from forge.presentations import FinitePresentation, abelianization
-from forge.fileformats import format_complex, parse_complex
+from forge.fileformats import format_complex, format_presentation, parse_complex
 from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
                             build_S_of_P, cellular_h1, check_link_condition, link,
@@ -244,19 +244,21 @@ def place(cell):
 @derandomized
 def test_S_of_P_matches_staged_build(seed):
     """S(P) written in place equals S(P) staged copy by copy with a
-    provenance dict (helpers.py): the same vertices, edges in the same
-    order, squares, written text and copy-killing relators, and every
+    provenance dict (helpers.py): vertices and edges in the same order,
+    squares, written text and copy-killing relators, and every
     cell's id names the place its provenance records.  Codes round-trip
     through their pairs in S(P) and in its written and parsed copy, whose
     edges e0, e1, ... sort in another order (e10 before e2), and the copy's
     squares are the canonical readings of the written ones.  Up to 11
     relators of up to 12 letters put two-digit relator indices and unit
-    positions into the repr order of the edges."""
+    positions into the repr order of the edges, and x over mixed ids with
+    two Twin edges puts ties into the repr order of edges and vertices."""
     rng = random.Random(seed)
-    if rng.random() < 0.4:
+    kind = rng.random()
+    if kind < 0.4:
         x, gamma = TORUS, [TORUS.directed(rng.randrange(4))] * rng.randint(1, 3)
     else:
-        x = SquareComplex(*random_cells(rng))
+        x = SquareComplex(*(random_cells(rng) if kind < 0.7 else mixed_cells(rng)))
         loop = random_edge_loop(rng, x)
         if loop is None or not loop.is_locally_geodesic():
             return
@@ -267,7 +269,7 @@ def test_S_of_P_matches_staged_build(seed):
     built = build_S_of_P(p, x, gamma)
     cx = built.complex
     staged, provenance = oracle_build_S_of_P(p, x, gamma)
-    assert cx.vertices == staged.vertices
+    assert list(cx.vertices) == list(staged.vertices)
     assert list(cx.edges.items()) == list(staged.edges.items())
     assert cx.squares == staged.squares and cx.square_codes == staged.square_codes
     assert format_complex(cx) == format_complex(staged)
@@ -297,10 +299,25 @@ def assert_codes_and_squares(cx, squares):
 
 
 class Twin:
-    """Distinct ids that print alike: ties under repr."""
+    """Distinct ids that print alike: ties under repr.  A given hash fixes
+    where the id falls in a set or dict's hash table."""
+
+    def __init__(self, hash_=None):
+        self.hash = hash_
 
     def __repr__(self):
         return "twin"
+
+    def __hash__(self):
+        return object.__hash__(self) if self.hash is None else self.hash
+
+
+def mixed_cells(rng):
+    """random_cells over ids of mixed types: the int 1 beside the str "1",
+    and two edge ids with one repr."""
+    edge_ids = [1, "1", ("1",), 0, -3, "e", ("f", 2), ("f", "2"), Twin(), Twin()]
+    rng.shuffle(edge_ids)
+    return random_cells(rng, (1, "1", ("v", 0), -2, "w"), tuple(edge_ids))
 
 
 @given(seeds)
@@ -310,11 +327,7 @@ def test_edge_key_orders_as_repr(seed):
     key equal those from comparing reprs, ties in the order the edges were
     given: ids of mixed types, the int 1 beside the str "1", and two ids
     with one repr."""
-    rng = random.Random(seed)
-    edge_ids = [1, "1", ("1",), 0, -3, "e", ("f", 2), ("f", "2"), Twin(), Twin()]
-    rng.shuffle(edge_ids)
-    vertices, edges, squares = random_cells(rng, (1, "1", ("v", 0), -2, "w"),
-                                            tuple(edge_ids))
+    vertices, edges, squares = mixed_cells(random.Random(seed))
     cx = SquareComplex(vertices, edges, squares)
     assert_codes_and_squares(cx, squares)
     for v in vertices:
@@ -322,6 +335,34 @@ def test_edge_key_orders_as_repr(seed):
     assert check_link_condition(cx) == oracle_check_link_condition(cx)
     assert format_complex(cx) == oracle_format_complex(cx)
     assert cellular_h1(cx) == oracle_cellular_h1(cx)
+
+
+def test_twin_ids_tie_in_the_order_given():
+    """S(P) over a complex whose edges a and b print alike writes one file,
+    one pi1 presentation and one list of copy-killing relators whatever
+    their hashes: the vertices named after a and b tie under repr and keep
+    the order they were written in, not the order of a hash table.  Over
+    the torus on a and b they tie in the written file; as loops at a
+    vertex of their own beside a torus on c and d, the copy forest of
+    that component grows from the first point of a or of b."""
+    alphabet = W.Alphabet(["g"])
+    p = FinitePresentation(alphabet, [W.parse_word(alphabet, "g^3")])
+    outputs = set()
+    for hashes in ((1, 2), (2, 1), (7, 1000003), (1000003, 7)):
+        a, b = map(Twin, hashes)
+        x = SquareComplex(["v"], {a: ("v", "v"), b: ("v", "v")},
+                          [((a, 1), (b, 1), (a, -1), (b, -1))])
+        cx = build_S_of_P(p, x, [(a, 1)]).complex
+        beside = SquareComplex(["v", "w"], {"c": ("v", "v"), "d": ("v", "v"),
+                                            a: ("w", "w"), b: ("w", "w")},
+                               [(("c", 1), ("d", 1), ("c", -1), ("d", -1))])
+        built = build_S_of_P(p, beside, [("c", 1)])
+        names = {e: f"g{i}" for i, e in enumerate(built.complex.edge_order)}
+        relators = _copy_killing_relators(
+            built, FinitePresentation(W.Alphabet(list(names.values()))), names)
+        outputs.add((format_complex(cx), format_presentation(pi1_presentation(cx)),
+                     tuple(map(W.format_word, relators))))
+    assert len(outputs) == 1
 
 
 LOOP = SquareComplex(["u", "v"], {"e": ("u", "v")},
