@@ -10,6 +10,7 @@ Canonical orders used throughout:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -337,11 +338,16 @@ def parse_word(alphabet, text):
 
 def format_word(word):
     """Inverse of parse_word, with runs printed as powers."""
-    if not word.letters:
+    letters = word.letters
+    if not letters:
         return "1"
+    if not any(map(operator.eq, letters, letters[1:])):
+        # No runs: one token per letter, read from a table of the letters used.
+        token = {letter: letter[0] if letter[1] > 0 else letter[0] + "^-1"
+                 for letter in set(letters)}
+        return " ".join(map(token.__getitem__, letters))
     out = []
     i = 0
-    letters = word.letters
     while i < len(letters):
         name, sign = letters[i]
         j = i

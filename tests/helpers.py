@@ -114,6 +114,25 @@ def subgroup_ball(generators, radius, cap=None):
     return {s for s in seen if len(s) <= radius}
 
 
+def oracle_format_word(word):
+    """Inverse of parse_word, with runs printed as powers: one scan of the
+    runs, one token per run."""
+    if not word.letters:
+        return "1"
+    out = []
+    i = 0
+    letters = word.letters
+    while i < len(letters):
+        name, sign = letters[i]
+        j = i
+        while j < len(letters) and letters[j] == (name, sign):
+            j += 1
+        k = (j - i) * sign
+        out.append(name if k == 1 else f"{name}^{k}")
+        i = j
+    return " ".join(out)
+
+
 def random_reduced_word(rng, alphabet, length):
     """A uniformly random freely reduced word of exactly `length` letters."""
     letters = []
@@ -399,6 +418,46 @@ def oracle_malnormal_family_check(family):
                     continue
                 return False, MalnormalityWitness(pair=(i, j), component=comp)
     return True, None
+
+
+# The malnormality kernel that the flat pair-code union-find in
+# forge.stallings replaced: the first factor read as an edge list, the
+# second as its label groups and width, and one dict entry of parents per
+# pair code the walk touches.
+
+def oracle_factor(graph):
+    """A factor as the dict kernel reads it: edges as (source, target,
+    label) on vertex positions, the same pairs grouped by label, and the
+    vertex count."""
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    edges = [(index[src], index[dst], label) for src, dst, label in graph.edges.values()]
+    by_label = {}
+    for src, dst, label in edges:
+        by_label.setdefault(label, []).append((src, dst))
+    return edges, by_label, len(index)
+
+
+def oracle_dict_refutes(edges, by_label, width, self_pair):
+    """Whether the pair's fibre product has a cycle off the exempt diagonal:
+    the first edge whose end codes already share a root refutes."""
+    if self_pair:
+        ends = ((s1 * width + s2 if s1 < s2 else s2 * width + s1,
+                 d1 * width + d2 if d1 < d2 else d2 * width + d1)
+                for pairs in by_label.values()
+                for (s1, d1), (s2, d2) in itertools.combinations(pairs, 2))
+    else:
+        ends = ((s1 * width + s2, d1 * width + d2)
+                for s1, d1, label in edges for s2, d2 in by_label.get(label, ()))
+    parent = {}
+    for a, b in ends:
+        if parent.setdefault(a, a) != a:
+            a = _find(parent, a)
+        if parent.setdefault(b, b) != b:
+            b = _find(parent, b)
+        if a == b:
+            return True
+        parent[b] = a
+    return False
 
 
 def oracle_compose(el1, el2):

@@ -1,9 +1,13 @@
 """Subgroup graphs: folding, cores, fibre products, malnormality, kernels."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import forge
 from forge import stallings as S
 from forge import words as W
 from forge.errors import (BaseMismatchError, ConfigurationError,
@@ -156,6 +160,41 @@ class TestMalnormality:
         for family in ([sub("a"), h], [sub("a^2"), h]):
             with pytest.raises(BaseMismatchError):
                 S.malnormal_family_check(family)
+
+
+# Two 20,000-vertex cycles over a rose, on labels x_i and y_i, that share
+# the one label s: each self product has no edge, and the pair's product one.
+SPARSE_PRODUCT_SCRIPT = """
+from forge import stallings as S
+n = 20000
+xs, ys = [f"x{i}" for i in range(n - 1)], [f"y{i}" for i in range(n - 1)]
+base = S.rose(xs + ys + ["s"])
+
+def cycle(labels):
+    edges = {k: (k, (k + 1) % n, label) for k, label in enumerate(labels)}
+    return S.GraphImmersion(S.LabeledGraph(range(n), edges, 0), base,
+                            dict.fromkeys(range(n), "*"))
+
+print(S.malnormal_family_check([cycle(xs + ["s"]), cycle(ys + ["s"])]))
+"""
+
+
+def test_sparse_product_is_decided_in_small_memory():
+    """Each product here has 4 * 10^8 vertex pairs, which a flat list of
+    parents would hold in 3.2 GB, and at most one edge.  The child runs
+    under a 256 MiB address-space limit and a timeout, so the certifier
+    passes only if it keeps the parents of a sparse product in a dict."""
+    resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 28, 2 ** 28))
+
+    run = subprocess.run([sys.executable, "-c", SPARSE_PRODUCT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "(True, None)\n", "")
 
 
 class TestRelabelingAction:

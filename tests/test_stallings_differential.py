@@ -14,17 +14,20 @@ and witness.
 
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from forge import stallings as S
 from forge import words as W
-from forge.encoder import _kernel_base_family, _kernel_checks
+from forge.encoder import (_kernel_base_family, _kernel_checks,
+                           select_malnormal_words)
 from forge.fileformats import format_immersion
 from forge.errors import ConfigurationError, InvalidActionError
 from helpers import (derandomized, random_reduced_word, oracle_components,
-                     oracle_core, oracle_fibre_product, oracle_fold,
+                     oracle_core, oracle_dict_refutes, oracle_factor,
+                     oracle_fibre_product, oracle_fold,
                      oracle_malnormal_family_check, oracle_powers, oracle_rank,
                      oracle_translate_family_check, seeds)
 
@@ -108,9 +111,9 @@ def check_fibre_product(i1, i2):
 
 def refutes(i1, i2, self_pair):
     """The certifiers' kernel on one pair of immersions over one base."""
-    edges, _, _ = S._factor(i1.domain)
-    _, by_label, width = S._factor(i2.domain)
-    return S._refutes(edges, by_label, width, self_pair and i1 == i2)
+    first, n1 = S._factor(i1.domain)
+    second, n2 = S._factor(i2.domain)
+    return S._refutes(first, second, n1, n2, self_pair and i1 == i2)
 
 
 def oracle_refutes(i1, i2, self_pair):
@@ -230,6 +233,59 @@ def test_malnormal_families_of_folded_graphs(seed):
         for i2 in family:
             for self_pair in (False, True):
                 assert refutes(i1, i2, self_pair) == oracle_refutes(i1, i2, self_pair)
+
+
+def kernel_outcomes(seed):
+    """Check the flat kernel, with its parents in a list and in a dict,
+    against the dict kernel it replaced, on every ordered pair of a few
+    subgroup cores and folded random graphs over one rose (as a self pair
+    too where both are one immersion); return the (self pair, equal vertex
+    counts, verdict) cases met."""
+    rng = random.Random(seed)
+    alphabet = W.Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
+    base = S.rose(alphabet.names)
+    graphs = random_subgroups(rng, alphabet, base, rng.randint(1, 3))
+    graphs += [S.fold(random_morphism(rng, base)) for _ in range(rng.randint(1, 3))]
+    outcomes = set()
+    for i1 in graphs:
+        for i2 in graphs:
+            first, n1 = S._factor(i1.domain)
+            second, n2 = S._factor(i2.domain)
+            edges, _, _ = oracle_factor(i1.domain)
+            _, by_label, width = oracle_factor(i2.domain)
+            for self_pair in (False, True) if i1 is i2 else (False,):
+                expected = oracle_dict_refutes(edges, by_label, width, self_pair)
+                for codes_per_edge in (0, S._DENSE_CODES_PER_EDGE, 10 ** 9):
+                    with mock.patch.object(S, "_DENSE_CODES_PER_EDGE", codes_per_edge):
+                        assert S._refutes(first, second, n1, n2, self_pair) == expected
+                outcomes.add((self_pair, n1 == n2, expected))
+    return outcomes
+
+
+@given(seeds)
+@derandomized
+def test_flat_kernel_matches_the_dict_kernel(seed):
+    kernel_outcomes(seed)
+
+
+def test_kernel_differential_meets_every_case():
+    """Factors of unequal size and self pairs, each refuting and certified."""
+    outcomes = set().union(*map(kernel_outcomes, range(40)))
+    assert {(False, False, True), (False, False, False),
+            (True, True, True), (True, True, False)} <= outcomes
+
+
+def test_selected_certificates_match_the_dict_kernel():
+    """select_malnormal_words gives the same words and certificate when
+    every pair is decided by the dict kernel instead."""
+    def dict_kernel(first, second, n1, n2, self_pair):
+        edges = [(s, d, label) for label, pairs in first.items() for s, d in pairs]
+        return oracle_dict_refutes(edges, second, n2, self_pair)
+
+    for m in range(29):
+        selected = select_malnormal_words(m)
+        with mock.patch.object(S, "_refutes", dict_kernel):
+            assert select_malnormal_words(m) == selected, m
 
 
 def test_self_pair_with_two_diagonal_components():

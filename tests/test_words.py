@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 from forge import words as W
 from forge.errors import (AlphabetMismatchError, DegenerateInputError,
                           ParseError)
-from helpers import (derandomized, oracle_cyclic_reduction, oracle_least_rotation,
-                     random_reduced_word, seeds)
+from helpers import (derandomized, oracle_cyclic_reduction, oracle_format_word,
+                     oracle_least_rotation, random_reduced_word, seeds)
 
 AB = W.Alphabet(["a", "b"])
+NAMES = W.Alphabet(["a", "b", "x1_2", "y'"])
 
 letters_st = st.lists(
     st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([1, -1])),
@@ -291,6 +292,16 @@ class TestGrammar:
         x = W.reduce(AB, letters)
         assert W.parse_word(AB, W.format_word(x)) == x
 
+    @given(st.lists(st.tuples(st.sampled_from(NAMES.names), st.sampled_from([1, -1]),
+                              st.integers(min_value=1, max_value=4)), max_size=16))
+    def test_format_matches_the_run_scan(self, runs):
+        """Words without runs take the token-table path, the rest the run
+        scan; both print what the one-scan oracle prints, and parse back."""
+        x = W.reduce(NAMES, [(name, sign) for name, sign, k in runs for _ in range(k)])
+        text = W.format_word(x)
+        assert text == oracle_format_word(x)
+        assert W.parse_word(NAMES, text) == x
+
     def test_identity_token(self):
         assert w("1").is_identity()
         assert W.format_word(w("1")) == "1"
@@ -298,6 +309,7 @@ class TestGrammar:
     def test_powers(self):
         assert w("a^3 b^-2") == W.Word(AB, (("a", 1),) * 3 + (("b", -1),) * 2)
         assert W.format_word(w("a a a b^-1 b^-1")) == "a^3 b^-2"
+        assert W.format_word(w("a b^-1 a b")) == "a b^-1 a b"
 
     def test_errors(self):
         with pytest.raises(ParseError):
