@@ -435,10 +435,12 @@ def main(argv=None):
         command = " ".join(filter(None, (args.subcommand,
                                          getattr(args, "sqc_command", None))))
         report = args.handler(args)
-    except (ForgeError, OSError, ValueError) as exc:
+    except (ForgeError, OSError, ValueError, MemoryError) as exc:
+        # A MemoryError has no message; the frames that held memory are gone.
+        error = "memory ran out" if isinstance(exc, MemoryError) else str(exc)
         report = RunReport(command, {}, "error",
                            timing=time.monotonic() - start,
-                           details=[("error", str(exc))])
+                           details=[("error", error)])
     if report.timing == 0.0:
         report.timing = time.monotonic() - start
     sys.stdout.write(report.to_text())

@@ -9,7 +9,8 @@ of (e, s) is (e, -s).  A complex stores each as one integer code,
 codes, the least of the eight dihedral readings of its boundary.  It keeps
 no pair: `SquareComplex.code` reads one in, `directed` and `squares`
 decode on demand.  The link condition is read off one pass over the
-square corners, each corner an arc between two codes.
+square corners, each corner an arc between two codes.  Spanning forests
+keep the code of the edge into each vertex, and pi1 the letter of each code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
 from .snf import smith_normal_form
-from .stallings import _find
 
 
 def reverse(d):
@@ -116,17 +116,10 @@ class SquareComplex:
         return len(self.vertices) - len(self.edges) + len(self.square_codes)
 
     def component_count(self):
-        """Number of connected components (0 for the empty complex).  The
-        vertices are indexed once; union-find then runs over a list of ints."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(index)))
-        count = len(parent)
-        for src, dst in self.edges.values():
-            a, b = _find(parent, index[src]), _find(parent, index[dst])
-            if a != b:
-                parent[a] = b
-                count -= 1
-        return count
+        """Number of connected components (0 for the empty complex): V less
+        the edges of a spanning forest."""
+        forest = _bfs_forest(self, range(len(self.edge_order)), self.vertices)[1]
+        return len(self.vertices) - len(forest)
 
     def is_connected(self):
         return self.component_count() <= 1
@@ -387,16 +380,16 @@ def build_S_of_P(p, x, gamma):
 # Fundamental group.
 
 
-def _bfs_forest(complex_, edge_ids, roots):
-    """BFS forest over the given edges (explored in the order given), grown
-    from each root in turn that no earlier tree reached.  Returns the parent
-    map, vertex -> None for a root, else (parent, directed edge into it),
-    and the set of forest edge ids."""
-    adjacency = {}
-    for e in edge_ids:
-        src, dst = complex_.edges[e]
-        adjacency.setdefault(src, []).append((e, dst))
-        adjacency.setdefault(dst, []).append((e, src))
+def _bfs_forest(complex_, positions, roots):
+    """BFS forest over the edges at these positions (explored in the order
+    given), grown from each root in turn that no earlier tree reached.
+    Returns vertex -> None for a root, else the code c of the forest edge
+    into it (c leaves head[c ^ 1]), and the set of forest edge positions."""
+    head = complex_.head
+    leaving = {}   # vertex -> the codes leaving it
+    for p in positions:
+        leaving.setdefault(head[2 * p], []).append(2 * p + 1)
+        leaving.setdefault(head[2 * p + 1], []).append(2 * p)
     parent, forest = {}, set()
     for start in roots:
         if start in parent:
@@ -404,40 +397,48 @@ def _bfs_forest(complex_, edge_ids, roots):
         parent[start] = None
         queue = deque([start])
         while queue:
-            v = queue.popleft()
-            for e, u in adjacency.get(v, ()):
+            for c in leaving.get(queue.popleft(), ()):
+                u = head[c]
                 if u not in parent:
-                    parent[u] = (v, (e, 1) if complex_.edges[e][0] == v else (e, -1))
-                    forest.add(e)
+                    parent[u] = c
+                    forest.add(c >> 1)
                     queue.append(u)
     return parent, forest
+
+
+def _forest_path(head, parent, v):
+    """The codes from the root of v's tree down to v."""
+    path = []
+    while parent[v] is not None:
+        path.append(parent[v])
+        v = head[parent[v] ^ 1]
+    return path[::-1]
 
 
 def pi1_presentation(complex_):
     """Presentation of the fundamental group: one generator per non-tree
     edge, one relator per square (boundary word with tree edges dropped)."""
-    return _pi1_with_names(complex_)[0]
+    return _pi1_with_letters(complex_)[0]
 
 
-def _pi1_with_names(complex_):
-    # The spanning tree is the BFS tree from the least vertex, edges
-    # explored in canonical order.
+def _pi1_with_letters(complex_):
+    """The presentation over the BFS tree from the least vertex, edges
+    explored in canonical order, and the letter of each code: (g, 1) and
+    (g, -1) for the two directions of non-tree edge g, None on the tree."""
     if not complex_.vertices:
         raise ConfigurationError("empty complex")
-    root = min(complex_.vertices, key=repr)
-    parent, tree = _bfs_forest(complex_, complex_.edge_order, [root])
+    n_edges = len(complex_.edge_order)
+    parent, tree = _bfs_forest(complex_, range(n_edges), [min(complex_.vertices, key=repr)])
     if len(parent) != len(complex_.vertices):
         raise ConfigurationError("complex is not connected")
-    edge_order = complex_.edge_order
-    non_tree = [p for p, e in enumerate(edge_order) if e not in tree]
+    non_tree = [p for p in range(n_edges) if p not in tree]
     alphabet = W.Alphabet([f"g{i}" for i in range(len(non_tree))])
-    letter = [None] * (2 * len(edge_order))   # code -> letter, None on the tree
+    letter = [None] * (2 * n_edges)
     for g, p in zip(alphabet.names, non_tree):
         letter[2 * p], letter[2 * p + 1] = (g, -1), (g, 1)
     relators = [W.reduce(alphabet, [letter[c] for c in codes if letter[c]])
                 for codes in complex_.square_codes]
-    names = {edge_order[p]: g for g, p in zip(alphabet.names, non_tree)}
-    return FinitePresentation(alphabet, relators), names
+    return FinitePresentation(alphabet, relators), letter
 
 
 def cellular_h1(complex_):
@@ -463,50 +464,41 @@ def cellular_h1(complex_):
     return AbelianInvariants(betti=betti, torsion=torsion)
 
 
-def _copy_killing_relators(built, presentation, names):
+def _copy_killing_relators(built, presentation, letter):
     """Relators killing the image of the fundamental group of every copy.
 
     The edges of copy j are those whose id begins ("copy", j).  For each
     copy subcomplex a spanning forest is grown; every remaining copy edge
     closes a loop inside the copy, and that loop is rewritten through the
-    global generators."""
+    global generators: `letter` holds the letter of each code, None for
+    a code that the presentation drops."""
     complex_ = built.complex
+    head = complex_.head
     relators = []
     copies = {}
-    for e in complex_.edge_order:
+    for p, e in enumerate(complex_.edge_order):
         if e[0] == "copy":
-            copies.setdefault(e[1], []).append(e)
-    for j, copy_edges in sorted(copies.items()):
-        ends = dict.fromkeys(v for e in copy_edges for v in complex_.edges[e])
-        parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
-        for e in copy_edges:
-            if e in forest:
+            copies.setdefault(e[1], []).append(p)
+    for j, positions in sorted(copies.items()):
+        ends = dict.fromkeys(head[c] for p in positions for c in (2 * p, 2 * p + 1))
+        parent, forest = _bfs_forest(complex_, positions, sorted(ends, key=repr))
+        for p in positions:
+            if p in forest:
                 continue
-            src, dst = complex_.edges[e]
-            loop = (_forest_path(parent, src) + [(e, 1)]
-                    + [reverse(d) for d in reversed(_forest_path(parent, dst))])
-            letters = [(names[ed], s) for ed, s in loop if ed in names]
-            relators.append(W.reduce(presentation.alphabet, letters))
+            loop = (_forest_path(head, parent, head[2 * p]) + [2 * p + 1]
+                    + [c ^ 1 for c in reversed(_forest_path(head, parent, head[2 * p + 1]))])
+            relators.append(W.reduce(presentation.alphabet,
+                                     [letter[c] for c in loop if letter[c]]))
     return relators
-
-
-def _forest_path(parent, v):
-    """Directed edges from the root of v's tree down to v."""
-    path = []
-    while parent[v] is not None:
-        v, d = parent[v]
-        path.append(d)
-    path.reverse()
-    return path
 
 
 def homs_killing_copies(built, n):
     """Number of homomorphisms of pi1 of the built complex into the degree-n
     symmetric group that kill the fundamental group of every copy."""
     from .quotients import search_homs, simplify_presentation
-    presentation, names = _pi1_with_names(built.complex)
+    presentation, letter = _pi1_with_letters(built.complex)
     relators = list(presentation.relators)
-    relators += _copy_killing_relators(built, presentation, names)
+    relators += _copy_killing_relators(built, presentation, letter)
     killed = FinitePresentation(presentation.alphabet, relators)
     simplified = simplify_presentation(killed).presentation
     return len(search_homs(simplified, n))

@@ -8,14 +8,15 @@ the code paths they are used to check.
 import contextlib
 import itertools
 import math
+from collections import deque
 from unittest import mock
 
 from hypothesis import settings, strategies as st
 
 from forge import words as W
-from forge.presentations import AbelianInvariants
-from forge.squarecx import (LinkGraph, SquareComplex, _bfs_forest, _forest_path,
-                            reverse)
+from forge.errors import ConfigurationError
+from forge.presentations import AbelianInvariants, FinitePresentation
+from forge.squarecx import LinkGraph, SquareComplex, reverse
 
 
 # Hypothesis draws integer seeds for seeded input generators; derandomized,
@@ -497,8 +498,9 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # edges and squares per vertex link.  Also the orders that one integer edge
 # key per complex replaced: directed edges compared as (rank of e, s), the
 # rank sorting edges by repr, ties in the order the edges were given; squares
-# canonicalized by that comparison, complexes written with a repr sort.  Only
-# the data types and `reverse` come from forge.
+# canonicalized by that comparison, complexes written with a repr sort; and
+# spanning forests, pi1 and copy loops walked over edge ids and (edge, sign)
+# pairs.  Only the data types and `reverse` come from forge.
 
 
 def directed_edges(complex_):
@@ -702,23 +704,78 @@ def oracle_build_S_of_P(p, x, gamma):
     return SquareComplex(vertices, edges, squares), provenance
 
 
+def oracle_bfs_forest(complex_, edge_ids, roots):
+    """BFS forest over the given edges (explored in the order given), grown
+    from each root in turn that no earlier tree reached, read off the edge
+    dict.  Returns the parent map, vertex -> None for a root, else (parent,
+    directed edge into it), and the set of forest edge ids."""
+    adjacency = {}
+    for e in edge_ids:
+        src, dst = complex_.edges[e]
+        adjacency.setdefault(src, []).append((e, dst))
+        adjacency.setdefault(dst, []).append((e, src))
+    parent, forest = {}, set()
+    for start in roots:
+        if start in parent:
+            continue
+        parent[start] = None
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e, u in adjacency.get(v, ()):
+                if u not in parent:
+                    parent[u] = (v, (e, 1) if complex_.edges[e][0] == v else (e, -1))
+                    forest.add(e)
+                    queue.append(u)
+    return parent, forest
+
+
+def oracle_forest_path(parent, v):
+    """Directed edges from the root of v's tree down to v."""
+    path = []
+    while parent[v] is not None:
+        v, d = parent[v]
+        path.append(d)
+    path.reverse()
+    return path
+
+
+def oracle_pi1_with_names(complex_):
+    """(presentation, names): pi1 over the BFS tree from the least vertex
+    by repr, edges explored in repr order, ties in the order given; one
+    generator per non-tree edge (names: edge id -> generator) and one
+    relator per square, read as (edge, sign) pairs."""
+    if not complex_.vertices:
+        raise ConfigurationError("empty complex")
+    root = min(complex_.vertices, key=repr)
+    edge_ids = sorted(complex_.edges, key=repr)
+    parent, tree = oracle_bfs_forest(complex_, edge_ids, [root])
+    if len(parent) != len(complex_.vertices):
+        raise ConfigurationError("complex is not connected")
+    names = {e: f"g{i}" for i, e in enumerate(e for e in edge_ids if e not in tree)}
+    alphabet = W.Alphabet(list(names.values()))
+    relators = [W.reduce(alphabet, [(names[e], s) for e, s in sq if e in names])
+                for sq in complex_.squares]
+    return FinitePresentation(alphabet, relators), names
+
+
 def oracle_copy_killing_relators(complex_, provenance, presentation, names):
     """The relators killing each copy's fundamental group, copies read from
-    the provenance dict.  The spanning forests are forge's own."""
+    the provenance dict, forests and loops from the edge dict."""
     copies = {}
-    for e in complex_.edge_order:
+    for e in sorted(complex_.edges, key=repr):
         if provenance[e][0] == "copy":
             copies.setdefault(provenance[e][1], []).append(e)
     relators = []
     for j, copy_edges in sorted(copies.items()):
         ends = dict.fromkeys(v for e in copy_edges for v in complex_.edges[e])
-        parent, forest = _bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
+        parent, forest = oracle_bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
         for e in copy_edges:
             if e in forest:
                 continue
             src, dst = complex_.edges[e]
-            loop = (_forest_path(parent, src) + [(e, 1)]
-                    + [reverse(d) for d in reversed(_forest_path(parent, dst))])
+            loop = (oracle_forest_path(parent, src) + [(e, 1)]
+                    + [reverse(d) for d in reversed(oracle_forest_path(parent, dst))])
             relators.append(W.reduce(presentation.alphabet,
                                      [(names[ed], s) for ed, s in loop if ed in names]))
     return relators
@@ -808,20 +865,25 @@ def _oracle_non_divisible_row(a, top, rows, cols):
     return None
 
 
+def oracle_rank_d1(complex_):
+    """The rank of the boundary map from edges to vertices, from the Smith
+    normal form of its dense matrix."""
+    vi = {v: i for i, v in enumerate(complex_.vertices)}
+    d1 = [[0] * len(vi) for _ in complex_.edges]
+    for row, (src, dst) in zip(d1, complex_.edges.values()):
+        row[vi[dst]] += 1
+        row[vi[src]] -= 1
+    return len(oracle_smith_normal_form(d1)) if d1 and vi else 0
+
+
 def oracle_cellular_h1(complex_):
-    vs = sorted(complex_.vertices, key=repr)
     es = sorted(complex_.edges, key=repr)
-    vi = {v: i for i, v in enumerate(vs)}
     ei = {e: i for i, e in enumerate(es)}
-    d1 = [[0] * len(vs) for _ in es]
-    for e, (src, dst) in complex_.edges.items():
-        d1[ei[e]][vi[dst]] += 1
-        d1[ei[e]][vi[src]] -= 1
     d2 = [[0] * len(es) for _ in complex_.squares]
     for qi, sq in enumerate(complex_.squares):
         for e, s in sq:
             d2[qi][ei[e]] += s
-    rank_d1 = len(oracle_smith_normal_form(d1)) if es and vs else 0
+    rank_d1 = oracle_rank_d1(complex_)
     factors_d2 = oracle_smith_normal_form(d2) if complex_.squares and es else []
     betti = (len(es) - rank_d1) - len(factors_d2)
     torsion = tuple(d for d in factors_d2 if d > 1)

@@ -1,9 +1,13 @@
 """The forge command line: exit codes, report shape, file plumbing."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import forge
 from forge.cli import EXIT_CODES, RunReport, main
 
 BASE = "base\nvertex *\nedge a * * a\nedge b * * b\nbasepoint *\n"
@@ -386,6 +390,30 @@ class TestErrors:
         assert "status: error" in out
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == ["error: S(P) would have 100010003 cells, more than 1000000"]
+
+    def test_memory_ran_out_is_one_error_line(self, workdir):
+        """The 5-generator encode needs about 210 MiB of address space to
+        certify; under 160 MiB its certifier's allocation fails, and the
+        child reports that as an error, not a traceback."""
+        resource = pytest.importorskip("resource")
+        (workdir / "five.txt").write_text(
+            "gens: a b c d e\nrel: a b a^-1 b^-1 c d c^-1 d^-1 e^2\n")
+        src = os.path.dirname(os.path.dirname(forge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (160 * 2 ** 20, 160 * 2 ** 20))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "forge.cli", "encode", "five.txt", "--word", "a",
+             "--out", "trace.json"], cwd=workdir, env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=limit)
+        assert (run.returncode, run.stderr) == (1, "")
+        lines = untimed_lines(run.stdout)
+        assert lines[:2] == ["command: encode", "status: error"]
+        assert [line for line in lines if line.startswith("error:")] \
+            == ["error: memory ran out"]
 
     def test_orders_with_word_rejected(self, workdir, capsys):
         code, out = run(capsys, "quotients", workdir / "free.txt", "--max-degree",

@@ -19,7 +19,7 @@ from forge import fileformats as FF
 from forge import words as W
 from forge.encoder import discrete_trace, encode, encode_discrete
 from forge.presentations import FinitePresentation
-from forge.squarecx import (_copy_killing_relators, _pi1_with_names,
+from forge.squarecx import (_copy_killing_relators, _pi1_with_letters,
                             build_S_of_P, cellular_h1, one_square_torus)
 
 from helpers import random_reduced_word
@@ -87,8 +87,8 @@ def seeded_S_of_P(seed):
 
 def complex_texts(built):
     cx = built.complex
-    presentation, names = _pi1_with_names(cx)
-    killing = _copy_killing_relators(built, presentation, names)
+    presentation, letter = _pi1_with_letters(cx)
+    killing = _copy_killing_relators(built, presentation, letter)
     return {"complex": FF.format_complex(cx),
             "pi1": FF.format_presentation(presentation),
             "killing": "".join(W.format_word(r) + "\n" for r in killing),

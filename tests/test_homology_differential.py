@@ -16,17 +16,20 @@ import pytest
 from hypothesis import given, settings
 
 from forge import words as W
+from forge.errors import ConfigurationError
 from forge.presentations import FinitePresentation, abelianization
 from forge.fileformats import format_complex, format_presentation, parse_complex
 from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
-                            build_S_of_P, cellular_h1, check_link_condition, link,
-                            one_square_torus, pi1_presentation)
+                            _pi1_with_letters, build_S_of_P, cellular_h1,
+                            check_link_condition, link, one_square_torus,
+                            pi1_presentation)
 from helpers import (derandomized, directed_edges, dst, oracle_build_S_of_P,
                      oracle_canonical_square, oracle_cellular_h1,
                      oracle_check_link_condition,
                      oracle_copy_killing_relators, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
+                     oracle_pi1_with_names, oracle_rank_d1,
                      oracle_smith_normal_form, random_reduced_word, seeds,
                      sparse_rows, src)
 
@@ -228,6 +231,7 @@ def test_random_small_complexes(seed):
     rng = random.Random(seed)
     cx = SquareComplex(*random_cells(rng))
     assert_same_homology_and_links(cx)
+    assert cx.component_count() == len(cx.vertices) - oracle_rank_d1(cx)
     loop = random_edge_loop(rng, cx)
     if loop is not None:
         assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
@@ -245,8 +249,10 @@ def place(cell):
 def test_S_of_P_matches_staged_build(seed):
     """S(P) written in place equals S(P) staged copy by copy with a
     provenance dict (helpers.py): vertices and edges in the same order,
-    squares, written text and copy-killing relators, and every
-    cell's id names the place its provenance records.  Codes round-trip
+    squares, written text, the pi1 presentation (or the refusal of a
+    disconnected S(P)) and copy-killing relators, under one generator per
+    edge and under pi1's own letters, all walked over edge ids in the
+    oracle; and every cell's id names the place its provenance records.  Codes round-trip
     through their pairs in S(P) and in its written and parsed copy, whose
     edges e0, e1, ... sort in another order (e10 before e2), and the copy's
     squares are the canonical readings of the written ones.  Up to 11
@@ -276,9 +282,20 @@ def test_S_of_P_matches_staged_build(seed):
     assert provenance == {cell: place(cell) for cell in provenance}
     # One generator per edge, so every letter of a copy loop is kept.
     names = {e: f"g{i}" for i, e in enumerate(cx.edge_order)}
+    per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
-    assert (_copy_killing_relators(built, presentation, names)
+    assert (_copy_killing_relators(built, presentation, per_edge)
             == oracle_copy_killing_relators(staged, provenance, presentation, names))
+    try:
+        expected, names = oracle_pi1_with_names(staged)
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError, match="not connected"):
+            pi1_presentation(cx)
+    else:
+        assert format_presentation(pi1_presentation(cx)) == format_presentation(expected)
+        presentation, letter = _pi1_with_letters(cx)
+        assert (_copy_killing_relators(built, presentation, letter)
+                == oracle_copy_killing_relators(staged, provenance, expected, names))
     written = [tuple((f"e{cx.position[e]}", s) for e, s in sq) for sq in cx.squares]
     assert_codes_and_squares(cx, staged.squares)
     assert_codes_and_squares(parse_complex(format_complex(cx)), written)
@@ -330,6 +347,7 @@ def test_edge_key_orders_as_repr(seed):
     vertices, edges, squares = mixed_cells(random.Random(seed))
     cx = SquareComplex(vertices, edges, squares)
     assert_codes_and_squares(cx, squares)
+    assert cx.component_count() == len(cx.vertices) - oracle_rank_d1(cx)
     for v in vertices:
         assert link(cx, v) == oracle_link(cx, v)
     assert check_link_condition(cx) == oracle_check_link_condition(cx)
@@ -357,9 +375,11 @@ def test_twin_ids_tie_in_the_order_given():
                                             a: ("w", "w"), b: ("w", "w")},
                                [(("c", 1), ("d", 1), ("c", -1), ("d", -1))])
         built = build_S_of_P(p, beside, [("c", 1)])
-        names = {e: f"g{i}" for i, e in enumerate(built.complex.edge_order)}
+        n_edges = len(built.complex.edge_order)
+        per_edge = [(f"g{p}", s) for p in range(n_edges) for s in (-1, 1)]
         relators = _copy_killing_relators(
-            built, FinitePresentation(W.Alphabet(list(names.values()))), names)
+            built, FinitePresentation(W.Alphabet([f"g{p}" for p in range(n_edges)])),
+            per_edge)
         outputs.add((format_complex(cx), format_presentation(pi1_presentation(cx)),
                      tuple(map(W.format_word, relators))))
     assert len(outputs) == 1
@@ -433,3 +453,8 @@ def test_disconnected_complex():
     inv = cellular_h1(cx)
     assert (inv.betti, inv.torsion) == (4, (2,))
     assert inv == oracle_cellular_h1(cx)
+
+
+def test_empty_complex_has_no_components():
+    cx = SquareComplex([], {})
+    assert cx.component_count() == 0 and cx.is_connected()

@@ -282,10 +282,10 @@ class TestKillingCopies:
         are a group invariant, so it equals the count on the killed
         presentation as built."""
         from forge.quotients import search_homs
-        from forge.squarecx import _copy_killing_relators, _pi1_with_names
+        from forge.squarecx import _copy_killing_relators, _pi1_with_letters
         built = build_S_of_P(pres(gens, *rels), TORUS, gamma)
-        presentation, names = _pi1_with_names(built.complex)
+        presentation, letter = _pi1_with_letters(built.complex)
         killed = FinitePresentation(presentation.alphabet, list(presentation.relators)
-                                    + _copy_killing_relators(built, presentation, names))
+                                    + _copy_killing_relators(built, presentation, letter))
         for n in (2, 3):
             assert homs_killing_copies(built, n) == len(search_homs(killed, n))
