@@ -302,16 +302,15 @@ def parse_complex(text):
 
 
 def format_complex(complex_):
-    """Write a complex, relabeling cells to v0../e0.. so structured ids
-    (e.g. from build_S_of_P) serialize as single tokens."""
-    vs = sorted(complex_.vertices, key=repr)
-    vname = {v: f"v{i}" for i, v in enumerate(vs)}
-    out = [f"vertex {vname[v]}" for v in vs]
-    for i, e in enumerate(complex_.edge_order):
-        src, dst = complex_.edges[e]
-        out.append(f"edge e{i} {vname[src]} {vname[dst]}")
+    """Write a complex with its cells named by their places, vertex p as
+    v{p} and edge i as e{i}, so structured ids (e.g. from build_S_of_P)
+    serialize as single tokens.  Edge i runs from head[2i] to head[2i + 1]."""
+    head = complex_.head
+    out = [f"vertex v{p}" for p in range(len(complex_.vertices))]
+    out += [f"edge e{i} v{head[2 * i]} v{head[2 * i + 1]}"
+            for i in range(len(complex_.edge_order))]
     # Edge i has codes 2i (reversed) and 2i + 1.
-    token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(complex_.head))]
+    token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(head))]
     for codes in complex_.square_codes:
         out.append("square " + " ".join([token[c] for c in codes]))
     return "\n".join(out) + "\n"

@@ -2,14 +2,14 @@
 complex with scaled copies ("S of P") construction, Euler characteristics and
 fundamental-group presentations.
 
-Directed edges come in and go out as pairs (edge id, sign); the reverse
-of (e, s) is (e, -s).  A complex stores each as one integer code,
-2 * (position of e in the edges sorted by repr, ties in the order given) +
-(s > 0), so reversing flips the low bit, and each square as its four
-codes, the least of the eight dihedral readings of its boundary.  It keeps
-no pair: `SquareComplex.code` reads one in, `directed` and `squares`
-decode on demand.  The link condition is read off one pass over the
-square corners, each corner an arc between two codes.  Spanning forests
+A complex sorts its vertices and edges by repr once, ties in the order
+given, and reads each cell by its position there.  A directed edge
+(edge id, sign), whose reverse is (e, -s), is one integer code
+2 * (position of e) + (s > 0), so reversing flips the low bit; a square
+is its four codes, the least of the eight dihedral readings of its
+boundary.  No pair is kept: `SquareComplex.code` reads one in, `directed`
+and `squares` decode on demand.  The link condition is read off one pass
+over the square corners, each an arc between two codes.  Spanning forests
 keep the code of the edge into each vertex, and pi1 the letter of each code.
 """
 
@@ -42,25 +42,26 @@ def _path_codes(complex_, path, kind):
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `vertices` is a dict used as an ordered set and `edges` maps an edge
-    id to its (src, dst), both in the order given.  Cells are ordered by
-    repr, ties in the order given, wherever an order is read: in the
-    written file, the pi1 root, the violations and the copy forests, and
-    in `edge_order`, the edge ids so sorted; `position` maps an id to its
-    place there.  The directed edge (e, s) has code
-    2 * position[e] + (s > 0) and ends at `head[code]`; `square_codes[q]`
-    holds the codes of square q.  These are all it stores of directed
-    edges and squares."""
+    `vertex_order` and `edge_order` hold the ids sorted by repr, ties in
+    the order given, and every reader takes positions there.  `vertices`
+    maps each vertex, in the order given, to its position; `edges` maps an
+    edge id, in the order given, to its (src, dst), and `position` maps it
+    to its position.  The directed edge (e, s) has code
+    2 * position[e] + (s > 0) and ends at vertex position `head[code]`;
+    `square_codes[q]` holds the codes of square q.  These are all it
+    stores of directed edges and squares."""
 
     def __init__(self, vertices, edges, squares=()):
-        self.vertices = dict.fromkeys(vertices)
+        place = self.vertices = dict.fromkeys(vertices)
+        self.vertex_order = tuple(sorted(place, key=repr))
+        place.update(zip(self.vertex_order, range(len(place))))
         self.edges = dict(edges)  # eid -> (src, dst)
         self.edge_order = tuple(sorted(self.edges, key=repr))
         for eid, (src, dst) in self.edges.items():
-            if src not in self.vertices or dst not in self.vertices:
+            if src not in place or dst not in place:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
         position = self.position = {e: p for p, e in enumerate(self.edge_order)}
-        self.head = [v for e in self.edge_order for v in self.edges[e]]
+        self.head = [place[v] for e in self.edge_order for v in self.edges[e]]
         self.square_codes = []
         low_bit = {1: 1, -1: 0}   # sign -> the low bit of its code
         for sq in squares:
@@ -118,7 +119,7 @@ class SquareComplex:
     def component_count(self):
         """Number of connected components (0 for the empty complex): V less
         the edges of a spanning forest."""
-        forest = _bfs_forest(self, range(len(self.edge_order)), self.vertices)[1]
+        forest = _bfs_forest(self, range(len(self.edge_order)), range(len(self.vertices)))[1]
         return len(self.vertices) - len(forest)
 
     def is_connected(self):
@@ -149,12 +150,12 @@ def _corners(complex_):
 def link(complex_, v):
     """One node per edge-end at v (a loop contributes both directions), in
     code order; one arc per square corner whose apex is v."""
-    if v not in complex_.vertices:
+    if (p := complex_.vertices.get(v)) is None:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
     head, directed = complex_.head, complex_.directed
-    lk = LinkGraph(v, tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == v))
+    lk = LinkGraph(v, tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == p))
     for i, (a, b) in enumerate(_corners(complex_)):
-        if head[a ^ 1] == v:
+        if head[a ^ 1] == p:
             lk.arcs.append((directed(a), directed(b), divmod(i, 4)))
     return lk
 
@@ -166,8 +167,8 @@ def check_link_condition(complex_):
     One pass over the corners finds them all: a node's code fixes its
     vertex, so one dict of node pairs finds the bigons and one adjacency
     of codes the triangles, with no per-vertex link.  Violations are listed
-    vertex by vertex in repr order: loops and bigons in corner order, then
-    the triangles (a, b, c), a < b < c, by ascending codes."""
+    vertex by vertex in `vertex_order`: loops and bigons in corner order,
+    then the triangles (a, b, c), a < b < c, by ascending codes."""
     n = len(complex_.head)
     loops, first, bigons, adjacency = [], {}, [], {}
     for i, (a, b) in enumerate(_corners(complex_)):
@@ -204,8 +205,8 @@ def check_link_condition(complex_):
     for a, b, c in sorted(triangles):
         found.setdefault(head[a ^ 1], []).append(
             ("triangle", (directed(a), directed(b), directed(c))))
-    violations = [(v, kind, detail) for v in sorted(complex_.vertices, key=repr)
-                  if v in found for kind, detail in found[v]]
+    violations = [(complex_.vertex_order[p], kind, detail) for p in sorted(found)
+                  for kind, detail in found[p]]
     return False, violations
 
 
@@ -383,23 +384,24 @@ def build_S_of_P(p, x, gamma):
 def _bfs_forest(complex_, positions, roots):
     """BFS forest over the edges at these positions (explored in the order
     given), grown from each root in turn that no earlier tree reached.
-    Returns vertex -> None for a root, else the code c of the forest edge
-    into it (c leaves head[c ^ 1]), and the set of forest edge positions."""
+    Returns per vertex position None for a root, -1 if unreached, else the
+    code c of the forest edge into it (c leaves head[c ^ 1]), and the set
+    of forest edge positions."""
     head = complex_.head
-    leaving = {}   # vertex -> the codes leaving it
+    leaving = [[] for _ in complex_.vertex_order]   # the codes leaving each vertex
     for p in positions:
-        leaving.setdefault(head[2 * p], []).append(2 * p + 1)
-        leaving.setdefault(head[2 * p + 1], []).append(2 * p)
-    parent, forest = {}, set()
+        leaving[head[2 * p]].append(2 * p + 1)
+        leaving[head[2 * p + 1]].append(2 * p)
+    parent, forest = [-1] * len(leaving), set()
     for start in roots:
-        if start in parent:
+        if parent[start] != -1:
             continue
         parent[start] = None
         queue = deque([start])
         while queue:
-            for c in leaving.get(queue.popleft(), ()):
+            for c in leaving[queue.popleft()]:
                 u = head[c]
-                if u not in parent:
+                if parent[u] == -1:
                     parent[u] = c
                     forest.add(c >> 1)
                     queue.append(u)
@@ -422,14 +424,14 @@ def pi1_presentation(complex_):
 
 
 def _pi1_with_letters(complex_):
-    """The presentation over the BFS tree from the least vertex, edges
+    """The presentation over the BFS tree from vertex position 0, edges
     explored in canonical order, and the letter of each code: (g, 1) and
     (g, -1) for the two directions of non-tree edge g, None on the tree."""
     if not complex_.vertices:
         raise ConfigurationError("empty complex")
     n_edges = len(complex_.edge_order)
-    parent, tree = _bfs_forest(complex_, range(n_edges), [min(complex_.vertices, key=repr)])
-    if len(parent) != len(complex_.vertices):
+    tree = _bfs_forest(complex_, range(n_edges), [0])[1]
+    if len(tree) != len(complex_.vertices) - 1:
         raise ConfigurationError("complex is not connected")
     non_tree = [p for p in range(n_edges) if p not in tree]
     alphabet = W.Alphabet([f"g{i}" for i in range(len(non_tree))])
@@ -467,28 +469,27 @@ def cellular_h1(complex_):
 def _copy_killing_relators(built, presentation, letter):
     """Relators killing the image of the fundamental group of every copy.
 
-    The edges of copy j are those whose id begins ("copy", j).  For each
-    copy subcomplex a spanning forest is grown; every remaining copy edge
-    closes a loop inside the copy, and that loop is rewritten through the
-    global generators: `letter` holds the letter of each code, None for
-    a code that the presentation drops."""
+    The edges of copy j are those whose id begins ("copy", j).  One
+    forest is grown over all copy edges, from their ends sorted by the
+    repr of their ids, ties in the order the ends first appear among those
+    edges (not in `vertex_order`); copies share no vertex, so it spans
+    each copy.  Every remaining copy edge closes a loop inside its copy,
+    copy by copy, and that loop is rewritten through the global
+    generators: `letter` holds the letter of each code, None for a code
+    that the presentation drops."""
     complex_ = built.complex
-    head = complex_.head
+    head, order, edges = complex_.head, complex_.vertex_order, complex_.edge_order
+    positions = [p for p, e in enumerate(edges) if e[0] == "copy"]
+    ends = dict.fromkeys(head[c] for p in positions for c in (2 * p, 2 * p + 1))
+    parent, forest = _bfs_forest(complex_, positions, sorted(ends, key=lambda v: repr(order[v])))
     relators = []
-    copies = {}
-    for p, e in enumerate(complex_.edge_order):
-        if e[0] == "copy":
-            copies.setdefault(e[1], []).append(p)
-    for j, positions in sorted(copies.items()):
-        ends = dict.fromkeys(head[c] for p in positions for c in (2 * p, 2 * p + 1))
-        parent, forest = _bfs_forest(complex_, positions, sorted(ends, key=repr))
-        for p in positions:
-            if p in forest:
-                continue
-            loop = (_forest_path(head, parent, head[2 * p]) + [2 * p + 1]
-                    + [c ^ 1 for c in reversed(_forest_path(head, parent, head[2 * p + 1]))])
-            relators.append(W.reduce(presentation.alphabet,
-                                     [letter[c] for c in loop if letter[c]]))
+    for p in sorted(positions, key=lambda p: edges[p][1]):   # copy by copy
+        if p in forest:
+            continue
+        loop = (_forest_path(head, parent, head[2 * p]) + [2 * p + 1]
+                + [c ^ 1 for c in reversed(_forest_path(head, parent, head[2 * p + 1]))])
+        relators.append(W.reduce(presentation.alphabet,
+                                 [letter[c] for c in loop if letter[c]]))
     return relators
 
 

@@ -705,8 +705,8 @@ def translate_family_check(base, action, subgroup, translates):
     decides nothing.  When no power refutes, the family is certified;
     otherwise row i's first failing j is the least later j with
     k_j = k_i + x (mod order) over the refuting x, and only the first
-    failing pair in (i, j) order, i <= j, has its fibre product built, to
-    name its first failing component."""
+    failing pair in (i, j) order, i <= j, has a fibre product built, that
+    of H and g^(k_j - k_i) H, to name its first failing component."""
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
@@ -718,8 +718,7 @@ def translate_family_check(base, action, subgroup, translates):
     if pair is None:
         return True, None
     i, j = pair
-    fp = fibre_product(translate(subgroup, action.maps(translates[i])),
-                       translate(subgroup, action.maps(translates[j])))
+    fp = fibre_product(subgroup, translate(subgroup, action.maps(translates[j] - translates[i])))
     return False, MalnormalityWitness(pair=pair, component=_first_failure(fp, i == j))
 
 

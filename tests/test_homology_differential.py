@@ -385,7 +385,53 @@ def test_twin_ids_tie_in_the_order_given():
     assert len(outputs) == 1
 
 
-LOOP = SquareComplex(["u", "v"], {"e": ("u", "v")},
+@given(seeds)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_twin_vertices_tie_in_each_order(seed):
+    """S(P) over random x whose vertices include two Twins, which print
+    alike, and relators of 1-3 letters: the written files, link
+    violations and links order the Twins' cells as given, and the copy
+    forests grow each copy's tree from its edges' ends by repr, ties in
+    the order the ends first appear among the copy's edges, which may
+    differ from the order given.  Over one-letter relators a copy has no
+    cut or inner points, so a part of x on the Twins alone puts them at
+    the root of their copy's tree."""
+    rng = random.Random(seed)
+    others = ["w", 0, ("v", 1)]
+    rng.shuffle(others)
+    x = SquareComplex(*random_cells(rng, (Twin(), Twin(), *others[:rng.randint(0, 3)])))
+    loop = random_edge_loop(rng, x)
+    if loop is None or not loop.is_locally_geodesic():
+        return
+    alphabet = W.Alphabet(["a", "b"][:rng.randint(1, 2)])
+    p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(1, 3))
+                                      for _ in range(rng.randint(1, 3))])
+    built = build_S_of_P(p, x, loop.edges)
+    cx = built.complex
+    staged, provenance = oracle_build_S_of_P(p, x, loop.edges)
+    names = {e: f"g{i}" for i, e in enumerate(cx.edge_order)}
+    per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
+    presentation = FinitePresentation(W.Alphabet(list(names.values())))
+    assert (_copy_killing_relators(built, presentation, per_edge)
+            == oracle_copy_killing_relators(staged, provenance, presentation, names))
+    try:
+        expected, names = oracle_pi1_with_names(staged)
+    except ConfigurationError:
+        pass
+    else:
+        presentation, letter = _pi1_with_letters(cx)
+        assert format_presentation(presentation) == format_presentation(expected)
+        assert (_copy_killing_relators(built, presentation, letter)
+                == oracle_copy_killing_relators(staged, provenance, expected, names))
+    for complex_ in (x, cx):
+        assert format_complex(complex_) == oracle_format_complex(complex_)
+        assert check_link_condition(complex_) == oracle_check_link_condition(complex_)
+    corners = [("copy", j, "v", v) for j in range(len(p.relators)) for v in x.vertices]
+    for complex_, v in [(x, v) for v in x.vertices] + [(cx, v) for v in corners]:
+        assert link(complex_, v) == oracle_link(complex_, v)
+
+
+LOOP =SquareComplex(["u", "v"], {"e": ("u", "v")},
                      [(("e", 1), ("e", -1), ("e", 1), ("e", -1))])
 BIGON_CELLS = (["v"], {"a": ("v", "v"), "b": ("v", "v")},
                [(("a", 1), ("b", 1), ("a", -1), ("b", -1)),
