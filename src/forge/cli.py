@@ -87,37 +87,26 @@ def _emit(text, out_path, artifacts):
 
 def run_encode_and_probe(p, w, budget, N=7):
     """Encode (p, w) and search the output presentation for a nontrivial
-    finite quotient.  A witness certifies the output group has a nontrivial
-    finite quotient; an exhausted search decides nothing."""
+    finite quotient.  The report gives the output's size, then the search
+    lines every search report prints (see _search_details).  A witness
+    certifies the output group has a nontrivial finite quotient; a search
+    that finds none decides nothing."""
     start = time.monotonic()
     inputs = {"presentation": _digest(FF.format_presentation(p)),
               "word": _digest(W.format_word(w))}
     trace = encode(p, w, N=N)
-    outcome = has_nontrivial_quotient_upto(trace.p_w, budget)
-    searched = (f"{outcome.degrees[0][0]}..{outcome.max_degree_searched}"
-                if outcome.degrees else "none")
-    details = [
-        ("output generators", str(len(trace.p_w.generators))),
-        ("output relators", str(len(trace.p_w.relators))),
-        *_h1_rule_details(outcome),
-        ("degrees searched", searched),
-        ("nodes", str(outcome.nodes)),
-    ]
-    if outcome.status == "witness":
-        status = "witness"
-        details.append(("witness", outcome.witness.describe()))
-        details.append(("conclusion",
-                        "a finite quotient with nontrivial image exists"))
-    else:
-        status = "inconclusive"
-        details.append(("conclusion",
-                        "search exhausted within budget; no conclusion"))
+    status, lines = _search_details(has_nontrivial_quotient_upto(trace.p_w, budget))
+    details = [("output generators", str(len(trace.p_w.generators))),
+               ("output relators", str(len(trace.p_w.relators))), *lines]
     return RunReport("probe", inputs, status,
                      timing=time.monotonic() - start, details=details)
 
 
-def _h1_rule_details(outcome):
-    """What H_1 ruled out before the search: degrees, then odd candidates."""
+def _search_details(outcome):
+    """The status and lines of a search report: what H_1 ruled out
+    (degrees, then odd candidates), one line per degree entered with the
+    nodes spent there, then the witness or the one conclusion that holds
+    of every search that found none, wherever it stopped."""
     details = []
     if outcome.excluded:
         lo, hi = outcome.excluded[0], outcome.excluded[-1]
@@ -126,7 +115,16 @@ def _h1_rule_details(outcome):
                         else "excluded (|H1| odd)"))
     if outcome.even_only:
         details.append(("candidates", "even permutations (|H1| odd)"))
-    return details
+    details += [(f"degree {n}", f"nodes={nodes}" + (" (budget hit)" if hit else ""))
+                for n, nodes, hit in outcome.degrees]
+    witness = outcome.witness
+    if witness is None:
+        details.append(("conclusion", "no witness found; no conclusion"))
+        return "inconclusive", details
+    details.append(("witness degree", str(witness.degree)))
+    details += [(f"witness {g}", cycle_notation(witness.images[g]))
+                for g in sorted(witness.images)]
+    return "witness", details
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +253,8 @@ def _cmd_quotients(args):
         inputs["word"] = _digest(args.word)
         goal = W.parse_word(p.alphabet, args.word)
 
-    outcome = search(p, budget, goal, per_degree=True)
-    details = _h1_rule_details(outcome)
-    details += [(f"degree {n}", f"nodes={nodes}" + (" (budget hit)" if hit else ""))
-                for n, nodes, hit in outcome.degrees]
-    witness = outcome.witness
-    if witness is not None:
-        details.append(("witness degree", str(witness.degree)))
-        for g in sorted(witness.images):
-            details.append((f"witness {g}", cycle_notation(witness.images[g])))
-        return RunReport("quotients", inputs, "witness", details=details)
-    details.append(("conclusion", "search exhausted within budget; no conclusion"))
-    return RunReport("quotients", inputs, "inconclusive", details=details)
+    status, details = _search_details(search(p, budget, goal, per_degree=True))
+    return RunReport("quotients", inputs, status, details=details)
 
 
 def _complex_details(cx):
@@ -384,7 +372,8 @@ def build_parser():
     s.add_argument("--orders", help="k:e1,e2,... target orders for the generators")
     s.add_argument("--max-nodes", type=int, default=10 ** 7,
                    help="search-node budget per degree; each degree searched "
-                        "starts from zero")
+                        "starts from zero, and one that hits the budget reports "
+                        "it + 1 nodes, the refused node included")
     s.set_defaults(handler=_cmd_quotients)
 
     s = sub.add_parser("sqc", help="square complex tools")
@@ -413,7 +402,9 @@ def build_parser():
     s.add_argument("--word", required=True)
     s.add_argument("--max-degree", type=int, default=5)
     s.add_argument("--max-nodes", type=int, default=10 ** 7,
-                   help="search-node budget over all degrees together")
+                   help="search-node budget over all degrees together; at a "
+                        "hit the degree lines sum to it + 1 nodes, the refused "
+                        "node included")
     s.add_argument("--N", type=int, default=7)
     s.set_defaults(handler=_cmd_probe)
 

@@ -195,6 +195,11 @@ def _family_checks(family):
     return S.total_rank(graph.domain), ok
 
 
+def _check_modulus(N):
+    if N <= 6:
+        raise ThresholdError(f"modulus {N} is below the certified threshold (need > 6)")
+
+
 def select_malnormal_words(m, N=7):
     """The m+2 words c_j = [u^{j+1}, v^{j+1}], j = 0..m+1, rewritten over
     {t, w}, with a certificate that they freely generate a malnormal
@@ -204,8 +209,7 @@ def select_malnormal_words(m, N=7):
     modulus-N rotation check (independent of the family) is part of the
     certificate.  Raises ForgeError naming m and the failed checks when the
     family does not certify."""
-    if N <= 6:
-        raise ThresholdError(f"modulus {N} is below the certified threshold (need > 6)")
+    _check_modulus(N)
     if m < 0:
         raise DegenerateInputError("m must be nonnegative")
     base_rank, translates_ok = _kernel_checks(N)
@@ -289,7 +293,9 @@ def encode(p, w, N=7):
     The identity word short-circuits to the trivial presentation <x | x>;
     otherwise the four stages run in order, the c_j are the certified
     commutator family of `select_malnormal_words`, and each stage's
-    abelian invariants are recorded."""
+    abelian invariants are recorded.  N must exceed 6, even for the
+    identity word."""
+    _check_modulus(N)
     if w.is_identity():
         return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>
 

@@ -3,7 +3,11 @@ square complexes, and the JSON trace emitted by the encoder pipeline.
 
 All formats are line-oriented; blank lines and lines starting with `#` are
 ignored.  Every parser reports errors with 1-based line (and, where it makes
-sense, column) positions, and every writer round-trips through its parser.
+sense, column) positions.  What a writer writes, its parser reads back
+equal, except for square complexes: they come back with the same cells, but
+reading sorts the written names v{p} and e{i} by repr (v10 before v2), so
+writing the read complex can change the file, and its pi_1 can be another
+presentation of the same group.
 """
 
 from __future__ import annotations

@@ -175,9 +175,6 @@ class PermutationAssignment:
         ident = identity_perm(self.degree)
         return all(p == ident for p in self.images.values())
 
-    def describe(self):
-        return {name: cycle_notation(p) for name, p in sorted(self.images.items())}
-
 
 @dataclass(frozen=True)
 class OrderSpec:

@@ -1549,7 +1549,7 @@ def oracle_cmd_quotients(args):
         for g in sorted(witness.images):
             details.append((f"witness {g}", cycle_notation(witness.images[g])))
         return RunReport("quotients", inputs, "witness", details=details)
-    details.append(("conclusion", "search exhausted within budget; no conclusion"))
+    details.append(("conclusion", "no witness found; no conclusion"))
     return RunReport("quotients", inputs, "inconclusive", details=details)
 
 

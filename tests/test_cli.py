@@ -245,16 +245,28 @@ class TestProbeCommand:
         assert code == 2
         assert untimed_lines(out)[4:] == [
             "output generators: 30", "output relators: 42",
-            "degrees 2-4: excluded (H1 = 0)", "degrees searched: none",
-            "nodes: 0",
-            "conclusion: search exhausted within budget; no conclusion"]
+            "degrees 2-4: excluded (H1 = 0)",
+            "conclusion: no witness found; no conclusion"]
 
     def test_no_degree_to_search(self, a2, capsys):
         code, out = run(capsys, "probe", a2, "--word", "a", "--max-degree", "1")
         assert code == 2
-        lines = untimed_lines(out)
-        assert "degrees searched: none" in lines and "nodes: 0" in lines
-        assert not any("excluded" in line for line in lines)
+        assert untimed_lines(out)[4:] == [
+            "output generators: 30", "output relators: 42",
+            "conclusion: no witness found; no conclusion"]
+
+    def test_budget_hit_names_the_degree(self, a2, capsys):
+        """A search the node budget stops says where, in the degree lines
+        forge quotients prints; the refused node is counted."""
+        code, out = run(capsys, "probe", a2, "--word", "a", "--max-degree", "5",
+                        "--max-nodes", "200")
+        assert code == 2
+        assert untimed_lines(out)[4:] == [
+            "output generators: 30", "output relators: 42",
+            "degrees 2-4: excluded (H1 = 0)",
+            "candidates: even permutations (|H1| odd)",
+            "degree 5: nodes=201 (budget hit)",
+            "conclusion: no witness found; no conclusion"]
 
 
 class TestSqcCommands:
@@ -371,6 +383,9 @@ class TestErrors:
         (("encode", "dead.txt", "--word", "a^400000"),
          "substituting for x1_1, y2, y3 makes a word of 1600001 letters, "
          "more than 1000000"),
+        *((("encode", "dead.txt", "--word", word, "--N", N),
+           f"modulus {N} is below the certified threshold (need > 6)")
+          for N in ("0", "6") for word in ("1", "a")),
     ])
     def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
         (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")

@@ -171,6 +171,15 @@ class TestEncode:
         assert trace.p_w.generators == ("x",)
         assert len(trace.p_w.relators) == 1
 
+    @pytest.mark.parametrize("word", ["1", "a"])
+    @pytest.mark.parametrize("N", [0, 6])
+    def test_low_modulus_rejected_for_every_word(self, word, N):
+        """The identity word's short cut comes after the modulus check."""
+        p = pres(["a"])
+        with pytest.raises(ThresholdError, match=rf"^modulus {N} is below the "
+                                                 r"certified threshold \(need > 6\)$"):
+            encode(p, p.word(word), N=N)
+
     def test_deterministic(self):
         p = pres(["a"])
         t1 = encode(p, p.word("a"))
