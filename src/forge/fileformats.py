@@ -4,10 +4,8 @@ square complexes, and the JSON trace emitted by the encoder pipeline.
 All formats are line-oriented; blank lines and lines starting with `#` are
 ignored.  Every parser reports errors with 1-based line (and, where it makes
 sense, column) positions.  What a writer writes, its parser reads back
-equal, except for square complexes: they come back with the same cells, but
-reading sorts the written names v{p} and e{i} by repr (v10 before v2), so
-writing the read complex can change the file, and its pi_1 can be another
-presentation of the same group.
+equal; a square complex numbers its cells in file order, so a written one
+reads back to the same positions and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -116,8 +114,8 @@ def _parse_cells(text, header):
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
     vertices = []
-    edges = {}
-    basepoint = None
+    edges, lines = {}, {}
+    basepoint = basepoint_line = None
     rest = []
     for i, line in entries[1:]:
         parts = line.split()
@@ -133,15 +131,30 @@ def _parse_cells(text, header):
             if eid in edges:
                 raise ParseError(f"duplicate edge id {args[0]}", line=i)
             edges[eid] = (_token(args[1]), _token(args[2]), _token(args[3]))
+            lines[eid] = i
         elif kind == "basepoint":
             if len(args) != 1:
                 raise ParseError("basepoint takes exactly one id", line=i)
             if basepoint is not None:
                 raise ParseError("duplicate basepoint line", line=i)
-            basepoint = _token(args[0])
+            basepoint, basepoint_line = _token(args[0]), i
         else:
             rest.append((i, line))
+    known = _check_ends(vertices, edges, lines, "graph")
+    if basepoint is not None and basepoint not in known:
+        raise ParseError(f"basepoint {basepoint!r} is not a vertex", line=basepoint_line)
     return vertices, edges, basepoint, rest
+
+
+def _check_ends(vertices, edges, lines, where):
+    """The set of vertices, else a ParseError at the line of the first edge
+    with an endpoint that no vertex line names."""
+    known = set(vertices)
+    for eid, (src, dst, *_) in edges.items():
+        if src not in known or dst not in known:
+            raise ParseError(f"edge {eid!r} has an endpoint outside the {where}",
+                             line=lines[eid])
+    return known
 
 
 def parse_base_graph(text):
@@ -254,8 +267,8 @@ def format_immersion(immersion, base_path):
 #   edge <id> <src> <dst>
 #   square <d1> <d2> <d3> <d4>      (reverse of edge e spelled `e-`)
 #
-# Lines may come in any order; square tokens are read once all edges are
-# known, straight to codes (forge.squarecx: repr order, ties in file order).
+# Lines may come in any order; cells take their positions in file order, and
+# square tokens are read straight to codes once all edges are known.
 
 
 def parse_edge_codes(tokens, complex_, referrer, line=None):
@@ -273,7 +286,7 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 def parse_complex(text):
     vertices = []
-    edges = {}
+    edges, lines = {}, {}
     squares = []
     for i, line in _lines(text):
         parts = line.split()
@@ -289,6 +302,7 @@ def parse_complex(text):
             if eid in edges:
                 raise ParseError(f"duplicate edge id {args[0]}", line=i)
             edges[eid] = (_token(args[1]), _token(args[2]))
+            lines[eid] = i
         elif kind == "square":
             if len(args) != 4:
                 raise ParseError("square takes exactly four directed edges", line=i)
@@ -296,6 +310,7 @@ def parse_complex(text):
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)
+    _check_ends(vertices, edges, lines, "complex")
     complex_ = _build(SquareComplex, vertices, edges)
     for i, tokens in squares:
         try:

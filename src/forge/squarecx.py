@@ -2,15 +2,15 @@
 complex with scaled copies ("S of P") construction, Euler characteristics and
 fundamental-group presentations.
 
-A complex sorts its vertices and edges by repr once, ties in the order
-given, and reads each cell by its position there.  A directed edge
-(edge id, sign), whose reverse is (e, -s), is one integer code
-2 * (position of e) + (s > 0), so reversing flips the low bit; a square
-is its four codes, the least of the eight dihedral readings of its
-boundary.  No pair is kept: `SquareComplex.code` reads one in, `directed`
-and `squares` decode on demand.  The link condition is read off one pass
-over the square corners, each an arc between two codes.  Spanning forests
-keep the code of the edge into each vertex, and pi1 the letter of each code.
+A complex numbers its vertices and edges in the order given and reads
+each cell by its position there.  A directed edge (edge id, sign), whose
+reverse is (e, -s), is one integer code 2 * (position of e) + (s > 0), so
+reversing flips the low bit; a square is its four codes, the least of
+the eight dihedral readings of its boundary.  No pair is kept:
+`SquareComplex.code` reads one in, `directed` and `squares` decode on
+demand.  The link condition is read off one pass over the square
+corners, each an arc between two codes.  Spanning forests keep the code
+of the edge into each vertex, and pi1 the letter of each code.
 """
 
 from __future__ import annotations
@@ -42,26 +42,24 @@ def _path_codes(complex_, path, kind):
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `vertex_order` and `edge_order` hold the ids sorted by repr, ties in
-    the order given, and every reader takes positions there.  `vertices`
-    maps each vertex, in the order given, to its position; `edges` maps an
-    edge id, in the order given, to its (src, dst), and `position` maps it
-    to its position.  The directed edge (e, s) has code
+    `vertex_order` and `edge_order` hold the distinct ids in the order
+    given, and every reader takes positions there.  `vertices` maps each
+    vertex to its position; `edges` maps an edge id to its (src, dst), and
+    `position` maps it to its position.  The directed edge (e, s) has code
     2 * position[e] + (s > 0) and ends at vertex position `head[code]`;
     `square_codes[q]` holds the codes of square q.  These are all it
     stores of directed edges and squares."""
 
     def __init__(self, vertices, edges, squares=()):
-        place = self.vertices = dict.fromkeys(vertices)
-        self.vertex_order = tuple(sorted(place, key=repr))
-        place.update(zip(self.vertex_order, range(len(place))))
+        self.vertex_order = tuple(dict.fromkeys(vertices))
+        place = self.vertices = {v: p for p, v in enumerate(self.vertex_order)}
         self.edges = dict(edges)  # eid -> (src, dst)
-        self.edge_order = tuple(sorted(self.edges, key=repr))
+        self.edge_order = tuple(self.edges)
         for eid, (src, dst) in self.edges.items():
             if src not in place or dst not in place:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
         position = self.position = {e: p for p, e in enumerate(self.edge_order)}
-        self.head = [place[v] for e in self.edge_order for v in self.edges[e]]
+        self.head = [place[v] for ends in self.edges.values() for v in ends]
         self.square_codes = []
         low_bit = {1: 1, -1: 0}   # sign -> the low bit of its code
         for sq in squares:
@@ -253,7 +251,7 @@ def one_square_torus():
 # ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.  Each id
 # is made once, held in index tables (an edge's points and unit edges, a
 # square's grid of points), and every later use reads it from there.  Cells
-# are written in one fixed order, which breaks their ties under repr.
+# are written in one fixed order, and their positions are that order.
 
 
 def _along(seq, s):
@@ -470,18 +468,15 @@ def _copy_killing_relators(built, presentation, letter):
     """Relators killing the image of the fundamental group of every copy.
 
     The edges of copy j are those whose id begins ("copy", j).  One
-    forest is grown over all copy edges, from their ends sorted by the
-    repr of their ids, ties in the order the ends first appear among those
-    edges (not in `vertex_order`); copies share no vertex, so it spans
-    each copy.  Every remaining copy edge closes a loop inside its copy,
-    copy by copy, and that loop is rewritten through the global
-    generators: `letter` holds the letter of each code, None for a code
-    that the presentation drops."""
+    forest is grown over all copy edges, roots in position order; copies
+    share no vertex, so it spans each copy.  Every remaining copy edge
+    closes a loop inside its copy, copy by copy, and that loop is
+    rewritten through the global generators: `letter` holds the letter of
+    each code, None for a code that the presentation drops."""
     complex_ = built.complex
-    head, order, edges = complex_.head, complex_.vertex_order, complex_.edge_order
+    head, edges = complex_.head, complex_.edge_order
     positions = [p for p, e in enumerate(edges) if e[0] == "copy"]
-    ends = dict.fromkeys(head[c] for p in positions for c in (2 * p, 2 * p + 1))
-    parent, forest = _bfs_forest(complex_, positions, sorted(ends, key=lambda v: repr(order[v])))
+    parent, forest = _bfs_forest(complex_, positions, range(len(complex_.vertices)))
     relators = []
     for p in sorted(positions, key=lambda p: edges[p][1]):   # copy by copy
         if p in forest:

@@ -497,10 +497,12 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # the whole matrix, SNF of both boundary matrices, and one full scan of the
 # edges and squares per vertex link.  Also the orders that one integer edge
 # key per complex replaced: directed edges compared as (rank of e, s), the
-# rank sorting edges by repr, ties in the order the edges were given; squares
-# canonicalized by that comparison, complexes written with a repr sort; and
+# rank of an edge its index among the edges in the order given; squares
+# canonicalized by that comparison, complexes written in the order given; and
 # spanning forests, pi1 and copy loops walked over edge ids and (edge, sign)
-# pairs.  Only the data types and `reverse` come from forge.
+# pairs.  Each oracle ranks ids by the order given itself, from the vertex
+# and edge dicts, and reads none of forge's position tables.  Only the data
+# types and `reverse` come from forge.
 
 
 def directed_edges(complex_):
@@ -521,15 +523,15 @@ def dst(complex_, d):
 
 def _dkey(edges):
     """The key of a directed edge (e, s) over the given edge ids: (rank of e,
-    s), edges ranked by repr, ties in the order given (a stable sort)."""
-    rank = {e: i for i, e in enumerate(sorted(edges, key=repr))}
+    s), an edge's rank its index in the order given."""
+    rank = {e: i for i, e in enumerate(edges)}
     return lambda d: (rank[d[0]], d[1])
 
 
 def oracle_canonical_square(square, edges=None):
     """The least reading of the square's boundary over the complex's
-    `edges`; without them, ties between equal reprs follow the order in
-    which the square's edges first appear."""
+    `edges`; without them, edges rank in the order in which the square's
+    edges first appear."""
     square = tuple(square)
     key = _dkey(edges if edges is not None else dict.fromkeys(e for e, _ in square))
     rotations = [tuple(square[i:] + square[:i]) for i in range(4)]
@@ -539,8 +541,7 @@ def oracle_canonical_square(square, edges=None):
 
 
 def oracle_format_complex(complex_):
-    vs = sorted(complex_.vertices, key=repr)
-    es = sorted(complex_.edges, key=repr)
+    vs, es = list(complex_.vertices), list(complex_.edges)
     vname = {v: f"v{i}" for i, v in enumerate(vs)}
     ename = {e: f"e{i}" for i, e in enumerate(es)}
     out = [f"vertex {vname[v]}" for v in vs]
@@ -557,8 +558,8 @@ def oracle_format_complex(complex_):
 # S(P) built as forge built it before its cells were written in place: each
 # relator's scaled copy staged in its own vertex dict, edge dict and square
 # list and then merged, and the place of every cell recorded in a separate
-# provenance dict.  Vertices are kept in insertion order, as forge keeps
-# them, so that ids which print alike tie in the same order.  Inputs are
+# provenance dict.  Vertices and edges are kept in insertion order, as
+# forge keeps them, so they take the positions forge gives them.  Inputs are
 # taken to be valid (a locally geodesic gamma given as directed edges,
 # nonempty cyclically reduced relators).
 
@@ -741,14 +742,14 @@ def oracle_forest_path(parent, v):
 
 
 def oracle_pi1_with_names(complex_):
-    """(presentation, names): pi1 over the BFS tree from the least vertex
-    by repr, edges explored in repr order, ties in the order given; one
-    generator per non-tree edge (names: edge id -> generator) and one
-    relator per square, read as (edge, sign) pairs."""
+    """(presentation, names): pi1 over the BFS tree from the first vertex
+    given, edges explored in the order given; one generator per non-tree
+    edge (names: edge id -> generator) and one relator per square, read as
+    (edge, sign) pairs."""
     if not complex_.vertices:
         raise ConfigurationError("empty complex")
-    root = min(complex_.vertices, key=repr)
-    edge_ids = sorted(complex_.edges, key=repr)
+    root = next(iter(complex_.vertices))
+    edge_ids = list(complex_.edges)
     parent, tree = oracle_bfs_forest(complex_, edge_ids, [root])
     if len(parent) != len(complex_.vertices):
         raise ConfigurationError("complex is not connected")
@@ -761,15 +762,17 @@ def oracle_pi1_with_names(complex_):
 
 def oracle_copy_killing_relators(complex_, provenance, presentation, names):
     """The relators killing each copy's fundamental group, copies read from
-    the provenance dict, forests and loops from the edge dict."""
+    the provenance dict, forests and loops from the edge dict.  Each copy's
+    forest grows from its edges' ends in the order the vertices were given."""
     copies = {}
-    for e in sorted(complex_.edges, key=repr):
+    for e in complex_.edges:
         if provenance[e][0] == "copy":
             copies.setdefault(provenance[e][1], []).append(e)
     relators = []
     for j, copy_edges in sorted(copies.items()):
-        ends = dict.fromkeys(v for e in copy_edges for v in complex_.edges[e])
-        parent, forest = oracle_bfs_forest(complex_, copy_edges, sorted(ends, key=repr))
+        ends = {v for e in copy_edges for v in complex_.edges[e]}
+        roots = [v for v in complex_.vertices if v in ends]
+        parent, forest = oracle_bfs_forest(complex_, copy_edges, roots)
         for e in copy_edges:
             if e in forest:
                 continue
@@ -877,7 +880,7 @@ def oracle_rank_d1(complex_):
 
 
 def oracle_cellular_h1(complex_):
-    es = sorted(complex_.edges, key=repr)
+    es = list(complex_.edges)
     ei = {e: i for i, e in enumerate(es)}
     d2 = [[0] * len(es) for _ in complex_.squares]
     for qi, sq in enumerate(complex_.squares):
@@ -911,7 +914,7 @@ def oracle_check_link_condition(complex_):
         return [dkey(d) for d in violation[2]]
 
     violations = []
-    for v in sorted(complex_.vertices, key=repr):
+    for v in complex_.vertices:
         lk = oracle_link(complex_, v)
         pair_counts = {}
         adjacency = {n: set() for n in lk.nodes}

@@ -9,7 +9,9 @@ from forge.encoder import encode_discrete, select_malnormal_words, \
     revalidate_certificate, EncodingTrace
 from forge.errors import ParseError
 from forge.presentations import FinitePresentation, abelianization
-from forge.squarecx import one_square_torus
+from forge.squarecx import build_S_of_P, one_square_torus, pi1_presentation
+
+from test_golden import SEEDS, seeded_S_of_P
 
 
 def pres(gens, *rels):
@@ -108,6 +110,18 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             FF.parse_graph_file(text)
 
+    def test_edge_endpoint_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            FF.parse_graph_file("graph\nvertex 0\nedge 0 0 1 a\nvertex 2\n")
+        assert exc.value.line == 3
+        assert "edge 0 has an endpoint outside the graph" in str(exc.value)
+
+    def test_basepoint_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            FF.parse_graph_file("graph\nbasepoint 9\nvertex 0\n")
+        assert exc.value.line == 2
+        assert "basepoint 9 is not a vertex" in str(exc.value)
+
     def test_unknown_line_rejected(self):
         with pytest.raises(ParseError) as exc:
             FF.parse_graph_file("graph\nwibble 1 2\n")
@@ -122,6 +136,15 @@ class TestComplexFormat:
         assert len(again.edges) == 2
         assert len(again.squares) == 1
         assert again.euler_characteristic() == torus.euler_characteristic()
+        # A written complex reads back to the positions it was written in,
+        # past v9 and e9 too: the same bytes and the same pi1 presentation.
+        # S(P) of a^3 has 10 vertices and 22 edges.
+        a3 = build_S_of_P(pres(["a"], "a^3"), torus, [("a", 1)])
+        for built in [a3] + [seeded_S_of_P(seed) for seed in SEEDS]:
+            text = FF.format_complex(built.complex)
+            again = FF.parse_complex(text)
+            assert FF.format_complex(again) == text
+            assert pi1_presentation(again) == pi1_presentation(built.complex)
 
     def test_reverse_marker(self):
         cx = FF.parse_complex(
@@ -136,6 +159,12 @@ class TestComplexFormat:
         with pytest.raises(ParseError) as exc:
             FF.parse_complex("vertex v\nedge a v v\nsquare a a a c\n")
         assert exc.value.line == 3
+
+    def test_edge_endpoint_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            FF.parse_complex("vertex v\nedge a v w\nvertex u\n")
+        assert exc.value.line == 2
+        assert "edge 'a' has an endpoint outside the complex" in str(exc.value)
 
     def test_open_square_names_its_line(self):
         with pytest.raises(ParseError) as exc:

@@ -6,8 +6,11 @@ The digests are sha256 over the outputs of fixed inputs: for the encoder,
 `trace_to_json(encode(...))`, `encode_discrete` and `discrete_trace`; for a
 dozen seeded S(P) complexes over the torus, the written complex, its pi1
 presentation, the relators that kill each copy, and cellular H_1.  A
-refactor that changes any byte fails here; a deliberate change of output
-must update the digests and say why.
+complex numbers its cells in the order the builder writes them, and the
+written file, the pi1 tree and the copy forests follow those positions, so
+a change of that order moves these digests (but not H_1).  A refactor that
+changes any byte fails here; a deliberate change of output must update the
+digests and say why.
 """
 
 import hashlib
@@ -99,9 +102,9 @@ SEEDS = range(12)
 
 # item -> digest over the twelve seeded complexes in seed order.
 COMPLEX_GOLDEN = {
-    "complex": "e1ce4eaf9e7d49e54fa221d432d211e96b5553c12670b8d10c5a517d51f2bba9",
-    "pi1": "f4b4e3ddd1aaa3a8f2bbdd58bcf99a1c0ca5d535011087a50c6a89028f4a0f80",
-    "killing": "e42f6163b43b7a46dacfd96dae18c4aabc94cca4d8786a9b649c84f5303bfbb2",
+    "complex": "126c734ac80e1fbcd7455ce6faabdba90016bce7190c34e32bc081abf43cd2f6",
+    "pi1": "daf36e0936c4240397d2ff4a94d760c29058fc9bba675d26bf325000dbe627b9",
+    "killing": "c7a6c3600028fabe9b2bacd95eb47382e424e56ab6459f6269681952a6f76bd5",
     "h1": "2a94ea5c0cbc78e3119a844b98bba6bc66cf1990d1f97dadd495eaa73d28b7ea",
 }
 

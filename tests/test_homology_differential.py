@@ -1,8 +1,8 @@
 """Differential tests: the sparse homology kernels (the one pivot loop of
 the Smith normal form, rank d1 from components, one-pass vertex links), the
 integer edge key of a complex and S(P) written cell by cell in place against
-the original dense kernels, repr orders and staged S(P) build, kept in
-helpers.py as oracles.
+the original dense kernels, orders ranked by the order given and the staged
+S(P) build, kept in helpers.py as oracles.
 
 Matrices and complexes come from seeded generators; hypothesis picks the
 seeds (derandomized, so every run sees the same ones) and prints the failing
@@ -23,7 +23,7 @@ from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
                             _pi1_with_letters, build_S_of_P, cellular_h1,
                             check_link_condition, link, one_square_torus,
-                            pi1_presentation)
+                            pi1_presentation, reverse)
 from helpers import (derandomized, directed_edges, dst, oracle_build_S_of_P,
                      oracle_canonical_square, oracle_cellular_h1,
                      oracle_check_link_condition,
@@ -161,6 +161,7 @@ def oracle_abelianization(p):
 def assert_same_homology_and_links(cx):
     assert cellular_h1(cx) == oracle_cellular_h1(cx)
     assert check_link_condition(cx) == oracle_check_link_condition(cx)
+    # A sample of links: the least vertex ids by repr, points of copy 0.
     for v in sorted(cx.vertices, key=repr)[:4]:
         assert link(cx, v) == oracle_link(cx, v)
 
@@ -176,6 +177,9 @@ def cyclically_reduced(rng, alphabet, length):
 @given(seeds)
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_scaled_copy_complexes(seed):
+    """S(P) over the torus, 1-3 relators of 4-8 letters: H_1, the link
+    verdict and violations, sampled links and the abelianized pi1 agree
+    with the oracles, which rank cells by the order given."""
     rng = random.Random(seed)
     alphabet = W.Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
     p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(4, 8))
@@ -237,6 +241,58 @@ def test_random_small_complexes(seed):
         assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
 
 
+def shuffled(rng, vertices, edges, squares):
+    """The same cells in another order: vertices, edges and squares
+    shuffled, and each square read from a random corner in a random
+    direction."""
+    vertices, edges, squares = list(vertices), list(edges.items()), list(squares)
+    for cells in (vertices, edges, squares):
+        rng.shuffle(cells)
+    readings = []
+    for sq in squares:
+        if rng.random() < 0.5:
+            sq = [reverse(d) for d in reversed(sq)]
+        i = rng.randrange(4)
+        readings.append(tuple(sq[i:]) + tuple(sq[:i]))
+    return vertices, dict(edges), readings
+
+
+def order_free_invariants(cx):
+    """What a complex is up to the order of its cells: counts, Euler
+    characteristic, link verdict, violation kinds, H_1, and H_1 of pi1
+    (None when pi1 is refused for a disconnected complex)."""
+    ok, violations = check_link_condition(cx)
+    try:
+        inv = abelianization(pi1_presentation(cx))
+    except ConfigurationError:
+        inv = None
+    return ((len(cx.vertices), len(cx.edges), len(cx.square_codes)),
+            cx.euler_characteristic(), ok, sorted(kind for _, kind, _ in violations),
+            cellular_h1(cx), inv)
+
+
+@given(seeds)
+@derandomized
+def test_outputs_ignore_the_order_of_the_cells(seed):
+    """Positions are the order given, and nothing sorts it away: the same
+    cells given in shuffled orders still make the same complex up to that
+    order.  Cells come from a small S(P) over the torus, connected, or from
+    random cells over plain or mixed ids, often disconnected."""
+    rng = random.Random(seed)
+    kind = rng.random()
+    if kind < 0.4:
+        alphabet = W.Alphabet(["a", "b"][:rng.randint(1, 2)])
+        p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(1, 4))
+                                          for _ in range(rng.randint(1, 2))])
+        cx = build_S_of_P(p, TORUS, [("a", 1)] * rng.randint(1, 2)).complex
+        cells = (cx.vertices, cx.edges, cx.squares)
+    else:
+        cells = random_cells(rng) if kind < 0.7 else mixed_cells(rng)
+    expected = order_free_invariants(SquareComplex(*cells))
+    for _ in range(3):
+        assert order_free_invariants(SquareComplex(*shuffled(rng, *cells))) == expected
+
+
 def place(cell):
     """Where a cell of S(P) lies, read off its id."""
     if cell[0] == "rose":
@@ -254,11 +310,11 @@ def test_S_of_P_matches_staged_build(seed):
     edge and under pi1's own letters, all walked over edge ids in the
     oracle; and every cell's id names the place its provenance records.  Codes round-trip
     through their pairs in S(P) and in its written and parsed copy, whose
-    edges e0, e1, ... sort in another order (e10 before e2), and the copy's
+    edges e0, e1, ... keep the written order (e2 before e10), and the copy's
     squares are the canonical readings of the written ones.  Up to 11
     relators of up to 12 letters put two-digit relator indices and unit
-    positions into the repr order of the edges, and x over mixed ids with
-    two Twin edges puts ties into the repr order of edges and vertices."""
+    positions into the ids, and x over mixed ids with two Twin edges gives
+    edges and vertices that print alike."""
     rng = random.Random(seed)
     kind = rng.random()
     if kind < 0.4:
@@ -316,8 +372,8 @@ def assert_codes_and_squares(cx, squares):
 
 
 class Twin:
-    """Distinct ids that print alike: ties under repr.  A given hash fixes
-    where the id falls in a set or dict's hash table."""
+    """Distinct ids that print alike.  A given hash fixes where the id
+    falls in a set or dict's hash table."""
 
     def __init__(self, hash_=None):
         self.hash = hash_
@@ -339,13 +395,15 @@ def mixed_cells(rng):
 
 @given(seeds)
 @derandomized
-def test_edge_key_orders_as_repr(seed):
-    """Squares, links, violations and written text from the integer edge
-    key equal those from comparing reprs, ties in the order the edges were
-    given: ids of mixed types, the int 1 beside the str "1", and two ids
-    with one repr."""
+def test_edge_key_orders_as_given(seed):
+    """Positions are the order given, and squares, links, violations and
+    written text from the integer edge key equal those from ranking ids by
+    the order given: ids of mixed types, the int 1 beside the str "1", and
+    two ids with one repr."""
     vertices, edges, squares = mixed_cells(random.Random(seed))
     cx = SquareComplex(vertices, edges, squares)
+    assert cx.vertex_order == tuple(dict.fromkeys(vertices))
+    assert cx.edge_order == tuple(edges)
     assert_codes_and_squares(cx, squares)
     assert cx.component_count() == len(cx.vertices) - oracle_rank_d1(cx)
     for v in vertices:
@@ -358,11 +416,11 @@ def test_edge_key_orders_as_repr(seed):
 def test_twin_ids_tie_in_the_order_given():
     """S(P) over a complex whose edges a and b print alike writes one file,
     one pi1 presentation and one list of copy-killing relators whatever
-    their hashes: the vertices named after a and b tie under repr and keep
-    the order they were written in, not the order of a hash table.  Over
-    the torus on a and b they tie in the written file; as loops at a
-    vertex of their own beside a torus on c and d, the copy forest of
-    that component grows from the first point of a or of b."""
+    their hashes: the vertices named after a and b keep the order they
+    were written in, not the order of a hash table.  Over the torus on a
+    and b the file lists them in that order; as loops at a vertex of their
+    own beside a torus on c and d, the copy forest of that component grows
+    from the copy of w, written before the points of a and b."""
     alphabet = W.Alphabet(["g"])
     p = FinitePresentation(alphabet, [W.parse_word(alphabet, "g^3")])
     outputs = set()
@@ -391,11 +449,10 @@ def test_twin_vertices_tie_in_each_order(seed):
     """S(P) over random x whose vertices include two Twins, which print
     alike, and relators of 1-3 letters: the written files, link
     violations and links order the Twins' cells as given, and the copy
-    forests grow each copy's tree from its edges' ends by repr, ties in
-    the order the ends first appear among the copy's edges, which may
-    differ from the order given.  Over one-letter relators a copy has no
-    cut or inner points, so a part of x on the Twins alone puts them at
-    the root of their copy's tree."""
+    forests grow each copy's tree from its edges' ends in the order the
+    vertices were given.  Over one-letter relators a copy has no cut or
+    inner points, so a part of x on the Twins alone puts them at the root
+    of their copy's tree."""
     rng = random.Random(seed)
     others = ["w", 0, ("v", 1)]
     rng.shuffle(others)

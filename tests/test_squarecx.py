@@ -111,7 +111,8 @@ class TestBasics:
         (("a", -1), ("b", -1), ("a", 1), ("b", 1))])
     def test_lists_and_bool_signs_read_as_tuples(self, square):
         cx = SquareComplex(TORUS.vertices, TORUS.edges, [square])
-        assert cx.squares == [oracle_canonical_square(map(tuple, square))] == TORUS.squares
+        assert (cx.squares == [oracle_canonical_square(map(tuple, square), TORUS.edges)]
+                == TORUS.squares)
         (codes,) = cx.square_codes
         assert cx.squares == [tuple(map(cx.directed, codes))]
         assert all(type(s) is int for _, s in cx.squares[0])
