@@ -173,14 +173,9 @@ def _kernel_base_family(N):
 
 def _kernel_checks(N):
     """Rank of the modulus-N kernel core, and whether its rotation
-    translates form a malnormal family.  An N whose N rotation decisions
-    over the rose's N + 1 ids pass MAX_WORD_LETTERS in all, the bound
-    `RelabelingAction.cyclic` puts on an action, is refused before the
-    rose is built."""
-    if N * (N + 1) > W.MAX_WORD_LETTERS:
-        raise DegenerateInputError(
-            f"modulus {N} makes {N} rotation decisions over {N + 1} ids, "
-            f"more than {W.MAX_WORD_LETTERS} in all")
+    translates form a malnormal family.  A modulus that `_check_modulus`
+    refuses is refused before the rose is built."""
+    _check_modulus(N)
     base, kernel_sub, action = _kernel_base_family(N)
     translates_ok, _ = S.translate_family_check(base, action, kernel_sub,
                                                 action.elements)
@@ -196,8 +191,15 @@ def _family_checks(family):
 
 
 def _check_modulus(N):
+    """Refuse N <= 6, below the certified threshold, and an N whose N
+    rotation decisions over the rose's N + 1 ids pass MAX_WORD_LETTERS in
+    all, the bound `RelabelingAction.cyclic` puts on an action."""
     if N <= 6:
         raise ThresholdError(f"modulus {N} is below the certified threshold (need > 6)")
+    if N * (N + 1) > W.MAX_WORD_LETTERS:
+        raise DegenerateInputError(
+            f"modulus {N} makes {N} rotation decisions over {N + 1} ids, "
+            f"more than {W.MAX_WORD_LETTERS} in all")
 
 
 def select_malnormal_words(m, N=7):
@@ -293,8 +295,8 @@ def encode(p, w, N=7):
     The identity word short-circuits to the trivial presentation <x | x>;
     otherwise the four stages run in order, the c_j are the certified
     commutator family of `select_malnormal_words`, and each stage's
-    abelian invariants are recorded.  N must exceed 6, even for the
-    identity word."""
+    abelian invariants are recorded.  N must pass `_check_modulus` (above
+    6, and small enough to check), even for the identity word."""
     _check_modulus(N)
     if w.is_identity():
         return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>

@@ -114,7 +114,7 @@ def _parse_cells(text, header):
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
     vertices = []
-    edges, lines = {}, {}
+    edges, lines = {}, []
     basepoint = basepoint_line = None
     rest = []
     for i, line in entries[1:]:
@@ -131,7 +131,7 @@ def _parse_cells(text, header):
             if eid in edges:
                 raise ParseError(f"duplicate edge id {args[0]}", line=i)
             edges[eid] = (_token(args[1]), _token(args[2]), _token(args[3]))
-            lines[eid] = i
+            lines.append(i)
         elif kind == "basepoint":
             if len(args) != 1:
                 raise ParseError("basepoint takes exactly one id", line=i)
@@ -148,12 +148,12 @@ def _parse_cells(text, header):
 
 def _check_ends(vertices, edges, lines, where):
     """The set of vertices, else a ParseError at the line of the first edge
-    with an endpoint that no vertex line names."""
+    with an endpoint that no vertex line names; lines[k] is the line of the
+    k-th edge."""
     known = set(vertices)
-    for eid, (src, dst, *_) in edges.items():
+    for (eid, (src, dst, *_)), i in zip(edges.items(), lines):
         if src not in known or dst not in known:
-            raise ParseError(f"edge {eid!r} has an endpoint outside the {where}",
-                             line=lines[eid])
+            raise ParseError(f"edge {eid!r} has an endpoint outside the {where}", line=i)
     return known
 
 
@@ -267,8 +267,12 @@ def format_immersion(immersion, base_path):
 #   edge <id> <src> <dst>
 #   square <d1> <d2> <d3> <d4>      (reverse of edge e spelled `e-`)
 #
-# Lines may come in any order; cells take their positions in file order, and
-# square tokens are read straight to codes once all edges are known.
+# Lines may come in any order, and cells take their positions in file order.
+# The lines are read in one pass; square lines are then read again, once all
+# edges are known, through one table from each edge token as written (`e`,
+# and `e-` for its reverse) to its code.  A token the table lacks, another
+# spelling of an id (`01` for edge 1) or an unknown edge, goes through
+# parse_edge_codes, which names the fault.
 
 
 def parse_edge_codes(tokens, complex_, referrer, line=None):
@@ -285,36 +289,56 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 
 def parse_complex(text):
-    vertices = []
-    edges, lines = {}, {}
-    squares = []
-    for i, line in _lines(text):
+    vertices, edges, squares = [], {}, []   # squares: their line numbers
+    ids, written, at = {}, [], []   # vertex token -> id; each edge's token, line
+    lines = text.splitlines()
+    for i, line in enumerate(lines, 1):
         parts = line.split()
-        kind, args = parts[0], parts[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                raise ParseError("vertex takes exactly one id", line=i)
-            vertices.append(_token(args[0]))
-        elif kind == "edge":
-            if len(args) != 3:
-                raise ParseError("edge takes id, src, dst", line=i)
-            eid = _token(args[0])
-            if eid in edges:
-                raise ParseError(f"duplicate edge id {args[0]}", line=i)
-            edges[eid] = (_token(args[1]), _token(args[2]))
-            lines[eid] = i
-        elif kind == "square":
-            if len(args) != 4:
+        if not parts or parts[0][0] == "#":
+            continue
+        kind = parts[0]
+        if kind == "square":
+            if len(parts) != 5:
                 raise ParseError("square takes exactly four directed edges", line=i)
-            squares.append((i, args))
+            squares.append(i)
+        elif kind == "edge":
+            if len(parts) != 4:
+                raise ParseError("edge takes id, src, dst", line=i)
+            _, tok, a, b = parts
+            eid = _token(tok)
+            if eid in edges:
+                raise ParseError(f"duplicate edge id {tok}", line=i)
+            # An endpoint spelled as on its vertex line shares that line's id,
+            # so the complex holds one copy of each id, not three.
+            edges[eid] = (ids[a] if a in ids else _token(a), ids[b] if b in ids else _token(b))
+            written.append(tok)
+            at.append(i)
+        elif kind == "vertex":
+            if len(parts) != 2:
+                raise ParseError("vertex takes exactly one id", line=i)
+            v = ids[parts[1]] = _token(parts[1])
+            vertices.append(v)
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)
-    _check_ends(vertices, edges, lines, "complex")
-    complex_ = _build(SquareComplex, vertices, edges)
-    for i, tokens in squares:
+    try:
+        complex_ = SquareComplex(vertices, edges)
+    except ConfigurationError as exc:   # an endpoint that no vertex line names
+        _check_ends(vertices, edges, at, "complex")
+        raise ParseError(str(exc)) from exc
+    table = {}
+    for p, tok in enumerate(written):
+        if tok[-1] != "-":   # a token ending in `-` reads only as a reverse
+            table[tok] = 2 * p + 1
+        table[tok + "-"] = 2 * p
+    for i in squares:
+        _, a, b, c, d = lines[i - 1].split()
         try:
-            complex_.add_square(parse_edge_codes(tokens, complex_, "square", i))
+            codes = [table[a], table[b], table[c], table[d]]
+        except KeyError:   # another spelling of an id, or an unknown edge
+            codes = parse_edge_codes((a, b, c, d), complex_, "square", i)
+        try:
+            complex_.add_square(codes)
         except ConfigurationError as exc:
             raise ParseError(str(exc), line=i) from exc
     return complex_

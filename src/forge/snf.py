@@ -12,8 +12,9 @@ With no remainder left, the row and column split off as one diagonal entry
 |p|; a +-1 pivot always does so at once.
 
 The pivots come in two phases, each with one rule.  First one sweep visits
-each row once, shortest first, and pivots on its +-1 entry whose column has
-the fewest entries, if the row holds a +-1 entry when its turn comes.
+each row once, shortest first, and pivots on its first +-1 entry whose
+column has the fewest entries, if the row holds a +-1 entry when its turn
+comes; a column that holds the pivot alone needs no row operation.
 Boundary and exponent matrices are mostly +-1, so the sweep usually
 leaves nothing.  Then the remainder loop pivots on an entry of least
 absolute value until no row is left; every step either removes a row or
@@ -51,23 +52,42 @@ def smith_normal_form(matrix):
         for j in row:
             column.setdefault(j, set()).add(i)
     # The +-1 sweep.  A row leaves as soon as it pivots, and column j goes
-    # with it: a +-1 pivot clears its column and row with no remainder.
-    units = 0
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        pivot_row = rows[i]
-        candidates = [j for j, v in pivot_row.items() if v == 1 or v == -1]
-        if not candidates:
+    # with it: a +-1 pivot clears its column and row with no remainder.  Its
+    # column is the row's first +-1 entry with the fewest entries; one, the
+    # pivot itself, is the fewest there can be, and then no other row holds
+    # column j.  The row operations are _subtract's, written out.
+    units, none = 0, len(rows) + 1
+    for i in sorted(range(len(rows)), key=list(map(len, rows)).__getitem__):
+        pivot_row, least = rows[i], none
+        for jj, v in pivot_row.items():
+            if (v == 1 or v == -1) and (n := len(column[jj])) < least:
+                j, least = jj, n
+                if least == 1:
+                    break
+        if least == none:
             continue
-        j = min(candidates, key=lambda j: len(column[j]))
         rows[i] = None
         p = pivot_row.pop(j)
         for jj in pivot_row:
             column[jj].discard(i)
         others = column.pop(j)
+        units += 1
+        if least == 1:
+            continue
         others.discard(i)
         for k in others:
-            _subtract(rows, column, k, rows[k].pop(j) * p, pivot_row)
-        units += 1
+            row = rows[k]
+            q = row.pop(j) * p
+            for jj, v in pivot_row.items():
+                w = row.get(jj)
+                if w is None:
+                    row[jj] = -q * v
+                    column[jj].add(k)
+                elif w != q * v:
+                    row[jj] = w - q * v
+                else:
+                    del row[jj]
+                    column[jj].discard(k)
     # The remainder loop, on whatever rows the sweep left.
     diagonal = []
     while least := _least_entry(rows):

@@ -444,24 +444,29 @@ def _pi1_with_letters(complex_):
 def cellular_h1(complex_):
     """First homology from the cellular chain complex (independent of pi1).
 
-    H_0 = coker d1 is free on the c connected components, so
-    rank d1 = V - c and no elimination is needed for d1.  Then
-    betti = (E - rank d1) - rank d2, and the torsion is the invariant
-    factors above 1 of d2, from its Smith normal form.  d2 goes to the
-    kernel as sparse rows read off the square codes: one dict edge
-    position -> coefficient per square."""
-    d2 = []
+    Let T be the spanning forest that `component_count` grows.  Dropping
+    T's coordinates is a map pi from the edge chains C_1 onto Z^(E - T),
+    and on the cycles Z_1 = ker d1 it is an isomorphism: each edge e off T
+    closes one cycle z_e, e plus the forest path between its ends, and
+    pi(z_e) = e, so pi is onto; a cycle that pi sends to 0 lies on T,
+    which holds no cycle but 0, so pi is one to one.  The boundaries
+    im d2 lie in Z_1, hence H_1 = Z_1 / im d2 ~ Z^(E - T) / pi(im d2).
+    pi(im d2) is spanned by the rows of d2 with T's columns dropped, so
+    betti = |E - T| - rank and the torsion is the invariant factors above 1,
+    from their Smith normal form.  Each row goes to the kernel as a dict
+    edge position -> coefficient read off a square's codes."""
+    forest = _bfs_forest(complex_, range(len(complex_.edge_order)),
+                         range(len(complex_.vertices)))[1]
+    rows = []
     for codes in complex_.square_codes:
         row = {}
         for c in codes:   # column: the edge's position; sign: the low bit
-            j = c >> 1
-            row[j] = row.get(j, 0) + (1 if c & 1 else -1)
-        d2.append(row)
-    rank_d1 = len(complex_.vertices) - complex_.component_count()
-    factors_d2 = smith_normal_form(d2)
-    betti = (len(complex_.edge_order) - rank_d1) - len(factors_d2)
-    torsion = tuple(d for d in factors_d2 if d > 1)
-    return AbelianInvariants(betti=betti, torsion=torsion)
+            if (j := c >> 1) not in forest:
+                row[j] = row.get(j, 0) + (1 if c & 1 else -1)
+        rows.append(row)
+    factors = smith_normal_form(rows)
+    betti = len(complex_.edge_order) - len(forest) - len(factors)
+    return AbelianInvariants(betti=betti, torsion=tuple(d for d in factors if d > 1))
 
 
 def _copy_killing_relators(built, presentation, letter):

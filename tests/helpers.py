@@ -14,7 +14,7 @@ from unittest import mock
 from hypothesis import settings, strategies as st
 
 from forge import words as W
-from forge.errors import ConfigurationError
+from forge.errors import ConfigurationError, ParseError
 from forge.presentations import AbelianInvariants, FinitePresentation
 from forge.squarecx import LinkGraph, SquareComplex, reverse
 
@@ -953,6 +953,70 @@ def oracle_is_locally_geodesic(loop):
         if d_next in set(links[v].get(reverse(d), [])):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The square-complex reader as it was before it read squares through one
+# token table: every line stripped and filtered one at a time, every token
+# read by the id rule (an int where int() reads one), a line number kept per
+# edge for the endpoint check, which runs before the complex is built, and
+# each square token turned into (edge, sign) and looked up by the complex's
+# own `code`.  Only the data types and ParseError come from forge.
+
+
+def _oracle_id(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+def oracle_parse_complex(text):
+    vertices, edges, edge_line, squares = [], {}, {}, []
+    for i, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, *args = line.split()
+        if kind == "vertex":
+            if len(args) != 1:
+                raise ParseError("vertex takes exactly one id", line=i)
+            vertices.append(_oracle_id(args[0]))
+        elif kind == "edge":
+            if len(args) != 3:
+                raise ParseError("edge takes id, src, dst", line=i)
+            eid = _oracle_id(args[0])
+            if eid in edges:
+                raise ParseError(f"duplicate edge id {args[0]}", line=i)
+            edges[eid] = (_oracle_id(args[1]), _oracle_id(args[2]))
+            edge_line[eid] = i
+        elif kind == "square":
+            if len(args) != 4:
+                raise ParseError("square takes exactly four directed edges", line=i)
+            squares.append((i, args))
+        else:
+            raise ParseError(f"expected vertex/edge/square, got {kind!r}",
+                             line=i, column=1)
+    known = set(vertices)
+    for eid, (a, b) in edges.items():
+        if a not in known or b not in known:
+            raise ParseError(f"edge {eid!r} has an endpoint outside the complex",
+                             line=edge_line[eid])
+    complex_ = SquareComplex(vertices, edges)
+    for i, tokens in squares:
+        codes = []
+        for tok in tokens:
+            d = (_oracle_id(tok[:-1]), -1) if tok.endswith("-") else (_oracle_id(tok), 1)
+            try:
+                codes.append(complex_.code(d))
+            except ConfigurationError:
+                raise ParseError(f"square references unknown edge {tok!r}",
+                                 line=i) from None
+        try:
+            complex_.add_square(codes)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), line=i) from exc
+    return complex_
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,9 @@ class TestErrors:
         *((("encode", "dead.txt", "--word", word, "--N", N),
            f"modulus {N} is below the certified threshold (need > 6)")
           for N in ("0", "6") for word in ("1", "a")),
+        (("encode", "dead.txt", "--word", "1", "--N", "1000"),
+         "modulus 1000 makes 1000 rotation decisions over 1001 ids, "
+         "more than 1000000 in all"),
     ])
     def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
         (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")

@@ -126,6 +126,16 @@ class TestSelection:
         _, cert = select_malnormal_words(0, N=7)
         assert not revalidate_certificate(dataclasses.replace(cert, modulus=10 ** 9))
 
+    @pytest.mark.parametrize("N, error", [(6, ThresholdError),
+                                          (1000, DegenerateInputError)])
+    def test_kernel_checks_refuse_what_selection_refuses(self, N, error):
+        """The kernel checks run the modulus check themselves, so
+        revalidation refuses every modulus that selection refuses."""
+        with pytest.raises(error, match=f"^modulus {N} "):
+            encoder._kernel_checks(N)
+        _, cert = select_malnormal_words(0, N=7)
+        assert not revalidate_certificate(dataclasses.replace(cert, modulus=N))
+
     def test_largest_modulus_check_stays_small(self):
         """The N = 999 rotation check keeps g's image tuples, not one
         element per power: its peak stays under 5 MB (the per-element maps
@@ -179,6 +189,16 @@ class TestEncode:
         with pytest.raises(ThresholdError, match=rf"^modulus {N} is below the "
                                                  r"certified threshold \(need > 6\)$"):
             encode(p, p.word(word), N=N)
+
+    @pytest.mark.parametrize("word", ["1", "a"])
+    def test_huge_modulus_rejected_for_every_word(self, word):
+        """The identity word's short cut comes after the modulus size check
+        too, so no trace of a modulus that selection refuses is written."""
+        p = pres(["a"])
+        with pytest.raises(DegenerateInputError,
+                           match=r"^modulus 1000 makes 1000 rotation decisions over "
+                                 r"1001 ids, more than 1000000 in all$"):
+            encode(p, p.word(word), N=1000)
 
     def test_deterministic(self):
         p = pres(["a"])

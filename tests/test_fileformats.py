@@ -1,6 +1,9 @@
 """File formats: round trips and error positions."""
 
+import random
+
 import pytest
+from hypothesis import given
 
 from forge import fileformats as FF
 from forge import stallings as S
@@ -11,6 +14,7 @@ from forge.errors import ParseError
 from forge.presentations import FinitePresentation, abelianization
 from forge.squarecx import build_S_of_P, one_square_torus, pi1_presentation
 
+from helpers import derandomized, oracle_parse_complex, seeds
 from test_golden import SEEDS, seeded_S_of_P
 
 
@@ -171,6 +175,117 @@ class TestComplexFormat:
             FF.parse_complex("vertex u\nvertex v\nedge a u v\nsquare a a a a\n")
         assert exc.value.line == 4
         assert "not a closed edge path" in str(exc.value)
+
+
+# Ids the reader's token table holds as written, and spellings it does not:
+# ints written with a leading 0 or +, ids ending in `-`, and `-` alone.
+VERTEX_TOKENS = ("v", "w-", "0", "01", "+2", "-")
+EDGE_TOKENS = ("a", "a-", "b--", "-", "01", "+2", "3", "e")
+
+
+def spellings(tok):
+    """Ways to write the id that tok names: tok, and for an int its other
+    decimal spellings."""
+    try:
+        n = int(tok)
+    except ValueError:
+        return [tok]
+    return [tok, str(n), f"0{n}", f"+{n}"]
+
+
+def odd_id_lines(rng):
+    """Vertex and edge lines over odd ids, each endpoint in some spelling of
+    its vertex, and squares along closed 4-paths, each edge in some
+    spelling and reversed with a `-`."""
+    vertices = rng.sample(VERTEX_TOKENS, rng.randint(1, len(VERTEX_TOKENS)))
+    edges = {t: (rng.choice(vertices), rng.choice(vertices))
+             for t in rng.sample(EDGE_TOKENS, rng.randint(1, len(EDGE_TOKENS)))}
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge {e} {rng.choice(spellings(a))} {rng.choice(spellings(b))}"
+              for e, (a, b) in edges.items()]
+    steps = [(e, 1, FF._token(a), FF._token(b)) for e, (a, b) in edges.items()]
+    steps += [(e, -1, end, start) for e, _, start, end in steps]
+    for _ in range(rng.randint(0, 5)):
+        path = [rng.choice(steps)]
+        while len(path) < 4:
+            path.append(rng.choice([d for d in steps if d[2] == path[-1][3]]))
+        lines.append("square " + " ".join(rng.choice(spellings(e)) + ("" if s > 0 else "-")
+                                          for e, s, _, _ in path))
+    return lines
+
+
+def break_one(rng, lines):
+    """The lines with one fault: an unknown edge, a line of the wrong
+    arity, an open square, a duplicate edge id, an endpoint outside the
+    complex or an unknown line kind."""
+    lines = list(lines)
+    squares = [i for i, line in enumerate(lines) if line.startswith("square")]
+    edges = [line.split()[1] for line in lines if line.startswith("edge")]
+    v = lines[0].split()[1]   # the first vertex
+    fault = rng.randrange(6)
+    if fault == 0 and squares:
+        i = rng.choice(squares)
+        tokens = lines[i].split()
+        tokens[rng.randint(1, 4)] = rng.choice(("zz", "zz-", "a--", "0x1"))
+        lines[i] = " ".join(tokens)
+    elif fault == 1:
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        lines[i] = " ".join(tokens[:-1] if rng.random() < 0.5 else tokens + ["x"])
+    elif fault == 2 and squares and edges:
+        i = rng.choice(squares)
+        tokens = lines[i].split()
+        tokens[rng.randint(1, 4)] = rng.choice(edges) + rng.choice(("", "-"))
+        lines[i] = " ".join(tokens)
+    elif fault == 3 and edges:
+        lines.append(f"edge {rng.choice(spellings(rng.choice(edges)))} {v} {v}")
+    elif fault == 4:
+        lines.append(f"edge stray {rng.choice(('nowhere', '7'))} {v}")
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("face a b c d", "v 1", "Vertex v")))
+    return lines
+
+
+def decorate(rng, lines):
+    """The same lines in another order, with comments, blank lines and
+    other whitespace between and around the tokens."""
+    lines = list(lines)
+    if rng.random() < 0.7:
+        rng.shuffle(lines)
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(("", "   ", "\t", "# note", "  #square a b c d", "#")))
+    gaps = (" ", "  ", "\t", " \t ")
+    return "\n".join(rng.choice(("", " ", "\t")) + rng.choice(gaps).join(line.split())
+                     + rng.choice(("", " ")) for line in lines) + rng.choice(("", "\n"))
+
+
+def read_with(parse, text):
+    """What a reader makes of text: its cell tables, or its error."""
+    try:
+        cx = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return cx.vertex_order, cx.edge_order, cx.head, cx.square_codes
+
+
+@given(seeds)
+@derandomized
+def test_reader_matches_the_oracle(seed):
+    """parse_complex reads squares through a table of edge tokens as
+    written; the reader it replaced (helpers.py) reads each token alone.
+    On written S(P) files and on odd ids, shuffled and decorated, with a
+    fault or not, both give the same vertex and edge orders, heads and
+    square codes, or the same error at the same line and column."""
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        lines = FF.format_complex(seeded_S_of_P(rng.randrange(2 ** 32)).complex).splitlines()
+    else:
+        lines = odd_id_lines(rng)
+    if rng.random() < 0.5:
+        lines = break_one(rng, lines)
+    text = decorate(rng, lines)
+    assert read_with(FF.parse_complex, text) == read_with(oracle_parse_complex, text)
 
 
 class TestTraceFormat:

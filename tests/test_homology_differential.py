@@ -1,5 +1,6 @@
 """Differential tests: the sparse homology kernels (the one pivot loop of
-the Smith normal form, rank d1 from components, one-pass vertex links), the
+the Smith normal form, H_1 with a spanning forest's columns dropped,
+one-pass vertex links), the
 integer edge key of a complex and S(P) written cell by cell in place against
 the original dense kernels, orders ranked by the order given and the staged
 S(P) build, kept in helpers.py as oracles.
@@ -188,6 +189,26 @@ def test_scaled_copy_complexes(seed):
     assert_same_homology_and_links(cx)
     inv = abelianization(pi1_presentation(cx))
     assert (inv.betti, inv.torsion) == oracle_abelianization(pi1_presentation(cx))
+
+
+@given(seeds)
+@derandomized
+def test_snf_matches_on_full_boundary_matrices(seed):
+    """cellular_h1 drops the spanning forest's columns before the Smith
+    normal form, so the kernel no longer meets a whole d2 there.  It must
+    still reduce one: d2 of a small S(P) over the torus, forest columns and
+    all, one column per edge in the order given."""
+    rng = random.Random(seed)
+    alphabet = W.Alphabet(["a", "b"][:rng.randint(1, 2)])
+    p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(2, 6))
+                                      for _ in range(rng.randint(1, 2))])
+    cx = build_S_of_P(p, TORUS, [("a", 1)] * rng.randint(1, 4)).complex
+    column = {e: j for j, e in enumerate(cx.edges)}
+    d2 = [[0] * len(column) for _ in cx.square_codes]
+    for row, sq in zip(d2, cx.squares):
+        for e, s in sq:
+            row[column[e]] += s
+    assert smith_normal_form(sparse_rows(d2)) == oracle_smith_normal_form(d2)
 
 
 def random_cells(rng, vertex_ids=(0, "v1", ("t", 2), "v3"),
