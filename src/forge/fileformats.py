@@ -20,14 +20,6 @@ from .squarecx import SquareComplex
 from .stallings import GraphImmersion, LabeledGraph
 
 
-def _build(make, *args, **kwargs):
-    """make(*args, **kwargs), with any failure raised as a ParseError."""
-    try:
-        return make(*args, **kwargs)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def _lines(text):
     for i, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -107,8 +99,9 @@ def _id_str(x):
 
 
 def _parse_cells(text, header):
-    """Check a graph file's header line and read its vertex, edge and
-    basepoint lines; returns them and the remaining (line number, line)s."""
+    """Check a graph file's header line and build the graph of its vertex,
+    edge and basepoint lines; returns it and the remaining (line number,
+    line)s."""
     entries = list(_lines(text))
     if not entries or entries[0][1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
@@ -140,10 +133,11 @@ def _parse_cells(text, header):
             basepoint, basepoint_line = _token(args[0]), i
         else:
             rest.append((i, line))
-    known = _check_ends(vertices, edges, lines, "graph")
-    if basepoint is not None and basepoint not in known:
-        raise ParseError(f"basepoint {basepoint!r} is not a vertex", line=basepoint_line)
-    return vertices, edges, basepoint, rest
+    try:
+        return LabeledGraph(vertices, edges, basepoint), rest
+    except ConfigurationError as exc:   # an endpoint or basepoint no vertex line names
+        _check_ends(vertices, edges, lines, "graph")
+        raise ParseError(str(exc), line=basepoint_line) from exc
 
 
 def _check_ends(vertices, edges, lines, where):
@@ -159,15 +153,15 @@ def _check_ends(vertices, edges, lines, where):
 
 def parse_base_graph(text):
     """Parse a base-graph file (header `base`; labels must equal edge ids)."""
-    vertices, edges, basepoint, rest = _parse_cells(text, "base")
+    base, rest = _parse_cells(text, "base")
     if rest:
         i, line = rest[0]
         raise ParseError(f"unexpected line in base file: {line!r}", line=i)
-    for eid, (src, dst, label) in edges.items():
+    for eid, (src, dst, label) in base.edges.items():
         if label != eid:
             raise ParseError(
                 f"base edge {eid!r} must carry its own id as label, got {label!r}")
-    return _build(LabeledGraph, vertices, edges, basepoint)
+    return base
 
 
 def parse_graph_file(text):
@@ -176,7 +170,7 @@ def parse_graph_file(text):
     `base_path` is the reference from the `base <path>` line (None when
     absent); `vmap` maps domain vertices to base vertices and may be partial
     (missing entries are resolved by the loader)."""
-    vertices, edges, basepoint, rest = _parse_cells(text, "graph")
+    graph, rest = _parse_cells(text, "graph")
     base_path = None
     vmap = {}
     for i, line in rest:
@@ -197,12 +191,12 @@ def parse_graph_file(text):
             if len(args) != 2:
                 raise ParseError("emap takes edge and base edge", line=i)
             eid = _token(args[0])
-            if eid not in edges or edges[eid][2] != _token(args[1]):
+            if eid not in graph.edges or graph.edges[eid][2] != _token(args[1]):
                 raise ParseError(
                     f"emap for {args[0]} contradicts the edge label", line=i)
         else:
             raise ParseError(f"unexpected line in graph file: {line!r}", line=i)
-    return _build(LabeledGraph, vertices, edges, basepoint), base_path, vmap
+    return graph, base_path, vmap
 
 
 def resolve_immersion(graph, base, vmap, folded=True):
@@ -218,23 +212,39 @@ def resolve_immersion(graph, base, vmap, folded=True):
             else:
                 raise ParseError(f"no vmap entry for vertex {v!r} "
                                  "and the base is not a rose")
-    return _build(GraphImmersion, graph, base, vmap, folded=folded)
+    try:
+        return GraphImmersion(graph, base, vmap, folded=folded)
+    except ConfigurationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def load_immersion(path, folded=True):
     """Read an immersion file and its referenced base file from disk.
-    Returns (immersion, the `base` line's path, the immersion file's text)."""
+    Returns (immersion, the `base` line's path, the immersion file's text).
+    A ParseError names the file at fault: the immersion file by path, the
+    base file as the `base` line spells it."""
     import os
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    graph, base_path, vmap = parse_graph_file(text)
+    graph, base_path, vmap = _in_file(path, parse_graph_file, text)
     if base_path is None:
         raise ParseError(f"{path}: graph file has no base line")
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     with open(full, encoding="utf-8") as fh:
-        base = parse_base_graph(fh.read())
-    return resolve_immersion(graph, base, vmap, folded=folded), base_path, text
+        base = _in_file(base_path, parse_base_graph, fh.read())
+    return _in_file(path, resolve_immersion, graph, base, vmap, folded), base_path, text
+
+
+def _in_file(name, read, *args):
+    """read(*args), with a ParseError's message led by the file's name; its
+    line and column stay as they were."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        error = ParseError(f"{name}: {exc}")
+        error.line, error.column = exc.line, exc.column
+        raise error from exc
 
 
 def _cell_lines(graph):
@@ -367,20 +377,16 @@ def _word_str(word):
     return W.format_word(word) if word is not None else None
 
 
-def certificate_to_dict(cert):
-    return {
-        "m": cert.m,
-        "modulus": cert.modulus,
-        "tuple_uv": [W.format_word(c) for c in cert.tuple_uv],
-        "rank": cert.rank,
-        "family_malnormal": cert.family_malnormal,
-        "base_rank": cert.base_rank,
-        "translates_malnormal": cert.translates_malnormal,
-    }
-
-
+# The certificate's fields and their JSON types, but for tuple_uv, its
+# words, written as strings.
 _CERTIFICATE_FIELDS = {"m": int, "modulus": int, "rank": int, "base_rank": int,
                        "family_malnormal": bool, "translates_malnormal": bool}
+
+
+def certificate_to_dict(cert):
+    data = {key: getattr(cert, key) for key in _CERTIFICATE_FIELDS}
+    data["tuple_uv"] = [W.format_word(c) for c in cert.tuple_uv]
+    return data
 
 
 def certificate_from_dict(data):
@@ -397,15 +403,8 @@ def certificate_from_dict(data):
         tuple_uv = tuple(W.parse_word(UV, c) for c in words)
     except ForgeError as exc:
         raise ParseError(f"certificate word: {exc}") from exc
-    return MalnormalCertificate(
-        m=data["m"],
-        modulus=data["modulus"],
-        tuple_uv=tuple_uv,
-        rank=data["rank"],
-        family_malnormal=data["family_malnormal"],
-        base_rank=data["base_rank"],
-        translates_malnormal=data["translates_malnormal"],
-    )
+    return MalnormalCertificate(tuple_uv=tuple_uv,
+                                **{key: data[key] for key in _CERTIFICATE_FIELDS})
 
 
 def trace_to_json(trace):

@@ -348,10 +348,11 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     element orders, intersections and nontriviality).  With even_only=True
     every generator draws only even permutations, which loses nothing
     where H_1 (x) Z/2 = 0.  A generator that is a one-letter target of an
-    OrderSpec goal draws only permutations of its order
-    (`_fixed_orders`).  A candidate a source drops is one the goal check
-    at the same checkpoint rejects, and a rejected candidate spends no
-    node, so neither the homomorphisms yielded nor the nodes change.
+    OrderSpec goal draws only permutations of the order the goal fixes for
+    it, which `_goal_checks` returns beside the checks.  A candidate a
+    source drops is one the goal check at the same checkpoint rejects, and
+    a rejected candidate spends no node, so neither the homomorphisms
+    yielded nor the nodes change.
     """
     gens = p.generators
     code = {}
@@ -388,14 +389,14 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
         return tuple(out)
 
     size = max(1, len(gens))
-    goal_checks = _goal_checks(goal, encode, holds, image, size)
+    goal_checks, fixed = _goal_checks(goal, encode, holds, image, size)
     if not gens:
         if goal_checks[0] is None or goal_checks[0]():
             yield PermutationAssignment(n, {})
         return
     sources = [(lambda: ()) if order == 0
                else _source((n, reduce_first and i == 0, even_only, order))
-               for i, order in enumerate(_fixed_orders(goal, encode, size))]
+               for i, order in enumerate(fixed)]
 
     def dfs(i):
         # Called once per inner node; a complete assignment is a node too,
@@ -420,40 +421,32 @@ def _enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
     yield from dfs(0)
 
 
-def _fixed_orders(goal, encode, size):
-    """The order each generator's source fixes, one per generator index:
-    kappa * e_i for a generator that is a one-letter OrderSpec target, 0
-    (no permutation has it) for one that two such targets give different
-    orders, None for the rest."""
-    orders = [None] * size
-    if isinstance(goal, OrderSpec):
-        for codes, e in zip(map(encode, goal.targets), goal.exponents):
-            if len(codes) == 1:
-                i, order = codes[0] // 2, goal.kappa * e
-                orders[i] = order if orders[i] in (None, order) else 0
-    return orders
-
-
 def _goal_checks(goal, encode, holds, image, size):
     """The goal as one check per generator index (None where it has none),
-    each at the checkpoint of the last generator its words read; a word
-    with no letters is read at generator 0.  A Word must not hold, that is
-    map to the identity.  Each OrderSpec target must have order kappa * e_i
-    at its checkpoint (a one-letter target has it already: its generator
-    draws only permutations of that order, see `_fixed_orders`), and each
-    pair of targets whose orders are not coprime must meet trivially at
-    the later of their two checkpoints; each cyclic subgroup is built once
-    per permutation.  encode turns a word into codes; holds and image read
-    codes under the kernel's current assignment."""
-    checks = [None] * size
-    if goal is None:
-        return checks
+    each at the checkpoint of the last generator its words read, and the
+    order the goal fixes for each generator's source; a word with no
+    letters is read at generator 0.  A Word must not hold, that is map to
+    the identity.  Each OrderSpec target must have order kappa * e_i at
+    its checkpoint, and each pair of targets whose orders are not coprime
+    must meet trivially at the later of their two checkpoints; each cyclic
+    subgroup is built once per permutation.  A one-letter target's order
+    is fixed for its generator instead of checked: its source draws only
+    permutations of that order (order 0, no permutation, where two targets
+    fix different orders; None where the goal fixes none).  encode turns a
+    word into codes; holds and image read codes under the kernel's current
+    assignment."""
+    checks, fixed = [None] * size, [None] * size
     if not isinstance(goal, OrderSpec):
-        codes = encode(goal)
-        checks[_checkpoint(codes)] = lambda: not holds(codes)
-        return checks
+        if goal is not None:
+            codes = encode(goal)
+            checks[_checkpoint(codes)] = lambda: not holds(codes)
+        return checks, fixed
     targets = list(map(encode, goal.targets))
     orders = [goal.kappa * e for e in goal.exponents]
+    for codes, order in zip(targets, orders):
+        if len(codes) == 1:
+            i = codes[0] // 2
+            fixed[i] = order if fixed[i] in (None, order) else 0
     at = list(map(_checkpoint, targets))
     pairs = [(i, j) for j in range(len(at)) for i in range(j)
              if math.gcd(orders[i], orders[j]) != 1]
@@ -483,7 +476,7 @@ def _goal_checks(goal, encode, holds, image, size):
         meets = [(i, j) for i, j in pairs if max(at[i], at[j]) == k]
         if mine or meets:
             checks[k] = check_at(mine, meets)
-    return checks
+    return checks, fixed
 
 
 def _checkpoint(codes):

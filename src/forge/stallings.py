@@ -593,11 +593,12 @@ class RelabelingAction:
         except (TypeError, ValueError):
             raise InvalidActionError(
                 "action element is not a pair of (vertex map, edge map)") from None
-        ids = (base.vertices, tuple(base.edges))
-        images = tuple(map(_images, step, ids))
-        error = _permutation_error(images, ids) or _edge_error(base, images)
-        if error:
-            raise InvalidActionError(error)
+        images = (
+            _permutation_images(step[0], base.vertices,
+                                "vertex map is not a permutation of the base vertices"),
+            _permutation_images(step[1], tuple(base.edges),
+                                "edge map is not a permutation of the base edges"))
+        _check_edges(base, images)
         order = math.lcm(*map(_permutation_order, step))
         count = len(base.vertices) + len(base.edges)
         if order * count > MAX_WORD_LETTERS:
@@ -620,15 +621,17 @@ class RelabelingAction:
         return tuple(powers)
 
 
-def _images(mapping, ids):
-    """The images of ids, in their order, or None unless mapping is a map
-    on exactly those ids."""
-    if len(mapping) != len(ids):
-        return None
+def _permutation_images(mapping, ids, error):
+    """The images of ids under mapping, in their order; InvalidActionError
+    with message error unless mapping permutes exactly those ids."""
     try:
-        return tuple(map(mapping.__getitem__, ids))
-    except LookupError:
-        return None
+        if len(mapping) == len(ids):
+            images = tuple(map(mapping.__getitem__, ids))
+            if set(images) == set(ids):
+                return images
+    except (LookupError, TypeError):   # an id it lacks, or an unhashable image
+        pass
+    raise InvalidActionError(error)
 
 
 def _permutation_order(permutation):
@@ -644,31 +647,17 @@ def _permutation_order(permutation):
     return order
 
 
-def _permutation_error(images, ids):
-    """Why the image tuples (`_images`) of the base's vertex and edge ids are
-    not a pair of permutations of those ids, or None."""
-    whats = ("vertex map is not a permutation of the base vertices",
-             "edge map is not a permutation of the base edges")
-    for image, id_tuple, what in zip(images, ids, whats):
-        try:
-            if image is None or set(image) != set(id_tuple):
-                return what
-        except TypeError:   # an unhashable image is no id
-            return what
-    return None
-
-
-def _edge_error(base, images):
-    """Why the permutations with these image tuples are not an automorphism
-    of the base, or None."""
+def _check_edges(base, images):
+    """InvalidActionError unless the permutations with these image tuples
+    are an automorphism of the base."""
     images_v, images_e = images
     at = dict(zip(base.vertices, images_v))
     edges = base.edges
     for (eid, (src, dst, _)), image in zip(edges.items(), images_e):
         isrc, idst, _ = edges[image]
         if isrc != at[src] or idst != at[dst]:
-            return f"edge {eid!r} is not mapped compatibly with the vertex map"
-    return None
+            raise InvalidActionError(
+                f"edge {eid!r} is not mapped compatibly with the vertex map")
 
 
 def translate(immersion, element):

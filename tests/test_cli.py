@@ -389,15 +389,36 @@ class TestErrors:
         (("encode", "dead.txt", "--word", "1", "--N", "1000"),
          "modulus 1000 makes 1000 rotation decisions over 1001 ids, "
          "more than 1000000 in all"),
+        (("sqc", "pi1", "empty.txt"), "empty complex"),
+        (("sqc", "build", "--pres", "torus_pres.txt", "--complex", "path_cx.txt",
+          "--gamma", "a"), "edge loop is not a closed path"),
     ])
     def test_bad_input_is_one_error_line(self, workdir, capsys, argv, error):
         (workdir / "huge.txt").write_text("gens: a\nrel: a^500000 a^600000\n")
-        command, path, *rest = argv
-        code, out = run(capsys, command, workdir / path, *rest)
+        (workdir / "empty.txt").write_text("")
+        (workdir / "path_cx.txt").write_text("vertex u\nvertex v\nedge a u v\n")
+        code, out = run(capsys, *[workdir / a if a.endswith(".txt") else a for a in argv])
         assert code == 1
         assert "status: error" in out
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == [f"error: {error}"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (("fold", "on_bad_base.txt"),
+         "bad_base.txt: line 4: unexpected line in base file: 'vmap * *'"),
+        (("fibre", "sub.txt", "bad.txt"),
+         "{workdir}/bad.txt: line 4: unexpected line in graph file: 'wibble'"),
+    ])
+    def test_graph_error_names_its_file(self, workdir, capsys, argv, error):
+        """A graph file is named by its path as given, a base file as its
+        graph file's base line spells it."""
+        (workdir / "bad_base.txt").write_text("base\nvertex *\nedge a * * a\nvmap * *\n")
+        (workdir / "on_bad_base.txt").write_text("graph\nbase bad_base.txt\nvertex 0\n")
+        (workdir / "bad.txt").write_text("graph\nbase base.txt\nvertex 0\nwibble\n")
+        code, out = run(capsys, *[workdir / a if a.endswith(".txt") else a for a in argv])
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == [f"error: {error.format(workdir=workdir)}"]
 
     def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
         (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")

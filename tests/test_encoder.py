@@ -12,7 +12,8 @@ from forge.encoder import (TW, U_IN_TW, UV, V_IN_TW, MalnormalCertificate,
                            encode_discrete, revalidate_certificate,
                            select_malnormal_words, step_conjugators,
                            step_injective_generators, step_order_control)
-from forge.errors import DegenerateInputError, ForgeError, ThresholdError
+from forge.errors import (AlphabetMismatchError, DegenerateInputError, ForgeError,
+                          ThresholdError)
 from forge.fileformats import trace_to_json
 from forge.presentations import FinitePresentation, abelianization, substitute
 
@@ -262,3 +263,22 @@ class TestDiscrete:
         h = encode_discrete(q, q.word(word.replace(gens[0], "x0")))
         assert (len(g.generators), len(g.relators)) == (len(h.generators), len(h.relators))
         assert abelianization(g) == abelianization(h)
+
+
+FOREIGN = W.parse_word(W.Alphabet(["z"]), "z")
+FOREIGN_WORD = "word over a different alphabet than the presentation"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: step_injective_generators(pres(["a"]), FOREIGN), AlphabetMismatchError,
+     FOREIGN_WORD),
+    (lambda: step_order_control(pres(["a"]), FOREIGN), AlphabetMismatchError, FOREIGN_WORD),
+    (lambda: step_conjugators(pres(["a"]), FOREIGN), AlphabetMismatchError,
+     "conjugated word over a different alphabet"),
+    (lambda: encode_discrete(pres(["a"]), FOREIGN), AlphabetMismatchError, FOREIGN_WORD),
+    (lambda: select_malnormal_words(-1, 7), DegenerateInputError, "m must be nonnegative"),
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -55,6 +55,21 @@ class TestPresentationFormat:
         p = FF.parse_presentation("# comment\ngens: a\n# more\nrel: a^2\n")
         assert len(p.relators) == 1
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("gens: a\ngens: b\n", "duplicate gens: line", 2, None),
+        ("gens: a\nrelator: a\n", "expected gens: or rel:, got 'relator:'", 2, 1),
+        ("# no generators\n", "presentation has no gens: line", 1, None)])
+    def test_faults_name_their_line(self, text, message, line, column):
+        assert_parse_error(lambda: FF.parse_presentation(text), message, line, column)
+
+
+def assert_parse_error(call, message, line, column=None):
+    """call() raises a ParseError with this message, line and column."""
+    with pytest.raises(ParseError) as exc:
+        call()
+    assert (exc.value.args[0], exc.value.line, exc.value.column) == (
+        ParseError(message, line, column).args[0], line, column)
+
 
 def int_or_token(tok):
     """The id-token rule before tokens starting with a letter skipped int()."""
@@ -130,6 +145,55 @@ class TestGraphFormat:
         with pytest.raises(ParseError) as exc:
             FF.parse_graph_file("graph\nwibble 1 2\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("read, text, message, line", [
+        (FF.parse_graph_file, "graph\nvertex 0 1\n", "vertex takes exactly one id", 2),
+        (FF.parse_base_graph, "base\nvertex *\nedge a * *\n", "edge takes id, src, dst, label", 3),
+        (FF.parse_base_graph, "base\nvertex *\nbasepoint\n", "basepoint takes exactly one id", 3),
+        (FF.parse_graph_file, "graph\nbase b.txt c.txt\n", "base takes exactly one path", 2),
+        (FF.parse_graph_file, "graph\nvertex 0\nvmap 0\n", "vmap takes vertex and base vertex", 3),
+        (FF.parse_graph_file, "graph\nvertex 0\nedge e 0 0 a\nemap e\n",
+         "emap takes edge and base edge", 4),
+        (FF.parse_graph_file, "graph\nvertex 0\nedge e 0 0 a\nedge e 0 0 b\n",
+         "duplicate edge id e", 4),
+        (FF.parse_base_graph, "base\nvertex *\nbasepoint *\nbasepoint *\n",
+         "duplicate basepoint line", 4),
+        (FF.parse_graph_file, "graph\nbase b.txt\nbase c.txt\n", "duplicate base line", 3),
+        (FF.parse_base_graph, "base\nvertex *\nvmap * *\n",
+         "unexpected line in base file: 'vmap * *'", 3)])
+    def test_faults_name_their_line(self, read, text, message, line):
+        assert_parse_error(lambda: read(text), message, line)
+
+    def test_unmapped_vertex_needs_a_rose(self):
+        base = FF.parse_base_graph("base\nvertex x\nvertex y\nedge a x y a\n")
+        graph, _, vmap = FF.parse_graph_file("graph\nvertex 0\n")
+        assert_parse_error(lambda: FF.resolve_immersion(graph, base, vmap),
+                           "no vmap entry for vertex 0 and the base is not a rose", None)
+
+    def test_label_outside_the_base(self):
+        base = FF.parse_base_graph(self.BASE)
+        graph, _, vmap = FF.parse_graph_file("graph\nvertex 0\nedge e 0 0 c\n")
+        assert_parse_error(lambda: FF.resolve_immersion(graph, base, vmap),
+                           "edge 'e' carries unknown label 'c'", None)
+
+    def test_loader_names_the_file(self, tmp_path):
+        (tmp_path / "base.txt").write_text(self.BASE + "wibble\n")
+        (tmp_path / "g.txt").write_text("graph\nbase base.txt\nvertex 0\n")
+        with pytest.raises(ParseError) as exc:
+            FF.load_immersion(tmp_path / "g.txt")
+        assert (str(exc.value), exc.value.line) == (
+            "base.txt: line 6: unexpected line in base file: 'wibble'", 6)
+
+    def test_graph_file_needs_a_base_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("graph\nvertex 0\n")
+        assert_parse_error(lambda: FF.load_immersion(path),
+                           f"{path}: graph file has no base line", None)
+
+    def test_id_with_whitespace_is_not_written(self):
+        imm = S.GraphImmersion(S.LabeledGraph([(0, 1)], {}), S.rose(["a"]), {(0, 1): "*"})
+        assert_parse_error(lambda: FF.format_immersion(imm, "base.txt"),
+                           "id (0, 1) is not writable as a single token", None)
 
 
 class TestComplexFormat:
@@ -302,6 +366,17 @@ class TestTraceFormat:
         # Malformed JSON names its line; a trace of the wrong shape has none.
         assert exc.value.line == {"{not json": 1,
                                   '{"stages": {},\n  not json}': 2}.get(text)
+
+    @pytest.mark.parametrize("tuple_uv, message", [
+        ('"u v"', "certificate field 'tuple_uv' must be a list of words"),
+        ('["u", 1]', "certificate field 'tuple_uv' must be a list of words"),
+        ('["u q"]', "certificate word: unknown generator 'q' (alphabet ('u', 'v'))"),
+        ('["u^"]', "certificate word: bad word token 'u^'")])
+    def test_certificate_words_are_checked(self, tuple_uv, message):
+        text = ('{"stages": {}, "certificate": {"m": 1, "modulus": 7, "rank": 3, '
+                '"base_rank": 3, "family_malnormal": true, '
+                f'"translates_malnormal": true, "tuple_uv": {tuple_uv}}}}}')
+        assert_parse_error(lambda: FF.trace_from_json(text), message, None)
 
     def test_certificate_round_trip(self):
         _, cert = select_malnormal_words(0, N=7)

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from forge import words as W
-from forge.errors import (DegenerateInputError, InvalidSubstitutionError,
-                          NameCollisionError)
-from forge.presentations import (FinitePresentation, abelianization,
+from forge.errors import (AlphabetMismatchError, DegenerateInputError,
+                          InvalidSubstitutionError, NameCollisionError)
+from forge.presentations import (AbelianInvariants, FinitePresentation, abelianization,
                                  add_conjugation_relators, exponent_matrix,
                                  free_power, free_product,
                                  free_product_with_renaming,
@@ -206,3 +206,40 @@ class TestTietze:
                 inverse[g] = new.gen(f"x{i}") * new.gen("x0") ** -k
             q = tietze_change_generators(p, definitions, inverse)
             assert abelianization(q) == abelianization(p)
+
+
+P1, P2 = pres(["a"]), pres(["a", "b"])
+XY, Z = W.Alphabet(["x", "y"]), W.parse_word(W.Alphabet(["z"]), "z")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AbelianInvariants(0, (2, 3)), ValueError, "torsion divisors must form a chain"),
+    (lambda: FinitePresentation(["a"], [Z]),
+     AlphabetMismatchError, "relator over a different alphabet"),
+    (lambda: add_conjugation_relators(P1, P1.word("a"), [P1.word("a")], ["s", "t"]),
+     DegenerateInputError, "1 targets but 2 stable letters"),
+    (lambda: add_conjugation_relators(P1, Z, [P1.word("a")], ["s"]),
+     AlphabetMismatchError, "conjugated word over a different alphabet"),
+    (lambda: add_conjugation_relators(P1, P1.word("a"), [P1.word("a")], ["a"]),
+     NameCollisionError, "stable letter 'a' collides with a generator"),
+    (lambda: add_conjugation_relators(P1, P1.word("a"), [P1.word("a")] * 2, ["s", "s"]),
+     NameCollisionError, "duplicate stable letters"),
+    (lambda: add_conjugation_relators(P1, P1.word("a"), [Z], ["s"]),
+     AlphabetMismatchError, "target word over a different alphabet"),
+    (lambda: verify_generator_change(P2, {"x": P2.word("a"), "y": P2.word("b")},
+                                     {"a": XY.gen("x")}),
+     InvalidSubstitutionError, "no inverse expression for 'b'"),
+    (lambda: verify_generator_change(P2, {"x": P2.word("a"), "y": Z},
+                                     {"a": XY.gen("x"), "b": XY.gen("y")}),
+     AlphabetMismatchError, "definition of 'y' is not over the old alphabet"),
+    (lambda: verify_generator_change(P2, {"x": P2.word("a"), "y": P2.word("b")},
+                                     {"a": XY.gen("x"), "b": Z}),
+     InvalidSubstitutionError, "inverse expression for 'b' is not over the new alphabet"),
+    (lambda: verify_generator_change(P2, {"x": P2.word("a^2"), "y": P2.word("b")},
+                                     {"a": XY.gen("x"), "b": XY.gen("y")}),
+     InvalidSubstitutionError, "round-trip check failed for 'a': got a^2"),
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -16,9 +16,10 @@ import forge
 from forge import quotients
 from forge import words as W
 from forge.encoder import encode_discrete
-from forge.errors import DegenerateInputError, IndependenceError
+from forge.errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
 from forge.presentations import FinitePresentation
-from forge.quotients import (OrderSpec, SearchBudget, _enumerate_homs,
+from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
+                             _enumerate_homs,
                              _restore_assignment,
                              _transfer_word, cycle_notation, element_order,
                              grushko_lower_bound,
@@ -297,3 +298,28 @@ class TestGrushko:
     def test_negative_rejected(self):
         with pytest.raises(DegenerateInputError):
             grushko_lower_bound(-1)
+
+
+AB2 = pres(["a", "b"])
+FOREIGN = W.parse_word(W.Alphabet(["z"]), "z")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OrderSpec(targets=(AB2.word("a"), AB2.word("b")), kappa=1, exponents=(2,)),
+     DegenerateInputError, "one exponent per target is required"),
+    (lambda: SearchBudget(max_degree=3, time_limit=0),
+     DegenerateInputError, "time limit must be positive"),
+    (lambda: search_homs(AB2, 0), DegenerateInputError, "degree must be >= 1"),
+    (lambda: word_survives_upto(AB2, FOREIGN, SearchBudget(max_degree=3)),
+     AlphabetMismatchError, "word over a different alphabet than the presentation"),
+    (lambda: search_order_targeted(
+        AB2, OrderSpec(targets=(AB2.word("a"), FOREIGN), kappa=1, exponents=(2, 3)),
+        SearchBudget(max_degree=3)),
+     AlphabetMismatchError, "spec target over a different alphabet"),
+    (lambda: PermutationAssignment(2, {"a": (1, 0)}).evaluate(AB2.word("a b")),
+     AlphabetMismatchError, "no image assigned for generator 'b'"),
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -128,6 +128,10 @@ class TestLinkCondition:
         assert len(lk.nodes) == 4
         assert len(lk.arcs) == 4
 
+    def test_link_of_unknown_vertex_refused(self):
+        with pytest.raises(ConfigurationError, match="^vertex 'w' is not in the complex$"):
+            link(TORUS, "w")
+
     def test_all_edges_identified_fails(self):
         cx = SquareComplex(["v"], {"a": ("v", "v")},
                            [(("a", 1), ("a", 1), ("a", 1), ("a", 1))])

@@ -211,9 +211,12 @@ class TestRelabelingAction:
         ({"a": "a", "b": "a"}, None),   # its powers never return to the identity
         ({"a": "b"}, None),
         ({"a": "b", "b": "a"}, {"*": "x"}),
-        ({"a": "b", "b": ["a"]}, None)])
+        ({"a": "b", "b": ["a"]}, None),
+        ({"a": "a", "c": "b"}, None)])   # the right number of keys, not the right keys
     def test_cyclic_rejects_non_permutations(self, edge_image, vertex_image):
-        with pytest.raises(InvalidActionError):
+        message = ("edge map is not a permutation of the base edges" if vertex_image is None
+                   else "vertex map is not a permutation of the base vertices")
+        with pytest.raises(InvalidActionError, match=f"^{message}$"):
             S.RelabelingAction.cyclic(S.rose(["a", "b"]), edge_image, vertex_image)
 
     @pytest.mark.parametrize("elements", [
@@ -296,3 +299,46 @@ class TestKernelRewriting:
             S.KernelRewriting(modulus=0, alpha="a", beta="b")
         with pytest.raises(DegenerateInputError):
             S.KernelRewriting(modulus=3, alpha="a", beta="a")
+
+
+# A base that is no rose: a runs from x to y and b back.
+PATH_BASE = S.LabeledGraph(["x", "y"], {"a": ("x", "y", "a"), "b": ("y", "x", "b")}, "x")
+ABC = W.Alphabet(["a", "b", "c"])
+PATH_SUB = S.graph_of_subgroup(PATH_BASE, [W.parse_word(ABC, "a b")])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: S.GraphImmersion(S.LabeledGraph([0], {}), ROSE, {}),
+     ConfigurationError, "vertex 0 is not mapped into the base"),
+    (lambda: S.GraphImmersion(S.LabeledGraph([0], {"e": (0, 0, "c")}), ROSE, {0: "*"}),
+     ConfigurationError, "edge 'e' carries unknown label 'c'"),
+    (lambda: S.GraphImmersion(S.LabeledGraph([0, 1], {"e": (0, 1, "a")}), PATH_BASE,
+                              {0: "x", 1: "x"}),
+     ConfigurationError, "edge 'e' is not label-consistent with the base"),
+    (lambda: S.GraphImmersion(S.LabeledGraph([0, 1], {}, 1), PATH_BASE, {0: "x", 1: "y"}),
+     ConfigurationError, "basepoints do not correspond under the map"),
+    (lambda: S.GraphImmersion(S.LabeledGraph([0], {"e": (0, 0, "a"), "f": (0, 0, "a")}),
+                              ROSE, {0: "*"}),
+     ConfigurationError, "graph is not an immersion; fold it first"),
+    (lambda: S.membership(PATH_SUB, W.parse_word(ABC, "c")),
+     NotALoopError, "word uses unknown base edge 'c'"),
+    (lambda: S.membership(PATH_SUB, W.parse_word(ABC, "b")),
+     NotALoopError, "edge 'b' is not readable at 'x'"),
+    (lambda: S.membership(PATH_SUB, W.parse_word(ABC, "a^-1")),
+     NotALoopError, "edge 'a' is not readable backwards at 'x'"),
+    (lambda: S.membership(PATH_SUB, W.parse_word(ABC, "a")),
+     NotALoopError, "word does not close up at the basepoint"),
+    (lambda: S.graph_of_subgroup(S.LabeledGraph(["*"], {"a": ("*", "*", "a")}), [w("a")]),
+     ConfigurationError, "base graph has no basepoint"),
+    (lambda: S.total_rank(S.LabeledGraph([0, 1], {})),
+     ConfigurationError, "total_rank requires a connected graph"),
+    (lambda: S.membership(S.GraphImmersion(S.LabeledGraph([0], {}), ROSE, {0: "*"}), w("a")),
+     ConfigurationError, "domain graph has no basepoint"),
+    (lambda: S.rewrite_to_kernel(S.KernelRewriting(modulus=5, alpha="a", beta="b"),
+                                 W.parse_word(ABC, "a c")),
+     DegenerateInputError, "kernel rewriting expects letters 'a'/'b', got 'c'"),
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
