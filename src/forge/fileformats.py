@@ -4,8 +4,8 @@ square complexes, and the JSON trace emitted by the encoder pipeline.
 All formats are line-oriented; blank lines and lines starting with `#` are
 ignored.  Every parser reports errors with 1-based line (and, where it makes
 sense, column) positions.  What a writer writes, its parser reads back
-equal; a square complex numbers its cells in file order, so a written one
-reads back to the same positions and writes the same bytes.
+equal; a graph and a square complex keep their cells in file order, so a
+written one reads back to the same positions and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def format_presentation(p):
 # and immersion files add `vmap <vertex> <base-vertex>` lines (`emap` lines
 # are accepted and checked against the labels, which already determine the
 # edge map).  Ids are plain whitespace-free tokens; decimal tokens are read
-# as integers so canonically relabeled graphs round-trip.
+# as integers so canonically relabeled graphs round-trip.  Vertices and
+# edges keep their file order, and a writer writes them in the graph's
+# order, so a graph forge wrote reads back and writes the same bytes.
 
 
 def _token(tok):
@@ -106,8 +108,7 @@ def _parse_cells(text, header):
     if not entries or entries[0][1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
-    vertices = []
-    edges, lines = {}, []
+    vertices, edges, lines = {}, {}, []
     basepoint = basepoint_line = None
     rest = []
     for i, line in entries[1:]:
@@ -116,7 +117,10 @@ def _parse_cells(text, header):
         if kind == "vertex":
             if len(args) != 1:
                 raise ParseError("vertex takes exactly one id", line=i)
-            vertices.append(_token(args[0]))
+            v = _token(args[0])
+            if v in vertices:
+                raise ParseError(f"duplicate vertex id {args[0]}", line=i)
+            vertices[v] = None
         elif kind == "edge":
             if len(args) != 4:
                 raise ParseError("edge takes id, src, dst, label", line=i)
@@ -250,8 +254,7 @@ def _in_file(name, read, *args):
 def _cell_lines(graph):
     """A graph's vertex, edge and basepoint lines."""
     out = [f"vertex {_id_str(v)}" for v in graph.vertices]
-    for eid in sorted(graph.edges, key=_id_str):
-        src, dst, label = graph.edges[eid]
+    for eid, (src, dst, label) in graph.edges.items():
         out.append(f"edge {_id_str(eid)} {_id_str(src)} {_id_str(dst)} {_id_str(label)}")
     if graph.basepoint is not None:
         out.append(f"basepoint {_id_str(graph.basepoint)}")

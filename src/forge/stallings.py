@@ -5,7 +5,9 @@ A subgroup of the fundamental group of a finite labeled base graph is
 represented by an immersion of a finite core graph into the base.  Edge
 labels of the domain are edge ids of the base.  All operations are pure;
 outputs are canonically relabeled so equal subgroups give byte-identical
-graphs.
+graphs over one base as given: the canonical form follows the order of the
+base's edges and, for a graph with no basepoint or several components, the
+order of its vertices.
 """
 
 from __future__ import annotations
@@ -21,25 +23,20 @@ from .words import MAX_WORD_LETTERS
 
 class LabeledGraph:
     """Finite directed graph; edges carry a label (a base-graph edge id).
+    Vertices and edges keep the order given, which is the only order the
+    operations here read; equality ignores it.
 
     For a base graph the label of every edge is its own id; a rose is a
     base graph with a single vertex.
     """
 
     def __init__(self, vertices, edges, basepoint=None):
-        self._validate(sorted(set(vertices), key=_id_key), edges, basepoint)
-
-    @classmethod
-    def _presorted(cls, vertices, edges, basepoint=None):
-        """A graph whose vertices are given distinct and in canonical
-        (`_id_key`) order already, so they are not sorted again."""
-        graph = cls.__new__(cls)
-        graph._validate(vertices, edges, basepoint)
-        return graph
-
-    def _validate(self, vertices, edges, basepoint):
         self.vertices = tuple(vertices)
         vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
+            raise ConfigurationError(
+                f"vertex {next(v for v in self.vertices if self.vertices.count(v) > 1)!r} "
+                "is repeated")
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
             if src not in vset or dst not in vset:
@@ -50,7 +47,7 @@ class LabeledGraph:
 
     def __eq__(self, other):
         return (isinstance(other, LabeledGraph)
-                and self.vertices == other.vertices
+                and set(self.vertices) == set(other.vertices)
                 and self.edges == other.edges
                 and self.basepoint == other.basepoint)
 
@@ -59,19 +56,15 @@ class LabeledGraph:
                 f"basepoint={self.basepoint!r})")
 
     def components(self):
-        """Vertex sets of the connected components, in canonical order."""
+        """Vertex lists of the connected components, each in vertex order,
+        ordered by first vertex."""
         return [vs for vs, _ in _component_data(self)]
-
-
-def _id_key(v):
-    return (0, v, "") if isinstance(v, int) else (1, 0, str(v)) \
-        if not isinstance(v, tuple) else (2, 0, tuple(_id_key(x) for x in v))
 
 
 def _component_data(graph):
     """(vertex list, edge count) of each connected component, from one
-    union-find pass.  `graph.vertices` is in canonical order, so the lists
-    come out sorted and ordered by least vertex without a sort."""
+    union-find pass: the lists keep `graph.vertices`' order and come out
+    ordered by first vertex."""
     index = {v: i for i, v in enumerate(graph.vertices)}
     parent = list(range(len(index)))
     for src, dst, _ in graph.edges.values():
@@ -169,8 +162,9 @@ def core(immersion):
 
 
 def canonical_form(immersion):
-    """Relabel vertices by BFS order from the basepoint (then least vertex
-    for any remaining components) and edges in (src, label) order."""
+    """Relabel vertices by BFS order from the basepoint (then from each
+    vertex not yet reached, in vertex order) and edges in (src, label)
+    order, labels in the base's edge order."""
     return _rebuilt(immersion, lambda *graph: graph, immersion.folded)
 
 
@@ -257,10 +251,10 @@ def _relabel(vertices, edges, bp, base_vertices, base, folded):
     construction here returns.  Vertices are numbered in BFS order from the
     basepoint, then from each of `vertices` not yet reached; neighbours are
     visited in (label, direction, position) order and edges numbered in
-    (source, label, target) order, labels in `_id_key` order, so labels of
-    mixed types compare.  `base_vertices` holds each position's image."""
-    rank = {label: r for r, label in enumerate(
-        sorted({label for _, _, label in edges}, key=_id_key))}
+    (source, label, target) order, labels ranked by their position in the
+    base's edges, so labels of mixed types need no comparison.
+    `base_vertices` holds each position's image."""
+    rank = {label: r for r, label in enumerate(base.edges)}
     # A neighbour is coded (2 rank + direction) n + position, so one
     # integer sort gives the visiting order.
     n = len(base_vertices)
@@ -284,7 +278,7 @@ def _relabel(vertices, edges, bp, base_vertices, base, folded):
                     number[u] = len(order)
                     order.append(u)
     edge_items = sorted((number[s], rank[label], number[d], label) for s, d, label in edges)
-    domain = LabeledGraph._presorted(
+    domain = LabeledGraph(
         range(len(order)),
         {i: (s, d, label) for i, (s, _, d, label) in enumerate(edge_items)},
         None if bp is None else number[bp])
@@ -341,7 +335,7 @@ def graph_of_subgroup(base, generators):
 
 
 def rank(graph):
-    """E - V + 1 for each connected component, keyed by least vertex."""
+    """E - V + 1 for each connected component, keyed by first vertex."""
     return {vs[0]: e - len(vs) + 1 for vs, e in _component_data(graph)}
 
 
@@ -398,12 +392,12 @@ def fibre_product(i1, i2):
 
     This is the one full construction: `forge fibre` reports it, and the
     malnormality certifiers build it only to name a witness, deciding every
-    other pair from the product edges alone (`_refutes`).  Components are
-    numbered by least vertex pair; the diagonal component is flagged only
-    when both factors are the same immersion.  The pairs are built with y1
-    in the first factor's vertex order and, within the fibre of i1(y1), y2
-    in the second's; both orders are canonical, so the pairs come out in
-    canonical order and are not sorted again.
+    other pair from the product edges alone (`_refutes`).  The pairs are
+    built with y1 in the first factor's vertex order and, within the fibre
+    of i1(y1), y2 in the second's; the edges (e1, e2) likewise, in the two
+    factors' edge orders.  Components are numbered by first vertex pair;
+    the diagonal component is flagged only when both factors are the same
+    immersion.
     """
     if i1.base != i2.base:
         raise BaseMismatchError("fibre product requires a common base graph")
@@ -414,19 +408,17 @@ def fibre_product(i1, i2):
         fibre.setdefault(i2.vmap[v2], []).append(v2)
     vertices = [(v1, v2) for v1 in g1.vertices for v2 in fibre.get(i1.vmap[v1], ())]
     by_label = {}
-    for e2 in sorted(g2.edges, key=_id_key):
-        s2, d2, label = g2.edges[e2]
+    for e2, (s2, d2, label) in g2.edges.items():
         by_label.setdefault(label, []).append((e2, s2, d2))
     edges = {}
-    for e1 in sorted(g1.edges, key=_id_key):
-        s1, d1, label = g1.edges[e1]
+    for e1, (s1, d1, label) in g1.edges.items():
         for e2, s2, d2 in by_label.get(label, ()):
             edges[(e1, e2)] = ((s1, s2), (d1, d2), label)
     bp = None
     if g1.basepoint is not None and g2.basepoint is not None \
             and i1.vmap[g1.basepoint] == i2.vmap[g2.basepoint]:
         bp = (g1.basepoint, g2.basepoint)
-    total = LabeledGraph._presorted(vertices, edges, bp)
+    total = LabeledGraph(vertices, edges, bp)
     comps = []
     for idx, (vs, e) in enumerate(_component_data(total)):
         r = e - len(vs) + 1
@@ -674,7 +666,7 @@ def translate(immersion, element):
     if basepoint is not None and base.basepoint is not None \
             and vmap[basepoint] != base.basepoint:
         basepoint = None
-    domain = LabeledGraph._presorted(graph.vertices, edges, basepoint)
+    domain = LabeledGraph(graph.vertices, edges, basepoint)
     return GraphImmersion(domain, base, vmap, folded=immersion.folded)
 
 

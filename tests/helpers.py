@@ -219,11 +219,6 @@ def invariant_factors_oracle(matrix):
 # `translate` and an action's generator (`maps(1)`) come from forge.
 
 
-def _id_key(v):
-    return (0, v, "") if isinstance(v, int) else (1, 0, str(v)) \
-        if not isinstance(v, tuple) else (2, 0, tuple(_id_key(x) for x in v))
-
-
 def _find(parent, x):
     root = x
     while parent[root] != root:
@@ -236,35 +231,33 @@ def _find(parent, x):
 def _union(parent, x, y):
     rx, ry = _find(parent, x), _find(parent, y)
     if rx != ry:
-        if _id_key(ry) < _id_key(rx):
-            rx, ry = ry, rx
         parent[ry] = rx
 
 
 def _oracle_violation(graph):
     out = {}
     inc = {}
-    for eid in sorted(graph.edges, key=_id_key):
-        src, dst, label = graph.edges[eid]
+    for eid, (src, dst, label) in graph.edges.items():
         out.setdefault((src, label), []).append(eid)
         inc.setdefault((dst, label), []).append(eid)
     for v in graph.vertices:
-        for (u, label), eids in sorted(out.items(), key=lambda kv: _id_key(kv[0][1])):
+        for (u, label), eids in out.items():
             if u == v and len(eids) > 1:
                 return eids[0], eids[1]
-        for (u, label), eids in sorted(inc.items(), key=lambda kv: _id_key(kv[0][1])):
+        for (u, label), eids in inc.items():
             if u == v and len(eids) > 1:
                 return eids[0], eids[1]
     return None
 
 
 def _oracle_quotient_graph(vertices, edges, parent, basepoint):
+    """The quotient graph, each class named by its root and placed where
+    its first vertex stands in `vertices`."""
     from forge.stallings import LabeledGraph
-    vs = sorted({_find(parent, v) for v in vertices}, key=_id_key)
+    vs = list(dict.fromkeys(_find(parent, v) for v in vertices))
     es = {}
     seen = {}
-    for eid in sorted(edges, key=_id_key):
-        src, dst, label = edges[eid]
+    for eid, (src, dst, label) in edges.items():
         key = (_find(parent, src), _find(parent, dst), label)
         if key in seen:
             continue
@@ -275,15 +268,19 @@ def _oracle_quotient_graph(vertices, edges, parent, basepoint):
 
 
 def oracle_canonical_form(immersion):
+    """BFS from the basepoint, then from each vertex not yet reached in
+    vertex order; neighbours by (label, direction, vertex position), labels
+    in the base's edge order."""
     from forge.stallings import GraphImmersion, LabeledGraph
     graph = immersion.domain
+    label_rank = {label: r for r, label in enumerate(immersion.base.edges)}
+    position = {v: k for k, v in enumerate(graph.vertices)}
     order = []
     seen = set()
     adjacency = {}
-    for eid in sorted(graph.edges, key=_id_key):
-        src, dst, label = graph.edges[eid]
-        adjacency.setdefault(src, []).append((label, 0, dst))
-        adjacency.setdefault(dst, []).append((label, 1, src))
+    for src, dst, label in graph.edges.values():
+        adjacency.setdefault(src, []).append((label_rank[label], 0, position[dst], dst))
+        adjacency.setdefault(dst, []).append((label_rank[label], 1, position[src], src))
     starts = []
     if graph.basepoint is not None:
         starts.append(graph.basepoint)
@@ -296,14 +293,14 @@ def oracle_canonical_form(immersion):
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for _, _, u in sorted(adjacency.get(v, [])):
+            for _, _, _, u in sorted(adjacency.get(v, [])):
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
     rename = {v: i for i, v in enumerate(order)}
     edge_items = sorted(
         ((rename[src], label, rename[dst]) for src, dst, label in graph.edges.values()),
-        key=lambda t: (t[0], _id_key(t[1]), t[2]))
+        key=lambda t: (t[0], label_rank[t[1]], t[2]))
     edges = {i: (src, dst, label) for i, (src, label, dst) in enumerate(edge_items)}
     bp = rename[graph.basepoint] if graph.basepoint is not None else None
     domain = LabeledGraph(range(len(order)), edges, bp)
@@ -336,17 +333,17 @@ def oracle_fold(morphism):
 def oracle_core(immersion):
     from forge.stallings import GraphImmersion, LabeledGraph
     graph = immersion.domain
-    vertices = set(graph.vertices)
+    vertices = list(graph.vertices)
     edges = dict(graph.edges)
     while True:
-        removable = [v for v in sorted(vertices, key=_id_key)
+        removable = [v for v in vertices
                      if v != graph.basepoint
                      and sum((src == v) + (dst == v)
                              for src, dst, _ in edges.values()) <= 1]
         if not removable:
             break
         for v in removable:
-            vertices.discard(v)
+            vertices.remove(v)
             edges = {eid: e for eid, e in edges.items() if v not in (e[0], e[1])}
     trimmed = LabeledGraph(vertices, edges, graph.basepoint)
     vmap = {v: immersion.vmap[v] for v in trimmed.vertices}
@@ -361,8 +358,7 @@ def oracle_components(graph):
     comps = {}
     for v in graph.vertices:
         comps.setdefault(_find(parent, v), []).append(v)
-    return sorted((sorted(vs, key=_id_key) for vs in comps.values()),
-                  key=lambda vs: _id_key(vs[0]))
+    return list(comps.values())
 
 
 def oracle_rank(graph):
@@ -381,10 +377,8 @@ def oracle_fibre_product(i1, i2):
     vertices = [(v1, v2) for v1 in i1.domain.vertices for v2 in i2.domain.vertices
                 if i1.vmap[v1] == i2.vmap[v2]]
     edges = {}
-    for e1 in sorted(i1.domain.edges, key=_id_key):
-        s1, d1, l1 = i1.domain.edges[e1]
-        for e2 in sorted(i2.domain.edges, key=_id_key):
-            s2, d2, l2 = i2.domain.edges[e2]
+    for e1, (s1, d1, l1) in i1.domain.edges.items():
+        for e2, (s2, d2, l2) in i2.domain.edges.items():
             if l1 == l2:
                 edges[(e1, e2)] = ((s1, s2), (d1, d2), l1)
     bp = None

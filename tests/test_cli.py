@@ -81,7 +81,7 @@ class TestGraphCommands:
 
     def test_fold_and_core_of_mixed_label_types(self, workdir, capsys):
         # Edge ids `1` and `a` read as an int and a name; labels order as
-        # ints before names, so the 1-edge comes first.
+        # the base lists them, so the 1-edge comes first.
         (workdir / "mixed_base.txt").write_text(
             "base\nvertex v\nedge 1 v v 1\nedge a v v a\nbasepoint v\n")
         (workdir / "mixed.txt").write_text(
@@ -100,6 +100,21 @@ class TestGraphCommands:
             "graph", "base mixed_base.txt", "vertex 0", "edge 0 0 0 a",
             "basepoint 0", "vmap 0 v", "command: core", "status: certified",
             digest, "vertices: 1", "edges: 1"]
+
+    def test_fold_writes_edges_in_numeric_order_and_again_the_same_bytes(
+            self, workdir, capsys):
+        (workdir / "ring.txt").write_text(
+            "graph\nbase base.txt\n"
+            + "".join(f"vertex {v}\n" for v in range(12))
+            + "".join(f"edge r{v} {v} {(v + 1) % 12} a\n" for v in range(12))
+            + "basepoint 0\n")
+        first, again = workdir / "fold1.txt", workdir / "fold2.txt"
+        assert run(capsys, "fold", workdir / "ring.txt", "--out", first)[0] == 0
+        written = first.read_text()
+        assert [line.split()[1] for line in written.splitlines()
+                if line.startswith("edge ")] == [str(k) for k in range(12)]
+        assert run(capsys, "fold", first, "--out", again)[0] == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_fibre_reports_components(self, workdir, capsys):
         code, out = run(capsys, "fibre", workdir / "sub.txt", workdir / "sub.txt")
@@ -138,6 +153,28 @@ class TestGraphCommands:
             "command: malnormal", "status: refuted",
             "input graph0: sha256:f7ad521c5a4ff737",
             "witness pair: 0,0", "witness component: vertices=1 edges=1 rank=1"]
+
+    def test_bases_in_another_vertex_order_are_one_base(self, workdir, capsys):
+        # The same two-vertex base and graph, with their `vertex` lines in
+        # the other order: one base and one immersion, so the product's one
+        # component is diagonal, and the pair refutes off the self products.
+        pq = "base\nvertex p\nvertex q\nedge a p q a\nedge b q p b\nbasepoint p\n"
+        (workdir / "pq.txt").write_text(pq)
+        (workdir / "qp.txt").write_text(pq.replace("vertex p\nvertex q", "vertex q\nvertex p"))
+        cycle = ("graph\nbase {}\nvertex 0\nvertex 1\nedge e0 0 1 a\nedge e1 1 0 b\n"
+                 "basepoint 0\nvmap 0 p\nvmap 1 q\n")
+        (workdir / "g1.txt").write_text(cycle.format("pq.txt"))
+        (workdir / "g2.txt").write_text(
+            cycle.format("qp.txt").replace("vertex 0\nvertex 1", "vertex 1\nvertex 0"))
+        code, out = run(capsys, "fibre", workdir / "g1.txt", workdir / "g2.txt")
+        assert code == 0
+        assert untimed_lines(out)[4:] == [
+            "components: 1",
+            "component 0: vertices=2 edges=2 rank=1 tree=False diagonal=True"]
+        code, out = run(capsys, "malnormal", workdir / "g1.txt", workdir / "g2.txt")
+        assert code == 1
+        assert untimed_lines(out)[4:] == [
+            "witness pair: 0,1", "witness component: vertices=2 edges=2 rank=1"]
 
     def test_malnormal_base_mismatch_is_one_error_line(self, workdir, capsys):
         # <a> certifies on its own, so the scan reaches the pair over two bases.

@@ -37,14 +37,18 @@ class TestGraphBasics:
         with pytest.raises(ConfigurationError):
             S.LabeledGraph([0], {0: (0, 1, "a")})
 
-    def test_presorted_validates_like_init(self):
+    def test_refusals_and_the_order_given(self):
         with pytest.raises(ConfigurationError, match="endpoint outside"):
-            S.LabeledGraph._presorted([0], {0: (0, 1, "a")})
+            S.LabeledGraph([0], {0: (0, 1, "a")})
         with pytest.raises(ConfigurationError, match="basepoint 1 is not a vertex"):
-            S.LabeledGraph._presorted([0], {}, 1)
+            S.LabeledGraph([0], {}, 1)
+        with pytest.raises(ConfigurationError, match="vertex 'x' is repeated"):
+            S.LabeledGraph([0, "x", 1, "x"], {})
         edges = {"e": (0, "x", "e")}
-        assert S.LabeledGraph._presorted([0, 1, "x"], edges, 1) \
-            == S.LabeledGraph(["x", 1, 0], edges, 1)
+        graph = S.LabeledGraph(["x", 1, 0], edges, 1)
+        assert graph.vertices == ("x", 1, 0)
+        assert graph == S.LabeledGraph([0, 1, "x"], edges, 1)
+        assert graph != S.LabeledGraph([0, 1, "x", "y"], edges, 1)
 
     def test_components(self):
         g = S.LabeledGraph([0, 1, 2], {"e": (0, 1, "e")})
@@ -66,7 +70,7 @@ class TestFolding:
 
     def test_labels_of_mixed_types(self):
         """Edge ids 1 and "a", an int and a name as a file gives them, order
-        as ints before names (`_id_key`) at every step: z, reached by the
+        as the base lists them, 1 before a, at every step: z, reached by the
         1-edge, is numbered before y, reached by the a-edge."""
         base = S.LabeledGraph(["v"], {1: ("v", "v", 1), "a": ("v", "v", "a")}, "v")
         graph = S.LabeledGraph(["x", "y", "z"], {"e0": ("x", "y", "a"), "e1": ("x", "z", 1),
