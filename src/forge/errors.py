@@ -22,7 +22,13 @@ class BaseMismatchError(ForgeError):
 
 
 class ConfigurationError(ForgeError):
-    """A graph is missing structure (e.g. a basepoint) required by an operation."""
+    """A graph is missing structure (e.g. a basepoint) required by an
+    operation.  `cell` names the one cell at fault, where there is one:
+    ("vertex", id), ("edge", id) or ("basepoint", id)."""
+
+    def __init__(self, message, cell=None):
+        super().__init__(message)
+        self.cell = cell
 
 
 class InvalidActionError(ForgeError):

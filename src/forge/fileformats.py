@@ -79,9 +79,11 @@ def format_presentation(p):
 # and immersion files add `vmap <vertex> <base-vertex>` lines (`emap` lines
 # are accepted and checked against the labels, which already determine the
 # edge map).  Ids are plain whitespace-free tokens; decimal tokens are read
-# as integers so canonically relabeled graphs round-trip.  Vertices and
-# edges keep their file order, and a writer writes them in the graph's
-# order, so a graph forge wrote reads back and writes the same bytes.
+# as integers so canonically relabeled graphs round-trip, and a writer
+# refuses an id that its token would not read back as (the name "1", or
+# True).  Vertices and edges keep their file order, and a writer writes
+# them in the graph's order, so a graph forge wrote reads back and writes
+# the same bytes.
 
 
 def _token(tok):
@@ -94,22 +96,28 @@ def _token(tok):
 
 
 def _id_str(x):
+    """The token of id x, which `_token` must read back as x.  Two ids that
+    each read back from one token are equal, so no two ids of a graph write
+    alike."""
     s = str(x)
     if not s or any(c.isspace() for c in s):
         raise ParseError(f"id {x!r} is not writable as a single token")
+    if (back := _token(s)) != x:
+        raise ParseError(f"id {x!r} is written as {s}, which reads back as {back!r}")
     return s
 
 
 def _parse_cells(text, header):
     """Check a graph file's header line and build the graph of its vertex,
-    edge and basepoint lines; returns it and the remaining (line number,
-    line)s."""
+    edge and basepoint lines; returns it, the remaining (line number,
+    line)s and the line of each cell, keyed as a ConfigurationError names
+    it: ("vertex", id), ("edge", id) and ("basepoint", id)."""
     entries = list(_lines(text))
     if not entries or entries[0][1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
-    vertices, edges, lines = {}, {}, []
-    basepoint = basepoint_line = None
+    vertices, edges, lines = {}, {}, {}
+    basepoint = None
     rest = []
     for i, line in entries[1:]:
         parts = line.split()
@@ -121,6 +129,7 @@ def _parse_cells(text, header):
             if v in vertices:
                 raise ParseError(f"duplicate vertex id {args[0]}", line=i)
             vertices[v] = None
+            lines["vertex", v] = i
         elif kind == "edge":
             if len(args) != 4:
                 raise ParseError("edge takes id, src, dst, label", line=i)
@@ -128,20 +137,21 @@ def _parse_cells(text, header):
             if eid in edges:
                 raise ParseError(f"duplicate edge id {args[0]}", line=i)
             edges[eid] = (_token(args[1]), _token(args[2]), _token(args[3]))
-            lines.append(i)
+            lines["edge", eid] = i
         elif kind == "basepoint":
             if len(args) != 1:
                 raise ParseError("basepoint takes exactly one id", line=i)
             if basepoint is not None:
                 raise ParseError("duplicate basepoint line", line=i)
-            basepoint, basepoint_line = _token(args[0]), i
+            basepoint = _token(args[0])
+            lines["basepoint", basepoint] = i
         else:
             rest.append((i, line))
     try:
-        return LabeledGraph(vertices, edges, basepoint), rest
+        return LabeledGraph(vertices, edges, basepoint), rest, lines
     except ConfigurationError as exc:   # an endpoint or basepoint no vertex line names
-        _check_ends(vertices, edges, lines, "graph")
-        raise ParseError(str(exc), line=basepoint_line) from exc
+        _check_ends(vertices, edges, [lines["edge", e] for e in edges], "graph")
+        raise ParseError(str(exc), line=lines.get(("basepoint", basepoint))) from exc
 
 
 def _check_ends(vertices, edges, lines, where):
@@ -157,7 +167,7 @@ def _check_ends(vertices, edges, lines, where):
 
 def parse_base_graph(text):
     """Parse a base-graph file (header `base`; labels must equal edge ids)."""
-    base, rest = _parse_cells(text, "base")
+    base, rest, _ = _parse_cells(text, "base")
     if rest:
         i, line = rest[0]
         raise ParseError(f"unexpected line in base file: {line!r}", line=i)
@@ -174,7 +184,13 @@ def parse_graph_file(text):
     `base_path` is the reference from the `base <path>` line (None when
     absent); `vmap` maps domain vertices to base vertices and may be partial
     (missing entries are resolved by the loader)."""
-    graph, rest = _parse_cells(text, "graph")
+    return _read_graph_file(text)[:3]
+
+
+def _read_graph_file(text):
+    """parse_graph_file's (graph, base_path, vmap) and the line of each
+    cell, as `_parse_cells` keys them, with ("vmap", v) for v's vmap line."""
+    graph, rest, lines = _parse_cells(text, "graph")
     base_path = None
     vmap = {}
     for i, line in rest:
@@ -189,7 +205,9 @@ def parse_graph_file(text):
         elif kind == "vmap":
             if len(args) != 2:
                 raise ParseError("vmap takes vertex and base vertex", line=i)
-            vmap[_token(args[0])] = _token(args[1])
+            v = _token(args[0])
+            vmap[v] = _token(args[1])
+            lines["vmap", v] = i
         elif kind == "emap":
             # The edge map is determined by the labels; accept and check.
             if len(args) != 2:
@@ -200,7 +218,7 @@ def parse_graph_file(text):
                     f"emap for {args[0]} contradicts the edge label", line=i)
         else:
             raise ParseError(f"unexpected line in graph file: {line!r}", line=i)
-    return graph, base_path, vmap
+    return graph, base_path, vmap, lines
 
 
 def resolve_immersion(graph, base, vmap, folded=True):
@@ -208,6 +226,16 @@ def resolve_immersion(graph, base, vmap, folded=True):
 
     Missing vmap entries are only resolvable when the base has exactly one
     vertex (a rose); otherwise they are an error."""
+    return _resolve(graph, base, vmap, folded, {})
+
+
+def _resolve(graph, base, vmap, folded, lines):
+    """resolve_immersion, with each refusal at the line of the cell at
+    fault, read from `lines` as `_read_graph_file` keeps them: a vertex's
+    vmap line where it has one, else the line that names the cell."""
+    def line_of(cell):
+        return (cell[0] == "vertex" and lines.get(("vmap", cell[1]))) or lines.get(cell)
+
     vmap = dict(vmap)
     for v in graph.vertices:
         if v not in vmap:
@@ -215,11 +243,11 @@ def resolve_immersion(graph, base, vmap, folded=True):
                 vmap[v] = base.vertices[0]
             else:
                 raise ParseError(f"no vmap entry for vertex {v!r} "
-                                 "and the base is not a rose")
+                                 "and the base is not a rose", line=line_of(("vertex", v)))
     try:
         return GraphImmersion(graph, base, vmap, folded=folded)
     except ConfigurationError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), line=exc.cell and line_of(exc.cell)) from exc
 
 
 def load_immersion(path, folded=True):
@@ -231,13 +259,13 @@ def load_immersion(path, folded=True):
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    graph, base_path, vmap = _in_file(path, parse_graph_file, text)
+    graph, base_path, vmap, lines = _in_file(path, _read_graph_file, text)
     if base_path is None:
         raise ParseError(f"{path}: graph file has no base line")
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     with open(full, encoding="utf-8") as fh:
         base = _in_file(base_path, parse_base_graph, fh.read())
-    return _in_file(path, resolve_immersion, graph, base, vmap, folded), base_path, text
+    return _in_file(path, _resolve, graph, base, vmap, folded, lines), base_path, text
 
 
 def _in_file(name, read, *args):

@@ -3,6 +3,10 @@
 A matrix is a list of sparse rows, dicts column -> int; columns may be any
 hashable, and zero entries are dropped on read.  The kernel works on copies
 of the rows with a column -> rows index, and no dense matrix is built.
+A C-level pass looks for a zero first: without one, which is the rule
+for boundary rows, each row is copied by one C-level dict copy, and only
+a matrix that holds a zero (exponent rows of cancelling letters) is read
+row by row without its zeros.
 
 A pivot step on entry p at (row i, column j) first reduces column j by row
 operations, leaving each other row its remainder there.  Once that column
@@ -46,7 +50,10 @@ def smith_normal_form(matrix):
         total = None
     if type(total) is not int:
         raise ValueError("matrix rows must be dicts with int entries")
-    rows = [{j: v for j, v in row.items() if v} for row in matrix]
+    if all(map(all, map(dict.values, matrix))):
+        rows = list(map(dict, matrix))
+    else:
+        rows = [{j: v for j, v in row.items() if v} for row in matrix]
     column = {}
     for i, row in enumerate(rows):
         for j in row:

@@ -8,9 +8,12 @@ reverse is (e, -s), is one integer code 2 * (position of e) + (s > 0), so
 reversing flips the low bit; a square is its four codes, the least of
 the eight dihedral readings of its boundary.  No pair is kept:
 `SquareComplex.code` reads one in, `directed` and `squares` decode on
-demand.  The link condition is read off one pass over the square
-corners, each an arc between two codes.  Spanning forests keep the code
-of the edge into each vertex, and pi1 the letter of each code.
+demand, and the S(P) builder makes none: it numbers each edge as it
+writes it and hands its squares over as codes.  The link condition is
+read off one pass over the square corners, each an arc between two
+codes.  Spanning forests keep the code of the edge into each vertex, and
+pi1 the letter of each code; a complex grows its own spanning forest
+once and keeps it for its component count, pi1 and H_1.
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
 from .snf import smith_normal_form
-
-
-def reverse(d):
-    e, s = d
-    return (e, -s)
 
 
 def _path_codes(complex_, path, kind):
@@ -48,7 +46,8 @@ class SquareComplex:
     `position` maps it to its position.  The directed edge (e, s) has code
     2 * position[e] + (s > 0) and ends at vertex position `head[code]`;
     `square_codes[q]` holds the codes of square q.  These are all it
-    stores of directed edges and squares."""
+    stores of directed edges and squares; `spanning_forest` keeps one
+    byte per edge once it is asked for."""
 
     def __init__(self, vertices, edges, squares=()):
         self.vertex_order = tuple(dict.fromkeys(vertices))
@@ -61,6 +60,7 @@ class SquareComplex:
         position = self.position = {e: p for p, e in enumerate(self.edge_order)}
         self.head = [place[v] for ends in self.edges.values() for v in ends]
         self.square_codes = []
+        self._forest = None
         low_bit = {1: 1, -1: 0}   # sign -> the low bit of its code
         for sq in squares:
             try:
@@ -114,11 +114,20 @@ class SquareComplex:
     def euler_characteristic(self):
         return len(self.vertices) - len(self.edges) + len(self.square_codes)
 
+    def spanning_forest(self):
+        """The BFS spanning forest over all edges in order, grown from each
+        vertex position in turn that no earlier tree reached: one byte per
+        edge position, 1 on the forest.  Squares never change it, so it is
+        grown once and kept; callers only read it."""
+        if self._forest is None:
+            self._forest = _bfs_forest(self, range(len(self.edge_order)),
+                                       range(len(self.vertex_order)))[1]
+        return self._forest
+
     def component_count(self):
         """Number of connected components (0 for the empty complex): V less
-        the edges of a spanning forest."""
-        forest = _bfs_forest(self, range(len(self.edge_order)), range(len(self.vertices)))[1]
-        return len(self.vertices) - len(forest)
+        the edges of the spanning forest."""
+        return len(self.vertices) - self.spanning_forest().count(1)
 
     def is_connected(self):
         return self.component_count() <= 1
@@ -163,12 +172,13 @@ def check_link_condition(complex_):
     triangle, i.e. girth >= 4.  Returns (ok, violations).
 
     One pass over the corners finds them all: a node's code fixes its
-    vertex, so one dict of node pairs finds the bigons and one adjacency
-    of codes the triangles, with no per-vertex link.  Violations are listed
+    vertex, so one dict of node pairs finds the bigons and one list of
+    neighbour sets, indexed by code, the triangles, with no per-vertex
+    link; a code with no neighbour gets no set.  Violations are listed
     vertex by vertex in `vertex_order`: loops and bigons in corner order,
     then the triangles (a, b, c), a < b < c, by ascending codes."""
     n = len(complex_.head)
-    loops, first, bigons, adjacency = [], {}, [], {}
+    loops, first, bigons, adjacency = [], {}, [], [None] * n
     for i, (a, b) in enumerate(_corners(complex_)):
         if a == b:
             loops.append(i)
@@ -180,11 +190,17 @@ def check_link_condition(complex_):
                 bigons.append((j, i))
                 first[pair] = -1
             continue
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+        if (around := adjacency[a]) is None:
+            adjacency[a] = {b}
+        else:
+            around.add(b)
+        if (around := adjacency[b]) is None:
+            adjacency[b] = {a}
+        else:
+            around.add(a)
     triangles = []
-    for a, around_a in adjacency.items():
-        for b in around_a:
+    for a, around_a in enumerate(adjacency):
+        for b in around_a or ():
             if a < b:
                 around_b = adjacency[b]
                 if not around_a.isdisjoint(around_b):
@@ -249,74 +265,76 @@ def one_square_torus():
 # complex per relator, and a one-square-high cylinder gluing each relator
 # loop to the chosen loop in its copy.  Every cell id says where it lies:
 # ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.  Each id
-# is made once, held in index tables (an edge's points and unit edges, a
-# square's grid of points), and every later use reads it from there.  Cells
-# are written in one fixed order, and their positions are that order.
+# is made once, and each edge takes its code as it is made: the edge at
+# position p, the p-th written, runs forwards as 2p + 1.  An edge's points
+# and unit edge codes are held in index tables, and every later use reads
+# them from there, so each square is four codes from the start.
 
 
-def _along(seq, s):
-    """seq read in direction s: as given for s = 1, reversed for s = -1."""
-    return seq if s > 0 else seq[::-1]
+def _along(seq, forward):
+    """seq read forwards, or backwards where `forward` is false."""
+    return seq if forward else seq[::-1]
 
 
-def _unit_path(units, s):
-    """The directed unit edges covering an edge cut into `units`, read in
-    direction s."""
-    return [(u, s) for u in _along(units, s)]
+def _unit_path(units, forward):
+    """The codes of the unit edges covering an edge cut into the forward
+    codes `units`, read forwards or backwards."""
+    return units if forward else [u ^ 1 for u in reversed(units)]
 
 
 def _cut(vertices, edges, src, dst, point, unit, n):
     """Write an edge from src to dst cut into n unit edges unit + (t,),
     t < n, through the points point + (t,), 0 < t < n.  Returns its
-    n + 1 points, src and dst included, and its n unit edge ids."""
+    n + 1 points, src and dst included, and the forward codes of its n
+    unit edges."""
     inner = [point + (t,) for t in range(1, n)]
     vertices.update(dict.fromkeys(inner))
-    points, units = [src, *inner, dst], [unit + (t,) for t in range(n)]
-    for t, u in enumerate(units):
-        edges[u] = (points[t], points[t + 1])
-    return points, units
+    points, first = [src, *inner, dst], 2 * len(edges) + 1
+    for t in range(n):
+        edges[unit + (t,)] = (points[t], points[t + 1])
+    return points, range(first, first + 2 * n, 2)
 
 
 def _add_scaled_copy(x, ell, j, vertices, edges, squares):
-    """Write copy j of x into S(P)'s vertices, edges and squares, with
-    every edge of x cut into ell unit edges and every square into an
-    ell x ell grid of unit squares; return the unit edge ids of each edge
-    of x.  Each id is made once: an edge's points share its corners' ids,
-    and a square's grid of points shares its sides' lists."""
-    corner = {v: ("copy", j, "v", v) for v in x.vertices}
-    vertices.update(dict.fromkeys(corner.values()))
-    points, units = {}, {}
-    for e, (u, w) in x.edges.items():
-        points[e], units[e] = _cut(vertices, edges, corner[u], corner[w],
-                                   ("copy", j, "p", e), ("copy", j, "e", e), ell)
-    for qi, ((e1, s1), (e2, s2), (e3, s3), (e4, s4)) in enumerate(x.squares):
-        # The boundary runs (e1, s1) rightwards along the bottom, (e2, s2) up
-        # the right side, (e3, s3) back along the top and (e4, s4) down the
-        # left side.  grid[a][b] is the point a units right and b up;
-        # rows[b][a] and cols[a][b] are the unit edges leaving it rightwards
-        # and upwards.
-        bottom, top = _along(points[e1], s1), _along(points[e3], -s3)
-        grid = [_along(points[e4], -s4)]
+    """Write copy j of x into S(P)'s vertices and edges and append its
+    squares' codes to `squares`, with every edge of x cut into ell unit
+    edges and every square into an ell x ell grid of unit squares; return
+    each edge of x's points and unit edge codes, by its position in x.
+    Each id is made once: an edge's points share its corners' ids, and a
+    square's grid of points shares its sides' lists."""
+    corner = [("copy", j, "v", v) for v in x.vertex_order]
+    vertices.update(dict.fromkeys(corner))
+    head, cut = x.head, []
+    for p, e in enumerate(x.edge_order):
+        cut.append(_cut(vertices, edges, corner[head[2 * p]], corner[head[2 * p + 1]],
+                        ("copy", j, "p", e), ("copy", j, "e", e), ell))
+    for qi, (c1, c2, c3, c4) in enumerate(x.square_codes):
+        # The boundary runs c1 rightwards along the bottom, c2 up the right
+        # side, c3 back along the top and c4 down the left side.  grid[a][b]
+        # is the point a units right and b up; rows[b][a] and cols[a][b] are
+        # the codes of the unit edges leaving it rightwards and upwards.
+        (p1, u1), (p2, u2), (p3, u3), (p4, u4) = (
+            cut[c1 >> 1], cut[c2 >> 1], cut[c3 >> 1], cut[c4 >> 1])
+        f1, f2, f3, f4 = c1 & 1, c2 & 1, not c3 & 1, not c4 & 1
+        bottom, top = _along(p1, f1), _along(p3, f3)
+        grid = [_along(p4, f4)]
         for a in range(1, ell):
             inner = [("copy", j, "i", qi, a, b) for b in range(1, ell)]
             vertices.update(dict.fromkeys(inner))
             grid.append([bottom[a], *inner, top[a]])
-        grid.append(_along(points[e2], s2))
-        rows = [_unit_path(units[e1], s1),
-                *([(("copy", j, "h", qi, a, b), 1) for a in range(ell)] for b in range(1, ell)),
-                _unit_path(units[e3], -s3)]
-        cols = [_unit_path(units[e4], -s4),
-                *([(("copy", j, "u", qi, a, b), 1) for b in range(ell)] for a in range(1, ell)),
-                _unit_path(units[e2], s2)]
+        grid.append(_along(p2, f2))
+        rows = [_unit_path(u1, f1), *([0] * ell for _ in range(1, ell)), _unit_path(u3, f3)]
+        cols = [_unit_path(u4, f4), *([0] * ell for _ in range(1, ell)), _unit_path(u2, f2)]
         for a in range(ell):
             for b in range(ell):
                 if a + 1 < ell:
-                    edges[cols[a + 1][b][0]] = (grid[a + 1][b], grid[a + 1][b + 1])
+                    cols[a + 1][b] = 2 * len(edges) + 1
+                    edges[("copy", j, "u", qi, a + 1, b)] = (grid[a + 1][b], grid[a + 1][b + 1])
                 if b + 1 < ell:
-                    edges[rows[b + 1][a][0]] = (grid[a][b + 1], grid[a + 1][b + 1])
-                squares.append((rows[b][a], cols[a + 1][b],
-                                reverse(rows[b + 1][a]), reverse(cols[a][b])))
-    return units
+                    rows[b + 1][a] = 2 * len(edges) + 1
+                    edges[("copy", j, "h", qi, a, b + 1)] = (grid[a][b + 1], grid[a + 1][b + 1])
+                squares.append((rows[b][a], cols[a + 1][b], rows[b + 1][a] ^ 1, cols[a][b] ^ 1))
+    return cut
 
 
 @dataclass
@@ -356,23 +374,34 @@ def build_S_of_P(p, x, gamma):
 
     star = ("rose", "*")
     vertices, edges, squares = {star: None}, {}, []
-    rose = {g: _cut(vertices, edges, star, star, ("rose", g), ("rose", g), k)[1]
+    rose = {g: _cut(vertices, edges, star, star, ("rose", g), ("rose", g), k)
             for g in p.generators}
     for j, r in enumerate(p.relators):
-        ell = len(r.letters)
-        units = _add_scaled_copy(x, ell, j, vertices, edges, squares)
-        bottom = [d for g, s in r.letters for d in _unit_path(rose[g], s)]
-        top = [d for e, s in gamma.edges for d in _unit_path(units[e], s)]
-        n_units = k * ell
-        # Cylinder edge s runs from where bottom[s] starts to where top[s] does.
-        for s, ((b, sb), (t, st)) in enumerate(zip(bottom, top)):
-            edges[("cyl", j, s)] = (edges[b][sb < 0], edges[t][st < 0])
+        cut = _add_scaled_copy(x, len(r.letters), j, vertices, edges, squares)
+        # The relator loop along the rose and the gamma loop in copy j: the
+        # codes of their unit edges and the point where each one starts.
+        bottom, bottom_at, top, top_at = [], [], [], []
+        for g, s in r.letters:
+            points, units = rose[g]
+            bottom += _unit_path(units, s > 0)
+            bottom_at += _along(points, s > 0)[:-1]
+        for c in gamma.codes:
+            points, units = cut[c >> 1]
+            top += _unit_path(units, c & 1)
+            top_at += _along(points, c & 1)[:-1]
+        # Cylinder edge s runs from where bottom[s] starts to where top[s]
+        # does; its code is cyl + 2s.
+        cyl, n_units = 2 * len(edges) + 1, len(bottom)
         for s in range(n_units):
-            squares.append((bottom[s], (("cyl", j, s + 1) if s + 1 < n_units
-                                        else ("cyl", j, 0), 1),
-                            reverse(top[s]), (("cyl", j, s), -1)))
+            edges[("cyl", j, s)] = (bottom_at[s], top_at[s])
+        for s in range(n_units):
+            squares.append((bottom[s], cyl + 2 * ((s + 1) % n_units),
+                            top[s] ^ 1, (cyl + 2 * s) ^ 1))
 
-    return BuiltComplex(SquareComplex(vertices, edges, squares))
+    complex_ = SquareComplex(vertices, edges)
+    for codes in squares:
+        complex_.add_square(codes)
+    return BuiltComplex(complex_)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +412,14 @@ def _bfs_forest(complex_, positions, roots):
     """BFS forest over the edges at these positions (explored in the order
     given), grown from each root in turn that no earlier tree reached.
     Returns per vertex position None for a root, -1 if unreached, else the
-    code c of the forest edge into it (c leaves head[c ^ 1]), and the set
-    of forest edge positions."""
+    code c of the forest edge into it (c leaves head[c ^ 1]), and one byte
+    per edge position of the complex, 1 on the forest."""
     head = complex_.head
     leaving = [[] for _ in complex_.vertex_order]   # the codes leaving each vertex
     for p in positions:
         leaving[head[2 * p]].append(2 * p + 1)
         leaving[head[2 * p + 1]].append(2 * p)
-    parent, forest = [-1] * len(leaving), set()
+    parent, forest = [-1] * len(leaving), bytearray(len(complex_.edge_order))
     for start in roots:
         if parent[start] != -1:
             continue
@@ -401,7 +430,7 @@ def _bfs_forest(complex_, positions, roots):
                 u = head[c]
                 if parent[u] == -1:
                     parent[u] = c
-                    forest.add(c >> 1)
+                    forest[c >> 1] = 1
                     queue.append(u)
     return parent, forest
 
@@ -423,15 +452,18 @@ def pi1_presentation(complex_):
 
 def _pi1_with_letters(complex_):
     """The presentation over the BFS tree from vertex position 0, edges
-    explored in canonical order, and the letter of each code: (g, 1) and
-    (g, -1) for the two directions of non-tree edge g, None on the tree."""
+    explored in the order given, and the letter of each code: (g, 1) and
+    (g, -1) for the two directions of non-tree edge g, None on the tree.
+    The tree is the complex's spanning forest, which is that tree when the
+    complex is connected: its first root, position 0, then reaches every
+    vertex before any other root is tried."""
     if not complex_.vertices:
         raise ConfigurationError("empty complex")
     n_edges = len(complex_.edge_order)
-    tree = _bfs_forest(complex_, range(n_edges), [0])[1]
-    if len(tree) != len(complex_.vertices) - 1:
+    tree = complex_.spanning_forest()
+    if tree.count(1) != len(complex_.vertices) - 1:
         raise ConfigurationError("complex is not connected")
-    non_tree = [p for p in range(n_edges) if p not in tree]
+    non_tree = [p for p, t in enumerate(tree) if not t]
     alphabet = W.Alphabet([f"g{i}" for i in range(len(non_tree))])
     letter = [None] * (2 * n_edges)
     for g, p in zip(alphabet.names, non_tree):
@@ -444,7 +476,7 @@ def _pi1_with_letters(complex_):
 def cellular_h1(complex_):
     """First homology from the cellular chain complex (independent of pi1).
 
-    Let T be the spanning forest that `component_count` grows.  Dropping
+    Let T be the complex's spanning forest, which pi1 shares.  Dropping
     T's coordinates is a map pi from the edge chains C_1 onto Z^(E - T),
     and on the cycles Z_1 = ker d1 it is an isomorphism: each edge e off T
     closes one cycle z_e, e plus the forest path between its ends, and
@@ -455,17 +487,16 @@ def cellular_h1(complex_):
     betti = |E - T| - rank and the torsion is the invariant factors above 1,
     from their Smith normal form.  Each row goes to the kernel as a dict
     edge position -> coefficient read off a square's codes."""
-    forest = _bfs_forest(complex_, range(len(complex_.edge_order)),
-                         range(len(complex_.vertices)))[1]
+    forest = complex_.spanning_forest()
     rows = []
     for codes in complex_.square_codes:
         row = {}
         for c in codes:   # column: the edge's position; sign: the low bit
-            if (j := c >> 1) not in forest:
+            if not forest[j := c >> 1]:
                 row[j] = row.get(j, 0) + (1 if c & 1 else -1)
         rows.append(row)
     factors = smith_normal_form(rows)
-    betti = len(complex_.edge_order) - len(forest) - len(factors)
+    betti = len(complex_.edge_order) - forest.count(1) - len(factors)
     return AbelianInvariants(betti=betti, torsion=tuple(d for d in factors if d > 1))
 
 
@@ -484,7 +515,7 @@ def _copy_killing_relators(built, presentation, letter):
     parent, forest = _bfs_forest(complex_, positions, range(len(complex_.vertices)))
     relators = []
     for p in sorted(positions, key=lambda p: edges[p][1]):   # copy by copy
-        if p in forest:
+        if forest[p]:
             continue
         loop = (_forest_path(head, parent, head[2 * p]) + [2 * p + 1]
                 + [c ^ 1 for c in reversed(_forest_path(head, parent, head[2 * p + 1]))])

@@ -114,17 +114,20 @@ class GraphImmersion:
         base_vertices = set(base.vertices)
         for v in domain.vertices:
             if v not in self.vmap or self.vmap[v] not in base_vertices:
-                raise ConfigurationError(f"vertex {v!r} is not mapped into the base")
+                raise ConfigurationError(f"vertex {v!r} is not mapped into the base",
+                                         ("vertex", v))
         for eid, (src, dst, label) in domain.edges.items():
             if label not in base.edges:
-                raise ConfigurationError(f"edge {eid!r} carries unknown label {label!r}")
+                raise ConfigurationError(f"edge {eid!r} carries unknown label {label!r}",
+                                         ("edge", eid))
             bsrc, bdst, _ = base.edges[label]
             if self.vmap[src] != bsrc or self.vmap[dst] != bdst:
                 raise ConfigurationError(
-                    f"edge {eid!r} is not label-consistent with the base")
+                    f"edge {eid!r} is not label-consistent with the base", ("edge", eid))
         if domain.basepoint is not None and base.basepoint is not None:
             if self.vmap[domain.basepoint] != base.basepoint:
-                raise ConfigurationError("basepoints do not correspond under the map")
+                raise ConfigurationError("basepoints do not correspond under the map",
+                                         ("basepoint", domain.basepoint))
         if folded:
             _check_immersion(domain)
         self.folded = folded
@@ -141,11 +144,18 @@ class GraphImmersion:
 
 
 def _check_immersion(graph):
-    """Refuse a graph where two edges with one label share a source or a target."""
+    """Refuse a graph where two edges with one label share a source or a
+    target, naming the first edge that repeats an earlier one's."""
     edges = graph.edges.values()
     if (len({(src, label) for src, _, label in edges}) != len(edges)
             or len({(dst, label) for _, dst, label in edges}) != len(edges)):
-        raise ConfigurationError("graph is not an immersion; fold it first")
+        out, into = set(), set()
+        for eid, (src, dst, label) in graph.edges.items():
+            if (src, label) in out or (dst, label) in into:
+                raise ConfigurationError("graph is not an immersion; fold it first",
+                                         ("edge", eid))
+            out.add((src, label))
+            into.add((dst, label))
 
 
 def fold(morphism):

@@ -16,7 +16,7 @@ from hypothesis import settings, strategies as st
 from forge import words as W
 from forge.errors import ConfigurationError, ParseError
 from forge.presentations import AbelianInvariants, FinitePresentation
-from forge.squarecx import LinkGraph, SquareComplex, reverse
+from forge.squarecx import LinkGraph, SquareComplex
 
 
 # Hypothesis draws integer seeds for seeded input generators; derandomized,
@@ -496,7 +496,12 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # spanning forests, pi1 and copy loops walked over edge ids and (edge, sign)
 # pairs.  Each oracle ranks ids by the order given itself, from the vertex
 # and edge dicts, and reads none of forge's position tables.  Only the data
-# types and `reverse` come from forge.
+# types come from forge.
+
+
+def reverse(d):
+    e, s = d
+    return (e, -s)
 
 
 def directed_edges(complex_):

@@ -457,6 +457,37 @@ class TestErrors:
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == [f"error: {error.format(workdir=workdir)}"]
 
+    @pytest.mark.parametrize("argv, graph, error", [
+        (("fold",), "vertex 0\nvmap 0 x\nedge e 0 0 c\n",
+         "line 5: edge 'e' carries unknown label 'c'"),
+        (("fold",), "vertex 0\nvertex 1\nvmap 0 x\n",
+         "line 4: no vmap entry for vertex 1 and the base is not a rose"),
+        (("fold",), "vertex 0\nvmap 0 z\nvertex 1\nvmap 1 y\n",
+         "line 4: vertex 0 is not mapped into the base"),
+        (("fold",), "vertex 0\nvertex 1\nvmap 0 x\nvmap 1 x\nedge e 0 1 a\n",
+         "line 7: edge 'e' is not label-consistent with the base"),
+        (("fold",), "vertex 0\nvmap 0 y\nbasepoint 0\n",
+         "line 5: basepoints do not correspond under the map"),
+        (("fibre", "sub.txt"), "vertex 0\nvertex 1\nvmap 0 x\nvmap 1 y\n"
+         "edge e0 0 1 a\nedge e1 1 0 b\nedge e2 0 1 a\n",
+         "line 9: graph is not an immersion; fold it first"),
+    ])
+    def test_graph_refusal_names_its_line(self, workdir, capsys, argv, graph, error):
+        """What the graph fails against its base is reported at the line of
+        the cell at fault: the edge, the vertex (its vmap line where it has
+        one) or the basepoint."""
+        (workdir / "base2.txt").write_text(
+            "base\nvertex x\nvertex y\nedge a x y a\nedge b y x b\nbasepoint x\n")
+        (workdir / "sub.txt").write_text(
+            "graph\nbase base2.txt\nvertex 0\nvertex 1\nvmap 0 x\nvmap 1 y\n"
+            "edge e0 0 1 a\n")
+        (workdir / "g.txt").write_text("graph\nbase base2.txt\n" + graph)
+        code, out = run(capsys, *argv[:1], *[workdir / a for a in argv[1:]],
+                        workdir / "g.txt")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == [f"error: {workdir}/g.txt: {error}"]
+
     def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
         (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")
         code, out = run(capsys, "sqc", "build",

@@ -24,15 +24,15 @@ from forge.snf import smith_normal_form
 from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
                             _pi1_with_letters, build_S_of_P, cellular_h1,
                             check_link_condition, link, one_square_torus,
-                            pi1_presentation, reverse)
-from helpers import (derandomized, directed_edges, dst, oracle_build_S_of_P,
-                     oracle_canonical_square, oracle_cellular_h1,
+                            pi1_presentation)
+from helpers import (derandomized, directed_edges, dst, oracle_bfs_forest,
+                     oracle_build_S_of_P, oracle_canonical_square, oracle_cellular_h1,
                      oracle_check_link_condition,
                      oracle_copy_killing_relators, oracle_format_complex,
                      oracle_is_locally_geodesic, oracle_link,
                      oracle_pi1_with_names, oracle_rank_d1,
-                     oracle_smith_normal_form, random_reduced_word, seeds,
-                     sparse_rows, src)
+                     oracle_smith_normal_form, random_reduced_word,
+                     reverse, seeds, sparse_rows, src)
 
 # Mostly units, with non-units and large entries so that the pivot loop
 # goes on past its last +-1 pivot.
@@ -260,6 +260,86 @@ def test_random_small_complexes(seed):
     loop = random_edge_loop(rng, cx)
     if loop is not None:
         assert loop.is_locally_geodesic() == oracle_is_locally_geodesic(loop)
+
+
+def crowded_cells(rng):
+    """Many squares around one hub vertex: two to five loops there and a
+    few edges out to a second vertex and back, and random closed 4-paths
+    over them, so the hub's link is full of repeated corners (bigons),
+    loops and triangles."""
+    edges = {f"l{i}": ("hub", "hub") for i in range(rng.randint(2, 5))}
+    for i in range(rng.randint(1, 3)):
+        edges[f"o{i}"] = ("hub", "rim") if rng.random() < 0.5 else ("rim", "hub")
+    skeleton = SquareComplex(["hub", "rim"], edges)
+    directed = directed_edges(skeleton)
+    squares, count = [], rng.randint(8, 40)
+    while len(squares) < count:
+        path = [rng.choice(directed)]
+        while len(path) < 4:
+            path.append(rng.choice([d for d in directed
+                                    if src(skeleton, d) == dst(skeleton, path[-1])]))
+        if dst(skeleton, path[-1]) == src(skeleton, path[0]):
+            squares.append(tuple(path))
+    return ["hub", "rim"], edges, squares
+
+
+@given(seeds)
+@derandomized
+def test_crowded_links_match_the_oracle(seed):
+    """The link check's code-indexed adjacency finds the same loops,
+    bigons and triangles, in the same order, as one scan per vertex link,
+    where a vertex's link holds many corners between few nodes."""
+    cx = SquareComplex(*crowded_cells(random.Random(seed)))
+    ok, violations = check_link_condition(cx)
+    assert (ok, violations) == oracle_check_link_condition(cx)
+    kinds = {kind for _, kind, _ in violations}
+    assert len(cx.square_codes) < 12 or {"bigon", "triangle"} <= kinds
+
+
+@given(seeds)
+@derandomized
+def test_spanning_forest_matches_the_oracle(seed):
+    """The forest a complex keeps is the BFS forest over its edges in the
+    order given, grown from each vertex in turn that no earlier tree
+    reached (so each tree's root is its first vertex, and its edges fix
+    every parent), and it is grown once."""
+    rng = random.Random(seed)
+    cx = SquareComplex(*(random_cells(rng) if rng.random() < 0.5 else mixed_cells(rng)))
+    forest = cx.spanning_forest()
+    assert len(forest) == len(cx.edge_order) and set(forest) <= {0, 1}
+    expected = oracle_bfs_forest(cx, list(cx.edges), list(cx.vertices))[1]
+    assert [e for e, t in zip(cx.edge_order, forest) if t] == [e for e in cx.edges if e in expected]
+    assert cx.spanning_forest() is forest
+
+
+def h1_both_ways(cx, pi1_first):
+    """H_1 from cells and from pi1 (or pi1's refusal), either one first."""
+    def from_pi1():
+        try:
+            return abelianization(pi1_presentation(cx))
+        except ConfigurationError as exc:
+            return str(exc)
+    if pi1_first:
+        via_pi1 = from_pi1()
+        return cellular_h1(cx), via_pi1
+    cellular = cellular_h1(cx)
+    return cellular, from_pi1()
+
+
+@given(seeds)
+@derandomized
+def test_h1_does_not_depend_on_call_order(seed):
+    """The forest that pi1 and cellular_h1 share gives the same H_1 both
+    ways, and the same refusal of a disconnected complex, whichever runs
+    first; on a connected complex the two agree."""
+    cells = random_cells(random.Random(seed))
+    cellular, via_pi1 = h1_both_ways(SquareComplex(*cells), pi1_first=False)
+    assert h1_both_ways(SquareComplex(*cells), pi1_first=True) == (cellular, via_pi1)
+    assert cellular == oracle_cellular_h1(SquareComplex(*cells))
+    if SquareComplex(*cells).is_connected():
+        assert via_pi1 == cellular
+    else:
+        assert via_pi1 == "complex is not connected"
 
 
 def shuffled(rng, vertices, edges, squares):

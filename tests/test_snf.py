@@ -48,3 +48,17 @@ def test_divisibility_chain_random():
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert all(d > 0 for d in factors)
         assert factors == invariant_factors_oracle(m)
+
+
+@given(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=1, max_size=5))
+@derandomized
+def test_read_in_with_and_without_zeros(matrix):
+    """A matrix read with its zero entries (one pass drops them) and
+    without them (its rows copied as given) has the same factors, and
+    neither reading changes the caller's rows."""
+    with_zeros = sparse_rows(matrix)
+    without = [{j: v for j, v in row.items() if v} for row in with_zeros]
+    before = [dict(row) for row in with_zeros], [dict(row) for row in without]
+    expected = invariant_factors_oracle(matrix)
+    assert smith_normal_form(with_zeros) == smith_normal_form(without) == expected
+    assert (with_zeros, without) == before

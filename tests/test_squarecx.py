@@ -15,8 +15,8 @@ from forge.presentations import FinitePresentation, abelianization
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
-                            pi1_presentation, reverse)
-from helpers import oracle_canonical_square
+                            pi1_presentation)
+from helpers import oracle_canonical_square, reverse
 
 
 def pres(gens, *rels):
@@ -267,6 +267,23 @@ class TestPi1:
             [(("a", 1), ("b", 1), ("a", 1), ("b", 1))])
         inv = cellular_h1(cx)
         assert (inv.betti, inv.torsion) == (0, (2,))
+
+    @pytest.mark.parametrize("first", [
+        (), (cellular_h1,), (SquareComplex.component_count,),
+        (SquareComplex.is_connected, cellular_h1)])
+    def test_disconnected_pi1_refused_after_any_call(self, first):
+        """A torus and a loop apart: the kept spanning forest has two trees,
+        whichever call grew it, so pi1 refuses the complex every time."""
+        cx = SquareComplex(
+            ["u", "v", "w"], {"a": ("u", "u"), "b": ("u", "u"), "c": ("v", "w")},
+            [(("a", 1), ("b", 1), ("a", -1), ("b", -1))])
+        for call in first:
+            call(cx)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="^complex is not connected$"):
+                pi1_presentation(cx)
+        assert cx.component_count() == 2
+        assert cellular_h1(cx) == cellular_h1(TORUS)
 
 
 class TestKillingCopies:
