@@ -57,7 +57,10 @@ def smith_normal_form(matrix):
     column = {}
     for i, row in enumerate(rows):
         for j in row:
-            column.setdefault(j, set()).add(i)
+            if (held := column.get(j)) is None:
+                column[j] = {i}
+            else:
+                held.add(i)
     # The +-1 sweep.  A row leaves as soon as it pivots, and column j goes
     # with it: a +-1 pivot clears its column and row with no remainder.  Its
     # column is the row's first +-1 entry with the fewest entries; one, the

@@ -468,8 +468,18 @@ def _pi1_with_letters(complex_):
     letter = [None] * (2 * n_edges)
     for g, p in zip(alphabet.names, non_tree):
         letter[2 * p], letter[2 * p + 1] = (g, -1), (g, 1)
-    relators = [W.reduce(alphabet, [letter[c] for c in codes if letter[c]])
-                for codes in complex_.square_codes]
+    # Codes c and c ^ 1 are the two directions of one edge, so cancelling
+    # them cancels its letters (g, 1) and (g, -1).
+    relators = []
+    for codes in complex_.square_codes:
+        stack = []
+        for c in codes:
+            if letter[c]:
+                if stack and stack[-1] == c ^ 1:
+                    stack.pop()
+                else:
+                    stack.append(c)
+        relators.append(W.from_reduced(alphabet, tuple(map(letter.__getitem__, stack))))
     return FinitePresentation(alphabet, relators), letter
 
 

@@ -689,11 +689,13 @@ def translate_family_check(base, action, subgroup, translates):
     verdict and the witness are those of malnormal_family_check on the
     copies g^k H.  The fibre product of g^a H and g^b H has the same
     components (vertex pairs, edge counts, ranks) as that of H and g^x H,
-    x = b - a (mod order), so the check decides each power x once, from
+    x = b - a (mod order), so the check decides powers x, not pairs, from
     H's labels relabelled by g^x (`_refutes`; no translated immersion is
-    built).  The self pairs are one decision, and the identity x = 0 counts
-    for a pair i < j only when two translates are equal; an empty list
-    decides nothing.  When no power refutes, the family is certified;
+    built).  x and -x refute together, so only x = 0..order/2 are decided,
+    and only those whose relabelled labels meet H's: the others have no
+    product edge.  The self pairs are one decision, and the identity x = 0
+    counts for a pair i < j only when two translates are equal; an empty
+    list decides nothing.  When no power refutes, the family is certified;
     otherwise row i's first failing j is the least later j with
     k_j = k_i + x (mod order) over the refuting x, and only the first
     failing pair in (i, j) order, i <= j, has a fibre product built, that
@@ -728,19 +730,25 @@ def _first_failing_pair(action, subgroup, translates):
     repeated = len(positions) < len(translates)
     step = dict(zip(action.base.edges, action._generator[1]))
     labels, pairs = list(by_label), list(by_label.values())
-    refuting = []
-    for x in action.elements:
+    order = action.order
+    # Pair (i, j) refutes when k_j - k_i is in `refuting`, a set closed under
+    # negation: relabelling both factors of H x g^x H by g^-x gives the edge
+    # pairs of g^-x H x H on the same vertex positions, and swapping the
+    # factors gives H x g^-x H, so `_refutes` answers alike for x and -x (it
+    # reads only labels and positions, so this holds for vertex-moving
+    # actions too).  Hence only x = 0..order/2 are decided, each refuting x
+    # recorded with -x.  A power whose labels miss H's has no product edge
+    # and cannot refute.
+    refuting = set()
+    for x in range(order // 2 + 1):
         # labels are H's labels relabelled by g^x.
-        if (x or repeated) and _refutes(by_label, dict(zip(labels, pairs)), n, n, False):
-            refuting.append(x)
+        if (x or repeated) and not by_label.keys().isdisjoint(labels) \
+                and _refutes(by_label, dict(zip(labels, pairs)), n, n, False):
+            refuting.update((x, -x % order))
         labels = [step[label] for label in labels]
-    # Pair (i, j) refutes when k_j - k_i is in `refuting`.  That set is closed
-    # under negation (conjugating by g^-x carries H and g^x H g^-x to g^-x H
-    # g^x and H), so k_i - x below would find the same pairs: no test can
-    # tell the two apart, and none should be written to try.
     for i, k in enumerate(translates):
         later = [j for x in refuting
-                 for j in positions.get((k + x) % action.order, ()) if j > i]
+                 for j in positions.get((k + x) % order, ()) if j > i]
         if later:
             return i, min(later)
     return None

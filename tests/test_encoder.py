@@ -201,6 +201,17 @@ class TestEncode:
                                  r"1001 ids, more than 1000000 in all$"):
             encode(p, p.word(word), N=1000)
 
+    @pytest.mark.parametrize("N", [998, 999])
+    def test_largest_moduli_certify(self, N):
+        """999 is the largest modulus `_check_modulus` admits (999 * 1000
+        decisions' worth of ids): the kernel's N rotation translates still
+        certify there, and the certificate revalidates."""
+        p = pres(["a"], "a^2")
+        trace = encode(p, p.word("a"), N=N)
+        assert trace.certificate.modulus == N
+        assert trace.certificate.is_valid()
+        assert revalidate_certificate(trace.certificate)
+
     def test_deterministic(self):
         p = pres(["a"])
         t1 = encode(p, p.word("a"))

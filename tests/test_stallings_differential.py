@@ -499,6 +499,82 @@ def test_translate_family_of_the_trivial_action():
     assert not ok and witness.pair == (0, 1)
 
 
+def test_translate_family_refuted_at_the_half_turn_only():
+    """<e_0, e_{N/2}> over an even rotation meets its translates only at
+    x = 0 and the half turn x = N/2, which maps it onto itself; the half
+    turn is its own negative, and it alone refutes."""
+    for n in (8, 14, 20):
+        alphabet, base, action = large_rotation(n)
+        subgroup = S.graph_of_subgroup(base, [alphabet.gen("e0"),
+                                              alphabet.gen(f"e{n // 2}")])
+        rng = random.Random(n)
+        for translates in translate_lists(rng, action.elements) + [[3, 0, n // 2 + 3]]:
+            got = S.translate_family_check(base, action, subgroup, translates)
+            assert got == oracle_translate_family_check(base, action, subgroup,
+                                                        translates)
+        ok, witness = S.translate_family_check(base, action, subgroup,
+                                               action.elements)
+        assert not ok and witness.pair == (0, n // 2)
+        assert S.translate_family_check(base, action, subgroup,
+                                        [1, n // 2]) == (True, None)
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_translate_families_on_rotations_of_every_parity(n):
+    """Odd and even orders 7..20, so both the middle power of an odd order
+    and the half turn of an even one are decided: the kernel subgroup and
+    random subgroups on two to four neighbouring letters, each with every
+    translate, a subset and a list with a duplicate."""
+    rng = random.Random(f"parity:{n}")
+    alphabet, base, action = large_rotation(n)
+    subgroups = [_kernel_base_family(n)[1]]
+    for _ in range(3):
+        names = alphabet.names[:rng.randint(2, 4)]
+        local = W.Alphabet(names)
+        words = [random_reduced_word(rng, local, rng.randint(1, 5))
+                 for _ in range(rng.randint(1, 3))]
+        subgroups.append(S.graph_of_subgroup(
+            base, [W.Word(alphabet, w.letters) for w in words]))
+    for subgroup in subgroups:
+        check_translates(base, action, subgroup,
+                         translate_lists(rng, action.elements))
+
+
+def counted_refutes():
+    """S._refutes wrapped so that its calls are counted."""
+    return mock.patch.object(S, "_refutes", wraps=S._refutes)
+
+
+def test_translate_family_meeting_no_translate_decides_no_power():
+    """<e_0> shares a label with no translate but the identity, so beside
+    the self pair a power is decided only when a translate repeats.
+    <e_0^3> is refuted by its self pair, before any power."""
+    alphabet, base, action = large_rotation(11)
+    for word, counts in (("e0", (1, 1, 2)), ("e0^3", (1, 1, 1))):
+        subgroup = S.graph_of_subgroup(base, [W.parse_word(alphabet, word)])
+        for translates, calls in zip((action.elements, [4, 2, 9], [4, 2, 4]),
+                                     counts):
+            with counted_refutes() as spy:
+                got = S.translate_family_check(base, action, subgroup, translates)
+            assert spy.call_count == calls
+            assert got == oracle_translate_family_check(base, action, subgroup,
+                                                        translates)
+
+
+def test_kernel_translate_check_decides_half_the_label_sharing_powers():
+    """The modulus-58 kernel subgroup has labels e_-2, e_-1, e_0, e_1 (mod
+    58): the check decides the self pair and each power x in 1..29 whose
+    shifted labels meet those, and no other."""
+    base, subgroup, action = _kernel_base_family(58)
+    held = {-2 % 58, -1 % 58, 0, 1}
+    sharing = [x for x in range(1, 30) if held & {(i + x) % 58 for i in held}]
+    with counted_refutes() as spy:
+        got = S.translate_family_check(base, action, subgroup, action.elements)
+    assert got == (True, None)
+    assert sharing == [1, 2, 3]
+    assert spy.call_count == 1 + len(sharing)
+
+
 def test_kernel_checks_certify_for_every_modulus_to_60():
     for n in range(7, 61):
         assert _kernel_checks(n)[1], n
