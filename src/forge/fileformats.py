@@ -150,31 +150,19 @@ def _parse_cells(text, header):
     try:
         return LabeledGraph(vertices, edges, basepoint), rest, lines
     except ConfigurationError as exc:   # an endpoint or basepoint no vertex line names
-        _check_ends(vertices, edges, [lines["edge", e] for e in edges], "graph")
-        raise ParseError(str(exc), line=lines.get(("basepoint", basepoint))) from exc
-
-
-def _check_ends(vertices, edges, lines, where):
-    """The set of vertices, else a ParseError at the line of the first edge
-    with an endpoint that no vertex line names; lines[k] is the line of the
-    k-th edge."""
-    known = set(vertices)
-    for (eid, (src, dst, *_)), i in zip(edges.items(), lines):
-        if src not in known or dst not in known:
-            raise ParseError(f"edge {eid!r} has an endpoint outside the {where}", line=i)
-    return known
+        raise ParseError(str(exc), line=lines[exc.cell]) from exc
 
 
 def parse_base_graph(text):
     """Parse a base-graph file (header `base`; labels must equal edge ids)."""
-    base, rest, _ = _parse_cells(text, "base")
+    base, rest, lines = _parse_cells(text, "base")
     if rest:
         i, line = rest[0]
         raise ParseError(f"unexpected line in base file: {line!r}", line=i)
     for eid, (src, dst, label) in base.edges.items():
         if label != eid:
-            raise ParseError(
-                f"base edge {eid!r} must carry its own id as label, got {label!r}")
+            raise ParseError(f"base edge {eid!r} must carry its own id as label, "
+                             f"got {label!r}", line=lines["edge", eid])
     return base
 
 
@@ -331,7 +319,7 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 def parse_complex(text):
     vertices, edges, squares = [], {}, []   # squares: their line numbers
-    ids, written, at = {}, [], []   # vertex token -> id; each edge's token, line
+    ids, written, at = {}, [], {}   # vertex token -> id; edge tokens; ("edge", id) -> line
     lines = text.splitlines()
     for i, line in enumerate(lines, 1):
         parts = line.split()
@@ -353,7 +341,7 @@ def parse_complex(text):
             # so the complex holds one copy of each id, not three.
             edges[eid] = (ids[a] if a in ids else _token(a), ids[b] if b in ids else _token(b))
             written.append(tok)
-            at.append(i)
+            at["edge", eid] = i
         elif kind == "vertex":
             if len(parts) != 2:
                 raise ParseError("vertex takes exactly one id", line=i)
@@ -365,8 +353,7 @@ def parse_complex(text):
     try:
         complex_ = SquareComplex(vertices, edges)
     except ConfigurationError as exc:   # an endpoint that no vertex line names
-        _check_ends(vertices, edges, at, "complex")
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), line=at[exc.cell]) from exc
     table = {}
     for p, tok in enumerate(written):
         if tok[-1] != "-":   # a token ending in `-` reads only as a reverse

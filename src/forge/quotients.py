@@ -728,11 +728,3 @@ def search_order_targeted(p, spec, budget):
         if not flag:
             raise IndependenceError(f"targets {pair[0]} and {pair[1]} are dependent")
     return search(p, budget, spec)
-
-
-def grushko_lower_bound(n):
-    """ceil(59n/60): a lower bound for the profinite rank of an n-fold free
-    product of any fixed group with nontrivial profinite completion."""
-    if n < 0:
-        raise DegenerateInputError("n must be nonnegative")
-    return -(-59 * n // 60)

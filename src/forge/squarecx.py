@@ -56,18 +56,14 @@ class SquareComplex:
         self.edge_order = tuple(self.edges)
         for eid, (src, dst) in self.edges.items():
             if src not in place or dst not in place:
-                raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex")
-        position = self.position = {e: p for p, e in enumerate(self.edge_order)}
+                raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex",
+                                         ("edge", eid))
+        self.position = {e: p for p, e in enumerate(self.edge_order)}
         self.head = [place[v] for ends in self.edges.values() for v in ends]
         self.square_codes = []
         self._forest = None
-        low_bit = {1: 1, -1: 0}   # sign -> the low bit of its code
         for sq in squares:
-            try:
-                codes = [2 * position[e] + low_bit[s] for e, s in sq]
-            except (KeyError, TypeError, ValueError):   # name the fault
-                codes = _path_codes(self, sq, "square boundary")
-            self.add_square(codes)
+            self.add_square(_path_codes(self, sq, "square boundary"))
 
     def code(self, d):
         """The code of directed edge d = (e, s); ConfigurationError for an
@@ -128,9 +124,6 @@ class SquareComplex:
         """Number of connected components (0 for the empty complex): V less
         the edges of the spanning forest."""
         return len(self.vertices) - self.spanning_forest().count(1)
-
-    def is_connected(self):
-        return self.component_count() <= 1
 
 
 @dataclass
@@ -356,8 +349,6 @@ def build_S_of_P(p, x, gamma):
     if not gamma.is_locally_geodesic():
         raise DegenerateInputError("gamma must be a locally geodesic loop")
     for r in p.relators:
-        if not r.letters:
-            raise DegenerateInputError("relators must be nonempty")
         first, last = r.letters[0], r.letters[-1]
         if first[0] == last[0] and first[1] == -last[1]:
             raise DegenerateInputError(f"relator {r} is not cyclically reduced")

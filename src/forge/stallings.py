@@ -34,15 +34,16 @@ class LabeledGraph:
         self.vertices = tuple(vertices)
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
-            raise ConfigurationError(
-                f"vertex {next(v for v in self.vertices if self.vertices.count(v) > 1)!r} "
-                "is repeated")
+            v = next(v for v in self.vertices if self.vertices.count(v) > 1)
+            raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
             if src not in vset or dst not in vset:
-                raise ConfigurationError(f"edge {eid!r} has an endpoint outside the graph")
+                raise ConfigurationError(f"edge {eid!r} has an endpoint outside the graph",
+                                         ("edge", eid))
         if basepoint is not None and basepoint not in vset:
-            raise ConfigurationError(f"basepoint {basepoint!r} is not a vertex")
+            raise ConfigurationError(f"basepoint {basepoint!r} is not a vertex",
+                                     ("basepoint", basepoint))
         self.basepoint = basepoint
 
     def __eq__(self, other):

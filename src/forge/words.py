@@ -104,10 +104,6 @@ class Word:
     def is_identity(self):
         return not self.letters
 
-    def exponent_sum(self, name):
-        self.alphabet.check(name)
-        return sum(s for g, s in self.letters if g == name)
-
     def __str__(self):
         return format_word(self)
 

@@ -14,7 +14,7 @@ from unittest import mock
 from hypothesis import settings, strategies as st
 
 from forge import words as W
-from forge.errors import ConfigurationError, ParseError
+from forge.errors import ConfigurationError, DegenerateInputError, ParseError
 from forge.presentations import AbelianInvariants, FinitePresentation
 from forge.squarecx import LinkGraph, SquareComplex
 
@@ -23,6 +23,25 @@ from forge.squarecx import LinkGraph, SquareComplex
 # every run sees the same seeds and a failure prints the one that failed.
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 derandomized = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def exponent_sum(word, name):
+    """The sum of the exponents of generator `name` in `word`."""
+    word.alphabet.check(name)
+    return sum(s for g, s in word.letters if g == name)
+
+
+def is_connected(complex_):
+    """True for a complex of at most one component."""
+    return complex_.component_count() <= 1
+
+
+def grushko_lower_bound(n):
+    """ceil(59n/60): a lower bound for the profinite rank of an n-fold free
+    product of any fixed group with nontrivial profinite completion."""
+    if n < 0:
+        raise DegenerateInputError("n must be nonnegative")
+    return -(-59 * n // 60)
 
 
 def nielsen_reduce(generators):

@@ -176,6 +176,16 @@ class TestGraphCommands:
         assert untimed_lines(out)[4:] == [
             "witness pair: 0,1", "witness component: vertices=2 edges=2 rank=1"]
 
+    def test_malnormal_certified_exits_0(self, workdir, capsys):
+        # <a> over the rose on a, b: its self product is the diagonal loop.
+        (workdir / "gen.txt").write_text(
+            "graph\nbase base.txt\nvertex 0\nedge e0 0 0 a\nbasepoint 0\n")
+        code, out = run(capsys, "malnormal", workdir / "gen.txt")
+        assert code == 0
+        assert untimed_lines(out) == [
+            "command: malnormal", "status: certified",
+            "input graph0: sha256:dbb8e90057ddaf26", "family size: 1"]
+
     def test_malnormal_base_mismatch_is_one_error_line(self, workdir, capsys):
         # <a> certifies on its own, so the scan reaches the pair over two bases.
         (workdir / "base3.txt").write_text(BASE.replace("basepoint", "edge c * * c\nbasepoint"))
@@ -459,34 +469,39 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, graph, error", [
         (("fold",), "vertex 0\nvmap 0 x\nedge e 0 0 c\n",
-         "line 5: edge 'e' carries unknown label 'c'"),
+         "{workdir}/g.txt: line 5: edge 'e' carries unknown label 'c'"),
         (("fold",), "vertex 0\nvertex 1\nvmap 0 x\n",
-         "line 4: no vmap entry for vertex 1 and the base is not a rose"),
+         "{workdir}/g.txt: line 4: no vmap entry for vertex 1 and the base is not a rose"),
         (("fold",), "vertex 0\nvmap 0 z\nvertex 1\nvmap 1 y\n",
-         "line 4: vertex 0 is not mapped into the base"),
+         "{workdir}/g.txt: line 4: vertex 0 is not mapped into the base"),
         (("fold",), "vertex 0\nvertex 1\nvmap 0 x\nvmap 1 x\nedge e 0 1 a\n",
-         "line 7: edge 'e' is not label-consistent with the base"),
+         "{workdir}/g.txt: line 7: edge 'e' is not label-consistent with the base"),
         (("fold",), "vertex 0\nvmap 0 y\nbasepoint 0\n",
-         "line 5: basepoints do not correspond under the map"),
+         "{workdir}/g.txt: line 5: basepoints do not correspond under the map"),
         (("fibre", "sub.txt"), "vertex 0\nvertex 1\nvmap 0 x\nvmap 1 y\n"
          "edge e0 0 1 a\nedge e1 1 0 b\nedge e2 0 1 a\n",
-         "line 9: graph is not an immersion; fold it first"),
+         "{workdir}/g.txt: line 9: graph is not an immersion; fold it first"),
+        (("fibre", "on_bad_label.txt"), "vertex 0\nvmap 0 x\n",
+         "bad_label.txt: line 4: base edge 'b' must carry its own id as label, got 'c'"),
     ])
     def test_graph_refusal_names_its_line(self, workdir, capsys, argv, graph, error):
         """What the graph fails against its base is reported at the line of
         the cell at fault: the edge, the vertex (its vmap line where it has
-        one) or the basepoint."""
+        one) or the basepoint.  A base edge that does not carry its own id
+        as label is reported at its line in the base file."""
         (workdir / "base2.txt").write_text(
             "base\nvertex x\nvertex y\nedge a x y a\nedge b y x b\nbasepoint x\n")
         (workdir / "sub.txt").write_text(
             "graph\nbase base2.txt\nvertex 0\nvertex 1\nvmap 0 x\nvmap 1 y\n"
             "edge e0 0 1 a\n")
+        (workdir / "bad_label.txt").write_text("base\nvertex *\nedge a * * a\nedge b * * c\n")
+        (workdir / "on_bad_label.txt").write_text("graph\nbase bad_label.txt\nvertex 0\n")
         (workdir / "g.txt").write_text("graph\nbase base2.txt\n" + graph)
         code, out = run(capsys, *argv[:1], *[workdir / a for a in argv[1:]],
                         workdir / "g.txt")
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("error:")] \
-            == [f"error: {workdir}/g.txt: {error}"]
+            == [f"error: {error.format(workdir=workdir)}"]
 
     def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
         (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")
@@ -564,6 +579,14 @@ class TestErrors:
         code, out = run(capsys, "quotients", workdir / "free.txt",
                         "--max-degree", "2", "--orders", "nonsense")
         assert code == 1
+
+    def test_orders_exponent_count_must_match_generators(self, workdir, capsys):
+        code, out = run(capsys, "quotients", workdir / "free.txt",
+                        "--max-degree", "3", "--orders", "1:2")
+        assert code == 1
+        assert "status: error" in out
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == ["error: --orders gives 1 exponents for 2 generators"]
 
     def test_empty_orders_spec(self, workdir, capsys):
         (workdir / "a2.txt").write_text("gens: a b\nrel: a^2\n")

@@ -16,6 +16,7 @@ from forge.errors import (AlphabetMismatchError, DegenerateInputError, ForgeErro
                           ThresholdError)
 from forge.fileformats import trace_to_json
 from forge.presentations import FinitePresentation, abelianization, substitute
+from helpers import exponent_sum
 
 
 def pres(gens, *rels):
@@ -26,8 +27,8 @@ def pres(gens, *rels):
 class TestDerivedLetters:
     def test_zero_exponent_sums(self):
         for word in (U_IN_TW, V_IN_TW):
-            assert word.exponent_sum("t") == 0
-            assert word.exponent_sum("w") == 0
+            assert exponent_sum(word, "t") == 0
+            assert exponent_sum(word, "w") == 0
 
     def test_reduced_forms(self):
         assert str(U_IN_TW) == "w^-1 t w^-1 t^-1 w^2"
@@ -64,7 +65,7 @@ class TestStageTwoThree:
         assert len(pp.generators) == len(pd.generators) + 1
         assert pp.generators[0] == "a'_0"
         # w' is a commutator, so it dies under abelianization.
-        assert all(wp.exponent_sum(g) == 0 for g in pp.generators)
+        assert all(exponent_sum(wp, g) == 0 for g in pp.generators)
 
     def test_conjugators(self):
         p = pres(["a"], "a^2")

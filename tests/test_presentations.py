@@ -15,7 +15,8 @@ from forge.presentations import (AbelianInvariants, FinitePresentation, abeliani
                                  verify_generator_change)
 from hypothesis import given
 
-from helpers import derandomized, oracle_free_power, random_reduced_word, seeds
+from helpers import (derandomized, exponent_sum, oracle_free_power, random_reduced_word,
+                     seeds)
 
 
 def pres(gens, *rels):
@@ -74,7 +75,7 @@ def test_exponent_matrix_matches_exponent_sums(seed):
     assert len(matrix) == len(p.relators)
     for row, r in zip(matrix, p.relators):
         assert set(row) <= set(p.generators)
-        assert all(row.get(g, 0) == r.exponent_sum(g) for g in p.generators)
+        assert all(row.get(g, 0) == exponent_sum(r, g) for g in p.generators)
 
 
 class TestFreeProduct:
@@ -172,6 +173,16 @@ class TestTietze:
         iq = abelianization(q)
         ip = abelianization(p)
         assert (iq.betti, iq.torsion) == (ip.betti, ip.torsion)
+
+    def test_consistency_relator_appended(self):
+        """x and y both stand for a, and a is read back as x: x's relator
+        reduces away, y's is y x^-1."""
+        p = pres(["a"])
+        new = W.Alphabet(["x", "y"])
+        q = tietze_change_generators(p, {"x": p.word("a"), "y": p.word("a")},
+                                     {"a": new.gen("x")})
+        assert q == FinitePresentation(new, [W.parse_word(new, "y x^-1")])
+        assert repr(q) == "<gens x, y | y x^-1>"
 
     def test_bad_inverse_rejected(self):
         p = pres(["a"])

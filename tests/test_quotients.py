@@ -22,13 +22,12 @@ from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              _enumerate_homs,
                              _restore_assignment,
                              _transfer_word, cycle_notation, element_order,
-                             grushko_lower_bound,
                              has_nontrivial_quotient_upto, identity_perm,
                              perm_inv, perm_mul, perm_order, search,
                              search_homs,
                              search_order_targeted, simplify_presentation,
                              verify_order_spec, word_survives_upto)
-from helpers import brute_force_homs, random_reduced_word
+from helpers import brute_force_homs, grushko_lower_bound, random_reduced_word
 
 
 def pres(gens, *rels):

@@ -16,7 +16,7 @@ from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
                             pi1_presentation)
-from helpers import oracle_canonical_square, reverse
+from helpers import is_connected, oracle_canonical_square, reverse
 
 
 def pres(gens, *rels):
@@ -43,6 +43,12 @@ class TestBasics:
         squares = [SquareComplex(TORUS.vertices, TORUS.edges, [reading]).squares
                    for reading in (sq, rotated, flipped)]
         assert squares[0] == squares[1] == squares[2] == TORUS.squares
+
+    def test_endpoint_refusal_names_its_edge(self):
+        with pytest.raises(ConfigurationError,
+                           match="^edge 'b' has an endpoint outside the complex$") as exc:
+            SquareComplex(["v"], {"a": ("v", "v"), "b": ("v", "w")})
+        assert exc.value.cell == ("edge", "b")
 
     def test_open_square_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -206,7 +212,7 @@ class TestBuild:
         p = pres(["a", "b"], "a b a^-1 b^-1")
         built = build_S_of_P(p, TORUS, [("a", 1), ("a", 1)])
         s = built.complex
-        assert s.is_connected()
+        assert is_connected(s)
         n, m = len(p.generators), len(p.relators)
         assert s.euler_characteristic() == (1 - n) + m * TORUS.euler_characteristic()
         ok, _ = check_link_condition(s)
@@ -270,7 +276,7 @@ class TestPi1:
 
     @pytest.mark.parametrize("first", [
         (), (cellular_h1,), (SquareComplex.component_count,),
-        (SquareComplex.is_connected, cellular_h1)])
+        (is_connected, cellular_h1)])
     def test_disconnected_pi1_refused_after_any_call(self, first):
         """A torus and a loop apart: the kept spanning forest has two trees,
         whichever call grew it, so pi1 refuses the complex every time."""

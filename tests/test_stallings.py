@@ -37,6 +37,16 @@ class TestGraphBasics:
         with pytest.raises(ConfigurationError):
             S.LabeledGraph([0], {0: (0, 1, "a")})
 
+    @pytest.mark.parametrize("args, cell", [
+        (([0, 1], {"e": (0, 1, "a"), "f": (0, 2, "a")}), ("edge", "f")),
+        (([0], {}, 1), ("basepoint", 1)),
+        (([0, "x", 1, "x"], {}), ("vertex", "x")),
+    ])
+    def test_refusal_names_its_cell(self, args, cell):
+        with pytest.raises(ConfigurationError) as exc:
+            S.LabeledGraph(*args)
+        assert exc.value.cell == cell
+
     def test_refusals_and_the_order_given(self):
         with pytest.raises(ConfigurationError, match="endpoint outside"):
             S.LabeledGraph([0], {0: (0, 1, "a")})
