@@ -14,7 +14,6 @@ import functools
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import fileformats as FF
 from . import words as W
@@ -23,6 +22,7 @@ from .errors import ForgeError
 from .presentations import abelianization, free_power
 from .quotients import (OrderSpec, SearchBudget, cycle_notation,
                         has_nontrivial_quotient_upto, search)
+from .records import Record
 from .squarecx import (build_S_of_P, check_link_condition, pi1_presentation)
 from .stallings import core, fibre_product, fold, malnormal_family_check
 
@@ -30,21 +30,20 @@ EXIT_CODES = {"certified": 0, "witness": 0, "refuted": 1, "inconclusive": 2,
               "error": 1}
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """One run's outcome.  Fields print in a fixed order so reports diff
     cleanly; inputs are content hashes, never raw paths."""
 
-    command: str
-    inputs: dict
-    status: str
-    timing: float = 0.0
-    artifacts: list = field(default_factory=list)
-    details: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.status not in EXIT_CODES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, command, inputs, status, timing=0.0, artifacts=None,
+                 details=None):
+        if status not in EXIT_CODES:
+            raise ValueError(f"unknown status {status!r}")
+        self.command = command
+        self.inputs = inputs
+        self.status = status
+        self.timing = timing
+        self.artifacts = [] if artifacts is None else artifacts
+        self.details = [] if details is None else details
 
     def exit_code(self):
         return EXIT_CODES[self.status]

@@ -19,7 +19,7 @@ Everything is deterministic: identical inputs give byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import stallings as S
 from . import words as W
@@ -29,6 +29,7 @@ from .presentations import (FinitePresentation, _fresh_names, abelianization,
                             add_conjugation_relators, free_product_with_renaming,
                             map_word, substitute, tietze_change_generators,
                             verify_generator_change)
+from .records import Record
 
 UV = W.Alphabet(["u", "v"])
 TW = W.Alphabet(["t", "w"])
@@ -130,19 +131,17 @@ def _step_free_letter(p1, b_letters, w):
             map_word(w, p2.alphabet, {}))
 
 
-@dataclass(frozen=True)
-class MalnormalCertificate:
+class MalnormalCertificate(namedtuple(
+        "MalnormalCertificate", "m modulus tuple_uv rank family_malnormal "
+        "base_rank translates_malnormal")):
     """Evidence that the commutator family works: its folded subgroup graph
     has the right rank and certifies malnormal, and the rank-3 base family
-    of the modulus-N kernel passes the rotation-translate check."""
+    of the modulus-N kernel passes the rotation-translate check.  tuple_uv
+    holds the c_j as Words over {u, v}, rank is the rank of the folded
+    family subgroup graph, and base_rank that of the <e_0, u, v> kernel
+    core (3)."""
 
-    m: int
-    modulus: int
-    tuple_uv: tuple          # the c_j as Words over {u, v}
-    rank: int                # rank of the folded family subgroup graph
-    family_malnormal: bool
-    base_rank: int           # rank of the <e_0, u, v> kernel core (3)
-    translates_malnormal: bool
+    __slots__ = ()
 
     def failures(self):
         """The names of the checks this certificate fails, in check order."""
@@ -256,29 +255,25 @@ def assemble_Gw(p2, b_letters, c_words):
     return FinitePresentation(alphabet, relators)
 
 
-@dataclass
-class EncodingTrace:
-    """Every intermediate object of one encoding run."""
+class EncodingTrace(Record):
+    """Every intermediate object of one encoding run; a stage that did not
+    run leaves its fields None, or () for its tuples of letters or words."""
 
-    input_presentation: FinitePresentation
-    input_word: W.Word
-    modulus: int
-    short_circuited: bool
-    p_dagger: FinitePresentation | None = None
-    w_dagger: W.Word | None = None
-    p_prime: FinitePresentation | None = None
-    w_prime: W.Word | None = None
-    p1: FinitePresentation | None = None
-    b_letters: tuple = ()
-    p2: FinitePresentation | None = None
-    t_letter: str | None = None
-    u: W.Word | None = None
-    v: W.Word | None = None
-    c_words_tw: tuple = ()
-    c_words: tuple = ()
-    certificate: MalnormalCertificate | None = None
-    p_w: FinitePresentation | None = None
-    abelianizations: dict | None = None
+    def __init__(self, input_presentation, input_word, modulus, short_circuited,
+                 p_dagger=None, w_dagger=None, p_prime=None, w_prime=None, p1=None,
+                 b_letters=(), p2=None, t_letter=None, u=None, v=None,
+                 c_words_tw=(), c_words=(), certificate=None, p_w=None,
+                 abelianizations=None):
+        self.input_presentation, self.input_word = input_presentation, input_word
+        self.modulus, self.short_circuited = modulus, short_circuited
+        self.p_dagger, self.w_dagger = p_dagger, w_dagger
+        self.p_prime, self.w_prime = p_prime, w_prime
+        self.p1, self.b_letters = p1, b_letters
+        self.p2, self.t_letter = p2, t_letter
+        self.u, self.v = u, v
+        self.c_words_tw, self.c_words = c_words_tw, c_words
+        self.certificate, self.p_w = certificate, p_w
+        self.abelianizations = abelianizations
 
     def stages(self):
         out = {"input": self.input_presentation}

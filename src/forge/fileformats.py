@@ -319,7 +319,7 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 def parse_complex(text):
     vertices, edges, squares = [], {}, []   # squares: their line numbers
-    ids, written, at = {}, [], {}   # vertex token -> id; edge tokens; ("edge", id) -> line
+    ids, written, at = {}, [], {}   # vertex token -> id; edge tokens; cell -> line
     lines = text.splitlines()
     for i, line in enumerate(lines, 1):
         parts = line.split()
@@ -347,12 +347,13 @@ def parse_complex(text):
                 raise ParseError("vertex takes exactly one id", line=i)
             v = ids[parts[1]] = _token(parts[1])
             vertices.append(v)
+            at["vertex", v] = i
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)
     try:
         complex_ = SquareComplex(vertices, edges)
-    except ConfigurationError as exc:   # an endpoint that no vertex line names
+    except ConfigurationError as exc:   # a repeated vertex, or an endpoint no vertex line names
         raise ParseError(str(exc), line=at[exc.cell]) from exc
     table = {}
     for p, tok in enumerate(written):

@@ -3,7 +3,7 @@ changes, conjugation relators and abelianization via Smith normal form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import itemgetter
 
@@ -13,17 +13,16 @@ from .errors import (AlphabetMismatchError, DegenerateInputError,
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "betti torsion")):
     """H_1 of a presented group: free rank plus the divisor chain d_1 | d_2 | ..."""
 
-    betti: int
-    torsion: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __new__(cls, betti, torsion):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion divisors must form a chain")
+        return super().__new__(cls, betti, torsion)
 
 
 class FinitePresentation:

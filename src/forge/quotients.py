@@ -76,13 +76,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from operator import itemgetter
 
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
 from .presentations import FinitePresentation, abelianization, substitute
+from .records import Record
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
 # cycle notation is printed 1-based).
@@ -141,19 +141,18 @@ def cycle_notation(p):
     return "".join(parts) if parts else "id"
 
 
-@dataclass(frozen=True)
-class PermutationAssignment:
-    """A homomorphism to a symmetric group, given on the generators."""
+class PermutationAssignment(namedtuple("PermutationAssignment", "degree images")):
+    """A homomorphism to a symmetric group, given on the generators.  It
+    keeps its own copy of the images, and hashes by degree alone, as the
+    images are a dict."""
 
-    degree: int
-    images: dict = field(compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", dict(self.images))
+    def __new__(cls, degree, images):
+        return super().__new__(cls, degree, dict(images))
 
-    def __eq__(self, other):
-        return (isinstance(other, PermutationAssignment)
-                and self.degree == other.degree and self.images == other.images)
+    def __hash__(self):
+        return hash((self.degree,))
 
     def evaluate(self, word):
         images = self.images
@@ -176,43 +175,38 @@ class PermutationAssignment:
         return all(p == ident for p in self.images.values())
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(namedtuple("OrderSpec", "targets kappa exponents")):
     """Targets gamma_1..gamma_m with required orders kappa * e_i and pairwise
     trivial cyclic intersections."""
 
-    targets: tuple
-    kappa: int
-    exponents: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if len(self.targets) != len(self.exponents):
+    def __new__(cls, targets, kappa, exponents):
+        targets = tuple(targets)
+        exponents = tuple(int(e) for e in exponents)
+        if len(targets) != len(exponents):
             raise DegenerateInputError("one exponent per target is required")
-        if len(self.targets) < 2:
+        if len(targets) < 2:
             raise DegenerateInputError("an order spec needs at least two targets")
-        if self.kappa < 1 or any(e < 1 for e in self.exponents):
+        if kappa < 1 or any(e < 1 for e in exponents):
             raise DegenerateInputError("kappa and all exponents must be >= 1")
+        return super().__new__(cls, targets, kappa, exponents)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_degree max_nodes time_limit")):
     """Hard limits for a semi-decision search."""
 
-    max_degree: int
-    max_nodes: int = 10 ** 7
-    time_limit: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_degree < 1 or self.max_nodes < 1:
+    def __new__(cls, max_degree, max_nodes=10 ** 7, time_limit=None):
+        if max_degree < 1 or max_nodes < 1:
             raise DegenerateInputError("budget bounds must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if time_limit is not None and time_limit <= 0:
             raise DegenerateInputError("time limit must be positive")
+        return super().__new__(cls, max_degree, max_nodes, time_limit)
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a budgeted search.  status is 'witness' or 'exhausted';
     exhausted never proves anything and is reported as inconclusive.
     degrees holds (degree, nodes spent there, budget hit) for every degree
@@ -223,14 +217,16 @@ class SearchOutcome:
     S_4 are solvable), and 2 alone when |H_1| is odd and above 1 (the only
     even permutation of degree 2 is the identity, A_2 = 1)."""
 
-    status: str
-    witness: PermutationAssignment | None
-    nodes: int
-    max_degree_searched: int
-    degrees: list = field(default_factory=list)
-    excluded: tuple = ()
-    even_only: bool = False
-    perfect: bool = False
+    def __init__(self, status, witness, nodes, max_degree_searched, degrees=None,
+                 excluded=(), even_only=False, perfect=False):
+        self.status = status
+        self.witness = witness
+        self.nodes = nodes
+        self.max_degree_searched = max_degree_searched
+        self.degrees = [] if degrees is None else degrees
+        self.excluded = excluded
+        self.even_only = even_only
+        self.perfect = perfect
 
 
 # S_2, S_3 and S_4 are solvable; a perfect group's images into them are trivial.
@@ -508,10 +504,10 @@ def search_homs(p, n):
 # forth exactly by replaying the steps.
 
 
-@dataclass
-class SimplifiedPresentation:
-    presentation: FinitePresentation
-    steps: list  # (eliminated generator, Word over the alphabet after it)
+class SimplifiedPresentation(Record):
+    def __init__(self, presentation, steps):
+        self.presentation = presentation
+        self.steps = steps  # (eliminated generator, Word over the alphabet after it)
 
 
 def simplify_presentation(p):

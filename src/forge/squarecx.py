@@ -19,11 +19,11 @@ once and keeps it for its component count, pi1 and H_1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
+from .records import Record
 from .snf import smith_normal_form
 
 
@@ -40,18 +40,21 @@ def _path_codes(complex_, path, kind):
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `vertex_order` and `edge_order` hold the distinct ids in the order
-    given, and every reader takes positions there.  `vertices` maps each
-    vertex to its position; `edges` maps an edge id to its (src, dst), and
-    `position` maps it to its position.  The directed edge (e, s) has code
-    2 * position[e] + (s > 0) and ends at vertex position `head[code]`;
-    `square_codes[q]` holds the codes of square q.  These are all it
-    stores of directed edges and squares; `spanning_forest` keeps one
-    byte per edge once it is asked for."""
+    `vertex_order` and `edge_order` hold the ids in the order given, each
+    once (a repeated vertex is refused), and every reader takes positions
+    there.  `vertices` maps each vertex to its position; `edges` maps an
+    edge id to its (src, dst), and `position` maps it to its position.
+    The directed edge (e, s) has code 2 * position[e] + (s > 0) and ends
+    at vertex position `head[code]`; `square_codes[q]` holds the codes of
+    square q.  These are all it stores of directed edges and squares;
+    `spanning_forest` keeps one byte per edge once it is asked for."""
 
     def __init__(self, vertices, edges, squares=()):
-        self.vertex_order = tuple(dict.fromkeys(vertices))
+        self.vertex_order = tuple(vertices)
         place = self.vertices = {v: p for p, v in enumerate(self.vertex_order)}
+        if len(place) != len(self.vertex_order):   # place holds each vertex's last position
+            v = next(v for p, v in enumerate(self.vertex_order) if place[v] != p)
+            raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
         self.edges = dict(edges)  # eid -> (src, dst)
         self.edge_order = tuple(self.edges)
         for eid, (src, dst) in self.edges.items():
@@ -126,14 +129,14 @@ class SquareComplex:
         return len(self.vertices) - self.spanning_forest().count(1)
 
 
-@dataclass
-class LinkGraph:
+class LinkGraph(Record):
     """The link of a vertex: nodes are directed edges leaving it, arcs are
     square corners (tagged with (square index, corner index))."""
 
-    vertex: object
-    nodes: tuple
-    arcs: list = field(default_factory=list)
+    def __init__(self, vertex, nodes, arcs=None):
+        self.vertex = vertex
+        self.nodes = nodes
+        self.arcs = [] if arcs is None else arcs
 
 
 def _corners(complex_):
@@ -330,12 +333,12 @@ def _add_scaled_copy(x, ell, j, vertices, edges, squares):
     return cut
 
 
-@dataclass
-class BuiltComplex:
+class BuiltComplex(Record):
     """build_S_of_P output: the complex S(P), whose cell ids name where
     each cell lies."""
 
-    complex: SquareComplex
+    def __init__(self, complex):
+        self.complex = complex
 
 
 def build_S_of_P(p, x, gamma):

@@ -13,7 +13,7 @@ order of its vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
@@ -382,20 +382,10 @@ def membership(immersion, word):
     return at == graph.basepoint
 
 
-@dataclass(frozen=True)
-class FibreProductComponent:
-    index: int
-    vertices: tuple
-    edge_count: int
-    rank: int
-    is_tree: bool
-    is_diagonal: bool
+FibreProductComponent = namedtuple(
+    "FibreProductComponent", "index vertices edge_count rank is_tree is_diagonal")
 
-
-@dataclass(frozen=True)
-class FibreProductDecomposition:
-    total: LabeledGraph
-    components: tuple
+FibreProductDecomposition = namedtuple("FibreProductDecomposition", "total components")
 
 
 def fibre_product(i1, i2):
@@ -440,12 +430,10 @@ def fibre_product(i1, i2):
     return FibreProductDecomposition(total, tuple(comps))
 
 
-@dataclass(frozen=True)
-class MalnormalityWitness:
+class MalnormalityWitness(namedtuple("MalnormalityWitness", "pair component")):
     """A non-tree off-diagonal component of some pairwise fibre product."""
 
-    pair: tuple
-    component: FibreProductComponent
+    __slots__ = ()
 
 
 def _first_failure(fp, self_pair):
@@ -755,22 +743,20 @@ def _first_failing_pair(action, subgroup, translates):
     return None
 
 
-@dataclass(frozen=True)
-class KernelRewriting:
+class KernelRewriting(namedtuple("KernelRewriting", "modulus alpha beta")):
     """Rewriting data for the kernel of the retraction sending the grading
     letter to 1 (mod N) and the emitting letter to 0.
 
     Convention: the kernel generator e_c is beta^c alpha beta^-c."""
 
-    modulus: int
-    alpha: str
-    beta: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, modulus, alpha, beta):
+        if modulus < 1:
             raise DegenerateInputError("modulus must be >= 1")
-        if self.alpha == self.beta:
+        if alpha == beta:
             raise DegenerateInputError("alpha and beta must differ")
+        return super().__new__(cls, modulus, alpha, beta)
 
 
 def kernel_alphabet(rw):

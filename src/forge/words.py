@@ -1,7 +1,9 @@
 """Exact free-group word algebra over named alphabets.
 
-Words are stored freely reduced; all operations are pure and all values
-immutable, so words can be shared freely between workers.
+Words are stored freely reduced and all operations are pure.  A Word is
+immutable: its two fields are set once, when it is built, and assigning
+either raises AttributeError, so words can be shared freely between
+workers.
 
 Canonical orders used throughout:
   * letters compare by generator name, then sign (plain before inverse);
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError, DegenerateInputError, ParseError
 
@@ -58,19 +59,34 @@ class Alphabet:
         return reduce(self, [(name, sign)])
 
 
-@dataclass(frozen=True)
 class Word:
-    """A freely reduced word; the empty word is the identity."""
+    """A freely reduced word; the empty word is the identity.
 
-    alphabet: Alphabet
-    letters: tuple
+    Words compare and hash by (alphabet, letters) alone; the inverse, kept
+    in __dict__ once built, is not a field."""
 
-    def __post_init__(self):
-        for i in range(len(self.letters) - 1):
-            a, b = self.letters[i], self.letters[i + 1]
+    def __init__(self, alphabet, letters):
+        for i in range(len(letters) - 1):
+            a, b = letters[i], letters[i + 1]
             if a[0] == b[0] and a[1] == -b[1]:
                 raise ValueError("Word letters are not freely reduced; use reduce()")
-        check_letters(self.alphabet, self.letters)
+        check_letters(alphabet, letters)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.alphabet, self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -119,7 +135,8 @@ def _require_same_alphabet(x, y):
 
 def from_reduced(alphabet, letters):
     """A Word from a letter tuple known to be freely reduced, without the
-    rescan in Word.__post_init__."""
+    rescan in Word.__init__; its fields are set past the guard in
+    Word.__setattr__, as __init__ sets them."""
     word = object.__new__(Word)
     object.__setattr__(word, "alphabet", alphabet)
     object.__setattr__(word, "letters", letters)

@@ -9,11 +9,13 @@ import contextlib
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass, field
 from unittest import mock
 
 from hypothesis import settings, strategies as st
 
 from forge import words as W
+from forge.cli import EXIT_CODES
 from forge.errors import ConfigurationError, DegenerateInputError, ParseError
 from forge.presentations import AbelianInvariants, FinitePresentation
 from forge.squarecx import LinkGraph, SquareComplex
@@ -1666,3 +1668,186 @@ def oracle_free_power(p, n):
     for _ in range(n - 1):
         out = free_product(out, p)
     return out
+
+
+# forge's records as they were declared with @dataclass, kept as oracles for
+# the hand-written records that replaced them (test_records.py compares ==,
+# hash, repr, refusals and frozen fields).  Each keeps its fields, defaults,
+# validation and the methods that decide ==, hash or repr; the rest of its
+# methods are left out.  A record annotated with another record names it
+# as a string, as class bodies do not see the names around them in this
+# class.
+class Dataclass:
+    @dataclass(frozen=True)
+    class Word:
+        alphabet: W.Alphabet
+        letters: tuple
+
+        def __post_init__(self):
+            for i in range(len(self.letters) - 1):
+                a, b = self.letters[i], self.letters[i + 1]
+                if a[0] == b[0] and a[1] == -b[1]:
+                    raise ValueError("Word letters are not freely reduced; use reduce()")
+            W.check_letters(self.alphabet, self.letters)
+
+        def __repr__(self):
+            return f"Word({W.format_word(self)})"
+
+    @dataclass(frozen=True)
+    class AbelianInvariants:
+        betti: int
+        torsion: tuple
+
+        def __post_init__(self):
+            for a, b in zip(self.torsion, self.torsion[1:]):
+                if b % a:
+                    raise ValueError("torsion divisors must form a chain")
+
+    @dataclass(frozen=True)
+    class PermutationAssignment:
+        degree: int
+        images: dict = field(compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "images", dict(self.images))
+
+        def __eq__(self, other):
+            return (isinstance(other, Dataclass.PermutationAssignment)
+                    and self.degree == other.degree and self.images == other.images)
+
+    @dataclass(frozen=True)
+    class OrderSpec:
+        targets: tuple
+        kappa: int
+        exponents: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "targets", tuple(self.targets))
+            object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+            if len(self.targets) != len(self.exponents):
+                raise DegenerateInputError("one exponent per target is required")
+            if len(self.targets) < 2:
+                raise DegenerateInputError("an order spec needs at least two targets")
+            if self.kappa < 1 or any(e < 1 for e in self.exponents):
+                raise DegenerateInputError("kappa and all exponents must be >= 1")
+
+    @dataclass(frozen=True)
+    class SearchBudget:
+        max_degree: int
+        max_nodes: int = 10 ** 7
+        time_limit: float | None = None
+
+        def __post_init__(self):
+            if self.max_degree < 1 or self.max_nodes < 1:
+                raise DegenerateInputError("budget bounds must be positive")
+            if self.time_limit is not None and self.time_limit <= 0:
+                raise DegenerateInputError("time limit must be positive")
+
+    @dataclass
+    class SearchOutcome:
+        status: str
+        witness: "PermutationAssignment | None"
+        nodes: int
+        max_degree_searched: int
+        degrees: list = field(default_factory=list)
+        excluded: tuple = ()
+        even_only: bool = False
+        perfect: bool = False
+
+    @dataclass
+    class SimplifiedPresentation:
+        presentation: FinitePresentation
+        steps: list
+
+    @dataclass(frozen=True)
+    class FibreProductComponent:
+        index: int
+        vertices: tuple
+        edge_count: int
+        rank: int
+        is_tree: bool
+        is_diagonal: bool
+
+    @dataclass(frozen=True)
+    class FibreProductDecomposition:
+        total: "LabeledGraph"
+        components: tuple
+
+    @dataclass(frozen=True)
+    class MalnormalityWitness:
+        pair: tuple
+        component: "FibreProductComponent"
+
+    @dataclass(frozen=True)
+    class KernelRewriting:
+        modulus: int
+        alpha: str
+        beta: str
+
+        def __post_init__(self):
+            if self.modulus < 1:
+                raise DegenerateInputError("modulus must be >= 1")
+            if self.alpha == self.beta:
+                raise DegenerateInputError("alpha and beta must differ")
+
+    @dataclass(frozen=True)
+    class MalnormalCertificate:
+        m: int
+        modulus: int
+        tuple_uv: tuple
+        rank: int
+        family_malnormal: bool
+        base_rank: int
+        translates_malnormal: bool
+
+    @dataclass
+    class EncodingTrace:
+        input_presentation: FinitePresentation
+        input_word: W.Word
+        modulus: int
+        short_circuited: bool
+        p_dagger: FinitePresentation | None = None
+        w_dagger: W.Word | None = None
+        p_prime: FinitePresentation | None = None
+        w_prime: W.Word | None = None
+        p1: FinitePresentation | None = None
+        b_letters: tuple = ()
+        p2: FinitePresentation | None = None
+        t_letter: str | None = None
+        u: W.Word | None = None
+        v: W.Word | None = None
+        c_words_tw: tuple = ()
+        c_words: tuple = ()
+        certificate: "MalnormalCertificate | None" = None
+        p_w: FinitePresentation | None = None
+        abelianizations: dict | None = None
+
+    @dataclass
+    class LinkGraph:
+        vertex: object
+        nodes: tuple
+        arcs: list = field(default_factory=list)
+
+    @dataclass
+    class BuiltComplex:
+        complex: SquareComplex
+
+    @dataclass
+    class RunReport:
+        command: str
+        inputs: dict
+        status: str
+        timing: float = 0.0
+        artifacts: list = field(default_factory=list)
+        details: list = field(default_factory=list)
+
+        def __post_init__(self):
+            if self.status not in EXIT_CODES:
+                raise ValueError(f"unknown status {self.status!r}")
+
+
+# A dataclass's repr names its class by __qualname__; forge's records are
+# module-level, so each oracle prints the name alone, as they did.
+for _record in vars(Dataclass).values():
+    if isinstance(_record, type):
+        _record.__qualname__ = _record.__name__

@@ -503,6 +503,18 @@ class TestErrors:
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == [f"error: {error.format(workdir=workdir)}"]
 
+    @pytest.mark.parametrize("text, error", [
+        ("vertex v\nvertex v\nedge a v v\n", "line 2: vertex 'v' is repeated"),
+        ("vertex 1\nvertex 01\nedge a 1 1\n", "line 2: vertex 1 is repeated")])
+    def test_repeated_complex_vertex_refused(self, workdir, capsys, text, error):
+        """Two vertex lines for one id are refused, not read as one vertex
+        and certified."""
+        (workdir / "twice.txt").write_text(text)
+        code, out = run(capsys, "sqc", "check", workdir / "twice.txt")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("error:")] \
+            == [f"error: {error}"]
+
     def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
         (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")
         code, out = run(capsys, "sqc", "build",
@@ -596,3 +608,15 @@ class TestErrors:
         assert "status: error" in out
         assert [line for line in out.splitlines() if line.startswith("error:")] \
             == ["error: bad --orders spec ''; expected k:e1,e2,..."]
+
+
+def test_import_loads_no_dataclasses():
+    """Each forge command starts a fresh process, so its records are
+    namedtuples and plain classes: importing forge.cli loads neither
+    dataclasses nor the inspect module that dataclasses pulls in."""
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, forge.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -1,6 +1,5 @@
 """The encoding pipeline: stage bookkeeping, certificates, determinism."""
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -126,7 +125,7 @@ class TestSelection:
         with pytest.raises(DegenerateInputError, match="modulus 1000 "):
             select_malnormal_words(0, N=1000)
         _, cert = select_malnormal_words(0, N=7)
-        assert not revalidate_certificate(dataclasses.replace(cert, modulus=10 ** 9))
+        assert not revalidate_certificate(cert._replace(modulus=10 ** 9))
 
     @pytest.mark.parametrize("N, error", [(6, ThresholdError),
                                           (1000, DegenerateInputError)])
@@ -136,7 +135,7 @@ class TestSelection:
         with pytest.raises(error, match=f"^modulus {N} "):
             encoder._kernel_checks(N)
         _, cert = select_malnormal_words(0, N=7)
-        assert not revalidate_certificate(dataclasses.replace(cert, modulus=N))
+        assert not revalidate_certificate(cert._replace(modulus=N))
 
     def test_largest_modulus_check_stays_small(self):
         """The N = 999 rotation check keeps g's image tuples, not one

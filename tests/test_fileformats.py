@@ -283,6 +283,14 @@ class TestComplexFormat:
         assert exc.value.line == 4
         assert "not a closed edge path" in str(exc.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("vertex v\nvertex v\nedge a v v\n", "vertex 'v' is repeated"),
+        ("vertex 1\nvertex 01\nedge a 1 1\n", "vertex 1 is repeated")])
+    def test_repeated_vertex_names_its_line(self, text, message):
+        """Two vertex lines for one id, also in two spellings, are refused
+        at the second, as the graph reader refuses them."""
+        assert_parse_error(lambda: FF.parse_complex(text), message, 2)
+
 
 # Ids the reader's token table holds as written, and spellings it does not:
 # ints written with a leading 0 or +, ids ending in `-`, and `-` alone.

@@ -50,6 +50,11 @@ class TestBasics:
             SquareComplex(["v"], {"a": ("v", "v"), "b": ("v", "w")})
         assert exc.value.cell == ("edge", "b")
 
+    def test_repeated_vertex_refusal_names_it(self):
+        with pytest.raises(ConfigurationError, match="^vertex 'v' is repeated$") as exc:
+            SquareComplex(["u", "v", "w", "v"], {"a": ("v", "v")})
+        assert exc.value.cell == ("vertex", "v")
+
     def test_open_square_rejected(self):
         with pytest.raises(ConfigurationError):
             SquareComplex(["u", "v"], {"e": ("u", "v")},
