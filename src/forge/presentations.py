@@ -60,12 +60,17 @@ class FinitePresentation:
 
 def _fresh_names(names, taken):
     """Each name, or name_k for the least k >= 2 that is neither in `taken`
-    nor picked for an earlier name."""
-    used, fresh = set(taken), []
+    nor picked for an earlier name.  The names in use only grow, so every
+    name_j that a search for name passed over stays taken: the next search
+    starts where the last one stopped and still finds the least k."""
+    used, fresh, next_k = set(taken), [], {}
     for name in names:
-        pick, k = name, 2
-        while pick in used:
-            pick, k = f"{name}_{k}", k + 1
+        pick = name
+        if pick in used:
+            k = next_k.get(name, 2)
+            while (pick := f"{name}_{k}") in used:
+                k += 1
+            next_k[name] = k + 1
         used.add(pick)
         fresh.append(pick)
     return fresh
@@ -104,10 +109,8 @@ def free_product_with_renaming(p, q):
 
 def free_power(p, n):
     """n-fold free product of p with itself, with the names and relator
-    order of n - 1 nested free_product calls: copy 2, 3, ... renames g to
-    g_k, k >= 2 least with g_k untaken.  The digits of k hold no "_", so
-    g_k can clash only with an input name or an earlier g_j, and one
-    rising k per generator suffices."""
+    order of n - 1 nested free_product calls: copies 2, 3, ... take their
+    names from one `_fresh_names` call, as each nested product would."""
     if n < 1:
         raise DegenerateInputError("free_power requires n >= 1")
     size = n * (len(p.generators) + sum(len(r.letters) for r in p.relators))
@@ -117,18 +120,10 @@ def free_power(p, n):
             f"more than {W.MAX_WORD_LETTERS}")
     if not p.generators:
         return p  # every power of the empty presentation is itself
-    names, renames = list(p.generators), [{}]
-    suffix = dict.fromkeys(p.generators, 1)
-    for _ in range(n - 1):
-        rename = {}
-        for g in p.generators:
-            suffix[g] += 1
-            while f"{g}_{suffix[g]}" in p.alphabet:
-                suffix[g] += 1
-            rename[g] = f"{g}_{suffix[g]}"
-        names += rename.values()
-        renames.append(rename)
+    gens, m = p.generators, len(p.generators)
+    names = gens + tuple(_fresh_names(gens * (n - 1), gens))
     alphabet = W.Alphabet(names)
+    renames = [dict(zip(gens, names[k:k + m])) for k in range(0, len(names), m)]
     return FinitePresentation(alphabet, [map_word(r, alphabet, rename)
                                          for rename in renames for r in p.relators])
 
@@ -224,16 +219,14 @@ def tietze_change_generators(p, definitions, inverse_expressions):
 
     The result is presented on the new generators: every relator of p is
     rewritten through the inverse expressions, and a consistency relator
-    new * rewrite(definition)^-1 is appended for each new generator unless
-    it reduces to the identity.
+    new * rewrite(definition)^-1 is appended for each new generator (the
+    presentation drops those that reduce to the identity).
     """
     new_alphabet = verify_generator_change(p, definitions, inverse_expressions)
     relators = [substitute(r, new_alphabet, inverse_expressions) for r in p.relators]
     for name, definition in definitions.items():
         rewritten = substitute(definition, new_alphabet, inverse_expressions)
-        consistency = new_alphabet.gen(name) * rewritten.inverse()
-        if not consistency.is_identity():
-            relators.append(consistency)
+        relators.append(new_alphabet.gen(name) * rewritten.inverse())
     return FinitePresentation(new_alphabet, relators)
 
 

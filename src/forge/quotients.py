@@ -499,9 +499,11 @@ def search_homs(p, n):
 # in some relator (with exponent +-1) can be solved for there; it is then
 # substituted away in every other relator and dropped along with the solving
 # relator.  Each move removes one generator and one relator, so the loop
-# terminates.  Each move is kept as a step (generator, its expression over
-# the alphabet left after it), so homomorphisms and words transfer back and
-# forth exactly by replaying the steps.
+# terminates.  A relator that cancels to the identity is never usable, and
+# the FinitePresentation built at the end drops it.  Each move is kept as a
+# step (generator, its expression over the alphabet left after it), so
+# homomorphisms and words transfer back and forth exactly by replaying the
+# steps.
 
 
 class SimplifiedPresentation(Record):
@@ -535,8 +537,6 @@ def simplify_presentation(p):
                 continue
             if gen in scan[1]:
                 r = substitute(r, new_alphabet, {gen: expr})
-                if r.is_identity():
-                    continue
                 scan = _scan(r)
             else:
                 r = W.from_reduced(new_alphabet, r.letters)

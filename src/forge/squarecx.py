@@ -123,11 +123,6 @@ class SquareComplex:
                                        range(len(self.vertex_order)))[1]
         return self._forest
 
-    def component_count(self):
-        """Number of connected components (0 for the empty complex): V less
-        the edges of the spanning forest."""
-        return len(self.vertices) - self.spanning_forest().count(1)
-
 
 class LinkGraph(Record):
     """The link of a vertex: nodes are directed edges leaving it, arcs are

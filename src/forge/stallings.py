@@ -24,7 +24,8 @@ from .words import MAX_WORD_LETTERS
 class LabeledGraph:
     """Finite directed graph; edges carry a label (a base-graph edge id).
     Vertices and edges keep the order given, which is the only order the
-    operations here read; equality ignores it.
+    operations here read; equality ignores it.  `position` maps each vertex
+    to its position in that order.
 
     For a base graph the label of every edge is its own id; a rose is a
     base graph with a single vertex.
@@ -32,23 +33,23 @@ class LabeledGraph:
 
     def __init__(self, vertices, edges, basepoint=None):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            v = next(v for v in self.vertices if self.vertices.count(v) > 1)
+        place = self.position = {v: k for k, v in enumerate(self.vertices)}
+        if len(place) != len(self.vertices):   # place holds each vertex's last position
+            v = next(v for k, v in enumerate(self.vertices) if place[v] != k)
             raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
-            if src not in vset or dst not in vset:
+            if src not in place or dst not in place:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the graph",
                                          ("edge", eid))
-        if basepoint is not None and basepoint not in vset:
+        if basepoint is not None and basepoint not in place:
             raise ConfigurationError(f"basepoint {basepoint!r} is not a vertex",
                                      ("basepoint", basepoint))
         self.basepoint = basepoint
 
     def __eq__(self, other):
         return (isinstance(other, LabeledGraph)
-                and set(self.vertices) == set(other.vertices)
+                and self.position.keys() == other.position.keys()
                 and self.edges == other.edges
                 and self.basepoint == other.basepoint)
 
@@ -66,7 +67,7 @@ def _component_data(graph):
     """(vertex list, edge count) of each connected component, from one
     union-find pass: the lists keep `graph.vertices`' order and come out
     ordered by first vertex."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = graph.position
     parent = list(range(len(index)))
     for src, dst, _ in graph.edges.values():
         a, b = _find(parent, index[src]), _find(parent, index[dst])
@@ -112,9 +113,8 @@ class GraphImmersion:
         self.domain = domain
         self.base = base
         self.vmap = dict(vmap)
-        base_vertices = set(base.vertices)
         for v in domain.vertices:
-            if v not in self.vmap or self.vmap[v] not in base_vertices:
+            if v not in self.vmap or self.vmap[v] not in base.position:
                 raise ConfigurationError(f"vertex {v!r} is not mapped into the base",
                                          ("vertex", v))
         for eid, (src, dst, label) in domain.edges.items():
@@ -185,7 +185,7 @@ def _rebuilt(immersion, step, folded):
     (source, target, label), basepoint position or None) to a graph on a
     subset of them, which `_relabel` turns into the returned immersion."""
     graph = immersion.domain
-    index = {v: k for k, v in enumerate(graph.vertices)}
+    index = graph.position
     edges = [(index[src], index[dst], label) for src, dst, label in graph.edges.values()]
     bp = None if graph.basepoint is None else index[graph.basepoint]
     return _relabel(*step(range(len(index)), edges, bp),
@@ -447,7 +447,7 @@ def _factor(graph):
     """What `_refutes` reads of a factor: its edges as (source, target)
     pairs of positions in the vertex order, grouped by label, and the
     vertex count."""
-    index = {v: k for k, v in enumerate(graph.vertices)}
+    index = graph.position
     by_label = {}
     for src, dst, label in graph.edges.values():
         by_label.setdefault(label, []).append((index[src], index[dst]))

@@ -33,9 +33,15 @@ def exponent_sum(word, name):
     return sum(s for g, s in word.letters if g == name)
 
 
+def component_count(complex_):
+    """Number of connected components (0 for the empty complex): V less
+    the edges of the spanning forest."""
+    return len(complex_.vertices) - complex_.spanning_forest().count(1)
+
+
 def is_connected(complex_):
     """True for a complex of at most one component."""
-    return complex_.component_count() <= 1
+    return component_count(complex_) <= 1
 
 
 def grushko_lower_bound(n):

@@ -1,14 +1,15 @@
 """Presentations: products, generator changes, abelianization."""
 
 import random
+import time
 
 import pytest
 
 from forge import words as W
 from forge.errors import (AlphabetMismatchError, DegenerateInputError,
                           InvalidSubstitutionError, NameCollisionError)
-from forge.presentations import (AbelianInvariants, FinitePresentation, abelianization,
-                                 add_conjugation_relators, exponent_matrix,
+from forge.presentations import (AbelianInvariants, FinitePresentation, _fresh_names,
+                                 abelianization, add_conjugation_relators, exponent_matrix,
                                  free_power, free_product,
                                  free_product_with_renaming,
                                  tietze_change_generators,
@@ -125,6 +126,19 @@ class TestFreeProduct:
         with pytest.raises(DegenerateInputError, match="more than 1000000"):
             free_power(p, 11)
         assert free_power(pres([]), 10 ** 9) == pres([])
+
+
+def test_fresh_names_interleave_with_taken():
+    """Each repeat takes the least suffix left, stepping over a_3, which
+    the taken names already hold."""
+    assert _fresh_names(["a", "a", "a"], ["a", "a_3"]) == ["a_2", "a_4", "a_5"]
+
+
+def test_fresh_names_repeated_name_in_linear_time():
+    start = time.monotonic()
+    fresh = _fresh_names(["a"] * 20000, ["a"])
+    assert time.monotonic() - start < 1.0
+    assert fresh[0] == "a_2" and fresh[-1] == "a_20001" and len(set(fresh)) == 20000
 
 
 @given(seeds)

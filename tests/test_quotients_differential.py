@@ -501,6 +501,17 @@ def test_simplify_presentation_matches_seed(seed):
     assert new.steps == old.steps
 
 
+def test_simplify_drops_relators_that_cancel():
+    """Solving a b^-1 for a cancels the relators that say the same again;
+    the result equals the oracle's, which drops them as they cancel."""
+    alphabet = W.Alphabet(["a", "b"])
+    p = FinitePresentation(alphabet, [W.parse_word(alphabet, r)
+                                      for r in ("a b^-1", "b a^-1", "b^2", "a b^-1")])
+    new, old = simplify_presentation(p), oracle_simplify_presentation(p)
+    assert repr(new.presentation) == "<gens b | b^2>"
+    assert new.presentation == old.presentation and new.steps == old.steps
+
+
 @given(seeds)
 @derandomized
 def test_step_replay_matches_expressions(seed):

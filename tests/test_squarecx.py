@@ -16,7 +16,7 @@ from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
                             pi1_presentation)
-from helpers import is_connected, oracle_canonical_square, reverse
+from helpers import component_count, is_connected, oracle_canonical_square, reverse
 
 
 def pres(gens, *rels):
@@ -280,7 +280,7 @@ class TestPi1:
         assert (inv.betti, inv.torsion) == (0, (2,))
 
     @pytest.mark.parametrize("first", [
-        (), (cellular_h1,), (SquareComplex.component_count,),
+        (), (cellular_h1,), (component_count,),
         (is_connected, cellular_h1)])
     def test_disconnected_pi1_refused_after_any_call(self, first):
         """A torus and a loop apart: the kept spanning forest has two trees,
@@ -293,7 +293,7 @@ class TestPi1:
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="^complex is not connected$"):
                 pi1_presentation(cx)
-        assert cx.component_count() == 2
+        assert component_count(cx) == 2
         assert cellular_h1(cx) == cellular_h1(TORUS)
 
 

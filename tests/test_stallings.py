@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -46,6 +47,13 @@ class TestGraphBasics:
         with pytest.raises(ConfigurationError) as exc:
             S.LabeledGraph(*args)
         assert exc.value.cell == cell
+
+    def test_repeat_among_many_refused_in_linear_time(self):
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match="^vertex 19999 is repeated$") as exc:
+            S.LabeledGraph(list(range(20000)) + [19999], {})
+        assert time.monotonic() - start < 0.5
+        assert exc.value.cell == ("vertex", 19999)
 
     def test_refusals_and_the_order_given(self):
         with pytest.raises(ConfigurationError, match="endpoint outside"):
