@@ -3,6 +3,13 @@ modules, structured-text reports with a stable field order, and the exit-code
 contract 0 = certified/witness, 2 = inconclusive, 1 = error (refuted
 certification checks also exit 1).
 
+Every command has one report path: `main` calls its handler as
+`handler(args, inputs, artifacts)`.  The handler reads each input file
+through `_load` or `_load_immersion`, which digest it into `inputs` and
+name the file at fault in a parse error, lists each `--out` file it writes
+in `artifacts`, and returns `(status, details)`.  `main` alone names, times
+and prints the report; an error report lists no inputs or artifacts.
+
 No report ever claims that a group has no nontrivial finite quotient; an
 exhausted search is always reported as inconclusive.
 """
@@ -66,11 +73,6 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _emit(text, out_path, artifacts):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -127,21 +129,36 @@ def _search_details(outcome):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns a RunReport.
+# Subcommand handlers.  Each takes the parsed arguments, the run's `inputs`
+# and `artifacts`, which it fills, and returns (status, details).
 
 
-def _cmd_fold(args):
+def _load(inputs, label, path, parse):
+    """parse(the text of the file at path), with a ParseError led by the
+    path; the text's digest becomes input `label`."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    inputs[label] = _digest(text)
+    return FF.in_file(path, parse, text)
+
+
+def _load_immersion(inputs, label, path, folded=True):
+    """FF.load_immersion's immersion and base path; the digest of the graph
+    file's text becomes input `label`."""
+    imm, base_path, text = FF.load_immersion(path, folded=folded)
+    inputs[label] = _digest(text)
+    return imm, base_path
+
+
+def _cmd_fold(args, inputs, artifacts):
     """`fold`, and `core`: fold, then trim to the core."""
-    imm, base_path, text = FF.load_immersion(args.graph, folded=False)
+    imm, base_path = _load_immersion(inputs, "graph", args.graph, folded=False)
     result = fold(imm)
     if args.subcommand == "core":
         result = core(result)
-    artifacts = []
     _emit(FF.format_immersion(result, base_path), args.out, artifacts)
-    details = [("vertices", str(len(result.domain.vertices))),
-               ("edges", str(len(result.domain.edges)))]
-    return RunReport(args.subcommand, {"graph": _digest(text)},
-                     "certified", artifacts=artifacts, details=details)
+    return "certified", [("vertices", str(len(result.domain.vertices))),
+                         ("edges", str(len(result.domain.edges)))]
 
 
 def _component_details(decomp):
@@ -153,31 +170,22 @@ def _component_details(decomp):
     return details
 
 
-def _cmd_fibre(args):
-    i1, _, text1 = FF.load_immersion(args.graph1)
-    i2, _, text2 = FF.load_immersion(args.graph2)
-    decomp = fibre_product(i1, i2)
-    inputs = {"graph1": _digest(text1), "graph2": _digest(text2)}
-    return RunReport("fibre", inputs, "certified",
-                     details=_component_details(decomp))
+def _cmd_fibre(args, inputs, artifacts):
+    i1, _ = _load_immersion(inputs, "graph1", args.graph1)
+    i2, _ = _load_immersion(inputs, "graph2", args.graph2)
+    return "certified", _component_details(fibre_product(i1, i2))
 
 
-def _cmd_malnormal(args):
-    family = []
-    inputs = {}
-    for k, path in enumerate(args.graphs):
-        imm, _, text = FF.load_immersion(path)
-        family.append(imm)
-        inputs[f"graph{k}"] = _digest(text)
+def _cmd_malnormal(args, inputs, artifacts):
+    family = [_load_immersion(inputs, f"graph{k}", path)[0]
+              for k, path in enumerate(args.graphs)]
     ok, witness = malnormal_family_check(family)
     if ok:
-        return RunReport("malnormal", inputs, "certified",
-                         details=[("family size", str(len(family)))])
+        return "certified", [("family size", str(len(family)))]
     c = witness.component
-    details = [("witness pair", f"{witness.pair[0]},{witness.pair[1]}"),
-               ("witness component",
-                f"vertices={len(c.vertices)} edges={c.edge_count} rank={c.rank}")]
-    return RunReport("malnormal", inputs, "refuted", details=details)
+    return "refuted", [("witness pair", f"{witness.pair[0]},{witness.pair[1]}"),
+                       ("witness component",
+                        f"vertices={len(c.vertices)} edges={c.edge_count} rank={c.rank}")]
 
 
 def _invariant_details(p):
@@ -186,40 +194,30 @@ def _invariant_details(p):
             ("torsion", " ".join(map(str, inv.torsion)) or "none")]
 
 
-def _cmd_abel(args):
-    text = _read(args.presentation)
-    details = _invariant_details(FF.parse_presentation(text))
-    return RunReport("abel", {"presentation": _digest(text)},
-                     "certified", details=details)
+def _cmd_abel(args, inputs, artifacts):
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
+    return "certified", _invariant_details(p)
 
 
-def _cmd_freepow(args):
-    text = _read(args.presentation)
-    p = FF.parse_presentation(text)
+def _cmd_freepow(args, inputs, artifacts):
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
+    inputs["n"] = _digest(str(args.n))
     q = free_power(p, args.n)
-    artifacts = []
     _emit(FF.format_presentation(q), args.out, artifacts)
-    details = [("generators", str(len(q.generators))),
-               ("relators", str(len(q.relators)))]
-    return RunReport("freepow", {"presentation": _digest(text),
-                                 "n": _digest(str(args.n))},
-                     "certified", artifacts=artifacts, details=details)
+    return "certified", [("generators", str(len(q.generators))),
+                         ("relators", str(len(q.relators)))]
 
 
-def _cmd_encode(args):
-    text = _read(args.presentation)
-    p = FF.parse_presentation(text)
+def _cmd_encode(args, inputs, artifacts):
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     w = W.parse_word(p.alphabet, args.word)
-    inputs = {"presentation": _digest(text),
-              "word": _digest(args.word)}
+    inputs["word"] = _digest(args.word)
     trace = discrete_trace(p, w) if args.discrete else encode(p, w, N=args.N)
     details = [(f"stage {name}",
                 f"generators={len(stage.generators)} relators={len(stage.relators)}")
                for name, stage in trace.stages().items()]
-    artifacts = []
     _emit(FF.trace_to_json(trace), args.out, artifacts)
-    return RunReport("encode", inputs, "certified",
-                     artifacts=artifacts, details=details)
+    return "certified", details
 
 
 def _parse_orders(text):
@@ -232,13 +230,11 @@ def _parse_orders(text):
     return kappa, exponents
 
 
-def _cmd_quotients(args):
+def _cmd_quotients(args, inputs, artifacts):
     if args.orders is not None and args.word is not None:
         raise ForgeError("--orders and --word cannot be combined")
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    text = _read(args.presentation)
-    p = FF.parse_presentation(text)
-    inputs = {"presentation": _digest(text)}
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     goal = None
     if args.orders is not None:
         kappa, exponents = _parse_orders(args.orders)
@@ -251,9 +247,7 @@ def _cmd_quotients(args):
     elif args.word is not None:
         inputs["word"] = _digest(args.word)
         goal = W.parse_word(p.alphabet, args.word)
-
-    status, details = _search_details(search(p, budget, goal, per_degree=True))
-    return RunReport("quotients", inputs, status, details=details)
+    return _search_details(search(p, budget, goal, per_degree=True))
 
 
 def _complex_details(cx):
@@ -263,52 +257,44 @@ def _complex_details(cx):
             ("euler characteristic", str(cx.euler_characteristic()))]
 
 
-def _cmd_sqc_check(args):
-    text = _read(args.complex)
-    cx = FF.parse_complex(text)
+def _cmd_sqc_check(args, inputs, artifacts):
+    cx = _load(inputs, "complex", args.complex, FF.parse_complex)
     ok, violations = check_link_condition(cx)
-    inputs = {"complex": _digest(text)}
     details = _complex_details(cx)
     if ok:
-        return RunReport("sqc check", inputs, "certified", details=details)
+        return "certified", details
     details.append(("violations", str(len(violations))))
     for v, kind, _ in violations[:5]:
         details.append(("violation", f"{kind} in link of {v!r}"))
-    return RunReport("sqc check", inputs, "refuted", details=details)
+    return "refuted", details
 
 
-def _cmd_sqc_build(args):
-    pres_text, complex_text = _read(args.pres), _read(args.complex)
-    p = FF.parse_presentation(pres_text)
-    cx = FF.parse_complex(complex_text)
+def _cmd_sqc_build(args, inputs, artifacts):
+    p = _load(inputs, "presentation", args.pres, FF.parse_presentation)
+    cx = _load(inputs, "complex", args.complex, FF.parse_complex)
+    inputs["gamma"] = _digest(args.gamma)
     gamma = [cx.directed(c) for c in FF.parse_edge_codes(args.gamma.split(), cx, "gamma")]
     built = build_S_of_P(p, cx, gamma)
-    artifacts = []
     _emit(FF.format_complex(built.complex), args.out, artifacts)
-    inputs = {"presentation": _digest(pres_text),
-              "complex": _digest(complex_text),
-              "gamma": _digest(args.gamma)}
-    return RunReport("sqc build", inputs, "certified", artifacts=artifacts,
-                     details=_complex_details(built.complex))
+    return "certified", _complex_details(built.complex)
 
 
-def _cmd_sqc_pi1(args):
-    text = _read(args.complex)
-    cx = FF.parse_complex(text)
-    p = pi1_presentation(cx)
-    artifacts = []
+def _cmd_sqc_pi1(args, inputs, artifacts):
+    p = pi1_presentation(_load(inputs, "complex", args.complex, FF.parse_complex))
     _emit(FF.format_presentation(p), args.out, artifacts)
-    details = [("generators", str(len(p.generators))),
-               ("relators", str(len(p.relators)))] + _invariant_details(p)
-    return RunReport("sqc pi1", {"complex": _digest(text)},
-                     "certified", artifacts=artifacts, details=details)
+    return "certified", [("generators", str(len(p.generators))),
+                         ("relators", str(len(p.relators))), *_invariant_details(p)]
 
 
-def _cmd_probe(args):
-    p = FF.parse_presentation(_read(args.presentation))
+def _cmd_probe(args, inputs, artifacts):
+    """run_encode_and_probe's report, whose inputs are the digests of the
+    presentation and word as forge writes them."""
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     w = W.parse_word(p.alphabet, args.word)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    return run_encode_and_probe(p, w, budget, N=args.N)
+    report = run_encode_and_probe(p, w, budget, N=args.N)
+    inputs.update(report.inputs)
+    return report.status, report.details
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +406,19 @@ def _parser():
 def main(argv=None):
     start = time.monotonic()
     command = "forge"  # until the command line parses
+    inputs, artifacts = {}, []
     try:
         args = _parser().parse_args(argv)
         command = " ".join(filter(None, (args.subcommand,
                                          getattr(args, "sqc_command", None))))
-        report = args.handler(args)
+        status, details = args.handler(args, inputs, artifacts)
     except (ForgeError, OSError, ValueError, MemoryError) as exc:
         # A MemoryError has no message; the frames that held memory are gone.
         error = "memory ran out" if isinstance(exc, MemoryError) else str(exc)
-        report = RunReport(command, {}, "error",
-                           timing=time.monotonic() - start,
-                           details=[("error", error)])
-    if report.timing == 0.0:
-        report.timing = time.monotonic() - start
+        inputs, artifacts = {}, []
+        status, details = "error", [("error", error)]
+    report = RunReport(command, inputs, status, time.monotonic() - start,
+                       artifacts, details)
     sys.stdout.write(report.to_text())
     return report.exit_code()
 

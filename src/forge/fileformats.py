@@ -116,7 +116,7 @@ def _parse_cells(text, header):
     if not entries or entries[0][1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
-    vertices, edges, lines = {}, {}, {}
+    vertices, edges, lines = [], {}, {}
     basepoint = None
     rest = []
     for i, line in entries[1:]:
@@ -126,9 +126,7 @@ def _parse_cells(text, header):
             if len(args) != 1:
                 raise ParseError("vertex takes exactly one id", line=i)
             v = _token(args[0])
-            if v in vertices:
-                raise ParseError(f"duplicate vertex id {args[0]}", line=i)
-            vertices[v] = None
+            vertices.append(v)
             lines["vertex", v] = i
         elif kind == "edge":
             if len(args) != 4:
@@ -149,7 +147,7 @@ def _parse_cells(text, header):
             rest.append((i, line))
     try:
         return LabeledGraph(vertices, edges, basepoint), rest, lines
-    except ConfigurationError as exc:   # an endpoint or basepoint no vertex line names
+    except ConfigurationError as exc:   # a repeated vertex, or a cell naming no vertex
         raise ParseError(str(exc), line=lines[exc.cell]) from exc
 
 
@@ -247,16 +245,16 @@ def load_immersion(path, folded=True):
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    graph, base_path, vmap, lines = _in_file(path, _read_graph_file, text)
+    graph, base_path, vmap, lines = in_file(path, _read_graph_file, text)
     if base_path is None:
         raise ParseError(f"{path}: graph file has no base line")
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     with open(full, encoding="utf-8") as fh:
-        base = _in_file(base_path, parse_base_graph, fh.read())
-    return _in_file(path, _resolve, graph, base, vmap, folded, lines), base_path, text
+        base = in_file(base_path, parse_base_graph, fh.read())
+    return in_file(path, _resolve, graph, base, vmap, folded, lines), base_path, text
 
 
-def _in_file(name, read, *args):
+def in_file(name, read, *args):
     """read(*args), with a ParseError's message led by the file's name; its
     line and column stay as they were."""
     try:

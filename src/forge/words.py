@@ -336,9 +336,7 @@ def parse_word(alphabet, text):
         if not match:
             raise ParseError(f"bad word token {token!r}")
         name, power = match.group(1), match.group(2)
-        if name not in alphabet:
-            raise AlphabetMismatchError(
-                f"unknown generator {name!r} (alphabet {alphabet.names})")
+        alphabet.check(name)
         k = 1 if power is None else int(power)
         if k == 0:
             raise ParseError(f"zero power in token {token!r}")

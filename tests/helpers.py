@@ -1571,21 +1571,20 @@ def seed_search_kernel():
         yield
 
 
-def oracle_cmd_quotients(args):
+def oracle_cmd_quotients(args, inputs, artifacts):
     """The `forge quotients` handler with its own degree loop, as it was
     before the library's `search` took the loop over: a fresh budget per
-    degree, witnesses restored to the input generators."""
+    degree, witnesses restored to the input generators.  Like every
+    handler it fills `inputs` and returns (status, details)."""
     from forge import fileformats as FF
-    from forge.cli import RunReport, _digest, _parse_orders, _read
+    from forge.cli import _digest, _load, _parse_orders
     from forge.errors import ForgeError
     from forge.quotients import (OrderSpec, SearchBudget, _Budget, _BudgetStop,
                                  _enumerate_homs, _restore_assignment,
                                  _transfer_word, cycle_notation, identity_perm,
                                  simplify_presentation, verify_order_spec)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    text = _read(args.presentation)
-    p = FF.parse_presentation(text)
-    inputs = {"presentation": _digest(text)}
+    p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     details = []
 
     spec = None
@@ -1641,9 +1640,9 @@ def oracle_cmd_quotients(args):
         details.append(("witness degree", str(witness_degree)))
         for g in sorted(witness.images):
             details.append((f"witness {g}", cycle_notation(witness.images[g])))
-        return RunReport("quotients", inputs, "witness", details=details)
+        return "witness", details
     details.append(("conclusion", "no witness found; no conclusion"))
-    return RunReport("quotients", inputs, "inconclusive", details=details)
+    return "inconclusive", details
 
 
 @contextlib.contextmanager

@@ -62,6 +62,89 @@ class TestReport:
                               "inconclusive": 2, "error": 1}
 
 
+# Each command on tiny inputs: its argv, whether it takes --out, and its
+# argv with one bad input file.
+COMMANDS = {
+    "fold": (("fold", "sub.txt"), True, ("fold", "bad_graph.txt")),
+    "core": (("core", "sub.txt"), True, ("core", "bad_graph.txt")),
+    "fibre": (("fibre", "sub.txt", "sub.txt"), False,
+              ("fibre", "sub.txt", "bad_graph.txt")),
+    "malnormal": (("malnormal", "sub.txt"), False,
+                  ("malnormal", "sub.txt", "bad_graph.txt")),
+    "abel": (("abel", "torus_pres.txt"), False, ("abel", "bad_pres.txt")),
+    "freepow": (("freepow", "torus_pres.txt", "2"), True,
+                ("freepow", "bad_pres.txt", "2")),
+    "encode": (("encode", "dead.txt", "--word", "a", "--discrete"), True,
+               ("encode", "bad_pres.txt", "--word", "a", "--discrete")),
+    "quotients": (("quotients", "torus_pres.txt", "--max-degree", "3"), False,
+                  ("quotients", "bad_pres.txt", "--max-degree", "3")),
+    "sqc check": (("sqc", "check", "torus_cx.txt"), False,
+                  ("sqc", "check", "bad_cx.txt")),
+    "sqc build": (("sqc", "build", "--pres", "torus_pres.txt",
+                   "--complex", "torus_cx.txt", "--gamma", "a a"), True,
+                  ("sqc", "build", "--pres", "torus_pres.txt",
+                   "--complex", "bad_cx.txt", "--gamma", "a a")),
+    "sqc pi1": (("sqc", "pi1", "torus_cx.txt"), True, ("sqc", "pi1", "bad_cx.txt")),
+    "probe": (("probe", "a2.txt", "--word", "a", "--max-degree", "1"), False,
+              ("probe", "bad_pres.txt", "--word", "a")),
+}
+
+
+class TestReportPath:
+    """main builds every command's report: it names the command, sets the
+    exit code from the status and lists what the handler wrote."""
+
+    @pytest.fixture
+    def files(self, workdir):
+        (workdir / "a2.txt").write_text("gens: a\nrel: a^2\n")
+        (workdir / "bad_graph.txt").write_text("graph\nbase base.txt\nvertex 0\nwibble\n")
+        (workdir / "bad_pres.txt").write_text("gens: a b\nrel: a zz\n")
+        (workdir / "bad_cx.txt").write_text("vertex v\nedge a v w\n")
+        return workdir
+
+    @staticmethod
+    def run_lines(capsys, workdir, argv):
+        """The exit code and the report's lines, which follow what a
+        command without --out writes to stdout."""
+        code, out = run(capsys, *[workdir / a if a.endswith(".txt") else a for a in argv])
+        lines = out.splitlines()
+        return code, lines[max(i for i, line in enumerate(lines)
+                               if line.startswith("command: ")):]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_report_path(self, files, capsys, command):
+        argv, takes_out, bad_argv = COMMANDS[command]
+        out_file = files / "out.txt"
+        for out in ((), ("--out", "out.txt")) if takes_out else ((),):
+            code, lines = self.run_lines(capsys, files, argv + out)
+            assert lines[0] == f"command: {command}"
+            status = lines[1].removeprefix("status: ")
+            assert status != "error" and code == EXIT_CODES[status], lines
+            assert [line for line in lines if line.startswith("input ")]
+            assert len([line for line in lines if line.startswith("timing: ")]) == 1
+            assert [line for line in lines if line.startswith("artifact:")] \
+                == ([f"artifact: {out_file}"] if out else [])
+        code, lines = self.run_lines(capsys, files, bad_argv)
+        assert code == 1
+        assert lines[:2] == [f"command: {command}", "status: error"]
+        assert not [line for line in lines if line.startswith(("input ", "artifact:"))]
+        bad = next(a for a in bad_argv if a.startswith("bad_"))
+        assert lines[-1].startswith(f"error: {files / bad}: line ")
+
+    @pytest.mark.parametrize("pres, complex_, error", [
+        ("bad_pres.txt", "torus_cx.txt",
+         "bad_pres.txt: line 2, column 6: unknown generator 'zz' (alphabet ('a', 'b'))"),
+        ("torus_pres.txt", "bad_cx.txt",
+         "bad_cx.txt: line 2: edge 'a' has an endpoint outside the complex")])
+    def test_sqc_build_names_the_bad_file(self, files, capsys, pres, complex_, error):
+        """`sqc build` reads two files; its error names the one at fault."""
+        code, lines = self.run_lines(capsys, files, (
+            "sqc", "build", "--pres", pres, "--complex", complex_, "--gamma", "a"))
+        assert code == 1
+        assert [line for line in lines if line.startswith("error:")] \
+            == [f"error: {files}/{error}"]
+
+
 class TestGraphCommands:
     def test_core(self, workdir, capsys):
         out_file = workdir / "core.txt"
@@ -422,8 +505,8 @@ class TestErrors:
          "power in token 'a^99999999999' makes the word longer than 1000000 letters"),
         (("probe", "dead.txt", "--word", "a^-99999999999"),
          "power in token 'a^-99999999999' makes the word longer than 1000000 letters"),
-        (("abel", "huge.txt"), "line 2, column 6: power in token 'a^600000' "
-                               "makes the word longer than 1000000 letters"),
+        (("abel", "huge.txt"), "{workdir}/huge.txt: line 2, column 6: power in token "
+                               "'a^600000' makes the word longer than 1000000 letters"),
         (("encode", "dead.txt", "--word", "a", "--N", "1000"),
          "modulus 1000 makes 1000 rotation decisions over 1001 ids, "
          "more than 1000000 in all"),
@@ -448,7 +531,7 @@ class TestErrors:
         assert code == 1
         assert "status: error" in out
         assert [line for line in out.splitlines() if line.startswith("error:")] \
-            == [f"error: {error}"]
+            == [f"error: {error.format(workdir=workdir)}"]
 
     @pytest.mark.parametrize("argv, error", [
         (("fold", "on_bad_base.txt"),
@@ -508,12 +591,12 @@ class TestErrors:
         ("vertex 1\nvertex 01\nedge a 1 1\n", "line 2: vertex 1 is repeated")])
     def test_repeated_complex_vertex_refused(self, workdir, capsys, text, error):
         """Two vertex lines for one id are refused, not read as one vertex
-        and certified."""
+        and certified; the error names the file."""
         (workdir / "twice.txt").write_text(text)
         code, out = run(capsys, "sqc", "check", workdir / "twice.txt")
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("error:")] \
-            == [f"error: {error}"]
+            == [f"error: {workdir}/twice.txt: {error}"]
 
     def test_oversized_scaled_copy_refused_at_once(self, workdir, capsys):
         (workdir / "long_rel.txt").write_text("gens: a b\nrel: a^5000\n")

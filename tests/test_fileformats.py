@@ -157,7 +157,7 @@ class TestGraphFormat:
         (FF.parse_graph_file, "graph\nvertex 0\nedge e 0 0 a\nedge e 0 0 b\n",
          "duplicate edge id e", 4),
         (FF.parse_graph_file, "graph\nvertex 0\nvertex 1\nvertex 0\nbasepoint 0\n",
-         "duplicate vertex id 0", 4),
+         "vertex 0 is repeated", 4),
         (FF.parse_base_graph, "base\nvertex *\nbasepoint *\nbasepoint *\n",
          "duplicate basepoint line", 4),
         (FF.parse_graph_file, "graph\nbase b.txt\nbase c.txt\n", "duplicate base line", 3),
