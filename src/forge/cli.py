@@ -287,13 +287,13 @@ def _cmd_sqc_pi1(args, inputs, artifacts):
 
 
 def _cmd_probe(args, inputs, artifacts):
-    """run_encode_and_probe's report, whose inputs are the digests of the
-    presentation and word as forge writes them."""
+    """run_encode_and_probe's status and details; the presentation file and
+    the word are digested as given, as every other command digests them."""
     p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     w = W.parse_word(p.alphabet, args.word)
+    inputs["word"] = _digest(args.word)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
     report = run_encode_and_probe(p, w, budget, N=args.N)
-    inputs.update(report.inputs)
     return report.status, report.details
 
 

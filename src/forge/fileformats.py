@@ -110,13 +110,14 @@ def _id_str(x):
 def _parse_cells(text, header):
     """Check a graph file's header line and build the graph of its vertex,
     edge and basepoint lines; returns it, the remaining (line number,
-    line)s and the line of each cell, keyed as a ConfigurationError names
-    it: ("vertex", id), ("edge", id) and ("basepoint", id)."""
+    line)s and the line of each cell (a repeated vertex's second), keyed as
+    a ConfigurationError names it: ("vertex", id), ("edge", id) and
+    ("basepoint", id)."""
     entries = list(_lines(text))
     if not entries or entries[0][1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
                          line=entries[0][0] if entries else 1)
-    vertices, edges, lines = [], {}, {}
+    vertices, edges, lines, repeated = [], {}, {}, set()
     basepoint = None
     rest = []
     for i, line in entries[1:]:
@@ -127,7 +128,9 @@ def _parse_cells(text, header):
                 raise ParseError("vertex takes exactly one id", line=i)
             v = _token(args[0])
             vertices.append(v)
-            lines["vertex", v] = i
+            if lines.setdefault(("vertex", v), i) != i and v not in repeated:
+                repeated.add(v)
+                lines["vertex", v] = i
         elif kind == "edge":
             if len(args) != 4:
                 raise ParseError("edge takes id, src, dst, label", line=i)
@@ -317,7 +320,8 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 def parse_complex(text):
     vertices, edges, squares = [], {}, []   # squares: their line numbers
-    ids, written, at = {}, [], {}   # vertex token -> id; edge tokens; cell -> line
+    # vertex token -> id; edge tokens; cell -> line (a repeated vertex's second)
+    ids, written, at, repeated = {}, [], {}, set()
     lines = text.splitlines()
     for i, line in enumerate(lines, 1):
         parts = line.split()
@@ -345,7 +349,9 @@ def parse_complex(text):
                 raise ParseError("vertex takes exactly one id", line=i)
             v = ids[parts[1]] = _token(parts[1])
             vertices.append(v)
-            at["vertex", v] = i
+            if at.setdefault(("vertex", v), i) != i and v not in repeated:
+                repeated.add(v)
+                at["vertex", v] = i
         else:
             raise ParseError(f"expected vertex/edge/square, got {kind!r}",
                              line=i, column=1)

@@ -65,7 +65,7 @@ def smith_normal_form(matrix):
     # with it: a +-1 pivot clears its column and row with no remainder.  Its
     # column is the row's first +-1 entry with the fewest entries; one, the
     # pivot itself, is the fewest there can be, and then no other row holds
-    # column j.  The row operations are _subtract's, written out.
+    # column j.
     units, none = 0, len(rows) + 1
     for i in sorted(range(len(rows)), key=list(map(len, rows)).__getitem__):
         pivot_row, least = rows[i], none
@@ -82,22 +82,9 @@ def smith_normal_form(matrix):
             column[jj].discard(i)
         others = column.pop(j)
         units += 1
-        if least == 1:
-            continue
         others.discard(i)
         for k in others:
-            row = rows[k]
-            q = row.pop(j) * p
-            for jj, v in pivot_row.items():
-                w = row.get(jj)
-                if w is None:
-                    row[jj] = -q * v
-                    column[jj].add(k)
-                elif w != q * v:
-                    row[jj] = w - q * v
-                else:
-                    del row[jj]
-                    column[jj].discard(k)
+            _subtract(rows, column, k, rows[k].pop(j) * p, pivot_row)
     # The remainder loop, on whatever rows the sweep left.
     diagonal = []
     while least := _least_entry(rows):
@@ -129,16 +116,17 @@ def smith_normal_form(matrix):
 
 
 def _subtract(rows, column, k, q, pivot_row):
-    """rows[k] -= q * pivot_row, dropping zeros and keeping the column
-    index up to date."""
+    """rows[k] -= q * pivot_row for a nonzero q, dropping zeros and keeping
+    the column index up to date."""
     row = rows[k]
     for jj, v in pivot_row.items():
-        w = row.get(jj, 0) - q * v
-        if w:
-            if jj not in row:
-                column[jj].add(k)
-            row[jj] = w
-        elif jj in row:
+        w = row.get(jj)
+        if w is None:
+            row[jj] = -q * v
+            column[jj].add(k)
+        elif w != q * v:
+            row[jj] = w - q * v
+        else:
             del row[jj]
             column[jj].discard(k)
 

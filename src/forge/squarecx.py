@@ -25,6 +25,7 @@ from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
 from .records import Record
 from .snf import smith_normal_form
+from .stallings import positions
 
 
 def _path_codes(complex_, path, kind):
@@ -51,10 +52,7 @@ class SquareComplex:
 
     def __init__(self, vertices, edges, squares=()):
         self.vertex_order = tuple(vertices)
-        place = self.vertices = {v: p for p, v in enumerate(self.vertex_order)}
-        if len(place) != len(self.vertex_order):   # place holds each vertex's last position
-            v = next(v for p, v in enumerate(self.vertex_order) if place[v] != p)
-            raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
+        place = self.vertices = positions(self.vertex_order)
         self.edges = dict(edges)  # eid -> (src, dst)
         self.edge_order = tuple(self.edges)
         for eid, (src, dst) in self.edges.items():

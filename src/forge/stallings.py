@@ -21,6 +21,17 @@ from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError
 from .words import MAX_WORD_LETTERS
 
 
+def positions(vertices):
+    """Each vertex of the tuple `vertices` mapped to its position there; the
+    first vertex, in that order, that repeats an earlier one is refused."""
+    place = {v: k for k, v in enumerate(vertices)}
+    if len(place) != len(vertices):
+        first = {}
+        v = next(v for k, v in enumerate(vertices) if first.setdefault(v, k) != k)
+        raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
+    return place
+
+
 class LabeledGraph:
     """Finite directed graph; edges carry a label (a base-graph edge id).
     Vertices and edges keep the order given, which is the only order the
@@ -33,10 +44,7 @@ class LabeledGraph:
 
     def __init__(self, vertices, edges, basepoint=None):
         self.vertices = tuple(vertices)
-        place = self.position = {v: k for k, v in enumerate(self.vertices)}
-        if len(place) != len(self.vertices):   # place holds each vertex's last position
-            v = next(v for k, v in enumerate(self.vertices) if place[v] != k)
-            raise ConfigurationError(f"vertex {v!r} is repeated", ("vertex", v))
+        place = self.position = positions(self.vertices)
         self.edges = dict(edges)  # eid -> (src, dst, label)
         for eid, (src, dst, label) in self.edges.items():
             if src not in place or dst not in place:

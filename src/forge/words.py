@@ -166,15 +166,11 @@ def extend_reduced(out, piece):
 
 
 def reduce(alphabet, letters):
-    """Freely reduce a raw letter sequence; idempotent."""
-    known = alphabet._index
+    """Freely reduce a raw letter sequence, a list or tuple; idempotent."""
+    check_letters(alphabet, letters)
     stack = []
     for letter in letters:
         name, sign = letter
-        if name not in known:
-            alphabet.check(name)
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if stack and stack[-1][0] == name and stack[-1][1] == -sign:
             stack.pop()
         else:

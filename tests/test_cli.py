@@ -398,6 +398,20 @@ class TestProbeCommand:
             "degree 5: nodes=201 (budget hit)",
             "conclusion: no witness found; no conclusion"]
 
+    def test_inputs_digested_as_given(self, workdir, capsys):
+        """probe digests its presentation file and its word as written, as
+        abel and quotients do, not as forge would write them."""
+        path = workdir / "aa.txt"
+        path.write_text("gens: a\nrel: a a\n")
+        _, abel = run(capsys, "abel", path)
+        _, quotients = run(capsys, "quotients", path, "--word", "a^1", "--max-degree", "1")
+        _, probe = run(capsys, "probe", path, "--word", "a^1", "--max-degree", "1")
+        inputs = [line for line in probe.splitlines() if line.startswith("input ")]
+        assert inputs == ["input presentation: sha256:959c6548ee530cec",
+                          "input word: sha256:"
+                          + quotients.split("input word: sha256:")[1].split()[0]]
+        assert inputs[0] in abel.splitlines()
+
 
 class TestSqcCommands:
     def test_check_pass(self, workdir, capsys):

@@ -162,7 +162,9 @@ class TestGraphFormat:
          "duplicate basepoint line", 4),
         (FF.parse_graph_file, "graph\nbase b.txt\nbase c.txt\n", "duplicate base line", 3),
         (FF.parse_base_graph, "base\nvertex *\nvmap * *\n",
-         "unexpected line in base file: 'vmap * *'", 3)])
+         "unexpected line in base file: 'vmap * *'", 3),
+        (FF.parse_graph_file, "graph\nvertex 0\nvertex 1\nvertex 0\nvertex 1\nvertex 0\n",
+         "vertex 0 is repeated", 4)])
     def test_faults_name_their_line(self, read, text, message, line):
         assert_parse_error(lambda: read(text), message, line)
 
@@ -283,13 +285,15 @@ class TestComplexFormat:
         assert exc.value.line == 4
         assert "not a closed edge path" in str(exc.value)
 
-    @pytest.mark.parametrize("text, message", [
-        ("vertex v\nvertex v\nedge a v v\n", "vertex 'v' is repeated"),
-        ("vertex 1\nvertex 01\nedge a 1 1\n", "vertex 1 is repeated")])
-    def test_repeated_vertex_names_its_line(self, text, message):
+    @pytest.mark.parametrize("text, message, line", [
+        ("vertex v\nvertex v\nedge a v v\n", "vertex 'v' is repeated", 2),
+        ("vertex 1\nvertex 01\nedge a 1 1\n", "vertex 1 is repeated", 2),
+        ("vertex 0\nvertex 1\nvertex 1\nvertex 0\n", "vertex 1 is repeated", 3)])
+    def test_repeated_vertex_names_its_line(self, text, message, line):
         """Two vertex lines for one id, also in two spellings, are refused
-        at the second, as the graph reader refuses them."""
-        assert_parse_error(lambda: FF.parse_complex(text), message, 2)
+        at the second, as the graph reader refuses them; of several repeats,
+        the first is named."""
+        assert_parse_error(lambda: FF.parse_complex(text), message, line)
 
 
 # Ids the reader's token table holds as written, and spellings it does not:

@@ -54,6 +54,9 @@ class TestBasics:
         with pytest.raises(ConfigurationError, match="^vertex 'v' is repeated$") as exc:
             SquareComplex(["u", "v", "w", "v"], {"a": ("v", "v")})
         assert exc.value.cell == ("vertex", "v")
+        with pytest.raises(ConfigurationError, match="^vertex 1 is repeated$") as exc:
+            SquareComplex([0, 1, 1, 0], {})   # the first repeat, not the first vertex repeated
+        assert exc.value.cell == ("vertex", 1)
 
     def test_open_square_rejected(self):
         with pytest.raises(ConfigurationError):

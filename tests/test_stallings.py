@@ -42,6 +42,7 @@ class TestGraphBasics:
         (([0, 1], {"e": (0, 1, "a"), "f": (0, 2, "a")}), ("edge", "f")),
         (([0], {}, 1), ("basepoint", 1)),
         (([0, "x", 1, "x"], {}), ("vertex", "x")),
+        (([0, 1, 1, 0], {}), ("vertex", 1)),   # the first repeat, not the first vertex repeated
     ])
     def test_refusal_names_its_cell(self, args, cell):
         with pytest.raises(ConfigurationError) as exc:
