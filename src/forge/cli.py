@@ -7,8 +7,10 @@ Every command has one report path: `main` calls its handler as
 `handler(args, inputs, artifacts)`.  The handler reads each input file
 through `_load` or `_load_immersion`, which digest it into `inputs` and
 name the file at fault in a parse error, lists each `--out` file it writes
-in `artifacts`, and returns `(status, details)`.  `main` alone names, times
-and prints the report; an error report lists no inputs or artifacts.
+in `artifacts`, and returns `(status, details)`.  `main` alone builds,
+names, times and prints the report; an error report lists no inputs or
+artifacts.  `run_encode_and_probe`, the end-to-end pipeline, returns the
+pair that `forge probe`'s handler returns as is.
 
 No report ever claims that a group has no nontrivial finite quotient; an
 exhausted search is always reported as inconclusive.
@@ -88,19 +90,15 @@ def _emit(text, out_path, artifacts):
 
 def run_encode_and_probe(p, w, budget, N=7):
     """Encode (p, w) and search the output presentation for a nontrivial
-    finite quotient.  The report gives the output's size, then the search
-    lines every search report prints (see _search_details).  A witness
-    certifies the output group has a nontrivial finite quotient; a search
-    that finds none decides nothing."""
-    start = time.monotonic()
-    inputs = {"presentation": _digest(FF.format_presentation(p)),
-              "word": _digest(W.format_word(w))}
+    finite quotient; returns the handler pair (status, details).  The
+    details give the output's size, then the search lines every search
+    report prints (see _search_details).  A witness certifies the output
+    group has a nontrivial finite quotient; a search that finds none
+    decides nothing."""
     trace = encode(p, w, N=N)
     status, lines = _search_details(has_nontrivial_quotient_upto(trace.p_w, budget))
-    details = [("output generators", str(len(trace.p_w.generators))),
-               ("output relators", str(len(trace.p_w.relators))), *lines]
-    return RunReport("probe", inputs, status,
-                     timing=time.monotonic() - start, details=details)
+    return status, [("output generators", str(len(trace.p_w.generators))),
+                    ("output relators", str(len(trace.p_w.relators))), *lines]
 
 
 def _search_details(outcome):
@@ -287,14 +285,13 @@ def _cmd_sqc_pi1(args, inputs, artifacts):
 
 
 def _cmd_probe(args, inputs, artifacts):
-    """run_encode_and_probe's status and details; the presentation file and
-    the word are digested as given, as every other command digests them."""
+    """run_encode_and_probe's pair; the presentation file and the word are
+    digested as given, as every other command digests them."""
     p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
     w = W.parse_word(p.alphabet, args.word)
     inputs["word"] = _digest(args.word)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
-    report = run_encode_and_probe(p, w, budget, N=args.N)
-    return report.status, report.details
+    return run_encode_and_probe(p, w, budget, N=args.N)
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,10 @@ def parse_edge_codes(tokens, complex_, referrer, line=None):
 
 
 def parse_complex(text):
-    vertices, edges, squares = [], {}, []   # squares: their line numbers
+    vertices, edges, squares = [], {}, []   # squares: (line number, 4 edge tokens)
     # vertex token -> id; edge tokens; cell -> line (a repeated vertex's second)
     ids, written, at, repeated = {}, [], {}, set()
-    lines = text.splitlines()
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -331,7 +330,7 @@ def parse_complex(text):
         if kind == "square":
             if len(parts) != 5:
                 raise ParseError("square takes exactly four directed edges", line=i)
-            squares.append(i)
+            squares.append((i, *parts[1:]))
         elif kind == "edge":
             if len(parts) != 4:
                 raise ParseError("edge takes id, src, dst", line=i)
@@ -364,8 +363,7 @@ def parse_complex(text):
         if tok[-1] != "-":   # a token ending in `-` reads only as a reverse
             table[tok] = 2 * p + 1
         table[tok + "-"] = 2 * p
-    for i in squares:
-        _, a, b, c, d = lines[i - 1].split()
+    for i, a, b, c, d in squares:
         try:
             codes = [table[a], table[b], table[c], table[d]]
         except KeyError:   # another spelling of an id, or an unknown edge

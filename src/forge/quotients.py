@@ -85,7 +85,8 @@ from .presentations import FinitePresentation, abelianization, substitute
 from .records import Record
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
-# cycle notation is printed 1-based).
+# cycle notation is printed 1-based).  One cycle walk, `_cycles`, gives the
+# cycle lengths, the order and the cycle notation.
 
 
 def identity_perm(n):
@@ -104,41 +105,32 @@ def perm_inv(p):
     return tuple(out)
 
 
+def _cycles(p):
+    """Each cycle of p as a list of points, from its least point, in order
+    of that point."""
+    seen = [False] * len(p)
+    for i in range(len(p)):
+        if not seen[i]:
+            cycle, j = [], i
+            while not seen[j]:
+                seen[j] = True
+                cycle.append(j)
+                j = p[j]
+            yield cycle
+
+
 def perm_order(p):
-    return math.lcm(*_cycle_lengths(p))
+    return math.lcm(*map(len, _cycles(p)))
 
 
 def _cycle_lengths(p):
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return lengths
+    return list(map(len, _cycles(p)))
 
 
 def cycle_notation(p):
     """1-based disjoint-cycle string, 'id' for the identity."""
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j + 1)
-            j = p[j]
-        parts.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(parts) if parts else "id"
+    return "".join("(" + " ".join(str(j + 1) for j in cycle) + ")"
+                   for cycle in _cycles(p) if len(cycle) > 1) or "id"
 
 
 class PermutationAssignment(namedtuple("PermutationAssignment", "degree images")):

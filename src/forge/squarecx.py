@@ -345,8 +345,7 @@ def build_S_of_P(p, x, gamma):
     if not gamma.is_locally_geodesic():
         raise DegenerateInputError("gamma must be a locally geodesic loop")
     for r in p.relators:
-        first, last = r.letters[0], r.letters[-1]
-        if first[0] == last[0] and first[1] == -last[1]:
+        if W.cyclic_reduction(r)[1].letters:
             raise DegenerateInputError(f"relator {r} is not cyclically reduced")
     k = len(gamma.codes)
     # The rose, then per relator of length l a copy with every edge cut in

@@ -114,7 +114,8 @@ class GraphImmersion:
 
     `vmap` sends domain vertices to base vertices; the edge map is implied
     by the labels.  With `folded=True` the immersion condition (no two
-    equally-labeled edges leaving or entering a common vertex) is enforced.
+    equally-labeled edges leaving or entering a common vertex) is checked
+    by building `membership`'s tables (`_steps`), kept from construction.
     """
 
     def __init__(self, domain, base, vmap, folded=True):
@@ -137,10 +138,8 @@ class GraphImmersion:
             if self.vmap[domain.basepoint] != base.basepoint:
                 raise ConfigurationError("basepoints do not correspond under the map",
                                          ("basepoint", domain.basepoint))
-        if folded:
-            _check_immersion(domain)
         self.folded = folded
-        self._steps = None   # membership's tables, built on first use
+        self._tables = _steps(domain) if folded else None
 
     def __eq__(self, other):
         return (isinstance(other, GraphImmersion)
@@ -152,19 +151,20 @@ class GraphImmersion:
         return f"GraphImmersion({self.domain!r} -> {self.base!r})"
 
 
-def _check_immersion(graph):
-    """Refuse a graph where two edges with one label share a source or a
-    target, naming the first edge that repeats an earlier one's."""
-    edges = graph.edges.values()
-    if (len({(src, label) for src, _, label in edges}) != len(edges)
-            or len({(dst, label) for _, dst, label in edges}) != len(edges)):
-        out, into = set(), set()
-        for eid, (src, dst, label) in graph.edges.items():
-            if (src, label) in out or (dst, label) in into:
-                raise ConfigurationError("graph is not an immersion; fold it first",
-                                         ("edge", eid))
-            out.add((src, label))
-            into.add((dst, label))
+def _steps(graph):
+    """The successor and predecessor tables of an immersion, (vertex, label)
+    -> vertex.  A graph where two edges with one label share a source or a
+    target is refused, naming the first edge that repeats an earlier one's."""
+    edges = graph.edges
+    out = {(src, label): dst for src, dst, label in edges.values()}
+    inc = {(dst, label): src for src, dst, label in edges.values()}
+    if len(out) == len(inc) == len(edges):
+        return out, inc
+    first = {}, {}
+    eid = next(eid for k, (eid, (src, dst, label)) in enumerate(edges.items())
+               if first[0].setdefault((src, label), k) != k
+               or first[1].setdefault((dst, label), k) != k)
+    raise ConfigurationError("graph is not an immersion; fold it first", ("edge", eid))
 
 
 def fold(morphism):
@@ -367,20 +367,14 @@ def total_rank(graph):
 
 
 def membership(immersion, word):
-    """True iff the word traces a closed loop at the domain basepoint.  The
-    immersion keeps its successor and predecessor tables, keyed by (vertex,
-    label), once built."""
+    """True iff the word traces a closed loop at the domain basepoint, read
+    in the immersion's tables; those of one built with `folded=False` are
+    built for the call, which refuses a graph that is not an immersion."""
     _trace_in_base(immersion.base, word)
     graph = immersion.domain
     if graph.basepoint is None:
         raise ConfigurationError("domain graph has no basepoint")
-    if immersion._steps is None:
-        out, inc = {}, {}
-        for src, dst, label in graph.edges.values():
-            out[(src, label)] = dst
-            inc[(dst, label)] = src
-        immersion._steps = out, inc
-    out, inc = immersion._steps
+    out, inc = immersion._tables or _steps(graph)
     at = graph.basepoint
     for label, sign in word.letters:
         nxt = out.get((at, label)) if sign > 0 else inc.get((at, label))
@@ -550,15 +544,18 @@ def malnormal_family_check(family):
     base) is malnormal: every component of every pairwise fibre product must
     be a tree, except the diagonal component of each self product.
 
-    Members must be immersions.  Each pair is decided from its product
-    edges alone (`_refutes`, each member read into its factor once); only
-    the first refuting pair's fibre product is built, to name its first
-    failing component.  Returns (True, None) or (False, witness)."""
+    Members must be immersions; only a member built with `folded=False` is
+    checked here, as construction refused any other that is not one.  Each
+    pair is decided from its product edges alone (`_refutes`, each member
+    read into its factor once); only the first refuting pair's fibre
+    product is built, to name its first failing component.  Returns
+    (True, None) or (False, witness)."""
     family = list(family)
     if any(member.base != family[0].base for member in family[1:]):
         raise BaseMismatchError("fibre product requires a common base graph")
     for member in family:
-        _check_immersion(member.domain)
+        if not member.folded:
+            _steps(member.domain)
     factors = [_factor(member.domain) for member in family]
     for i, (first, n1) in enumerate(factors):
         for j in range(i, len(family)):
@@ -696,11 +693,14 @@ def translate_family_check(base, action, subgroup, translates):
     otherwise row i's first failing j is the least later j with
     k_j = k_i + x (mod order) over the refuting x, and only the first
     failing pair in (i, j) order, i <= j, has a fibre product built, that
-    of H and g^(k_j - k_i) H, to name its first failing component."""
+    of H and g^(k_j - k_i) H, to name its first failing component.  Only
+    an H built with `folded=False` is checked for being an immersion here;
+    construction refused any other that is not one."""
     if not base == action.base == subgroup.base:
         raise BaseMismatchError("translate check requires the action and the "
                                 "subgroup over the given base graph")
-    _check_immersion(subgroup.domain)
+    if not subgroup.folded:
+        _steps(subgroup.domain)
     translates = list(translates)
     if not all(type(k) is int and 0 <= k < action.order for k in translates):
         raise InvalidActionError("translate is not an element of the action")

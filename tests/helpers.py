@@ -1064,6 +1064,33 @@ def oracle_perm_mul(p, q):
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+def oracle_cycles(p):
+    """The cycles of p (0-based), each from its least point, in order of
+    that point: the orbit of every point i, kept where i is its least."""
+    cycles = []
+    for i in range(len(p)):
+        orbit = [i]
+        while p[orbit[-1]] != i:
+            orbit.append(p[orbit[-1]])
+        if min(orbit) == i:
+            cycles.append(orbit)
+    return cycles
+
+
+def oracle_perm_order(p):
+    """The least k >= 1 with p^k the identity, by repeated composition."""
+    power, k = p, 1
+    while power != tuple(range(len(p))):
+        power, k = oracle_perm_mul(power, p), k + 1
+    return k
+
+
+def oracle_cycle_notation(p):
+    """1-based disjoint cycles of length > 1, 'id' if there are none."""
+    return "".join("(" + " ".join(str(j + 1) for j in cycle) + ")"
+                   for cycle in oracle_cycles(p) if len(cycle) > 1) or "id"
+
+
 def oracle_evaluate(self, word):
     from forge.errors import AlphabetMismatchError
     from forge.quotients import identity_perm, perm_inv
@@ -1078,10 +1105,9 @@ def oracle_evaluate(self, word):
 
 def oracle_class_minimal_perms(n):
     """Lexicographically least permutation of each cycle type of degree n."""
-    from forge.quotients import _cycle_lengths
     best = {}
     for p in itertools.permutations(range(n)):
-        key = tuple(sorted(_cycle_lengths(p)))
+        key = tuple(sorted(map(len, oracle_cycles(p))))
         if key not in best or p < best[key]:
             best[key] = p
     return sorted(best.values())
@@ -1130,8 +1156,7 @@ def oracle_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
 
 
 def oracle_is_even(p):
-    from forge.quotients import _cycle_lengths
-    return (len(p) - len(_cycle_lengths(p))) % 2 == 0
+    return (len(p) - len(oracle_cycles(p))) % 2 == 0
 
 
 def oracle_pruned_enumerate_homs(p, n, budget=None, goal=None, reduce_first=False,
@@ -1229,7 +1254,7 @@ def oracle_goal_checks(goal, encode, holds, image, size):
     at its checkpoint, and each pair of targets must meet trivially at the
     later of their two checkpoints.  encode turns a word into codes; holds
     and image read codes under the kernel's current assignment."""
-    from forge.quotients import OrderSpec, _checkpoint, _cyclic_subgroup, perm_order
+    from forge.quotients import OrderSpec, _checkpoint, _cyclic_subgroup
     checks = [None] * size
     if goal is None:
         return checks
@@ -1250,7 +1275,7 @@ def oracle_goal_checks(goal, encode, holds, image, size):
         def check():
             for t in mine:
                 perm = image(targets[t])
-                if perm_order(perm) != orders[t]:
+                if oracle_perm_order(perm) != orders[t]:
                     return False
                 perms[t] = perm
             return all(math.gcd(orders[i], orders[j]) == 1
@@ -1441,13 +1466,13 @@ def oracle_least_rotation(letters):
 
 
 def oracle_verify_order_spec(q, spec):
-    from forge.quotients import _cyclic_subgroup, identity_perm, perm_order
+    from forge.quotients import _cyclic_subgroup, identity_perm
     order_report = []
     perms = [q.evaluate(t) for t in spec.targets]
     ok = True
     for i, (perm, e) in enumerate(zip(perms, spec.exponents)):
         expected = spec.kappa * e
-        actual = perm_order(perm)
+        actual = oracle_perm_order(perm)
         good = actual == expected
         ok = ok and good
         order_report.append({"target": i, "expected": expected,
@@ -1581,7 +1606,7 @@ def oracle_cmd_quotients(args, inputs, artifacts):
     from forge.errors import ForgeError
     from forge.quotients import (OrderSpec, SearchBudget, _Budget, _BudgetStop,
                                  _enumerate_homs, _restore_assignment,
-                                 _transfer_word, cycle_notation, identity_perm,
+                                 _transfer_word, identity_perm,
                                  simplify_presentation, verify_order_spec)
     budget = SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
     p = _load(inputs, "presentation", args.presentation, FF.parse_presentation)
@@ -1639,7 +1664,7 @@ def oracle_cmd_quotients(args, inputs, artifacts):
     if witness is not None:
         details.append(("witness degree", str(witness_degree)))
         for g in sorted(witness.images):
-            details.append((f"witness {g}", cycle_notation(witness.images[g])))
+            details.append((f"witness {g}", oracle_cycle_notation(witness.images[g])))
         return "witness", details
     details.append(("conclusion", "no witness found; no conclusion"))
     return "inconclusive", details

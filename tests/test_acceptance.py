@@ -20,7 +20,7 @@ from forge.quotients import (OrderSpec, SearchBudget,
 from forge.squarecx import (build_S_of_P, check_link_condition,
                             homs_killing_copies, one_square_torus,
                             SquareComplex)
-from forge.cli import run_encode_and_probe
+from forge.cli import RunReport, run_encode_and_probe
 from helpers import (brute_force_homs, exponent_sum, grushko_lower_bound,
                      random_reduced_word, subgroup_ball)
 
@@ -212,8 +212,9 @@ def test_12_killing_copies_mechanism(announce):
 def test_13_end_to_end_probe(announce):
     with criterion(13, "end-to-end probe", 300, announce):
         p = pres(["a"], "a")
-        report = run_encode_and_probe(p, p.word("a"),
-                                      SearchBudget(max_degree=5))
+        status, details = run_encode_and_probe(p, p.word("a"),
+                                               SearchBudget(max_degree=5))
+        report = RunReport("probe", {}, status, details=details)
         assert report.status == "inconclusive"
         assert report.exit_code() == 2
         text = report.to_text()

@@ -412,6 +412,21 @@ class TestProbeCommand:
                           + quotients.split("input word: sha256:")[1].split()[0]]
         assert inputs[0] in abel.splitlines()
 
+    def test_writes_no_presentation_or_word(self, a2, capsys, monkeypatch):
+        """probe digests its files as given, so it never writes the
+        presentation or the word back out; its report is the same with
+        both writers made to fail."""
+        argv = ("probe", a2, "--word", "a", "--max-degree", "1")
+        code, plain = run(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("probe wrote its input back out")
+        monkeypatch.setattr("forge.fileformats.format_presentation", refuse)
+        monkeypatch.setattr("forge.words.format_word", refuse)
+        patched_code, patched = run(capsys, *argv)
+        assert patched_code == code == 2
+        assert untimed_lines(patched) == untimed_lines(plain)
+
 
 class TestSqcCommands:
     def test_check_pass(self, workdir, capsys):

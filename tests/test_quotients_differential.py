@@ -44,12 +44,14 @@ from forge.fileformats import format_presentation
 from forge.presentations import FinitePresentation, substitute
 from forge.quotients import (OrderSpec, PermutationAssignment, SearchBudget,
                              _Budget, _BudgetStop, _class_minimal_perms,
-                             _enumerate_homs, _find_move, _restore_assignment,
-                             _scan, _transfer_word, has_nontrivial_quotient_upto,
-                             identity_perm, search, search_order_targeted,
-                             simplify_presentation, verify_order_spec,
-                             word_survives_upto)
+                             _cycle_lengths, _enumerate_homs, _find_move,
+                             _restore_assignment, _scan, _transfer_word,
+                             cycle_notation, has_nontrivial_quotient_upto,
+                             identity_perm, perm_order, search,
+                             search_order_targeted, simplify_presentation,
+                             verify_order_spec, word_survives_upto)
 from helpers import (derandomized, oracle_class_minimal_perms,
+                     oracle_cycle_notation, oracle_cycles, oracle_perm_order,
                      oracle_enumerate_homs, oracle_evaluate,
                      oracle_find_move, oracle_h1_order,
                      oracle_has_nontrivial_quotient_upto,
@@ -533,6 +535,17 @@ def test_step_replay_matches_expressions(seed):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_minimal_perms_match_brute_force(n):
     assert list(_class_minimal_perms(n)) == oracle_class_minimal_perms(n)
+
+
+def test_cycle_walk_matches_oracle():
+    """perm_order, _cycle_lengths and cycle_notation against the oracle's
+    own cycle walk on every permutation of degree 1-7."""
+    perms = [p for n in range(1, 8) for p in itertools.permutations(range(n))]
+    assert len(perms) == 5913
+    for p in perms:
+        assert _cycle_lengths(p) == [len(cycle) for cycle in oracle_cycles(p)]
+        assert perm_order(p) == oracle_perm_order(p)
+        assert cycle_notation(p) == oracle_cycle_notation(p)
 
 
 def test_class_minimal_perms_are_lazy():

@@ -254,9 +254,12 @@ class TestBuild:
         assert len(s.vertices) + len(s.edges) + len(s.squares) == 1643
 
     def test_non_cyclically_reduced_relator_rejected(self):
-        p = pres(["a", "b"], "a b a^-1")
-        with pytest.raises(DegenerateInputError):
-            build_S_of_P(p, TORUS, [("a", 1), ("a", 1)])
+        for relator in ("a b a^-1", "a^-1 b a", "a b^2 a^-1"):
+            p = pres(["a", "b"], relator)
+            with pytest.raises(DegenerateInputError, match="not cyclically reduced"):
+                build_S_of_P(p, TORUS, [("a", 1), ("a", 1)])
+        for relator in ("a", "a b a b^-1"):
+            build_S_of_P(pres(["a", "b"], relator), TORUS, [("a", 1), ("a", 1)])
 
 
 class TestPi1:

@@ -115,6 +115,18 @@ class TestMembership:
         assert not S.membership(g, w("a"))
         assert not S.membership(g, w("a b a^-1"))
 
+    def test_unfolded_non_immersion_refused(self):
+        """Membership is read by following edges, which is defined only on
+        an immersion: e0 e2 reads a^2, but e1 also leaves 0 labelled a, so
+        a graph built unfolded is refused there, naming e1."""
+        base = S.rose(["a"])
+        g = S.LabeledGraph([0, 1, 2], {"e0": (0, 1, "a"), "e1": (0, 2, "a"),
+                                       "e2": (1, 0, "a")}, 0)
+        imm = S.GraphImmersion(g, base, dict.fromkeys([0, 1, 2], "*"), folded=False)
+        with pytest.raises(ConfigurationError, match="not an immersion") as info:
+            S.membership(imm, W.parse_word(W.Alphabet(["a"]), "a^2"))
+        assert info.value.cell == ("edge", "e1")
+
     def test_oracle_small(self):
         rng = random.Random(7301)
         print("seed 7301")
