@@ -210,7 +210,6 @@ def select_malnormal_words(m, N=7):
     modulus-N rotation check (independent of the family) is part of the
     certificate.  Raises ForgeError naming m and the failed checks when the
     family does not certify."""
-    _check_modulus(N)
     if m < 0:
         raise DegenerateInputError("m must be nonnegative")
     base_rank, translates_ok = _kernel_checks(N)

@@ -107,20 +107,23 @@ def _id_str(x):
     return s
 
 
-def _parse_cells(text, header):
-    """Check a graph file's header line and build the graph of its vertex,
-    edge and basepoint lines; returns it, the remaining (line number,
-    line)s and the line of each cell (a repeated vertex's second), keyed as
-    a ConfigurationError names it: ("vertex", id), ("edge", id) and
-    ("basepoint", id)."""
-    entries = list(_lines(text))
-    if not entries or entries[0][1] != header:
+def _read_cells(text, header):
+    """Read a graph (`header` "graph") or base ("base") file in one pass,
+    each line split once: parse_graph_file's (graph, base_path, vmap) and
+    the line of each cell, keyed as a ConfigurationError names it: ("vertex",
+    id) (a repeated vertex's second), ("edge", id), ("basepoint", id), and
+    ("vmap", v).  Each line's own fault is named in file order, then the
+    cells the graph refuses, then an emap contradicting its edge's label."""
+    entries = _lines(text)
+    first = next(entries, None)
+    if first is None or first[1] != header:
         raise ParseError(f"{header} file must start with a `{header}` header line",
-                         line=entries[0][0] if entries else 1)
+                         line=first[0] if first else 1)
+    in_graph = header == "graph"
     vertices, edges, lines, repeated = [], {}, {}, set()
-    basepoint = None
-    rest = []
-    for i, line in entries[1:]:
+    basepoint = base_path = None
+    vmap, emaps = {}, []
+    for i, line in entries:
         parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "vertex":
@@ -146,20 +149,39 @@ def _parse_cells(text, header):
                 raise ParseError("duplicate basepoint line", line=i)
             basepoint = _token(args[0])
             lines["basepoint", basepoint] = i
+        elif kind == "vmap" and in_graph:
+            if len(args) != 2:
+                raise ParseError("vmap takes vertex and base vertex", line=i)
+            v = _token(args[0])
+            vmap[v] = _token(args[1])
+            lines["vmap", v] = i
+        elif kind == "emap" and in_graph:
+            # The edge map is determined by the labels; accept and check.
+            if len(args) != 2:
+                raise ParseError("emap takes edge and base edge", line=i)
+            emaps.append((i, args))
+        elif kind == "base" and in_graph:
+            if len(args) != 1:
+                raise ParseError("base takes exactly one path", line=i)
+            if base_path is not None:
+                raise ParseError("duplicate base line", line=i)
+            base_path = args[0]
         else:
-            rest.append((i, line))
+            raise ParseError(f"unexpected line in {header} file: {line!r}", line=i)
     try:
-        return LabeledGraph(vertices, edges, basepoint), rest, lines
+        graph = LabeledGraph(vertices, edges, basepoint)
     except ConfigurationError as exc:   # a repeated vertex, or a cell naming no vertex
         raise ParseError(str(exc), line=lines[exc.cell]) from exc
+    for i, (eid, label) in emaps:
+        edge = graph.edges.get(_token(eid))
+        if edge is None or edge[2] != _token(label):
+            raise ParseError(f"emap for {eid} contradicts the edge label", line=i)
+    return graph, base_path, vmap, lines
 
 
 def parse_base_graph(text):
     """Parse a base-graph file (header `base`; labels must equal edge ids)."""
-    base, rest, lines = _parse_cells(text, "base")
-    if rest:
-        i, line = rest[0]
-        raise ParseError(f"unexpected line in base file: {line!r}", line=i)
+    base, _, _, lines = _read_cells(text, "base")
     for eid, (src, dst, label) in base.edges.items():
         if label != eid:
             raise ParseError(f"base edge {eid!r} must carry its own id as label, "
@@ -173,41 +195,7 @@ def parse_graph_file(text):
     `base_path` is the reference from the `base <path>` line (None when
     absent); `vmap` maps domain vertices to base vertices and may be partial
     (missing entries are resolved by the loader)."""
-    return _read_graph_file(text)[:3]
-
-
-def _read_graph_file(text):
-    """parse_graph_file's (graph, base_path, vmap) and the line of each
-    cell, as `_parse_cells` keys them, with ("vmap", v) for v's vmap line."""
-    graph, rest, lines = _parse_cells(text, "graph")
-    base_path = None
-    vmap = {}
-    for i, line in rest:
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        if kind == "base":
-            if len(args) != 1:
-                raise ParseError("base takes exactly one path", line=i)
-            if base_path is not None:
-                raise ParseError("duplicate base line", line=i)
-            base_path = args[0]
-        elif kind == "vmap":
-            if len(args) != 2:
-                raise ParseError("vmap takes vertex and base vertex", line=i)
-            v = _token(args[0])
-            vmap[v] = _token(args[1])
-            lines["vmap", v] = i
-        elif kind == "emap":
-            # The edge map is determined by the labels; accept and check.
-            if len(args) != 2:
-                raise ParseError("emap takes edge and base edge", line=i)
-            eid = _token(args[0])
-            if eid not in graph.edges or graph.edges[eid][2] != _token(args[1]):
-                raise ParseError(
-                    f"emap for {args[0]} contradicts the edge label", line=i)
-        else:
-            raise ParseError(f"unexpected line in graph file: {line!r}", line=i)
-    return graph, base_path, vmap, lines
+    return _read_cells(text, "graph")[:3]
 
 
 def resolve_immersion(graph, base, vmap, folded=True):
@@ -220,8 +208,8 @@ def resolve_immersion(graph, base, vmap, folded=True):
 
 def _resolve(graph, base, vmap, folded, lines):
     """resolve_immersion, with each refusal at the line of the cell at
-    fault, read from `lines` as `_read_graph_file` keeps them: a vertex's
-    vmap line where it has one, else the line that names the cell."""
+    fault, read from `lines` as `_read_cells` keeps them: a vertex's vmap
+    line where it has one, else the line that names the cell."""
     def line_of(cell):
         return (cell[0] == "vertex" and lines.get(("vmap", cell[1]))) or lines.get(cell)
 
@@ -248,7 +236,7 @@ def load_immersion(path, folded=True):
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    graph, base_path, vmap, lines = in_file(path, _read_graph_file, text)
+    graph, base_path, vmap, lines = in_file(path, _read_cells, text, "graph")
     if base_path is None:
         raise ParseError(f"{path}: graph file has no base line")
     full = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)

@@ -65,11 +65,6 @@ class LabeledGraph:
         return (f"LabeledGraph(V={len(self.vertices)}, E={len(self.edges)}, "
                 f"basepoint={self.basepoint!r})")
 
-    def components(self):
-        """Vertex lists of the connected components, each in vertex order,
-        ordered by first vertex."""
-        return [vs for vs, _ in _component_data(self)]
-
 
 def _component_data(graph):
     """(vertex list, edge count) of each connected component, from one
@@ -103,10 +98,9 @@ def _find(parent, i):
     return i
 
 
-def rose(labels, basepoint="*"):
-    """Base graph with one vertex and one loop per label."""
-    edges = {label: (basepoint, basepoint, label) for label in labels}
-    return LabeledGraph([basepoint], edges, basepoint)
+def rose(labels):
+    """Base graph with one vertex, "*", and one loop per label."""
+    return LabeledGraph(["*"], {label: ("*", "*", label) for label in labels}, "*")
 
 
 class GraphImmersion:
@@ -578,10 +572,13 @@ class RelabelingAction:
     def cyclic(cls, base, edge_image, vertex_image=None):
         """The cyclic group generated by one automorphism.  The two maps must
         be permutations of the base's edges and vertices that together are
-        an automorphism.  The group's order, the lcm of the maps' cycle
-        lengths, is known before any power is taken; a group whose order
-        times the base's id count (its decisions, one per power, each over
-        every id) is past MAX_WORD_LETTERS is refused."""
+        an automorphism.  The group's order, the lcm of `quotients.perm_order`
+        over the two maps read as tuples of positions, is known before any
+        power is taken; a group whose order times the base's id count (its
+        decisions, one per power, each over every id) is past
+        MAX_WORD_LETTERS is refused."""
+        from .quotients import perm_order   # importing stallings loads no search layer
+
         if vertex_image is None:
             vertex_image = dict(zip(base.vertices, base.vertices))
         try:
@@ -595,7 +592,9 @@ class RelabelingAction:
             _permutation_images(step[1], tuple(base.edges),
                                 "edge map is not a permutation of the base edges"))
         _check_edges(base, images)
-        order = math.lcm(*map(_permutation_order, step))
+        places = (base.position, positions(tuple(base.edges)))
+        order = math.lcm(*(perm_order(tuple(map(place.__getitem__, image)))
+                           for place, image in zip(places, images)))
         count = len(base.vertices) + len(base.edges)
         if order * count > MAX_WORD_LETTERS:
             raise DegenerateInputError(
@@ -628,19 +627,6 @@ def _permutation_images(mapping, ids, error):
     except (LookupError, TypeError):   # an id it lacks, or an unhashable image
         pass
     raise InvalidActionError(error)
-
-
-def _permutation_order(permutation):
-    """The order of a permutation given as a dict: the lcm of its cycle
-    lengths."""
-    order, seen = 1, set()
-    for x in permutation:
-        length = 0
-        while x not in seen:
-            seen.add(x)
-            x, length = permutation[x], length + 1
-        order = math.lcm(order, length or 1)
-    return order
 
 
 def _check_edges(base, images):

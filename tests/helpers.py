@@ -39,6 +39,13 @@ def component_count(complex_):
     return len(complex_.vertices) - complex_.spanning_forest().count(1)
 
 
+def components(graph):
+    """Vertex lists of a LabeledGraph's connected components, each in
+    vertex order, ordered by first vertex."""
+    from forge.stallings import _component_data
+    return [vs for vs, _ in _component_data(graph)]
+
+
 def is_connected(complex_):
     """True for a complex of at most one component."""
     return component_count(complex_) <= 1

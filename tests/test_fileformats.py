@@ -128,6 +128,12 @@ class TestGraphFormat:
                 "emap e b\n")
         with pytest.raises(ParseError):
             FF.parse_graph_file(text)
+        # An emap may come before its edge: it is checked once all edges are read.
+        graph, _, _ = FF.parse_graph_file("graph\nvertex 0\nemap e a\nedge e 0 0 a\n")
+        assert graph.edges == {"e": (0, 0, "a")}
+        before = "graph\nvertex 0\nemap e b\nedge e 0 0 a\n"
+        assert_parse_error(lambda: FF.parse_graph_file(before),
+                           "emap for e contradicts the edge label", 3)
 
     def test_edge_endpoint_names_its_line(self):
         with pytest.raises(ParseError) as exc:
@@ -163,6 +169,10 @@ class TestGraphFormat:
         (FF.parse_graph_file, "graph\nbase b.txt\nbase c.txt\n", "duplicate base line", 3),
         (FF.parse_base_graph, "base\nvertex *\nvmap * *\n",
          "unexpected line in base file: 'vmap * *'", 3),
+        (FF.parse_base_graph, "base\nvmap * *\nvertex 0 1\n",
+         "unexpected line in base file: 'vmap * *'", 2),
+        (FF.parse_graph_file, "graph\nvmap 0\nvertex 0 1\n",
+         "vmap takes vertex and base vertex", 2),
         (FF.parse_graph_file, "graph\nvertex 0\nvertex 1\nvertex 0\nvertex 1\nvertex 0\n",
          "vertex 0 is repeated", 4)])
     def test_faults_name_their_line(self, read, text, message, line):

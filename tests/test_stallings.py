@@ -14,7 +14,7 @@ from forge import words as W
 from forge.errors import (BaseMismatchError, ConfigurationError,
                           DegenerateInputError, InvalidActionError,
                           NotALoopError)
-from helpers import random_reduced_word, subgroup_ball
+from helpers import components, random_reduced_word, subgroup_ball
 
 AB = W.Alphabet(["a", "b"])
 ROSE = S.rose(["a", "b"])
@@ -71,7 +71,7 @@ class TestGraphBasics:
 
     def test_components(self):
         g = S.LabeledGraph([0, 1, 2], {"e": (0, 1, "e")})
-        assert g.components() == [[0, 1], [2]]
+        assert components(g) == [[0, 1], [2]]
 
 
 class TestFolding:

@@ -25,8 +25,8 @@ from forge.encoder import (_kernel_base_family, _kernel_checks,
                            select_malnormal_words)
 from forge.fileformats import format_immersion
 from forge.errors import ConfigurationError, InvalidActionError
-from helpers import (derandomized, random_reduced_word, oracle_components,
-                     oracle_core, oracle_dict_refutes, oracle_factor,
+from helpers import (components, derandomized, random_reduced_word,
+                     oracle_components, oracle_core, oracle_dict_refutes, oracle_factor,
                      oracle_fibre_product, oracle_fold,
                      oracle_malnormal_family_check, oracle_powers, oracle_rank,
                      oracle_translate_family_check, seeds)
@@ -184,7 +184,7 @@ def test_fold_core_rank_on_random_graphs(seed):
     assert same_graph(S.core(folded), oracle_core(folded))
     assert S.rank(morphism.domain) == oracle_rank(morphism.domain)
     assert S.rank(folded.domain) == oracle_rank(folded.domain)
-    assert morphism.domain.components() == oracle_components(morphism.domain)
+    assert components(morphism.domain) == oracle_components(morphism.domain)
 
 
 @given(seeds)
