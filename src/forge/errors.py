@@ -24,7 +24,7 @@ class BaseMismatchError(ForgeError):
 class ConfigurationError(ForgeError):
     """A graph is missing structure (e.g. a basepoint) required by an
     operation.  `cell` names the one cell at fault, where there is one:
-    ("vertex", id), ("edge", id) or ("basepoint", id)."""
+    ("vertex", id), ("edge", id), ("basepoint", id) or ("vmap", id)."""
 
     def __init__(self, message, cell=None):
         super().__init__(message)

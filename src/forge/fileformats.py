@@ -153,6 +153,8 @@ def _read_cells(text, header):
             if len(args) != 2:
                 raise ParseError("vmap takes vertex and base vertex", line=i)
             v = _token(args[0])
+            if v in vmap:
+                raise ParseError(f"duplicate vmap line for vertex {args[0]}", line=i)
             vmap[v] = _token(args[1])
             lines["vmap", v] = i
         elif kind == "emap" and in_graph:

@@ -12,7 +12,6 @@ order of its vertices.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from itertools import combinations
 
@@ -106,10 +105,11 @@ def rose(labels):
 class GraphImmersion:
     """A label-preserving map of a finite graph into a base graph.
 
-    `vmap` sends domain vertices to base vertices; the edge map is implied
-    by the labels.  With `folded=True` the immersion condition (no two
-    equally-labeled edges leaving or entering a common vertex) is checked
-    by building `membership`'s tables (`_steps`), kept from construction.
+    `vmap` sends each domain vertex, and no other key, to a base vertex;
+    the edge map is implied by the labels.  With `folded=True` the
+    immersion condition (no two equally-labeled edges leaving or entering
+    a common vertex) is checked by building `membership`'s tables
+    (`_steps`), kept from construction.
     """
 
     def __init__(self, domain, base, vmap, folded=True):
@@ -120,6 +120,9 @@ class GraphImmersion:
             if v not in self.vmap or self.vmap[v] not in base.position:
                 raise ConfigurationError(f"vertex {v!r} is not mapped into the base",
                                          ("vertex", v))
+        if len(self.vmap) != len(domain.vertices):
+            v = next(v for v in self.vmap if v not in domain.position)
+            raise ConfigurationError(f"vmap names {v!r}, which is not a vertex", ("vmap", v))
         for eid, (src, dst, label) in domain.edges.items():
             if label not in base.edges:
                 raise ConfigurationError(f"edge {eid!r} carries unknown label {label!r}",
@@ -328,11 +331,13 @@ def graph_of_subgroup(base, generators):
     """Core immersion of the subgroup generated by loop words at the basepoint.
 
     Builds a wedge of subdivided circles on vertex positions (0 is the
-    basepoint, then each word's inner vertices in order), folds it, trims
-    the core at the basepoint and relabels once.  Folding is confluent and
-    the core stays connected, so the BFS from the basepoint never reads
-    the intermediate names: the output is the canonical core graph of the
-    subgroup, the graph core(fold(wedge)) gives.
+    basepoint, then each word's inner vertices in order), folds it and
+    relabels once.  A Word is reduced, so its circle has no backtrack and
+    folding leaves no vertex but the basepoint with degree below 2: the
+    folded wedge is already its core.  Folding is confluent, so the BFS
+    from the basepoint never reads the intermediate names: the output is
+    the canonical core graph of the subgroup, the graph core(fold(wedge))
+    gives.
     """
     base_vertices = [base.basepoint]
     edges = []
@@ -343,8 +348,7 @@ def graph_of_subgroup(base, generators):
         base_vertices.extend(path[1:-1])
         for (label, sign), u, v in zip(word.letters, chain, chain[1:]):
             edges.append((u, v, label) if sign > 0 else (v, u, label))
-    return _relabel(*_trim(*_fold(range(len(base_vertices)), edges, 0)),
-                    base_vertices, base, True)
+    return _relabel(*_fold(range(len(base_vertices)), edges, 0), base_vertices, base, True)
 
 
 def rank(graph):
@@ -561,41 +565,36 @@ def malnormal_family_check(family):
 
 
 class RelabelingAction:
-    """The cyclic group generated by one automorphism g of a base graph,
-    acting by relabeling.  Its elements are the powers 0..order-1 of g:
-    the action keeps only g's images of the base's vertices and of its
-    edges, each a tuple in the base's own order, and the order, and
-    `maps(k)` builds g^k as a pair (vertex map, edge map).  Build one
-    with `cyclic`."""
+    """The cyclic group generated by one automorphism g of a base graph that
+    fixes every vertex, acting by relabeling edges.  Its elements are the
+    powers 0..order-1 of g: the action keeps only g's edge images, a tuple
+    in the base's edge order, and the order, and `maps(k)` builds g^k as
+    an edge map.  Build one with `cyclic`."""
 
     @classmethod
-    def cyclic(cls, base, edge_image, vertex_image=None):
-        """The cyclic group generated by one automorphism.  The two maps must
-        be permutations of the base's edges and vertices that together are
-        an automorphism.  The group's order, the lcm of `quotients.perm_order`
-        over the two maps read as tuples of positions, is known before any
+    def cyclic(cls, base, edge_image):
+        """The cyclic group generated by one edge map, which must be a
+        permutation of the base's edges sending each edge onto an edge with
+        the same two ends.  The group's order, `quotients.perm_order` of
+        the map read as a tuple of edge positions, is known before any
         power is taken; a group whose order times the base's id count (its
         decisions, one per power, each over every id) is past
         MAX_WORD_LETTERS is refused."""
         from .quotients import perm_order   # importing stallings loads no search layer
 
-        if vertex_image is None:
-            vertex_image = dict(zip(base.vertices, base.vertices))
         try:
-            step = (dict(vertex_image), dict(edge_image))
+            step = dict(edge_image)
         except (TypeError, ValueError):
-            raise InvalidActionError(
-                "action element is not a pair of (vertex map, edge map)") from None
-        images = (
-            _permutation_images(step[0], base.vertices,
-                                "vertex map is not a permutation of the base vertices"),
-            _permutation_images(step[1], tuple(base.edges),
-                                "edge map is not a permutation of the base edges"))
-        _check_edges(base, images)
-        places = (base.position, positions(tuple(base.edges)))
-        order = math.lcm(*(perm_order(tuple(map(place.__getitem__, image)))
-                           for place, image in zip(places, images)))
-        count = len(base.vertices) + len(base.edges)
+            raise InvalidActionError("action element is not an edge map") from None
+        edges, ids = base.edges, tuple(base.edges)
+        images = _permutation_images(step, ids)
+        for (eid, (src, dst, _)), image in zip(edges.items(), images):
+            isrc, idst, _ = edges[image]
+            if (isrc, idst) != (src, dst):
+                raise InvalidActionError(
+                    f"edge {eid!r} is not mapped onto an edge with its ends")
+        order = perm_order(tuple(map(positions(ids).__getitem__, images)))
+        count = len(base.vertices) + len(edges)
         if order * count > MAX_WORD_LETTERS:
             raise DegenerateInputError(
                 f"cyclic action of order {order} makes {order} decisions over "
@@ -606,19 +605,17 @@ class RelabelingAction:
         return action
 
     def maps(self, k):
-        """g^k as a pair (vertex map, edge map)."""
-        powers = []
-        for ids, images in zip((self.base.vertices, tuple(self.base.edges)), self._generator):
-            step, power = dict(zip(ids, images)).__getitem__, ids
-            for _ in range(k % self.order):
-                power = tuple(map(step, power))
-            powers.append(dict(zip(ids, power)))
-        return tuple(powers)
+        """g^k as an edge map."""
+        ids = tuple(self.base.edges)
+        step, power = dict(zip(ids, self._generator)).__getitem__, ids
+        for _ in range(k % self.order):
+            power = tuple(map(step, power))
+        return dict(zip(ids, power))
 
 
-def _permutation_images(mapping, ids, error):
-    """The images of ids under mapping, in their order; InvalidActionError
-    with message error unless mapping permutes exactly those ids."""
+def _permutation_images(mapping, ids):
+    """The images of the edge ids under mapping, in their order;
+    InvalidActionError unless mapping permutes exactly those ids."""
     try:
         if len(mapping) == len(ids):
             images = tuple(map(mapping.__getitem__, ids))
@@ -626,38 +623,17 @@ def _permutation_images(mapping, ids, error):
                 return images
     except (LookupError, TypeError):   # an id it lacks, or an unhashable image
         pass
-    raise InvalidActionError(error)
+    raise InvalidActionError("edge map is not a permutation of the base edges")
 
 
-def _check_edges(base, images):
-    """InvalidActionError unless the permutations with these image tuples
-    are an automorphism of the base."""
-    images_v, images_e = images
-    at = dict(zip(base.vertices, images_v))
-    edges = base.edges
-    for (eid, (src, dst, _)), image in zip(edges.items(), images_e):
-        isrc, idst, _ = edges[image]
-        if isrc != at[src] or idst != at[dst]:
-            raise InvalidActionError(
-                f"edge {eid!r} is not mapped compatibly with the vertex map")
-
-
-def translate(immersion, element):
-    """Push an immersion through a base automorphism (vertex map, edge map)."""
-    vp, ep = element
+def translate(immersion, edge_map):
+    """Push an immersion through a base automorphism that fixes every vertex,
+    given as its edge map: the edges are relabeled, and the vertex map and
+    the basepoint stay."""
     graph = immersion.domain
-    edges = {eid: (src, dst, ep[label]) for eid, (src, dst, label) in graph.edges.items()}
-    vmap = {v: vp[immersion.vmap[v]] for v in graph.vertices}
-    base = immersion.base
-    basepoint = graph.basepoint
-    # A vertex-moving automorphism may carry the basepoint fibre elsewhere;
-    # the translated copy is then an unbased subgraph, which is all the
-    # malnormality check needs.
-    if basepoint is not None and base.basepoint is not None \
-            and vmap[basepoint] != base.basepoint:
-        basepoint = None
-    domain = LabeledGraph(graph.vertices, edges, basepoint)
-    return GraphImmersion(domain, base, vmap, folded=immersion.folded)
+    edges = {eid: (src, dst, edge_map[label]) for eid, (src, dst, label) in graph.edges.items()}
+    domain = LabeledGraph(graph.vertices, edges, graph.basepoint)
+    return GraphImmersion(domain, immersion.base, immersion.vmap, folded=immersion.folded)
 
 
 def translate_family_check(base, action, subgroup, translates):
@@ -711,17 +687,15 @@ def _first_failing_pair(action, subgroup, translates):
         positions.setdefault(k, []).append(j)
     # g^(b-a) is the identity exactly when a = b.
     repeated = len(positions) < len(translates)
-    step = dict(zip(action.base.edges, action._generator[1]))
+    step = dict(zip(action.base.edges, action._generator))
     labels, pairs = list(by_label), list(by_label.values())
     order = action.order
     # Pair (i, j) refutes when k_j - k_i is in `refuting`, a set closed under
     # negation: relabelling both factors of H x g^x H by g^-x gives the edge
     # pairs of g^-x H x H on the same vertex positions, and swapping the
-    # factors gives H x g^-x H, so `_refutes` answers alike for x and -x (it
-    # reads only labels and positions, so this holds for vertex-moving
-    # actions too).  Hence only x = 0..order/2 are decided, each refuting x
-    # recorded with -x.  A power whose labels miss H's has no product edge
-    # and cannot refute.
+    # factors gives H x g^-x H, so `_refutes` answers alike for x and -x.
+    # Hence only x = 0..order/2 are decided, each refuting x recorded with
+    # -x.  A power whose labels miss H's has no product edge and cannot refute.
     refuting = set()
     for x in range(order // 2 + 1):
         # labels are H's labels relabelled by g^x.

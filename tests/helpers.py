@@ -490,15 +490,14 @@ def oracle_dict_refutes(edges, by_label, width, self_pair):
 
 
 def oracle_compose(el1, el2):
-    """el1 after el2."""
-    (vp1, ep1), (vp2, ep2) = el1, el2
-    return ({v: vp1[vp2[v]] for v in vp2}, {e: ep1[ep2[e]] for e in ep2})
+    """Edge map el1 after edge map el2."""
+    return {e: el1[el2[e]] for e in el2}
 
 
 def oracle_powers(generator):
-    """g^0, g^1, ... of a generator g = (vertex map, edge map), each g after
-    the power before it, up to the last power before the identity returns."""
-    identity = ({v: v for v in generator[0]}, {e: e for e in generator[1]})
+    """g^0, g^1, ... of a generator g, an edge map, each g after the power
+    before it, up to the last power before the identity returns."""
+    identity = {e: e for e in generator}
     powers = [identity]
     while (power := oracle_compose(generator, powers[-1])) != identity:
         powers.append(power)

@@ -590,6 +590,12 @@ class TestErrors:
          "{workdir}/g.txt: line 7: edge 'e' is not label-consistent with the base"),
         (("fold",), "vertex 0\nvmap 0 y\nbasepoint 0\n",
          "{workdir}/g.txt: line 5: basepoints do not correspond under the map"),
+        # Certified when the last vmap line for a vertex was the one read.
+        (("malnormal",), "vertex 0\nvertex 1\nedge e 0 1 a\nbasepoint 0\n"
+         "vmap 0 x\nvmap 1 x\nvmap 1 y\n",
+         "{workdir}/g.txt: line 9: duplicate vmap line for vertex 1"),
+        (("fold",), "vertex 0\nvmap 0 x\nvmap 9 x\n",
+         "{workdir}/g.txt: line 5: vmap names 9, which is not a vertex"),
         (("fibre", "sub.txt"), "vertex 0\nvertex 1\nvmap 0 x\nvmap 1 y\n"
          "edge e0 0 1 a\nedge e1 1 0 b\nedge e2 0 1 a\n",
          "{workdir}/g.txt: line 9: graph is not an immersion; fold it first"),
@@ -599,8 +605,9 @@ class TestErrors:
     def test_graph_refusal_names_its_line(self, workdir, capsys, argv, graph, error):
         """What the graph fails against its base is reported at the line of
         the cell at fault: the edge, the vertex (its vmap line where it has
-        one) or the basepoint.  A base edge that does not carry its own id
-        as label is reported at its line in the base file."""
+        one), the basepoint, or a vmap line that names no vertex or repeats
+        one.  A base edge that does not carry its own id as label is
+        reported at its line in the base file."""
         (workdir / "base2.txt").write_text(
             "base\nvertex x\nvertex y\nedge a x y a\nedge b y x b\nbasepoint x\n")
         (workdir / "sub.txt").write_text(

@@ -87,6 +87,13 @@ def test_token_matches_int_parse(tok):
     assert (type(got), got) == (type(want), want)
 
 
+def read_over_rose(text):
+    """A graph file resolved over the rose on a, b, each refusal at its
+    line, as load_immersion reads one."""
+    graph, _, vmap, lines = FF._read_cells(text, "graph")
+    return FF._resolve(graph, S.rose(["a", "b"]), vmap, True, lines)
+
+
 class TestGraphFormat:
     BASE = "base\nvertex *\nedge a * * a\nedge b * * b\nbasepoint *\n"
 
@@ -174,7 +181,12 @@ class TestGraphFormat:
         (FF.parse_graph_file, "graph\nvmap 0\nvertex 0 1\n",
          "vmap takes vertex and base vertex", 2),
         (FF.parse_graph_file, "graph\nvertex 0\nvertex 1\nvertex 0\nvertex 1\nvertex 0\n",
-         "vertex 0 is repeated", 4)])
+         "vertex 0 is repeated", 4),
+        (FF.parse_graph_file, "graph\nvertex 0\nvertex 1\nvmap 0 x\nvmap 1 x\nvmap 1 y\n",
+         "duplicate vmap line for vertex 1", 6),
+        (read_over_rose, "graph\nvertex 0\nvmap 9 *\n", "vmap names 9, which is not a vertex", 3),
+        (read_over_rose, "graph\nvertex 0\nedge e 0 0 a\nedge f 0 0 a\nvmap 9 *\n",
+         "vmap names 9, which is not a vertex", 5)])
     def test_faults_name_their_line(self, read, text, message, line):
         assert_parse_error(lambda: read(text), message, line)
 

@@ -13,7 +13,6 @@ and witness.
 """
 
 import random
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -138,14 +137,14 @@ def test_fold_core_rank_on_subgroup_wedges(seed):
 @given(seeds)
 @derandomized
 def test_graph_of_subgroup_is_the_core_of_the_folded_wedge(seed):
-    """graph_of_subgroup folds, trims and relabels its wedge on vertex
-    positions in one pass; it gives the graph that the oracle's fold and
-    core, and forge's own, give on the named wedge.  Roses of 1-5 labels,
-    0-4 generators.  A generator is a Word (empty, one letter, or longer,
-    or a repeat, inverse or conjugate of the Word before it, which folds
-    onto it) or an unreduced letter list read through a stand-in, since
-    graph_of_subgroup reads only a word's letters; those leave hairs for
-    the trim.  Some lists hold only words u u^-1: the trivial subgroup."""
+    """graph_of_subgroup folds and relabels its wedge on vertex positions in
+    one pass; it gives the graph that the oracle's fold and core, and
+    forge's own, give on the named wedge, and that graph is its own core.
+    Roses of 1-5 labels, 0-4 generators.  A generator is a Word (empty,
+    one letter, or longer, or a repeat, inverse or conjugate of the Word
+    before it, which folds onto it) or the reduction of a random letter
+    list.  Some lists hold only reductions of u u^-1: the trivial
+    subgroup."""
     rng = random.Random(seed)
     alphabet = W.Alphabet([f"e{i}" for i in range(rng.randint(1, 5))])
     base = S.rose(alphabet.names)
@@ -155,11 +154,11 @@ def test_graph_of_subgroup_is_the_core_of_the_folded_wedge(seed):
         pick = rng.random()
         if trivial:
             u = random_letters(rng, alphabet.names, rng.randint(0, 4))
-            words.append(SimpleNamespace(letters=tuple(u + [(x, -s) for x, s in u[::-1]])))
+            words.append(W.reduce(alphabet, u + [(x, -s) for x, s in u[::-1]]))
         elif pick < 0.4:
-            words.append(SimpleNamespace(letters=tuple(
-                random_letters(rng, alphabet.names, rng.randint(0, 7)))))
-        elif pick < 0.6 and words and isinstance(words[-1], W.Word):
+            words.append(W.reduce(alphabet, random_letters(rng, alphabet.names,
+                                                           rng.randint(0, 7))))
+        elif pick < 0.6 and words:
             word, u = words[-1], random_reduced_word(rng, alphabet, rng.randint(0, 2))
             words.append(rng.choice((word, word.inverse(), u * word * u.inverse())))
         else:
@@ -169,6 +168,7 @@ def test_graph_of_subgroup_is_the_core_of_the_folded_wedge(seed):
     graph = S.graph_of_subgroup(base, words)
     assert same_graph(graph, oracle_core(oracle_fold(morphism)))
     assert same_graph(graph, S.core(S.fold(morphism)))
+    assert same_graph(graph, S.core(graph))
     if trivial:
         assert graph.domain.vertices == (0,) and graph.domain.edges == {}
 
@@ -317,30 +317,31 @@ def test_fibre_products_and_malnormal_families(seed):
 
 def rotation_action(rng):
     """A rose on 2..9 letters, the cyclic action of a random permutation of
-    its letters, and that generator's (vertex map, edge map)."""
+    its letters, and that generator's edge map."""
     names = [f"e{i}" for i in range(rng.randint(2, 9))]
     image = names[:]
     rng.shuffle(image)
     base = S.rose(names)
     edge_image = dict(zip(names, image))
-    return (W.Alphabet(names), base, S.RelabelingAction.cyclic(base, edge_image),
-            ({"*": "*"}, edge_image))
+    return W.Alphabet(names), base, S.RelabelingAction.cyclic(base, edge_image), edge_image
 
 
 def cycle_action(rng):
-    """A cycle of k vertices with a loop at each, rotated one step: the
-    action moves the basepoint, so translated copies lose it.  Also the
-    generator's (vertex map, edge map)."""
+    """A cycle of k vertices whose step i is three parallel edges c_i, d_i,
+    f_i, with two loops l_i, m_i at each vertex; the generator turns each
+    bundle c -> d -> f -> c and swaps the loops, so it fixes every vertex
+    and has order 6.  Also the generator's edge map."""
     k = rng.randint(2, 4)
     edges = {}
     for i in range(k):
-        edges[f"c{i}"] = (i, (i + 1) % k, f"c{i}")
-        edges[f"l{i}"] = (i, i, f"l{i}")
+        for t in "cdf":
+            edges[f"{t}{i}"] = (i, (i + 1) % k, f"{t}{i}")
+        for t in "lm":
+            edges[f"{t}{i}"] = (i, i, f"{t}{i}")
     base = S.LabeledGraph(range(k), edges, 0)
-    edge_image = {f"{t}{i}": f"{t}{(i + 1) % k}" for i in range(k) for t in "cl"}
-    vertex_image = {i: (i + 1) % k for i in range(k)}
-    return (k, base, S.RelabelingAction.cyclic(base, edge_image, vertex_image),
-            (vertex_image, edge_image))
+    turn = {"c": "d", "d": "f", "f": "c", "l": "m", "m": "l"}
+    edge_image = {e: turn[e[0]] + e[1:] for e in edges}
+    return k, base, S.RelabelingAction.cyclic(base, edge_image), edge_image
 
 
 @given(seeds)
@@ -354,33 +355,35 @@ def test_maps_are_composed_powers_of_the_generator(seed):
         assert [action.maps(k) for k in action.elements] == oracle_powers(generator)
 
 
-def test_cyclic_rejects_a_pair_of_permutations_that_is_no_automorphism():
+def test_cyclic_rejects_an_edge_permutation_that_is_no_automorphism():
     """Swapping the step c0 and the loop l0 permutes the edges but does not
-    respect their endpoints."""
-    k, base, _, _ = cycle_action(random.Random(4))
+    respect their ends."""
+    _, base, _, _ = cycle_action(random.Random(4))
     edge_image = {e: e for e in base.edges}
     edge_image.update(c0="l0", l0="c0")
-    with pytest.raises(InvalidActionError, match="not mapped compatibly"):
-        S.RelabelingAction.cyclic(base, edge_image, {i: i for i in range(k)})
+    with pytest.raises(InvalidActionError,
+                       match="^edge 'c0' is not mapped onto an edge with its ends$"):
+        S.RelabelingAction.cyclic(base, edge_image)
 
 
 def cycle_word(rng, k):
-    """A closed path at vertex 0: loops, whole turns and back-and-forths."""
+    """A closed path at vertex 0: forward steps, loops either way and whole
+    turns, each step and loop drawn from its parallel edges."""
     letters = []
     for _ in range(rng.randint(1, 3)):
         at = 0
         for _ in range(rng.randint(0, 3)):
             step = rng.randint(1, k - 1) if k > 1 else 0
             for i in range(step):
-                letters.append((f"c{(at + i) % k}", 1))
-            letters.append((f"l{(at + step) % k}", rng.choice((1, -1))))
+                letters.append((f"{rng.choice('cdf')}{(at + i) % k}", 1))
+            letters.append((f"{rng.choice('lm')}{(at + step) % k}", rng.choice((1, -1))))
             at = (at + step) % k
         # Walk on around the cycle back to vertex 0.
         while at != 0:
-            letters.append((f"c{at}", 1))
+            letters.append((f"{rng.choice('cdf')}{at}", 1))
             at = (at + 1) % k
         if rng.random() < 0.5:
-            letters.extend((f"c{i}", 1) for i in range(k))
+            letters.extend((f"{rng.choice('cdf')}{i}", 1) for i in range(k))
     return letters
 
 
