@@ -23,6 +23,7 @@ import functools
 import hashlib
 import sys
 import time
+from collections import namedtuple
 
 from . import fileformats as FF
 from . import words as W
@@ -31,7 +32,6 @@ from .errors import ForgeError
 from .presentations import abelianization, free_power
 from .quotients import (OrderSpec, SearchBudget, cycle_notation,
                         has_nontrivial_quotient_upto, search)
-from .records import Record
 from .squarecx import (build_S_of_P, check_link_condition, pi1_presentation)
 from .stallings import core, fibre_product, fold, malnormal_family_check
 
@@ -39,20 +39,20 @@ EXIT_CODES = {"certified": 0, "witness": 0, "refuted": 1, "inconclusive": 2,
               "error": 1}
 
 
-class RunReport(Record):
+class RunReport(namedtuple("RunReport",
+                           "command inputs status timing artifacts details")):
     """One run's outcome.  Fields print in a fixed order so reports diff
     cleanly; inputs are content hashes, never raw paths."""
 
-    def __init__(self, command, inputs, status, timing=0.0, artifacts=None,
-                 details=None):
+    __slots__ = ()
+
+    def __new__(cls, command, inputs, status, timing=0.0, artifacts=None,
+                details=None):
         if status not in EXIT_CODES:
             raise ValueError(f"unknown status {status!r}")
-        self.command = command
-        self.inputs = inputs
-        self.status = status
-        self.timing = timing
-        self.artifacts = [] if artifacts is None else artifacts
-        self.details = [] if details is None else details
+        return super().__new__(cls, command, inputs, status, timing,
+                               [] if artifacts is None else artifacts,
+                               [] if details is None else details)
 
     def exit_code(self):
         return EXIT_CODES[self.status]

@@ -29,7 +29,6 @@ from .presentations import (FinitePresentation, _fresh_names, abelianization,
                             add_conjugation_relators, free_product_with_renaming,
                             map_word, substitute, tietze_change_generators,
                             verify_generator_change)
-from .records import Record
 
 UV = W.Alphabet(["u", "v"])
 TW = W.Alphabet(["t", "w"])
@@ -227,10 +226,11 @@ def select_malnormal_words(m, N=7):
 
 
 def revalidate_certificate(cert):
-    """Re-run, from scratch, the checks that selection ran."""
+    """Re-run, from scratch, the checks that selection ran.  A modulus the
+    kernel checks refuse fails revalidation; any other error propagates."""
     try:
         kernel = _kernel_checks(cert.modulus)
-    except Exception:
+    except ForgeError:
         return False
     return (kernel == (cert.base_rank, cert.translates_malnormal)
             and _family_checks(cert.tuple_uv) == (cert.rank, cert.family_malnormal)
@@ -254,25 +254,17 @@ def assemble_Gw(p2, b_letters, c_words):
     return FinitePresentation(alphabet, relators)
 
 
-class EncodingTrace(Record):
+class EncodingTrace(namedtuple(
+        "EncodingTrace",
+        "input_presentation input_word modulus short_circuited p_dagger w_dagger "
+        "p_prime w_prime p1 b_letters p2 t_letter u v c_words_tw c_words certificate "
+        "p_w abelianizations",
+        defaults=(None, None, None, None, None, (), None, None, None, None, (), (),
+                  None, None, None))):
     """Every intermediate object of one encoding run; a stage that did not
     run leaves its fields None, or () for its tuples of letters or words."""
 
-    def __init__(self, input_presentation, input_word, modulus, short_circuited,
-                 p_dagger=None, w_dagger=None, p_prime=None, w_prime=None, p1=None,
-                 b_letters=(), p2=None, t_letter=None, u=None, v=None,
-                 c_words_tw=(), c_words=(), certificate=None, p_w=None,
-                 abelianizations=None):
-        self.input_presentation, self.input_word = input_presentation, input_word
-        self.modulus, self.short_circuited = modulus, short_circuited
-        self.p_dagger, self.w_dagger = p_dagger, w_dagger
-        self.p_prime, self.w_prime = p_prime, w_prime
-        self.p1, self.b_letters = p1, b_letters
-        self.p2, self.t_letter = p2, t_letter
-        self.u, self.v = u, v
-        self.c_words_tw, self.c_words = c_words_tw, c_words
-        self.certificate, self.p_w = certificate, p_w
-        self.abelianizations = abelianizations
+    __slots__ = ()
 
     def stages(self):
         out = {"input": self.input_presentation}
@@ -295,35 +287,30 @@ def encode(p, w, N=7):
     if w.is_identity():
         return _bare_trace(p, w, N, encode_discrete(p, w))  # <x | x>
 
-    trace = EncodingTrace(p, w, N, short_circuited=False)
-    trace.p_dagger, trace.w_dagger = step_injective_generators(p, w)
-    trace.p_prime, trace.w_prime = step_order_control(trace.p_dagger, trace.w_dagger)
-    trace.p1, b_letters = step_conjugators(trace.p_prime, trace.w_prime)
-    trace.p2, trace.b_letters, trace.t_letter, w_prime_2 = _step_free_letter(
-        trace.p1, b_letters, trace.w_prime)
+    p_dagger, w_dagger = step_injective_generators(p, w)
+    p_prime, w_prime = step_order_control(p_dagger, w_dagger)
+    p1, letters = step_conjugators(p_prime, w_prime)
+    p2, b_letters, t_letter, w_prime_2 = _step_free_letter(p1, letters, w_prime)
 
-    p2 = trace.p2
-    table = {"t": p2.alphabet.gen(trace.t_letter), "w": w_prime_2}
-    trace.u = substitute(U_IN_TW, p2.alphabet, table)
-    trace.v = substitute(V_IN_TW, p2.alphabet, table)
-
-    trace.c_words_tw, trace.certificate = select_malnormal_words(
-        len(b_letters) - 1, N)
-    trace.c_words = tuple(substitute(c, p2.alphabet, table)
-                          for c in trace.c_words_tw)
-
-    trace.p_w = assemble_Gw(p2, trace.b_letters, trace.c_words)
-    trace.abelianizations = {name: abelianization(stage)
-                             for name, stage in trace.stages().items()}
-    return trace
+    table = {"t": p2.alphabet.gen(t_letter), "w": w_prime_2}
+    u = substitute(U_IN_TW, p2.alphabet, table)
+    v = substitute(V_IN_TW, p2.alphabet, table)
+    c_words_tw, certificate = select_malnormal_words(len(letters) - 1, N)
+    c_words = tuple(substitute(c, p2.alphabet, table) for c in c_words_tw)
+    trace = EncodingTrace(
+        p, w, N, False, p_dagger, w_dagger, p_prime, w_prime, p1, b_letters, p2,
+        t_letter, u, v, c_words_tw, c_words, certificate,
+        assemble_Gw(p2, b_letters, c_words))
+    return trace._replace(abelianizations={
+        name: abelianization(stage) for name, stage in trace.stages().items()})
 
 
 def _bare_trace(p, w, modulus, p_w):
     """A trace that keeps only the input and the output, with both
     abelianizations; short-circuited exactly when w is the identity."""
-    trace = EncodingTrace(p, w, modulus, short_circuited=w.is_identity(), p_w=p_w)
-    trace.abelianizations = {"input": abelianization(p), "p_w": abelianization(p_w)}
-    return trace
+    return EncodingTrace(
+        p, w, modulus, short_circuited=w.is_identity(), p_w=p_w,
+        abelianizations={"input": abelianization(p), "p_w": abelianization(p_w)})
 
 
 def discrete_c_word(w, t, j):

@@ -82,7 +82,6 @@ from operator import itemgetter
 from . import words as W
 from .errors import AlphabetMismatchError, DegenerateInputError, IndependenceError
 from .presentations import FinitePresentation, abelianization, substitute
-from .records import Record
 
 # Permutations are tuples p with p[i] = image of point i (0-based internally;
 # cycle notation is printed 1-based).  One cycle walk, `_cycles`, gives the
@@ -198,7 +197,8 @@ class SearchBudget(namedtuple("SearchBudget", "max_degree max_nodes time_limit")
         return super().__new__(cls, max_degree, max_nodes, time_limit)
 
 
-class SearchOutcome(Record):
+class SearchOutcome(namedtuple("SearchOutcome", "status witness nodes max_degree_searched "
+                                 "degrees excluded even_only perfect")):
     """Result of a budgeted search.  status is 'witness' or 'exhausted';
     exhausted never proves anything and is reported as inconclusive.
     degrees holds (degree, nodes spent there, budget hit) for every degree
@@ -209,16 +209,13 @@ class SearchOutcome(Record):
     S_4 are solvable), and 2 alone when |H_1| is odd and above 1 (the only
     even permutation of degree 2 is the identity, A_2 = 1)."""
 
-    def __init__(self, status, witness, nodes, max_degree_searched, degrees=None,
-                 excluded=(), even_only=False, perfect=False):
-        self.status = status
-        self.witness = witness
-        self.nodes = nodes
-        self.max_degree_searched = max_degree_searched
-        self.degrees = [] if degrees is None else degrees
-        self.excluded = excluded
-        self.even_only = even_only
-        self.perfect = perfect
+    __slots__ = ()
+
+    def __new__(cls, status, witness, nodes, max_degree_searched, degrees=None,
+                excluded=(), even_only=False, perfect=False):
+        return super().__new__(cls, status, witness, nodes, max_degree_searched,
+                               [] if degrees is None else degrees, excluded,
+                               even_only, perfect)
 
 
 # S_2, S_3 and S_4 are solvable; a perfect group's images into them are trivial.
@@ -498,10 +495,8 @@ def search_homs(p, n):
 # steps.
 
 
-class SimplifiedPresentation(Record):
-    def __init__(self, presentation, steps):
-        self.presentation = presentation
-        self.steps = steps  # (eliminated generator, Word over the alphabet after it)
+# steps: (eliminated generator, Word over the alphabet after it), in order.
+SimplifiedPresentation = namedtuple("SimplifiedPresentation", "presentation steps")
 
 
 def simplify_presentation(p):
@@ -597,7 +592,9 @@ def search(p, budget, goal=None, per_degree=False):
     None, H_1 of p sets the first degree (5 when H_1 = 0, 3 when |H_1| is
     odd) and limits the candidates to even permutations when
     H_1 (x) Z/2 = 0; with no degree
-    left the search returns before simplifying.  The node budget covers
+    left the search returns before simplifying.  A searched presentation
+    with no generators has only the trivial hom at every degree, so the
+    search stops after its first degree.  The node budget covers
     all degrees together, or each degree afresh with per_degree.  The
     kernel prunes by the goal (the word as transferred); accept still
     verifies the hom it yields, so the pruning is never trusted alone."""
@@ -639,6 +636,8 @@ def search(p, budget, goal=None, per_degree=False):
         degrees.append((n, tracker.nodes - start, False))
         if found is not None:
             witness = found if simp is None else _restore_assignment(p, simp, found)
+            break
+        if not search_p.generators:
             break
     return SearchOutcome("exhausted" if witness is None else "witness", witness,
                          sum(nodes for _, nodes, _ in degrees),

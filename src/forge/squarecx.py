@@ -18,12 +18,11 @@ once and keeps it for its component count, pi1 and H_1.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
 from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
 from .presentations import FinitePresentation, AbelianInvariants
-from .records import Record
 from .snf import smith_normal_form
 from .stallings import positions
 
@@ -122,14 +121,14 @@ class SquareComplex:
         return self._forest
 
 
-class LinkGraph(Record):
+class LinkGraph(namedtuple("LinkGraph", "vertex nodes arcs")):
     """The link of a vertex: nodes are directed edges leaving it, arcs are
     square corners (tagged with (square index, corner index))."""
 
-    def __init__(self, vertex, nodes, arcs=None):
-        self.vertex = vertex
-        self.nodes = nodes
-        self.arcs = [] if arcs is None else arcs
+    __slots__ = ()
+
+    def __new__(cls, vertex, nodes, arcs=None):
+        return super().__new__(cls, vertex, nodes, [] if arcs is None else arcs)
 
 
 def _corners(complex_):
@@ -149,11 +148,10 @@ def link(complex_, v):
     if (p := complex_.vertices.get(v)) is None:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
     head, directed = complex_.head, complex_.directed
-    lk = LinkGraph(v, tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == p))
-    for i, (a, b) in enumerate(_corners(complex_)):
-        if head[a ^ 1] == p:
-            lk.arcs.append((directed(a), directed(b), divmod(i, 4)))
-    return lk
+    nodes = tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == p)
+    arcs = [(directed(a), directed(b), divmod(i, 4))
+            for i, (a, b) in enumerate(_corners(complex_)) if head[a ^ 1] == p]
+    return LinkGraph(v, nodes, arcs)
 
 
 def check_link_condition(complex_):
@@ -161,39 +159,38 @@ def check_link_condition(complex_):
     triangle, i.e. girth >= 4.  Returns (ok, violations).
 
     One pass over the corners finds them all: a node's code fixes its
-    vertex, so one dict of node pairs finds the bigons and one list of
-    neighbour sets, indexed by code, the triangles, with no per-vertex
-    link; a code with no neighbour gets no set.  Violations are listed
-    vertex by vertex in `vertex_order`: loops and bigons in corner order,
-    then the triangles (a, b, c), a < b < c, by ascending codes."""
+    vertex, so one dict of node pairs finds the bigons and one list,
+    indexed by code a, of a's neighbours b > a the triangles, with no
+    per-vertex link; a code with no such neighbour gets no list.
+    Violations are listed vertex by vertex in `vertex_order`: loops and
+    bigons in corner order, then the triangles (a, b, c), a < b < c, by
+    ascending codes."""
     n = len(complex_.head)
-    loops, first, bigons, adjacency = [], {}, [], [None] * n
+    loops, first, bigons, forward = [], {}, [], [None] * n
     for i, (a, b) in enumerate(_corners(complex_)):
         if a == b:
             loops.append(i)
             continue
-        pair = a * n + b if a < b else b * n + a
+        if a > b:
+            a, b = b, a
+        pair = a * n + b
         j = first.setdefault(pair, i)
         if j != i:
             if j >= 0:   # the pair's second corner; -1 marks it reported
                 bigons.append((j, i))
                 first[pair] = -1
             continue
-        if (around := adjacency[a]) is None:
-            adjacency[a] = {b}
+        if (above := forward[a]) is None:
+            forward[a] = [b]
         else:
-            around.add(b)
-        if (around := adjacency[b]) is None:
-            adjacency[b] = {a}
-        else:
-            around.add(a)
+            above.append(b)
     triangles = []
-    for a, around_a in enumerate(adjacency):
-        for b in around_a or ():
-            if a < b:
-                around_b = adjacency[b]
-                if not around_a.isdisjoint(around_b):
-                    triangles += [(a, b, c) for c in around_a & around_b if b < c]
+    for a, above_a in enumerate(forward):
+        if above_a is not None and len(above_a) > 1:
+            ahead = set(above_a)
+            for b in above_a:
+                if (above_b := forward[b]) is not None:
+                    triangles += [(a, b, c) for c in ahead.intersection(above_b)]
     if not (loops or bigons or triangles):
         return True, []
     head, directed, codes = complex_.head, complex_.directed, complex_.square_codes
@@ -326,12 +323,9 @@ def _add_scaled_copy(x, ell, j, vertices, edges, squares):
     return cut
 
 
-class BuiltComplex(Record):
-    """build_S_of_P output: the complex S(P), whose cell ids name where
-    each cell lies."""
-
-    def __init__(self, complex):
-        self.complex = complex
+# build_S_of_P output: the complex S(P), whose cell ids name where each
+# cell lies.
+BuiltComplex = namedtuple("BuiltComplex", "complex")
 
 
 def build_S_of_P(p, x, gamma):

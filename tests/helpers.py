@@ -1707,12 +1707,16 @@ def oracle_free_power(p, n):
 
 
 # forge's records as they were declared with @dataclass, kept as oracles for
-# the hand-written records that replaced them (test_records.py compares ==,
-# hash, repr, refusals and frozen fields).  Each keeps its fields, defaults,
-# validation and the methods that decide ==, hash or repr; the rest of its
-# methods are left out.  A record annotated with another record names it
-# as a string, as class bodies do not see the names around them in this
-# class.
+# the namedtuples that replaced them (test_records.py compares ==, hash, repr,
+# refusals and frozen fields).  Each keeps its fields, defaults, validation
+# and the methods that decide ==, hash or repr; the rest of its methods are
+# left out.  Six of them (SearchOutcome, SimplifiedPresentation,
+# EncodingTrace, LinkGraph, BuiltComplex, RunReport) were once mutable
+# dataclasses; no caller assigned a field after building one, so they became
+# namedtuples as well, and their oracles are frozen to match: assigning a
+# field is refused, and a record hashes as the tuple of its fields.  A record
+# annotated with another record names it as a string, as class bodies do not
+# see the names around them in this class.
 class Dataclass:
     @dataclass(frozen=True)
     class Word:
@@ -1779,7 +1783,7 @@ class Dataclass:
             if self.time_limit is not None and self.time_limit <= 0:
                 raise DegenerateInputError("time limit must be positive")
 
-    @dataclass
+    @dataclass(frozen=True)
     class SearchOutcome:
         status: str
         witness: "PermutationAssignment | None"
@@ -1790,7 +1794,7 @@ class Dataclass:
         even_only: bool = False
         perfect: bool = False
 
-    @dataclass
+    @dataclass(frozen=True)
     class SimplifiedPresentation:
         presentation: FinitePresentation
         steps: list
@@ -1836,7 +1840,7 @@ class Dataclass:
         base_rank: int
         translates_malnormal: bool
 
-    @dataclass
+    @dataclass(frozen=True)
     class EncodingTrace:
         input_presentation: FinitePresentation
         input_word: W.Word
@@ -1858,17 +1862,17 @@ class Dataclass:
         p_w: FinitePresentation | None = None
         abelianizations: dict | None = None
 
-    @dataclass
+    @dataclass(frozen=True)
     class LinkGraph:
         vertex: object
         nodes: tuple
         arcs: list = field(default_factory=list)
 
-    @dataclass
+    @dataclass(frozen=True)
     class BuiltComplex:
         complex: SquareComplex
 
-    @dataclass
+    @dataclass(frozen=True)
     class RunReport:
         command: str
         inputs: dict

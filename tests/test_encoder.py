@@ -137,6 +137,19 @@ class TestSelection:
         _, cert = select_malnormal_words(0, N=7)
         assert not revalidate_certificate(cert._replace(modulus=N))
 
+    def test_revalidation_propagates_errors_it_does_not_refuse(self, monkeypatch):
+        """Only a ForgeError from the kernel checks means the certificate
+        fails; any other error, such as running out of memory, is raised
+        and never reported as an invalid certificate."""
+        _, cert = select_malnormal_words(0, N=7)
+
+        def out_of_memory(N):
+            raise MemoryError
+
+        monkeypatch.setattr(encoder, "_kernel_checks", out_of_memory)
+        with pytest.raises(MemoryError):
+            revalidate_certificate(cert)
+
     def test_largest_modulus_check_stays_small(self):
         """The N = 999 rotation check keeps g's image tuples, not one
         element per power: its peak stays under 5 MB (the per-element maps

@@ -466,9 +466,9 @@ class TestTraceFormat:
         p = pres(["a"], "a^3")
         p_w = encode_discrete(p, p.word("a"))
         trace = EncodingTrace(p, p.word("a"), modulus=0,
-                              short_circuited=False, p_w=p_w)
-        trace.abelianizations = {"input": abelianization(p),
-                                 "p_w": abelianization(p_w)}
+                              short_circuited=False, p_w=p_w,
+                              abelianizations={"input": abelianization(p),
+                                               "p_w": abelianization(p_w)})
         text = FF.trace_to_json(trace)
         parsed = FF.trace_from_json(text)
         assert parsed["stages"]["p_w"] == p_w

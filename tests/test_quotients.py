@@ -188,6 +188,39 @@ class TestBudgetedSearches:
                                            SearchBudget(max_degree=5))
         assert out.status == "exhausted"
 
+    def test_generator_free_search_stops_after_its_first_degree(self, tmp_path):
+        """<a | a> simplifies to no generators, whose only hom at every
+        degree is the trivial one and costs no node, so the search stops
+        after degree 5 (H_1 = 0) however large max_degree is.  The child
+        runs under a timeout, so a search that walks every degree fails
+        here."""
+        p = pres(["a"], "a")
+        out = has_nontrivial_quotient_upto(p, SearchBudget(max_degree=200))
+        assert out.status == "exhausted"
+        assert out.degrees == [(5, 0, False)] and out.max_degree_searched == 5
+        presentation = tmp_path / "a.txt"
+        presentation.write_text("gens: a\nrel: a\n")
+        src = os.path.dirname(os.path.dirname(forge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-m", "forge.cli", "quotients", str(presentation),
+             "--max-degree", "100000"], env=env, capture_output=True, text=True,
+            timeout=30)
+        assert run.returncode == 2 and run.stderr == ""
+        assert [line for line in run.stdout.splitlines()
+                if line.startswith("degree ")] == ["degree 5: nodes=0"]
+
+    def test_generator_free_order_spec_keeps_its_witness(self):
+        """An order spec met by the trivial hom is met at the first degree,
+        and the search stops there with that witness."""
+        empty = W.Word(W.Alphabet(()), ())
+        spec = OrderSpec(targets=(empty, empty), kappa=1, exponents=(1, 1))
+        out = search(FinitePresentation(empty.alphabet),
+                     SearchBudget(max_degree=200), spec)
+        assert out.status == "witness" and out.witness.degree == 2
+        assert [n for n, _, _ in out.degrees] == [2]
+
     def test_node_budget_stops(self):
         p = pres(["a", "b"])
         out = word_survives_upto(

@@ -176,7 +176,7 @@ def assert_search_pruned(new, old, first):
     witness only the new search finds (it spent fewer nodes) is the seed's
     first one.  Degrees the new search excludes are left out of the seed's
     degree order."""
-    if isinstance(old, tuple):
+    if type(old) is tuple:
         assert new == old  # the same ForgeError
         return
     bound = {n: nodes for n, nodes, hit in old.degrees if not hit}
