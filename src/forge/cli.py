@@ -18,12 +18,12 @@ exhausted search is always reported as inconclusive.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
+import re
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import fileformats as FF
 from . import words as W
@@ -295,109 +295,262 @@ def _cmd_probe(args, inputs, artifacts):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# The command table.  Every command line forge reads is declared here, once:
+# parse_args walks argv against it, and each --help is rendered from it.
+
+# One argument of a command: a long option if its name starts with "--",
+# else a positional.  `kind` is the type of what it stores: str, int, bool
+# (an option that takes no value and stores True) or list (a positional
+# that takes one or more values).
+Arg = namedtuple("Arg", "name kind default required help",
+                 defaults=(str, None, False, ""))
+Command = namedtuple("Command", "help handler args")
+# A command whose first positional names one of its `commands`, kept as `dest`.
+Group = namedtuple("Group", "help dest commands")
+
+_OUT = Arg("--out")
+
+COMMANDS = Group(
+    "Subgroup graphs, presentations, quotient searches and the encoding pipeline.",
+    "subcommand", {
+        "fold": Command("fold a graph morphism to an immersion", _cmd_fold,
+                        (Arg("graph"), _OUT)),
+        "core": Command("fold and trim to the core graph", _cmd_fold,
+                        (Arg("graph"), _OUT)),
+        "fibre": Command("fibre product of two immersions", _cmd_fibre,
+                         (Arg("graph1"), Arg("graph2"))),
+        "malnormal": Command("certify a family of immersions malnormal",
+                             _cmd_malnormal, (Arg("graphs", list),)),
+        "abel": Command("abelian invariants of a presentation", _cmd_abel,
+                        (Arg("presentation"),)),
+        "freepow": Command("n-fold free power of a presentation", _cmd_freepow,
+                           (Arg("presentation"), Arg("n", int), _OUT)),
+        "encode": Command("run the encoding pipeline", _cmd_encode, (
+            Arg("presentation"), Arg("--word", required=True), Arg("--N", int, 7),
+            Arg("--discrete", bool, False), _OUT)),
+        "quotients": Command("search finite symmetric quotients", _cmd_quotients, (
+            Arg("presentation"), Arg("--max-degree", int, required=True), Arg("--word"),
+            Arg("--orders", help="k:e1,e2,... target orders for the generators"),
+            Arg("--max-nodes", int, 10 ** 7,
+                help="search-node budget per degree; each degree searched starts "
+                     "from zero, and one that hits the budget reports it + 1 "
+                     "nodes, the refused node included"))),
+        "sqc": Group("square complex tools", "sqc_command", {
+            "check": Command("link condition check", _cmd_sqc_check,
+                             (Arg("complex"),)),
+            "build": Command("build the scaled-copy complex of a presentation",
+                             _cmd_sqc_build, (
+                Arg("--pres", required=True), Arg("--complex", required=True),
+                Arg("--gamma", required=True,
+                    help="directed edge list, e.g. 'a b-' (minus for reverse)"),
+                _OUT)),
+            "pi1": Command("fundamental group presentation", _cmd_sqc_pi1,
+                           (Arg("complex"), _OUT)),
+        }),
+        "probe": Command("encode then search the output for a nontrivial "
+                         "finite quotient", _cmd_probe, (
+            Arg("presentation"), Arg("--word", required=True),
+            Arg("--max-degree", int, 5),
+            Arg("--max-nodes", int, 10 ** 7,
+                help="search-node budget over all degrees together; at a hit "
+                     "the degree lines sum to it + 1 nodes, the refused node "
+                     "included"),
+            Arg("--N", int, 7))),
+    })
+
+_HELP = Arg("-h/--help", help="show this help message and exit")
+_HELP_ONLY = {"-h": _HELP, "--help": _HELP}
+_UNKNOWN = Arg("")  # an option-like token that names no option
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 2 would read as "inconclusive"
-        raise ForgeError(f"{self.prog}: {message}")
+def parse_args(argv):
+    """Read a forge command line against COMMANDS in one pass, as argparse
+    reads it: options may come before, between or after positionals, as
+    `--opt value` or `--opt=value`, or by a unique prefix; a negative number
+    is a value; `--` ends the options.  Returns a namespace of the group
+    dests (`subcommand`, and `sqc_command` under `sqc`), the command's
+    arguments (each default that argv leaves) and its `handler`.  A line
+    that does not parse raises ForgeError in argparse's words, led by the
+    prog that refused it; -h or --help prints that prog's help and raises
+    SystemExit(0)."""
+    args, extras = SimpleNamespace(), []
+    node, prog, i = COMMANDS, "forge", 0
+    while type(node) is Group:
+        while True:  # only help is an option before the command's name
+            if argv[i:] in ([], ["--"]):
+                raise _required(prog, [node.dest])
+            token = argv[i]
+            i += 1
+            found = None if token == "--" else _option(_HELP_ONLY, token, prog)
+            if found is None:
+                break
+            if found[0] is _UNKNOWN:
+                extras.append(token)
+            else:
+                _flag(*found, node, prog)
+        if token not in node.commands:
+            raise ForgeError(f"{prog}: argument {node.dest}: invalid choice: {token!r} "
+                             f"(choose from {', '.join(map(repr, node.commands))})")
+        setattr(args, node.dest, token)
+        node, prog = node.commands[token], f"{prog} {token}"
+    _read_command(node, prog, argv[i:], args, extras)
+    if extras:
+        raise ForgeError(f"forge: unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
-def build_parser():
-    parser = _Parser(
-        prog="forge",
-        description="Subgroup graphs, presentations, quotient searches and "
-                    "the encoding pipeline.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = sub.add_parser("fold", help="fold a graph morphism to an immersion")
-    s.add_argument("graph")
-    s.add_argument("--out")
-    s.set_defaults(handler=_cmd_fold)
-
-    s = sub.add_parser("core", help="fold and trim to the core graph")
-    s.add_argument("graph")
-    s.add_argument("--out")
-    s.set_defaults(handler=_cmd_fold)
-
-    s = sub.add_parser("fibre", help="fibre product of two immersions")
-    s.add_argument("graph1")
-    s.add_argument("graph2")
-    s.set_defaults(handler=_cmd_fibre)
-
-    s = sub.add_parser("malnormal", help="certify a family of immersions malnormal")
-    s.add_argument("graphs", nargs="+")
-    s.set_defaults(handler=_cmd_malnormal)
-
-    s = sub.add_parser("abel", help="abelian invariants of a presentation")
-    s.add_argument("presentation")
-    s.set_defaults(handler=_cmd_abel)
-
-    s = sub.add_parser("freepow", help="n-fold free power of a presentation")
-    s.add_argument("presentation")
-    s.add_argument("n", type=int)
-    s.add_argument("--out")
-    s.set_defaults(handler=_cmd_freepow)
-
-    s = sub.add_parser("encode", help="run the encoding pipeline")
-    s.add_argument("presentation")
-    s.add_argument("--word", required=True)
-    s.add_argument("--N", type=int, default=7)
-    s.add_argument("--discrete", action="store_true")
-    s.add_argument("--out")
-    s.set_defaults(handler=_cmd_encode)
-
-    s = sub.add_parser("quotients", help="search finite symmetric quotients")
-    s.add_argument("presentation")
-    s.add_argument("--max-degree", type=int, required=True)
-    s.add_argument("--word")
-    s.add_argument("--orders", help="k:e1,e2,... target orders for the generators")
-    s.add_argument("--max-nodes", type=int, default=10 ** 7,
-                   help="search-node budget per degree; each degree searched "
-                        "starts from zero, and one that hits the budget reports "
-                        "it + 1 nodes, the refused node included")
-    s.set_defaults(handler=_cmd_quotients)
-
-    s = sub.add_parser("sqc", help="square complex tools")
-    sqc = s.add_subparsers(dest="sqc_command", required=True)
-
-    t = sqc.add_parser("check", help="link condition check")
-    t.add_argument("complex")
-    t.set_defaults(handler=_cmd_sqc_check)
-
-    t = sqc.add_parser("build", help="build the scaled-copy complex of a presentation")
-    t.add_argument("--pres", required=True)
-    t.add_argument("--complex", required=True)
-    t.add_argument("--gamma", required=True,
-                   help="directed edge list, e.g. 'a b-' (minus for reverse)")
-    t.add_argument("--out")
-    t.set_defaults(handler=_cmd_sqc_build)
-
-    t = sqc.add_parser("pi1", help="fundamental group presentation")
-    t.add_argument("complex")
-    t.add_argument("--out")
-    t.set_defaults(handler=_cmd_sqc_pi1)
-
-    s = sub.add_parser("probe", help="encode then search the output for a "
-                                     "nontrivial finite quotient")
-    s.add_argument("presentation")
-    s.add_argument("--word", required=True)
-    s.add_argument("--max-degree", type=int, default=5)
-    s.add_argument("--max-nodes", type=int, default=10 ** 7,
-                   help="search-node budget over all degrees together; at a "
-                        "hit the degree lines sum to it + 1 nodes, the refused "
-                        "node included")
-    s.add_argument("--N", type=int, default=7)
-    s.set_defaults(handler=_cmd_probe)
-
-    return parser
+def _read_command(command, prog, tokens, args, extras):
+    """Read a command's tokens into `args`; tokens it takes no place for
+    go to `extras`, in order."""
+    options, waiting = dict(_HELP_ONLY), []
+    for arg in command.args:
+        if arg.name[0] == "-":
+            options[arg.name] = arg
+        else:
+            waiting.append(arg)
+        setattr(args, _dest(arg), arg.default)
+    waiting.reverse()
+    # argparse reads every token's kind before it takes any, so an ambiguous
+    # prefix is refused first; after "--" every token is a value.
+    n = len(tokens)
+    end = tokens.index("--") if "--" in tokens else n
+    kinds = [_option(options, token, prog) for token in tokens[:end]] + [None] * (n - end)
+    seen = set()
+    run = None       # the values of a list positional, until an option ends them
+    taken = False    # the token before was a positional's value
+    k = 0
+    while k < n:
+        token, kind = tokens[k], kinds[k]
+        k += 1
+        if k == end + 1:
+            # A "--" next to a positional's values is theirs; any other is left over.
+            if not (taken or waiting):
+                extras.append(token)
+        elif kind is None:
+            taken = run is not None or bool(waiting)
+            if run is not None:
+                run.append(token)
+            elif waiting:
+                arg = waiting.pop()
+                seen.add(arg.name)
+                if arg.kind is list:
+                    run = [token]
+                    setattr(args, arg.name, run)
+                else:
+                    setattr(args, arg.name, _value(arg, token, prog))
+            else:
+                extras.append(token)
+        else:
+            arg, value = kind
+            run, taken = None, False
+            if arg is _UNKNOWN:
+                extras.append(token)
+                continue
+            seen.add(arg.name)
+            if arg is _HELP or arg.kind is bool:
+                value = _flag(arg, value, command, prog)
+            elif value is None:
+                if k == end or kinds[k] is not None:
+                    raise ForgeError(f"{prog}: argument {arg.name}: expected one argument")
+                value = tokens[k]
+                k += 1
+            setattr(args, _dest(arg), _value(arg, value, prog))
+    missing = [arg.name for arg in command.args if arg.name not in seen
+               and (arg.required or arg.name[0] != "-")]
+    if missing:
+        raise _required(prog, missing)
+    args.handler = command.handler
 
 
-@functools.cache
-def _parser():
-    """The process's one parser; parsing leaves it unchanged, so main
-    reuses it instead of rebuilding every subcommand on each call."""
-    return build_parser()
+def _option(options, token, prog):
+    """What argparse makes of `token` among `options`: None for a value,
+    else (the option, its `=value` or None), with _UNKNOWN for an
+    option-like token that names none.  A unique prefix of a long option
+    names it; an ambiguous one is refused."""
+    if token in options:
+        return options[token], None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return options[name], value
+    if token[1] == "-":
+        matches = [flag for flag in options if flag.startswith(name)]
+        if len(matches) > 1:
+            raise ForgeError(f"{prog}: ambiguous option: {token} could match "
+                             f"{', '.join(matches)}")
+        if matches:
+            return options[matches[0]], value if eq else None
+    elif _NEGATIVE_NUMBER.match(token):
+        return None
+    return None if " " in token else (_UNKNOWN, None)
+
+
+def _flag(arg, value, node, prog):
+    """A flag's value, True; -h and --help print node's help and exit 0."""
+    if value is not None:
+        raise ForgeError(f"{prog}: argument {arg.name}: ignored explicit argument {value!r}")
+    if arg is _HELP:
+        sys.stdout.write(_help_text(node, prog))
+        raise SystemExit(0)
+    return True
+
+
+def _value(arg, text, prog):
+    if arg.kind is not int:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ForgeError(f"{prog}: argument {arg.name}: invalid int value: {text!r}") from None
+
+
+def _dest(arg):
+    return arg.name.lstrip("-").replace("-", "_")
+
+
+def _required(prog, names):
+    return ForgeError(f"{prog}: the following arguments are required: {', '.join(names)}")
+
+
+def _help_text(node, prog):
+    """The --help of a command or group, rendered from its table entry."""
+    import textwrap  # only help needs it
+    usage, positionals, options = ["[-h]"], [], [("-h, --help", _HELP.help)]
+    if type(node) is Group:
+        choices = "{" + ",".join(node.commands) + "}"
+        usage += [choices, "..."]
+        positionals = [(choices, "")] + [(f"  {name}", sub.help)
+                                         for name, sub in node.commands.items()]
+    else:
+        tail = []
+        for arg in node.args:
+            if arg.name[0] != "-":
+                tail.append(f"{arg.name} [{arg.name} ...]" if arg.kind is list else arg.name)
+                positionals.append((arg.name, arg.help))
+                continue
+            spelled = arg.name if arg.kind is bool else f"{arg.name} {_dest(arg).upper()}"
+            usage.append(spelled if arg.required else f"[{spelled}]")
+            options.append((spelled, arg.help))
+        usage += tail
+    lines = [f"usage: {prog}"]
+    for unit in usage:  # a usage line breaks between units, at 80 columns
+        if len(lines[-1]) + len(unit) >= 80:
+            lines.append(" " * (len(prog) + 7))
+        lines[-1] += " " + unit
+    lines += ["", node.help]
+    for heading, rows in (("positional arguments:", positionals), ("options:", options)):
+        if rows:
+            lines += ["", heading]
+        for spelled, text in rows:
+            wrapped = textwrap.wrap(text, 56)
+            if wrapped and len(spelled) <= 20:
+                lines.append(f"  {spelled:<22}{wrapped.pop(0)}")
+            else:
+                lines.append(f"  {spelled}")
+            lines += [" " * 24 + line for line in wrapped]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None):
@@ -405,7 +558,7 @@ def main(argv=None):
     command = "forge"  # until the command line parses
     inputs, artifacts = {}, []
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         command = " ".join(filter(None, (args.subcommand,
                                          getattr(args, "sqc_command", None))))
         status, details = args.handler(args, inputs, artifacts)

@@ -321,26 +321,37 @@ def parse_word(alphabet, text):
     """Parse the word grammar: whitespace-separated tokens name, name^-1 or
     name^k; '1' (alone or as a token) denotes the identity.
 
-    Powers are expanded before the word is reduced, so a power that would
-    take the word past MAX_WORD_LETTERS letters raises ParseError before
-    anything is allocated."""
-    letters = []
+    Each token is checked once and reduced into the word as it is read.  A
+    power counts as its expanded letters before reduction, so a power that
+    would take the word past MAX_WORD_LETTERS letters raises ParseError
+    before anything is allocated."""
+    known = alphabet._index
+    stack, count = [], 0
     for token in text.split():
-        if token == "1":
+        if token in known:
+            name, k = token, 1
+        elif token == "1":
             continue
-        match = TOKEN_RE.fullmatch(token)
-        if not match:
-            raise ParseError(f"bad word token {token!r}")
-        name, power = match.group(1), match.group(2)
-        alphabet.check(name)
-        k = 1 if power is None else int(power)
-        if k == 0:
-            raise ParseError(f"zero power in token {token!r}")
-        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+        else:
+            match = TOKEN_RE.fullmatch(token)
+            if not match:
+                raise ParseError(f"bad word token {token!r}")
+            name, power = match.groups()
+            alphabet.check(name)
+            k = 1 if power is None else int(power)
+            if k == 0:
+                raise ParseError(f"zero power in token {token!r}")
+        count += abs(k)
+        if count > MAX_WORD_LETTERS:
             raise ParseError(f"power in token {token!r} makes the word longer "
                              f"than {MAX_WORD_LETTERS} letters")
-        letters.extend([(name, 1 if k > 0 else -1)] * abs(k))
-    return reduce(alphabet, letters)
+        letter, inverse = ((name, 1), (name, -1)) if k > 0 else ((name, -1), (name, 1))
+        k = abs(k)
+        while k and stack and stack[-1] == inverse:
+            stack.pop()
+            k -= 1
+        stack += [letter] * k
+    return from_reduced(alphabet, tuple(stack))
 
 
 def format_word(word):

@@ -5,9 +5,11 @@ exhaustive assignment enumeration, gcds of minors.  The oracles never call
 the code paths they are used to check.
 """
 
+import argparse
 import contextlib
 import itertools
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from unittest import mock
@@ -16,7 +18,7 @@ from hypothesis import settings, strategies as st
 
 from forge import words as W
 from forge.cli import EXIT_CODES
-from forge.errors import ConfigurationError, DegenerateInputError, ParseError
+from forge.errors import ConfigurationError, DegenerateInputError, ForgeError, ParseError
 from forge.presentations import AbelianInvariants, FinitePresentation
 from forge.squarecx import LinkGraph, SquareComplex
 
@@ -1445,6 +1447,28 @@ def oracle_substitute(word, target_alphabet, table):
     return W.reduce(target_alphabet, out)
 
 
+def oracle_parse_word(alphabet, text):
+    """forge.words.parse_word as it was before it reduced as it read: every
+    token is checked and expanded, then the whole letter list is reduced."""
+    letters = []
+    for token in text.split():
+        if token == "1":
+            continue
+        match = W.TOKEN_RE.fullmatch(token)
+        if not match:
+            raise ParseError(f"bad word token {token!r}")
+        name, power = match.group(1), match.group(2)
+        alphabet.check(name)
+        k = 1 if power is None else int(power)
+        if k == 0:
+            raise ParseError(f"zero power in token {token!r}")
+        if len(letters) + abs(k) > W.MAX_WORD_LETTERS:
+            raise ParseError(f"power in token {token!r} makes the word longer "
+                             f"than {W.MAX_WORD_LETTERS} letters")
+        letters.extend([(name, 1 if k > 0 else -1)] * abs(k))
+    return oracle_reduce(alphabet, letters)
+
+
 def oracle_cyclic_reduction(x):
     """(core, conjugator) with x = conjugator core conjugator^-1, by
     stripping one matching first/last pair at a time from a copied list."""
@@ -1681,16 +1705,191 @@ def oracle_quotients_command():
     """Route `forge quotients` through oracle_cmd_quotients; main's parsing,
     error handling and printing run unchanged."""
     from forge import cli
-
-    class Parser:
-        def parse_args(self, argv):
-            args = cli.build_parser().parse_args(argv)
-            if args.subcommand == "quotients":
-                args.handler = oracle_cmd_quotients
-            return args
-
-    with mock.patch.object(cli, "_parser", Parser):
+    commands = cli.COMMANDS.commands
+    with mock.patch.dict(commands, quotients=commands["quotients"]._replace(
+            handler=oracle_cmd_quotients)):
         yield
+
+
+class OracleParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 would read as "inconclusive"
+        raise ForgeError(f"{self.prog}: {message}")
+
+
+def oracle_parser():
+    """forge's command line as argparse declared it, before the command
+    table in forge.cli replaced it; the handlers are forge.cli's."""
+    from forge import cli
+    parser = OracleParser(
+        prog="forge",
+        description="Subgroup graphs, presentations, quotient searches and "
+                    "the encoding pipeline.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    s = sub.add_parser("fold", help="fold a graph morphism to an immersion")
+    s.add_argument("graph")
+    s.add_argument("--out")
+    s.set_defaults(handler=cli._cmd_fold)
+
+    s = sub.add_parser("core", help="fold and trim to the core graph")
+    s.add_argument("graph")
+    s.add_argument("--out")
+    s.set_defaults(handler=cli._cmd_fold)
+
+    s = sub.add_parser("fibre", help="fibre product of two immersions")
+    s.add_argument("graph1")
+    s.add_argument("graph2")
+    s.set_defaults(handler=cli._cmd_fibre)
+
+    s = sub.add_parser("malnormal", help="certify a family of immersions malnormal")
+    s.add_argument("graphs", nargs="+")
+    s.set_defaults(handler=cli._cmd_malnormal)
+
+    s = sub.add_parser("abel", help="abelian invariants of a presentation")
+    s.add_argument("presentation")
+    s.set_defaults(handler=cli._cmd_abel)
+
+    s = sub.add_parser("freepow", help="n-fold free power of a presentation")
+    s.add_argument("presentation")
+    s.add_argument("n", type=int)
+    s.add_argument("--out")
+    s.set_defaults(handler=cli._cmd_freepow)
+
+    s = sub.add_parser("encode", help="run the encoding pipeline")
+    s.add_argument("presentation")
+    s.add_argument("--word", required=True)
+    s.add_argument("--N", type=int, default=7)
+    s.add_argument("--discrete", action="store_true")
+    s.add_argument("--out")
+    s.set_defaults(handler=cli._cmd_encode)
+
+    s = sub.add_parser("quotients", help="search finite symmetric quotients")
+    s.add_argument("presentation")
+    s.add_argument("--max-degree", type=int, required=True)
+    s.add_argument("--word")
+    s.add_argument("--orders", help="k:e1,e2,... target orders for the generators")
+    s.add_argument("--max-nodes", type=int, default=10 ** 7)
+    s.set_defaults(handler=cli._cmd_quotients)
+
+    s = sub.add_parser("sqc", help="square complex tools")
+    sqc = s.add_subparsers(dest="sqc_command", required=True)
+
+    t = sqc.add_parser("check", help="link condition check")
+    t.add_argument("complex")
+    t.set_defaults(handler=cli._cmd_sqc_check)
+
+    t = sqc.add_parser("build", help="build the scaled-copy complex of a presentation")
+    t.add_argument("--pres", required=True)
+    t.add_argument("--complex", required=True)
+    t.add_argument("--gamma", required=True,
+                   help="directed edge list, e.g. 'a b-' (minus for reverse)")
+    t.add_argument("--out")
+    t.set_defaults(handler=cli._cmd_sqc_build)
+
+    t = sqc.add_parser("pi1", help="fundamental group presentation")
+    t.add_argument("complex")
+    t.add_argument("--out")
+    t.set_defaults(handler=cli._cmd_sqc_pi1)
+
+    s = sub.add_parser("probe", help="encode then search the output for a "
+                                     "nontrivial finite quotient")
+    s.add_argument("presentation")
+    s.add_argument("--word", required=True)
+    s.add_argument("--max-degree", type=int, default=5)
+    s.add_argument("--max-nodes", type=int, default=10 ** 7)
+    s.add_argument("--N", type=int, default=7)
+    s.set_defaults(handler=cli._cmd_probe)
+
+    return parser
+
+
+# Command lines over forge's commands, for random_argv: each command's
+# tokens as units (a positional, or an option with its value) that make a
+# line it accepts, and the tokens that mutate it.
+ARGV_UNITS = {
+    "fold": (("sub.txt",), ("--out", "out.txt")),
+    "core": (("sub.txt",),),
+    "fibre": (("sub.txt",), ("sub.txt",)),
+    "malnormal": (("sub.txt",), ("sub.txt",)),
+    "abel": (("dead.txt",),),
+    "freepow": (("dead.txt",), ("2",), ("--out", "out.txt")),
+    "encode": (("dead.txt",), ("--word", "a"), ("--discrete",), ("--N", "7")),
+    "quotients": (("dead.txt",), ("--max-degree", "3"), ("--word", "a")),
+    "sqc check": (("torus_cx.txt",),),
+    "sqc build": (("--pres", "dead.txt"), ("--complex", "torus_cx.txt"), ("--gamma", "a")),
+    "sqc pi1": (("torus_cx.txt",), ("--out", "out.txt")),
+    "probe": (("dead.txt",), ("--word", "a"), ("--max-degree", "3")),
+}
+ARGV_OPTIONS = ("--out", "--word", "--N", "--discrete", "--max-degree", "--max-nodes",
+                "--orders", "--pres", "--complex", "--gamma", "--help", "-h", "--bogus")
+ARGV_VALUES = ("dead.txt", "sub.txt", "torus_cx.txt", "nope.txt", "out.txt", "a", "a b",
+               "a^-1", "1:1", "0", "1", "2", "3", "-1", "-7", "-0.5", "1.5", "+2",
+               "1_000", "abc", "", "-", "x=y")
+# Tokens that argparse reads differently from one Python to the next: a
+# single-dash token other than "-", "-h" and a plain negative number, a
+# second "--" or one before the command's name, and "--opt=--".
+ARGV_EXOTIC = ("-x", "-hx", "-h=1", "-hh", "-1x", "-1e5", "-1.", "-max-degree", "--",
+               "--=1", "--word=--", "---")
+_PLAIN_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def random_argv(rng, exotic=False):
+    """A seeded forge command line, valid or not: a command's units in a
+    random order, mutated by options of every command, their unique and
+    ambiguous prefixes, `=` forms, negative and junk numbers, `--`, help and
+    random strings.  Without `exotic`, the line keeps to tokens argparse
+    reads alike on every Python forge supports (see ARGV_EXOTIC)."""
+    def token():
+        r = rng.random()
+        option = rng.choice(ARGV_OPTIONS)
+        prefix = option[:rng.randint(min(3, len(option)), len(option))]
+        if r < 0.15:
+            return option
+        if r < 0.3:
+            return prefix
+        if r < 0.45:
+            return f"{prefix}={rng.choice(ARGV_VALUES)}"
+        if r < 0.85:
+            return rng.choice(ARGV_VALUES)
+        if exotic and r < 0.95:
+            return rng.choice(ARGV_EXOTIC)
+        return "".join(rng.choice("ab-=1 .") for _ in range(rng.randint(0, 4)))
+
+    def portable(t):
+        if t.startswith("--"):
+            name, _, value = t.partition("=")
+            return len(name) > 2 and value != "--"
+        return not t.startswith("-") or t in ("-", "-h") or bool(_PLAIN_NEGATIVE.match(t))
+
+    def draw():
+        t = token()
+        while not (exotic or portable(t)):
+            t = token()
+        return t
+
+    command = rng.choice(sorted(ARGV_UNITS))
+    units = list(ARGV_UNITS[command])
+    rng.shuffle(units)
+    head = [rng.choice(("-h", "--he", "--bogus", "--word=a", "-1", "nope"))
+            for _ in range(rng.choice((0, 0, 0, 0, 1)))]
+    names = command.split()
+    if rng.random() < 0.05:
+        names = names[:rng.randint(0, len(names) - 1)] + [draw()]
+    body = [t for unit in units for t in unit]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        k = rng.randint(0, len(body))
+        move = rng.random()
+        if move < 0.4:
+            body.insert(k, draw())
+        elif body and move < 0.6:
+            del body[k:k + 1]
+        elif body and move < 0.8:
+            body[k - 1] = draw()
+        elif "--" not in body:
+            body.insert(k, "--")
+    if exotic and rng.random() < 0.2:
+        head.insert(rng.randint(0, len(head)), "--")
+    return head + names + body
 
 
 def oracle_free_power(p, n):

@@ -1,14 +1,21 @@
 """The forge command line: exit codes, report shape, file plumbing."""
 
+import contextlib
+import io
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
 
 import forge
+from forge import cli
 from forge.cli import EXIT_CODES, RunReport, main
+from forge.errors import ForgeError
+from helpers import ARGV_UNITS, derandomized, oracle_parser, random_argv, seeds
 
 BASE = "base\nvertex *\nedge a * * a\nedge b * * b\nbasepoint *\n"
 
@@ -739,3 +746,170 @@ def test_import_loads_no_dataclasses():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def parse_outcome(parse, argv):
+    """("parsed", the namespace's attributes), ("help", exit code) or
+    ("refused", the message)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "parsed", vars(parse(argv))
+    except SystemExit as exc:
+        return "help", exc.code
+    except ForgeError as exc:
+        return "refused", str(exc)
+
+
+# Refusals whose argparse wording is the same on every Python forge supports.
+EXACT_REFUSALS = ("unrecognized arguments: ", "the following arguments are required: ",
+                  "invalid int value: ", "expected one argument")
+
+
+class TestCommandLine:
+    """forge.cli reads its command lines from one table, as argparse read
+    them; tests/helpers.py keeps the argparse parser as the oracle."""
+
+    @derandomized
+    @given(seeds)
+    def test_reader_agrees_with_argparse(self, seed):
+        """On seeded lines over every command, valid and malformed, both
+        accept with equal attributes, handler included, or both print help,
+        or both refuse, in the same words where argparse's are fixed."""
+        rng, parser = random.Random(seed), oracle_parser()
+        for _ in range(40):
+            argv = random_argv(rng)
+            ours = parse_outcome(cli.parse_args, argv)
+            theirs = parse_outcome(parser.parse_args, argv)
+            if theirs[0] == "refused" and not any(kind in theirs[1]
+                                                  for kind in EXACT_REFUSALS):
+                assert ours[0] == "refused", (argv, ours, theirs)
+            else:
+                assert ours == theirs, argv
+
+    @pytest.mark.parametrize("argv, parsed", [
+        # Options before, between or after positionals; --opt=value.
+        (("freepow", "--out", "o", "p", "2"), {"presentation": "p", "n": 2, "out": "o"}),
+        (("freepow", "p", "--out=o", "2"), {"presentation": "p", "n": 2, "out": "o"}),
+        # A unique prefix names its option; a negative number is a value.
+        (("quotients", "p", "--max-d", "-1", "--max-n=-5"),
+         {"max_degree": -1, "max_nodes": -5, "word": None, "orders": None}),
+        # After "--" every token is a value.
+        (("fold", "--", "--out"), {"graph": "--out", "out": None}),
+        (("malnormal", "g1", "--", "g2", "g3"), {"graphs": ["g1", "g2", "g3"]}),
+        (("encode", "p", "--word", "", "--discrete"),
+         {"word": "", "discrete": True, "N": 7, "out": None}),
+        (("sqc", "build", "--gam", "a b-", "--pres", "p", "--complex", "c"),
+         {"sqc_command": "build", "gamma": "a b-", "pres": "p", "complex": "c"}),
+    ])
+    def test_argv_rules(self, argv, parsed):
+        args = vars(cli.parse_args(list(argv)))
+        assert args["subcommand"] == argv[0]
+        assert {k: args[k] for k in parsed} == parsed
+
+    @pytest.mark.parametrize("argv, error", [
+        (("quotients", "p", "--max", "3"), "forge quotients: ambiguous option: --max could "
+                                           "match --max-degree, --max-nodes"),
+        # Every token's kind is read first, so an ambiguous prefix wins over help.
+        (("quotients", "p", "--max", "3", "-h"), "forge quotients: ambiguous option: --max "
+                                                 "could match --max-degree, --max-nodes"),
+        (("fold", "g", "--out", "o", "--", "x"), "forge: unrecognized arguments: -- x"),
+        (("malnormal", "g1", "--bogus", "g2"), "forge: unrecognized arguments: --bogus g2"),
+        (("--bogus", "sqc", "-x", "pi1", "c", "y"),
+         "forge: unrecognized arguments: --bogus -x y"),
+        (("sqc", "build", "--bogus"), "forge sqc build: the following arguments are "
+                                      "required: --pres, --complex, --gamma"),
+        (("quotients", "p", "--word"), "forge quotients: argument --word: expected one argument"),
+        (("quotients", "p", "--word", "--orders", "1:1"),
+         "forge quotients: argument --word: expected one argument"),
+        (("freepow", "p", "x"), "forge freepow: argument n: invalid int value: 'x'"),
+        (("encode", "p", "--word", "a", "--discrete=yes"),
+         "forge encode: argument --discrete: ignored explicit argument 'yes'"),
+        (("sqc", "cheque"), "forge sqc: argument sqc_command: invalid choice: 'cheque' "
+                            "(choose from 'check', 'build', 'pi1')"),
+    ])
+    def test_refusals(self, capsys, argv, error):
+        """Each refusal is main's one error line, exit 1, in argparse's words."""
+        assert main(list(argv)) == 1
+        lines = untimed_lines(capsys.readouterr().out)
+        assert lines[:2] == ["command: forge", "status: error"]
+        assert [line for line in lines if line.startswith("error:")] == [f"error: {error}"]
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("sqc", "--he"),
+                                      ("quotients", "--bogus", "-h")])
+    def test_help_anywhere(self, capsys, argv):
+        """-h or --help, or a prefix of --help, prints help and exits 0 at
+        once, before an unrecognized or missing argument is refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: forge")
+
+
+@pytest.mark.parametrize("argv, declared", [
+    ((), list(cli.COMMANDS.commands)),
+    (("sqc",), ["check", "build", "pi1"]),
+    *(((*command.split(),), [arg.name for arg in (
+        cli.COMMANDS.commands[command] if " " not in command
+        else cli.COMMANDS.commands["sqc"].commands[command.split()[1]]).args])
+      for command in sorted(ARGV_UNITS)),
+])
+def test_help_of_every_command(capsys, argv, declared):
+    """`forge --help`, each command's and each sqc command's --help exit 0
+    and list that command's own positionals and options."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(('forge',) + argv)} [-h]")
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert {"-h,"} | set(declared) <= listed
+    assert len(set(declared)) == len(declared) > 0
+
+
+@derandomized
+@given(seeds)
+def test_fuzzed_command_lines_end_in_a_report(tmp_path_factory, seed):
+    """Seeded random argv, exotic tokens included, over every command: each
+    run ends in a report (exit 1 with exactly one `error:` line when it
+    is an error) or, for help, in SystemExit(0); no other exception
+    escapes main."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    rng = random.Random(seed)
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for _ in range(15):
+            (workdir / "dead.txt").write_text("gens: a\nrel: a\n")
+            (workdir / "base.txt").write_text(BASE)
+            (workdir / "sub.txt").write_text(
+                "graph\nbase base.txt\nvertex 0\nvertex 1\n"
+                "edge e0 0 1 a\nedge e1 1 0 a\nbasepoint 0\n")
+            (workdir / "torus_cx.txt").write_text(
+                "vertex v\nedge a v v\nedge b v v\nsquare a b a- b-\n")
+            argv = random_argv(rng, exotic=True)
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0 and out.getvalue().startswith("usage: "), argv
+                continue
+            lines = out.getvalue().splitlines()
+            report = lines[max(i for i, line in enumerate(lines)
+                               if line.startswith("command: ")):]
+            status = report[1].removeprefix("status: ")
+            assert code == EXIT_CODES[status], argv
+            errors = [line for line in lines if line.startswith("error:")]
+            assert len(errors) == (status == "error"), (argv, errors)
+    finally:
+        os.chdir(old)
+
+
+def test_import_loads_no_argparse():
+    """forge.cli reads its command lines from its own table, so importing
+    it leaves argparse unloaded."""
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, forge.cli; print('argparse' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")

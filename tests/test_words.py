@@ -2,6 +2,7 @@
 
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,8 @@ from forge import words as W
 from forge.errors import (AlphabetMismatchError, DegenerateInputError,
                           ParseError)
 from helpers import (derandomized, exponent_sum, oracle_cyclic_reduction, oracle_format_word,
-                     oracle_least_rotation, random_reduced_word, seeds)
+                     oracle_least_rotation, oracle_parse_word, random_reduced_word,
+                     seeds)
 
 AB = W.Alphabet(["a", "b"])
 NAMES = W.Alphabet(["a", "b", "x1_2", "y'"])
@@ -318,6 +320,29 @@ class TestGrammar:
             w("a^")
         with pytest.raises(AlphabetMismatchError):
             w("c")
+
+    @derandomized
+    @given(seeds)
+    def test_parse_matches_the_expand_then_reduce_oracle(self, seed):
+        """parse_word checks each token once and reduces as it reads; on
+        seeded texts it returns the oracle's word, or raises the oracle's
+        error (type and message) at the same token.  The letter bound is
+        lowered so that seeded powers pass it, counted before reduction."""
+        rng = random.Random(seed)
+        tokens = ["a", "b", "a^-1", "b^2", "a^-3", "x1_2", "y'^2", "y'^-1", "1",
+                  "a^5", "b^-7", "c", "a^0", "a^", "^2", "b^+1", "2", "x1_2^0",
+                  "y'^99999999999", "a^-99999999999"]
+
+        def outcome(parse, text):
+            try:
+                return parse(NAMES, text).letters
+            except (ParseError, AlphabetMismatchError) as exc:
+                return type(exc), str(exc)
+
+        with mock.patch.object(W, "MAX_WORD_LETTERS", 12):
+            for _ in range(20):
+                text = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 8)))
+                assert outcome(W.parse_word, text) == outcome(oracle_parse_word, text), text
 
     def test_power_limit(self, monkeypatch):
         with pytest.raises(ParseError, match="longer than 1000000 letters"):
