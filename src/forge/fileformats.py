@@ -284,7 +284,7 @@ def format_immersion(immersion, base_path):
 # Square complexes.
 #
 #   vertex <id>
-#   edge <id> <src> <dst>
+#   edge <id> <src> <dst>           (an edge id may not end in `-`)
 #   square <d1> <d2> <d3> <d4>      (reverse of edge e spelled `e-`)
 #
 # Lines may come in any order, and cells take their positions in file order.
@@ -325,6 +325,8 @@ def parse_complex(text):
             if len(parts) != 4:
                 raise ParseError("edge takes id, src, dst", line=i)
             _, tok, a, b = parts
+            if tok[-1] == "-":
+                raise ParseError(f"edge id {tok!r} ends in '-', which reads as a reverse", line=i)
             eid = _token(tok)
             if eid in edges:
                 raise ParseError(f"duplicate edge id {tok}", line=i)
@@ -350,9 +352,7 @@ def parse_complex(text):
         raise ParseError(str(exc), line=at[exc.cell]) from exc
     table = {}
     for p, tok in enumerate(written):
-        if tok[-1] != "-":   # a token ending in `-` reads only as a reverse
-            table[tok] = 2 * p + 1
-        table[tok + "-"] = 2 * p
+        table[tok], table[tok + "-"] = 2 * p + 1, 2 * p
     for i, a, b, c, d in squares:
         try:
             codes = [table[a], table[b], table[c], table[d]]
@@ -367,8 +367,8 @@ def parse_complex(text):
 
 def format_complex(complex_):
     """Write a complex with its cells named by their places, vertex p as
-    v{p} and edge i as e{i}, so structured ids (e.g. from build_S_of_P)
-    serialize as single tokens.  Edge i runs from head[2i] to head[2i + 1]."""
+    v{p} and edge i as e{i}, so ids of any type serialize as single
+    tokens.  Edge i runs from head[2i] to head[2i + 1]."""
     head = complex_.head
     out = [f"vertex v{p}" for p in range(len(complex_.vertices))]
     out += [f"edge e{i} v{head[2 * i]} v{head[2 * i + 1]}"

@@ -8,17 +8,19 @@ reverse is (e, -s), is one integer code 2 * (position of e) + (s > 0), so
 reversing flips the low bit; a square is its four codes, the least of
 the eight dihedral readings of its boundary.  No pair is kept:
 `SquareComplex.code` reads one in, `directed` and `squares` decode on
-demand, and the S(P) builder makes none: it numbers each edge as it
-writes it and hands its squares over as codes.  The link condition is
-read off one pass over the square corners, each an arc between two
-codes.  Spanning forests keep the code of the edge into each vertex, and
-pi1 the letter of each code; a complex grows its own spanning forest
-once and keeps it for its component count, pi1 and H_1.
+demand, and the S(P) builder makes none: it numbers each vertex and edge
+as it writes it, so its ids are their positions, and hands its squares
+over as codes.  The link condition is read off one pass over the square
+corners, each an arc between two codes.  Spanning forests keep the code
+of the edge into each vertex, and pi1 the letter of each code; a complex
+grows its own spanning forest once and keeps it for its component count,
+pi1 and H_1.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from itertools import count, islice
 
 from . import words as W
 from .errors import ConfigurationError, DegenerateInputError
@@ -249,12 +251,12 @@ def one_square_torus():
 # ---------------------------------------------------------------------------
 # The S(P) construction: a subdivided rose, one scaled copy of the input
 # complex per relator, and a one-square-high cylinder gluing each relator
-# loop to the chosen loop in its copy.  Every cell id says where it lies:
-# ("rose", ...), ("copy", j, ...) or ("cyl", j, s) for relator j.  Each id
-# is made once, and each edge takes its code as it is made: the edge at
-# position p, the p-th written, runs forwards as 2p + 1.  An edge's points
-# and unit edge codes are held in index tables, and every later use reads
-# them from there, so each square is four codes from the start.
+# loop to the chosen loop in its copy.  Cells are numbered as they are
+# written: vertex p is the p-th point drawn from the counter `fresh`, and
+# edge i, the i-th pair of ends appended to `ends`, runs forwards as code
+# 2i + 1.  An edge's points and unit edge codes are held in index tables,
+# and every later use reads them from there, so each square is four codes
+# from the start.
 
 
 def _along(seq, forward):
@@ -268,33 +270,27 @@ def _unit_path(units, forward):
     return units if forward else [u ^ 1 for u in reversed(units)]
 
 
-def _cut(vertices, edges, src, dst, point, unit, n):
-    """Write an edge from src to dst cut into n unit edges unit + (t,),
-    t < n, through the points point + (t,), 0 < t < n.  Returns its
-    n + 1 points, src and dst included, and the forward codes of its n
-    unit edges."""
-    inner = [point + (t,) for t in range(1, n)]
-    vertices.update(dict.fromkeys(inner))
-    points, first = [src, *inner, dst], 2 * len(edges) + 1
-    for t in range(n):
-        edges[unit + (t,)] = (points[t], points[t + 1])
+def _cut(fresh, ends, src, dst, n):
+    """Write an edge from src to dst cut into n unit edges through n - 1
+    new points.  Returns its n + 1 points, src and dst included, and the
+    forward codes of its n unit edges."""
+    points, first = [src, *islice(fresh, n - 1), dst], 2 * len(ends) + 1
+    ends += zip(points, points[1:])
     return points, range(first, first + 2 * n, 2)
 
 
-def _add_scaled_copy(x, ell, j, vertices, edges, squares):
-    """Write copy j of x into S(P)'s vertices and edges and append its
+def _add_scaled_copy(x, ell, fresh, ends, squares):
+    """Write a copy of x into S(P)'s points and edge ends and append its
     squares' codes to `squares`, with every edge of x cut into ell unit
     edges and every square into an ell x ell grid of unit squares; return
-    each edge of x's points and unit edge codes, by its position in x.
-    Each id is made once: an edge's points share its corners' ids, and a
-    square's grid of points shares its sides' lists."""
-    corner = [("copy", j, "v", v) for v in x.vertex_order]
-    vertices.update(dict.fromkeys(corner))
-    head, cut = x.head, []
-    for p, e in enumerate(x.edge_order):
-        cut.append(_cut(vertices, edges, corner[head[2 * p]], corner[head[2 * p + 1]],
-                        ("copy", j, "p", e), ("copy", j, "e", e), ell))
-    for qi, (c1, c2, c3, c4) in enumerate(x.square_codes):
+    each edge of x's points and unit edge codes, by its position in x.  An
+    edge's points share its corners' positions, and a square's grid of
+    points shares its sides' lists."""
+    corner = [*islice(fresh, len(x.vertex_order))]
+    head = x.head
+    cut = [_cut(fresh, ends, corner[head[2 * p]], corner[head[2 * p + 1]], ell)
+           for p in range(len(x.edge_order))]
+    for c1, c2, c3, c4 in x.square_codes:
         # The boundary runs c1 rightwards along the bottom, c2 up the right
         # side, c3 back along the top and c4 down the left side.  grid[a][b]
         # is the point a units right and b up; rows[b][a] and cols[a][b] are
@@ -305,27 +301,25 @@ def _add_scaled_copy(x, ell, j, vertices, edges, squares):
         bottom, top = _along(p1, f1), _along(p3, f3)
         grid = [_along(p4, f4)]
         for a in range(1, ell):
-            inner = [("copy", j, "i", qi, a, b) for b in range(1, ell)]
-            vertices.update(dict.fromkeys(inner))
-            grid.append([bottom[a], *inner, top[a]])
+            grid.append([bottom[a], *islice(fresh, ell - 1), top[a]])
         grid.append(_along(p2, f2))
         rows = [_unit_path(u1, f1), *([0] * ell for _ in range(1, ell)), _unit_path(u3, f3)]
         cols = [_unit_path(u4, f4), *([0] * ell for _ in range(1, ell)), _unit_path(u2, f2)]
         for a in range(ell):
             for b in range(ell):
                 if a + 1 < ell:
-                    cols[a + 1][b] = 2 * len(edges) + 1
-                    edges[("copy", j, "u", qi, a + 1, b)] = (grid[a + 1][b], grid[a + 1][b + 1])
+                    cols[a + 1][b] = 2 * len(ends) + 1
+                    ends.append((grid[a + 1][b], grid[a + 1][b + 1]))
                 if b + 1 < ell:
-                    rows[b + 1][a] = 2 * len(edges) + 1
-                    edges[("copy", j, "h", qi, a, b + 1)] = (grid[a][b + 1], grid[a + 1][b + 1])
+                    rows[b + 1][a] = 2 * len(ends) + 1
+                    ends.append((grid[a][b + 1], grid[a + 1][b + 1]))
                 squares.append((rows[b][a], cols[a + 1][b], rows[b + 1][a] ^ 1, cols[a][b] ^ 1))
     return cut
 
 
-# build_S_of_P output: the complex S(P), whose cell ids name where each
-# cell lies.
-BuiltComplex = namedtuple("BuiltComplex", "complex")
+# build_S_of_P output: the complex S(P), and for each relator j the range
+# copies[j] of the edge positions of its scaled copy.
+BuiltComplex = namedtuple("BuiltComplex", "complex copies")
 
 
 def build_S_of_P(p, x, gamma):
@@ -334,7 +328,9 @@ def build_S_of_P(p, x, gamma):
     gamma loop of copy j by a cylinder of k*ell_j unit squares.  gamma is a
     sequence of directed edges (e, s) of x.  The cell count grows as ell_j
     squared; it is computed first, and a complex of more than
-    words.MAX_WORD_LETTERS cells is refused before any is built."""
+    words.MAX_WORD_LETTERS cells is refused before any is built.  Cells
+    are numbered in the order written: the rose, then per relator its copy
+    and its cylinder."""
     gamma = EdgeLoop(x, gamma)
     if not gamma.is_locally_geodesic():
         raise DegenerateInputError("gamma must be a locally geodesic loop")
@@ -352,13 +348,14 @@ def build_S_of_P(p, x, gamma):
         raise DegenerateInputError(
             f"S(P) would have {cells} cells, more than {W.MAX_WORD_LETTERS}")
 
-    star = ("rose", "*")
-    vertices, edges, squares = {star: None}, {}, []
-    rose = {g: _cut(vertices, edges, star, star, ("rose", g), ("rose", g), k)
-            for g in p.generators}
-    for j, r in enumerate(p.relators):
-        cut = _add_scaled_copy(x, len(r.letters), j, vertices, edges, squares)
-        # The relator loop along the rose and the gamma loop in copy j: the
+    fresh, ends, squares, copies = count(), [], [], []
+    star = next(fresh)
+    rose = {g: _cut(fresh, ends, star, star, k) for g in p.generators}
+    for r in p.relators:
+        first = len(ends)
+        cut = _add_scaled_copy(x, len(r.letters), fresh, ends, squares)
+        copies.append(range(first, len(ends)))
+        # The relator loop along the rose and the gamma loop in its copy: the
         # codes of their unit edges and the point where each one starts.
         bottom, bottom_at, top, top_at = [], [], [], []
         for g, s in r.letters:
@@ -371,17 +368,16 @@ def build_S_of_P(p, x, gamma):
             top_at += _along(points, c & 1)[:-1]
         # Cylinder edge s runs from where bottom[s] starts to where top[s]
         # does; its code is cyl + 2s.
-        cyl, n_units = 2 * len(edges) + 1, len(bottom)
-        for s in range(n_units):
-            edges[("cyl", j, s)] = (bottom_at[s], top_at[s])
+        cyl, n_units = 2 * len(ends) + 1, len(bottom)
+        ends += zip(bottom_at, top_at)
         for s in range(n_units):
             squares.append((bottom[s], cyl + 2 * ((s + 1) % n_units),
                             top[s] ^ 1, (cyl + 2 * s) ^ 1))
 
-    complex_ = SquareComplex(vertices, edges)
+    complex_ = SquareComplex(range(next(fresh)), enumerate(ends))
     for codes in squares:
         complex_.add_square(codes)
-    return BuiltComplex(complex_)
+    return BuiltComplex(complex_, tuple(copies))
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +489,18 @@ def cellular_h1(complex_):
 def _copy_killing_relators(built, presentation, letter):
     """Relators killing the image of the fundamental group of every copy.
 
-    The edges of copy j are those whose id begins ("copy", j).  One
+    The edges of copy j are those at the positions built.copies[j].  One
     forest is grown over all copy edges, roots in position order; copies
     share no vertex, so it spans each copy.  Every remaining copy edge
     closes a loop inside its copy, copy by copy, and that loop is
     rewritten through the global generators: `letter` holds the letter of
     each code, None for a code that the presentation drops."""
     complex_ = built.complex
-    head, edges = complex_.head, complex_.edge_order
-    positions = [p for p, e in enumerate(edges) if e[0] == "copy"]
+    head = complex_.head
+    positions = [p for copy in built.copies for p in copy]
     parent, forest = _bfs_forest(complex_, positions, range(len(complex_.vertices)))
     relators = []
-    for p in sorted(positions, key=lambda p: edges[p][1]):   # copy by copy
+    for p in positions:   # copy by copy
         if forest[p]:
             continue
         loop = (_forest_path(head, parent, head[2 * p]) + [2 * p + 1]

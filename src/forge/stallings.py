@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import (BaseMismatchError, ConfigurationError, DegenerateInputError,
                      InvalidActionError, NotALoopError)
-from .words import MAX_WORD_LETTERS
+from .words import MAX_WORD_LETTERS, Alphabet, reduce as reduce_word
 
 
 def positions(vertices):
@@ -728,7 +728,6 @@ class KernelRewriting(namedtuple("KernelRewriting", "modulus alpha beta")):
 
 
 def kernel_alphabet(rw):
-    from .words import Alphabet
     return Alphabet([f"e{i}" for i in range(rw.modulus)])
 
 
@@ -738,7 +737,6 @@ def rewrite_to_kernel(rw, word):
     Scans the word keeping the running beta-exponent c mod N; each alpha^+-
     emits e_c^+-.  Returns the e-word, or None when the total beta-exponent
     is nonzero mod N (the element lies outside the kernel)."""
-    from .words import reduce as reduce_word
     target = kernel_alphabet(rw)
     c = 0
     letters = []

@@ -1019,6 +1019,9 @@ def oracle_parse_complex(text):
         elif kind == "edge":
             if len(args) != 3:
                 raise ParseError("edge takes id, src, dst", line=i)
+            if args[0].endswith("-"):
+                raise ParseError(f"edge id {args[0]!r} ends in '-', which reads as a reverse",
+                                 line=i)
             eid = _oracle_id(args[0])
             if eid in edges:
                 raise ParseError(f"duplicate edge id {args[0]}", line=i)
@@ -2070,6 +2073,7 @@ class Dataclass:
     @dataclass(frozen=True)
     class BuiltComplex:
         complex: SquareComplex
+        copies: tuple
 
     @dataclass(frozen=True)
     class RunReport:

@@ -142,6 +142,15 @@ class TestGraphFormat:
         assert_parse_error(lambda: FF.parse_graph_file(before),
                            "emap for e contradicts the edge label", 3)
 
+    @pytest.mark.parametrize("tok", ["a-", "b--", "-", "1-"])
+    def test_edge_id_ending_in_minus_refused_at_its_line(self, tok):
+        """A token ending in `-` reads as the reverse of the edge before
+        the `-`, so no square or gamma could name such an edge forwards:
+        its own edge line refuses it, not the square that names it."""
+        text = f"vertex v\nedge {tok} v v\nedge b v v\nsquare {tok}- b {tok} b-\n"
+        assert_parse_error(lambda: FF.parse_complex(text),
+                           f"edge id '{tok}' ends in '-', which reads as a reverse", 2)
+
     def test_edge_endpoint_names_its_line(self):
         with pytest.raises(ParseError) as exc:
             FF.parse_graph_file("graph\nvertex 0\nedge 0 0 1 a\nvertex 2\n")
@@ -319,9 +328,11 @@ class TestComplexFormat:
 
 
 # Ids the reader's token table holds as written, and spellings it does not:
-# ints written with a leading 0 or +, ids ending in `-`, and `-` alone.
+# ints written with a leading 0 or +, vertex ids ending in `-` and `-`
+# alone, and edge ids with a `-` in front or inside (an edge id that ends
+# in `-` is refused, as its token reads as a reverse).
 VERTEX_TOKENS = ("v", "w-", "0", "01", "+2", "-")
-EDGE_TOKENS = ("a", "a-", "b--", "-", "01", "+2", "3", "e")
+EDGE_TOKENS = ("a", "-a", "b-c", "--b", "01", "+2", "3", "e")
 
 
 def spellings(tok):
@@ -358,12 +369,12 @@ def odd_id_lines(rng):
 def break_one(rng, lines):
     """The lines with one fault: an unknown edge, a line of the wrong
     arity, an open square, a duplicate edge id, an endpoint outside the
-    complex or an unknown line kind."""
+    complex, an edge id ending in `-` or an unknown line kind."""
     lines = list(lines)
     squares = [i for i, line in enumerate(lines) if line.startswith("square")]
     edges = [line.split()[1] for line in lines if line.startswith("edge")]
     v = lines[0].split()[1]   # the first vertex
-    fault = rng.randrange(6)
+    fault = rng.randrange(7)
     if fault == 0 and squares:
         i = rng.choice(squares)
         tokens = lines[i].split()
@@ -382,6 +393,8 @@ def break_one(rng, lines):
         lines.append(f"edge {rng.choice(spellings(rng.choice(edges)))} {v} {v}")
     elif fault == 4:
         lines.append(f"edge stray {rng.choice(('nowhere', '7'))} {v}")
+    elif fault == 5:
+        lines.insert(rng.randrange(len(lines) + 1), f"edge {rng.choice(('a-', 'b--', '-'))} {v} {v}")
     else:
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(("face a b c d", "v 1", "Vertex v")))
     return lines

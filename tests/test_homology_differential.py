@@ -12,12 +12,13 @@ order, must agree.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from forge import words as W
-from forge.errors import ConfigurationError
+from forge.errors import ConfigurationError, DegenerateInputError
 from forge.presentations import FinitePresentation, abelianization
 from forge.fileformats import format_complex, format_presentation, parse_complex
 from forge.snf import smith_normal_form
@@ -395,22 +396,31 @@ def test_outputs_ignore_the_order_of_the_cells(seed):
         assert order_free_invariants(SquareComplex(*shuffled(rng, *cells))) == expected
 
 
-def place(cell):
-    """Where a cell of S(P) lies, read off its id."""
-    if cell[0] == "rose":
-        return ("rose",)
-    return ("copy" if cell[0] == "copy" else "cylinder", cell[1])
+def assert_copies_as_staged(built, staged, provenance):
+    """Edge position p lies in built.copies[j] exactly when the staged
+    build records the edge at position p as ("copy", j), and in no other
+    range."""
+    assert [[("copy", j) for j, copy in enumerate(built.copies) if p in copy]
+            for p in range(len(built.complex.edge_order))] == [
+        [provenance[e]] if provenance[e][0] == "copy" else [] for e in staged.edge_order]
+
+
+def by_position(staged, squares):
+    """The staged build's squares with each edge id replaced by its
+    position."""
+    return [tuple((staged.position[e], s) for e, s in sq) for sq in squares]
 
 
 @given(seeds)
 @derandomized
 def test_S_of_P_matches_staged_build(seed):
     """S(P) written in place equals S(P) staged copy by copy with a
-    provenance dict (helpers.py): vertices and edges in the same order,
-    squares, written text, the pi1 presentation (or the refusal of a
-    disconnected S(P)) and copy-killing relators, under one generator per
-    edge and under pi1's own letters, all walked over edge ids in the
-    oracle; and every cell's id names the place its provenance records.  Codes round-trip
+    provenance dict (helpers.py), whose ids are read by their positions:
+    the edges' ends, squares, written text, the pi1 presentation (or the
+    refusal of a disconnected S(P)) and copy-killing relators, under one
+    generator per edge and under pi1's own letters, all walked over edge
+    ids in the oracle; and the edges of each copy's range are those the
+    provenance puts in that copy.  Codes round-trip
     through their pairs in S(P) and in its written and parsed copy, whose
     edges e0, e1, ... keep the written order (e2 before e10), and the copy's
     squares are the canonical readings of the written ones.  Up to 11
@@ -433,13 +443,16 @@ def test_S_of_P_matches_staged_build(seed):
     built = build_S_of_P(p, x, gamma)
     cx = built.complex
     staged, provenance = oracle_build_S_of_P(p, x, gamma)
-    assert list(cx.vertices) == list(staged.vertices)
-    assert list(cx.edges.items()) == list(staged.edges.items())
-    assert cx.squares == staged.squares and cx.square_codes == staged.square_codes
+    at = staged.vertices
+    assert cx.vertex_order == tuple(range(len(at)))
+    assert list(cx.edges.items()) == [(i, (at[a], at[b]))
+                                      for i, (a, b) in enumerate(staged.edges.values())]
+    assert cx.squares == by_position(staged, staged.squares)
+    assert cx.square_codes == staged.square_codes
     assert format_complex(cx) == format_complex(staged)
-    assert provenance == {cell: place(cell) for cell in provenance}
+    assert_copies_as_staged(built, staged, provenance)
     # One generator per edge, so every letter of a copy loop is kept.
-    names = {e: f"g{i}" for i, e in enumerate(cx.edge_order)}
+    names = {e: f"g{i}" for i, e in enumerate(staged.edge_order)}
     per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
     assert (_copy_killing_relators(built, presentation, per_edge)
@@ -455,8 +468,37 @@ def test_S_of_P_matches_staged_build(seed):
         assert (_copy_killing_relators(built, presentation, letter)
                 == oracle_copy_killing_relators(staged, provenance, expected, names))
     written = [tuple((f"e{cx.position[e]}", s) for e, s in sq) for sq in cx.squares]
-    assert_codes_and_squares(cx, staged.squares)
+    assert_codes_and_squares(cx, by_position(staged, staged.squares))
     assert_codes_and_squares(parse_complex(format_complex(cx)), written)
+
+
+@given(seeds)
+@derandomized
+def test_cell_bound_counts_the_cells_built(seed):
+    """build_S_of_P counts S(P)'s cells before it builds any, and the
+    count is exact: with MAX_WORD_LETTERS at V + E + F of the complex it
+    builds, it builds the same complex, and one lower it refuses.  x is
+    the torus or random cells, under 1-4 relators of 1-8 letters."""
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        x, gamma = TORUS, [TORUS.directed(rng.randrange(4))] * rng.randint(1, 3)
+    else:
+        x = SquareComplex(*random_cells(rng))
+        loop = random_edge_loop(rng, x)
+        if loop is None or not loop.is_locally_geodesic():
+            return
+        gamma = loop.edges
+    alphabet = W.Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
+    p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(1, 8))
+                                      for _ in range(rng.randint(1, 4))])
+    cx = build_S_of_P(p, x, gamma).complex
+    cells = len(cx.vertices) + len(cx.edges) + len(cx.square_codes)
+    with mock.patch.object(W, "MAX_WORD_LETTERS", cells):
+        assert format_complex(build_S_of_P(p, x, gamma).complex) == format_complex(cx)
+    with mock.patch.object(W, "MAX_WORD_LETTERS", cells - 1):
+        with pytest.raises(DegenerateInputError,
+                           match=f"^S\\(P\\) would have {cells} cells, more than {cells - 1}$"):
+            build_S_of_P(p, x, gamma)
 
 
 def assert_codes_and_squares(cx, squares):
@@ -568,7 +610,8 @@ def test_twin_vertices_tie_in_each_order(seed):
     built = build_S_of_P(p, x, loop.edges)
     cx = built.complex
     staged, provenance = oracle_build_S_of_P(p, x, loop.edges)
-    names = {e: f"g{i}" for i, e in enumerate(cx.edge_order)}
+    assert_copies_as_staged(built, staged, provenance)
+    names = {e: f"g{i}" for i, e in enumerate(staged.edge_order)}
     per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
     assert (_copy_killing_relators(built, presentation, per_edge)
@@ -585,7 +628,8 @@ def test_twin_vertices_tie_in_each_order(seed):
     for complex_ in (x, cx):
         assert format_complex(complex_) == oracle_format_complex(complex_)
         assert check_link_condition(complex_) == oracle_check_link_condition(complex_)
-    corners = [("copy", j, "v", v) for j in range(len(p.relators)) for v in x.vertices]
+    corners = [staged.vertices[("copy", j, "v", v)]
+               for j in range(len(p.relators)) for v in x.vertices]
     for complex_, v in [(x, v) for v in x.vertices] + [(cx, v) for v in corners]:
         assert link(complex_, v) == oracle_link(complex_, v)
 

@@ -145,8 +145,8 @@ def draw_link_graph(rng):
 
 def draw_built_complex(rng):
     if rng.random() < 0.5:
-        return (squarecx.one_square_torus(),), {}
-    return (squarecx.SquareComplex([], {}),), {}
+        return (squarecx.one_square_torus(), (range(rng.randint(0, 2)),)), {}
+    return (squarecx.SquareComplex([], {}), ()), {}
 
 
 def draw_run_report(rng):

@@ -227,17 +227,21 @@ class TestBuild:
         assert ok
 
     def test_provenance_partition(self):
-        """Every vertex and edge id says where it lies: the rose, or the
-        copy or cylinder of a relator of p."""
+        """Cells are numbered as written: the rose's n * k edges, then per
+        relator j its copy, the range copies[j] of E * l + 2F * l(l - 1)
+        edges (every edge cut in l, every square an l x l grid), and then
+        its cylinder of k * l edges; the last cylinder ends the edges."""
         p = pres(["a", "b"], "a^2", "a b a^-1 b^-1")
-        s = build_S_of_P(p, TORUS, [("a", 1), ("a", 1)]).complex
-        places = set()
-        for cell in list(s.vertices) + list(s.edges):
-            assert cell[0] in ("rose", "copy", "cyl")
-            if cell[0] != "rose":
-                assert cell[1] in range(len(p.relators))
-            places.add(cell[:1] if cell[0] == "rose" else cell[:2])
-        assert places == {("rose",), ("copy", 0), ("copy", 1), ("cyl", 0), ("cyl", 1)}
+        k = 2
+        built = build_S_of_P(p, TORUS, [("a", 1)] * k)
+        E, F = len(TORUS.edges), len(TORUS.square_codes)
+        assert len(built.copies) == len(p.relators)
+        start = len(p.generators) * k
+        for copy, r in zip(built.copies, p.relators):
+            ell = len(r.letters)
+            assert copy == range(start, start + E * ell + 2 * F * ell * (ell - 1))
+            start = copy.stop + k * ell
+        assert start == len(built.complex.edges)
 
     def test_non_geodesic_gamma_rejected(self):
         p = pres(["a"], "a^2")
