@@ -331,7 +331,7 @@ def parse_complex(text):
             if eid in edges:
                 raise ParseError(f"duplicate edge id {tok}", line=i)
             # An endpoint spelled as on its vertex line shares that line's id,
-            # so the complex holds one copy of each id, not three.
+            # so the reader holds one copy of each id while it reads, not three.
             edges[eid] = (ids[a] if a in ids else _token(a), ids[b] if b in ids else _token(b))
             written.append(tok)
             at["edge", eid] = i
@@ -372,7 +372,7 @@ def format_complex(complex_):
     head = complex_.head
     out = [f"vertex v{p}" for p in range(len(complex_.vertices))]
     out += [f"edge e{i} v{head[2 * i]} v{head[2 * i + 1]}"
-            for i in range(len(complex_.edge_order))]
+            for i in range(len(complex_.edges))]
     # Edge i has codes 2i (reversed) and 2i + 1.
     token = [f"e{c >> 1}" if c & 1 else f"e{c >> 1}-" for c in range(len(head))]
     for codes in complex_.square_codes:

@@ -2,20 +2,19 @@
 complex with scaled copies ("S of P") construction, Euler characteristics and
 fundamental-group presentations.
 
-A complex numbers its vertices and edges in the order given and reads
-each cell by its position there.  A directed edge (edge id, sign), whose
-reverse is (e, -s), is one integer code 2 * (position of e) + (s > 0), so
-reversing flips the low bit; a square is its four codes, the least of
-the eight dihedral readings of its boundary.  No pair is kept:
-`SquareComplex.code` reads one in, `directed` and `squares` decode on
-demand, and the S(P) builder makes none: it numbers each vertex and edge
-as it writes it, so its ids are their positions, and hands its squares
-over as codes.  The link condition is read off one pass over the square
-corners, each an arc between two codes.  Spanning forests keep the code
-of the edge into each vertex, and pi1 the letter of each code; a complex
-grows its own spanning forest once and keeps it for its component count,
-pi1 and H_1.
-"""
+A complex keeps its vertex and edge ids as two tuples, in the order given,
+and reads each cell by its position there.  A directed edge (edge id,
+sign), whose reverse is (e, -s), is one integer code 2 * (position of e)
++ (s > 0), so reversing flips the low bit; a square is its four codes,
+the least of the eight dihedral readings of its boundary.  No pair is
+kept: `SquareComplex.code` reads one in, through an edge index it builds
+on its first lookup, and `directed` and `squares` decode on demand.  The
+S(P) builder looks no id up: it numbers each vertex and edge as it writes
+it, so its ids are their positions, and hands its squares over as codes.
+The link condition is read off one pass over the square corners, each an
+arc between two codes.  Spanning forests keep the code of the edge into
+each vertex, and pi1 the letter of each code; a complex grows its own
+spanning forest once and keeps it for its component count, pi1 and H_1."""
 
 from __future__ import annotations
 
@@ -42,37 +41,38 @@ def _path_codes(complex_, path, kind):
 class SquareComplex:
     """Vertices, undirected edges (usable in both directions) and squares.
 
-    `vertex_order` and `edge_order` hold the ids in the order given, each
-    once (a repeated vertex is refused), and every reader takes positions
-    there.  `vertices` maps each vertex to its position; `edges` maps an
-    edge id to its (src, dst), and `position` maps it to its position.
-    The directed edge (e, s) has code 2 * position[e] + (s > 0) and ends
-    at vertex position `head[code]`; `square_codes[q]` holds the codes of
-    square q.  These are all it stores of directed edges and squares;
-    `spanning_forest` keeps one byte per edge once it is asked for."""
+    `vertices` and `edges` hold the ids in the order given, each once (a
+    repeated vertex is refused); `edges` comes in as a mapping, or pairs,
+    of edge id -> (src, dst).  Directed edge (edges[p], s) has code
+    c = 2p + (s > 0) and ends at vertex position head[c]; `square_codes[q]`
+    holds the codes of square q.  Past these four tables, `code` keeps an
+    edge index once it looks an id up, and `spanning_forest` one byte per
+    edge once it is asked for."""
 
     def __init__(self, vertices, edges, squares=()):
-        self.vertex_order = tuple(vertices)
-        place = self.vertices = positions(self.vertex_order)
-        self.edges = dict(edges)  # eid -> (src, dst)
-        self.edge_order = tuple(self.edges)
-        for eid, (src, dst) in self.edges.items():
+        self.vertices = tuple(vertices)
+        place = positions(self.vertices)
+        ids, head = [], []
+        for eid, (src, dst) in (edges.items() if hasattr(edges, "keys") else edges):
             if src not in place or dst not in place:
                 raise ConfigurationError(f"edge {eid!r} has an endpoint outside the complex",
                                          ("edge", eid))
-        self.position = {e: p for p, e in enumerate(self.edge_order)}
-        self.head = [place[v] for ends in self.edges.values() for v in ends]
+            ids.append(eid)
+            head += place[src], place[dst]
+        self.edges, self.head = tuple(ids), head
         self.square_codes = []
-        self._forest = None
+        self._index = self._forest = None
         for sq in squares:
             self.add_square(_path_codes(self, sq, "square boundary"))
 
     def code(self, d):
         """The code of directed edge d = (e, s); ConfigurationError for an
         unknown edge, a sign other than 1 or -1, or a d that is no pair."""
+        if self._index is None:
+            self._index = {e: p for p, e in enumerate(self.edges)}
         try:
             e, s = d
-            p = self.position[e]
+            p = self._index[e]
         except KeyError:
             raise ConfigurationError(f"unknown edge {e!r}") from None
         except (TypeError, ValueError):   # not a pair, or an unhashable edge
@@ -83,13 +83,13 @@ class SquareComplex:
 
     def directed(self, c):
         """The directed edge (e, s) of code c."""
-        return (self.edge_order[c >> 1], 1 if c & 1 else -1)
+        return (self.edges[c >> 1], 1 if c & 1 else -1)
 
     @property
     def squares(self):
         """The squares as 4-tuples of directed edges (e, s), decoded anew
         on each read."""
-        d = [(e, s) for e in self.edge_order for s in (-1, 1)]
+        d = [(e, s) for e in self.edges for s in (-1, 1)]
         return [(d[c0], d[c1], d[c2], d[c3]) for c0, c1, c2, c3 in self.square_codes]
 
     def add_square(self, codes):
@@ -118,8 +118,8 @@ class SquareComplex:
         edge position, 1 on the forest.  Squares never change it, so it is
         grown once and kept; callers only read it."""
         if self._forest is None:
-            self._forest = _bfs_forest(self, range(len(self.edge_order)),
-                                       range(len(self.vertex_order)))[1]
+            self._forest = _bfs_forest(self, range(len(self.edges)),
+                                       range(len(self.vertices)))[1]
         return self._forest
 
 
@@ -147,9 +147,9 @@ def _corners(complex_):
 def link(complex_, v):
     """One node per edge-end at v (a loop contributes both directions), in
     code order; one arc per square corner whose apex is v."""
-    if (p := complex_.vertices.get(v)) is None:
+    if v not in complex_.vertices:
         raise ConfigurationError(f"vertex {v!r} is not in the complex")
-    head, directed = complex_.head, complex_.directed
+    p, head, directed = complex_.vertices.index(v), complex_.head, complex_.directed
     nodes = tuple(directed(c) for c in range(len(head)) if head[c ^ 1] == p)
     arcs = [(directed(a), directed(b), divmod(i, 4))
             for i, (a, b) in enumerate(_corners(complex_)) if head[a ^ 1] == p]
@@ -164,7 +164,7 @@ def check_link_condition(complex_):
     vertex, so one dict of node pairs finds the bigons and one list,
     indexed by code a, of a's neighbours b > a the triangles, with no
     per-vertex link; a code with no such neighbour gets no list.
-    Violations are listed vertex by vertex in `vertex_order`: loops and
+    Violations are listed vertex by vertex in `vertices`: loops and
     bigons in corner order, then the triangles (a, b, c), a < b < c, by
     ascending codes."""
     n = len(complex_.head)
@@ -207,7 +207,7 @@ def check_link_condition(complex_):
     for a, b, c in sorted(triangles):
         found.setdefault(head[a ^ 1], []).append(
             ("triangle", (directed(a), directed(b), directed(c))))
-    violations = [(complex_.vertex_order[p], kind, detail) for p in sorted(found)
+    violations = [(complex_.vertices[p], kind, detail) for p in sorted(found)
                   for kind, detail in found[p]]
     return False, violations
 
@@ -286,10 +286,10 @@ def _add_scaled_copy(x, ell, fresh, ends, squares):
     each edge of x's points and unit edge codes, by its position in x.  An
     edge's points share its corners' positions, and a square's grid of
     points shares its sides' lists."""
-    corner = [*islice(fresh, len(x.vertex_order))]
+    corner = [*islice(fresh, len(x.vertices))]
     head = x.head
     cut = [_cut(fresh, ends, corner[head[2 * p]], corner[head[2 * p + 1]], ell)
-           for p in range(len(x.edge_order))]
+           for p in range(len(x.edges))]
     for c1, c2, c3, c4 in x.square_codes:
         # The boundary runs c1 rightwards along the bottom, c2 up the right
         # side, c3 back along the top and c4 down the left side.  grid[a][b]
@@ -391,11 +391,11 @@ def _bfs_forest(complex_, positions, roots):
     code c of the forest edge into it (c leaves head[c ^ 1]), and one byte
     per edge position of the complex, 1 on the forest."""
     head = complex_.head
-    leaving = [[] for _ in complex_.vertex_order]   # the codes leaving each vertex
+    leaving = [[] for _ in complex_.vertices]   # the codes leaving each vertex
     for p in positions:
         leaving[head[2 * p]].append(2 * p + 1)
         leaving[head[2 * p + 1]].append(2 * p)
-    parent, forest = [-1] * len(leaving), bytearray(len(complex_.edge_order))
+    parent, forest = [-1] * len(leaving), bytearray(len(complex_.edges))
     for start in roots:
         if parent[start] != -1:
             continue
@@ -435,13 +435,12 @@ def _pi1_with_letters(complex_):
     vertex before any other root is tried."""
     if not complex_.vertices:
         raise ConfigurationError("empty complex")
-    n_edges = len(complex_.edge_order)
     tree = complex_.spanning_forest()
     if tree.count(1) != len(complex_.vertices) - 1:
         raise ConfigurationError("complex is not connected")
     non_tree = [p for p, t in enumerate(tree) if not t]
     alphabet = W.Alphabet([f"g{i}" for i in range(len(non_tree))])
-    letter = [None] * (2 * n_edges)
+    letter = [None] * len(complex_.head)
     for g, p in zip(alphabet.names, non_tree):
         letter[2 * p], letter[2 * p + 1] = (g, -1), (g, 1)
     # Codes c and c ^ 1 are the two directions of one edge, so cancelling
@@ -482,7 +481,7 @@ def cellular_h1(complex_):
                 row[j] = row.get(j, 0) + (1 if c & 1 else -1)
         rows.append(row)
     factors = smith_normal_form(rows)
-    betti = len(complex_.edge_order) - forest.count(1) - len(factors)
+    betti = len(complex_.edges) - forest.count(1) - len(factors)
     return AbelianInvariants(betti=betti, torsion=tuple(d for d in factors if d > 1))
 
 

@@ -530,8 +530,9 @@ def oracle_translate_family_check(base, action, subgroup, translates):
 # canonicalized by that comparison, complexes written in the order given; and
 # spanning forests, pi1 and copy loops walked over edge ids and (edge, sign)
 # pairs.  Each oracle ranks ids by the order given itself, from the vertex
-# and edge dicts, and reads none of forge's position tables.  Only the data
-# types come from forge.
+# and edge id tuples, reads each edge's ends into an edge dict once, off
+# `head` (`edge_ends`), and looks no code up.  Only the data types come
+# from forge.
 
 
 def reverse(d):
@@ -540,19 +541,28 @@ def reverse(d):
 
 
 def directed_edges(complex_):
-    """Every directed edge (e, s) of the complex, read off its edge dict:
+    """Every directed edge (e, s) of the complex, read off its edge ids:
     (e, 1) then (e, -1), edges in the order given."""
     return [(e, s) for e in complex_.edges for s in (1, -1)]
 
 
-def src(complex_, d):
-    """The vertex where directed edge d = (e, s) starts."""
+def edge_ends(complex_):
+    """The complex's edge dict, edge id -> (src, dst) vertex ids, in the
+    order given: edge p runs from vertices[head[2p]] to
+    vertices[head[2p + 1]]."""
+    vs, head = complex_.vertices, complex_.head
+    return {e: (vs[head[2 * p]], vs[head[2 * p + 1]]) for p, e in enumerate(complex_.edges)}
+
+
+def src(ends, d):
+    """The vertex where directed edge d = (e, s) starts, over an edge dict
+    `ends` of edge id -> (src, dst)."""
     e, s = d
-    return complex_.edges[e][0] if s > 0 else complex_.edges[e][1]
+    return ends[e][0] if s > 0 else ends[e][1]
 
 
-def dst(complex_, d):
-    return src(complex_, reverse(d))
+def dst(ends, d):
+    return src(ends, reverse(d))
 
 
 def _dkey(edges):
@@ -575,12 +585,11 @@ def oracle_canonical_square(square, edges=None):
 
 
 def oracle_format_complex(complex_):
-    vs, es = list(complex_.vertices), list(complex_.edges)
+    vs, ends = list(complex_.vertices), edge_ends(complex_)
     vname = {v: f"v{i}" for i, v in enumerate(vs)}
-    ename = {e: f"e{i}" for i, e in enumerate(es)}
+    ename = {e: f"e{i}" for i, e in enumerate(ends)}
     out = [f"vertex {vname[v]}" for v in vs]
-    for e in es:
-        src, dst = complex_.edges[e]
+    for e, (src, dst) in ends.items():
         out.append(f"edge {ename[e]} {vname[src]} {vname[dst]}")
     for sq in complex_.squares:
         toks = [ename[e] + ("" if s > 0 else "-") for e, s in sq]
@@ -604,6 +613,7 @@ class _OracleScaledCopy:
 
     def __init__(self, x, ell, tag):
         self.x = x
+        self.ends = edge_ends(x)
         self.ell = ell
         self.tag = tag
         self.vertices = {}
@@ -621,7 +631,7 @@ class _OracleScaledCopy:
             self._add_grid(qi, sq)
 
     def _edge_point(self, e, t):
-        u, wv = self.x.edges[e]
+        u, wv = self.ends[e]
         if t == 0:
             return ("copy", self.tag, "v", u)
         if t == self.ell:
@@ -744,9 +754,9 @@ def oracle_bfs_forest(complex_, edge_ids, roots):
     from each root in turn that no earlier tree reached, read off the edge
     dict.  Returns the parent map, vertex -> None for a root, else (parent,
     directed edge into it), and the set of forest edge ids."""
-    adjacency = {}
+    adjacency, ends = {}, edge_ends(complex_)
     for e in edge_ids:
-        src, dst = complex_.edges[e]
+        src, dst = ends[e]
         adjacency.setdefault(src, []).append((e, dst))
         adjacency.setdefault(dst, []).append((e, src))
     parent, forest = {}, set()
@@ -759,7 +769,7 @@ def oracle_bfs_forest(complex_, edge_ids, roots):
             v = queue.popleft()
             for e, u in adjacency.get(v, ()):
                 if u not in parent:
-                    parent[u] = (v, (e, 1) if complex_.edges[e][0] == v else (e, -1))
+                    parent[u] = (v, (e, 1) if ends[e][0] == v else (e, -1))
                     forest.add(e)
                     queue.append(u)
     return parent, forest
@@ -798,19 +808,19 @@ def oracle_copy_killing_relators(complex_, provenance, presentation, names):
     """The relators killing each copy's fundamental group, copies read from
     the provenance dict, forests and loops from the edge dict.  Each copy's
     forest grows from its edges' ends in the order the vertices were given."""
-    copies = {}
+    copies, ends = {}, edge_ends(complex_)
     for e in complex_.edges:
         if provenance[e][0] == "copy":
             copies.setdefault(provenance[e][1], []).append(e)
     relators = []
     for j, copy_edges in sorted(copies.items()):
-        ends = {v for e in copy_edges for v in complex_.edges[e]}
-        roots = [v for v in complex_.vertices if v in ends]
+        at = {v for e in copy_edges for v in ends[e]}
+        roots = [v for v in complex_.vertices if v in at]
         parent, forest = oracle_bfs_forest(complex_, copy_edges, roots)
         for e in copy_edges:
             if e in forest:
                 continue
-            src, dst = complex_.edges[e]
+            src, dst = ends[e]
             loop = (oracle_forest_path(parent, src) + [(e, 1)]
                     + [reverse(d) for d in reversed(oracle_forest_path(parent, dst))])
             relators.append(W.reduce(presentation.alphabet,
@@ -907,7 +917,7 @@ def oracle_rank_d1(complex_):
     normal form of its dense matrix."""
     vi = {v: i for i, v in enumerate(complex_.vertices)}
     d1 = [[0] * len(vi) for _ in complex_.edges]
-    for row, (src, dst) in zip(d1, complex_.edges.values()):
+    for row, (src, dst) in zip(d1, edge_ends(complex_).values()):
         row[vi[dst]] += 1
         row[vi[src]] -= 1
     return len(oracle_smith_normal_form(d1)) if d1 and vi else 0
@@ -928,13 +938,14 @@ def oracle_cellular_h1(complex_):
 
 
 def oracle_link(complex_, v):
+    ends = edge_ends(complex_)
     nodes = tuple(sorted((d for d in directed_edges(complex_)
-                          if src(complex_, d) == v), key=_dkey(complex_.edges)))
+                          if src(ends, d) == v), key=_dkey(complex_.edges)))
     lk = LinkGraph(v, nodes)
     for qi, sq in enumerate(complex_.squares):
         for ci in range(4):
             d_in, d_out = sq[ci], sq[(ci + 1) % 4]
-            if dst(complex_, d_in) == v:
+            if dst(ends, d_in) == v:
                 lk.arcs.append((reverse(d_in), d_out, (qi, ci)))
     return lk
 
@@ -975,9 +986,9 @@ def oracle_check_link_condition(complex_):
 
 
 def oracle_is_locally_geodesic(loop):
-    links = {}
+    links, ends = {}, edge_ends(loop.complex)
     for d, d_next in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
-        v = dst(loop.complex, d)
+        v = dst(ends, d)
         if v not in links:
             lk = oracle_link(loop.complex, v)
             links[v] = adjacency = {n: [] for n in lk.nodes}

@@ -420,7 +420,7 @@ def read_with(parse, text):
         cx = parse(text)
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.column
-    return cx.vertex_order, cx.edge_order, cx.head, cx.square_codes
+    return cx.vertices, cx.edges, cx.head, cx.square_codes
 
 
 @given(seeds)

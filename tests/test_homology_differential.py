@@ -26,7 +26,8 @@ from forge.squarecx import (EdgeLoop, SquareComplex, _copy_killing_relators,
                             _pi1_with_letters, build_S_of_P, cellular_h1,
                             check_link_condition, link, one_square_torus,
                             pi1_presentation)
-from helpers import (component_count, derandomized, directed_edges, dst, exponent_sum,
+from helpers import (component_count, derandomized, directed_edges, dst, edge_ends,
+                     exponent_sum,
                      is_connected,
                      oracle_bfs_forest, oracle_build_S_of_P, oracle_canonical_square, oracle_cellular_h1,
                      oracle_check_link_condition,
@@ -222,31 +223,31 @@ def random_cells(rng, vertex_ids=(0, "v1", ("t", 2), "v3"),
     edges = {eid: (rng.choice(vertices), rng.choice(vertices))
              for eid in edge_ids[:rng.randint(1, len(edge_ids))]}
     skeleton = SquareComplex(vertices, edges)
-    directed = directed_edges(skeleton)
+    directed, ends = directed_edges(skeleton), edge_ends(skeleton)
     squares = []
     for _ in range(rng.randint(0, 5)):
         for _attempt in range(20):
             path = [rng.choice(directed)]
             while len(path) < 4:
                 path.append(rng.choice([d for d in directed
-                                        if src(skeleton, d) == dst(skeleton, path[-1])]))
-            if dst(skeleton, path[-1]) == src(skeleton, path[0]):
+                                        if src(ends, d) == dst(ends, path[-1])]))
+            if dst(ends, path[-1]) == src(ends, path[0]):
                 squares.append(tuple(path))
                 break
     return vertices, edges, squares
 
 
 def random_edge_loop(rng, cx):
-    directed = directed_edges(cx)
+    directed, ends = directed_edges(cx), edge_ends(cx)
     for _attempt in range(50):
         path = [rng.choice(directed)]
         for _ in range(rng.randint(0, 5)):
-            options = [d for d in directed if src(cx, d) == dst(cx, path[-1])
+            options = [d for d in directed if src(ends, d) == dst(ends, path[-1])
                        and d != (path[-1][0], -path[-1][1])]
             if not options:
                 break
             path.append(rng.choice(options))
-        closes = dst(cx, path[-1]) == src(cx, path[0])
+        closes = dst(ends, path[-1]) == src(ends, path[0])
         if closes and path[0] != (path[-1][0], -path[-1][1]):
             return EdgeLoop(cx, path)
     return None
@@ -273,14 +274,14 @@ def crowded_cells(rng):
     for i in range(rng.randint(1, 3)):
         edges[f"o{i}"] = ("hub", "rim") if rng.random() < 0.5 else ("rim", "hub")
     skeleton = SquareComplex(["hub", "rim"], edges)
-    directed = directed_edges(skeleton)
+    directed, ends = directed_edges(skeleton), edge_ends(skeleton)
     squares, count = [], rng.randint(8, 40)
     while len(squares) < count:
         path = [rng.choice(directed)]
         while len(path) < 4:
             path.append(rng.choice([d for d in directed
-                                    if src(skeleton, d) == dst(skeleton, path[-1])]))
-        if dst(skeleton, path[-1]) == src(skeleton, path[0]):
+                                    if src(ends, d) == dst(ends, path[-1])]))
+        if dst(ends, path[-1]) == src(ends, path[0]):
             squares.append(tuple(path))
     return ["hub", "rim"], edges, squares
 
@@ -308,9 +309,9 @@ def test_spanning_forest_matches_the_oracle(seed):
     rng = random.Random(seed)
     cx = SquareComplex(*(random_cells(rng) if rng.random() < 0.5 else mixed_cells(rng)))
     forest = cx.spanning_forest()
-    assert len(forest) == len(cx.edge_order) and set(forest) <= {0, 1}
+    assert len(forest) == len(cx.edges) and set(forest) <= {0, 1}
     expected = oracle_bfs_forest(cx, list(cx.edges), list(cx.vertices))[1]
-    assert [e for e, t in zip(cx.edge_order, forest) if t] == [e for e in cx.edges if e in expected]
+    assert [e for e, t in zip(cx.edges, forest) if t] == [e for e in cx.edges if e in expected]
     assert cx.spanning_forest() is forest
 
 
@@ -388,7 +389,7 @@ def test_outputs_ignore_the_order_of_the_cells(seed):
         p = FinitePresentation(alphabet, [cyclically_reduced(rng, alphabet, rng.randint(1, 4))
                                           for _ in range(rng.randint(1, 2))])
         cx = build_S_of_P(p, TORUS, [("a", 1)] * rng.randint(1, 2)).complex
-        cells = (cx.vertices, cx.edges, cx.squares)
+        cells = (cx.vertices, edge_ends(cx), cx.squares)
     else:
         cells = random_cells(rng) if kind < 0.7 else mixed_cells(rng)
     expected = order_free_invariants(SquareComplex(*cells))
@@ -401,14 +402,15 @@ def assert_copies_as_staged(built, staged, provenance):
     build records the edge at position p as ("copy", j), and in no other
     range."""
     assert [[("copy", j) for j, copy in enumerate(built.copies) if p in copy]
-            for p in range(len(built.complex.edge_order))] == [
-        [provenance[e]] if provenance[e][0] == "copy" else [] for e in staged.edge_order]
+            for p in range(len(built.complex.edges))] == [
+        [provenance[e]] if provenance[e][0] == "copy" else [] for e in staged.edges]
 
 
-def by_position(staged, squares):
-    """The staged build's squares with each edge id replaced by its
-    position."""
-    return [tuple((staged.position[e], s) for e, s in sq) for sq in squares]
+def by_position(complex_, squares):
+    """Squares over the complex's edge ids with each id replaced by its
+    position in the complex."""
+    position = {e: p for p, e in enumerate(complex_.edges)}
+    return [tuple((position[e], s) for e, s in sq) for sq in squares]
 
 
 @given(seeds)
@@ -443,17 +445,17 @@ def test_S_of_P_matches_staged_build(seed):
     built = build_S_of_P(p, x, gamma)
     cx = built.complex
     staged, provenance = oracle_build_S_of_P(p, x, gamma)
-    at = staged.vertices
-    assert cx.vertex_order == tuple(range(len(at)))
-    assert list(cx.edges.items()) == [(i, (at[a], at[b]))
-                                      for i, (a, b) in enumerate(staged.edges.values())]
+    at = {v: p for p, v in enumerate(staged.vertices)}
+    assert cx.vertices == tuple(range(len(at)))
+    assert list(edge_ends(cx).items()) == [(i, (at[a], at[b])) for i, (a, b)
+                                           in enumerate(edge_ends(staged).values())]
     assert cx.squares == by_position(staged, staged.squares)
     assert cx.square_codes == staged.square_codes
     assert format_complex(cx) == format_complex(staged)
     assert_copies_as_staged(built, staged, provenance)
     # One generator per edge, so every letter of a copy loop is kept.
-    names = {e: f"g{i}" for i, e in enumerate(staged.edge_order)}
-    per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
+    names = {e: f"g{i}" for i, e in enumerate(staged.edges)}
+    per_edge = [(f"g{p}", s) for p in range(len(cx.edges)) for s in (-1, 1)]
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
     assert (_copy_killing_relators(built, presentation, per_edge)
             == oracle_copy_killing_relators(staged, provenance, presentation, names))
@@ -467,7 +469,7 @@ def test_S_of_P_matches_staged_build(seed):
         presentation, letter = _pi1_with_letters(cx)
         assert (_copy_killing_relators(built, presentation, letter)
                 == oracle_copy_killing_relators(staged, provenance, expected, names))
-    written = [tuple((f"e{cx.position[e]}", s) for e, s in sq) for sq in cx.squares]
+    written = [tuple((f"e{p}", s) for p, s in sq) for sq in by_position(cx, cx.squares)]
     assert_codes_and_squares(cx, by_position(staged, staged.squares))
     assert_codes_and_squares(parse_complex(format_complex(cx)), written)
 
@@ -546,8 +548,8 @@ def test_edge_key_orders_as_given(seed):
     two ids with one repr."""
     vertices, edges, squares = mixed_cells(random.Random(seed))
     cx = SquareComplex(vertices, edges, squares)
-    assert cx.vertex_order == tuple(dict.fromkeys(vertices))
-    assert cx.edge_order == tuple(edges)
+    assert cx.vertices == tuple(dict.fromkeys(vertices))
+    assert cx.edges == tuple(edges)
     assert_codes_and_squares(cx, squares)
     assert component_count(cx) == len(cx.vertices) - oracle_rank_d1(cx)
     for v in vertices:
@@ -577,7 +579,7 @@ def test_twin_ids_tie_in_the_order_given():
                                             a: ("w", "w"), b: ("w", "w")},
                                [(("c", 1), ("d", 1), ("c", -1), ("d", -1))])
         built = build_S_of_P(p, beside, [("c", 1)])
-        n_edges = len(built.complex.edge_order)
+        n_edges = len(built.complex.edges)
         per_edge = [(f"g{p}", s) for p in range(n_edges) for s in (-1, 1)]
         relators = _copy_killing_relators(
             built, FinitePresentation(W.Alphabet([f"g{p}" for p in range(n_edges)])),
@@ -611,8 +613,8 @@ def test_twin_vertices_tie_in_each_order(seed):
     cx = built.complex
     staged, provenance = oracle_build_S_of_P(p, x, loop.edges)
     assert_copies_as_staged(built, staged, provenance)
-    names = {e: f"g{i}" for i, e in enumerate(staged.edge_order)}
-    per_edge = [(f"g{p}", s) for p in range(len(cx.edge_order)) for s in (-1, 1)]
+    names = {e: f"g{i}" for i, e in enumerate(staged.edges)}
+    per_edge = [(f"g{p}", s) for p in range(len(cx.edges)) for s in (-1, 1)]
     presentation = FinitePresentation(W.Alphabet(list(names.values())))
     assert (_copy_killing_relators(built, presentation, per_edge)
             == oracle_copy_killing_relators(staged, provenance, presentation, names))
@@ -628,7 +630,7 @@ def test_twin_vertices_tie_in_each_order(seed):
     for complex_ in (x, cx):
         assert format_complex(complex_) == oracle_format_complex(complex_)
         assert check_link_condition(complex_) == oracle_check_link_condition(complex_)
-    corners = [staged.vertices[("copy", j, "v", v)]
+    corners = [staged.vertices.index(("copy", j, "v", v))
                for j in range(len(p.relators)) for v in x.vertices]
     for complex_, v in [(x, v) for v in x.vertices] + [(cx, v) for v in corners]:
         assert link(complex_, v) == oracle_link(complex_, v)

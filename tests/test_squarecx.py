@@ -10,13 +10,14 @@ import pytest
 import forge
 from forge.cli import main
 from forge.errors import ConfigurationError, DegenerateInputError, ParseError
-from forge.fileformats import parse_complex
+from forge.fileformats import format_complex, parse_complex
 from forge.presentations import FinitePresentation, abelianization
 from forge.squarecx import (EdgeLoop, SquareComplex, build_S_of_P,
                             cellular_h1, check_link_condition,
                             homs_killing_copies, link, one_square_torus,
                             pi1_presentation)
-from helpers import component_count, is_connected, oracle_canonical_square, reverse
+from helpers import (component_count, edge_ends, is_connected, oracle_canonical_square,
+                     reverse)
 
 
 def pres(gens, *rels):
@@ -25,6 +26,7 @@ def pres(gens, *rels):
 
 
 TORUS = one_square_torus()
+TORUS_ENDS = edge_ends(TORUS)
 TORUS_TEXT = "vertex v\nedge a v v\nedge b v v\nsquare a b a- b-\n"
 NOT_PAIRS = r"is not a path of \(edge, sign\) pairs"
 
@@ -40,7 +42,7 @@ class TestBasics:
         sq = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
         rotated = sq[2:] + sq[:2]
         flipped = tuple(reverse(d) for d in reversed(sq))
-        squares = [SquareComplex(TORUS.vertices, TORUS.edges, [reading]).squares
+        squares = [SquareComplex(TORUS.vertices, TORUS_ENDS, [reading]).squares
                    for reading in (sq, rotated, flipped)]
         assert squares[0] == squares[1] == squares[2] == TORUS.squares
 
@@ -65,12 +67,12 @@ class TestBasics:
 
     def test_unknown_square_edge_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown edge 'c'"):
-            SquareComplex(TORUS.vertices, TORUS.edges,
+            SquareComplex(TORUS.vertices, TORUS_ENDS,
                           [(("a", 1), ("b", 1), ("a", -1), ("c", -1))])
 
     def test_zero_sign_rejected(self):
         with pytest.raises(ConfigurationError, match="sign 0"):
-            SquareComplex(TORUS.vertices, TORUS.edges,
+            SquareComplex(TORUS.vertices, TORUS_ENDS,
                           [(("a", 1), ("b", 1), ("a", 0), ("b", -1))])
 
     # Each fault as one square of pairs, and where a file or --gamma can
@@ -89,7 +91,7 @@ class TestBasics:
         """The complex's one lookup names each fault alike in a square, an
         edge loop, a `square` line of a file and --gamma."""
         with pytest.raises(ConfigurationError, match=message):
-            SquareComplex(TORUS.vertices, TORUS.edges, squares)
+            SquareComplex(TORUS.vertices, TORUS_ENDS, squares)
         with pytest.raises(ConfigurationError, match=message):
             EdgeLoop(TORUS, squares[0])
         if spelled is None:
@@ -124,7 +126,7 @@ class TestBasics:
         [["b", -1], ["a", -1], ["b", True], ["a", 1]],
         (("a", -1), ("b", -1), ("a", 1), ("b", 1))])
     def test_lists_and_bool_signs_read_as_tuples(self, square):
-        cx = SquareComplex(TORUS.vertices, TORUS.edges, [square])
+        cx = SquareComplex(TORUS.vertices, TORUS_ENDS, [square])
         assert (cx.squares == [oracle_canonical_square(map(tuple, square), TORUS.edges)]
                 == TORUS.squares)
         (codes,) = cx.square_codes
@@ -143,8 +145,9 @@ class TestLinkCondition:
         assert len(lk.arcs) == 4
 
     def test_link_of_unknown_vertex_refused(self):
-        with pytest.raises(ConfigurationError, match="^vertex 'w' is not in the complex$"):
-            link(TORUS, "w")
+        for v, shown in (("w", "'w'"), (["v"], r"\['v'\]")):   # an unhashable v too
+            with pytest.raises(ConfigurationError, match=f"^vertex {shown} is not in the complex$"):
+                link(TORUS, v)
 
     def test_all_edges_identified_fails(self):
         cx = SquareComplex(["v"], {"a": ("v", "v")},
@@ -242,6 +245,21 @@ class TestBuild:
             assert copy == range(start, start + E * ell + 2 * F * ell * (ell - 1))
             start = copy.stop + k * ell
         assert start == len(built.complex.edges)
+
+    def test_cells_kept_by_position(self):
+        """S(P) and its written and parsed copy keep their ids as the two
+        tuples in the order given, and neither holds an id dict, not even
+        after the link check, pi1, H_1 and writing have read them."""
+        p = pres(["a", "b"], "a^3", "a b a^-1 b^-1")
+        cx = build_S_of_P(p, TORUS, [("a", 1)] * 2).complex
+        for complex_ in (cx, parse_complex(format_complex(cx))):
+            check_link_condition(complex_)
+            pi1_presentation(complex_)
+            cellular_h1(complex_)
+            format_complex(complex_)
+            assert not any(isinstance(value, dict) for value in vars(complex_).values())
+        assert cx.vertices == tuple(range(len(cx.vertices)))
+        assert cx.edges == tuple(range(len(cx.edges)))
 
     def test_non_geodesic_gamma_rejected(self):
         p = pres(["a"], "a^2")
